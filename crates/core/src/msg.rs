@@ -9,6 +9,7 @@ use crate::cost::Sigma;
 use sensor_net::NodeId;
 use sensor_query::Tuple;
 use sensor_summaries::Constraint;
+use std::sync::Arc;
 
 /// A join pair, keyed (s, t).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -43,62 +44,111 @@ pub mod side {
 pub enum Route {
     /// Follow the primary routing tree upward to the base station.
     TreeUp,
-    /// Follow an explicit node path; `pos` indexes the current node.
-    Path { path: Vec<NodeId>, pos: usize },
+    /// Follow an explicit node path; `pos` indexes the current node. The
+    /// path is shared: a hop advances `pos` and passes the same vector on.
+    Path { path: Arc<[NodeId]>, pos: usize },
     /// Follow the sender's installed multicast tree (state pushed by
     /// `McastSetup`).
     Mcast { owner: NodeId },
 }
 
+/// GHT initiation: register membership at the home node.
+#[derive(Debug, Clone)]
+pub struct GhtRegister {
+    pub origin: NodeId,
+    pub sides: u8,
+    pub key: u64,
+    pub statics: Tuple,
+    pub path: Vec<NodeId>,
+    pub pos: usize,
+}
+
+/// Innet exploration (multi-tree content-routed search).
+#[derive(Debug, Clone)]
+pub struct Search {
+    pub tree: u8,
+    pub descending: bool,
+    pub s: NodeId,
+    pub s_static: Tuple,
+    pub constraints: Vec<(u8, Constraint)>,
+    /// Nodes visited so far (ends with the current hop's sender).
+    pub path: Vec<NodeId>,
+    /// Primary-tree base distance of each node on `path`.
+    pub hops: Vec<u16>,
+}
+
+/// t → j: nominate a join node for the pair (§3.2).
+#[derive(Debug, Clone)]
+pub struct Nominate {
+    pub pair: Pair,
+    pub seq: u32,
+    /// Full s..t path the pair will use.
+    pub path: Vec<NodeId>,
+    pub hops: Vec<u16>,
+    /// Index of the join node on `path`; `None` = join at base.
+    pub j_idx: Option<usize>,
+    pub assumed: Sigma,
+    /// Position of the current node on `path` while routing t → j
+    /// (decreasing). For at-base nominations the message goes TreeUp.
+    pub pos: usize,
+}
+
+/// §5.2: producer's ΔCp routed to its group coordinator.
+#[derive(Debug, Clone)]
+pub struct DeltaCost {
+    pub group: u64,
+    pub from: NodeId,
+    pub members: Vec<NodeId>,
+    pub delta: f64,
+    pub path: Vec<NodeId>,
+    pub pos: usize,
+}
+
+/// §6: window + estimate hand-off when the join node migrates.
+#[derive(Debug, Clone)]
+pub struct WindowXfer {
+    pub pair: Pair,
+    pub seq: u32,
+    pub path: Vec<NodeId>,
+    pub hops: Vec<u16>,
+    pub new_j_idx: Option<usize>,
+    pub assumed: Sigma,
+    pub win_s: Vec<Tuple>,
+    pub win_t: Vec<Tuple>,
+    pub route: Route,
+}
+
+/// Appendix E: push multicast-tree state to interior nodes.
+#[derive(Debug, Clone)]
+pub struct McastSetup {
+    pub owner: NodeId,
+    /// (node, children) adjacency entries, delivered hop by hop.
+    pub edges: Vec<(NodeId, Vec<NodeId>)>,
+}
+
 /// Protocol message set (all algorithms share the enum; each uses a
-/// subset).
+/// subset). Every transmission moves a `Msg` by value several times, so
+/// the payloads of the rare control messages are boxed: the enum is as
+/// large as the per-tuple `Data` it mostly carries, not as its largest
+/// member.
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// Query dissemination flood.
     QueryFlood,
     /// Base-algorithm initiation: announce static attributes to the base.
-    Announce { origin: NodeId, sides: u8 },
+    Announce {
+        origin: NodeId,
+        sides: u8,
+    },
     /// Base-algorithm initiation: participation verdict routed back.
     Verdict {
         path: Vec<NodeId>,
         pos: usize,
         participate: bool,
     },
-    /// GHT initiation: register membership at the home node.
-    GhtRegister {
-        origin: NodeId,
-        sides: u8,
-        key: u64,
-        statics: Tuple,
-        path: Vec<NodeId>,
-        pos: usize,
-    },
-    /// Innet exploration (multi-tree content-routed search).
-    Search {
-        tree: u8,
-        descending: bool,
-        s: NodeId,
-        s_static: Tuple,
-        constraints: Vec<(u8, Constraint)>,
-        /// Nodes visited so far (ends with the current hop's sender).
-        path: Vec<NodeId>,
-        /// Primary-tree base distance of each node on `path`.
-        hops: Vec<u16>,
-    },
-    /// t → j: nominate a join node for the pair (§3.2).
-    Nominate {
-        pair: Pair,
-        seq: u32,
-        /// Full s..t path the pair will use.
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-        /// Index of the join node on `path`; `None` = join at base.
-        j_idx: Option<usize>,
-        assumed: Sigma,
-        /// Position of the current node on `path` while routing t → j
-        /// (decreasing). For at-base nominations the message goes TreeUp.
-        pos: usize,
-    },
+    GhtRegister(Box<GhtRegister>),
+    Search(Box<Search>),
+    Nominate(Box<Nominate>),
     /// j → producer: the pair assignment. For on-path assigns (`j_idx`
     /// set) the message walks `path` from the join node toward the
     /// endpoint (`toward_t` selects the direction); for at-base assigns
@@ -126,15 +176,7 @@ pub enum Msg {
         gen_cycle: u32,
         route: Route,
     },
-    /// §5.2: producer's ΔCp routed to its group coordinator.
-    DeltaCost {
-        group: u64,
-        from: NodeId,
-        members: Vec<NodeId>,
-        delta: f64,
-        path: Vec<NodeId>,
-        pos: usize,
-    },
+    DeltaCost(Box<DeltaCost>),
     /// §5.2: a coordinator announcing itself to a member whose ΔCp it has
     /// not seen (Algorithm 1 lines 7-8: members adopt the lowest-id
     /// coordinator and re-send their cost difference).
@@ -153,26 +195,8 @@ pub enum Msg {
         path: Vec<NodeId>,
         pos: usize,
     },
-    /// §6: window + estimate hand-off when the join node migrates.
-    WindowXfer {
-        pair: Pair,
-        seq: u32,
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-        new_j_idx: Option<usize>,
-        assumed: Sigma,
-        win_s: Vec<Tuple>,
-        win_t: Vec<Tuple>,
-        route: Route,
-    },
-    /// Appendix E: push multicast-tree state to interior nodes.
-    McastSetup {
-        owner: NodeId,
-        /// (node, children) adjacency entries, delivered hop by hop.
-        edges: Vec<(NodeId, Vec<NodeId>)>,
-        path: Vec<NodeId>,
-        pos: usize,
-    },
+    WindowXfer(Box<WindowXfer>),
+    McastSetup(Box<McastSetup>),
     /// Appendix E: snooped path-collapse opportunity reported to `owner`.
     CollapseHint {
         owner: NodeId,
@@ -218,18 +242,16 @@ impl Msg {
             Msg::QueryFlood => 40, // compiled query broadcast
             Msg::Announce { .. } => 3 + STATIC_EXCERPT_BYTES,
             Msg::Verdict { path, .. } => 1 + path_bytes(path.len()),
-            Msg::GhtRegister { path, .. } => 11 + STATIC_EXCERPT_BYTES + path_bytes(path.len()),
-            Msg::Search {
-                constraints, path, ..
-            } => {
+            Msg::GhtRegister(m) => 11 + STATIC_EXCERPT_BYTES + path_bytes(m.path.len()),
+            Msg::Search(m) => {
                 // tree + flags + origin + statics + constraints + path +
                 // delta-encoded hops array (§3.1: "delta encoded").
                 4 + STATIC_EXCERPT_BYTES
-                    + constraints_bytes(constraints)
-                    + path_bytes(path.len())
-                    + path.len() as u32
+                    + constraints_bytes(&m.constraints)
+                    + path_bytes(m.path.len())
+                    + m.path.len() as u32
             }
-            Msg::Nominate { path, .. } => 12 + path_bytes(path.len()) + path.len() as u32,
+            Msg::Nominate(m) => 12 + path_bytes(m.path.len()) + m.path.len() as u32,
             Msg::Assign { path, .. } => 10 + path_bytes(path.len()),
             Msg::Data { route, .. } => {
                 // Established flows route on cached state (flow buffers /
@@ -243,17 +265,15 @@ impl Msg {
                 data_bytes + 1 + route_overhead
             }
             Msg::Result { count, .. } => 4 + *count as u32 * result_bytes,
-            Msg::DeltaCost { members, path, .. } => {
-                10 + 2 * members.len() as u32 + path_bytes(path.len())
-            }
+            Msg::DeltaCost(m) => 10 + 2 * m.members.len() as u32 + path_bytes(m.path.len()),
             Msg::CoordPing { path, .. } => 8 + path_bytes(path.len()),
             Msg::GroupDecision { path, .. } => 12 + path_bytes(path.len()),
-            Msg::WindowXfer {
-                win_s, win_t, path, ..
-            } => 14 + (win_s.len() + win_t.len()) as u32 * data_bytes + path_bytes(path.len()),
-            Msg::McastSetup { edges, path, .. } => {
-                let state: u32 = edges.iter().map(|(_, cs)| 2 + 2 * cs.len() as u32).sum();
-                2 + state + path_bytes(path.len())
+            Msg::WindowXfer(m) => {
+                14 + (m.win_s.len() + m.win_t.len()) as u32 * data_bytes + path_bytes(m.path.len())
+            }
+            Msg::McastSetup(m) => {
+                let state: u32 = m.edges.iter().map(|(_, cs)| 2 + 2 * cs.len() as u32).sum();
+                2 + state
             }
             Msg::CollapseHint { path, .. } => 8 + path_bytes(path.len()),
             Msg::RouteBroken { path, .. } => 8 + path_bytes(path.len()),
@@ -295,7 +315,7 @@ mod tests {
             sides: side::S,
             tuple: Tuple::new(NodeId(1), 0),
             route: Route::Path {
-                path: vec![NodeId(1), NodeId(2), NodeId(3)],
+                path: vec![NodeId(1), NodeId(2), NodeId(3)].into(),
                 pos: 0,
             },
             fallback: None,
@@ -320,17 +340,31 @@ mod tests {
 
     #[test]
     fn window_transfer_scales_with_window() {
-        let mk = |n: usize| Msg::WindowXfer {
-            pair: Pair::new(NodeId(1), NodeId(2)),
-            seq: 0,
-            path: vec![],
-            hops: vec![],
-            new_j_idx: None,
-            assumed: Sigma::new(1.0, 1.0, 1.0),
-            win_s: vec![Tuple::new(NodeId(1), 0); n],
-            win_t: vec![],
-            route: Route::TreeUp,
+        let mk = |n: usize| {
+            Msg::WindowXfer(Box::new(WindowXfer {
+                pair: Pair::new(NodeId(1), NodeId(2)),
+                seq: 0,
+                path: vec![],
+                hops: vec![],
+                new_j_idx: None,
+                assumed: Sigma::new(1.0, 1.0, 1.0),
+                win_s: vec![Tuple::new(NodeId(1), 0); n],
+                win_t: vec![],
+                route: Route::TreeUp,
+            }))
         };
         assert_eq!(mk(4).wire_bytes(6, 10) - mk(0).wire_bytes(6, 10), 24);
+    }
+
+    /// Every hop moves a `Msg` by value through the sink, the wrapper and
+    /// the pool: it must stay the size of the per-tuple `Data`, with the
+    /// control payloads behind a `Box`.
+    #[test]
+    fn hot_message_stays_small() {
+        assert!(
+            std::mem::size_of::<Msg>() <= 112,
+            "Msg is {} bytes",
+            std::mem::size_of::<Msg>()
+        );
     }
 }

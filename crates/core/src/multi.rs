@@ -10,12 +10,12 @@
 //!
 //! Architecture: the engine stays single-protocol. [`MultiNode`] is a
 //! wrapper protocol hosting one [`JoinNode`] instance per query at every
-//! node; inner protocol callbacks run in a sandboxed context
-//! ([`sensor_sim::Ctx::sandbox`]) and their emissions are re-framed as
-//! query-tagged [`MultiMsg`] frames. Each query is an engine *flow*
-//! (query `q` → flow `q + 1`), so per-query radio costs are accounted
-//! separately and [`sensor_sim::SimConfig::fair_mac`] can arbitrate the
-//! MAC budget across queries.
+//! node; inner protocol callbacks run in a nested context
+//! ([`sensor_sim::Ctx::nested`]) that hands each emission over to be
+//! re-framed as a query-tagged [`MultiMsg`] frame. Each query is an
+//! engine *flow* (query `q` → flow `q + 1`), so per-query radio costs are
+//! accounted separately and [`sensor_sim::SimConfig::fair_mac`] can
+//! arbitrate the MAC budget across queries.
 //!
 //! Two delivery disciplines ([`Sharing`]):
 //!
@@ -45,13 +45,12 @@
 use crate::msg::Msg;
 use crate::node::JoinNode;
 use crate::scenario::{default_indexed_attrs, InitStep};
-use crate::shared::{AlgoConfig, Algorithm, Shared};
+use crate::shared::{AlgoConfig, Shared};
 use sensor_net::{NodeId, Topology};
 use sensor_query::JoinQuerySpec;
-use sensor_routing::ght::GpsrRouter;
 use sensor_routing::substrate::MultiTreeSubstrate;
 use sensor_sim::dynamics::DynamicsPlan;
-use sensor_sim::{Ctx, Emitted, Engine, FlowMetrics, Metrics, Protocol, SimConfig};
+use sensor_sim::{Ctx, Engine, FlowMetrics, Metrics, Protocol, SimConfig};
 use sensor_workload::WorkloadData;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -158,14 +157,19 @@ struct Slot {
     active: bool,
 }
 
+/// An inner emission awaiting aggregation: query, unicast target, payload
+/// size its sender declared, message.
+type Staged = (u16, NodeId, u32, Msg);
+
 /// The wrapper protocol instance at one node: one [`JoinNode`] per query,
 /// plus the staging buffer the frame aggregator works from.
 pub struct MultiNode {
     pub id: NodeId,
     slots: Vec<Slot>,
     sharing: Sharing,
-    /// Emissions of the current dispatch, awaiting framing.
-    staged: Vec<(u16, Emitted<Msg>)>,
+    /// SharedTree: unicasts of the current dispatch, awaiting aggregation
+    /// (emptied by every flush, its capacity kept).
+    staged: Vec<Staged>,
     /// Frames that arrived for inactive (departed / not-yet-arrived)
     /// queries and were dropped.
     pub expired_frames: u64,
@@ -226,8 +230,10 @@ impl MultiNode {
         r
     }
 
-    /// Dispatch one inner event to query `q` and stage its emissions;
-    /// `None` (without side effects) when the slot is inactive.
+    /// Dispatch one inner event to query `q`, framing what it emits;
+    /// `None` (without side effects) when the slot is inactive. Every
+    /// emission is enqueued at once as a solo frame, except SharedTree
+    /// unicasts, which wait in `staged` for the flush to aggregate them.
     fn deliver<R>(
         &mut self,
         ctx: &mut Ctx<'_, MultiMsg>,
@@ -236,9 +242,20 @@ impl MultiNode {
     ) -> Option<R> {
         let slot = self.slots.get_mut(q as usize).filter(|s| s.active)?;
         let node = &mut slot.node;
-        let (r, emitted) = ctx.sandbox(|inner| f(node, inner));
-        self.staged.extend(emitted.into_iter().map(|e| (q, e)));
-        Some(r)
+        let (staged, shared) = (&mut self.staged, self.sharing == Sharing::SharedTree);
+        let frame =
+            |outer: &mut Ctx<'_, MultiMsg>, to: Option<NodeId>, payload_bytes, inner| match to {
+                Some(to) if shared => {
+                    staged.push((q, to, payload_bytes, inner));
+                    true
+                }
+                _ => outer.emit(
+                    to,
+                    payload_bytes + QUERY_TAG_BYTES,
+                    MultiMsg::One { q, inner },
+                ),
+            };
+        Some(ctx.nested(frame, |inner| f(node, inner)))
     }
 
     /// [`MultiNode::deliver`] for a frame that arrived off the radio:
@@ -258,41 +275,20 @@ impl MultiNode {
         r
     }
 
-    /// Frame and enqueue everything the current dispatch staged.
-    /// Broadcasts always travel solo; unicasts aggregate per next hop in
-    /// SharedTree mode.
+    /// Frame and enqueue the unicasts the current dispatch staged
+    /// (SharedTree only), aggregated per next hop.
     fn flush(&mut self, ctx: &mut Ctx<'_, MultiMsg>) {
         if self.staged.is_empty() {
             return;
         }
-        let staged = std::mem::take(&mut self.staged);
-        if self.sharing == Sharing::Independent {
-            for (q, e) in staged {
-                ctx.emit(
-                    e.to,
-                    e.payload_bytes + QUERY_TAG_BYTES,
-                    MultiMsg::One { q, inner: e.msg },
-                );
-            }
-            return;
-        }
-        // SharedTree: group unicasts by destination, preserving first-seen
-        // order; greedily pack each destination's frames under the cap.
-        type Group = (Option<NodeId>, Vec<(u16, Emitted<Msg>)>);
+        // Group by destination, preserving first-seen order; greedily pack
+        // each destination's frames under the cap.
+        type Group = (NodeId, Vec<(u16, u32, Msg)>);
         let mut groups: Vec<Group> = Vec::new();
-        for (q, e) in staged {
-            if e.to.is_none() {
-                // Radio broadcasts travel solo (dissemination floods).
-                ctx.emit(
-                    None,
-                    e.payload_bytes + QUERY_TAG_BYTES,
-                    MultiMsg::One { q, inner: e.msg },
-                );
-                continue;
-            }
-            match groups.iter_mut().find(|(to, _)| *to == e.to) {
-                Some((_, v)) => v.push((q, e)),
-                None => groups.push((e.to, vec![(q, e)])),
+        for (q, to, payload_bytes, msg) in self.staged.drain(..) {
+            match groups.iter_mut().find(|(dest, _)| *dest == to) {
+                Some((_, v)) => v.push((q, payload_bytes, msg)),
+                None => groups.push((to, vec![(q, payload_bytes, msg)])),
             }
         }
         for (to, frames) in groups {
@@ -306,10 +302,10 @@ impl MultiNode {
                     1 => {
                         // A lone frame needs no batch envelope.
                         let (q, inner) = batch.pop().unwrap();
-                        ctx.emit(to, *batch_payload - 1, MultiMsg::One { q, inner });
+                        ctx.send(to, *batch_payload - 1, MultiMsg::One { q, inner });
                     }
                     _ => {
-                        ctx.emit(
+                        ctx.send(
                             to,
                             *batch_payload,
                             MultiMsg::Batch {
@@ -320,12 +316,12 @@ impl MultiNode {
                 }
                 *batch_payload = 1;
             };
-            for (q, e) in frames {
-                let framed = e.payload_bytes + QUERY_TAG_BYTES;
+            for (q, payload_bytes, msg) in frames {
+                let framed = payload_bytes + QUERY_TAG_BYTES;
                 if batch_payload + framed > MAX_AGG_PAYLOAD && !batch.is_empty() {
                     flush_batch(&mut batch, &mut batch_payload, ctx);
                 }
-                batch.push((q, e.msg));
+                batch.push((q, msg));
                 batch_payload += framed;
             }
             flush_batch(&mut batch, &mut batch_payload, ctx);
@@ -581,16 +577,13 @@ impl QuerySet {
             .queries
             .iter()
             .map(|qi| {
-                Arc::new(Shared {
-                    topo: self.topo.clone(),
-                    sub: sub.clone(),
-                    gpsr: matches!(qi.cfg.algorithm, Algorithm::Ght)
-                        .then(|| GpsrRouter::new(&self.topo)),
-                    spec: qi.spec.clone(),
-                    data: self.data.clone(),
-                    cfg: qi.cfg,
-                    dead: Mutex::new(HashSet::new()),
-                })
+                Arc::new(Shared::new(
+                    self.topo.clone(),
+                    sub.clone(),
+                    qi.spec.clone(),
+                    self.data.clone(),
+                    qi.cfg,
+                ))
             })
             .collect();
         let sharing = self.sharing;
@@ -643,18 +636,18 @@ impl MultiRun {
         cfg: AlgoConfig,
         lifecycle: Lifecycle,
     ) -> usize {
-        let topo = self.engine.topology().clone();
-        let sh = Arc::new(Shared {
-            gpsr: matches!(cfg.algorithm, Algorithm::Ght).then(|| GpsrRouter::new(&topo)),
-            topo,
-            sub: self.sub.clone(),
+        let sh = Arc::new(Shared::new(
+            self.engine.topology().clone(),
+            self.sub.clone(),
             spec,
-            data: self.data.clone(),
+            self.data.clone(),
             cfg,
-            // The admitted query's liveness oracle must know the nodes
-            // that died before it arrived.
-            dead: Mutex::new(self.dead.lock().unwrap().clone()),
-        });
+        ));
+        // The admitted query's liveness oracle must know the nodes that
+        // died before it arrived.
+        for &v in self.dead.lock().expect("death ledger poisoned").iter() {
+            sh.mark_dead(v);
+        }
         for i in 0..self.engine.topology().len() {
             self.engine.node_mut(NodeId(i as u16)).add_slot(&sh);
         }
@@ -667,7 +660,7 @@ impl MultiRun {
     /// Record a death in the run-level ledger and every resident query's
     /// liveness oracle (later admissions inherit it from the ledger).
     pub(crate) fn mark_dead(&self, v: NodeId) {
-        self.dead.lock().unwrap().insert(v);
+        self.dead.lock().expect("death ledger poisoned").insert(v);
         for sh in &self.shareds {
             sh.mark_dead(v);
         }

@@ -2,12 +2,13 @@
 //! best-effort failure recovery (§7).
 
 use super::{JoinNode, PairState};
-use crate::cost::{place_join_node, Placement, Sigma};
-use crate::msg::{side, Msg, Pair, Route};
+use crate::cost::{place_join_node, Placement};
+use crate::msg::{side, Msg, Pair, Route, WindowXfer};
 use sensor_net::NodeId;
 use sensor_query::Tuple;
 use sensor_routing::repair::repair_path;
 use sensor_sim::Ctx;
+use std::sync::Arc;
 
 impl JoinNode {
     // ----- learning (§6) ----------------------------------------------------
@@ -86,176 +87,83 @@ impl JoinNode {
         }
         // Migrate: hand the windows to the new join node so computation
         // resumes "seamlessly without loss of results".
-        let seq = st.seq + 1;
-        let path = st.path.clone();
-        let hops = st.hops.clone();
-        let win_s: Vec<Tuple> = st.win_s.iter().copied().collect();
-        let win_t: Vec<Tuple> = st.win_t.iter().copied().collect();
+        let xfer = Box::new(WindowXfer {
+            pair,
+            seq: st.seq + 1,
+            path: st.path.clone(),
+            hops: st.hops.clone(),
+            new_j_idx,
+            assumed: est,
+            win_s: st.win_s.iter().copied().collect(),
+            win_t: st.win_t.iter().copied().collect(),
+            route: Route::TreeUp,
+        });
         if at_base {
             self.base.as_mut().unwrap().pairs.remove(&pair);
         } else {
             self.pairs.remove(&pair);
         }
-        self.dispatch_window_xfer(ctx, pair, seq, path, hops, new_j_idx, est, win_s, win_t);
+        self.dispatch_window_xfer(ctx, xfer);
     }
 
     /// Route a WindowXfer from the current join point to the new one.
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn dispatch_window_xfer(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        pair: Pair,
-        seq: u32,
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-        new_j_idx: Option<usize>,
-        assumed: Sigma,
-        win_s: Vec<Tuple>,
-        win_t: Vec<Tuple>,
-    ) {
-        match new_j_idx {
-            None => {
-                // Moving to the base.
-                let msg = Msg::WindowXfer {
-                    pair,
-                    seq,
-                    path,
-                    hops,
-                    new_j_idx,
-                    assumed,
-                    win_s,
-                    win_t,
-                    route: Route::TreeUp,
-                };
-                let wb = msg.wire_bytes(self.sh.data_bytes(), self.sh.result_bytes()) as u64;
-                if self.forward_tree_up(ctx, msg) {
-                    self.xfer_bytes += wb;
-                } else {
-                    self.adopt_transferred_pair(
-                        ctx,
-                        pair,
-                        seq,
-                        Vec::new(),
-                        Vec::new(),
-                        None,
-                        assumed,
-                        Vec::new(),
-                        Vec::new(),
-                    );
-                }
-            }
+    pub(super) fn dispatch_window_xfer(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<WindowXfer>) {
+        match m.new_j_idx {
+            // Moving to the base, where I am already.
+            None if self.id == self.sh.base() => self.adopt_transferred_pair(
+                ctx,
+                WindowXfer {
+                    path: Vec::new(),
+                    hops: Vec::new(),
+                    win_s: Vec::new(),
+                    win_t: Vec::new(),
+                    ..*m
+                },
+            ),
+            // Moving to the base: up the tree.
+            None => self.on_window_xfer(ctx, m),
+            Some(j) if m.path[j] == self.id => self.adopt_transferred_pair(ctx, *m),
             Some(j) => {
-                let new_j = path[j];
-                if new_j == self.id {
-                    let (p, h) = (path.clone(), hops.clone());
-                    self.adopt_transferred_pair(
-                        ctx,
-                        pair,
-                        seq,
-                        p,
-                        h,
-                        Some(j),
-                        assumed,
-                        win_s,
-                        win_t,
-                    );
-                    return;
-                }
                 // Route along the pair's path if I am on it; otherwise
                 // (migrating away from the base) use the primary tree.
-                let route_path = match path.iter().position(|&n| n == self.id) {
-                    Some(my_idx) if my_idx < j => path[my_idx..=j].to_vec(),
-                    Some(my_idx) => {
-                        let mut p = path[j..=my_idx].to_vec();
-                        p.reverse();
-                        p
-                    }
-                    None => self.sh.tree_path(self.id, new_j),
+                let route: Arc<[NodeId]> = match m.path.iter().position(|&n| n == self.id) {
+                    Some(my_idx) if my_idx < j => m.path[my_idx..=j].into(),
+                    Some(my_idx) => m.path[j..=my_idx].iter().rev().copied().collect(),
+                    None => self.sh.tree_path(self.id, m.path[j]).into(),
                 };
-                if route_path.len() > 1 {
-                    let msg = Msg::WindowXfer {
-                        pair,
-                        seq,
-                        path,
-                        hops,
-                        new_j_idx,
-                        assumed,
-                        win_s,
-                        win_t,
-                        route: Route::Path {
-                            path: route_path.clone(),
-                            pos: 1,
-                        },
+                if route.len() > 1 {
+                    m.route = Route::Path {
+                        path: route,
+                        pos: 0,
                     };
-                    self.xfer_bytes +=
-                        msg.wire_bytes(self.sh.data_bytes(), self.sh.result_bytes()) as u64;
-                    self.send(ctx, route_path[1], msg);
+                    self.on_window_xfer(ctx, m);
                 }
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_window_xfer(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        pair: Pair,
-        seq: u32,
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-        new_j_idx: Option<usize>,
-        assumed: Sigma,
-        win_s: Vec<Tuple>,
-        win_t: Vec<Tuple>,
-        route: Route,
-    ) {
-        match route {
+    /// A WindowXfer is here, on its way: pass it on, or adopt the pair at
+    /// the end of its route.
+    pub(super) fn on_window_xfer(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<WindowXfer>) {
+        match std::mem::replace(&mut m.route, Route::TreeUp) {
             Route::TreeUp => {
-                let msg = Msg::WindowXfer {
-                    pair,
-                    seq,
-                    path: path.clone(),
-                    hops: hops.clone(),
-                    new_j_idx,
-                    assumed,
-                    win_s: win_s.clone(),
-                    win_t: win_t.clone(),
-                    route: Route::TreeUp,
-                };
-                let wb = msg.wire_bytes(self.sh.data_bytes(), self.sh.result_bytes()) as u64;
-                if self.forward_tree_up(ctx, msg) {
-                    self.xfer_bytes += wb;
+                if self.id != self.sh.base() {
+                    let msg = Msg::WindowXfer(m);
+                    self.xfer_bytes += self.wire_bytes(&msg) as u64;
+                    self.forward_tree_up(ctx, msg);
                     return;
                 }
-                self.adopt_transferred_pair(
-                    ctx, pair, seq, path, hops, new_j_idx, assumed, win_s, win_t,
-                );
+                self.adopt_transferred_pair(ctx, *m);
             }
-            Route::Path { path: rpath, pos } => {
-                debug_assert_eq!(rpath.get(pos), Some(&self.id), "path routing desync");
-                if pos + 1 < rpath.len() {
-                    let next = rpath[pos + 1];
-                    let msg = Msg::WindowXfer {
-                        pair,
-                        seq,
-                        path,
-                        hops,
-                        new_j_idx,
-                        assumed,
-                        win_s,
-                        win_t,
-                        route: Route::Path {
-                            path: rpath,
-                            pos: pos + 1,
-                        },
-                    };
-                    self.xfer_bytes +=
-                        msg.wire_bytes(self.sh.data_bytes(), self.sh.result_bytes()) as u64;
+            Route::Path { path, pos } => {
+                debug_assert_eq!(path.get(pos), Some(&self.id), "path routing desync");
+                if let Some(&next) = path.get(pos + 1) {
+                    m.route = Route::Path { path, pos: pos + 1 };
+                    let msg = Msg::WindowXfer(m);
+                    self.xfer_bytes += self.wire_bytes(&msg) as u64;
                     self.send(ctx, next, msg);
                 } else {
-                    self.adopt_transferred_pair(
-                        ctx, pair, seq, path, hops, new_j_idx, assumed, win_s, win_t,
-                    );
+                    self.adopt_transferred_pair(ctx, *m);
                 }
             }
             Route::Mcast { .. } => unreachable!("window transfers are unicast"),
@@ -264,28 +172,17 @@ impl JoinNode {
 
     /// The new join node adopts a migrated pair and re-points both
     /// producers at itself.
-    #[allow(clippy::too_many_arguments)]
-    fn adopt_transferred_pair(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        pair: Pair,
-        seq: u32,
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-        j_idx: Option<usize>,
-        assumed: Sigma,
-        win_s: Vec<Tuple>,
-        win_t: Vec<Tuple>,
-    ) {
+    fn adopt_transferred_pair(&mut self, ctx: &mut Ctx<'_, Msg>, m: WindowXfer) {
+        let (pair, seq, j_idx) = (m.pair, m.seq, m.new_j_idx);
         let state = PairState {
             pair,
             seq,
-            path: path.clone(),
-            hops,
+            path: m.path.clone(),
+            hops: m.hops,
             j_idx,
-            assumed,
-            win_s: win_s.into(),
-            win_t: win_t.into(),
+            assumed: m.assumed,
+            win_s: m.win_s.into(),
+            win_t: m.win_t.into(),
             stats: crate::learn::PairStats::default(),
         };
         self.migrations_adopted += 1;
@@ -299,8 +196,8 @@ impl JoinNode {
                 }
             }
         }
-        self.send_assign(ctx, pair, seq, path.clone(), j_idx, false);
-        self.send_assign(ctx, pair, seq, path, j_idx, true);
+        self.send_assign(ctx, pair, seq, m.path.clone(), j_idx, false);
+        self.send_assign(ctx, pair, seq, m.path, j_idx, true);
     }
 
     // ----- failure handling (§7) ----------------------------------------------
@@ -310,8 +207,7 @@ impl JoinNode {
     pub(super) fn handle_send_failure(&mut self, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: Msg) {
         self.known_dead.insert(to);
         // Local liveness probing around the failure (costed).
-        self.recovery.control_bytes +=
-            Msg::Probe.wire_bytes(self.sh.data_bytes(), self.sh.result_bytes()) as u64;
+        self.recovery.control_bytes += self.wire_bytes(&Msg::Probe) as u64;
         self.broadcast(ctx, Msg::Probe);
         // Splice my own stored paths around the dead node so later traffic
         // and placement decisions stop referencing it.
@@ -337,17 +233,18 @@ impl JoinNode {
                             .filter(|&p| p + 1 < new_path.len());
                         match resume {
                             Some(my_pos) => {
+                                let next = new_path[my_pos + 1];
                                 let m = Msg::Data {
                                     from,
                                     sides,
                                     tuple,
                                     route: Route::Path {
-                                        path: new_path.clone(),
+                                        path: new_path.into(),
                                         pos: my_pos + 1,
                                     },
                                     fallback,
                                 };
-                                self.send(ctx, new_path[my_pos + 1], m);
+                                self.send(ctx, next, m);
                             }
                             None => {
                                 // The repaired path no longer runs through
@@ -434,35 +331,17 @@ impl JoinNode {
             // unreachable, and a tree-up transfer that kept `Some(j)` would
             // make the base adopt a pair whose assigns point at a node that
             // never received the window state.
-            Msg::WindowXfer {
-                pair,
-                seq,
-                path,
-                hops,
-                assumed,
-                win_s,
-                win_t,
-                ..
-            } => {
+            Msg::WindowXfer(mut m) => {
                 if self.id == self.sh.base() || self.alive_parent().is_some() {
-                    self.on_window_xfer(
-                        ctx,
-                        pair,
-                        seq,
-                        path,
-                        hops,
-                        None,
-                        assumed,
-                        win_s,
-                        win_t,
-                        Route::TreeUp,
-                    );
+                    m.new_j_idx = None;
+                    m.route = Route::TreeUp;
+                    self.on_window_xfer(ctx, m);
                 } else {
                     // Isolated from the tree: the migration state is
                     // unrecoverable (the old join node already dropped it).
                     // Record the loss instead of pretending the divert
                     // succeeded.
-                    self.recovery.tuples_lost += (win_s.len() + win_t.len()) as u64;
+                    self.recovery.tuples_lost += (m.win_s.len() + m.win_t.len()) as u64;
                 }
             }
             // Control traffic losses during initiation self-correct via
@@ -564,8 +443,7 @@ impl JoinNode {
                 path: back_path.clone(),
                 pos: 1,
             };
-            self.recovery.control_bytes +=
-                msg.wire_bytes(self.sh.data_bytes(), self.sh.result_bytes()) as u64;
+            self.recovery.control_bytes += self.wire_bytes(&msg) as u64;
             self.send(ctx, back_path[1], msg);
         }
     }
@@ -578,11 +456,11 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::RouteBroken {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::RouteBroken {
             pair,
             failed,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if !forwarded {
             self.producer_route_broken(ctx, failed, true);

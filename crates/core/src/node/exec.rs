@@ -8,6 +8,7 @@ use sensor_net::NodeId;
 use sensor_query::{Tuple, TupleSource};
 use sensor_sim::Ctx;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Insert into a bounded window, evicting the oldest.
 fn push_window(win: &mut VecDeque<Tuple>, t: Tuple, w: usize) {
@@ -81,24 +82,24 @@ impl JoinNode {
             route: Route::TreeUp,
             fallback,
         };
-        if !self.forward_tree_up(ctx, msg.clone()) {
+        if !self.forward_tree_up(ctx, msg) {
             // I am the base myself (possible for GHT homes near the root).
             self.base_consume_data(ctx, self.id, sides, tuple, fallback);
         }
     }
 
     fn ght_send(&mut self, ctx: &mut Ctx<'_, Msg>, sides: u8, tuple: Tuple) {
-        let routes = self.ght_routes.clone();
-        for (key, path, route_sides) in routes {
+        for i in 0..self.ght_routes.len() {
+            let (key, ref path, route_sides) = self.ght_routes[i];
             let use_sides = sides & route_sides;
             if use_sides == 0 {
                 continue;
             }
-            if path.len() <= 1 {
+            let Some(&next) = path.get(1) else {
                 // I am the home node.
                 self.ght_consume(ctx, key, self.id, use_sides, tuple);
                 continue;
-            }
+            };
             let msg = Msg::Data {
                 from: self.id,
                 sides: use_sides,
@@ -109,7 +110,7 @@ impl JoinNode {
                 },
                 fallback: None,
             };
-            self.send(ctx, path[1], msg);
+            self.send(ctx, next, msg);
         }
     }
 
@@ -119,7 +120,7 @@ impl JoinNode {
         // remaining pairs get per-path unicasts (deduped per join node).
         let mut any_base = false;
         let mut local: Vec<(Pair, bool)> = Vec::new();
-        let mut unicast: Vec<(NodeId, Vec<NodeId>)> = Vec::new(); // (j, my path to j)
+        let mut unicast: Vec<(NodeId, Arc<[NodeId]>)> = Vec::new(); // (j, my path to j)
         let use_mcast = self.sh.cfg.innet.multicast && self.mc_tree.is_some();
         for asg in self.assigns.values() {
             let my_side_s = asg.pair.s == self.id;
@@ -132,8 +133,7 @@ impl JoinNode {
                 any_base = true;
                 continue;
             }
-            let route = asg.route_to_j(self.id).expect("innet route");
-            let j = *route.last().unwrap();
+            let j = asg.path[asg.j_idx.expect("innet route")];
             if j == self.id {
                 // I am the join node for my own pair: local insert.
                 local.push((asg.pair, my_side_s));
@@ -148,7 +148,7 @@ impl JoinNode {
                 continue; // covered by the multicast below
             }
             if !unicast.iter().any(|(jj, _)| *jj == j) {
-                unicast.push((j, route));
+                unicast.push((j, asg.route_to_j(self.id).expect("innet route")));
             }
         }
         for (pair, my_side_s) in local {
@@ -168,33 +168,32 @@ impl JoinNode {
             self.forward_mcast(ctx, self.id, msg);
         }
         for (_, path) in unicast {
+            let next = path[1];
             let msg = Msg::Data {
                 from: self.id,
                 sides,
                 tuple,
-                route: Route::Path {
-                    path: path.clone(),
-                    pos: 1,
-                },
+                route: Route::Path { path, pos: 1 },
                 fallback: None,
             };
-            self.send(ctx, path[1], msg);
+            self.send(ctx, next, msg);
         }
     }
 
     /// Forward a multicast message to this node's children for `owner`.
     pub(super) fn forward_mcast(&self, ctx: &mut Ctx<'_, Msg>, owner: NodeId, msg: Msg) {
-        let children = if owner == self.id {
-            self.mc_tree
-                .as_ref()
-                .map(|t| t.children(self.id).to_vec())
-                .unwrap_or_default()
+        let children: &[NodeId] = if owner == self.id {
+            self.mc_tree.as_ref().map_or(&[], |t| t.children(self.id))
         } else {
-            self.mc_children.get(&owner).cloned().unwrap_or_default()
+            self.mc_children.get(&owner).map_or(&[], Vec::as_slice)
         };
-        for c in children {
+        let Some((&last, rest)) = children.split_last() else {
+            return;
+        };
+        for &c in rest {
             self.send(ctx, c, msg.clone());
         }
+        self.send(ctx, last, msg);
     }
 
     // ----- data handling -----------------------------------------------------
@@ -222,14 +221,11 @@ impl JoinNode {
                 }
             }
             Route::Path { path, pos } => {
-                let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::Data {
+                let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::Data {
                     from: origin,
                     sides,
                     tuple,
-                    route: Route::Path {
-                        path: path.clone(),
-                        pos: p,
-                    },
+                    route: Route::Path { path, pos },
                     fallback,
                 });
                 if !forwarded {
@@ -286,22 +282,15 @@ impl JoinNode {
     /// Windowed join at an Innet join node for all pairs involving the
     /// sender.
     fn innet_join(&mut self, ctx: &mut Ctx<'_, Msg>, origin: NodeId, sides: u8, tuple: Tuple) {
-        let w = self.sh.spec.window;
+        let spec = &self.sh.spec;
         let mut results = 0u32;
-        let mut pair_keys: Vec<Pair> = self
-            .pairs
-            .values()
-            .filter(|p| {
-                (p.pair.s == origin && sides & side::S != 0)
-                    || (p.pair.t == origin && sides & side::T != 0)
-            })
-            .map(|p| p.pair)
-            .collect();
-        pair_keys.sort_unstable();
-        for key in pair_keys {
-            let spec = self.sh.spec.clone();
-            let st = self.pairs.get_mut(&key).unwrap();
-            results += join_into_pair(&spec, st, origin, tuple, w);
+        // In `Pair` order, which is the map's.
+        for st in self.pairs.values_mut() {
+            if (st.pair.s == origin && sides & side::S != 0)
+                || (st.pair.t == origin && sides & side::T != 0)
+            {
+                results += join_into_pair(spec, st, origin, tuple, spec.window);
+            }
         }
         self.produced_results += results as u64;
         if results > 0 {
@@ -317,10 +306,9 @@ impl JoinNode {
         _my_side_s: bool,
         tuple: Tuple,
     ) {
-        let w = self.sh.spec.window;
-        let spec = self.sh.spec.clone();
+        let spec = &self.sh.spec;
         if let Some(st) = self.pairs.get_mut(&pair) {
-            let results = join_into_pair(&spec, st, self.id, tuple, w);
+            let results = join_into_pair(spec, st, self.id, tuple, spec.window);
             self.produced_results += results as u64;
             if results > 0 {
                 self.emit_results(ctx, results, tuple.cycle);
@@ -350,14 +338,13 @@ impl JoinNode {
         sides: u8,
         tuple: Tuple,
     ) {
-        let w = self.sh.spec.window;
-        let spec = self.sh.spec.clone();
+        let spec = &self.sh.spec;
+        let w = spec.window;
         let mut results = 0u32;
         if let Some(group) = self.ght_groups.get_mut(&key) {
-            let members = group.members.clone();
             // As S tuple: probe T members' windows.
             if sides & side::S != 0 {
-                for (m, m_sides, m_statics) in &members {
+                for (m, m_sides, m_statics) in &group.members {
                     if *m == origin || m_sides & side::T == 0 {
                         continue;
                     }
@@ -378,7 +365,7 @@ impl JoinNode {
                 );
             }
             if sides & side::T != 0 {
-                for (m, m_sides, m_statics) in &members {
+                for (m, m_sides, m_statics) in &group.members {
                     if *m == origin || m_sides & side::S == 0 {
                         continue;
                     }
@@ -446,10 +433,7 @@ impl JoinNode {
         let born = gen_cycle as u64 * tx_per;
         let delay = now.saturating_sub(born) as u32;
         b.results += count;
-        for _ in 0..count {
-            b.delay_sum += delay as u64;
-            b.delays.push(delay);
-        }
+        b.delay_sum += delay as u64 * count;
     }
 
     // ----- base-station join ---------------------------------------------------
@@ -466,8 +450,8 @@ impl JoinNode {
         fallback: Option<Pair>,
     ) {
         let now = ctx.now;
-        let w = self.sh.spec.window;
-        let spec = self.sh.spec.clone();
+        let spec = &self.sh.spec;
+        let w = spec.window;
         let origin_static = *self.sh.data.static_of(origin);
         let Some(b) = self.base.as_mut() else {
             return;
@@ -495,23 +479,24 @@ impl JoinNode {
             } else {
                 side::S
             };
-            let mut partners: Vec<(NodeId, u8)> = b
+            // A sender is a partner only if statically eligible on its
+            // side: settled here, when it sends, for every tuple it is
+            // later probed by (`senders` holds eligible ones only).
+            let eligible = if probe_side == side::S {
+                spec.analysis.s_eligible(&origin_static)
+            } else {
+                spec.analysis.t_eligible(&origin_static)
+            };
+            // Partners in node order, which is the map's.
+            let partners = b
                 .senders
-                .keys()
-                .copied()
-                .filter(|(n, sd)| *sd == opposite && *n != origin)
-                .collect();
-            partners.sort_unstable();
-            for (partner, _) in partners {
-                let p_static = b.senders[&(partner, opposite)];
+                .iter()
+                .filter(|((n, sd), _)| eligible && *sd == opposite && *n != origin);
+            for (&(partner, _), p_static) in partners {
                 let statically_joins = if probe_side == side::S {
-                    spec.analysis.s_eligible(&origin_static)
-                        && spec.analysis.t_eligible(&p_static)
-                        && spec.analysis.static_join_matches(&origin_static, &p_static)
+                    spec.analysis.static_join_matches(&origin_static, p_static)
                 } else {
-                    spec.analysis.s_eligible(&p_static)
-                        && spec.analysis.t_eligible(&origin_static)
-                        && spec.analysis.static_join_matches(&p_static, &origin_static)
+                    spec.analysis.static_join_matches(p_static, &origin_static)
                 };
                 if !statically_joins {
                     continue;
@@ -539,7 +524,9 @@ impl JoinNode {
                     }
                 }
             }
-            b.senders.insert((origin, probe_side), origin_static);
+            if eligible {
+                b.senders.insert((origin, probe_side), origin_static);
+            }
             push_window(b.windows.entry((origin, probe_side)).or_default(), tuple, w);
             // Pair stats: count arrivals.
             for ps in b.pairs.values_mut() {
@@ -575,18 +562,18 @@ impl JoinNode {
             .collect();
         for t in targets {
             let path = self.sh.tree_path(self.id, t);
-            if path.len() > 1 {
+            if let Some(&next) = path.get(1) {
                 let msg = Msg::Data {
                     from: origin,
                     sides: side::S,
                     tuple,
                     route: Route::Path {
-                        path: path.clone(),
+                        path: path.into(),
                         pos: 1,
                     },
                     fallback: None,
                 };
-                self.send(ctx, path[1], msg);
+                self.send(ctx, next, msg);
             }
         }
     }

@@ -4,7 +4,7 @@
 use super::{Candidate, JoinNode, PairState, ProducerAssign};
 use crate::cost::{place_join_node, Placement, Sigma};
 use crate::learn::PairStats;
-use crate::msg::{side, Msg, Pair};
+use crate::msg::{side, GhtRegister, Msg, Nominate, Pair, Search};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
 use sensor_query::Tuple;
@@ -105,9 +105,9 @@ impl JoinNode {
         pos: usize,
         participate: bool,
     ) {
-        let done = !self.forward_path(ctx, &path, pos, |p| Msg::Verdict {
-            path: path.clone(),
-            pos: p,
+        let done = !self.forward_path(ctx, path, pos, |path, pos| Msg::Verdict {
+            path,
+            pos,
             participate,
         });
         if done && !participate {
@@ -147,17 +147,18 @@ impl JoinNode {
                     .unwrap_or_else(|| self.sh.tree_path(self.id, home)),
                 None => self.sh.tree_path(self.id, home),
             };
-            self.ght_routes.push((key, path.clone(), sides));
+            self.ght_routes.push((key, path.as_slice().into(), sides));
             if path.len() > 1 {
-                let msg = Msg::GhtRegister {
+                let next = path[1];
+                let msg = Msg::GhtRegister(Box::new(GhtRegister {
                     origin: self.id,
                     sides,
                     key,
                     statics: self.statics,
                     pos: 1,
-                    path: path.clone(),
-                };
-                self.send(ctx, path[1], msg);
+                    path,
+                }));
+                self.send(ctx, next, msg);
             } else {
                 // I am the home node myself.
                 self.register_ght_member(key, self.id, sides, self.statics);
@@ -186,27 +187,14 @@ impl JoinNode {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_ght_register(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        origin: NodeId,
-        sides: u8,
-        key: u64,
-        statics: Tuple,
-        path: Vec<NodeId>,
-        pos: usize,
-    ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::GhtRegister {
-            origin,
-            sides,
-            key,
-            statics,
-            path: path.clone(),
-            pos: p,
-        });
-        if !forwarded {
-            self.register_ght_member(key, origin, sides, statics);
+    pub(super) fn on_ght_register(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<GhtRegister>) {
+        debug_assert_eq!(m.path.get(m.pos), Some(&self.id), "path routing desync");
+        match m.path.get(m.pos + 1) {
+            Some(&next) => {
+                m.pos += 1;
+                self.send(ctx, next, Msg::GhtRegister(m));
+            }
+            None => self.register_ght_member(m.key, m.origin, m.sides, m.statics),
         }
     }
 
@@ -284,7 +272,7 @@ impl JoinNode {
             self.send(
                 ctx,
                 next,
-                Msg::Search {
+                Msg::Search(Box::new(Search {
                     tree,
                     descending: next_descending,
                     s,
@@ -292,24 +280,21 @@ impl JoinNode {
                     constraints: constraints.to_vec(),
                     path: p,
                     hops: h,
-                },
+                })),
             );
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_search(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        from: NodeId,
-        tree: u8,
-        descending: bool,
-        s: NodeId,
-        s_static: Tuple,
-        constraints: Vec<(u8, Constraint)>,
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-    ) {
+    pub(super) fn on_search(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, m: Search) {
+        let Search {
+            tree,
+            descending,
+            s,
+            s_static,
+            constraints,
+            path,
+            hops,
+        } = m;
         // Target check: exact constraint match + secondary predicates +
         // own eligibility.
         if s != self.id
@@ -375,7 +360,7 @@ impl JoinNode {
             return;
         };
         let pair = Pair::new(s, self.id);
-        let msg = Msg::Nominate {
+        let msg = Msg::Nominate(Box::new(Nominate {
             pair,
             seq,
             path: c.path.clone(),
@@ -384,7 +369,7 @@ impl JoinNode {
             assumed: self.sh.cfg.assumed,
             // pos stamps the *receiver's* index on the path.
             pos: c.path.len().saturating_sub(2),
-        };
+        }));
         match c.j_idx {
             Some(j) if j == c.path.len() - 1 => {
                 // I am the join node myself: register and assign.
@@ -397,7 +382,7 @@ impl JoinNode {
             }
             None => {
                 // At-base nomination travels up the primary tree.
-                if !self.forward_tree_up(ctx, msg.clone()) {
+                if !self.forward_tree_up(ctx, msg) {
                     // I AM the base (degenerate); install directly.
                     self.install_pair(ctx, pair, seq, c.path, c.hops, None, self.sh.cfg.assumed);
                 }
@@ -405,54 +390,26 @@ impl JoinNode {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_nominate(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        pair: Pair,
-        seq: u32,
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-        j_idx: Option<usize>,
-        assumed: Sigma,
-        pos: usize,
-    ) {
-        match j_idx {
+    pub(super) fn on_nominate(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<Nominate>) {
+        match m.j_idx {
             None => {
                 // Heading to the base.
-                let msg = Msg::Nominate {
-                    pair,
-                    seq,
-                    path: path.clone(),
-                    hops: hops.clone(),
-                    j_idx,
-                    assumed,
-                    pos,
-                };
-                if self.forward_tree_up(ctx, msg) {
+                if self.id != self.sh.base() {
+                    self.forward_tree_up(ctx, Msg::Nominate(m));
                     return;
                 }
-                self.install_pair(ctx, pair, seq, path, hops, None, assumed);
+                let m = *m;
+                self.install_pair(ctx, m.pair, m.seq, m.path, m.hops, None, m.assumed);
             }
             Some(j) => {
-                debug_assert_eq!(path.get(pos), Some(&self.id));
-                if pos == j {
-                    self.install_pair(ctx, pair, seq, path, hops, Some(j), assumed);
+                debug_assert_eq!(m.path.get(m.pos), Some(&self.id));
+                if m.pos == j {
+                    let m = *m;
+                    self.install_pair(ctx, m.pair, m.seq, m.path, m.hops, Some(j), m.assumed);
                 } else {
-                    let next = path[pos - 1];
-                    self.send(
-                        ctx,
-                        next,
-                        Msg::Nominate {
-                            pair,
-                            seq,
-                            path,
-                            hops,
-                            j_idx,
-                            assumed,
-                            pos: pos - 1,
-                        },
-                    );
+                    m.pos -= 1;
+                    let next = m.path[m.pos];
+                    self.send(ctx, next, Msg::Nominate(m));
                 }
             }
         }

@@ -55,19 +55,18 @@ pub struct ProducerAssign {
 }
 
 impl ProducerAssign {
-    /// My route to the join node (I am `me`, one of the endpoints).
-    pub fn route_to_j(&self, me: NodeId) -> Option<Vec<NodeId>> {
+    /// My route to the join node (I am `me`, one of the endpoints), in the
+    /// shared form a [`crate::msg::Route::Path`] carries.
+    pub fn route_to_j(&self, me: NodeId) -> Option<Arc<[NodeId]>> {
         let j = self.j_idx?;
         if self.base_mode {
             return None;
         }
-        if me == self.pair.s {
-            Some(self.path[..=j].to_vec())
+        Some(if me == self.pair.s {
+            self.path[..=j].into()
         } else {
-            let mut p = self.path[j..].to_vec();
-            p.reverse();
-            Some(p)
-        }
+            self.path[j..].iter().rev().copied().collect()
+        })
     }
 }
 
@@ -101,11 +100,10 @@ pub struct BaseState {
     pub results: u64,
     /// Sum of result delays in transmission cycles.
     pub delay_sum: u64,
-    /// Individual result delays (tx cycles), for Fig 14.
-    pub delays: Vec<u32>,
     /// Windows of base-joined producers, per (node, side).
     pub windows: BTreeMap<(NodeId, u8), VecDeque<Tuple>>,
-    /// Static tuples of producers currently shipping to the base.
+    /// Static tuples of the statically eligible producers currently
+    /// shipping to the base.
     pub senders: BTreeMap<(NodeId, u8), Tuple>,
     /// Base-algorithm verdicts issued during initiation.
     pub participants: HashSet<NodeId>,
@@ -208,7 +206,7 @@ pub struct JoinNode {
     /// GHT home-node groups.
     pub ght_groups: BTreeMap<u64, GhtGroup>,
     /// GHT producer: precomputed route(s) to home node(s): (key, path, sides).
-    pub ght_routes: Vec<(u64, Vec<NodeId>, u8)>,
+    pub ght_routes: Vec<(u64, Arc<[NodeId]>, u8)>,
     /// Yang+07 target-side local window of own samples.
     pub yang_win: VecDeque<Tuple>,
     /// Base-station state (only at the base).
@@ -284,14 +282,17 @@ impl JoinNode {
 
     // ----- common helpers -------------------------------------------------
 
+    /// Payload size of `msg` under this query's tuple and result sizes.
+    pub(crate) fn wire_bytes(&self, msg: &Msg) -> u32 {
+        msg.wire_bytes(self.sh.data_bytes(), self.sh.result_bytes())
+    }
+
     pub(crate) fn send(&self, ctx: &mut Ctx<'_, Msg>, to: NodeId, msg: Msg) {
-        let bytes = msg.wire_bytes(self.sh.data_bytes(), self.sh.result_bytes());
-        ctx.send(to, bytes, msg);
+        ctx.send(to, self.wire_bytes(&msg), msg);
     }
 
     pub(crate) fn broadcast(&self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
-        let bytes = msg.wire_bytes(self.sh.data_bytes(), self.sh.result_bytes());
-        ctx.broadcast(bytes, msg);
+        ctx.broadcast(self.wire_bytes(&msg), msg);
     }
 
     /// My primary-tree parent, healing around known-dead nodes: prefer the
@@ -327,20 +328,24 @@ impl JoinNode {
     }
 
     /// Forward a path-routed message (`path[pos]` must be me); returns
-    /// `true` if forwarded, `false` if I am the terminus.
-    pub(crate) fn forward_path(
+    /// `true` if forwarded, `false` if I am the terminus. The path moves
+    /// on into the message `rebuild` makes for the next position.
+    pub(crate) fn forward_path<P: AsRef<[NodeId]>>(
         &self,
         ctx: &mut Ctx<'_, Msg>,
-        path: &[NodeId],
+        path: P,
         pos: usize,
-        rebuild: impl FnOnce(usize) -> Msg,
+        rebuild: impl FnOnce(P, usize) -> Msg,
     ) -> bool {
-        debug_assert_eq!(path.get(pos), Some(&self.id), "path routing desync");
-        if pos + 1 >= path.len() {
+        debug_assert_eq!(
+            path.as_ref().get(pos),
+            Some(&self.id),
+            "path routing desync"
+        );
+        let Some(&next) = path.as_ref().get(pos + 1) else {
             return false;
-        }
-        let msg = rebuild(pos + 1);
-        self.send(ctx, path[pos + 1], msg);
+        };
+        self.send(ctx, next, rebuild(path, pos + 1));
         true
     }
 
@@ -378,42 +383,9 @@ impl Protocol for JoinNode {
                 pos,
                 participate,
             } => self.on_verdict(ctx, path, pos, participate),
-            Msg::GhtRegister {
-                origin,
-                sides,
-                key,
-                statics,
-                path,
-                pos,
-            } => self.on_ght_register(ctx, origin, sides, key, statics, path, pos),
-            Msg::Search {
-                tree,
-                descending,
-                s,
-                s_static,
-                constraints,
-                path,
-                hops,
-            } => self.on_search(
-                ctx,
-                from,
-                tree,
-                descending,
-                s,
-                s_static,
-                constraints,
-                path,
-                hops,
-            ),
-            Msg::Nominate {
-                pair,
-                seq,
-                path,
-                hops,
-                j_idx,
-                assumed,
-                pos,
-            } => self.on_nominate(ctx, pair, seq, path, hops, j_idx, assumed, pos),
+            Msg::GhtRegister(m) => self.on_ght_register(ctx, m),
+            Msg::Search(m) => self.on_search(ctx, from, *m),
+            Msg::Nominate(m) => self.on_nominate(ctx, m),
             Msg::Assign {
                 pair,
                 seq,
@@ -434,14 +406,7 @@ impl Protocol for JoinNode {
                 gen_cycle,
                 route,
             } => self.on_result(ctx, count, gen_cycle, route),
-            Msg::DeltaCost {
-                group,
-                from: origin,
-                members,
-                delta,
-                path,
-                pos,
-            } => self.on_delta_cost(ctx, group, origin, members, delta, path, pos),
+            Msg::DeltaCost(m) => self.on_delta_cost(ctx, m),
             Msg::CoordPing {
                 group,
                 coordinator,
@@ -456,25 +421,8 @@ impl Protocol for JoinNode {
                 path,
                 pos,
             } => self.on_group_decision(ctx, group, coordinator, seq, innet, path, pos),
-            Msg::WindowXfer {
-                pair,
-                seq,
-                path,
-                hops,
-                new_j_idx,
-                assumed,
-                win_s,
-                win_t,
-                route,
-            } => self.on_window_xfer(
-                ctx, pair, seq, path, hops, new_j_idx, assumed, win_s, win_t, route,
-            ),
-            Msg::McastSetup {
-                owner,
-                edges,
-                path,
-                pos,
-            } => self.on_mcast_setup(ctx, owner, edges, path, pos),
+            Msg::WindowXfer(m) => self.on_window_xfer(ctx, m),
+            Msg::McastSetup(m) => self.on_mcast_setup(ctx, *m),
             Msg::CollapseHint {
                 owner,
                 n1,

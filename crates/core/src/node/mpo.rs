@@ -3,7 +3,7 @@
 
 use super::{CoordState, GroupLocal, JoinNode};
 use crate::cost::delta_cp;
-use crate::msg::{Msg, Route};
+use crate::msg::{DeltaCost, McastSetup, Msg, Route};
 use crate::multicast::McastTree;
 use sensor_net::NodeId;
 use sensor_sim::Ctx;
@@ -114,40 +114,27 @@ impl JoinNode {
             return;
         }
         let path = self.sh.tree_path(self.id, coordinator);
-        if path.len() > 1 {
-            let msg = Msg::DeltaCost {
+        if let Some(&next) = path.get(1) {
+            let msg = Msg::DeltaCost(Box::new(DeltaCost {
                 group,
                 from: self.id,
                 members: members.into_iter().collect(),
                 delta,
-                path: path.clone(),
+                path,
                 pos: 1,
-            };
-            self.send(ctx, path[1], msg);
+            }));
+            self.send(ctx, next, msg);
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_delta_cost(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        group: u64,
-        origin: NodeId,
-        members: Vec<NodeId>,
-        delta: f64,
-        path: Vec<NodeId>,
-        pos: usize,
-    ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::DeltaCost {
-            group,
-            from: origin,
-            members: members.clone(),
-            delta,
-            path: path.clone(),
-            pos: p,
-        });
-        if !forwarded {
-            self.coord_absorb(ctx, group, origin, members, delta);
+    pub(super) fn on_delta_cost(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<DeltaCost>) {
+        debug_assert_eq!(m.path.get(m.pos), Some(&self.id), "path routing desync");
+        match m.path.get(m.pos + 1) {
+            Some(&next) => {
+                m.pos += 1;
+                self.send(ctx, next, Msg::DeltaCost(m));
+            }
+            None => self.coord_absorb(ctx, m.group, m.from, m.members, m.delta),
         }
     }
 
@@ -177,14 +164,14 @@ impl JoinNode {
             let route = self.sh.tree_path(self.id, lowest);
             for (n, d) in handoff {
                 if route.len() > 1 {
-                    let msg = Msg::DeltaCost {
+                    let msg = Msg::DeltaCost(Box::new(DeltaCost {
                         group,
                         from: n,
                         members: all.clone(),
                         delta: d,
                         path: route.clone(),
                         pos: 1,
-                    };
+                    }));
                     self.send(ctx, route[1], msg);
                 }
             }
@@ -280,13 +267,13 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::GroupDecision {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::GroupDecision {
             group,
             coordinator,
             seq,
             innet,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if !forwarded {
             self.apply_group_decision(group, coordinator, seq, innet);
@@ -329,11 +316,11 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::CoordPing {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::CoordPing {
             group,
             coordinator,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if forwarded {
             return;
@@ -363,14 +350,14 @@ impl JoinNode {
                 let all: Vec<NodeId> = state.members.iter().copied().collect();
                 for (n, d) in state.deltas {
                     if route.len() > 1 {
-                        let msg = Msg::DeltaCost {
+                        let msg = Msg::DeltaCost(Box::new(DeltaCost {
                             group,
                             from: n,
                             members: all.clone(),
                             delta: d,
                             path: route.clone(),
                             pos: 1,
-                        };
+                        }));
                         self.send(ctx, route[1], msg);
                     }
                 }
@@ -395,7 +382,7 @@ impl JoinNode {
                     let j = *route.last().unwrap();
                     if j != self.id && !seen_j.contains(&j) {
                         seen_j.push(j);
-                        out.push(route);
+                        out.push(route.to_vec());
                     }
                 }
             }
@@ -422,37 +409,27 @@ impl JoinNode {
         // edge carrying the (node, children) entries.
         let entries = tree.entries();
         for &child in tree.children(self.id) {
-            let msg = Msg::McastSetup {
+            let msg = Msg::McastSetup(Box::new(McastSetup {
                 owner: self.id,
                 edges: entries.clone(),
-                path: Vec::new(),
-                pos: 0,
-            };
+            }));
             self.send(ctx, child, msg);
         }
         self.mc_tree = Some(tree);
     }
 
-    pub(super) fn on_mcast_setup(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        owner: NodeId,
-        edges: Vec<(NodeId, Vec<NodeId>)>,
-        _path: Vec<NodeId>,
-        _pos: usize,
-    ) {
+    pub(super) fn on_mcast_setup(&mut self, ctx: &mut Ctx<'_, Msg>, m: McastSetup) {
+        let McastSetup { owner, edges } = m;
         let mine = edges
             .iter()
             .find(|(n, _)| *n == self.id)
             .map(|(_, cs)| cs.clone())
             .unwrap_or_default();
         for &c in &mine {
-            let msg = Msg::McastSetup {
+            let msg = Msg::McastSetup(Box::new(McastSetup {
                 owner,
                 edges: edges.clone(),
-                path: Vec::new(),
-                pos: 0,
-            };
+            }));
             self.send(ctx, c, msg);
         }
         self.mc_children.insert(owner, mine);
@@ -524,12 +501,12 @@ impl JoinNode {
         path: Vec<NodeId>,
         pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, &path, pos, |p| Msg::CollapseHint {
+        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::CollapseHint {
             owner,
             n1,
             n2,
-            path: path.clone(),
-            pos: p,
+            path,
+            pos,
         });
         if !forwarded && owner == self.id {
             let link = (n1.min(n2), n1.max(n2));

@@ -15,14 +15,12 @@ use sensor_query::schema::{
     ATTR_CID, ATTR_GROUP, ATTR_ID, ATTR_PAIR, ATTR_POS_X, ATTR_RID, ATTR_X, ATTR_Y,
 };
 use sensor_query::JoinQuerySpec;
-use sensor_routing::ght::GpsrRouter;
 use sensor_routing::substrate::{IndexedAttr, MultiTreeSubstrate};
 use sensor_sim::dynamics::DynamicsPlan;
 use sensor_sim::{Engine, Metrics, SimConfig};
 use sensor_summaries::SummaryKind;
 use sensor_workload::WorkloadData;
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Indexed attributes every experiment registers: the Table 1 statics with
 /// Bloom/interval summaries and the R-tree over positions (App. C).
@@ -180,17 +178,13 @@ impl Scenario {
             default_indexed_attrs(),
             &self.data,
         ));
-        let gpsr =
-            matches!(self.cfg.algorithm, Algorithm::Ght).then(|| GpsrRouter::new(&self.topo));
-        let shared = Arc::new(Shared {
-            topo: self.topo.clone(),
+        let shared = Arc::new(Shared::new(
+            self.topo.clone(),
             sub,
-            gpsr,
-            spec: self.spec.clone(),
-            data: self.data.clone(),
-            cfg: self.cfg,
-            dead: Mutex::new(HashSet::new()),
-        });
+            self.spec.clone(),
+            self.data.clone(),
+            self.cfg,
+        ));
         let sh = shared.clone();
         let engine = Engine::new(self.topo.clone(), self.sim.clone(), move |id| {
             JoinNode::new(id, sh.clone())

@@ -673,6 +673,11 @@ pub(crate) struct ExecState {
     pub departures: Vec<(u32, usize)>,
     /// Next sampling cycle to run.
     pub next_cycle: u32,
+    /// Execution TX bytes when the last driven cycle ended: the base of
+    /// the next cycle's `per_cycle_tx_bytes` entry, so each cycle sums the
+    /// per-node counters once. Whoever runs the engine outside
+    /// [`drive_cycles`] (a draining report) brings it up to date.
+    pub tx_bytes_seen: u64,
     energy_seen: usize,
     energy_msgs_seen: u64,
     migrations_seen: u64,
@@ -699,6 +704,7 @@ impl ExecState {
             arrivals: Vec::new(),
             departures: Vec::new(),
             next_cycle: 0,
+            tx_bytes_seen: host.metrics().total_tx_bytes(),
             energy_seen: host.energy_depleted().len(),
             energy_msgs_seen: host.energy_msgs_dropped(),
             migrations_seen: 0,
@@ -838,7 +844,11 @@ pub(crate) fn drive_cycles<H: Host>(
         if plan.marks.contains(&c) {
             emit(obs, SessionEvent::WorkloadMark { cycle: c });
         }
-        let tx_before = host.metrics().total_tx_bytes();
+        debug_assert_eq!(
+            st.tx_bytes_seen,
+            host.metrics().total_tx_bytes(),
+            "traffic outside a driven cycle"
+        );
         host.sampling_cycle(c);
         // Nodes that ran out of energy this cycle propagate to every
         // query's liveness oracle and the loss accounting, like plan kills.
@@ -862,8 +872,9 @@ pub(crate) fn drive_cycles<H: Host>(
         let energy_msgs = host.energy_msgs_dropped();
         st.queued_msgs_lost += energy_msgs - st.energy_msgs_seen;
         st.energy_msgs_seen = energy_msgs;
-        st.per_cycle_tx_bytes
-            .push(host.metrics().total_tx_bytes() - tx_before);
+        let tx_bytes = host.metrics().total_tx_bytes();
+        st.per_cycle_tx_bytes.push(tx_bytes - st.tx_bytes_seen);
+        st.tx_bytes_seen = tx_bytes;
         if !obs.is_empty() {
             // Totals are monotone (retirement absorbs counters into the
             // host's accumulators); the unconditional baseline update is
@@ -1740,8 +1751,10 @@ impl Session {
         self.ensure_initiated();
         with_host!(&mut self.backend, h => { h.run_until_quiet(5_000); });
         let host = self.backend.host();
-        let st = &self.st;
         let exec = host.metrics().clone();
+        // The drain's traffic belongs to no cycle.
+        self.st.tx_bytes_seen = exec.total_tx_bytes();
+        let st = &self.st;
         let per_query: Vec<QueryStats> = (0..host.n_queries())
             .map(|q| {
                 let snap = st.snapshots[q].unwrap_or_else(|| host.live_snapshot(q));

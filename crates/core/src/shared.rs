@@ -7,8 +7,8 @@ use sensor_query::JoinQuerySpec;
 use sensor_routing::ght::GpsrRouter;
 use sensor_routing::MultiTreeSubstrate;
 use sensor_workload::WorkloadData;
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 /// The join algorithm families of §2.2 / §4.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,9 +183,9 @@ pub fn parse_algo(s: &str) -> Option<(Algorithm, InnetOptions)> {
     })
 }
 
-/// Immutable run context shared across nodes (via `Arc`). The `dead` set
-/// is the one mutable element: the harness updates it on node failure and
-/// neighbors consult it as the outcome of local liveness probes (§7).
+/// Immutable run context shared across nodes (via `Arc`). The `dead` flags
+/// are the one mutable element: the harness sets them on node failure and
+/// neighbors consult them as the outcome of local liveness probes (§7).
 pub struct Shared {
     pub topo: Topology,
     pub sub: Arc<MultiTreeSubstrate>,
@@ -193,29 +193,56 @@ pub struct Shared {
     pub spec: JoinQuerySpec,
     pub data: WorkloadData,
     pub cfg: AlgoConfig,
-    pub dead: Mutex<HashSet<NodeId>>,
+    /// One flag per node, read on every tree-up hop. `Relaxed` suffices:
+    /// a flag publishes nothing but itself.
+    dead: Vec<AtomicBool>,
+    /// `spec.data_bytes()` / `spec.result_bytes()`, worked out once: every
+    /// send sizes its message with them.
+    data_bytes: u32,
+    result_bytes: u32,
 }
 
 impl Shared {
+    /// The run context of one query over `topo`; GHT gets its GPSR router.
+    pub fn new(
+        topo: Topology,
+        sub: Arc<MultiTreeSubstrate>,
+        spec: JoinQuerySpec,
+        data: WorkloadData,
+        cfg: AlgoConfig,
+    ) -> Self {
+        Shared {
+            gpsr: matches!(cfg.algorithm, Algorithm::Ght).then(|| GpsrRouter::new(&topo)),
+            dead: (0..topo.len()).map(|_| AtomicBool::new(false)).collect(),
+            data_bytes: spec.data_bytes(),
+            result_bytes: spec.result_bytes(),
+            topo,
+            sub,
+            spec,
+            data,
+            cfg,
+        }
+    }
+
     pub fn base(&self) -> NodeId {
         self.topo.base()
     }
 
     pub fn is_dead(&self, n: NodeId) -> bool {
-        self.dead.lock().unwrap().contains(&n)
+        self.dead[n.index()].load(Ordering::Relaxed)
     }
 
     pub fn mark_dead(&self, n: NodeId) {
-        self.dead.lock().unwrap().insert(n);
+        self.dead[n.index()].store(true, Ordering::Relaxed);
     }
 
     /// Data-tuple wire size for this query.
     pub fn data_bytes(&self) -> u32 {
-        self.spec.data_bytes()
+        self.data_bytes
     }
 
     pub fn result_bytes(&self) -> u32 {
-        self.spec.result_bytes()
+        self.result_bytes
     }
 
     /// Primary-tree path between two nodes (BestRoute-style id routing).

@@ -9,7 +9,7 @@
 //!    so later §6 placement decisions used pre-repair distances.
 
 use aspen_join::learn::PairStats;
-use aspen_join::msg::{side, Msg, Pair, Route};
+use aspen_join::msg::{side, Msg, Pair, Route, WindowXfer};
 use aspen_join::node::PairState;
 use aspen_join::prelude::*;
 use aspen_join::Algorithm;
@@ -115,7 +115,7 @@ fn in_flight_tuple_survives_desynced_repair() {
         sides: side::S,
         tuple,
         route: Route::Path {
-            path: vec![NodeId(1), dead, NodeId(3)],
+            path: vec![NodeId(1), dead, NodeId(3)].into(),
             pos: 1,
         },
         fallback: None,
@@ -184,7 +184,7 @@ fn successful_repair_patches_stale_path_and_hops() {
         sides: side::S,
         tuple: Tuple::new(producer, 0),
         route: Route::Path {
-            path: vec![NodeId(1), NodeId(2), NodeId(3)],
+            path: vec![NodeId(1), NodeId(2), NodeId(3)].into(),
             pos: 1,
         },
         fallback: None,
@@ -227,7 +227,7 @@ fn lost_window_xfer_reforms_pair_at_base() {
     let tuple = Tuple::new(NodeId(4), 0);
     // A WindowXfer migrating the pair to node 6 (index 2 on its path),
     // abandoned at node 5 because 6 died.
-    let msg = Msg::WindowXfer {
+    let msg = Msg::WindowXfer(Box::new(WindowXfer {
         pair,
         seq: 1,
         path: vec![NodeId(4), NodeId(5), NodeId(6), NodeId(7)],
@@ -237,10 +237,10 @@ fn lost_window_xfer_reforms_pair_at_base() {
         win_s: vec![tuple],
         win_t: vec![],
         route: Route::Path {
-            path: vec![NodeId(5), NodeId(6)],
+            path: vec![NodeId(5), NodeId(6)].into(),
             pos: 1,
         },
-    };
+    }));
     run.engine
         .with_node(carrier, |p, ctx| p.on_send_failed(ctx, dead, msg));
     run.engine.run_until_quiet(200);
@@ -271,7 +271,7 @@ fn stranded_window_xfer_is_counted_as_lost() {
         run.engine.kill(NodeId(d));
     }
     let pair = Pair::new(NodeId(4), NodeId(7));
-    let msg = Msg::WindowXfer {
+    let msg = Msg::WindowXfer(Box::new(WindowXfer {
         pair,
         seq: 1,
         path: vec![NodeId(4), NodeId(5), NodeId(6), NodeId(7)],
@@ -281,10 +281,10 @@ fn stranded_window_xfer_is_counted_as_lost() {
         win_s: vec![Tuple::new(NodeId(4), 0), Tuple::new(NodeId(4), 1)],
         win_t: vec![Tuple::new(NodeId(7), 1)],
         route: Route::Path {
-            path: vec![NodeId(7), NodeId(6)],
+            path: vec![NodeId(7), NodeId(6)].into(),
             pos: 1,
         },
-    };
+    }));
     run.engine
         .with_node(carrier, |p, ctx| p.on_send_failed(ctx, NodeId(6), msg));
     run.engine.run_until_quiet(100);

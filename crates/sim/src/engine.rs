@@ -111,9 +111,14 @@ enum Sink<'a, M> {
         queue: &'a mut VecDeque<QueueEntry>,
         flow_of: fn(&M) -> usize,
     },
-    /// Sandbox path ([`Ctx::sandbox`]): captured `(target, payload, msg)`
-    /// triples for a wrapper protocol to re-frame.
-    Scratch(&'a mut Vec<(Target, u32, M)>),
+    /// Nested path ([`Ctx::nested`]): every send goes straight to the
+    /// wrapper protocol's framing closure as `(to, payload, msg)`, `to`
+    /// being `None` for a broadcast. `sent` counts the callback's
+    /// emissions: one callback hands over at most a queue's worth.
+    Framed {
+        frame: &'a mut dyn FnMut(Option<NodeId>, u32, M) -> bool,
+        sent: usize,
+    },
 }
 
 /// Node-side API handed to protocol callbacks.
@@ -150,7 +155,6 @@ impl<M> Ctx<'_, M> {
     }
 
     fn enqueue(&mut self, target: Target, payload_bytes: u32, msg: M) -> bool {
-        let wire_bytes = payload_bytes + self.header_bytes;
         match &mut self.sink {
             Sink::Pooled {
                 pool,
@@ -166,19 +170,23 @@ impl<M> Ctx<'_, M> {
                 queue.push_back(QueueEntry {
                     handle,
                     target,
-                    wire_bytes,
+                    wire_bytes: payload_bytes + self.header_bytes,
                     flow,
                     attempts: 0,
                 });
                 true
             }
-            Sink::Scratch(items) => {
-                if items.len() >= self.queue_capacity {
+            Sink::Framed { frame, sent } => {
+                if *sent >= self.queue_capacity {
                     *self.queue_drops += 1;
                     return false;
                 }
-                items.push((target, payload_bytes, msg));
-                true
+                *sent += 1;
+                let to = match target {
+                    Target::Unicast(n) => Some(n),
+                    Target::Broadcast => None,
+                };
+                frame(to, payload_bytes, msg)
             }
         }
     }
@@ -191,56 +199,44 @@ impl<M> Ctx<'_, M> {
         self.topo
     }
 
-    /// Messages currently queued at this node (diagnostic).
-    pub fn queue_len(&self) -> usize {
-        match &self.sink {
-            Sink::Pooled { queue, .. } => queue.len(),
-            Sink::Scratch(items) => items.len(),
-        }
-    }
-
-    /// Run a protocol callback that speaks a *nested* message type against
-    /// a scratch context, capturing what it emitted instead of enqueueing
-    /// it. This is how wrapper protocols (one instance hosting several
+    /// Run a callback of a *nested* protocol (message type `N`) at this
+    /// node. This is how wrapper protocols (one instance hosting several
     /// inner protocol instances, e.g. the multi-query layer) reuse inner
-    /// `Protocol` implementations unchanged: the wrapper re-frames each
-    /// [`Emitted`] via [`Ctx::emit`], possibly aggregating several inner
-    /// messages into one outer frame.
+    /// `Protocol` implementations unchanged: each message the callback
+    /// sends is handed at once to `frame`, with this outer context, to be
+    /// re-framed and enqueued through [`Ctx::emit`] (or staged, to
+    /// aggregate several inner messages into one outer frame). Nothing is
+    /// buffered here.
     ///
-    /// Self-send rejection applies inside the sandbox (charged to this
-    /// node's `self_send_drops`); the real queue-capacity check happens
-    /// when the wrapper emits.
-    pub fn sandbox<N, R>(&mut self, f: impl FnOnce(&mut Ctx<'_, N>) -> R) -> (R, Vec<Emitted<N>>) {
-        let mut scratch: Vec<(Target, u32, N)> = Vec::new();
-        let r = {
-            let mut inner = Ctx {
-                id: self.id,
-                now: self.now,
-                topo: self.topo,
-                sink: Sink::Scratch(&mut scratch),
-                queue_capacity: self.queue_capacity,
-                queue_drops: &mut *self.queue_drops,
-                self_send_drops: &mut *self.self_send_drops,
-                header_bytes: self.header_bytes,
-            };
-            f(&mut inner)
-        };
-        let emitted = scratch
-            .into_iter()
-            .map(|(target, payload_bytes, msg)| Emitted {
-                to: match target {
-                    Target::Unicast(n) => Some(n),
-                    Target::Broadcast => None,
-                },
-                payload_bytes,
-                msg,
-            })
-            .collect();
-        (r, emitted)
+    /// A self-addressed inner unicast never reaches `frame`; it and the
+    /// emissions of one callback beyond `queue_capacity` are charged to
+    /// this node. The real queue-capacity check is the wrapper's `emit`.
+    pub fn nested<N, R>(
+        &mut self,
+        mut frame: impl FnMut(&mut Self, Option<NodeId>, u32, N) -> bool,
+        f: impl FnOnce(&mut Ctx<'_, N>) -> R,
+    ) -> R {
+        let (mut drops, mut self_sends) = (0, 0);
+        let r = f(&mut Ctx {
+            id: self.id,
+            now: self.now,
+            topo: self.topo,
+            queue_capacity: self.queue_capacity,
+            header_bytes: self.header_bytes,
+            queue_drops: &mut drops,
+            self_send_drops: &mut self_sends,
+            sink: Sink::Framed {
+                frame: &mut |to, payload_bytes, msg| frame(self, to, payload_bytes, msg),
+                sent: 0,
+            },
+        });
+        *self.queue_drops += drops;
+        *self.self_send_drops += self_sends;
+        r
     }
 
-    /// Enqueue a captured emission: unicast when `to` is `Some`, radio
-    /// broadcast otherwise (the [`Emitted::to`] convention).
+    /// Enqueue a re-framed emission: unicast when `to` is `Some`, radio
+    /// broadcast otherwise (the [`Ctx::nested`] convention).
     pub fn emit(&mut self, to: Option<NodeId>, payload_bytes: u32, msg: M) -> bool {
         match to {
             Some(n) => self.send(n, payload_bytes, msg),
@@ -261,71 +257,50 @@ impl<M: Clone> Ctx<'_, M> {
     /// a query down a routing tree) where `Ctx::send` in a loop would
     /// clone the message per recipient.
     pub fn send_many(&mut self, targets: &[NodeId], payload_bytes: u32, msg: M) -> usize {
-        let wire_bytes = payload_bytes + self.header_bytes;
-        match &mut self.sink {
-            Sink::Pooled {
-                pool,
-                queue,
-                flow_of,
-            } => {
-                // First pass: charge rejections and count acceptances so
-                // the slot can be allocated with the exact owner count.
-                let mut accepted = 0u32;
-                let mut space = self.queue_capacity.saturating_sub(queue.len());
-                for &to in targets {
-                    if to == self.id {
-                        *self.self_send_drops += 1;
-                    } else if space == 0 {
-                        *self.queue_drops += 1;
-                    } else {
-                        space -= 1;
-                        accepted += 1;
-                    }
-                }
-                if accepted == 0 {
-                    return 0;
-                }
-                let flow = flow_of(&msg) as u32;
-                let handle = pool.alloc_shared(msg, accepted);
-                for &to in targets {
-                    if to != self.id && queue.len() < self.queue_capacity {
-                        queue.push_back(QueueEntry {
-                            handle,
-                            target: Target::Unicast(to),
-                            wire_bytes,
-                            flow,
-                            attempts: 0,
-                        });
-                    }
-                }
-                accepted as usize
-            }
-            Sink::Scratch(items) => {
-                let mut accepted = 0usize;
-                for &to in targets {
-                    if to == self.id {
-                        *self.self_send_drops += 1;
-                    } else if items.len() >= self.queue_capacity {
-                        *self.queue_drops += 1;
-                    } else {
-                        items.push((Target::Unicast(to), payload_bytes, msg.clone()));
-                        accepted += 1;
-                    }
-                }
-                accepted
+        let Sink::Pooled {
+            pool,
+            queue,
+            flow_of,
+        } = &mut self.sink
+        else {
+            // A framing wrapper takes one message per target anyway.
+            return targets
+                .iter()
+                .filter(|&&to| self.send(to, payload_bytes, msg.clone()))
+                .count();
+        };
+        // First pass: charge rejections and count acceptances so the slot
+        // can be allocated with the exact owner count.
+        let mut accepted = 0u32;
+        let mut space = self.queue_capacity.saturating_sub(queue.len());
+        for &to in targets {
+            if to == self.id {
+                *self.self_send_drops += 1;
+            } else if space == 0 {
+                *self.queue_drops += 1;
+            } else {
+                space -= 1;
+                accepted += 1;
             }
         }
+        if accepted == 0 {
+            return 0;
+        }
+        let flow = flow_of(&msg) as u32;
+        let handle = pool.alloc_shared(msg, accepted);
+        for &to in targets {
+            if to != self.id && queue.len() < self.queue_capacity {
+                queue.push_back(QueueEntry {
+                    handle,
+                    target: Target::Unicast(to),
+                    wire_bytes: payload_bytes + self.header_bytes,
+                    flow,
+                    attempts: 0,
+                });
+            }
+        }
+        accepted as usize
     }
-}
-
-/// A message captured by [`Ctx::sandbox`]: where it was headed and the
-/// payload size its sender declared (link header excluded).
-#[derive(Debug, Clone)]
-pub struct Emitted<M> {
-    /// `None` = radio broadcast to all neighbors.
-    pub to: Option<NodeId>,
-    pub payload_bytes: u32,
-    pub msg: M,
 }
 
 /// A link-layer event produced by the transmit phase, dispatched in the
@@ -390,6 +365,8 @@ struct TxScratch {
 #[derive(Default)]
 struct ChunkScratch {
     events: Vec<EventRec>,
+    /// Queue entries the chunk's transmissions finished with this cycle.
+    retired: usize,
     /// Chunk-local per-flow traffic deltas (dense, grown on demand like
     /// the global table).
     flows: Vec<FlowMetrics>,
@@ -412,6 +389,9 @@ pub struct Engine<P: Protocol> {
     cfg: SimConfig,
     nodes: Vec<P>,
     outboxes: Vec<VecDeque<QueueEntry>>,
+    /// Entries in all `outboxes` together, kept in step with every push,
+    /// pop and discard so [`Engine::in_flight`] need not scan them.
+    queued: usize,
     pool: MsgPool<P::Msg>,
     alive: Vec<bool>,
     metrics: Metrics,
@@ -439,6 +419,7 @@ impl<P: Protocol> Engine<P> {
         Engine {
             nodes,
             outboxes: (0..n).map(|_| VecDeque::new()).collect(),
+            queued: 0,
             pool: MsgPool::new(),
             alive: vec![true; n],
             metrics: Metrics::new(n),
@@ -511,6 +492,7 @@ impl<P: Protocol> Engine<P> {
         for e in q.drain(..) {
             self.pool.release(e.handle);
         }
+        self.queued -= dropped;
         dropped
     }
 
@@ -523,12 +505,16 @@ impl<P: Protocol> Engine<P> {
 
     /// Any messages still queued anywhere?
     pub fn in_flight(&self) -> bool {
-        self.outboxes.iter().any(|q| !q.is_empty())
+        self.queued_msgs() > 0
     }
 
     /// Total messages queued network-wide (conservation accounting).
     pub fn queued_msgs(&self) -> usize {
-        self.outboxes.iter().map(VecDeque::len).sum()
+        debug_assert_eq!(
+            self.queued,
+            self.outboxes.iter().map(VecDeque::len).sum::<usize>()
+        );
+        self.queued
     }
 
     /// Live messages in the arena pool (diagnostic; leak detection). At
@@ -550,8 +536,9 @@ impl<P: Protocol> Engine<P> {
         self.energy_msgs_dropped
     }
 
-    /// Invoke a protocol entry point "from outside" (harness-driven events
-    /// such as posing a query at the base station).
+    /// Run a protocol entry point at node `id` against its queue: the
+    /// engine's own event dispatch, and "from outside" for harness-driven
+    /// events such as posing a query at the base station.
     pub fn with_node<R>(
         &mut self,
         id: NodeId,
@@ -559,6 +546,8 @@ impl<P: Protocol> Engine<P> {
     ) -> R {
         let mut drops = 0u64;
         let mut self_sends = 0u64;
+        let queue = &mut self.outboxes[id.index()];
+        let before = queue.len();
         let r = {
             let mut ctx = Ctx {
                 id,
@@ -566,7 +555,7 @@ impl<P: Protocol> Engine<P> {
                 topo: &self.topo,
                 sink: Sink::Pooled {
                     pool: &mut self.pool,
-                    queue: &mut self.outboxes[id.index()],
+                    queue,
                     flow_of: P::flow_of,
                 },
                 queue_capacity: self.cfg.queue_capacity,
@@ -576,6 +565,8 @@ impl<P: Protocol> Engine<P> {
             };
             f(&mut self.nodes[id.index()], &mut ctx)
         };
+        // A callback only ever appends to its own node's queue.
+        self.queued += self.outboxes[id.index()].len() - before;
         let m = self.metrics.node_mut(id);
         m.queue_drops += drops;
         m.self_send_drops += self_sends;
@@ -620,6 +611,7 @@ impl<P: Protocol> Engine<P> {
                 topo,
                 cfg,
                 outboxes,
+                queued,
                 alive,
                 metrics,
                 rng,
@@ -633,14 +625,15 @@ impl<P: Protocol> Engine<P> {
                 snoop: cfg.snooping && P::WANTS_SNOOP,
             };
             let (per_node, flows) = metrics.parts_mut();
-            for i in 0..env.topo.len() {
-                if !env.alive[i] {
+            for (i, queue) in outboxes.iter_mut().enumerate() {
+                // An empty queue transmits nothing and draws nothing.
+                if queue.is_empty() || !env.alive[i] {
                     continue;
                 }
-                transmit_node(
+                *queued -= transmit_node(
                     &env,
                     i,
-                    &mut outboxes[i],
+                    queue,
                     &mut per_node[i],
                     flows,
                     rng,
@@ -668,6 +661,7 @@ impl<P: Protocol> Engine<P> {
                 topo,
                 cfg,
                 outboxes,
+                queued,
                 alive,
                 metrics,
                 rng,
@@ -731,10 +725,10 @@ impl<P: Protocol> Engine<P> {
                         cs.events.clear();
                         for (li, (q, m)) in q_chunk.iter_mut().zip(m_chunk.iter_mut()).enumerate() {
                             let i = base + li;
-                            if !env_ref.alive[i] {
+                            if q.is_empty() || !env_ref.alive[i] {
                                 continue;
                             }
-                            transmit_node(
+                            cs.retired += transmit_node(
                                 env_ref,
                                 i,
                                 q,
@@ -756,6 +750,7 @@ impl<P: Protocol> Engine<P> {
             // sequential pass over the same node order produces.
             for cs in &mut chunks[..threads] {
                 events.append(&mut cs.events);
+                *queued -= std::mem::take(&mut cs.retired);
                 for (f, d) in cs.flows.iter().enumerate() {
                     let slot = flow_slot(flows, f);
                     slot.tx_bytes += d.tx_bytes;
@@ -807,7 +802,7 @@ impl<P: Protocol> Engine<P> {
                     } else {
                         self.pool.clone_at(handle)
                     };
-                    self.dispatch(dst, |p, ctx| p.on_message(ctx, from, msg));
+                    self.with_node(dst, |p, ctx| p.on_message(ctx, from, msg));
                 }
                 EventRec::Snoop {
                     snooper,
@@ -823,7 +818,7 @@ impl<P: Protocol> Engine<P> {
                     // the message comes back for the next snooper or the
                     // releasing delivery behind it.
                     let msg = self.pool.take(handle);
-                    self.dispatch(snooper, |p, ctx| p.on_snoop(ctx, sender, next_hop, &msg));
+                    self.with_node(snooper, |p, ctx| p.on_snoop(ctx, sender, next_hop, &msg));
                     self.pool.put_back(handle, msg);
                 }
                 EventRec::SendFailed { sender, to, handle } => {
@@ -832,37 +827,12 @@ impl<P: Protocol> Engine<P> {
                         continue;
                     }
                     let msg = self.pool.consume(handle);
-                    self.dispatch(sender, |p, ctx| p.on_send_failed(ctx, to, msg));
+                    self.with_node(sender, |p, ctx| p.on_send_failed(ctx, to, msg));
                 }
                 EventRec::Free { handle } => self.pool.release(handle),
             }
         }
         self.events = events;
-    }
-
-    fn dispatch(&mut self, id: NodeId, f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>)) {
-        let mut drops = 0u64;
-        let mut self_sends = 0u64;
-        {
-            let mut ctx = Ctx {
-                id,
-                now: self.now,
-                topo: &self.topo,
-                sink: Sink::Pooled {
-                    pool: &mut self.pool,
-                    queue: &mut self.outboxes[id.index()],
-                    flow_of: P::flow_of,
-                },
-                queue_capacity: self.cfg.queue_capacity,
-                queue_drops: &mut drops,
-                self_send_drops: &mut self_sends,
-                header_bytes: self.cfg.header_bytes,
-            };
-            f(&mut self.nodes[id.index()], &mut ctx);
-        }
-        let m = self.metrics.node_mut(id);
-        m.queue_drops += drops;
-        m.self_send_drops += self_sends;
     }
 
     /// Run transmission cycles until no message is queued anywhere, or the
@@ -908,7 +878,7 @@ impl<P: Protocol> Engine<P> {
         self.enforce_energy_budget();
         for i in 0..self.topo.len() {
             if self.alive[i] {
-                self.dispatch(NodeId(i as u16), |p, ctx| p.on_sampling_cycle(ctx, cycle));
+                self.with_node(NodeId(i as u16), |p, ctx| p.on_sampling_cycle(ctx, cycle));
             }
         }
         for _ in 0..self.cfg.tx_per_sampling_cycle {
@@ -997,7 +967,8 @@ fn fair_schedule(queue: &VecDeque<QueueEntry>, cap: usize, tx: &mut TxScratch) {
 /// Transmit one node's MAC budget for this cycle. Shared verbatim by the
 /// sequential and chunk-parallel paths, and protocol-independent (flow
 /// tags and wire sizes ride in the queue entries; messages stay pooled),
-/// so it monomorphizes once for the whole workspace.
+/// so it monomorphizes once for the whole workspace. Returns how many
+/// entries left the queue for good (served and not deferred).
 #[allow(clippy::too_many_arguments)]
 fn transmit_node(
     env: &TxEnv<'_>,
@@ -1008,7 +979,8 @@ fn transmit_node(
     rng: &mut StdRng,
     events: &mut Vec<EventRec>,
     tx: &mut TxScratch,
-) {
+) -> usize {
+    let before = queue.len();
     let cfg = env.cfg;
     let sender = NodeId(i as u16);
     let mut budget = cfg.tx_per_cycle;
@@ -1141,6 +1113,7 @@ fn transmit_node(
     for e in tx.deferred.drain(..).rev() {
         queue.push_front(e);
     }
+    before - queue.len()
 }
 
 /// Count the loss draws node `i`'s transmissions will make this cycle:
@@ -1590,31 +1563,63 @@ mod tests {
     }
 
     #[test]
-    fn sandbox_captures_and_emit_reframes() {
+    fn nested_sends_reach_the_frame_and_emit_reframes() {
         // Outer protocol wraps an inner `u32` protocol's emissions into
         // tagged `(usize, u32)` messages.
         let mut eng = Engine::new(line(3), SimConfig::lossless(), |_| TwoFlow { got: [0; 2] });
-        let captured = eng.with_node(NodeId(0), |_, ctx| {
-            let ((), emitted) = ctx.sandbox::<u32, _>(|inner| {
-                assert_eq!(inner.id, NodeId(0));
-                inner.send(NodeId(1), 6, 42u32);
-                inner.send(NodeId(0), 6, 7u32); // self-send: rejected inside
-                inner.broadcast(2, 9u32);
-            });
-            for e in &emitted {
-                ctx.emit(e.to, e.payload_bytes + 1, (1, e.msg));
-            }
-            emitted
+        let mut seen = Vec::new();
+        eng.with_node(NodeId(0), |_, ctx| {
+            ctx.nested(
+                |outer, to, payload_bytes, msg: u32| {
+                    seen.push((to, payload_bytes));
+                    outer.emit(to, payload_bytes + 1, (1, msg))
+                },
+                |inner| {
+                    assert_eq!(inner.id, NodeId(0));
+                    assert!(inner.send(NodeId(1), 6, 42u32));
+                    assert!(!inner.send(NodeId(0), 6, 7u32)); // self-send: rejected inside
+                    assert!(inner.broadcast(2, 9u32));
+                },
+            );
         });
-        assert_eq!(captured.len(), 2);
-        assert_eq!(captured[0].to, Some(NodeId(1)));
-        assert_eq!(captured[0].payload_bytes, 6);
-        assert_eq!(captured[1].to, None);
+        assert_eq!(seen, vec![(Some(NodeId(1)), 6), (None, 2)]);
         assert_eq!(eng.metrics().node(NodeId(0)).self_send_drops, 1);
         eng.run_until_quiet(10);
         // Unicast + broadcast both re-framed and delivered as flow 1.
         assert_eq!(eng.node(NodeId(1)).got, [0, 2]);
         assert_eq!(eng.metrics().flow(1).tx_msgs, 2);
+    }
+
+    /// What `Ctx::sandbox` + `emit` charged, the direct path charges: a
+    /// re-framed emission into a full outer queue is one `queue_drops` at
+    /// the outer node, a wrapped self-send one `self_send_drops`, and a
+    /// callback hands over at most a queue's worth of messages.
+    #[test]
+    fn nested_rejections_are_charged_once_to_the_outer_node() {
+        let cfg = SimConfig::lossless().with_queue_capacity(2);
+        let mut eng = Engine::new(line(3), cfg, |_| TwoFlow { got: [0; 2] });
+        let oks = eng.with_node(NodeId(1), |_, ctx| {
+            assert!(ctx.send(NodeId(2), 4, (0, 0)));
+            ctx.nested(
+                |outer, to, bytes, msg: u32| outer.emit(to, bytes, (1, msg)),
+                |inner| {
+                    [
+                        inner.send(NodeId(0), 4, 1), // fills the outer queue
+                        inner.send(NodeId(0), 4, 2), // outer queue full
+                        inner.send(NodeId(1), 4, 3), // self-send
+                        inner.broadcast(4, 4),       // third emission of a 2-entry queue
+                    ]
+                },
+            )
+        });
+        assert_eq!(oks, [true, false, false, false]);
+        let m = *eng.metrics().node(NodeId(1));
+        assert_eq!((m.queue_drops, m.self_send_drops), (2, 1));
+        assert_eq!(eng.queued_msgs(), 2);
+        assert_eq!(eng.pooled_msgs(), 2);
+        // Nothing was charged anywhere else.
+        assert_eq!(eng.metrics().total_queue_drops(), 2);
+        assert_eq!(eng.metrics().total_self_send_drops(), 1);
     }
 
     #[test]
@@ -1857,23 +1862,153 @@ mod tests {
     }
 
     #[test]
-    fn send_many_inside_sandbox_captures_per_target() {
+    fn send_many_inside_nested_frames_per_target() {
         struct F;
         impl Protocol for F {
             type Msg = u32;
             fn on_message(&mut self, _: &mut Ctx<'_, u32>, _: NodeId, _: u32) {}
         }
         let mut eng = Engine::new(line(4), SimConfig::lossless(), |_| F);
-        let emitted = eng.with_node(NodeId(0), |_, ctx| {
-            let ((), emitted) = ctx.sandbox::<u32, _>(|inner| {
-                let n = inner.send_many(&[NodeId(1), NodeId(0), NodeId(2)], 4, 11);
-                assert_eq!(n, 2);
-            });
-            emitted
+        let mut framed = Vec::new();
+        eng.with_node(NodeId(0), |_, ctx| {
+            ctx.nested(
+                |_, to, _, msg: u32| {
+                    framed.push((to, msg));
+                    true
+                },
+                |inner| {
+                    let n = inner.send_many(&[NodeId(1), NodeId(0), NodeId(2)], 4, 11);
+                    assert_eq!(n, 2);
+                },
+            );
         });
-        assert_eq!(emitted.len(), 2);
-        assert_eq!(emitted[0].to, Some(NodeId(1)));
-        assert_eq!(emitted[1].to, Some(NodeId(2)));
+        assert_eq!(framed, vec![(Some(NodeId(1)), 11), (Some(NodeId(2)), 11)]);
         assert_eq!(eng.metrics().node(NodeId(0)).self_send_drops, 1);
+    }
+
+    /// Sparse traffic on a lossy grid: at least nine outboxes in ten are
+    /// empty at every step, so the transmit phase mostly skips. Skipped
+    /// nodes make no loss draws, so every thread count yields the totals
+    /// pinned here, which are those of the engine that visited every node.
+    #[test]
+    fn sparse_lossy_traffic_is_byte_identical_across_thread_counts() {
+        let run = |threads: usize| {
+            let pts = (0..900)
+                .map(|i| Point::new((i % 30) as f64, (i / 30) as f64))
+                .collect();
+            let topo = Topology::from_positions(pts, 1.1, NodeId(0));
+            let cfg = SimConfig::default()
+                .with_loss(0.3)
+                .with_seed(7)
+                .with_fair_mac(true)
+                .with_threads(threads);
+            let mut eng = Engine::new(topo, cfg, |_| Churn {
+                delivered: 0,
+                snooped: 0,
+                failed: 0,
+            });
+            let mut busiest = 0;
+            for round in 0..6u16 {
+                for at in [31 + round, 450 + 30 * round, 868 - round] {
+                    eng.with_node(NodeId(at), |_, ctx| {
+                        let nb = ctx.neighbors()[0];
+                        ctx.send(nb, 8, (round as u8, 0));
+                    });
+                }
+                for _ in 0..12 {
+                    busiest = busiest.max(eng.outboxes.iter().filter(|q| !q.is_empty()).count());
+                    eng.step();
+                }
+            }
+            assert!(
+                busiest > 0 && busiest * 10 <= 900,
+                "busiest step: {busiest}"
+            );
+            let states: Vec<(u64, u64)> = eng
+                .nodes()
+                .iter()
+                .map(|n| (n.delivered, n.failed))
+                .collect();
+            (eng.metrics().clone(), eng.queued_msgs(), states)
+        };
+        let baseline = run(1);
+        let m = &baseline.0;
+        let rx_msgs: u64 = m.per_node().iter().map(|n| n.rx_msgs).sum();
+        assert_eq!(
+            (
+                m.total_tx_msgs(),
+                m.total_tx_bytes(),
+                rx_msgs,
+                m.total_send_failures(),
+                baseline.1
+            ),
+            PINNED_SPARSE_TOTALS
+        );
+        for threads in [2, 8] {
+            assert_eq!(run(threads), baseline, "threads={threads}");
+        }
+    }
+
+    /// (tx msgs, tx bytes, rx msgs, send failures, queued at the end) of
+    /// the run above, taken from the engine before it skipped empty queues.
+    const PINNED_SPARSE_TOTALS: (u64, u64, u64, u64, usize) = (1114, 21166, 889, 10, 13);
+
+    /// The queued-entry counter against a scan of the queues, after every
+    /// kind of event that moves entries.
+    #[test]
+    fn queued_counter_matches_a_scan_of_the_queues() {
+        fn check<P: Protocol>(eng: &Engine<P>, queued: usize) {
+            assert_eq!(
+                eng.outboxes.iter().map(VecDeque::len).sum::<usize>(),
+                queued
+            );
+            assert_eq!(eng.queued, queued);
+        }
+        let cfg = SimConfig {
+            queue_capacity: 4,
+            ..SimConfig::lossless().with_energy_budget(60)
+        };
+        let mut eng = Engine::new(line(5), cfg, |_| Relay { arrived_at: None });
+        // `with_node` sends, one of them rejected (self-addressed).
+        eng.with_node(NodeId(1), |_, ctx| {
+            ctx.send(NodeId(2), 4, 1);
+            ctx.send(NodeId(1), 4, 2);
+        });
+        check(&eng, 1);
+        // `send_many`: one shared slot, one entry per accepted target,
+        // rejections (self, queue full) not counted.
+        let accepted = eng.with_node(NodeId(1), |_, ctx| {
+            ctx.send_many(
+                &[NodeId(0), NodeId(1), NodeId(2), NodeId(0), NodeId(2)],
+                4,
+                3,
+            )
+        });
+        assert_eq!(accepted, 3);
+        check(&eng, 4);
+        // Deferred retries: the unicasts to a dead neighbor stay queued
+        // while those to the live one are delivered and relayed onward.
+        eng.kill(NodeId(0));
+        eng.step();
+        assert_eq!(eng.outboxes[1].len(), 2, "two retries deferred");
+        check(&eng, 2 + 2);
+        // Killing a node discards its queue.
+        assert_eq!(eng.kill(NodeId(1)), 2);
+        check(&eng, 2);
+        // Energy depletion discards a relay's queue at the cycle boundary:
+        // node 3 holds what node 2 just forwarded plus one send of its own.
+        eng.with_node(NodeId(2), |_, ctx| {
+            ctx.send(NodeId(3), 40, 9);
+        });
+        eng.step();
+        eng.with_node(NodeId(3), |_, ctx| {
+            ctx.send(NodeId(4), 4, 10);
+        });
+        assert_eq!(eng.outboxes[3].len(), 4);
+        check(&eng, 4);
+        eng.sampling_cycle(0);
+        assert_eq!(eng.energy_depleted(), &[NodeId(2), NodeId(3)]);
+        check(&eng, 0);
+        assert_eq!(eng.pooled_msgs(), 0);
     }
 }

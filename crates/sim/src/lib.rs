@@ -32,7 +32,7 @@ pub mod sweep;
 
 pub use config::SimConfig;
 pub use dynamics::{DynamicsPlan, FaultEvent, FaultTarget, FireOutcome, LossShift};
-pub use engine::{Ctx, Emitted, Engine, Protocol};
+pub use engine::{Ctx, Engine, Protocol};
 pub use metrics::{FlowMetrics, Metrics, NodeMetrics};
 pub use sweep::{parallel_map, Json, SummaryStat, Table};
 
