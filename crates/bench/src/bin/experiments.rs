@@ -1381,6 +1381,7 @@ fn fig6(o: &Opts) {
             .flat_map(|n| {
                 session
                     .query_node(QueryId(0), n)
+                    .expect("the query is live")
                     .assigns
                     .keys()
                     .filter(move |p| p.s == n)

@@ -140,81 +140,90 @@ pub struct QuerySet {
 }
 
 /// The outer protocol message: inner protocol messages tagged with their
-/// query, solo or aggregated.
+/// query, solo or aggregated. The tag is the query id at full width (ids
+/// are never reused, so a long-lived session outgrows any narrower
+/// field); the *modelled* tag on the wire stays [`QUERY_TAG_BYTES`].
 #[derive(Debug, Clone)]
 pub enum MultiMsg {
     /// One inner message of query `q`.
-    One { q: u16, inner: Msg },
+    One { q: usize, inner: Msg },
     /// Several same-next-hop inner messages sharing one link frame
     /// (SharedTree aggregation).
-    Batch { frames: Vec<(u16, Msg)> },
+    Batch { frames: Vec<(usize, Msg)> },
 }
 
-/// Per-query protocol slot at one node.
+/// Per-query protocol slot at one node. It exists from the query's
+/// activation to its retirement, so a node's table holds live queries
+/// only; the [`JoinNode`] is boxed so that inserting and removing moves
+/// table entries, not protocol state.
 struct Slot {
-    sh: Arc<Shared>,
-    node: JoinNode,
-    active: bool,
+    q: usize,
+    /// [`JoinNode::wants_tick`] as of the last time `node` was touched:
+    /// the sampling tick skips the slot without reading `node` when unset.
+    ticks: bool,
+    node: Box<JoinNode>,
 }
 
 /// An inner emission awaiting aggregation: query, unicast target, payload
 /// size its sender declared, message.
-type Staged = (u16, NodeId, u32, Msg);
+type Staged = (usize, NodeId, u32, Msg);
 
-/// The wrapper protocol instance at one node: one [`JoinNode`] per query,
-/// plus the staging buffer the frame aggregator works from.
+/// The wrapper protocol instance at one node: one [`JoinNode`] per live
+/// query, plus the staging buffer the frame aggregator works from.
 pub struct MultiNode {
     pub id: NodeId,
+    /// Ascending by query id: walking the table is walking the live
+    /// queries in id order, which fixes emission (and so MAC) order.
     slots: Vec<Slot>,
     sharing: Sharing,
     /// SharedTree: unicasts of the current dispatch, awaiting aggregation
     /// (emptied by every flush, its capacity kept).
     staged: Vec<Staged>,
-    /// Frames that arrived for inactive (departed / not-yet-arrived)
-    /// queries and were dropped.
+    /// Frames that arrived for queries with no slot here (departed / not
+    /// yet arrived) and were dropped.
     pub expired_frames: u64,
 }
 
 impl MultiNode {
-    pub fn new(id: NodeId, shareds: &[Arc<Shared>], sharing: Sharing) -> Self {
+    pub fn new(id: NodeId, sharing: Sharing) -> Self {
         MultiNode {
             id,
-            slots: shareds
-                .iter()
-                .map(|sh| Slot {
-                    sh: sh.clone(),
-                    node: JoinNode::new(id, sh.clone()),
-                    active: false,
-                })
-                .collect(),
+            slots: Vec::new(),
             sharing,
             staged: Vec::new(),
             expired_frames: 0,
         }
     }
 
+    fn slot_index(&self, q: usize) -> Result<usize, usize> {
+        self.slots.binary_search_by_key(&q, |s| s.q)
+    }
+
     /// Bring query `q` online at this node with fresh protocol state.
-    pub fn activate(&mut self, q: usize) {
-        let slot = &mut self.slots[q];
-        slot.node = JoinNode::new(self.id, slot.sh.clone());
-        slot.active = true;
+    pub fn activate(&mut self, q: usize, sh: &Arc<Shared>) {
+        let node = Box::new(JoinNode::new(self.id, sh.clone()));
+        let slot = Slot {
+            q,
+            ticks: node.wants_tick(),
+            node,
+        };
+        match self.slot_index(q) {
+            Ok(i) => self.slots[i] = slot,
+            Err(i) => self.slots.insert(i, slot),
+        }
     }
 
     /// Take query `q` offline, returning its final protocol state (the
-    /// harness snapshots the base station's result counters from it).
-    pub fn deactivate(&mut self, q: usize) -> JoinNode {
-        let slot = &mut self.slots[q];
-        slot.active = false;
-        std::mem::replace(&mut slot.node, JoinNode::new(self.id, slot.sh.clone()))
+    /// harness harvests counters and the base station's results from it);
+    /// `None` when the query has no slot here.
+    pub fn deactivate(&mut self, q: usize) -> Option<Box<JoinNode>> {
+        let i = self.slot_index(q).ok()?;
+        Some(self.slots.remove(i).node)
     }
 
-    pub fn is_active(&self, q: usize) -> bool {
-        self.slots[q].active
-    }
-
-    /// Read access to query `q`'s protocol instance.
-    pub fn query_node(&self, q: usize) -> &JoinNode {
-        &self.slots[q].node
+    /// Read access to query `q`'s protocol instance, while it is live.
+    pub fn query_node(&self, q: usize) -> Option<&JoinNode> {
+        self.slot_index(q).ok().map(|i| &*self.slots[i].node)
     }
 
     /// Harness-driven entry point into query `q`'s instance (initiation
@@ -225,23 +234,35 @@ impl MultiNode {
         q: usize,
         f: impl FnOnce(&mut JoinNode, &mut Ctx<'_, Msg>) -> R,
     ) -> Option<R> {
-        let r = self.deliver(ctx, q as u16, f);
+        let r = self.deliver(ctx, q, f);
         self.flush(ctx);
         r
     }
 
     /// Dispatch one inner event to query `q`, framing what it emits;
-    /// `None` (without side effects) when the slot is inactive. Every
-    /// emission is enqueued at once as a solo frame, except SharedTree
-    /// unicasts, which wait in `staged` for the flush to aggregate them.
+    /// `None` (without side effects) when the query has no slot here.
     fn deliver<R>(
         &mut self,
         ctx: &mut Ctx<'_, MultiMsg>,
-        q: u16,
+        q: usize,
         f: impl FnOnce(&mut JoinNode, &mut Ctx<'_, Msg>) -> R,
     ) -> Option<R> {
-        let slot = self.slots.get_mut(q as usize).filter(|s| s.active)?;
-        let node = &mut slot.node;
+        let i = self.slot_index(q).ok()?;
+        Some(self.deliver_at(ctx, i, f))
+    }
+
+    /// Dispatch one inner event to the `i`th slot. Every emission is
+    /// enqueued at once as a solo frame, except SharedTree unicasts, which
+    /// wait in `staged` for the flush to aggregate them. This is the one
+    /// place a slot's node is mutated, so it is where `ticks` is kept.
+    fn deliver_at<R>(
+        &mut self,
+        ctx: &mut Ctx<'_, MultiMsg>,
+        i: usize,
+        f: impl FnOnce(&mut JoinNode, &mut Ctx<'_, Msg>) -> R,
+    ) -> R {
+        let slot = &mut self.slots[i];
+        let (q, node) = (slot.q, &mut *slot.node);
         let (staged, shared) = (&mut self.staged, self.sharing == Sharing::SharedTree);
         let frame =
             |outer: &mut Ctx<'_, MultiMsg>, to: Option<NodeId>, payload_bytes, inner| match to {
@@ -255,17 +276,19 @@ impl MultiNode {
                     MultiMsg::One { q, inner },
                 ),
             };
-        Some(ctx.nested(frame, |inner| f(node, inner)))
+        let r = ctx.nested(frame, |inner| f(node, inner));
+        slot.ticks = slot.node.wants_tick();
+        r
     }
 
     /// [`MultiNode::deliver`] for a frame that arrived off the radio:
-    /// a frame for an inactive (departed / not-yet-arrived) query is
-    /// dropped and counted. Local ticks and harness drives go through
-    /// `deliver` directly and are *not* expired frames.
+    /// a frame for a query with no slot here (departed / not yet arrived)
+    /// is dropped and counted. Harness drives go through `deliver`
+    /// directly and are *not* expired frames.
     fn deliver_frame<R>(
         &mut self,
         ctx: &mut Ctx<'_, MultiMsg>,
-        q: u16,
+        q: usize,
         f: impl FnOnce(&mut JoinNode, &mut Ctx<'_, Msg>) -> R,
     ) -> Option<R> {
         let r = self.deliver(ctx, q, f);
@@ -283,7 +306,7 @@ impl MultiNode {
         }
         // Group by destination, preserving first-seen order; greedily pack
         // each destination's frames under the cap.
-        type Group = (NodeId, Vec<(u16, u32, Msg)>);
+        type Group = (NodeId, Vec<(usize, u32, Msg)>);
         let mut groups: Vec<Group> = Vec::new();
         for (q, to, payload_bytes, msg) in self.staged.drain(..) {
             match groups.iter_mut().find(|(dest, _)| *dest == to) {
@@ -292,9 +315,9 @@ impl MultiNode {
             }
         }
         for (to, frames) in groups {
-            let mut batch: Vec<(u16, Msg)> = Vec::new();
+            let mut batch: Vec<(usize, Msg)> = Vec::new();
             let mut batch_payload = 1u32; // frame-count byte
-            let flush_batch = |batch: &mut Vec<(u16, Msg)>,
+            let flush_batch = |batch: &mut Vec<(usize, Msg)>,
                                batch_payload: &mut u32,
                                ctx: &mut Ctx<'_, MultiMsg>| {
                 match batch.len() {
@@ -328,29 +351,16 @@ impl MultiNode {
         }
     }
 
-    /// Grow this node by one query slot (online admission): fresh
-    /// protocol state, initially inactive.
-    pub(crate) fn add_slot(&mut self, sh: &Arc<Shared>) {
-        self.slots.push(Slot {
-            sh: sh.clone(),
-            node: JoinNode::new(self.id, sh.clone()),
-            active: false,
-        });
-    }
-
-    /// Join pairs currently placed at this node, across all active queries
+    /// Join pairs currently placed at this node, across all live queries
     /// (failure-target picking).
     pub fn pair_count_total(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| s.active)
-            .map(|s| s.node.pair_count())
-            .sum()
+        self.query_nodes().map(|n| n.pair_count()).sum()
     }
 
-    /// The per-query protocol instances at this node (active or not).
+    /// The protocol instances of the queries live at this node, in query
+    /// id order.
     pub fn query_nodes(&self) -> impl Iterator<Item = &JoinNode> {
-        self.slots.iter().map(|s| &s.node)
+        self.slots.iter().map(|s| &*s.node)
     }
 }
 
@@ -411,8 +421,12 @@ impl Protocol for MultiNode {
     }
 
     fn on_sampling_cycle(&mut self, ctx: &mut Ctx<'_, MultiMsg>, cycle: u32) {
-        for q in 0..self.slots.len() {
-            self.deliver(ctx, q as u16, |n, c| n.on_sampling_cycle(c, cycle));
+        for i in 0..self.slots.len() {
+            if self.slots[i].ticks {
+                self.deliver_at(ctx, i, |n, c| n.on_sampling_cycle(c, cycle));
+            } else {
+                debug_assert!(!self.slots[i].node.wants_tick(), "stale tick gate");
+            }
         }
         self.flush(ctx);
     }
@@ -420,7 +434,7 @@ impl Protocol for MultiNode {
     /// Query `q` is flow `q + 1`; aggregated frames are the shared flow 0.
     fn flow_of(msg: &MultiMsg) -> usize {
         match msg {
-            MultiMsg::One { q, .. } => *q as usize + 1,
+            MultiMsg::One { q, .. } => *q + 1,
             MultiMsg::Batch { .. } => 0,
         }
     }
@@ -531,20 +545,46 @@ pub(crate) struct BaseSnapshot {
     pub(crate) delay_sum: u64,
 }
 
+impl BaseSnapshot {
+    /// The counters of `node`'s base-station state (zero anywhere but at
+    /// the base).
+    pub(crate) fn of(node: &JoinNode) -> BaseSnapshot {
+        node.base_state()
+            .map(|b| BaseSnapshot {
+                results: b.results,
+                delay_sum: b.delay_sum,
+            })
+            .unwrap_or_default()
+    }
+}
+
+/// What a run keeps of every query id it ever issued: the few fields a
+/// report row, `cfg_of` and the lifecycle scans need (the query's flow id
+/// is its id), plus the run context while the query is live.
+struct QueryRecord {
+    /// Query-spec name ("Query 1", …).
+    name: String,
+    cfg: AlgoConfig,
+    lifecycle: Lifecycle,
+    /// Held from admission to retirement.
+    shared: Option<Arc<Shared>>,
+}
+
 /// A prepared multi-query run.
 pub struct MultiRun {
     pub engine: Engine<MultiNode>,
-    pub shareds: Vec<Arc<Shared>>,
-    /// The shared routing substrate — held run-level (not just inside each
-    /// query's [`Shared`]) so queries can be admitted into a run that
-    /// currently hosts none (a freshly opened serve session).
+    /// Indexed by query id; ids are never reused.
+    queries: Vec<QueryRecord>,
+    /// The network, the routing substrate and the workload, each shared by
+    /// every query's [`Shared`] and held run-level so queries can be
+    /// admitted into a run that currently hosts none (a freshly opened
+    /// serve session).
+    topo: Arc<Topology>,
     pub(crate) sub: Arc<MultiTreeSubstrate>,
-    /// The workload, same run-level ownership rationale as `sub`.
-    pub(crate) data: WorkloadData,
+    pub(crate) data: Arc<WorkloadData>,
     /// Master death ledger: every node that died so far, so queries
     /// admitted later inherit the deaths regardless of query population.
     dead: Mutex<HashSet<NodeId>>,
-    lifecycles: Vec<Lifecycle>,
     init_metrics: Option<Metrics>,
     init_cycles: u64,
     /// Filled at departure; live queries are snapshotted by `stats`.
@@ -553,8 +593,8 @@ pub struct MultiRun {
     /// `(fire_cycle, query, step, )`.
     pending_steps: Vec<(u32, usize, InitStep)>,
     /// §7 recovery counters carried by retired queries' protocol state
-    /// (deactivation replaces each node's slot with fresh state, so the
-    /// counters are absorbed here to keep network totals monotone).
+    /// (retirement frees each node's slot, so the counters are absorbed
+    /// here to keep network totals monotone).
     retired_recovery: crate::node::RecoveryStats,
     /// Migration adoptions of retired queries (same monotonicity need —
     /// the session's observer diffing relies on it).
@@ -565,7 +605,7 @@ pub struct MultiRun {
 
 impl QuerySet {
     /// Construct the engine: one shared substrate, one [`Shared`] context
-    /// per query, one [`MultiNode`] per node.
+    /// per query, one (empty) [`MultiNode`] per node.
     pub fn build(&self) -> MultiRun {
         let sub = Arc::new(MultiTreeSubstrate::build(
             &self.topo,
@@ -573,71 +613,80 @@ impl QuerySet {
             default_indexed_attrs(),
             &self.data,
         ));
-        let shareds: Vec<Arc<Shared>> = self
-            .queries
-            .iter()
-            .map(|qi| {
-                Arc::new(Shared::new(
-                    self.topo.clone(),
-                    sub.clone(),
-                    qi.spec.clone(),
-                    self.data.clone(),
-                    qi.cfg,
-                ))
-            })
-            .collect();
         let sharing = self.sharing;
-        let mk = shareds.clone();
-        let engine = Engine::new(self.topo.clone(), self.sim.clone(), move |id| {
-            MultiNode::new(id, &mk, sharing)
-        });
-        let n_q = self.queries.len();
-        MultiRun {
-            engine,
-            shareds,
+        let mut run = MultiRun {
+            engine: Engine::new(self.topo.clone(), self.sim.clone(), move |id| {
+                MultiNode::new(id, sharing)
+            }),
+            queries: Vec::new(),
+            topo: Arc::new(self.topo.clone()),
             sub,
-            data: self.data.clone(),
+            data: Arc::new(self.data.clone()),
             dead: Mutex::new(HashSet::new()),
-            lifecycles: self.queries.iter().map(|q| q.lifecycle).collect(),
             init_metrics: None,
             init_cycles: 0,
-            snapshots: vec![None; n_q],
+            snapshots: Vec::new(),
             pending_steps: Vec::new(),
             retired_recovery: crate::node::RecoveryStats::default(),
             retired_migrations: 0,
             retired_xfer_bytes: 0,
+        };
+        for qi in &self.queries {
+            run.add_query(qi.spec.clone(), qi.cfg, qi.lifecycle);
         }
+        run
     }
 }
 
 impl MultiRun {
-    fn n_queries(&self) -> usize {
-        self.shareds.len()
+    pub(crate) fn n_queries(&self) -> usize {
+        self.queries.len()
     }
 
     fn base(&self) -> NodeId {
         self.engine.topology().base()
     }
 
+    /// The run contexts of the live (admitted, not yet retired) queries.
+    pub fn live_shareds(&self) -> impl Iterator<Item = &Arc<Shared>> {
+        self.queries.iter().filter_map(|r| r.shared.as_ref())
+    }
+
+    pub(crate) fn cfg_of(&self, q: usize) -> AlgoConfig {
+        self.queries[q].cfg
+    }
+
+    pub(crate) fn name_of(&self, q: usize) -> &str {
+        &self.queries[q].name
+    }
+
     /// Activate query `q` at every node.
+    ///
+    /// # Panics
+    /// If `q` was retired: its run context is gone.
     pub(crate) fn activate_everywhere(&mut self, q: usize) {
-        for i in 0..self.engine.topology().len() {
-            self.engine.node_mut(NodeId(i as u16)).activate(q);
+        let sh = self.queries[q]
+            .shared
+            .clone()
+            .expect("a retired query is never activated");
+        for id in self.topo.node_ids() {
+            self.engine.node_mut(id).activate(q, &sh);
         }
     }
 
-    /// Grow the run by one query slot at every node (online admission by
-    /// the session layer). The new query shares the substrate and inherits
-    /// the already-known deaths; it starts inactive with `lifecycle`.
-    /// Returns the new slot index.
+    /// Issue the next query id (online admission by the session layer).
+    /// The new query shares the network, substrate and workload and
+    /// inherits the already-known deaths; it has no per-node state until
+    /// it is activated.
     pub(crate) fn add_query(
         &mut self,
         spec: JoinQuerySpec,
         cfg: AlgoConfig,
         lifecycle: Lifecycle,
     ) -> usize {
+        let name = spec.name.clone();
         let sh = Arc::new(Shared::new(
-            self.engine.topology().clone(),
+            self.topo.clone(),
             self.sub.clone(),
             spec,
             self.data.clone(),
@@ -648,20 +697,21 @@ impl MultiRun {
         for &v in self.dead.lock().expect("death ledger poisoned").iter() {
             sh.mark_dead(v);
         }
-        for i in 0..self.engine.topology().len() {
-            self.engine.node_mut(NodeId(i as u16)).add_slot(&sh);
-        }
-        self.shareds.push(sh);
-        self.lifecycles.push(lifecycle);
+        self.queries.push(QueryRecord {
+            name,
+            cfg,
+            lifecycle,
+            shared: Some(sh),
+        });
         self.snapshots.push(None);
-        self.shareds.len() - 1
+        self.queries.len() - 1
     }
 
     /// Record a death in the run-level ledger and every resident query's
     /// liveness oracle (later admissions inherit it from the ledger).
     pub(crate) fn mark_dead(&self, v: NodeId) {
         self.dead.lock().expect("death ledger poisoned").insert(v);
-        for sh in &self.shareds {
+        for sh in self.live_shareds() {
             sh.mark_dead(v);
         }
     }
@@ -670,7 +720,7 @@ impl MultiRun {
     pub(crate) fn apply_step(&mut self, q: usize, step: InitStep) {
         // Same fan-out table as the bare wire (`step_calls`), wrapped in
         // the per-query drive so emissions are framed and tagged. A drive
-        // into an inactive slot is a side-effect-free no-op, so no
+        // for a query with no slot is a side-effect-free no-op, so no
         // per-node activity guard is needed.
         let base = self.base();
         let n = self.engine.topology().len();
@@ -693,33 +743,33 @@ impl MultiRun {
     /// [`crate::Run::initiate`] is its one-element case).
     pub fn initiate(&mut self) {
         let arrivals: Vec<usize> = (0..self.n_queries())
-            .filter(|&q| self.lifecycles[q].arrival == 0)
+            .filter(|&q| self.queries[q].lifecycle.arrival == 0)
             .collect();
         let (metrics, cycles) = crate::session::drive_initiation(self, &arrivals);
         self.init_metrics = Some(metrics);
         self.init_cycles = cycles;
     }
 
-    /// Take query `q` offline everywhere, returning its base counters.
-    /// The retired instances' recovery/migration counters are absorbed
-    /// into the run-level accumulators so network-wide totals never
-    /// shrink on retirement.
-    pub(crate) fn retire_query(&mut self, q: usize) -> Option<BaseSnapshot> {
+    /// Take query `q` offline everywhere and free its per-node state and
+    /// run context, returning its base counters (zero for a query that
+    /// never came online). The retired instances' recovery/migration
+    /// counters are absorbed into the run-level accumulators so
+    /// network-wide totals never shrink on retirement.
+    pub(crate) fn retire_query(&mut self, q: usize) -> BaseSnapshot {
         let base = self.base();
-        let mut snap = None;
-        for i in 0..self.engine.topology().len() {
-            let id = NodeId(i as u16);
-            let node = self.engine.node_mut(id).deactivate(q);
+        let mut snap = BaseSnapshot::default();
+        for id in self.topo.node_ids() {
+            let Some(node) = self.engine.node_mut(id).deactivate(q) else {
+                continue;
+            };
             self.retired_recovery.absorb(&node.recovery);
             self.retired_migrations += node.migrations_adopted;
             self.retired_xfer_bytes += node.xfer_bytes;
             if id == base {
-                snap = node.base_state().map(|b| BaseSnapshot {
-                    results: b.results,
-                    delay_sum: b.delay_sum,
-                });
+                snap = BaseSnapshot::of(&node);
             }
         }
+        self.queries[q].shared = None;
         snap
     }
 
@@ -735,8 +785,9 @@ impl MultiRun {
     /// state). Delegates to the unified [`crate::session`] cycle driver.
     pub fn execute_with_plan(&mut self, cycles: u32, plan: &DynamicsPlan) -> MultiOutcome {
         use crate::session::{drive_cycles, ExecState};
-        let mut st = ExecState::new(self, self.lifecycles.clone());
-        st.snapshots = std::mem::take(&mut self.snapshots);
+        let lifecycles = self.queries.iter().map(|r| r.lifecycle).collect();
+        let snapshots = std::mem::take(&mut self.snapshots);
+        let mut st = ExecState::new(self, lifecycles, snapshots);
         st.pending_steps = std::mem::take(&mut self.pending_steps);
         drive_cycles(self, &mut st, plan, cycles, &mut []);
         self.engine.run_until_quiet(5_000);
@@ -760,8 +811,6 @@ impl MultiRun {
     /// carried (absorbed at retirement; see `MultiRun::retire_query`) —
     /// totals are monotone across the whole run.
     pub fn recovery_totals(&self) -> crate::node::RecoveryStats {
-        // Start from the counters retired queries carried out with them
-        // (see `retire_query`), then add every live instance's.
         let mut total = self.retired_recovery;
         for mn in self.engine.nodes() {
             for jn in mn.query_nodes() {
@@ -781,11 +830,7 @@ impl MultiRun {
                 let snap = self.snapshots[q].unwrap_or_else(|| {
                     base_node
                         .query_node(q)
-                        .base_state()
-                        .map(|b| BaseSnapshot {
-                            results: b.results,
-                            delay_sum: b.delay_sum,
-                        })
+                        .map(BaseSnapshot::of)
                         .unwrap_or_default()
                 });
                 let avg_delay = if snap.results > 0 {
@@ -794,10 +839,10 @@ impl MultiRun {
                     0.0
                 };
                 QueryStats {
-                    label: self.shareds[q].cfg.label(),
-                    name: self.shareds[q].spec.name.clone(),
-                    arrival: self.lifecycles[q].arrival,
-                    departure: self.lifecycles[q].departure,
+                    label: self.queries[q].cfg.label(),
+                    name: self.queries[q].name.clone(),
+                    arrival: self.queries[q].lifecycle.arrival,
+                    departure: self.queries[q].lifecycle.departure,
                     results: snap.results,
                     avg_delay_tx: avg_delay,
                     flow: exec.flow(q + 1),
@@ -826,4 +871,57 @@ pub(crate) fn busiest_multi_join_node(engine: &Engine<MultiNode>, base: NodeId) 
         .filter(|&id| id != base && engine.is_alive(id))
         .max_by_key(|&id| engine.node(id).pair_count_total())
         .filter(|&id| engine.node(id).pair_count_total() > 0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::shared::Algorithm;
+    use sensor_workload::{Rates, Schedule};
+
+    /// Every hop moves a `MultiMsg` by value: the full-width query tag
+    /// must ride in what was padding beside the inner message (see
+    /// `msg::tests::hot_message_stays_small`).
+    #[test]
+    fn tagged_message_stays_small() {
+        assert_eq!(std::mem::size_of::<MultiMsg>(), 120);
+    }
+
+    /// Query ids are monotone and never reused, so a long-lived session
+    /// passes 65,536 of them: the tag a frame carries must not wrap.
+    #[test]
+    fn query_tag_is_not_truncated() {
+        const Q: usize = 70_000;
+        let topo = sensor_net::grid(3, 3);
+        let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), 1);
+        let sub = Arc::new(MultiTreeSubstrate::build(
+            &topo,
+            1,
+            default_indexed_attrs(),
+            &data,
+        ));
+        let sh = Arc::new(Shared::new(
+            Arc::new(topo.clone()),
+            sub,
+            sensor_workload::query1(3),
+            Arc::new(data),
+            AlgoConfig::new(Algorithm::Base, crate::cost::Sigma::new(0.5, 0.5, 0.2)),
+        ));
+        let mut engine = Engine::new(topo, SimConfig::lossless(), |id| {
+            MultiNode::new(id, Sharing::Independent)
+        });
+        let (at, from) = (NodeId(4), NodeId(1));
+        engine.node_mut(at).activate(Q, &sh);
+        let flood = |q| MultiMsg::One {
+            q,
+            inner: Msg::QueryFlood,
+        };
+        engine.with_node(at, |mn, ctx| mn.on_message(ctx, from, flood(Q)));
+        let mn = engine.node(at);
+        assert!(mn.query_node(Q).expect("slot 70,000").have_query);
+        assert_eq!(mn.expired_frames, 0);
+        // 70,000 − 65,536: the id a 16-bit tag would have carried.
+        engine.with_node(at, |mn, ctx| mn.on_message(ctx, from, flood(Q - 65_536)));
+        assert_eq!(engine.node(at).expired_frames, 1);
+    }
 }

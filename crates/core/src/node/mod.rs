@@ -22,7 +22,7 @@ use crate::cost::Sigma;
 use crate::learn::PairStats;
 use crate::msg::{Msg, Pair};
 use crate::multicast::McastTree;
-use crate::shared::Shared;
+use crate::shared::{Algorithm, Shared};
 use sensor_net::NodeId;
 use sensor_query::Tuple;
 use sensor_sim::{Ctx, Protocol};
@@ -365,6 +365,23 @@ impl JoinNode {
 
     pub fn pair_count(&self) -> usize {
         self.pairs.len()
+    }
+
+    /// Whether the sampling tick can do anything at this node right now —
+    /// the disjunction of the guards that open `sample_and_send` (a
+    /// producer with the query, or a Yang+07 target keeping its window),
+    /// `learning_tick` (a pair to learn about, here or at the base) and
+    /// `mcast_maintenance` (a multicast tree to rebuild). A host that
+    /// re-reads it after every callback may skip the tick while it is
+    /// `false`: nothing but a callback changes the answer.
+    pub fn wants_tick(&self) -> bool {
+        let cfg = &self.sh.cfg;
+        (self.have_query && (self.is_s || self.is_t))
+            || (cfg.algorithm == Algorithm::Yang07 && self.is_t)
+            || (cfg.innet.learning
+                && (!self.pairs.is_empty()
+                    || self.base.as_ref().is_some_and(|b| !b.pairs.is_empty())))
+            || (cfg.innet.multicast && self.mc_dirty)
     }
 }
 

@@ -179,10 +179,10 @@ impl Scenario {
             &self.data,
         ));
         let shared = Arc::new(Shared::new(
-            self.topo.clone(),
+            Arc::new(self.topo.clone()),
             sub,
             self.spec.clone(),
-            self.data.clone(),
+            Arc::new(self.data.clone()),
             self.cfg,
         ));
         let sh = shared.clone();
@@ -226,7 +226,7 @@ impl Run {
     /// Delegates to the unified [`crate::session`] cycle driver.
     pub fn execute_with_plan(&mut self, cycles: u32, plan: &DynamicsPlan) -> DynamicsOutcome {
         use crate::session::{drive_cycles, ExecState, Host};
-        let mut st = ExecState::new(self, vec![crate::multi::Lifecycle::STATIC]);
+        let mut st = ExecState::new(self, vec![crate::multi::Lifecycle::STATIC], vec![None]);
         drive_cycles(self, &mut st, plan, cycles, &mut []);
         self.engine.run_until_quiet(5_000);
         let total = Host::live_results(self);

@@ -64,8 +64,10 @@ use std::sync::{Arc, Mutex};
 
 pub use crate::multi::LIVE_INIT_SPACING;
 
-/// Handle to a query admitted into a [`Session`] (its slot index; slots
-/// are never reused, so the handle stays valid after retirement).
+/// Handle to a query admitted into a [`Session`]. Ids are issued in
+/// admission order and never reused, so the handle stays valid (for the
+/// report, for an idempotent `retire`) after the query's retirement has
+/// freed its state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(pub usize);
 
@@ -246,10 +248,10 @@ pub(crate) trait Host {
     /// Bring query `q` online at every node.
     fn activate(&mut self, q: usize);
     /// Take query `q` offline everywhere; returns its base snapshot.
-    fn retire_query(&mut self, q: usize) -> Option<BaseSnapshot>;
+    fn retire_query(&mut self, q: usize) -> BaseSnapshot;
     /// Base snapshot of a live query (used by [`Outcome`] rows).
     fn live_snapshot(&self, q: usize) -> BaseSnapshot;
-    /// Results currently counted at the base across live queries.
+    /// Results currently counted at the base across the queries online.
     fn live_results(&self) -> u64;
     fn busiest_join_node(&self) -> Option<NodeId>;
     /// Propagate a death to every query's liveness oracle.
@@ -265,10 +267,10 @@ pub(crate) trait Host {
     fn query_flow(&self, q: usize, exec: &Metrics) -> FlowMetrics;
     /// Cross-query aggregate flow (zero for the bare wire).
     fn shared_flow(&self, exec: &Metrics) -> FlowMetrics;
-    fn query_label(&self, q: usize) -> String;
     fn query_name(&self, q: usize) -> String;
-    /// Read access to query `q`'s protocol instance at `id`.
-    fn join_node(&self, q: usize, id: NodeId) -> &JoinNode;
+    /// Read access to query `q`'s protocol instance at `id`, while the
+    /// query is online.
+    fn join_node(&self, q: usize, id: NodeId) -> Option<&JoinNode>;
     /// Re-home a mobile leaf at `to` on the routing substrate (App. G);
     /// returns `(delay_cycles, traffic_bytes)` of the summary updates.
     fn move_leaf(&mut self, node: NodeId, to: sensor_net::Point) -> (u32, u64);
@@ -332,19 +334,12 @@ impl Host for Run {
         // The bare wire hosts its one query from construction.
     }
 
-    fn retire_query(&mut self, _q: usize) -> Option<BaseSnapshot> {
+    fn retire_query(&mut self, _q: usize) -> BaseSnapshot {
         unreachable!("bare-wire sessions never retire their single query")
     }
 
     fn live_snapshot(&self, _q: usize) -> BaseSnapshot {
-        self.engine
-            .node(self.shared.base())
-            .base_state()
-            .map(|b| BaseSnapshot {
-                results: b.results,
-                delay_sum: b.delay_sum,
-            })
-            .unwrap_or_default()
+        BaseSnapshot::of(self.engine.node(self.shared.base()))
     }
 
     fn live_results(&self) -> u64 {
@@ -387,16 +382,12 @@ impl Host for Run {
         FlowMetrics::default()
     }
 
-    fn query_label(&self, _q: usize) -> String {
-        self.shared.cfg.label()
-    }
-
     fn query_name(&self, _q: usize) -> String {
         self.shared.spec.name.clone()
     }
 
-    fn join_node(&self, _q: usize, id: NodeId) -> &JoinNode {
-        self.engine.node(id)
+    fn join_node(&self, _q: usize, id: NodeId) -> Option<&JoinNode> {
+        Some(self.engine.node(id))
     }
 
     fn move_leaf(&mut self, node: NodeId, to: sensor_net::Point) -> (u32, u64) {
@@ -442,10 +433,10 @@ impl Host for Run {
 
 impl Host for MultiRun {
     fn n_queries(&self) -> usize {
-        self.shareds.len()
+        MultiRun::n_queries(self)
     }
     fn cfg_of(&self, q: usize) -> AlgoConfig {
-        self.shareds[q].cfg
+        MultiRun::cfg_of(self, q)
     }
     fn base(&self) -> NodeId {
         self.engine.topology().base()
@@ -467,7 +458,8 @@ impl Host for MultiRun {
             self.engine
                 .nodes()
                 .iter()
-                .flat_map(|mn| mn.query_node(q).pairs.values())
+                .filter_map(|mn| mn.query_node(q))
+                .flat_map(|jn| jn.pairs.values())
                 .filter_map(|ps| ps.stats.estimate(w)),
         )
     }
@@ -480,7 +472,7 @@ impl Host for MultiRun {
         self.activate_everywhere(q);
     }
 
-    fn retire_query(&mut self, q: usize) -> Option<BaseSnapshot> {
+    fn retire_query(&mut self, q: usize) -> BaseSnapshot {
         MultiRun::retire_query(self, q)
     }
 
@@ -488,17 +480,15 @@ impl Host for MultiRun {
         self.engine
             .node(self.base())
             .query_node(q)
-            .base_state()
-            .map(|b| BaseSnapshot {
-                results: b.results,
-                delay_sum: b.delay_sum,
-            })
+            .map(BaseSnapshot::of)
             .unwrap_or_default()
     }
 
     fn live_results(&self) -> u64 {
-        (0..self.n_queries())
-            .map(|q| self.live_snapshot(q).results)
+        self.engine
+            .node(self.base())
+            .query_nodes()
+            .map(|jn| BaseSnapshot::of(jn).results)
             .sum()
     }
 
@@ -548,15 +538,11 @@ impl Host for MultiRun {
         exec.flow(0)
     }
 
-    fn query_label(&self, q: usize) -> String {
-        self.shareds[q].cfg.label()
-    }
-
     fn query_name(&self, q: usize) -> String {
-        self.shareds[q].spec.name.clone()
+        self.name_of(q).to_string()
     }
 
-    fn join_node(&self, q: usize, id: NodeId) -> &JoinNode {
+    fn join_node(&self, q: usize, id: NodeId) -> Option<&JoinNode> {
         self.engine.node(id).query_node(q)
     }
 
@@ -652,6 +638,14 @@ pub(crate) struct ExecState {
     pub activated: Vec<bool>,
     /// Base-counter snapshots of retired queries.
     pub snapshots: Vec<Option<BaseSnapshot>>,
+    /// The queries admitted and not yet retired (waiting for their
+    /// arrival cycle, or online), ascending: what the per-cycle lifecycle
+    /// scans walk. The three vectors above, `arrivals` and `departures`
+    /// are indexed by (or list) every id ever issued, a few dozen bytes
+    /// each, because the report has a row for every one of them.
+    pub live: Vec<usize>,
+    /// Results of the retired queries (the sum over `snapshots`).
+    retired_results: u64,
     /// Live-initiation steps pending for late arrivals.
     pub pending_steps: Vec<(u32, usize, InitStep)>,
     pub killed: Vec<(u32, NodeId)>,
@@ -685,12 +679,21 @@ pub(crate) struct ExecState {
 }
 
 impl ExecState {
-    pub(crate) fn new<H: Host>(host: &H, lifecycles: Vec<Lifecycle>) -> ExecState {
-        let n = lifecycles.len();
+    /// Execution state over `host`'s queries, `snapshots[q]` being `Some`
+    /// for those already retired.
+    pub(crate) fn new<H: Host>(
+        host: &H,
+        lifecycles: Vec<Lifecycle>,
+        snapshots: Vec<Option<BaseSnapshot>>,
+    ) -> ExecState {
         ExecState {
             activated: lifecycles.iter().map(|lc| lc.arrival == 0).collect(),
             lifecycles,
-            snapshots: vec![None; n],
+            live: (0..snapshots.len())
+                .filter(|&q| snapshots[q].is_none())
+                .collect(),
+            retired_results: snapshots.iter().flatten().map(|s| s.results).sum(),
+            snapshots,
             pending_steps: Vec::new(),
             killed: Vec::new(),
             queued_msgs_lost: 0,
@@ -712,8 +715,33 @@ impl ExecState {
         }
     }
 
-    fn snapshot_results(&self) -> u64 {
-        self.snapshots.iter().flatten().map(|s| s.results).sum()
+    /// Join results delivered to the base so far: the online queries'
+    /// counters plus what the retired ones left with.
+    fn results_so_far<H: Host + ?Sized>(&self, host: &H) -> u64 {
+        host.live_results() + self.retired_results
+    }
+
+    /// Issue the next query id with `lifecycle`; `online` when the
+    /// initiation batch, not the arrival scan, brings it up.
+    fn admit(&mut self, lifecycle: Lifecycle, online: bool) {
+        self.live.push(self.snapshots.len());
+        self.lifecycles.push(lifecycle);
+        self.activated.push(online);
+        self.snapshots.push(None);
+    }
+
+    /// Retire query `q` at cycle `c`: take it offline everywhere and keep
+    /// its base counters for the report.
+    fn retire<H: Host>(&mut self, host: &mut H, q: usize, c: u32) {
+        let snap = host.retire_query(q);
+        self.retired_results += snap.results;
+        self.snapshots[q] = Some(snap);
+        self.live.retain(|&l| l != q);
+        // A deliberate retirement is not a truncated initiation: its
+        // pending live-init steps are moot, and dropping them keeps
+        // `unfinished_inits` an honest truncation signal.
+        self.pending_steps.retain(|&(_, pq, _)| pq != q);
+        self.departures.push((c, q));
     }
 
     /// Queries whose live initiation has not finished (steps still
@@ -732,7 +760,7 @@ fn cycle_view<'a>(host: &'a dyn Host, st: &ExecState, cycle: u32) -> CycleView<'
     CycleView {
         cycle,
         now: host.now(),
-        results: host.live_results() + st.snapshot_results(),
+        results: st.results_so_far(host),
         cycle_tx_bytes: *st.per_cycle_tx_bytes.last().unwrap_or(&0),
         metrics: host.metrics(),
     }
@@ -760,35 +788,35 @@ pub(crate) fn drive_cycles<H: Host>(
         // only — reads engine state, mutates nothing).
         if plan.has_event_at(c) {
             if st.results_pre_event.is_none() {
-                st.results_pre_event = Some(host.live_results() + st.snapshot_results());
+                st.results_pre_event = Some(st.results_so_far(host));
                 st.first_fired = Some(c);
             }
             st.last_fired = Some(c);
         }
         // Lifecycle: departures first (a query leaving at c does not
         // sample at c), then arrivals, then any due live-init steps.
-        for q in 0..host.n_queries() {
-            if st.lifecycles[q].departure == Some(c) && st.snapshots[q].is_none() {
-                st.snapshots[q] = host.retire_query(q);
-                // Any live-init steps still pending for the departed query
-                // are moot — dropping them keeps `unfinished_inits` an
-                // honest truncation signal (a deliberate retirement is not
-                // a truncated initiation).
-                st.pending_steps.retain(|&(_, pq, _)| pq != q);
-                st.departures.push((c, q));
-                emit(
-                    obs,
-                    SessionEvent::Retired {
-                        cycle: c,
-                        query: QueryId(q),
-                    },
-                );
-            }
+        let departing: Vec<usize> = st
+            .live
+            .iter()
+            .copied()
+            .filter(|&q| st.lifecycles[q].departure == Some(c))
+            .collect();
+        for q in departing {
+            st.retire(host, q, c);
+            emit(
+                obs,
+                SessionEvent::Retired {
+                    cycle: c,
+                    query: QueryId(q),
+                },
+            );
         }
-        for q in 0..host.n_queries() {
-            // A query already retired (snapshot taken) never re-arrives,
-            // even under a nonsensical departure-before-arrival lifecycle.
-            if st.lifecycles[q].arrival == c && !st.activated[q] && st.snapshots[q].is_none() {
+        // A query already retired is no longer in `live`, so it never
+        // re-arrives, even under a nonsensical departure-before-arrival
+        // lifecycle.
+        for i in 0..st.live.len() {
+            let q = st.live[i];
+            if st.lifecycles[q].arrival == c && !st.activated[q] {
                 host.activate(q);
                 st.activated[q] = true;
                 st.arrivals.push((c, q));
@@ -859,7 +887,7 @@ pub(crate) fn drive_cycles<H: Host>(
             // only after the cycle ran — the "pre" snapshot therefore
             // includes this cycle's results (the death happened during it).
             if st.results_pre_event.is_none() {
-                st.results_pre_event = Some(host.live_results() + st.snapshot_results());
+                st.results_pre_event = Some(st.results_so_far(host));
                 st.first_fired = Some(c);
             }
             st.last_fired = Some(c);
@@ -1191,8 +1219,8 @@ pub struct Session {
     /// sessions keep it empty.
     cache: LearnedCache,
     warm_start: bool,
-    /// Parallel to query slots: cache identity for harvest at retirement
-    /// (`None` when warm-start is off).
+    /// Indexed by query id: cache identity for the harvest at retirement,
+    /// which takes it (`None` after, and when warm-start is off).
     q_meta: Vec<Option<QueryCacheMeta>>,
 }
 
@@ -1207,7 +1235,7 @@ impl Session {
         self.st.next_cycle
     }
 
-    /// Pairwise query slots ever admitted (slots are never reused, so this
+    /// Pairwise query ids ever issued (ids are never reused, so this
     /// counts retired queries too; it bounds valid [`QueryId`]s).
     pub fn query_slots(&self) -> usize {
         self.st.snapshots.len()
@@ -1292,37 +1320,23 @@ impl Session {
         } else {
             0
         };
-        let q = mr.add_query(
-            spec,
-            cfg,
-            Lifecycle {
-                arrival,
-                departure: None,
-            },
-        );
-        self.st.lifecycles.push(Lifecycle {
-            arrival,
-            departure: None,
-        });
+        let lifecycle = Lifecycle::arriving(arrival);
+        let q = mr.add_query(spec, cfg, lifecycle);
         // Cycle-0 admissions are activated by the initiation batch; live
         // ones by the arrival scan at the top of the next cycle.
-        self.st.activated.push(false);
-        if !self.initiated {
-            self.st.activated[q] = true;
-        }
-        self.st.snapshots.push(None);
+        self.st.admit(lifecycle, !self.initiated);
         self.q_meta.push(meta);
         QueryId(q)
     }
 
-    /// Retire a query now: deactivate it at every node, snapshot its base
-    /// counters (kept in the final [`Outcome`] row) and free its slot's
-    /// network share. Idempotent.
+    /// Retire a query now: snapshot its base counters (kept in the final
+    /// [`Outcome`] row) and free everything else the session held for it,
+    /// at every node and in the session. Idempotent.
     ///
     /// With warm-start enabled, the query's learned σ estimates, join-host
     /// placements and repair history are harvested into the session's
-    /// [`LearnedCache`] *before* deactivation wipes the in-network state,
-    /// so a later admission of the same shape can start warm.
+    /// [`LearnedCache`] *before* retirement frees the in-network state, so
+    /// a later admission of the same shape can start warm.
     ///
     /// # Panics
     /// On a bare-wire session (see [`Session::admit`]).
@@ -1332,23 +1346,24 @@ impl Session {
             Backend::Tagged(mr) => {
                 if self.st.snapshots[q].is_none() {
                     // Harvest learned state while the per-node protocol
-                    // instances still hold it; `retire_query` deactivates
-                    // them everywhere.
-                    if let Some(meta) = &self.q_meta[q] {
+                    // instances still hold it; `retire_query` frees them
+                    // everywhere. The cache identity is of no use after.
+                    if let Some(meta) = self.q_meta[q].take() {
                         if let Some(sigma) = Host::learned_sigma(&*mr, q, meta.window) {
-                            let n = Host::topo_len(&*mr);
                             let mut placements = Vec::new();
                             let (mut attempts, mut successes) = (0u64, 0u64);
-                            for i in 0..n {
-                                let jn = Host::join_node(&*mr, q, NodeId(i as u16));
+                            for id in Host::topology(&*mr).node_ids() {
+                                let Some(jn) = Host::join_node(&*mr, q, id) else {
+                                    continue;
+                                };
                                 if !jn.pairs.is_empty() {
-                                    placements.push(NodeId(i as u16));
+                                    placements.push(id);
                                 }
                                 attempts += jn.recovery.repair_attempts;
                                 successes += jn.recovery.repair_successes;
                             }
                             self.cache.insert(
-                                meta.fingerprint.clone(),
+                                meta.fingerprint,
                                 meta.region,
                                 sigma,
                                 placements,
@@ -1357,13 +1372,8 @@ impl Session {
                         }
                     }
                     let c = self.st.next_cycle;
-                    self.st.snapshots[q] = mr.retire_query(q);
-                    // Deliberate retirement is not a truncated initiation:
-                    // drop its pending live-init steps so they neither
-                    // fire as no-ops nor pollute `unfinished_inits`.
-                    self.st.pending_steps.retain(|&(_, pq, _)| pq != q);
+                    self.st.retire(mr, q, c);
                     self.st.lifecycles[q].departure = Some(c);
-                    self.st.departures.push((c, q));
                     let ev = SessionEvent::Retired {
                         cycle: c,
                         query: id,
@@ -1585,17 +1595,16 @@ impl Session {
     /// pairwise query if no live operator exists.
     fn acquire_sub(&mut self, fp: String, graph: &JoinGraph, edge: usize, cfg: AlgoConfig) {
         if let Some(sub) = self.sub_registry.get_mut(&fp) {
-            if sub.refs > 0 {
-                sub.refs += 1;
-                return;
-            }
+            sub.refs += 1;
+            return;
         }
         let qid = self.admit(graph.edge_spec(edge), cfg);
         self.sub_registry.insert(fp, SharedSub { qid, refs: 1 });
     }
 
     /// Drop a reference on the sub-join keyed `fp`; the last reference
-    /// retires its pairwise query.
+    /// retires its pairwise query and forgets the key (a graph-scoped key
+    /// is never asked for again).
     fn release_sub(&mut self, fp: &str) {
         let sub = self
             .sub_registry
@@ -1604,6 +1613,7 @@ impl Session {
         sub.refs -= 1;
         if sub.refs == 0 {
             let qid = sub.qid;
+            self.sub_registry.remove(fp);
             self.retire(qid);
         }
     }
@@ -1621,8 +1631,12 @@ impl Session {
         }
         // The cycle-0 batch: scheduled for cycle 0 and not already retired
         // (a pre-step `retire` must stick — the query never comes online).
-        let arrivals: Vec<usize> = (0..self.st.lifecycles.len())
-            .filter(|&q| self.st.lifecycles[q].arrival == 0 && self.st.snapshots[q].is_none())
+        let arrivals: Vec<usize> = self
+            .st
+            .live
+            .iter()
+            .copied()
+            .filter(|&q| self.st.lifecycles[q].arrival == 0)
             .collect();
         for &q in &arrivals {
             let ev = SessionEvent::Admitted {
@@ -1687,7 +1701,7 @@ impl Session {
         let c = self.st.next_cycle;
         if self.st.results_pre_event.is_none() {
             let host = self.backend.host();
-            self.st.results_pre_event = Some(host.live_results() + self.st.snapshot_results());
+            self.st.results_pre_event = Some(self.st.results_so_far(host));
             self.st.first_fired = Some(c);
         }
         self.st.last_fired = Some(c);
@@ -1738,8 +1752,9 @@ impl Session {
     }
 
     /// Read access to query `id`'s protocol instance at node `node`
-    /// (diagnostics; e.g. producer assignments after initiation).
-    pub fn query_node(&self, id: QueryId, node: NodeId) -> &JoinNode {
+    /// (diagnostics; e.g. producer assignments after initiation). `None`
+    /// before the query has come online and once it has been retired.
+    pub fn query_node(&self, id: QueryId, node: NodeId) -> Option<&JoinNode> {
         self.backend.host().join_node(id.0, node)
     }
 
@@ -1764,7 +1779,7 @@ impl Session {
                     0.0
                 };
                 QueryStats {
-                    label: host.query_label(q),
+                    label: host.cfg_of(q).label(),
                     name: host.query_name(q),
                     arrival: st.lifecycles[q].arrival,
                     departure: st.lifecycles[q].departure,
@@ -2027,7 +2042,8 @@ impl SessionBuilder {
                 .build(),
             )
         };
-        let st = with_host!(&backend, h => ExecState::new(h, lifecycles));
+        let snapshots = vec![None; lifecycles.len()];
+        let st = with_host!(&backend, h => ExecState::new(h, lifecycles, snapshots));
         Session {
             backend,
             plan: self.plan,

@@ -187,11 +187,13 @@ pub fn parse_algo(s: &str) -> Option<(Algorithm, InnetOptions)> {
 /// are the one mutable element: the harness sets them on node failure and
 /// neighbors consult them as the outcome of local liveness probes (§7).
 pub struct Shared {
-    pub topo: Topology,
+    /// The network and the workload are the run's own: every query of a
+    /// run shares one `Arc` of each.
+    pub topo: Arc<Topology>,
     pub sub: Arc<MultiTreeSubstrate>,
     pub gpsr: Option<GpsrRouter>,
     pub spec: JoinQuerySpec,
-    pub data: WorkloadData,
+    pub data: Arc<WorkloadData>,
     pub cfg: AlgoConfig,
     /// One flag per node, read on every tree-up hop. `Relaxed` suffices:
     /// a flag publishes nothing but itself.
@@ -205,10 +207,10 @@ pub struct Shared {
 impl Shared {
     /// The run context of one query over `topo`; GHT gets its GPSR router.
     pub fn new(
-        topo: Topology,
+        topo: Arc<Topology>,
         sub: Arc<MultiTreeSubstrate>,
         spec: JoinQuerySpec,
-        data: WorkloadData,
+        data: Arc<WorkloadData>,
         cfg: AlgoConfig,
     ) -> Self {
         Shared {

@@ -166,7 +166,7 @@ fn energy_depletion_propagates_to_queries() {
     );
     for &(_, v) in &outcome.killed {
         assert!(!run.engine.is_alive(v));
-        for sh in &run.shareds {
+        for sh in run.live_shareds() {
             assert!(sh.is_dead(v), "query liveness oracle missed death of {v:?}");
         }
     }
@@ -237,15 +237,8 @@ fn lifecycle_arrival_and_departure() {
         "late arrival never delivered"
     );
     assert_eq!(stats.per_query[1].arrival, 6);
-    // A departed query left no protocol state behind at the base.
-    assert_eq!(
-        run.engine
-            .node(stats.base)
-            .query_node(0)
-            .base_state()
-            .map(|b| b.results),
-        Some(0)
-    );
+    // A departed query has no slot at the base.
+    assert!(run.engine.node(stats.base).query_node(0).is_none());
 }
 
 /// The departed query's absence is real: the same scenario without the

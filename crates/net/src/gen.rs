@@ -81,6 +81,29 @@ impl TopologySpec {
 /// live on a 256m-by-256m grid).
 pub const AREA_SIDE_M: f64 = 256.0;
 
+/// [`try_random_with_degree`] found no connected deployment near the
+/// asked-for degree in any of its resamples.
+#[derive(Debug, Clone, PartialEq)]
+pub struct NoTopology {
+    pub nodes: usize,
+    pub target_degree: f64,
+}
+
+impl std::fmt::Display for NoTopology {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "failed to generate a connected topology after {RESAMPLES} attempts (n={}, degree={})",
+            self.nodes, self.target_degree
+        )
+    }
+}
+
+impl std::error::Error for NoTopology {}
+
+/// Deployments [`try_random_with_degree`] draws before it gives up.
+const RESAMPLES: u32 = 64;
+
 /// Generate a connected random deployment of `n` nodes in the standard
 /// 256m x 256m area whose average unit-disk degree is close to
 /// `target_degree`. The base station (node 0) is placed at the area edge
@@ -88,11 +111,20 @@ pub const AREA_SIDE_M: f64 = 256.0;
 /// network boundary.
 ///
 /// The radio range is solved by bisection on the measured average degree;
-/// disconnected deployments are rejected and resampled deterministically.
-pub fn random_with_degree(n: usize, target_degree: f64, seed: u64) -> Topology {
-    assert!(n >= 2);
+/// disconnected deployments are rejected and resampled deterministically,
+/// 64 times at most: large sparse deployments (4000 nodes at
+/// degree 7) and degrees no connected graph has run out of them.
+///
+/// # Panics
+/// If `n < 2`.
+pub fn try_random_with_degree(
+    n: usize,
+    target_degree: f64,
+    seed: u64,
+) -> Result<Topology, NoTopology> {
+    assert!(n >= 2, "a network has a base station and a sensor");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x05ee_d700_ba5e);
-    for attempt in 0..64u32 {
+    for _ in 0..RESAMPLES {
         let mut positions: Vec<Point> = Vec::with_capacity(n);
         // Base station at the bottom edge midpoint.
         positions.push(Point::new(AREA_SIDE_M / 2.0, 0.0));
@@ -103,14 +135,23 @@ pub fn random_with_degree(n: usize, target_degree: f64, seed: u64) -> Topology {
             ));
         }
         if let Some(topo) = fit_range(&positions, target_degree) {
-            return topo;
+            return Ok(topo);
         }
-        // Deterministic resample: RNG stream continues.
-        let _ = attempt;
+        // Deterministic resample: the RNG stream continues.
     }
-    panic!(
-        "failed to generate a connected topology after 64 attempts (n={n}, degree={target_degree})"
-    );
+    Err(NoTopology {
+        nodes: n,
+        target_degree,
+    })
+}
+
+/// [`try_random_with_degree`] for callers that chose `n`, `target_degree`
+/// and `seed` themselves (experiments, tests).
+///
+/// # Panics
+/// If no connected deployment was found.
+pub fn random_with_degree(n: usize, target_degree: f64, seed: u64) -> Topology {
+    try_random_with_degree(n, target_degree, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Find a radio range achieving `target_degree` (within tolerance) over fixed
@@ -202,6 +243,21 @@ mod tests {
         let c = random_with_degree(60, 7.0, 8);
         let same = a.positions().iter().zip(c.positions()).all(|(x, y)| x == y);
         assert!(!same, "different seeds should give different layouts");
+    }
+
+    /// No connected graph has average degree 1, so every resample fails:
+    /// that is an `Err` for whoever passes outside input, not a panic.
+    #[test]
+    fn unreachable_degree_is_an_error() {
+        let err = try_random_with_degree(40, 1.0, 1).unwrap_err();
+        assert_eq!(
+            err,
+            NoTopology {
+                nodes: 40,
+                target_degree: 1.0
+            }
+        );
+        assert!(err.to_string().contains("n=40, degree=1"), "{err}");
     }
 
     #[test]

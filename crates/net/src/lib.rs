@@ -15,6 +15,8 @@ pub mod intel;
 pub mod topology;
 
 pub use gateway::{Direction, DirectionStats, GatewayChannel, GatewayLink};
-pub use gen::{grid, random_with_degree, DensityClass, TopologySpec};
+pub use gen::{
+    grid, random_with_degree, try_random_with_degree, DensityClass, NoTopology, TopologySpec,
+};
 pub use geom::{Point, Rect};
 pub use topology::{NodeId, Topology};

@@ -50,6 +50,9 @@
 //! The first `FEDADMIT` freezes the link set (building the federation and
 //! exchanging boundary summaries); later `LINK`s answer `ERR STATE`.
 //!
+//! An `OPEN` or `FEDOPEN` whose `nodes`/`degree`/`seed` yield no connected
+//! deployment answers `ERR TOPOLOGY …` and creates nothing.
+//!
 //! Replies are `OK …` / `ERR …` lines ([`Response::encode`]). After
 //! `OK SUBSCRIBED` the server writes `EVENT …` lines
 //! ([`aspen_join::encode_event`]) to the connection as the session
@@ -79,7 +82,7 @@
 use aspen_join::control::{Command, Response};
 use aspen_join::prelude::*;
 use aspen_join::{encode_event, Observer, SessionEvent};
-use sensor_net::{GatewayLink, NodeId};
+use sensor_net::{GatewayLink, NoTopology, NodeId};
 use sensor_workload::WorkloadData;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -134,18 +137,28 @@ impl OpenSpec {
     }
 }
 
-/// Build the session an `OPEN` line describes. Public so the parity tests
-/// and the load generator can run the *same* construction in-process and
-/// compare outcomes byte-for-byte with the served ones.
-pub fn open_session(spec: &OpenSpec) -> Session {
-    let topo = sensor_net::random_with_degree(spec.nodes, spec.degree, spec.seed);
+/// Build the session an `OPEN` line describes, if its `nodes`, `degree`
+/// and `seed` — the client's choice — yield a connected deployment. Public
+/// so the parity tests and the load generator can run the *same*
+/// construction in-process and compare outcomes byte-for-byte with the
+/// served ones.
+pub fn try_open_session(spec: &OpenSpec) -> Result<Session, NoTopology> {
+    let topo = sensor_net::try_random_with_degree(spec.nodes, spec.degree, spec.seed)?;
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), spec.seed);
     let sim = SimConfig {
         tx_per_cycle: 64,
         queue_capacity: 1024,
         ..SimConfig::lossless().with_seed(spec.seed)
     };
-    Session::builder(topo, data).sim(sim).allow_empty().build()
+    Ok(Session::builder(topo, data).sim(sim).allow_empty().build())
+}
+
+/// [`try_open_session`] for a spec the caller chose itself.
+///
+/// # Panics
+/// If the spec yields no connected deployment.
+pub fn open_session(spec: &OpenSpec) -> Session {
+    try_open_session(spec).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// How a wire `FEDOPEN` builds its federation: `members` networks, each
@@ -194,10 +207,10 @@ impl FedSpec {
 /// Build the member sessions a `FEDOPEN` line describes, in member-index
 /// order. Public so parity tests can run the same construction
 /// in-process.
-pub fn open_fed_members(spec: &FedSpec) -> Vec<Session> {
+pub fn open_fed_members(spec: &FedSpec) -> Result<Vec<Session>, NoTopology> {
     (0..spec.members)
         .map(|i| {
-            open_session(&OpenSpec {
+            try_open_session(&OpenSpec {
                 seed: spec.member_spec.seed + 100 * i as u64,
                 ..spec.member_spec
             })
@@ -207,9 +220,13 @@ pub fn open_fed_members(spec: &FedSpec) -> Vec<Session> {
 
 /// Assemble the federation a `FEDOPEN` plus its `LINK`s describe (member
 /// `i` is named `net<i>`). The in-process counterpart of the wire path.
+///
+/// # Panics
+/// If a member spec yields no connected deployment.
 pub fn build_federation(spec: &FedSpec, links: &[GatewayLink]) -> Federation {
+    let members = open_fed_members(spec).unwrap_or_else(|e| panic!("{e}"));
     let mut b = FederationBuilder::new().seed(spec.member_spec.seed);
-    for (i, s) in open_fed_members(spec).into_iter().enumerate() {
+    for (i, s) in members.into_iter().enumerate() {
         b = b.member(format!("net{i}"), s);
     }
     for l in links {
@@ -452,7 +469,10 @@ fn apply_fed(
         } else if !may_create {
             err_line("QUOTA", "federation quota exhausted")
         } else {
-            let sessions = open_fed_members(&spec);
+            let sessions = match open_fed_members(&spec) {
+                Ok(sessions) => sessions,
+                Err(e) => return err_line("TOPOLOGY", &e.to_string()),
+            };
             feds.insert(
                 name.clone(),
                 FedEntry {
@@ -553,11 +573,15 @@ fn worker_loop(rx: std::sync::mpsc::Receiver<Job>) {
                 } else if !may_create {
                     err_line("QUOTA", "session quota exhausted")
                 } else {
-                    let subs = Arc::new(Mutex::new(Vec::new()));
-                    let mut session = open_session(&spec);
-                    session.observe(Box::new(WireObserver { subs: subs.clone() }));
-                    sessions.insert(name.clone(), Entry { session, subs });
-                    format!("OK OPENED {name} nodes={}", spec.nodes)
+                    match try_open_session(&spec) {
+                        Ok(mut session) => {
+                            let subs = Arc::new(Mutex::new(Vec::new()));
+                            session.observe(Box::new(WireObserver { subs: subs.clone() }));
+                            sessions.insert(name.clone(), Entry { session, subs });
+                            format!("OK OPENED {name} nodes={}", spec.nodes)
+                        }
+                        Err(e) => err_line("TOPOLOGY", &e.to_string()),
+                    }
                 };
                 let _ = reply.send(line);
             }
@@ -1071,7 +1095,13 @@ mod tests {
             .request("OPEN x nodes=zork")
             .unwrap()
             .starts_with("ERR USAGE"));
-        c.request("OPEN x").unwrap();
+        // No connected deployment has average degree 1: the client gets an
+        // error, the worker lives, and the name stays free.
+        for open in ["OPEN x nodes=40 degree=1", "FEDOPEN f nodes=40 degree=1"] {
+            let r = c.request(open).unwrap();
+            assert!(r.starts_with("ERR TOPOLOGY"), "{open}: {r}");
+        }
+        assert_eq!(c.request("OPEN x").unwrap(), "OK OPENED x nodes=60");
         assert!(c.request("FROB 1").unwrap().starts_with("ERR USAGE"));
         assert!(c
             .request("ADMIT quantum SELECT s.id FROM s, t WHERE s.u = t.u")
