@@ -331,3 +331,56 @@ fn run_until_stops_on_predicate() {
     assert!(out.results_total() > 50 || s.cycle() >= 30);
     assert_eq!(s.cycle(), advanced);
 }
+
+/// The untagged wire carries exactly one query: a `bare_wire()` session
+/// refuses every control verb that would add or remove one, and its one
+/// query's own flow is the whole execution (no cross-query frames).
+#[test]
+fn bare_wire_session_hosts_exactly_one_query() {
+    let seed = 19;
+    let mk = || {
+        let topo = sensor_net::random_with_degree(60, 7.0, seed);
+        let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
+        Session::builder(topo, data)
+            .sim(SimConfig::default().with_seed(seed))
+            .query(query1(3), resident_cfg())
+            .bare_wire()
+            .build()
+    };
+    let mut s = mk();
+    s.step(6);
+    for cmd in [
+        Command::Admit {
+            algo: "innet".into(),
+            sql: "SELECT S.id FROM S, T [windowsize=3] WHERE S.x = T.y".into(),
+        },
+        Command::AdmitGraph {
+            algo: "innet".into(),
+            sql: "SELECT A.id FROM A, B [windowsize=3] WHERE A.x = B.y".into(),
+        },
+        Command::Retire(Target::Query(QueryId(0))),
+    ] {
+        let verb = cmd.encode();
+        match s.apply(cmd) {
+            Response::Rejected(ControlError::Unsupported(_)) => {}
+            other => panic!("{verb}: {other:?}"),
+        }
+    }
+    s.step(6);
+    let out = s.report();
+    assert_eq!(out.per_query.len(), 1);
+    assert!(out.results_total() > 0);
+    let flow = out.per_query[0].flow;
+    let nodes = out.execution.per_node();
+    assert!(flow.tx_msgs > 0);
+    assert_eq!(flow.tx_bytes, out.execution.total_tx_bytes());
+    assert_eq!(flow.tx_msgs, out.execution.total_tx_msgs());
+    assert_eq!(flow.rx_bytes, nodes.iter().map(|n| n.rx_bytes).sum::<u64>());
+    assert_eq!(flow.rx_msgs, nodes.iter().map(|n| n.rx_msgs).sum::<u64>());
+    assert_eq!(out.shared_flow, Default::default());
+
+    let admit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        mk().admit(query2(1), admitted_cfg())
+    }));
+    assert!(admit.is_err(), "admit on a bare-wire session must panic");
+}
