@@ -9,9 +9,9 @@
 //! snoop-on cells exercise the pooled single-message snoop dispatch).
 //!
 //! Besides the console table, the scaling run writes `BENCH_engine.json`
-//! at the repository root: best-of-N steps/sec per cell plus the speedup
-//! against the pre-refactor engine (constants below, measured on the same
-//! machine and cells immediately before the data-oriented rewrite).
+//! at the repository root: best-of-N steps/sec per cell. For a same-machine
+//! before/after comparison use the repository benchmark's `engine_gossip`
+//! workload (`benchmark/run.sh compare`).
 //!
 //! `ENGINE_BENCH_QUICK=1` shrinks steps and repetitions to a smoke run
 //! (CI uses this to keep the scaling curve compiling *and* executing).
@@ -118,27 +118,6 @@ fn bench_step(c: &mut Criterion) {
 // ---------------------------------------------------------------------------
 // Scaling curve → BENCH_engine.json
 
-/// Pre-refactor engine throughput on the identical cells and machine
-/// (per-node `VecDeque<Outgoing>` with owned messages, per-event clones,
-/// per-snooper clone dispatch), captured right before the data-oriented
-/// rewrite. Kept as the fixed denominator of the reported speedups.
-const OLD_STEPS_PER_SEC: [(usize, bool, f64); 6] = [
-    (400, false, 12_626.4),
-    (400, true, 2_806.7),
-    (2_025, false, 1_654.6),
-    (2_025, true, 368.0),
-    (10_000, false, 727.4),
-    (10_000, true, 164.1),
-];
-
-fn old_rate(nodes: usize, snooping: bool) -> f64 {
-    OLD_STEPS_PER_SEC
-        .iter()
-        .find(|&&(n, s, _)| n == nodes && s == snooping)
-        .map(|&(_, _, r)| r)
-        .expect("baseline cell")
-}
-
 /// Best-of-`reps` steps/sec (fresh engine per repetition; best-of because
 /// a 1-core CI box shows ±30% scheduler noise and the max is the stable
 /// estimator of the machine's capability).
@@ -173,37 +152,27 @@ fn scaling_curve() {
     for (nodes, steps) in cells {
         for snooping in [false, true] {
             let rate = measure(nodes, snooping, steps, reps);
-            let speedup = rate / old_rate(nodes, snooping);
             println!(
-                "  nodes={nodes:>6} snoop={} steps/sec={rate:>8.1}  vs pre-refactor: {speedup:.2}x",
+                "  nodes={nodes:>6} snoop={} steps/sec={rate:>8.1}",
                 if snooping { "on " } else { "off" },
             );
-            rows.push((nodes, snooping, rate, speedup));
+            rows.push((nodes, snooping, rate));
         }
     }
 
     let json_rows: Vec<String> = rows
         .iter()
-        .map(|&(nodes, snooping, rate, speedup)| {
+        .map(|&(nodes, snooping, rate)| {
             format!(
                 "    {{\"nodes\": {nodes}, \"snooping\": {snooping}, \
-                 \"steps_per_sec\": {rate:.1}, \
-                 \"old_steps_per_sec\": {:.1}, \"speedup\": {speedup:.2}}}",
-                old_rate(nodes, snooping)
+                 \"steps_per_sec\": {rate:.1}}}"
             )
         })
         .collect();
-    // Acceptance headline: the 2 025-node snoop-on cell (the configuration
-    // the figure sweeps actually run) must hold ≥2x over the old engine.
-    let headline = rows
-        .iter()
-        .find(|&&(n, s, _, _)| n == 2_025 && s)
-        .map(|&(_, _, _, sp)| sp)
-        .unwrap_or(0.0);
     let json = format!(
         "{{\n  \"benchmark\": \"engine_step_scaling\",\n  \"workload\": \
          \"gossip grid, loss 0.10, seed 7, full MAC budget\",\n  \
-         \"mode\": \"{}\",\n  \"headline_speedup_2025n_snoop\": {headline:.2},\n  \
+         \"mode\": \"{}\",\n  \
          \"cells\": [\n{}\n  ]\n}}\n",
         if quick { "quick" } else { "full" },
         json_rows.join(",\n")
@@ -212,12 +181,6 @@ fn scaling_curve() {
     match std::fs::write(path, &json) {
         Ok(()) => println!("  wrote {path}"),
         Err(e) => eprintln!("  could not write {path}: {e}"),
-    }
-    if !quick {
-        assert!(
-            headline >= 2.0,
-            "2 025-node snoop-on cell regressed below the 2x floor: {headline:.2}x"
-        );
     }
 }
 

@@ -139,15 +139,12 @@ fn bench_algorithms(c: &mut Criterion) {
                 if opts.path_collapse {
                     sim = sim.with_snooping(true);
                 }
-                let sc = Scenario {
-                    topo,
-                    data,
-                    spec: query1(3),
-                    cfg: AlgoConfig::new(algo, Sigma::new(0.5, 0.5, 0.2)).with_innet_options(opts),
-                    sim,
-                    num_trees: 3,
-                };
-                let mut session = sc.into_session();
+                let cfg = AlgoConfig::new(algo, Sigma::new(0.5, 0.5, 0.2)).with_innet_options(opts);
+                let mut session = Session::builder(topo, data)
+                    .sim(sim)
+                    .query(query1(3), cfg)
+                    .bare_wire()
+                    .build();
                 session.step(10);
                 black_box(session.report().total_traffic_bytes())
             });

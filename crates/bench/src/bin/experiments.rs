@@ -1106,26 +1106,26 @@ fn table3(o: &Opts) {
         (Algorithm::Innet, InnetOptions::PLAIN),
     ] {
         // Analytic shape from the actual deployment.
-        let sc = bench.scenario(rates, sigma_of(rates), algo, opts_a, 1000);
-        let sub = MultiTreeSubstrate::build(
-            &sc.topo,
-            3,
-            aspen_join::scenario::default_indexed_attrs(),
-            &sc.data,
-        );
-        let a = &sc.spec.analysis;
+        let mut session = bench
+            .scenario(rates, sigma_of(rates), algo, opts_a, 1000)
+            .build();
+        let (topo, data) = (session.topology(), session.workload());
+        let spec = (bench.query)(bench.window);
+        let sub =
+            MultiTreeSubstrate::build(topo, 3, aspen_join::scenario::default_indexed_attrs(), data);
+        let a = &spec.analysis;
         let mut d_sr = Vec::new();
         let mut d_tr = Vec::new();
         let mut pair_d = Vec::new();
-        for n in sc.topo.node_ids() {
-            if n == sc.topo.base() {
+        for n in topo.node_ids() {
+            if n == topo.base() {
                 continue;
             }
-            let st = sc.data.static_of(n);
+            let st = data.static_of(n);
             let joins_any = |side_s: bool| {
-                sc.topo.node_ids().any(|m| {
-                    m != n && m != sc.topo.base() && {
-                        let mt = sc.data.static_of(m);
+                topo.node_ids().any(|m| {
+                    m != n && m != topo.base() && {
+                        let mt = data.static_of(m);
                         if side_s {
                             a.t_eligible(mt) && a.static_join_matches(st, mt)
                         } else {
@@ -1145,7 +1145,7 @@ fn table3(o: &Opts) {
             if algo == Algorithm::Innet && s_ok {
                 // Pairwise: one entry per statically-joining pair, using
                 // the best discovered path and the model's placement.
-                let q = SearchQuery::new(sc.spec.plan.search_constraints(st));
+                let q = SearchQuery::new(spec.plan.search_constraints(st));
                 let (results, _) = find_paths(&sub, n, &q);
                 for r in best_path_per_target(&results) {
                     let hops: Vec<u16> = r.path.iter().map(|&x| sub.hops_to_base(x)).collect();
@@ -1174,9 +1174,10 @@ fn table3(o: &Opts) {
             Algorithm::Base => aspen_join::cost::analytic::base_per_cycle(sig, &shape),
             _ => aspen_join::cost::analytic::pairwise_per_cycle(sig, 3, &shape),
         };
-        let bytes_per_tuple = (sc.spec.data_bytes() + 1 + 11) as f64;
+        let bytes_per_tuple = (spec.data_bytes() + 1 + 11) as f64;
         let analytic = tuples_per_cycle * bytes_per_tuple;
-        let stats = run_stats(&sc, cycles);
+        session.step(cycles);
+        let stats = session.report();
         let simulated = stats.execution_traffic_bytes() as f64 / cycles as f64;
         println!(
             "{:12} {:>14.0} {:>14.0} {:>7.2}",
@@ -1363,20 +1364,21 @@ fn fig6(o: &Opts) {
     let mut c_base = Vec::new();
     let mut c_lat = Vec::new();
     for seed in 0..o.seeds {
-        let sc = bench.scenario(
-            rates,
-            sigma_of(rates),
-            Algorithm::Innet,
-            InnetOptions::CMG,
-            SEED_BASE + seed,
-        );
-        let mut session = sc.session();
+        let mut session = bench
+            .scenario(
+                rates,
+                sigma_of(rates),
+                Algorithm::Innet,
+                InnetOptions::CMG,
+                SEED_BASE + seed,
+            )
+            .build();
         session.step(0); // initiation only
         let out = session.report();
         d_base.push(kb(out.initiation.load_bytes(out.base) as f64));
         d_lat.push(out.initiation_cycles as f64);
         // Centralized on the same pairs.
-        let pairs: Vec<(NodeId, NodeId)> = (0..sc.topo.len() as u16)
+        let pairs: Vec<(NodeId, NodeId)> = (0..session.topology().len() as u16)
             .map(NodeId)
             .flat_map(|n| {
                 session
@@ -1389,7 +1391,7 @@ fn fig6(o: &Opts) {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let cent = centralized::centralized_initiation(&sc.topo, &pairs);
+        let cent = centralized::centralized_initiation(session.topology(), &pairs);
         c_base.push(kb(cent.base_bytes as f64));
         c_lat.push(cent.latency_cycles as f64);
     }
@@ -1630,7 +1632,7 @@ fn learning_matrix(
                 InnetOptions::CMPG,
                 o.seeds.min(3),
             );
-            let learn_stats: Vec<RunStats> = (0..o.seeds.min(3))
+            let learn_stats: Vec<Outcome> = (0..o.seeds.min(3))
                 .map(|s| {
                     let sc = bench.scenario(
                         *true_r,
@@ -1639,7 +1641,7 @@ fn learning_matrix(
                         InnetOptions::CMPG.with_learning(),
                         SEED_BASE + s,
                     );
-                    run_stats(&sc, cycles)
+                    run_stats(sc, cycles)
                 })
                 .collect();
             let (st, _) = mean_ci(
@@ -1739,7 +1741,7 @@ fn fig12(o: &Opts) {
                             opts_a,
                             SEED_BASE + s,
                         );
-                        mb(run_stats(&sc, cycles).total_traffic_bytes() as f64)
+                        mb(run_stats(sc, cycles).total_traffic_bytes() as f64)
                     })
                     .collect();
                 let (m, _) = mean_ci(&vals);
@@ -1799,20 +1801,19 @@ fn fig13(o: &Opts) {
                 let data =
                     WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 100 + s)
                         .with_humidity(&topo);
-                let sc = Scenario {
-                    topo: topo.clone(),
-                    data,
-                    spec: query3(3),
-                    cfg: AlgoConfig::new(algo, assumed).with_innet_options(opts_a),
-                    sim: SimConfig::default().with_seed(s),
-                    num_trees: 3,
-                };
-                let st = run_stats(&sc, cycles);
+                let sc = Session::builder(topo.clone(), data)
+                    .sim(SimConfig::default().with_seed(s))
+                    .query(
+                        query3(3),
+                        AlgoConfig::new(algo, assumed).with_innet_options(opts_a),
+                    )
+                    .bare_wire();
+                let st = run_stats(sc, cycles);
                 (
                     kb(st.total_traffic_bytes() as f64),
                     kb(st.base_load_bytes() as f64),
                     kb(st.max_node_load_bytes() as f64),
-                    st.results as f64,
+                    st.results_total() as f64,
                 )
             })
             .collect();
@@ -1845,23 +1846,25 @@ fn fig14(o: &Opts) {
                 cycles,
             };
             let rates = Rates::new(1, 1, st_den);
-            let sc = bench.scenario(
-                rates,
-                sigma_of(rates),
-                Algorithm::Innet,
-                InnetOptions::PLAIN,
-                SEED_BASE + seed,
-            );
-            let cs = run_stats(&sc, cycles);
-            ok_delay.push(cs.avg_delay_tx);
+            let sc = || {
+                bench.scenario(
+                    rates,
+                    sigma_of(rates),
+                    Algorithm::Innet,
+                    InnetOptions::PLAIN,
+                    SEED_BASE + seed,
+                )
+            };
+            let cs = run_stats(sc(), cycles);
+            ok_delay.push(cs.avg_delay_tx());
             ok_kb.push(kb(cs.execution_traffic_bytes() as f64));
-            let mut faulty = sc.session();
+            let mut faulty = sc().build();
             faulty.step(0); // initiate, so the busiest join node is known
             if let Some(v) = faulty.busiest_join_node() {
                 faulty.set_plan(DynamicsPlan::none().kill_nodes(cycles / 2, vec![v]));
                 faulty.step(cycles);
-                let fs = RunStats::from(faulty.report());
-                fail_delay.push(fs.avg_delay_tx);
+                let fs = faulty.report();
+                fail_delay.push(fs.avg_delay_tx());
                 fail_kb.push(kb(fs.execution_traffic_bytes() as f64));
             }
         }

@@ -18,7 +18,7 @@ pub mod warmstart;
 
 use aspen_join::prelude::*;
 use aspen_join::Algorithm;
-use sensor_net::{NodeId, Topology};
+use sensor_net::Topology;
 use sensor_query::JoinQuerySpec;
 use sensor_workload::WorkloadData;
 
@@ -60,7 +60,8 @@ pub fn figure2_algorithms() -> Vec<(Algorithm, InnetOptions)> {
     ]
 }
 
-/// Scenario builder for the synthetic experiments.
+/// Session builder for the synthetic experiments: one query on the
+/// standard network, on the paper's untagged wire.
 pub struct Bench {
     pub query: fn(usize) -> JoinQuerySpec,
     pub window: usize,
@@ -76,7 +77,7 @@ impl Bench {
         algo: Algorithm,
         opts: InnetOptions,
         seed: u64,
-    ) -> Scenario {
+    ) -> SessionBuilder {
         self.scenario_with_schedule(Schedule::Uniform(rates), assumed, algo, opts, seed)
     }
 
@@ -87,7 +88,7 @@ impl Bench {
         algo: Algorithm,
         opts: InnetOptions,
         seed: u64,
-    ) -> Scenario {
+    ) -> SessionBuilder {
         let topo = standard_topology(seed);
         let mut data = WorkloadData::new(&topo, schedule, seed);
         if self.n_pairs > 0 {
@@ -97,17 +98,16 @@ impl Bench {
         if opts.path_collapse {
             sim = sim.with_snooping(true);
         }
-        Scenario {
-            topo,
-            data,
-            spec: (self.query)(self.window),
-            cfg: AlgoConfig::new(algo, assumed).with_innet_options(opts),
-            sim,
-            num_trees: 3,
-        }
+        Session::builder(topo, data)
+            .sim(sim)
+            .query(
+                (self.query)(self.window),
+                AlgoConfig::new(algo, assumed).with_innet_options(opts),
+            )
+            .bare_wire()
     }
 
-    /// Run across seeds and return the per-seed stats.
+    /// Run across seeds and return the per-seed outcomes.
     pub fn run_seeds(
         &self,
         rates: Rates,
@@ -115,21 +115,19 @@ impl Bench {
         algo: Algorithm,
         opts: InnetOptions,
         seeds: u64,
-    ) -> Vec<RunStats> {
+    ) -> Vec<Outcome> {
         let jobs: Vec<u64> = crate::sweep::seed_range(seeds);
         parallel_map(jobs, |&s| {
-            run_stats(&self.scenario(rates, assumed, algo, opts, s), self.cycles)
+            run_stats(self.scenario(rates, assumed, algo, opts, s), self.cycles)
         })
     }
 }
 
-/// Run a single-query scenario through the [`aspen_join::Session`] layer
-/// (bare wire — the figures' exact frame format) and return the classic
-/// [`RunStats`] view.
-pub fn run_stats(sc: &Scenario, cycles: u32) -> RunStats {
-    let mut session = sc.session();
+/// Build the session, run `cycles` sampling cycles and report.
+pub fn run_stats(b: SessionBuilder, cycles: u32) -> Outcome {
+    let mut session = b.build();
     session.step(cycles);
-    RunStats::from(session.report())
+    session.report()
 }
 
 /// Simple parallel map over independent jobs (the paper ran its sweeps on
@@ -137,11 +135,6 @@ pub fn run_stats(sc: &Scenario, cycles: u32) -> RunStats {
 /// engine-side deterministic fan-out in [`sensor_sim::sweep`].
 pub fn parallel_map<T: Send + Sync, R: Send>(jobs: Vec<T>, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     sensor_sim::sweep::parallel_map(&jobs, 0, f)
-}
-
-/// The victim for Fig 14: the busiest in-network join node of a run.
-pub fn pick_victim(run: &aspen_join::Run) -> Option<NodeId> {
-    run.busiest_join_node()
 }
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ impl MultiqConfig {
         let mut session = self
             .spec(sharing)
             .build_set(topo, data, cfg, sim, self.num_trees)
-            .into_session();
+            .build();
         session.step(self.cycles);
         session.report()
     }

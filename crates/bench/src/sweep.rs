@@ -138,12 +138,12 @@ impl MultiSpec {
         })
     }
 
-    /// Assemble the [`QuerySet`] this spec describes over a prepared
-    /// topology/workload: one `QueryInstance` per member with staggered
-    /// arrivals, pair-bearing members provisioning their own pair count,
-    /// and fair MAC arbitration switched on (concurrent queries must not
-    /// starve each other of transmission slots). Shared by the sweep
-    /// grid's multi-query cells and the `multiq` comparison harness.
+    /// The session this spec describes over a prepared topology/workload:
+    /// one query per member with staggered arrivals, pair-bearing members
+    /// provisioning their own pair count, and fair MAC arbitration
+    /// switched on (concurrent queries must not starve each other of
+    /// transmission slots). Shared by the sweep grid's multi-query cells
+    /// and the `multiq` comparison harness.
     pub fn build_set(
         self,
         topo: Topology,
@@ -151,7 +151,7 @@ impl MultiSpec {
         cfg: AlgoConfig,
         sim: SimConfig,
         num_trees: usize,
-    ) -> QuerySet {
+    ) -> SessionBuilder {
         let n_pairs = (0..self.n)
             .map(|i| self.member(i).n_pairs())
             .max()
@@ -159,20 +159,14 @@ impl MultiSpec {
         if n_pairs > 0 {
             data = data.with_pairs(n_pairs);
         }
-        QuerySet {
-            topo,
-            data,
-            queries: (0..self.n)
-                .map(|i| QueryInstance {
-                    spec: self.member(i).spec(),
-                    cfg,
-                    lifecycle: Lifecycle::arriving(i as u32 * self.stagger),
-                })
-                .collect(),
-            sim: sim.with_fair_mac(true),
-            num_trees,
-            sharing: self.sharing,
+        let mut b = Session::builder(topo, data)
+            .sim(sim.with_fair_mac(true))
+            .trees(num_trees)
+            .sharing(self.sharing);
+        for i in 0..self.n {
+            b = b.query_arriving(i as u32 * self.stagger, self.member(i).spec(), cfg);
         }
+        b
     }
 }
 
@@ -433,8 +427,7 @@ impl CellSpec {
     }
 
     /// The single-query path runs on the session's `bare_wire` mode — the
-    /// paper's exact frame format, so the sweep numbers are byte-identical
-    /// to the pre-session harness.
+    /// paper's untagged frame format.
     fn run_single(
         &self,
         query: QueryId,
@@ -456,15 +449,12 @@ impl CellSpec {
         if self.opts.path_collapse {
             sim = sim.with_snooping(true);
         }
-        let mut session = Scenario {
-            topo,
-            data,
-            spec: query.spec(),
-            cfg: self.algo_cfg(),
-            sim,
-            num_trees,
-        }
-        .into_session();
+        let mut session = Session::builder(topo, data)
+            .sim(sim)
+            .trees(num_trees)
+            .query(query.spec(), self.algo_cfg())
+            .bare_wire()
+            .build();
         session.set_plan(plan);
         session.step(cycles);
         let out = session.report();
@@ -500,7 +490,7 @@ impl CellSpec {
         }
         let mut session = m
             .build_set(topo, data, self.algo_cfg(), sim, num_trees)
-            .into_session();
+            .build();
         session.set_plan(plan);
         session.step(cycles);
         metric_row(&session.report())

@@ -39,23 +39,22 @@ fn same_seed_same_cell_identical_metrics() {
         if cell.opts.path_collapse {
             sim = sim.with_snooping(true);
         }
-        let sc = Scenario {
-            topo,
-            data,
-            spec: cell.query.single().expect("single-query cell").spec(),
-            cfg: AlgoConfig::new(cell.algo, Sigma::from_rates(cell.rates))
-                .with_innet_options(cell.opts),
-            sim,
-            num_trees: 3,
-        };
-        aspen_bench::run_stats(&sc, grid.cycles)
+        let sc = Session::builder(topo, data)
+            .sim(sim)
+            .query(
+                cell.query.single().expect("single-query cell").spec(),
+                AlgoConfig::new(cell.algo, Sigma::from_rates(cell.rates))
+                    .with_innet_options(cell.opts),
+            )
+            .bare_wire();
+        aspen_bench::run_stats(sc, grid.cycles)
     };
     let (a, b) = (run(), run());
     // Metrics implements Eq: every per-node counter must match exactly.
     assert_eq!(a.initiation, b.initiation);
     assert_eq!(a.execution, b.execution);
-    assert_eq!(a.results, b.results);
-    assert_eq!(a.avg_delay_tx, b.avg_delay_tx);
+    assert_eq!(a.results_total(), b.results_total());
+    assert_eq!(a.avg_delay_tx(), b.avg_delay_tx());
 }
 
 /// A sweep report is identical whether the runs executed on 1 thread or N:
@@ -134,7 +133,7 @@ fn dynamics_sweep_identical_across_thread_counts() {
         .any(|c| c.stat("repair_attempts").mean + c.stat("tuples_lost").mean > 0.0));
 }
 
-/// Multi-query cells keep the contract: a concurrent `QuerySet` run is
+/// Multi-query cells keep the contract: a concurrent multi-query run is
 /// fully determined by its cell spec + seed, so mixed single/multi grids
 /// stay byte-identical across thread counts.
 #[test]

@@ -753,28 +753,28 @@ impl Session {
     /// pure request/response pair, which is what `aspen-serve` speaks.
     pub fn apply(&mut self, cmd: Command) -> Response {
         match cmd {
+            Command::Admit { .. } | Command::AdmitGraph { .. } | Command::Retire(_)
+                if self.is_bare() =>
+            {
+                Response::Rejected(ControlError::Unsupported(
+                    "bare-wire sessions host one fixed query".into(),
+                ))
+            }
             Command::Admit { algo, sql } => self.apply_admit(&algo, &sql, false),
             Command::AdmitGraph { algo, sql } => self.apply_admit(&algo, &sql, true),
-            Command::Retire(t) => {
-                if self.is_bare() {
-                    return Response::Rejected(ControlError::Unsupported(
-                        "bare-wire sessions host one fixed query".into(),
-                    ));
+            Command::Retire(t) => match t {
+                Target::Query(q) if q.0 < self.query_slots() => {
+                    self.retire(q);
+                    Response::Retired(t)
                 }
-                match t {
-                    Target::Query(q) if q.0 < self.query_slots() => {
-                        self.retire(q);
-                        Response::Retired(t)
-                    }
-                    Target::Graph(g) if g.0 < self.graph_slots() => {
-                        self.retire_graph(g);
-                        Response::Retired(t)
-                    }
-                    _ => Response::Rejected(ControlError::BadTarget(format!(
-                        "no admitted query '{t}'"
-                    ))),
+                Target::Graph(g) if g.0 < self.graph_slots() => {
+                    self.retire_graph(g);
+                    Response::Retired(t)
                 }
-            }
+                _ => {
+                    Response::Rejected(ControlError::BadTarget(format!("no admitted query '{t}'")))
+                }
+            },
             Command::Step(n) => {
                 self.step(n);
                 Response::Stepped {
@@ -823,11 +823,6 @@ impl Session {
     }
 
     fn apply_admit(&mut self, algo: &str, sql: &str, force_graph: bool) -> Response {
-        if self.is_bare() {
-            return Response::Rejected(ControlError::Unsupported(
-                "bare-wire sessions host one fixed query".into(),
-            ));
-        }
         let (a, opts) = match parse_algo(algo) {
             Some(p) => p,
             None => return Response::Rejected(ControlError::UnknownAlgo(algo.into())),

@@ -1,4 +1,5 @@
-//! Concurrent multi-query execution over one shared network.
+//! The one execution backend: concurrent join queries over one shared
+//! network.
 //!
 //! The paper evaluates one long-running join at a time; realistic
 //! deployments run *populations* of them. This module instantiates N
@@ -6,23 +7,29 @@
 //! configuration, pair state, operator placement and adaptation — over a
 //! single topology, workload and routing substrate, contending for every
 //! node's shared MAC budget (and, optionally, energy budget) in one
-//! engine.
+//! engine. The paper's own runs are the N = 1 case.
 //!
 //! Architecture: the engine stays single-protocol. [`MultiNode`] is a
 //! wrapper protocol hosting one [`JoinNode`] instance per query at every
 //! node; inner protocol callbacks run in a nested context
 //! ([`sensor_sim::Ctx::nested`]) that hands each emission over to be
-//! re-framed as a query-tagged [`MultiMsg`] frame. Each query is an
-//! engine *flow* (query `q` → flow `q + 1`), so per-query radio costs are
-//! accounted separately and [`sensor_sim::SimConfig::fair_mac`] can
+//! re-framed as a [`MultiMsg`] frame carrying its query id. Each query is
+//! an engine *flow* (query `q` → flow `q + 1`), so per-query radio costs
+//! are accounted separately and [`sensor_sim::SimConfig::fair_mac`] can
 //! arbitrate the MAC budget across queries.
+//!
+//! The modelled tag costs [`QUERY_TAG_BYTES`] per frame. A
+//! [`crate::SessionBuilder::bare_wire`] session models the paper's
+//! untagged frames instead: a tag of 0 bytes, which is only unambiguous
+//! while the network carries exactly one query, so such a session hosts
+//! one static query for its whole life.
 //!
 //! Two delivery disciplines ([`Sharing`]):
 //!
 //! - [`Sharing::Independent`] — each query behaves as if it were alone:
-//!   every inner message travels in its own link frame (plus a 1-byte
-//!   query tag). N queries pay N link headers even when their messages
-//!   ride the same hop in the same cycle.
+//!   every inner message travels in its own link frame (plus its query
+//!   tag). N queries pay N link headers even when their messages ride the
+//!   same hop in the same cycle.
 //! - [`Sharing::SharedTree`] — queries share the routing substrate's
 //!   delivery paths *and* link frames: inner messages emitted by
 //!   co-located query instances toward the same next hop in the same
@@ -32,25 +39,25 @@
 //!   load and total traffic — the headline experiment of
 //!   `experiments multiq`.
 //!
-//! Query lifecycle is part of the scenario: each [`QueryInstance`] has an
-//! arrival cycle and an optional departure cycle. Queries arriving at
-//! cycle 0 run the standard initiation phase to quiescence (contending
-//! with each other); later arrivals initiate *live*, their
-//! [`crate::scenario::InitStep`]s spread over sampling cycles while the
-//! resident queries keep streaming. Lifecycle events fire at the same
+//! Each [`QueryInstance`] has an arrival cycle and an optional departure
+//! cycle. Queries arriving at cycle 0 run the standard initiation phase
+//! to quiescence (contending with each other); later arrivals initiate
+//! *live*, their [`crate::scenario::InitStep`]s spread over sampling
+//! cycles while the resident queries keep streaming. The
+//! [`crate::session`] drivers fire lifecycle events at the same
 //! sampling-cycle boundaries as [`DynamicsPlan`] events (departures, then
-//! arrivals and due live-init steps, then plan kills/loss shifts) and are
-//! reported alongside them in [`MultiOutcome`].
+//! arrivals and due live-init steps, then plan kills/loss shifts).
 
+use crate::cost::Sigma;
 use crate::msg::Msg;
-use crate::node::JoinNode;
+use crate::node::{JoinNode, RecoveryStats};
 use crate::scenario::{default_indexed_attrs, InitStep};
 use crate::shared::{AlgoConfig, Shared};
-use sensor_net::{NodeId, Topology};
+use sensor_net::{NodeId, Point, Topology};
 use sensor_query::JoinQuerySpec;
 use sensor_routing::substrate::MultiTreeSubstrate;
-use sensor_sim::dynamics::DynamicsPlan;
-use sensor_sim::{Ctx, Engine, FlowMetrics, Metrics, Protocol, SimConfig};
+use sensor_sim::dynamics::{DynamicsPlan, FireOutcome};
+use sensor_sim::{Ctx, Engine, FlowMetrics, Protocol, SimConfig};
 use sensor_workload::WorkloadData;
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
@@ -118,31 +125,19 @@ impl Lifecycle {
     }
 }
 
-/// One member of a [`QuerySet`]: a compiled query, how to execute it, and
-/// when it is present.
+/// One query of a session's initial population: a compiled query, how to
+/// execute it, and when it is present.
 pub struct QueryInstance {
     pub spec: JoinQuerySpec,
     pub cfg: AlgoConfig,
     pub lifecycle: Lifecycle,
 }
 
-/// The multi-query scenario layer: N concurrent join queries over one
-/// topology + workload + substrate. The single-query [`crate::Scenario`]
-/// is the degenerate N = 1 case (kept separate so the paper's figures run
-/// on the exact original harness).
-pub struct QuerySet {
-    pub topo: Topology,
-    pub data: WorkloadData,
-    pub queries: Vec<QueryInstance>,
-    pub sim: SimConfig,
-    pub num_trees: usize,
-    pub sharing: Sharing,
-}
-
 /// The outer protocol message: inner protocol messages tagged with their
 /// query, solo or aggregated. The tag is the query id at full width (ids
 /// are never reused, so a long-lived session outgrows any narrower
-/// field); the *modelled* tag on the wire stays [`QUERY_TAG_BYTES`].
+/// field); the *modelled* tag on the wire stays [`QUERY_TAG_BYTES`] (0 on
+/// the untagged wire).
 #[derive(Debug, Clone)]
 pub enum MultiMsg {
     /// One inner message of query `q`.
@@ -176,6 +171,9 @@ pub struct MultiNode {
     /// queries in id order, which fixes emission (and so MAC) order.
     slots: Vec<Slot>,
     sharing: Sharing,
+    /// Wire bytes of the query tag each frame carries ([`QUERY_TAG_BYTES`],
+    /// or 0 on the untagged single-query wire).
+    tag_bytes: u32,
     /// SharedTree: unicasts of the current dispatch, awaiting aggregation
     /// (emptied by every flush, its capacity kept).
     staged: Vec<Staged>,
@@ -185,11 +183,12 @@ pub struct MultiNode {
 }
 
 impl MultiNode {
-    pub fn new(id: NodeId, sharing: Sharing) -> Self {
+    pub fn new(id: NodeId, sharing: Sharing, tag_bytes: u32) -> Self {
         MultiNode {
             id,
             slots: Vec::new(),
             sharing,
+            tag_bytes,
             staged: Vec::new(),
             expired_frames: 0,
         }
@@ -264,17 +263,14 @@ impl MultiNode {
         let slot = &mut self.slots[i];
         let (q, node) = (slot.q, &mut *slot.node);
         let (staged, shared) = (&mut self.staged, self.sharing == Sharing::SharedTree);
+        let tag_bytes = self.tag_bytes;
         let frame =
             |outer: &mut Ctx<'_, MultiMsg>, to: Option<NodeId>, payload_bytes, inner| match to {
                 Some(to) if shared => {
                     staged.push((q, to, payload_bytes, inner));
                     true
                 }
-                _ => outer.emit(
-                    to,
-                    payload_bytes + QUERY_TAG_BYTES,
-                    MultiMsg::One { q, inner },
-                ),
+                _ => outer.emit(to, payload_bytes + tag_bytes, MultiMsg::One { q, inner }),
             };
         let r = ctx.nested(frame, |inner| f(node, inner));
         slot.ticks = slot.node.wants_tick();
@@ -340,7 +336,7 @@ impl MultiNode {
                 *batch_payload = 1;
             };
             for (q, payload_bytes, msg) in frames {
-                let framed = payload_bytes + QUERY_TAG_BYTES;
+                let framed = payload_bytes + self.tag_bytes;
                 if batch_payload + framed > MAX_AGG_PAYLOAD && !batch.is_empty() {
                     flush_batch(&mut batch, &mut batch_payload, ctx);
                 }
@@ -457,87 +453,6 @@ pub struct QueryStats {
     pub flow: FlowMetrics,
 }
 
-/// Aggregate + per-query statistics of a [`QuerySet`] run.
-#[derive(Debug, Clone)]
-pub struct MultiRunStats {
-    pub per_query: Vec<QueryStats>,
-    /// Traffic during the cycle-0 initiation phase (all arriving queries
-    /// contending).
-    pub initiation: Metrics,
-    /// Traffic during execution (including live initiations of late
-    /// arrivals).
-    pub execution: Metrics,
-    /// Execution traffic of cross-query aggregate frames (flow 0; zero in
-    /// independent mode).
-    pub shared_flow: FlowMetrics,
-    pub base: NodeId,
-    /// Frames dropped at arrival because their query had departed.
-    pub expired_frames: u64,
-}
-
-impl MultiRunStats {
-    pub fn results_total(&self) -> u64 {
-        self.per_query.iter().map(|q| q.results).sum()
-    }
-
-    pub fn total_traffic_bytes(&self) -> u64 {
-        self.initiation.total_tx_bytes() + self.execution.total_tx_bytes()
-    }
-
-    pub fn total_traffic_msgs(&self) -> u64 {
-        self.initiation.total_tx_msgs() + self.execution.total_tx_msgs()
-    }
-
-    pub fn base_load_bytes(&self) -> u64 {
-        self.initiation.load_bytes(self.base) + self.execution.load_bytes(self.base)
-    }
-
-    pub fn base_load_msgs(&self) -> u64 {
-        self.initiation.load_msgs(self.base) + self.execution.load_msgs(self.base)
-    }
-
-    pub fn max_node_load_bytes(&self) -> u64 {
-        let mut combined = self.initiation.clone();
-        combined.absorb(&self.execution);
-        combined.max_load_bytes()
-    }
-
-    /// Result-weighted mean delay across queries.
-    pub fn avg_delay_tx(&self) -> f64 {
-        let total: u64 = self.results_total();
-        if total == 0 {
-            return 0.0;
-        }
-        self.per_query
-            .iter()
-            .map(|q| q.avg_delay_tx * q.results as f64)
-            .sum::<f64>()
-            / total as f64
-    }
-}
-
-/// What a dynamics-driven multi-query execution did.
-#[derive(Debug, Clone, Default)]
-pub struct MultiOutcome {
-    /// `(cycle, node)` for every node that died mid-run: plan kills and
-    /// energy-budget depletions alike (both are propagated to every
-    /// query's liveness oracle).
-    pub killed: Vec<(u32, NodeId)>,
-    /// Messages discarded from dead nodes' queues (plan kills + energy
-    /// depletions).
-    pub queued_msgs_lost: u64,
-    /// `(cycle, query)` lifecycle events that fired (arrivals and
-    /// departures actually reached within the run).
-    pub arrivals: Vec<(u32, usize)>,
-    pub departures: Vec<(u32, usize)>,
-    /// Queries whose live initiation did not finish before the run ended
-    /// (arrival too close to the last cycle for the full
-    /// [`LIVE_INIT_SPACING`]-spaced step schedule). Their near-zero
-    /// results are a truncation artifact, not an algorithmic effect —
-    /// size `cycles ≥ arrival + steps * LIVE_INIT_SPACING` to avoid it.
-    pub unfinished_inits: Vec<usize>,
-}
-
 /// Snapshot of a query's base-station counters at departure (or run end).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BaseSnapshot {
@@ -559,18 +474,19 @@ impl BaseSnapshot {
 }
 
 /// What a run keeps of every query id it ever issued: the few fields a
-/// report row, `cfg_of` and the lifecycle scans need (the query's flow id
-/// is its id), plus the run context while the query is live.
+/// report row and `cfg_of` need (the query's flow id is its id), plus the
+/// run context while the query is live.
 struct QueryRecord {
     /// Query-spec name ("Query 1", …).
     name: String,
     cfg: AlgoConfig,
-    lifecycle: Lifecycle,
     /// Held from admission to retirement.
     shared: Option<Arc<Shared>>,
 }
 
-/// A prepared multi-query run.
+/// The engine a [`crate::Session`] drives: one [`MultiNode`] per node over
+/// one topology, workload and routing substrate, plus the run-level
+/// records of every query id issued.
 pub struct MultiRun {
     pub engine: Engine<MultiNode>,
     /// Indexed by query id; ids are never reused.
@@ -580,75 +496,83 @@ pub struct MultiRun {
     /// admitted into a run that currently hosts none (a freshly opened
     /// serve session).
     topo: Arc<Topology>,
-    pub(crate) sub: Arc<MultiTreeSubstrate>,
-    pub(crate) data: Arc<WorkloadData>,
+    sub: Arc<MultiTreeSubstrate>,
+    data: Arc<WorkloadData>,
+    /// Modelled wire bytes of the per-frame query tag: [`QUERY_TAG_BYTES`],
+    /// or 0 for the paper's untagged single-query wire.
+    tag_bytes: u32,
     /// Master death ledger: every node that died so far, so queries
     /// admitted later inherit the deaths regardless of query population.
     dead: Mutex<HashSet<NodeId>>,
-    init_metrics: Option<Metrics>,
-    init_cycles: u64,
-    /// Filled at departure; live queries are snapshotted by `stats`.
-    snapshots: Vec<Option<BaseSnapshot>>,
-    /// Live-initiation steps pending for late arrivals:
-    /// `(fire_cycle, query, step, )`.
-    pending_steps: Vec<(u32, usize, InitStep)>,
     /// §7 recovery counters carried by retired queries' protocol state
     /// (retirement frees each node's slot, so the counters are absorbed
     /// here to keep network totals monotone).
-    retired_recovery: crate::node::RecoveryStats,
+    retired_recovery: RecoveryStats,
     /// Migration adoptions of retired queries (same monotonicity need —
     /// the session's observer diffing relies on it).
-    pub(crate) retired_migrations: u64,
+    retired_migrations: u64,
     /// `WindowXfer` bytes of retired queries (same monotonicity need).
-    pub(crate) retired_xfer_bytes: u64,
-}
-
-impl QuerySet {
-    /// Construct the engine: one shared substrate, one [`Shared`] context
-    /// per query, one (empty) [`MultiNode`] per node.
-    pub fn build(&self) -> MultiRun {
-        let sub = Arc::new(MultiTreeSubstrate::build(
-            &self.topo,
-            self.num_trees,
-            default_indexed_attrs(),
-            &self.data,
-        ));
-        let sharing = self.sharing;
-        let mut run = MultiRun {
-            engine: Engine::new(self.topo.clone(), self.sim.clone(), move |id| {
-                MultiNode::new(id, sharing)
-            }),
-            queries: Vec::new(),
-            topo: Arc::new(self.topo.clone()),
-            sub,
-            data: Arc::new(self.data.clone()),
-            dead: Mutex::new(HashSet::new()),
-            init_metrics: None,
-            init_cycles: 0,
-            snapshots: Vec::new(),
-            pending_steps: Vec::new(),
-            retired_recovery: crate::node::RecoveryStats::default(),
-            retired_migrations: 0,
-            retired_xfer_bytes: 0,
-        };
-        for qi in &self.queries {
-            run.add_query(qi.spec.clone(), qi.cfg, qi.lifecycle);
-        }
-        run
-    }
+    retired_xfer_bytes: u64,
 }
 
 impl MultiRun {
+    /// Construct the engine: the substrate built offline (routing-tree
+    /// construction is excluded from query costs, as in Table 3) and one
+    /// empty [`MultiNode`] per node; queries come with
+    /// [`MultiRun::add_query`].
+    pub(crate) fn new(
+        topo: Topology,
+        data: WorkloadData,
+        sim: SimConfig,
+        num_trees: usize,
+        sharing: Sharing,
+        tag_bytes: u32,
+    ) -> MultiRun {
+        let sub = Arc::new(MultiTreeSubstrate::build(
+            &topo,
+            num_trees,
+            default_indexed_attrs(),
+            &data,
+        ));
+        MultiRun {
+            topo: Arc::new(topo.clone()),
+            engine: Engine::new(topo, sim, move |id| MultiNode::new(id, sharing, tag_bytes)),
+            queries: Vec::new(),
+            sub,
+            data: Arc::new(data),
+            tag_bytes,
+            dead: Mutex::new(HashSet::new()),
+            retired_recovery: RecoveryStats::default(),
+            retired_migrations: 0,
+            retired_xfer_bytes: 0,
+        }
+    }
+
     pub(crate) fn n_queries(&self) -> usize {
         self.queries.len()
     }
 
-    fn base(&self) -> NodeId {
-        self.engine.topology().base()
+    pub(crate) fn base(&self) -> NodeId {
+        self.topo.base()
+    }
+
+    /// The network the run executes over.
+    pub(crate) fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// The workload data the run executes over.
+    pub(crate) fn workload(&self) -> &WorkloadData {
+        &self.data
+    }
+
+    /// Whether frames go out untagged (the paper's single-query wire).
+    pub(crate) fn is_bare(&self) -> bool {
+        self.tag_bytes == 0
     }
 
     /// The run contexts of the live (admitted, not yet retired) queries.
-    pub fn live_shareds(&self) -> impl Iterator<Item = &Arc<Shared>> {
+    fn live_shareds(&self) -> impl Iterator<Item = &Arc<Shared>> {
         self.queries.iter().filter_map(|r| r.shared.as_ref())
     }
 
@@ -658,6 +582,11 @@ impl MultiRun {
 
     pub(crate) fn name_of(&self, q: usize) -> &str {
         &self.queries[q].name
+    }
+
+    /// Query `q`'s protocol instance at `id`, while the query is live.
+    pub(crate) fn query_node(&self, q: usize, id: NodeId) -> Option<&JoinNode> {
+        self.engine.node(id).query_node(q)
     }
 
     /// Activate query `q` at every node.
@@ -678,12 +607,7 @@ impl MultiRun {
     /// The new query shares the network, substrate and workload and
     /// inherits the already-known deaths; it has no per-node state until
     /// it is activated.
-    pub(crate) fn add_query(
-        &mut self,
-        spec: JoinQuerySpec,
-        cfg: AlgoConfig,
-        lifecycle: Lifecycle,
-    ) -> usize {
+    pub(crate) fn add_query(&mut self, spec: JoinQuerySpec, cfg: AlgoConfig) -> usize {
         let name = spec.name.clone();
         let sh = Arc::new(Shared::new(
             self.topo.clone(),
@@ -700,10 +624,8 @@ impl MultiRun {
         self.queries.push(QueryRecord {
             name,
             cfg,
-            lifecycle,
             shared: Some(sh),
         });
-        self.snapshots.push(None);
         self.queries.len() - 1
     }
 
@@ -716,38 +638,32 @@ impl MultiRun {
         }
     }
 
-    /// Fire one initiation step of query `q` across the network.
+    /// Fire one initiation step of query `q` across the network: the
+    /// step's entry point at the base (`Flood`), at every other node
+    /// (`Announce`) or at every node, each through the per-query drive so
+    /// emissions are framed. A drive for a query with no slot is a
+    /// side-effect-free no-op, so no per-node activity guard is needed.
     pub(crate) fn apply_step(&mut self, q: usize, step: InitStep) {
-        // Same fan-out table as the bare wire (`step_calls`), wrapped in
-        // the per-query drive so emissions are framed and tagged. A drive
-        // for a query with no slot is a side-effect-free no-op, so no
-        // per-node activity guard is needed.
+        let f: fn(&mut JoinNode, &mut Ctx<'_, Msg>) = match step {
+            InitStep::Flood => |nd, c| nd.start_flood(c),
+            InitStep::EnsureQuery => |nd, _| nd.ensure_query(),
+            InitStep::Announce => |nd, c| nd.start_announce(c),
+            InitStep::GhtRegister => |nd, c| nd.start_ght_register(c),
+            InitStep::Search => |nd, c| nd.start_search(c),
+            InitStep::FinishTSide => |nd, _| nd.finish_t_side_assigns(),
+            InitStep::GroupOpt => |nd, c| nd.start_group_opt(c),
+        };
         let base = self.base();
-        let n = self.engine.topology().len();
-        for (id, call) in crate::session::step_calls(step, base, n) {
-            match call {
-                crate::session::StepCall::WithCtx(f) => {
-                    self.engine.with_node(id, |mn, ctx| mn.drive(ctx, q, f));
-                }
-                crate::session::StepCall::Local(f) => {
-                    self.engine
-                        .with_node(id, |mn, ctx| mn.drive(ctx, q, |jn, _| f(jn)));
-                }
+        for id in self.topo.node_ids() {
+            let fires = match step {
+                InitStep::Flood => id == base,
+                InitStep::Announce => id != base,
+                _ => true,
+            };
+            if fires {
+                self.engine.with_node(id, |mn, ctx| mn.drive(ctx, q, f));
             }
         }
-    }
-
-    /// Drive the initiation of every cycle-0 query to quiescence, the
-    /// steps interleaved across queries so their control traffic contends
-    /// (the shared [`crate::session`] initiation driver; the single-query
-    /// [`crate::Run::initiate`] is its one-element case).
-    pub fn initiate(&mut self) {
-        let arrivals: Vec<usize> = (0..self.n_queries())
-            .filter(|&q| self.queries[q].lifecycle.arrival == 0)
-            .collect();
-        let (metrics, cycles) = crate::session::drive_initiation(self, &arrivals);
-        self.init_metrics = Some(metrics);
-        self.init_cycles = cycles;
     }
 
     /// Take query `q` offline everywhere and free its per-node state and
@@ -773,99 +689,108 @@ impl MultiRun {
         snap
     }
 
-    /// Run `cycles` sampling cycles of execution with lifecycle events
-    /// only.
-    pub fn execute(&mut self, cycles: u32) -> MultiOutcome {
-        self.execute_with_plan(cycles, &DynamicsPlan::none())
+    /// Base counters of query `q` while it is live (zero before it came
+    /// online).
+    pub(crate) fn live_snapshot(&self, q: usize) -> BaseSnapshot {
+        self.query_node(q, self.base())
+            .map(BaseSnapshot::of)
+            .unwrap_or_default()
     }
 
-    /// Run execution under a dynamics plan: scheduled kills / loss shifts
-    /// fire at cycle boundaries alongside the query set's own lifecycle
-    /// events (late arrivals initiate live; departures retire their
-    /// state). Delegates to the unified [`crate::session`] cycle driver.
-    pub fn execute_with_plan(&mut self, cycles: u32, plan: &DynamicsPlan) -> MultiOutcome {
-        use crate::session::{drive_cycles, ExecState};
-        let lifecycles = self.queries.iter().map(|r| r.lifecycle).collect();
-        let snapshots = std::mem::take(&mut self.snapshots);
-        let mut st = ExecState::new(self, lifecycles, snapshots);
-        st.pending_steps = std::mem::take(&mut self.pending_steps);
-        drive_cycles(self, &mut st, plan, cycles, &mut []);
-        self.engine.run_until_quiet(5_000);
-        // Live-init steps scheduled past the final cycle never fired;
-        // surface the affected queries so truncated initiations are not
-        // misread as algorithmic effects.
-        let unfinished_inits = st.unfinished_inits();
-        self.snapshots = st.snapshots;
-        self.pending_steps = st.pending_steps;
-        MultiOutcome {
-            killed: st.killed,
-            queued_msgs_lost: st.queued_msgs_lost,
-            arrivals: st.arrivals,
-            departures: st.departures,
-            unfinished_inits,
+    /// Results currently counted at the base across the live queries.
+    pub(crate) fn live_results(&self) -> u64 {
+        self.engine
+            .node(self.base())
+            .query_nodes()
+            .map(|jn| BaseSnapshot::of(jn).results)
+            .sum()
+    }
+
+    /// The alive non-base node serving the most join pairs across all live
+    /// queries (failure-target selection, Fig 14).
+    pub(crate) fn busiest_join_node(&self) -> Option<NodeId> {
+        busiest_join_node(&self.engine, self.base())
+    }
+
+    /// Fire `plan`'s events for sampling cycle `cycle`, a `Picked` kill
+    /// resolving to the busiest join node (§7's worst-case victim).
+    pub(crate) fn fire_plan(&mut self, cycle: u32, plan: &DynamicsPlan) -> FireOutcome {
+        let base = self.base();
+        plan.fire(cycle, &mut self.engine, |eng| busiest_join_node(eng, base))
+    }
+
+    /// Re-home a mobile leaf at `to` on the routing substrate (App. G);
+    /// returns `(delay_cycles, traffic_bytes)` of the summary updates.
+    pub(crate) fn move_leaf(&self, node: NodeId, to: Point) -> (u32, u64) {
+        let mv = sensor_routing::mobility::move_leaf(&self.topo, &self.sub, node, to);
+        (mv.delay_cycles, mv.traffic_bytes)
+    }
+
+    /// Mean of query `q`'s learned per-pair σ estimates across every join
+    /// node currently holding state for it (`None` until §6 learning has
+    /// evidence). `w` is the query's window size.
+    pub(crate) fn learned_sigma(&self, q: usize, w: usize) -> Option<Sigma> {
+        let (mut s, mut t, mut st, mut n) = (0.0, 0.0, 0.0, 0u32);
+        let estimates = self
+            .engine
+            .nodes()
+            .iter()
+            .filter_map(|mn| mn.query_node(q))
+            .flat_map(|jn| jn.pairs.values())
+            .filter_map(|ps| ps.stats.estimate(w));
+        for e in estimates {
+            s += e.s;
+            t += e.t;
+            st += e.st;
+            n += 1;
         }
+        (n > 0).then(|| {
+            let n = f64::from(n);
+            Sigma::new(s / n, t / n, st / n)
+        })
     }
 
     /// Network-wide sum of the §7 recovery counters across every query's
     /// protocol instances, including the counters departed queries
     /// carried (absorbed at retirement; see `MultiRun::retire_query`) —
     /// totals are monotone across the whole run.
-    pub fn recovery_totals(&self) -> crate::node::RecoveryStats {
+    pub fn recovery_totals(&self) -> RecoveryStats {
         let mut total = self.retired_recovery;
-        for mn in self.engine.nodes() {
-            for jn in mn.query_nodes() {
-                total.absorb(&jn.recovery);
-            }
+        for jn in self.live_nodes() {
+            total.absorb(&jn.recovery);
         }
         total
     }
 
-    /// Collect aggregate + per-query statistics.
-    pub fn stats(&self) -> MultiRunStats {
-        let base = self.base();
-        let base_node = self.engine.node(base);
-        let exec = self.engine.metrics();
-        let per_query = (0..self.n_queries())
-            .map(|q| {
-                let snap = self.snapshots[q].unwrap_or_else(|| {
-                    base_node
-                        .query_node(q)
-                        .map(BaseSnapshot::of)
-                        .unwrap_or_default()
-                });
-                let avg_delay = if snap.results > 0 {
-                    snap.delay_sum as f64 / snap.results as f64
-                } else {
-                    0.0
-                };
-                QueryStats {
-                    label: self.queries[q].cfg.label(),
-                    name: self.queries[q].name.clone(),
-                    arrival: self.queries[q].lifecycle.arrival,
-                    departure: self.queries[q].lifecycle.departure,
-                    results: snap.results,
-                    avg_delay_tx: avg_delay,
-                    flow: exec.flow(q + 1),
-                }
-            })
-            .collect();
-        MultiRunStats {
-            per_query,
-            initiation: self
-                .init_metrics
-                .clone()
-                .unwrap_or_else(|| Metrics::new(self.engine.topology().len())),
-            execution: exec.clone(),
-            shared_flow: exec.flow(0),
-            base,
-            expired_frames: self.engine.nodes().iter().map(|n| n.expired_frames).sum(),
-        }
+    /// Frames dropped at arrival because their query had been retired.
+    pub(crate) fn expired_frames(&self) -> u64 {
+        self.engine.nodes().iter().map(|n| n.expired_frames).sum()
+    }
+
+    /// Network-wide migration adoptions, monotone across retirements
+    /// (observer diffing).
+    pub(crate) fn migrations_total(&self) -> u64 {
+        self.retired_migrations
+            + self
+                .live_nodes()
+                .map(|jn| jn.migrations_adopted)
+                .sum::<u64>()
+    }
+
+    /// Network-wide `WindowXfer` bytes, monotone across retirements.
+    pub(crate) fn xfer_bytes_total(&self) -> u64 {
+        self.retired_xfer_bytes + self.live_nodes().map(|jn| jn.xfer_bytes).sum::<u64>()
+    }
+
+    /// Every live query's protocol instance at every node.
+    fn live_nodes(&self) -> impl Iterator<Item = &JoinNode> {
+        self.engine.nodes().iter().flat_map(|mn| mn.query_nodes())
     }
 }
 
-/// The alive non-base node serving the most join pairs across all active
-/// queries (multi-query failure-target selection).
-pub(crate) fn busiest_multi_join_node(engine: &Engine<MultiNode>, base: NodeId) -> Option<NodeId> {
+/// The alive non-base node serving the most join pairs across all live
+/// queries.
+fn busiest_join_node(engine: &Engine<MultiNode>, base: NodeId) -> Option<NodeId> {
     (0..engine.topology().len() as u16)
         .map(NodeId)
         .filter(|&id| id != base && engine.is_alive(id))
@@ -908,7 +833,7 @@ mod tests {
             AlgoConfig::new(Algorithm::Base, crate::cost::Sigma::new(0.5, 0.5, 0.2)),
         ));
         let mut engine = Engine::new(topo, SimConfig::lossless(), |id| {
-            MultiNode::new(id, Sharing::Independent)
+            MultiNode::new(id, Sharing::Independent, QUERY_TAG_BYTES)
         });
         let (at, from) = (NodeId(4), NodeId(1));
         engine.node_mut(at).activate(Q, &sh);

@@ -1,26 +1,18 @@
-//! The classic single-query run harness: wires topology + workload +
-//! substrate + algorithm into a simulation and collects the statistics
-//! every figure reports.
-//!
-//! Since the [`crate::session`] redesign this module is a thin layer: the
-//! initiation and execution loops live in the unified session drivers
-//! (shared with the multi-query harness), and one-shot runs go through
-//! [`Scenario::session`]. [`Run`] remains the bare-wire engine wrapper
-//! those drivers operate on.
+//! What every run shares, whatever it executes: the substrate's indexed
+//! attributes, each algorithm's initiation schedule, the post-event
+//! re-convergence measure, and the offline reference joins the tests
+//! check the distributed computation against. Runs themselves go through
+//! [`crate::session`].
 
-use crate::node::{JoinNode, RecoveryStats};
-use crate::shared::{AlgoConfig, Algorithm, Shared};
+use crate::shared::{AlgoConfig, Algorithm};
 use sensor_net::{NodeId, Topology};
 use sensor_query::schema::{
     ATTR_CID, ATTR_GROUP, ATTR_ID, ATTR_PAIR, ATTR_POS_X, ATTR_RID, ATTR_X, ATTR_Y,
 };
 use sensor_query::JoinQuerySpec;
-use sensor_routing::substrate::{IndexedAttr, MultiTreeSubstrate};
-use sensor_sim::dynamics::DynamicsPlan;
-use sensor_sim::{Engine, Metrics, SimConfig};
+use sensor_routing::substrate::IndexedAttr;
 use sensor_summaries::SummaryKind;
 use sensor_workload::WorkloadData;
-use std::sync::Arc;
 
 /// Indexed attributes every experiment registers: the Table 1 statics with
 /// Bloom/interval summaries and the R-tree over positions (App. C).
@@ -37,83 +29,9 @@ pub fn default_indexed_attrs() -> Vec<IndexedAttr> {
     ]
 }
 
-/// Everything needed to run one (topology, workload, query, algorithm)
-/// combination.
-pub struct Scenario {
-    pub topo: Topology,
-    pub data: WorkloadData,
-    pub spec: JoinQuerySpec,
-    pub cfg: AlgoConfig,
-    pub sim: SimConfig,
-    pub num_trees: usize,
-}
-
-/// Phase-separated traffic and result statistics of one run.
-#[derive(Debug, Clone)]
-pub struct RunStats {
-    pub label: String,
-    /// Traffic during initiation (query dissemination, exploration,
-    /// nomination, group optimization, multicast setup).
-    pub initiation: Metrics,
-    /// Traffic during execution (data, results, adaptation, recovery).
-    pub execution: Metrics,
-    /// Join results delivered to (or produced at) the base station.
-    pub results: u64,
-    /// Mean result delay in transmission cycles.
-    pub avg_delay_tx: f64,
-    /// Transmission cycles the initiation phase took (Fig 6b latency).
-    pub initiation_cycles: u64,
-    pub base: NodeId,
-}
-
-impl RunStats {
-    pub fn total_traffic_bytes(&self) -> u64 {
-        self.initiation.total_tx_bytes() + self.execution.total_tx_bytes()
-    }
-
-    pub fn execution_traffic_bytes(&self) -> u64 {
-        self.execution.total_tx_bytes()
-    }
-
-    pub fn total_traffic_msgs(&self) -> u64 {
-        self.initiation.total_tx_msgs() + self.execution.total_tx_msgs()
-    }
-
-    pub fn base_load_bytes(&self) -> u64 {
-        self.initiation.load_bytes(self.base) + self.execution.load_bytes(self.base)
-    }
-
-    pub fn base_load_msgs(&self) -> u64 {
-        self.initiation.load_msgs(self.base) + self.execution.load_msgs(self.base)
-    }
-
-    /// Combined per-node loads (Fig 5).
-    pub fn top_loads(&self, k: usize) -> Vec<u64> {
-        let mut combined = self.initiation.clone();
-        combined.absorb(&self.execution);
-        combined.top_loads_bytes(k)
-    }
-
-    pub fn max_node_load_bytes(&self) -> u64 {
-        let mut combined = self.initiation.clone();
-        combined.absorb(&self.execution);
-        combined.max_load_bytes()
-    }
-}
-
-/// A prepared run: engine + shared context, ready to step through phases.
-pub struct Run {
-    pub engine: Engine<JoinNode>,
-    pub shared: Arc<Shared>,
-    init_metrics: Option<Metrics>,
-    init_cycles: u64,
-}
-
-/// One step of an algorithm's initiation sequence. The single-query
-/// harness ([`Run::initiate`]) drives the steps to quiescence one by one;
-/// the multi-query harness ([`crate::multi::MultiRun`]) interleaves the
-/// same steps across all queries arriving at a boundary, and spreads them
-/// over sampling cycles for queries arriving mid-run.
+/// One step of an algorithm's initiation sequence. The session drives the
+/// steps of the cycle-0 queries to quiescence, interleaved across queries,
+/// and spreads them over sampling cycles for queries arriving mid-run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InitStep {
     /// Query-dissemination flood from the base station.
@@ -135,10 +53,10 @@ pub enum InitStep {
 
 /// The ordered `(step, quiescence budget)` initiation schedule for one
 /// algorithm configuration. Budgets are transmission-cycle caps for
-/// [`Engine::run_until_quiet`] after the step fires; a zero budget means
-/// the step is local (no traffic to drain). Naive and Yang+07 piggyback
-/// dissemination on routing-tree construction, so their query is free per
-/// Table 3.
+/// [`sensor_sim::Engine::run_until_quiet`] after the step fires; a zero
+/// budget means the step is local (no traffic to drain). Naive and Yang+07
+/// piggyback dissemination on routing-tree construction, so their query is
+/// free per Table 3.
 pub fn init_steps(cfg: &AlgoConfig) -> Vec<(InitStep, u64)> {
     match cfg.algorithm {
         Algorithm::Naive | Algorithm::Yang07 => vec![(InitStep::EnsureQuery, 0)],
@@ -165,163 +83,6 @@ pub fn init_steps(cfg: &AlgoConfig) -> Vec<(InitStep, u64)> {
             steps
         }
     }
-}
-
-impl Scenario {
-    /// Construct the engine: builds the substrate offline (routing-tree
-    /// construction is excluded from query costs, as in Table 3) and
-    /// instantiates the protocol at every node.
-    pub fn build(&self) -> Run {
-        let sub = Arc::new(MultiTreeSubstrate::build(
-            &self.topo,
-            self.num_trees,
-            default_indexed_attrs(),
-            &self.data,
-        ));
-        let shared = Arc::new(Shared::new(
-            Arc::new(self.topo.clone()),
-            sub,
-            self.spec.clone(),
-            Arc::new(self.data.clone()),
-            self.cfg,
-        ));
-        let sh = shared.clone();
-        let engine = Engine::new(self.topo.clone(), self.sim.clone(), move |id| {
-            JoinNode::new(id, sh.clone())
-        });
-        Run {
-            engine,
-            shared,
-            init_metrics: None,
-            init_cycles: 0,
-        }
-    }
-}
-
-impl Run {
-    /// Drive the algorithm-specific initiation phase to quiescence,
-    /// following the shared [`init_steps`] schedule (the one-query case of
-    /// [`crate::session`]'s interleaved initiation driver).
-    pub fn initiate(&mut self) {
-        let (metrics, cycles) = crate::session::drive_initiation(self, &[0]);
-        self.init_metrics = Some(metrics);
-        self.init_cycles = cycles;
-    }
-
-    /// Run `cycles` sampling cycles of execution.
-    pub fn execute(&mut self, cycles: u32) {
-        self.execute_with_plan(cycles, &DynamicsPlan::none());
-    }
-
-    /// Run execution with a node failure injected at `fail_cycle`
-    /// (single-victim convenience over [`Run::execute_with_plan`]).
-    pub fn execute_with_failure(&mut self, cycles: u32, victim: NodeId, fail_cycle: u32) {
-        let plan = DynamicsPlan::none().kill_nodes(fail_cycle, vec![victim]);
-        self.execute_with_plan(cycles, &plan);
-    }
-
-    /// Run execution under a declarative dynamics plan: scheduled fault
-    /// events, loss shifts and workload-shift marks fire at sampling-cycle
-    /// boundaries; per-cycle traffic is tracked for recovery accounting.
-    /// Delegates to the unified [`crate::session`] cycle driver.
-    pub fn execute_with_plan(&mut self, cycles: u32, plan: &DynamicsPlan) -> DynamicsOutcome {
-        use crate::session::{drive_cycles, ExecState, Host};
-        let mut st = ExecState::new(self, vec![crate::multi::Lifecycle::STATIC], vec![None]);
-        drive_cycles(self, &mut st, plan, cycles, &mut []);
-        self.engine.run_until_quiet(5_000);
-        let total = Host::live_results(self);
-        let pre = st.results_pre_event.unwrap_or(total);
-        DynamicsOutcome {
-            killed: st.killed,
-            queued_msgs_lost: st.queued_msgs_lost,
-            results_pre_event: pre,
-            results_post_event: total - pre,
-            reconvergence_cycles: reconvergence(
-                &st.per_cycle_tx_bytes,
-                st.first_fired,
-                st.last_fired,
-            ),
-            per_cycle_tx_bytes: st.per_cycle_tx_bytes,
-        }
-    }
-
-    /// Network-wide sum of the per-node §7 recovery counters.
-    pub fn recovery_totals(&self) -> RecoveryStats {
-        let mut total = RecoveryStats::default();
-        for node in self.engine.nodes() {
-            total.absorb(&node.recovery);
-        }
-        total
-    }
-
-    /// The join node currently serving the most pairs (failure target
-    /// selection for Fig 14).
-    pub fn busiest_join_node(&self) -> Option<NodeId> {
-        busiest_join_node_of(&self.engine, self.shared.base())
-    }
-
-    pub fn stats(&self) -> RunStats {
-        let base = self.shared.base();
-        let b = self
-            .engine
-            .node(base)
-            .base_state()
-            .expect("base state present");
-        let avg_delay = if b.results > 0 {
-            b.delay_sum as f64 / b.results as f64
-        } else {
-            0.0
-        };
-        RunStats {
-            label: self.shared.cfg.label(),
-            initiation: self
-                .init_metrics
-                .clone()
-                .unwrap_or_else(|| Metrics::new(self.engine.topology().len())),
-            execution: self.engine.metrics().clone(),
-            results: b.results,
-            avg_delay_tx: avg_delay,
-            initiation_cycles: self.init_cycles,
-            base,
-        }
-    }
-}
-
-/// What happened during a dynamics-driven execution: who died when, what
-/// was lost with them, and how the system's cost behaved around the
-/// events. Complements [`RunStats`] (traffic/results) and
-/// [`Run::recovery_totals`] (protocol-level recovery reactions).
-#[derive(Debug, Clone, Default)]
-pub struct DynamicsOutcome {
-    /// `(cycle, node)` for every node that died mid-run: plan kills and
-    /// energy-budget depletions alike.
-    pub killed: Vec<(u32, NodeId)>,
-    /// Messages discarded from dead nodes' queues (plan kills + energy
-    /// depletions).
-    pub queued_msgs_lost: u64,
-    /// Execution TX bytes per sampling cycle (recovery-overhead trace).
-    pub per_cycle_tx_bytes: Vec<u64>,
-    /// Join results delivered before the first scheduled event (all of
-    /// them, for a static plan).
-    pub results_pre_event: u64,
-    /// Join results delivered at or after the first scheduled event.
-    pub results_post_event: u64,
-    /// Sampling cycles after the last event until per-cycle traffic
-    /// settled back within 25% of the pre-event baseline for 3 consecutive
-    /// cycles. `None` for static plans or if the run ended first.
-    pub reconvergence_cycles: Option<u32>,
-}
-
-/// The alive non-base node serving the most join pairs.
-pub(crate) fn busiest_join_node_of(
-    engine: &sensor_sim::Engine<JoinNode>,
-    base: NodeId,
-) -> Option<NodeId> {
-    (0..engine.topology().len() as u16)
-        .map(NodeId)
-        .filter(|&id| id != base && engine.is_alive(id))
-        .max_by_key(|&id| engine.node(id).pair_count())
-        .filter(|&id| engine.node(id).pair_count() > 0)
 }
 
 /// Post-event cost re-convergence: cycles after `last_event` until the

@@ -12,12 +12,15 @@ use aspen_join::learn::PairStats;
 use aspen_join::msg::{side, Msg, Pair, Route, WindowXfer};
 use aspen_join::node::PairState;
 use aspen_join::prelude::*;
-use aspen_join::Algorithm;
+use aspen_join::scenario::default_indexed_attrs;
+use aspen_join::{Algorithm, JoinNode, Shared};
 use sensor_net::{NodeId, Point, Topology};
 use sensor_query::Tuple;
-use sensor_sim::Protocol;
+use sensor_routing::substrate::MultiTreeSubstrate;
+use sensor_sim::{Engine, Protocol};
 use sensor_workload::{query0, WorkloadData};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Ladder topology (as in the repair unit tests): with range 1.5 the
 /// diagonals connect, so node 6 bridges 1 and 3 around a failed node 2.
@@ -35,17 +38,24 @@ fn ladder() -> Topology {
     Topology::from_positions(pts, 1.5, NodeId(0))
 }
 
-fn build_run(topo: Topology, opts: InnetOptions) -> aspen_join::Run {
+/// One `query0` over `topo` with [`JoinNode`] straight under a lone
+/// engine and no initiation: the tests inject state and messages at single
+/// nodes by hand. Returns the engine and the query's run context.
+fn build_run(topo: Topology, opts: InnetOptions) -> (Engine<JoinNode>, Arc<Shared>) {
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), 3);
-    let sc = Scenario {
-        topo,
-        data,
-        spec: query0(3),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2)).with_innet_options(opts),
-        sim: SimConfig::lossless(),
-        num_trees: 1,
-    };
-    sc.build()
+    let sub = MultiTreeSubstrate::build(&topo, 1, default_indexed_attrs(), &data);
+    let sh = Arc::new(Shared::new(
+        Arc::new(topo.clone()),
+        Arc::new(sub),
+        query0(3),
+        Arc::new(data),
+        AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2)).with_innet_options(opts),
+    ));
+    let node_sh = sh.clone();
+    let engine = Engine::new(topo, SimConfig::lossless(), move |id| {
+        JoinNode::new(id, node_sh.clone())
+    });
+    (engine, sh)
 }
 
 fn pair_state(pair: Pair, path: Vec<NodeId>, hops: Vec<u16>, j_idx: Option<usize>) -> PairState {
@@ -69,10 +79,10 @@ fn pair_state(pair: Pair, path: Vec<NodeId>, hops: Vec<u16>, j_idx: Option<usize
 /// so σ = N/T used an inflated T on every evaluation cycle.
 #[test]
 fn evaluation_cycle_does_not_double_tick() {
-    let mut run = build_run(ladder(), InnetOptions::PLAIN.with_learning());
+    let (mut engine, sh) = build_run(ladder(), InnetOptions::PLAIN.with_learning());
     let id = NodeId(5);
     let pair = Pair::new(NodeId(4), NodeId(6));
-    run.engine.node_mut(id).pairs.insert(
+    engine.node_mut(id).pairs.insert(
         pair,
         pair_state(
             pair,
@@ -84,12 +94,11 @@ fn evaluation_cycle_does_not_double_tick() {
     // Drive sampling cycles 0..=20 directly at the node; the default
     // learn_interval is 20, so cycle 20 runs an evaluation with no
     // evidence (the node never received a tuple for the pair).
-    assert_eq!(run.shared.cfg.learn_interval, 20);
+    assert_eq!(sh.cfg.learn_interval, 20);
     for c in 0..=20u32 {
-        run.engine
-            .with_node(id, |p, ctx| p.on_sampling_cycle(ctx, c));
+        engine.with_node(id, |p, ctx| p.on_sampling_cycle(ctx, c));
     }
-    let stats = run.engine.node(id).pairs[&pair].stats;
+    let stats = engine.node(id).pairs[&pair].stats;
     assert_eq!(stats.n_s + stats.n_t, 0, "test premise: no tuples arrived");
     assert_eq!(
         stats.cycles, 21,
@@ -102,13 +111,13 @@ fn evaluation_cycle_does_not_double_tick() {
 /// tree and reaches the base station.
 #[test]
 fn in_flight_tuple_survives_desynced_repair() {
-    let mut run = build_run(ladder(), InnetOptions::PLAIN);
+    let (mut engine, sh) = build_run(ladder(), InnetOptions::PLAIN);
     // Node 4 holds a (stale/desynced) route 1-2-3 it is not on. Node 2
     // died; the local bypass is 1-6-3 — which does not contain 4 either.
     let repairer = NodeId(4);
     let dead = NodeId(2);
-    run.shared.mark_dead(dead);
-    run.engine.kill(dead);
+    sh.mark_dead(dead);
+    engine.kill(dead);
     let tuple = Tuple::new(NodeId(1), 0);
     let msg = Msg::Data {
         from: NodeId(1),
@@ -120,10 +129,9 @@ fn in_flight_tuple_survives_desynced_repair() {
         },
         fallback: None,
     };
-    run.engine
-        .with_node(repairer, |p, ctx| p.on_send_failed(ctx, dead, msg));
-    run.engine.run_until_quiet(100);
-    let rec = run.engine.node(repairer).recovery;
+    engine.with_node(repairer, |p, ctx| p.on_send_failed(ctx, dead, msg));
+    engine.run_until_quiet(100);
+    let rec = engine.node(repairer).recovery;
     assert_eq!(rec.repair_attempts, 1);
     assert_eq!(rec.repair_successes, 1);
     assert_eq!(
@@ -132,8 +140,7 @@ fn in_flight_tuple_survives_desynced_repair() {
     );
     assert_eq!(rec.tuples_lost, 0);
     // The tuple actually reached the base station's join windows.
-    let base_windows = &run
-        .engine
+    let base_windows = &engine
         .node(NodeId(0))
         .base_state()
         .expect("base state")
@@ -162,11 +169,11 @@ fn successful_repair_patches_stale_path_and_hops() {
         Point::new(1.5, 0.9),  // 5: bridge b
     ];
     let topo = Topology::from_positions(pts, 1.05, NodeId(0));
-    let mut run = build_run(topo, InnetOptions::PLAIN);
+    let (mut engine, sh) = build_run(topo, InnetOptions::PLAIN);
     let producer = NodeId(1);
     let dead = NodeId(2);
     let pair = Pair::new(producer, NodeId(3));
-    run.engine.node_mut(producer).assigns.insert(
+    engine.node_mut(producer).assigns.insert(
         pair,
         aspen_join::node::ProducerAssign {
             pair,
@@ -177,8 +184,8 @@ fn successful_repair_patches_stale_path_and_hops() {
             base_mode: false,
         },
     );
-    run.shared.mark_dead(dead);
-    run.engine.kill(dead);
+    sh.mark_dead(dead);
+    engine.kill(dead);
     let msg = Msg::Data {
         from: producer,
         sides: side::S,
@@ -189,26 +196,21 @@ fn successful_repair_patches_stale_path_and_hops() {
         },
         fallback: None,
     };
-    run.engine
-        .with_node(producer, |p, ctx| p.on_send_failed(ctx, dead, msg));
-    let a = &run.engine.node(producer).assigns[&pair];
+    engine.with_node(producer, |p, ctx| p.on_send_failed(ctx, dead, msg));
+    let a = &engine.node(producer).assigns[&pair];
     assert_eq!(
         a.path,
         vec![NodeId(1), NodeId(4), NodeId(5), NodeId(3)],
         "assignment must be spliced onto the repaired path"
     );
     assert_eq!(a.j_idx, Some(3), "join-node index remapped on the new path");
-    let expect_hops: Vec<u16> = a
-        .path
-        .iter()
-        .map(|&n| run.shared.sub.hops_to_base(n))
-        .collect();
+    let expect_hops: Vec<u16> = a.path.iter().map(|&n| sh.sub.hops_to_base(n)).collect();
     assert_eq!(a.hops, expect_hops, "hops recomputed, not the stale vector");
     assert!(
         !a.base_mode,
         "a repairable failure must not force base mode"
     );
-    assert_eq!(run.engine.node(producer).recovery.paths_patched, 1);
+    assert_eq!(engine.node(producer).recovery.paths_patched, 1);
 }
 
 /// A migration hand-off lost in flight must re-form the pair at the base
@@ -218,11 +220,11 @@ fn successful_repair_patches_stale_path_and_hops() {
 /// `send_assign`'s path debug-assert in test builds).
 #[test]
 fn lost_window_xfer_reforms_pair_at_base() {
-    let mut run = build_run(ladder(), InnetOptions::PLAIN.with_learning());
+    let (mut engine, sh) = build_run(ladder(), InnetOptions::PLAIN.with_learning());
     let carrier = NodeId(5);
     let dead = NodeId(6);
-    run.shared.mark_dead(dead);
-    run.engine.kill(dead);
+    sh.mark_dead(dead);
+    engine.kill(dead);
     let pair = Pair::new(NodeId(4), NodeId(7));
     let tuple = Tuple::new(NodeId(4), 0);
     // A WindowXfer migrating the pair to node 6 (index 2 on its path),
@@ -241,11 +243,9 @@ fn lost_window_xfer_reforms_pair_at_base() {
             pos: 1,
         },
     }));
-    run.engine
-        .with_node(carrier, |p, ctx| p.on_send_failed(ctx, dead, msg));
-    run.engine.run_until_quiet(200);
-    let base_pairs = &run
-        .engine
+    engine.with_node(carrier, |p, ctx| p.on_send_failed(ctx, dead, msg));
+    engine.run_until_quiet(200);
+    let base_pairs = &engine
         .node(NodeId(0))
         .base_state()
         .expect("base state")
@@ -263,12 +263,12 @@ fn lost_window_xfer_reforms_pair_at_base() {
 /// recovery metrics must say so instead of counting a phantom salvage.
 #[test]
 fn stranded_window_xfer_is_counted_as_lost() {
-    let mut run = build_run(ladder(), InnetOptions::PLAIN.with_learning());
+    let (mut engine, sh) = build_run(ladder(), InnetOptions::PLAIN.with_learning());
     // Isolate node 7: its neighbors (3, 6, and diagonal 2) all die.
     let carrier = NodeId(7);
     for d in [2u16, 3, 6] {
-        run.shared.mark_dead(NodeId(d));
-        run.engine.kill(NodeId(d));
+        sh.mark_dead(NodeId(d));
+        engine.kill(NodeId(d));
     }
     let pair = Pair::new(NodeId(4), NodeId(7));
     let msg = Msg::WindowXfer(Box::new(WindowXfer {
@@ -285,18 +285,16 @@ fn stranded_window_xfer_is_counted_as_lost() {
             pos: 1,
         },
     }));
-    run.engine
-        .with_node(carrier, |p, ctx| p.on_send_failed(ctx, NodeId(6), msg));
-    run.engine.run_until_quiet(100);
-    let rec = run.engine.node(carrier).recovery;
+    engine.with_node(carrier, |p, ctx| p.on_send_failed(ctx, NodeId(6), msg));
+    engine.run_until_quiet(100);
+    let rec = engine.node(carrier).recovery;
     assert_eq!(
         rec.tuples_lost, 3,
         "all three window tuples are unrecoverable and must be counted"
     );
     assert_eq!(rec.tuples_rerouted, 0, "nothing was actually salvaged");
     // The pair did not magically re-form at the base.
-    let base_pairs = &run
-        .engine
+    let base_pairs = &engine
         .node(NodeId(0))
         .base_state()
         .expect("base state")

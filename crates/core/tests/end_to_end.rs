@@ -3,37 +3,46 @@
 
 use aspen_join::prelude::*;
 use aspen_join::scenario::oracle_result_count;
-use sensor_net::NodeId;
+use sensor_net::{NodeId, Topology};
+use sensor_query::JoinQuerySpec;
 use sensor_sim::SimConfig;
 use sensor_workload::{query0, query1, query2, query3, WorkloadData};
 
 const CYCLES: u32 = 40;
 
-/// Initiate, run `cycles` sampling cycles, and collect legacy-shape stats
-/// through the [`Session`] layer.
-fn run_stats(sc: &Scenario, cycles: u32) -> RunStats {
-    let mut s = sc.session();
-    s.step(cycles);
-    RunStats::from(s.report())
+/// A lossless session on the paper's untagged wire, hosting `spec`.
+fn session(topo: Topology, data: WorkloadData, spec: JoinQuerySpec, cfg: AlgoConfig) -> Session {
+    Session::builder(topo, data)
+        .sim(SimConfig::lossless())
+        .query(spec, cfg)
+        .bare_wire()
+        .build()
 }
 
+/// Initiate, run `cycles` sampling cycles and report; also returns the
+/// oracle's result count for `spec` over the session's network.
+fn run(mut s: Session, spec: &JoinQuerySpec, cycles: u32) -> (Outcome, u64) {
+    s.step(cycles);
+    let oracle = oracle_result_count(s.topology(), s.workload(), spec, cycles);
+    (s.report(), oracle)
+}
+
+/// `query1(3)` on an 80-node network with 10 provisioned pairs.
 fn scenario(
     algo: Algorithm,
     opts: InnetOptions,
     assumed: Sigma,
     rates: Rates,
     seed: u64,
-) -> Scenario {
+) -> Session {
     let topo = sensor_net::random_with_degree(80, 7.0, seed);
     let data = WorkloadData::new(&topo, Schedule::Uniform(rates), seed).with_pairs(10);
-    Scenario {
+    session(
         topo,
         data,
-        spec: query1(3),
-        cfg: AlgoConfig::new(algo, assumed).with_innet_options(opts),
-        sim: SimConfig::lossless(),
-        num_trees: 3,
-    }
+        query1(3),
+        AlgoConfig::new(algo, assumed).with_innet_options(opts),
+    )
 }
 
 /// Result-count agreement band vs the oracle: transport delays skew
@@ -58,9 +67,8 @@ fn naive_matches_oracle() {
         Rates::new(2, 2, 5),
         3,
     );
-    let stats = run_stats(&sc, CYCLES);
-    let oracle = oracle_result_count(&sc.topo, &sc.data, &sc.spec, CYCLES);
-    assert_close_to_oracle(stats.results, oracle, "naive");
+    let (stats, oracle) = run(sc, &query1(3), CYCLES);
+    assert_close_to_oracle(stats.results_total(), oracle, "naive");
     // Naive has no initiation at all.
     assert_eq!(stats.initiation.total_tx_bytes(), 0);
 }
@@ -81,10 +89,9 @@ fn base_matches_oracle_with_cheaper_execution() {
         Rates::new(2, 2, 5),
         3,
     );
-    let ns = run_stats(&naive, CYCLES);
-    let bs = run_stats(&base, CYCLES);
-    let oracle = oracle_result_count(&base.topo, &base.data, &base.spec, CYCLES);
-    assert_close_to_oracle(bs.results, oracle, "base");
+    let (ns, _) = run(naive, &query1(3), CYCLES);
+    let (bs, oracle) = run(base, &query1(3), CYCLES);
+    assert_close_to_oracle(bs.results_total(), oracle, "base");
     // Pre-filtering costs initiation but trims execution traffic.
     assert!(bs.initiation.total_tx_bytes() > 0);
     assert!(
@@ -104,9 +111,8 @@ fn innet_matches_oracle() {
         Rates::new(2, 2, 5),
         3,
     );
-    let stats = run_stats(&sc, CYCLES);
-    let oracle = oracle_result_count(&sc.topo, &sc.data, &sc.spec, CYCLES);
-    assert_close_to_oracle(stats.results, oracle, "innet");
+    let (stats, oracle) = run(sc, &query1(3), CYCLES);
+    assert_close_to_oracle(stats.results_total(), oracle, "innet");
     assert!(stats.initiation.total_tx_bytes() > 0, "exploration costs");
 }
 
@@ -119,9 +125,8 @@ fn ght_matches_oracle() {
         Rates::new(2, 2, 5),
         3,
     );
-    let stats = run_stats(&sc, CYCLES);
-    let oracle = oracle_result_count(&sc.topo, &sc.data, &sc.spec, CYCLES);
-    assert_close_to_oracle(stats.results, oracle, "ght");
+    let (stats, oracle) = run(sc, &query1(3), CYCLES);
+    assert_close_to_oracle(stats.results_total(), oracle, "ght");
 }
 
 #[test]
@@ -133,19 +138,13 @@ fn yang07_produces_results() {
         Rates::new(2, 2, 5),
         3,
     );
-    let mut run = sc.build();
-    // Yang+07 needs generous queues to survive at all (§4.2 observes its
-    // routing queues overflow on synthetic topologies with defaults).
-    run.initiate();
-    run.execute(CYCLES);
-    let stats = run.stats();
-    let oracle = oracle_result_count(&sc.topo, &sc.data, &sc.spec, CYCLES);
+    let (stats, oracle) = run(sc, &query1(3), CYCLES);
     // Through-the-base drops the S-tuple-to-window alignment (T windows
     // hold only local samples); expect the right order of magnitude.
+    let results = stats.results_total();
     assert!(
-        stats.results > 0 && stats.results < oracle * 3,
-        "yang results {} oracle {oracle}",
-        stats.results
+        results > 0 && results < oracle * 3,
+        "yang results {results} oracle {oracle}"
     );
 }
 
@@ -155,8 +154,8 @@ fn innet_cmg_not_worse_than_plain_innet() {
     let rates = Rates::new(2, 2, 20);
     let plain = scenario(Algorithm::Innet, InnetOptions::PLAIN, assumed, rates, 7);
     let cmg = scenario(Algorithm::Innet, InnetOptions::CMG, assumed, rates, 7);
-    let ps = run_stats(&plain, 100);
-    let cs = run_stats(&cmg, 100);
+    let (ps, oracle) = run(plain, &query1(3), 100);
+    let (cs, _) = run(cmg, &query1(3), 100);
     // §5.3: MPO matches or beats plain Innet overall (small slack for
     // group-coordination overhead on short runs).
     assert!(
@@ -166,9 +165,8 @@ fn innet_cmg_not_worse_than_plain_innet() {
         ps.total_traffic_bytes()
     );
     // Both compute the same join.
-    let oracle = oracle_result_count(&plain.topo, &plain.data, &plain.spec, 100);
-    assert_close_to_oracle(ps.results, oracle, "plain");
-    assert_close_to_oracle(cs.results, oracle, "cmg");
+    assert_close_to_oracle(ps.results_total(), oracle, "plain");
+    assert_close_to_oracle(cs.results_total(), oracle, "cmg");
 }
 
 #[test]
@@ -179,16 +177,14 @@ fn query0_one_to_one_all_algorithms_agree() {
     let oracle = oracle_result_count(&topo, &data, &spec, CYCLES);
     assert!(oracle > 0);
     for algo in [Algorithm::Naive, Algorithm::Base, Algorithm::Innet] {
-        let sc = Scenario {
-            topo: topo.clone(),
-            data: data.clone(),
-            spec: spec.clone(),
-            cfg: AlgoConfig::new(algo, Sigma::new(0.5, 0.5, 0.2)),
-            sim: SimConfig::lossless(),
-            num_trees: 3,
-        };
-        let stats = run_stats(&sc, CYCLES);
-        assert_close_to_oracle(stats.results, oracle, algo.name());
+        let sc = session(
+            topo.clone(),
+            data.clone(),
+            spec.clone(),
+            AlgoConfig::new(algo, Sigma::new(0.5, 0.5, 0.2)),
+        );
+        let (stats, _) = run(sc, &spec, CYCLES);
+        assert_close_to_oracle(stats.results_total(), oracle, algo.name());
     }
 }
 
@@ -197,18 +193,15 @@ fn query2_perimeter_innet() {
     let topo = sensor_net::random_with_degree(100, 7.0, 5);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 10)), 5);
     let spec = query2(1);
-    let sc = Scenario {
-        topo: topo.clone(),
-        data: data.clone(),
-        spec: spec.clone(),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.1))
+    let sc = session(
+        topo,
+        data,
+        spec.clone(),
+        AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.1))
             .with_innet_options(InnetOptions::CM),
-        sim: SimConfig::lossless(),
-        num_trees: 3,
-    };
-    let stats = run_stats(&sc, CYCLES);
-    let oracle = oracle_result_count(&topo, &data, &spec, CYCLES);
-    assert_close_to_oracle(stats.results, oracle, "q2 innet");
+    );
+    let (stats, oracle) = run(sc, &spec, CYCLES);
+    assert_close_to_oracle(stats.results_total(), oracle, "q2 innet");
 }
 
 #[test]
@@ -217,17 +210,14 @@ fn query3_region_join_on_intel_lab() {
     let data =
         WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 2).with_humidity(&topo);
     let spec = query3(3);
-    let sc = Scenario {
-        topo: topo.clone(),
-        data: data.clone(),
-        spec: spec.clone(),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.2)),
-        sim: SimConfig::lossless(),
-        num_trees: 3,
-    };
-    let stats = run_stats(&sc, 30);
-    let oracle = oracle_result_count(&topo, &data, &spec, 30);
-    assert_close_to_oracle(stats.results, oracle, "q3");
+    let sc = session(
+        topo,
+        data,
+        spec.clone(),
+        AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.2)),
+    );
+    let (stats, oracle) = run(sc, &spec, 30);
+    assert_close_to_oracle(stats.results_total(), oracle, "q3");
 }
 
 #[test]
@@ -245,19 +235,17 @@ fn learning_recovers_from_wrong_estimates() {
         } else {
             InnetOptions::PLAIN
         };
-        Scenario {
+        session(
             topo,
             data,
-            spec: query0(3),
-            cfg: AlgoConfig::new(Algorithm::Innet, assumed).with_innet_options(opts),
-            sim: SimConfig::lossless(),
-            num_trees: 3,
-        }
+            query0(3),
+            AlgoConfig::new(Algorithm::Innet, assumed).with_innet_options(opts),
+        )
     };
     let cycles = 200;
-    let oracle_run = run_stats(&mk(right, false), cycles);
-    let wrong_static = run_stats(&mk(wrong, false), cycles);
-    let wrong_learn = run_stats(&mk(wrong, true), cycles);
+    let (oracle_run, _) = run(mk(right, false), &query0(3), cycles);
+    let (wrong_static, _) = run(mk(wrong, false), &query0(3), cycles);
+    let (wrong_learn, _) = run(mk(wrong, true), &query0(3), cycles);
     // Learning must beat the static wrong-estimate run...
     assert!(
         wrong_learn.execution_traffic_bytes() < wrong_static.execution_traffic_bytes(),
@@ -280,39 +268,32 @@ fn join_node_failure_recovers_via_base() {
     let mk = || {
         let topo = sensor_net::random_with_degree(80, 7.0, 17);
         let data = WorkloadData::new(&topo, Schedule::Uniform(rates), 17).with_pairs(4);
-        Scenario {
+        session(
             topo,
             data,
-            spec: query0(3),
-            cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.1)),
-            sim: SimConfig::lossless(),
-            num_trees: 3,
-        }
+            query0(3),
+            AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.1)),
+        )
     };
     let cycles = 60;
     // Baseline without failure.
-    let sc = mk();
-    let mut clean = sc.build();
-    clean.initiate();
-    clean.execute(cycles);
-    let clean_stats = clean.stats();
+    let (clean_stats, _) = run(mk(), &query0(3), cycles);
     // Kill the busiest join node mid-run.
-    let sc2 = mk();
-    let mut faulty = sc2.build();
-    faulty.initiate();
+    let mut faulty = mk();
+    faulty.step(0); // initiate, so the busiest join node is known
     let victim = faulty.busiest_join_node().expect("a join node exists");
     assert_ne!(victim, NodeId(0), "base should not be the victim");
-    faulty.execute_with_failure(cycles, victim, cycles / 2);
-    let faulty_stats = faulty.stats();
+    faulty.set_plan(DynamicsPlan::none().kill_nodes(cycles / 2, vec![victim]));
+    let (faulty_stats, _) = run(faulty, &query0(3), cycles);
     // Computation must continue: a decent share of the clean results.
     assert!(
-        faulty_stats.results as f64 > clean_stats.results as f64 * 0.5,
+        faulty_stats.results_total() as f64 > clean_stats.results_total() as f64 * 0.5,
         "failure lost too much: {} vs {}",
-        faulty_stats.results,
-        clean_stats.results
+        faulty_stats.results_total(),
+        clean_stats.results_total()
     );
     // Delay grows when pairs re-route through the base (§7/Fig 14).
-    assert!(faulty_stats.avg_delay_tx >= clean_stats.avg_delay_tx * 0.9);
+    assert!(faulty_stats.avg_delay_tx() >= clean_stats.avg_delay_tx() * 0.9);
 }
 
 #[test]
@@ -324,8 +305,8 @@ fn innet_beats_naive_for_selective_long_queries() {
     let naive = scenario(Algorithm::Naive, InnetOptions::PLAIN, assumed, rates, 23);
     let innet = scenario(Algorithm::Innet, InnetOptions::CM, assumed, rates, 23);
     let cycles = 300;
-    let ns = run_stats(&naive, cycles);
-    let is = run_stats(&innet, cycles);
+    let (ns, _) = run(naive, &query1(3), cycles);
+    let (is, _) = run(innet, &query1(3), cycles);
     assert!(
         is.total_traffic_bytes() < ns.total_traffic_bytes(),
         "innet {} vs naive {}",
@@ -338,15 +319,17 @@ fn innet_beats_naive_for_selective_long_queries() {
 
 #[test]
 fn deterministic_across_reruns() {
-    let sc = scenario(
-        Algorithm::Innet,
-        InnetOptions::CMG,
-        Sigma::new(0.5, 0.5, 0.2),
-        Rates::new(2, 2, 5),
-        29,
-    );
-    let a = run_stats(&sc, 20);
-    let b = run_stats(&sc, 20);
+    let sc = || {
+        scenario(
+            Algorithm::Innet,
+            InnetOptions::CMG,
+            Sigma::new(0.5, 0.5, 0.2),
+            Rates::new(2, 2, 5),
+            29,
+        )
+    };
+    let (a, _) = run(sc(), &query1(3), 20);
+    let (b, _) = run(sc(), &query1(3), 20);
     assert_eq!(a.total_traffic_bytes(), b.total_traffic_bytes());
-    assert_eq!(a.results, b.results);
+    assert_eq!(a.results_total(), b.results_total());
 }

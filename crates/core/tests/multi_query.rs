@@ -18,34 +18,32 @@ fn algo_cfg(algo: Algorithm, opts: InnetOptions) -> AlgoConfig {
     AlgoConfig::new(algo, Sigma::from_rates(RATES)).with_innet_options(opts)
 }
 
-/// Initiate, run `cycles` sampling cycles, and collect legacy-shape
-/// multi-query stats through the [`Session`] layer.
-fn run_multi(set: QuerySet, cycles: u32) -> MultiRunStats {
-    let mut s = set.into_session();
+/// Build, initiate, run `cycles` sampling cycles and report.
+fn run_multi(b: SessionBuilder, cycles: u32) -> Outcome {
+    let mut s = b.build();
     s.step(cycles);
-    MultiRunStats::from(s.report())
+    s.report()
+}
+
+/// The 60-node network of `seed` with the default workload.
+fn network(seed: u64) -> SessionBuilder {
+    let topo = sensor_net::random_with_degree(60, 7.0, seed);
+    let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
+    Session::builder(topo, data)
 }
 
 /// A `k`-query mixed workload (alternating Query 1 / Query 2) on the
 /// standard 60-node network, all queries present from cycle 0.
-fn mixed_set(k: usize, sharing: Sharing, algo: Algorithm, opts: InnetOptions) -> QuerySet {
+fn mixed_set(k: usize, sharing: Sharing, algo: Algorithm, opts: InnetOptions) -> SessionBuilder {
     let seed = 11;
-    let topo = sensor_net::random_with_degree(60, 7.0, seed);
-    let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
-    QuerySet {
-        topo,
-        data,
-        queries: (0..k)
-            .map(|i| QueryInstance {
-                spec: if i % 2 == 0 { query1(3) } else { query2(1) },
-                cfg: algo_cfg(algo, opts),
-                lifecycle: Lifecycle::STATIC,
-            })
-            .collect(),
-        sim: SimConfig::default().with_seed(seed).with_fair_mac(true),
-        num_trees: 3,
-        sharing,
+    let mut b = network(seed)
+        .sim(SimConfig::default().with_seed(seed).with_fair_mac(true))
+        .sharing(sharing);
+    for i in 0..k {
+        let spec = if i % 2 == 0 { query1(3) } else { query2(1) };
+        b = b.query(spec, algo_cfg(algo, opts));
     }
+    b
 }
 
 #[test]
@@ -137,38 +135,40 @@ fn shared_tree_beats_independent_on_base_load_under_contention() {
 #[test]
 fn energy_depletion_propagates_to_queries() {
     let seed = 11;
-    let topo = sensor_net::random_with_degree(60, 7.0, seed);
-    let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
-    let set = QuerySet {
-        topo,
-        data,
-        queries: (0..2)
-            .map(|i| QueryInstance {
-                spec: if i == 0 { query1(3) } else { query2(1) },
-                cfg: algo_cfg(Algorithm::Innet, InnetOptions::CM),
-                lifecycle: Lifecycle::STATIC,
-            })
-            .collect(),
-        sim: SimConfig::default()
-            .with_seed(seed)
-            .with_fair_mac(true)
-            // Tight budget: relays deplete within a few cycles.
-            .with_energy_budget(2_000),
-        num_trees: 3,
-        sharing: Sharing::SharedTree,
-    };
-    let mut run = set.build();
-    run.initiate();
-    let outcome = run.execute(12);
+    let cfg = algo_cfg(Algorithm::Innet, InnetOptions::CM);
+    let mut s = network(seed)
+        .sim(
+            SimConfig::default()
+                .with_seed(seed)
+                .with_fair_mac(true)
+                // Tight budget: relays deplete within a few cycles.
+                .with_energy_budget(2_000),
+        )
+        .sharing(Sharing::SharedTree)
+        .query(query1(3), cfg)
+        .query(query2(1), cfg)
+        .build();
+    s.step(12);
+    let outcome = s.report();
     assert!(
         !outcome.killed.is_empty(),
         "no node depleted under 2KB budget"
     );
     for &(_, v) in &outcome.killed {
-        assert!(!run.engine.is_alive(v));
-        for sh in run.live_shareds() {
+        for q in [QueryId(0), QueryId(1)] {
+            let sh = &s.query_node(q, outcome.base).expect("live query").sh;
             assert!(sh.is_dead(v), "query liveness oracle missed death of {v:?}");
         }
+    }
+    // A depleted node is dead to the radio: it transmits nothing more.
+    s.step(4);
+    let later = s.report();
+    for &(_, v) in &outcome.killed {
+        assert_eq!(
+            later.execution.per_node()[v.index()].tx_msgs,
+            outcome.execution.per_node()[v.index()].tx_msgs,
+            "depleted node {v:?} kept transmitting"
+        );
     }
 }
 
@@ -197,36 +197,27 @@ fn multi_run_is_deterministic() {
 #[test]
 fn lifecycle_arrival_and_departure() {
     let seed = 23;
-    let topo = sensor_net::random_with_degree(60, 7.0, seed);
-    let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
-    let set = QuerySet {
-        topo,
-        data,
-        queries: vec![
-            QueryInstance {
-                spec: query1(3),
-                cfg: algo_cfg(Algorithm::Innet, InnetOptions::CM),
-                lifecycle: Lifecycle {
-                    arrival: 0,
-                    departure: Some(10),
-                },
+    let mut run = network(seed)
+        .sim(SimConfig::default().with_seed(seed).with_fair_mac(true))
+        .sharing(Sharing::SharedTree)
+        .query_instance(QueryInstance {
+            spec: query1(3),
+            cfg: algo_cfg(Algorithm::Innet, InnetOptions::CM),
+            lifecycle: Lifecycle {
+                arrival: 0,
+                departure: Some(10),
             },
-            QueryInstance {
-                spec: query2(1),
-                cfg: algo_cfg(Algorithm::Naive, InnetOptions::PLAIN),
-                lifecycle: Lifecycle::arriving(6),
-            },
-        ],
-        sim: SimConfig::default().with_seed(seed).with_fair_mac(true),
-        num_trees: 3,
-        sharing: Sharing::SharedTree,
-    };
-    let mut run = set.build();
-    run.initiate();
-    let outcome = run.execute(20);
-    assert_eq!(outcome.arrivals, vec![(6, 1)]);
-    assert_eq!(outcome.departures, vec![(10, 0)]);
-    let stats = run.stats();
+        })
+        .query_arriving(
+            6,
+            query2(1),
+            algo_cfg(Algorithm::Naive, InnetOptions::PLAIN),
+        )
+        .build();
+    run.step(20);
+    let stats = run.report();
+    assert_eq!(stats.arrivals, vec![(6, 1)]);
+    assert_eq!(stats.departures, vec![(10, 0)]);
     // The departed query delivered while present and its snapshot survived
     // deactivation.
     assert!(stats.per_query[0].results > 0, "query 0 never delivered");
@@ -238,7 +229,7 @@ fn lifecycle_arrival_and_departure() {
     );
     assert_eq!(stats.per_query[1].arrival, 6);
     // A departed query has no slot at the base.
-    assert!(run.engine.node(stats.base).query_node(0).is_none());
+    assert!(run.query_node(QueryId(0), stats.base).is_none());
 }
 
 /// The departed query's absence is real: the same scenario without the
@@ -247,30 +238,17 @@ fn lifecycle_arrival_and_departure() {
 fn departure_stops_a_query() {
     let build = |departure: Option<u32>| {
         let seed = 31;
-        let topo = sensor_net::random_with_degree(60, 7.0, seed);
-        let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
-        let set = QuerySet {
-            topo,
-            data,
-            queries: vec![
-                QueryInstance {
-                    spec: query1(3),
-                    cfg: algo_cfg(Algorithm::Innet, InnetOptions::CM),
-                    lifecycle: Lifecycle {
-                        arrival: 0,
-                        departure,
-                    },
+        let set = network(seed)
+            .sim(SimConfig::default().with_seed(seed))
+            .query_instance(QueryInstance {
+                spec: query1(3),
+                cfg: algo_cfg(Algorithm::Innet, InnetOptions::CM),
+                lifecycle: Lifecycle {
+                    arrival: 0,
+                    departure,
                 },
-                QueryInstance {
-                    spec: query2(1),
-                    cfg: algo_cfg(Algorithm::Innet, InnetOptions::CM),
-                    lifecycle: Lifecycle::STATIC,
-                },
-            ],
-            sim: SimConfig::default().with_seed(seed),
-            num_trees: 3,
-            sharing: Sharing::Independent,
-        };
+            })
+            .query(query2(1), algo_cfg(Algorithm::Innet, InnetOptions::CM));
         run_multi(set, 16)
     };
     let cut_short = build(Some(6));
@@ -286,44 +264,21 @@ fn departure_stops_a_query() {
 }
 
 /// N identical single-query scenarios cost roughly N× one query; the
-/// multi-query engine must reproduce the single-query results when run
-/// with one member (degenerate-case parity with `Scenario`).
+/// tagged wire must reproduce the untagged single-query results when run
+/// with one member (degenerate-case parity with `bare_wire`).
 #[test]
-fn single_member_query_set_matches_scenario() {
+fn single_member_query_set_matches_bare_wire() {
     let seed = 7;
-    let topo = sensor_net::random_with_degree(60, 7.0, seed);
-    let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
-    let single = {
-        let mut s = aspen_join::Scenario {
-            topo: topo.clone(),
-            data: data.clone(),
-            spec: query1(3),
-            cfg: algo_cfg(Algorithm::Innet, InnetOptions::PLAIN),
-            sim: SimConfig::lossless().with_seed(seed),
-            num_trees: 3,
-        }
-        .into_session();
-        s.step(10);
-        RunStats::from(s.report())
+    let one = || {
+        network(seed)
+            .sim(SimConfig::lossless().with_seed(seed))
+            .query(query1(3), algo_cfg(Algorithm::Innet, InnetOptions::PLAIN))
     };
-    let multi = run_multi(
-        QuerySet {
-            topo,
-            data,
-            queries: vec![QueryInstance {
-                spec: query1(3),
-                cfg: algo_cfg(Algorithm::Innet, InnetOptions::PLAIN),
-                lifecycle: Lifecycle::STATIC,
-            }],
-            sim: SimConfig::lossless().with_seed(seed),
-            num_trees: 3,
-            sharing: Sharing::Independent,
-        },
-        10,
-    );
+    let single = run_multi(one().bare_wire(), 10);
+    let multi = run_multi(one(), 10);
     // Same join computation: identical result counts. (Traffic differs by
     // exactly the per-frame query tag, so compare message counts instead.)
-    assert_eq!(multi.per_query[0].results, single.results);
+    assert_eq!(multi.per_query[0].results, single.results_total());
     assert_eq!(
         multi.execution.total_tx_msgs(),
         single.execution.total_tx_msgs()

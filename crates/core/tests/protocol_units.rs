@@ -4,10 +4,14 @@
 
 use aspen_join::msg::Pair;
 use aspen_join::prelude::*;
-use aspen_join::Algorithm;
+use aspen_join::scenario::default_indexed_attrs;
+use aspen_join::{Algorithm, JoinNode, Shared};
 use sensor_net::{NodeId, Point, Topology};
+use sensor_query::JoinQuerySpec;
+use sensor_routing::substrate::MultiTreeSubstrate;
 use sensor_sim::SimConfig;
 use sensor_workload::{query0, query1, WorkloadData};
+use std::sync::Arc;
 
 /// A line of `n` nodes, base at one end: placement geometry is exact.
 fn line(n: usize) -> Topology {
@@ -15,43 +19,55 @@ fn line(n: usize) -> Topology {
     Topology::from_positions(pts, 11.0, NodeId(0))
 }
 
-fn line_scenario(algo: Algorithm, opts: InnetOptions, assumed: Sigma) -> Scenario {
+/// A lossless session on the paper's untagged wire, hosting `spec`.
+fn session(
+    topo: Topology,
+    data: WorkloadData,
+    spec: JoinQuerySpec,
+    cfg: AlgoConfig,
+    num_trees: usize,
+) -> Session {
+    Session::builder(topo, data)
+        .sim(SimConfig::lossless())
+        .trees(num_trees)
+        .query(spec, cfg)
+        .bare_wire()
+        .build()
+}
+
+/// One Query-0 pair on an 11-node line.
+fn line_session(cfg: AlgoConfig) -> Session {
     let topo = line(11);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 3).with_pairs(1);
-    Scenario {
-        topo,
-        data,
-        spec: query0(3),
-        cfg: AlgoConfig::new(algo, assumed).with_innet_options(opts),
-        sim: SimConfig::lossless(),
-        num_trees: 1,
-    }
+    session(topo, data, query0(3), cfg, 1)
+}
+
+/// The session's one query at `id`.
+fn node(s: &Session, id: NodeId) -> &JoinNode {
+    s.query_node(QueryId(0), id).expect("the query is live")
 }
 
 /// Where did the single Query-0 pair land?
-fn find_join_node(run: &aspen_join::Run) -> Option<NodeId> {
-    let n = run.engine.topology().len() as u16;
-    (0..n)
-        .map(NodeId)
-        .find(|&id| run.engine.node(id).pair_count() > 0)
+fn find_join_node(s: &Session) -> Option<NodeId> {
+    s.topology()
+        .node_ids()
+        .find(|&id| node(s, id).pair_count() > 0)
 }
 
 #[test]
 fn placement_lands_between_endpoints_for_rare_joins() {
     // Rare join, symmetric rates: the join node must sit strictly between
     // the pair's endpoints on the line (pairwise transport optimum).
-    let sc = line_scenario(
+    let mut run = line_session(AlgoConfig::new(
         Algorithm::Innet,
-        InnetOptions::PLAIN,
         Sigma::new(1.0, 1.0, 0.01),
-    );
-    let mut run = sc.build();
-    run.initiate();
+    ));
+    run.step(0);
     let j = find_join_node(&run).expect("pair placed in-network");
     // Find the pair endpoints from the assignments.
     let mut endpoints = Vec::new();
     for i in 0..11u16 {
-        if !run.engine.node(NodeId(i)).assigns.is_empty() {
+        if !node(&run, NodeId(i)).assigns.is_empty() {
             endpoints.push(i);
         }
     }
@@ -67,15 +83,10 @@ fn placement_lands_between_endpoints_for_rare_joins() {
 fn hot_joins_go_to_base() {
     // sigma_st = 1 with a window: result forwarding dominates, the §3.2
     // comparison sends the pair to the base station.
-    let sc = line_scenario(
-        Algorithm::Innet,
-        InnetOptions::PLAIN,
-        Sigma::new(1.0, 1.0, 1.0),
-    );
-    let mut run = sc.build();
-    run.initiate();
+    let mut run = line_session(AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 1.0)));
+    run.step(0);
     assert_eq!(find_join_node(&run), None, "no in-network join node");
-    let base_pairs = run.engine.node(NodeId(0)).base_state().unwrap().pairs.len();
+    let base_pairs = node(&run, NodeId(0)).base_state().unwrap().pairs.len();
     assert_eq!(base_pairs, 1, "the pair registered at the base");
 }
 
@@ -83,53 +94,48 @@ fn hot_joins_go_to_base() {
 fn learning_migrates_pair_with_windows() {
     // Start believing the join is hot (pair at base); the true data is
     // rare-joining, so learning must migrate the pair into the network.
-    let sc = {
-        let mut sc = line_scenario(
-            Algorithm::Innet,
-            InnetOptions::PLAIN.with_learning(),
-            Sigma::new(1.0, 1.0, 1.0), // wrong: true sigma_st is 0.2
-        );
-        sc.cfg.learn_interval = 10;
-        sc
-    };
-    let mut run = sc.build();
-    run.initiate();
+    let mut cfg = AlgoConfig::new(
+        Algorithm::Innet,
+        Sigma::new(1.0, 1.0, 1.0), // wrong: true sigma_st is 0.2
+    )
+    .with_innet_options(InnetOptions::PLAIN.with_learning());
+    cfg.learn_interval = 10;
+    let mut run = line_session(cfg);
+    run.step(0);
     assert_eq!(find_join_node(&run), None, "starts at the base");
-    run.execute(60);
+    run.step(60);
+    // And results keep flowing.
+    assert!(run.report().results_total() > 0);
     let j = find_join_node(&run);
     assert!(j.is_some(), "pair migrated in-network after learning");
     // The migrated pair carries windows (transferred, not reset-empty
     // forever): after execution they must hold tuples.
-    let jn = run.engine.node(j.unwrap());
+    let jn = node(&run, j.unwrap());
     let pair_state = jn.pairs.values().next().unwrap();
     assert!(
         !pair_state.win_s.is_empty() || !pair_state.win_t.is_empty(),
         "windows empty after migration + execution"
     );
-    // And results keep flowing.
-    assert!(run.stats().results > 0);
 }
 
 #[test]
 fn multicast_state_installed_at_interior_nodes() {
     let topo = sensor_net::random_with_degree(80, 7.0, 19);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 20)), 19);
-    let sc = Scenario {
-        topo: topo.clone(),
+    let mut run = session(
+        topo.clone(),
         data,
-        spec: query1(3),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.05))
+        query1(3),
+        AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.05))
             .with_innet_options(InnetOptions::CM),
-        sim: SimConfig::lossless(),
-        num_trees: 3,
-    };
-    let mut run = sc.build();
-    run.initiate();
-    run.execute(3); // mcast maintenance runs on the first sampling ticks
+        3,
+    );
+    run.step(3); // mcast maintenance runs on the first sampling ticks
+    run.report();
     let mut owners = 0;
     let mut interior = 0;
     for i in 0..topo.len() as u16 {
-        let n = run.engine.node(NodeId(i));
+        let n = node(&run, NodeId(i));
         if n.mc_tree.is_some() {
             owners += 1;
         }
@@ -143,22 +149,20 @@ fn multicast_state_installed_at_interior_nodes() {
 fn group_decision_consistent_across_members() {
     let topo = sensor_net::random_with_degree(80, 7.0, 23);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), 23);
-    let sc = Scenario {
-        topo: topo.clone(),
+    let mut run = session(
+        topo.clone(),
         data,
-        spec: query1(3),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2))
+        query1(3),
+        AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2))
             .with_innet_options(InnetOptions::CMG),
-        sim: SimConfig::lossless(),
-        num_trees: 3,
-    };
-    let mut run = sc.build();
-    run.initiate();
+        3,
+    );
+    run.step(0);
     // Every coordinator that decided must have a complete delta set, and
     // within each pair both endpoints must agree on base_mode.
     let mut decisions = std::collections::HashMap::new();
     for i in 0..topo.len() as u16 {
-        let n = run.engine.node(NodeId(i));
+        let n = node(&run, NodeId(i));
         for c in n.coord.values() {
             if c.last_decision.is_some() {
                 assert!(c.is_complete(), "decided without all member deltas");
@@ -185,23 +189,23 @@ fn group_decision_consistent_across_members() {
 fn yang07_targets_receive_forwarded_s_data() {
     let topo = sensor_net::random_with_degree(60, 7.0, 29);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 29);
-    let sc = Scenario {
-        topo: topo.clone(),
+    let mut run = session(
+        topo.clone(),
         data,
-        spec: query1(3),
-        cfg: AlgoConfig::new(Algorithm::Yang07, Sigma::new(1.0, 1.0, 0.2)),
-        sim: SimConfig::lossless(),
-        num_trees: 1,
-    };
-    let mut run = sc.build();
-    run.initiate();
-    run.execute(10);
+        query1(3),
+        AlgoConfig::new(Algorithm::Yang07, Sigma::new(1.0, 1.0, 0.2)),
+        1,
+    );
+    run.step(10);
     // T-side nodes hold local windows and produced results without ever
     // shipping their own data (their TX is only results + relaying).
-    let stats = run.stats();
-    assert!(stats.results > 0, "through-the-base produced no results");
+    let stats = run.report();
+    assert!(
+        stats.results_total() > 0,
+        "through-the-base produced no results"
+    );
     let t_with_windows = (0..topo.len() as u16)
-        .filter(|&i| !run.engine.node(NodeId(i)).yang_win.is_empty())
+        .filter(|&i| !node(&run, NodeId(i)).yang_win.is_empty())
         .count();
     assert!(t_with_windows > 0, "no Yang+07 local windows");
 }
@@ -210,21 +214,19 @@ fn yang07_targets_receive_forwarded_s_data() {
 fn ght_members_register_at_common_home() {
     let topo = sensor_net::random_with_degree(60, 7.0, 31);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 31).with_pairs(5);
-    let sc = Scenario {
-        topo: topo.clone(),
+    let mut run = session(
+        topo.clone(),
         data,
-        spec: query0(3),
-        cfg: AlgoConfig::new(Algorithm::Ght, Sigma::new(1.0, 1.0, 0.2)),
-        sim: SimConfig::lossless(),
-        num_trees: 1,
-    };
-    let mut run = sc.build();
-    run.initiate();
+        query0(3),
+        AlgoConfig::new(Algorithm::Ght, Sigma::new(1.0, 1.0, 0.2)),
+        1,
+    );
+    run.step(0);
     // Each of the 5 pair keys must have exactly one home holding both
     // endpoints.
     let mut homes_with_full_groups = 0;
     for i in 0..topo.len() as u16 {
-        for g in run.engine.node(NodeId(i)).ght_groups.values() {
+        for g in node(&run, NodeId(i)).ght_groups.values() {
             let s_count = g
                 .members
                 .iter()
@@ -249,16 +251,14 @@ fn intermediate_path_failure_repairs_locally() {
     // (not the join node): local repair should keep the pair in-network.
     let topo = sensor_net::gen::grid(8, 8);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 10)), 37).with_pairs(1);
-    let sc = Scenario {
-        topo: topo.clone(),
+    let mut run = session(
+        topo.clone(),
         data,
-        spec: query0(3),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.1)),
-        sim: SimConfig::lossless(),
-        num_trees: 3,
-    };
-    let mut run = sc.build();
-    run.initiate();
+        query0(3),
+        AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.1)),
+        3,
+    );
+    run.step(0);
     let Some(j) = find_join_node(&run) else {
         // Pair landed at the base on this layout; nothing to test.
         return;
@@ -267,7 +267,7 @@ fn intermediate_path_failure_repairs_locally() {
     // path that is neither producer nor join node.
     let mut victim = None;
     'outer: for i in 0..topo.len() as u16 {
-        for a in run.engine.node(NodeId(i)).assigns.values() {
+        for a in node(&run, NodeId(i)).assigns.values() {
             for &n in &a.path {
                 if n != a.pair.s && n != a.pair.t && n != j && n != topo.base() {
                     victim = Some(n);
@@ -277,11 +277,13 @@ fn intermediate_path_failure_repairs_locally() {
         }
     }
     let Some(victim) = victim else { return };
-    run.shared.mark_dead(victim);
-    run.engine.kill(victim);
-    run.execute(30);
-    let stats = run.stats();
-    assert!(stats.results > 0, "no results after mid-path relay failure");
+    run.kill(victim);
+    run.step(30);
+    let stats = run.report();
+    assert!(
+        stats.results_total() > 0,
+        "no results after mid-path relay failure"
+    );
 }
 
 #[test]
@@ -290,18 +292,16 @@ fn pair_sequence_numbers_keep_latest_assignment() {
     // adopt_assign must be monotonic in seq.
     let topo = line(5);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 1).with_pairs(1);
-    let sc = Scenario {
-        topo,
-        data,
-        spec: query0(3),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.2)),
-        sim: SimConfig::lossless(),
-        num_trees: 1,
-    };
-    let mut run = sc.build();
-    run.initiate();
+    let sub = MultiTreeSubstrate::build(&topo, 1, default_indexed_attrs(), &data);
+    let sh = Shared::new(
+        Arc::new(topo),
+        Arc::new(sub),
+        query0(3),
+        Arc::new(data),
+        AlgoConfig::new(Algorithm::Innet, Sigma::new(1.0, 1.0, 0.2)),
+    );
     let pair = Pair::new(NodeId(1), NodeId(2));
-    let node = run.engine.node_mut(NodeId(1));
+    let mut node = JoinNode::new(NodeId(1), Arc::new(sh));
     node.adopt_assign(pair, 5, vec![NodeId(1), NodeId(2)], Some(1));
     node.adopt_assign(pair, 3, vec![NodeId(1), NodeId(3)], Some(0)); // stale
     let a: &ProducerAssign = &node.assigns[&pair];

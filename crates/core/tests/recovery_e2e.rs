@@ -4,33 +4,47 @@
 //! that faulty runs replay deterministically.
 
 use aspen_join::prelude::*;
-use aspen_join::Algorithm;
+use aspen_join::{Algorithm, JoinNode};
 use sensor_net::NodeId;
 use sensor_workload::{query0, WorkloadData};
 
 const CYCLES: u32 = 60;
 
-fn scenario(seed: u64) -> Scenario {
+/// Six `query0` pairs on an 80-node lossless network, on the paper's
+/// untagged wire.
+fn scenario(seed: u64) -> Session {
     let topo = sensor_net::random_with_degree(80, 7.0, seed);
     let data =
         WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 10)), seed).with_pairs(6);
-    Scenario {
-        topo,
-        data,
-        spec: query0(3),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.1)),
-        sim: SimConfig::lossless(),
-        num_trees: 3,
-    }
+    Session::builder(topo, data)
+        .sim(SimConfig::lossless())
+        .query(
+            query0(3),
+            AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.1)),
+        )
+        .bare_wire()
+        .build()
+}
+
+/// Initiate, run `plan` for [`CYCLES`] sampling cycles and report.
+fn run(mut s: Session, plan: DynamicsPlan) -> (Session, Outcome) {
+    s.set_plan(plan);
+    s.step(CYCLES);
+    let out = s.report();
+    (s, out)
+}
+
+/// The session's one query at `id`.
+fn node(s: &Session, id: NodeId) -> &JoinNode {
+    s.query_node(QueryId(0), id).expect("the query is live")
 }
 
 /// An interior relay on some in-network pair's path: neither endpoint,
 /// nor the pair's join node, nor the base.
-fn pick_relay(run: &aspen_join::Run) -> Option<NodeId> {
-    let base = run.shared.base();
-    let n = run.engine.topology().len() as u16;
-    for id in (0..n).map(NodeId) {
-        for a in run.engine.node(id).assigns.values() {
+fn pick_relay(s: &Session) -> Option<NodeId> {
+    let base = s.topology().base();
+    for id in s.topology().node_ids() {
+        for a in node(s, id).assigns.values() {
             if a.base_mode || a.path.len() < 3 {
                 continue;
             }
@@ -48,18 +62,16 @@ fn pick_relay(run: &aspen_join::Run) -> Option<NodeId> {
 #[test]
 fn relay_failure_keeps_results_flowing() {
     // Clean baseline.
-    let mut clean = scenario(17).build();
-    clean.initiate();
-    clean.execute(CYCLES);
-    let clean_results = clean.stats().results;
+    let (_, clean) = run(scenario(17), DynamicsPlan::none());
+    let clean_results = clean.results_total();
     assert!(clean_results > 0);
 
     // Same deployment, kill a mid-path relay halfway through.
-    let mut faulty = scenario(17).build();
-    faulty.initiate();
+    let mut faulty = scenario(17);
+    faulty.step(0);
     let relay = pick_relay(&faulty).expect("an in-network pair with a relay");
     let plan = DynamicsPlan::none().kill_nodes(CYCLES / 2, vec![relay]);
-    let outcome = faulty.execute_with_plan(CYCLES, &plan);
+    let (faulty, outcome) = run(faulty, plan);
     assert_eq!(outcome.killed, vec![(CYCLES / 2, relay)]);
 
     // Results keep arriving after the failure (repair or base fallback).
@@ -67,22 +79,22 @@ fn relay_failure_keeps_results_flowing() {
         outcome.results_post_event > 0,
         "no results after the relay died"
     );
-    let faulty_results = faulty.stats().results;
+    let faulty_results = outcome.results_total();
     assert!(
         faulty_results as f64 > clean_results as f64 * 0.5,
         "failure lost too much: {faulty_results} vs {clean_results}"
     );
 
     // known_dead propagated beyond the node that first saw the failure.
-    let n = faulty.engine.topology().len() as u16;
-    let aware = (0..n)
-        .map(NodeId)
-        .filter(|&id| faulty.engine.node(id).known_dead.contains(&relay))
+    let aware = faulty
+        .topology()
+        .node_ids()
+        .filter(|&id| node(&faulty, id).known_dead.contains(&relay))
         .count();
     assert!(aware >= 1, "no node learned of the relay's death");
 
     // The recovery layer actually reacted.
-    let rec = faulty.recovery_totals();
+    let rec = outcome.recovery;
     assert!(
         rec.repair_attempts > 0,
         "a dead relay must trigger repair attempts"
@@ -92,34 +104,30 @@ fn relay_failure_keeps_results_flowing() {
 
 #[test]
 fn join_node_failure_falls_back_via_plan() {
-    let mut clean = scenario(23).build();
-    clean.initiate();
-    clean.execute(CYCLES);
-    let clean_results = clean.stats().results;
+    let (_, clean) = run(scenario(23), DynamicsPlan::none());
+    let clean_results = clean.results_total();
 
-    let mut faulty = scenario(23).build();
-    faulty.initiate();
+    let mut faulty = scenario(23);
+    faulty.step(0);
     let victim = faulty.busiest_join_node().expect("a join node exists");
     // `Picked` targets resolve to the busiest join node in the harness.
     let plan = DynamicsPlan::none().kill_picked(CYCLES / 2);
-    let outcome = faulty.execute_with_plan(CYCLES, &plan);
+    let (faulty, outcome) = run(faulty, plan);
     assert_eq!(outcome.killed, vec![(CYCLES / 2, victim)]);
     assert!(outcome.results_post_event > 0, "base fallback must deliver");
-    assert!(faulty.stats().results as f64 > clean_results as f64 * 0.5);
+    assert!(outcome.results_total() as f64 > clean_results as f64 * 0.5);
 
     // At least one producer switched its pairs to base mode, or the base
     // adopted a fallback-pinned pair.
-    let n = faulty.engine.topology().len() as u16;
-    let fallbacks: u64 = faulty.recovery_totals().base_fallbacks;
-    let base_pinned = faulty
-        .engine
-        .node(faulty.shared.base())
+    let fallbacks: u64 = outcome.recovery.base_fallbacks;
+    let base_pinned = node(&faulty, outcome.base)
         .base_state()
         .map(|b| b.pairs.len())
         .unwrap_or(0);
-    let any_base_mode = (0..n)
-        .map(NodeId)
-        .any(|id| faulty.engine.node(id).assigns.values().any(|a| a.base_mode));
+    let any_base_mode = faulty
+        .topology()
+        .node_ids()
+        .any(|id| node(&faulty, id).assigns.values().any(|a| a.base_mode));
     assert!(
         fallbacks > 0 || base_pinned > 0 || any_base_mode,
         "join-node death must push affected pairs toward the base"
@@ -132,49 +140,43 @@ fn join_node_failure_falls_back_via_plan() {
 #[test]
 fn faulty_runs_are_deterministic() {
     let run_once = || {
-        let mut run = scenario(31).build();
-        run.initiate();
         let plan = DynamicsPlan::none()
             .with_seed(9)
             .kill_random(CYCLES / 3, 2)
             .kill_picked(CYCLES / 2);
-        let outcome = run.execute_with_plan(CYCLES, &plan);
-        let stats = run.stats();
-        let rec = run.recovery_totals();
-        (
-            outcome.killed.clone(),
-            outcome.results_pre_event,
-            outcome.results_post_event,
-            outcome.per_cycle_tx_bytes.clone(),
-            stats.results,
-            stats.execution.clone(),
-            rec,
-        )
+        let (_, outcome) = run(scenario(31), plan);
+        outcome
     };
     let a = run_once();
     let b = run_once();
-    assert_eq!(a.0, b.0, "same victims");
-    assert_eq!(a.1, b.1);
-    assert_eq!(a.2, b.2);
-    assert_eq!(a.3, b.3, "same per-cycle traffic trace");
-    assert_eq!(a.4, b.4);
-    assert_eq!(a.5, b.5, "byte-identical execution metrics");
-    assert_eq!(a.6, b.6);
+    assert_eq!(a.killed, b.killed, "same victims");
+    assert_eq!(a.results_pre_event, b.results_pre_event);
+    assert_eq!(a.results_post_event, b.results_post_event);
+    assert_eq!(
+        a.per_cycle_tx_bytes, b.per_cycle_tx_bytes,
+        "same per-cycle traffic trace"
+    );
+    assert_eq!(a.results_total(), b.results_total());
+    assert_eq!(a.execution, b.execution, "byte-identical execution metrics");
+    assert_eq!(a.recovery, b.recovery);
 }
 
 /// A loss ramp mid-run degrades delivery without touching liveness, and
 /// the engine picks the new probability up at the scheduled boundary.
 #[test]
 fn loss_ramp_fires_at_cycle_boundary() {
-    let mut run = scenario(41).build();
-    run.initiate();
+    let log = EventLog::new();
+    let mut s = scenario(41);
+    s.observe(Box::new(log.clone()));
     let plan = DynamicsPlan::none().shift_loss(CYCLES / 2, 0.35);
-    run.execute_with_plan(CYCLES, &plan);
-    assert_eq!(run.engine.config().loss_prob, 0.35);
+    let (_, out) = run(s, plan);
+    assert!(log.events().contains(&SessionEvent::LossShifted {
+        cycle: CYCLES / 2,
+        loss_prob: 0.35
+    }));
     // Loss costs retransmissions: failures and retries show up as
     // send_failures or extra attempts, but nobody died.
-    let n = run.engine.topology().len() as u16;
-    assert!((0..n).map(NodeId).all(|id| run.engine.is_alive(id)));
+    assert!(out.killed.is_empty());
 }
 
 /// App. G mobility as a dynamics event: a `move@C` re-homes a mobile leaf
@@ -184,9 +186,9 @@ fn loss_ramp_fires_at_cycle_boundary() {
 /// this one could not even be expressed, let alone charge its costs.)
 #[test]
 fn scheduled_leaf_move_charges_recovery_stats() {
-    let sc = scenario(53);
-    let center = sc.topo.centroid();
-    let victim = if sc.topo.base() == NodeId(79) {
+    let topo = sensor_net::random_with_degree(80, 7.0, 53);
+    let center = topo.centroid();
+    let victim = if topo.base() == NodeId(79) {
         NodeId(78)
     } else {
         NodeId(79)
@@ -196,12 +198,7 @@ fn scheduled_leaf_move_charges_recovery_stats() {
         .move_node(CYCLES / 2, victim, center)
         .move_random(CYCLES / 2 + 5);
     assert!(!plan.is_static());
-    let run_once = || {
-        let mut session = scenario(53).into_session();
-        session.set_plan(plan.clone());
-        session.step(CYCLES);
-        session.report()
-    };
+    let run_once = || run(scenario(53), plan.clone()).1;
     let out = run_once();
     assert_eq!(out.recovery.leaf_moves, 2, "both scheduled moves fire");
     // The centroid move always finds in-range parents, so the costs of
@@ -225,12 +222,10 @@ fn scheduled_leaf_move_charges_recovery_stats() {
 /// reported every result as post-event for a run with no event at all).
 #[test]
 fn event_beyond_run_length_does_not_skew_accounting() {
-    let mut run = scenario(47).build();
-    run.initiate();
     let plan = DynamicsPlan::none().kill_random(CYCLES + 10, 2);
-    let outcome = run.execute_with_plan(CYCLES, &plan);
+    let (_, outcome) = run(scenario(47), plan);
     assert!(outcome.killed.is_empty(), "the kill never fires");
     assert_eq!(outcome.results_post_event, 0);
-    assert_eq!(outcome.results_pre_event, run.stats().results);
+    assert_eq!(outcome.results_pre_event, outcome.results_total());
     assert_eq!(outcome.reconvergence_cycles, None);
 }

@@ -1,7 +1,9 @@
 //! Online-admission regression tests for the `Session` layer: a query
 //! admitted mid-run over a warm network initiates live, its traffic is
 //! accounted to its own flow, and the resident query's computation is
-//! unperturbed relative to a solo run.
+//! unperturbed relative to a solo run. Also: what a `bare_wire()` session
+//! refuses (it hosts one static query), and that chunked stepping equals
+//! one-shot stepping.
 
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions, QueryId};
@@ -383,4 +385,49 @@ fn bare_wire_session_hosts_exactly_one_query() {
         mk().admit(query2(1), admitted_cfg())
     }));
     assert!(admit.is_err(), "admit on a bare-wire session must panic");
+}
+
+/// The session agrees with itself even when stepping is chunked:
+/// step(a); step(b) == step(a + b).
+#[test]
+fn chunked_stepping_matches_one_shot() {
+    let seed = 17;
+    let mk = || {
+        let topo = sensor_net::random_with_degree(60, 7.0, seed);
+        let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
+        Session::builder(topo, data)
+            .sim(SimConfig::default().with_seed(seed))
+            .query(query1(3), resident_cfg())
+            .bare_wire()
+            .build()
+    };
+    let one_shot = {
+        let mut s = mk();
+        s.step(18);
+        s.report()
+    };
+    let chunked = {
+        let mut s = mk();
+        s.step(5);
+        s.step(13);
+        s.report()
+    };
+    // Chunking must not drain between chunks: identical traffic + results.
+    assert_eq!(chunked.execution, one_shot.execution);
+    assert_eq!(chunked.results_total(), one_shot.results_total());
+    assert_eq!(chunked.per_cycle_tx_bytes, one_shot.per_cycle_tx_bytes);
+}
+
+/// Untagged frames cannot be aggregated across queries: a bare-wire
+/// session with shared-tree delivery is refused at build time.
+#[test]
+#[should_panic(expected = "untagged frames cannot be aggregated")]
+fn bare_wire_rejects_shared_tree_delivery() {
+    let topo = sensor_net::random_with_degree(30, 7.0, 1);
+    let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), 1);
+    Session::builder(topo, data)
+        .sharing(Sharing::SharedTree)
+        .query(query1(3), resident_cfg())
+        .bare_wire()
+        .build();
 }

@@ -4,10 +4,26 @@
 
 use aspen::join::prelude::*;
 use aspen::join::Algorithm;
-use aspen::net::NodeId;
+use aspen::net::{NodeId, Topology};
 use aspen::query::parser::parse_query;
+use aspen::query::JoinQuerySpec;
 use aspen::routing::substrate::MultiTreeSubstrate;
 use aspen::workload::{query2, WorkloadData};
+
+/// A session on the paper's untagged wire hosting `spec` under `cfg`.
+fn session(
+    topo: Topology,
+    data: WorkloadData,
+    spec: JoinQuerySpec,
+    cfg: AlgoConfig,
+    sim: SimConfig,
+) -> Session {
+    Session::builder(topo, data)
+        .sim(sim)
+        .query(spec, cfg)
+        .bare_wire()
+        .build()
+}
 
 #[test]
 fn parsed_query_runs_end_to_end() {
@@ -19,18 +35,19 @@ fn parsed_query_runs_end_to_end() {
     .expect("parse");
     let topo = aspen::net::random_with_degree(80, 7.0, 31);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), 31);
-    let sc = Scenario {
+    let mut session = session(
         topo,
         data,
         spec,
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2)),
-        sim: SimConfig::lossless(),
-        num_trees: 3,
-    };
-    let mut session = sc.session();
+        AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2)),
+        SimConfig::lossless(),
+    );
     session.step(30);
-    let stats = RunStats::from(session.report());
-    assert!(stats.results > 0, "parsed query produced no results");
+    let stats = session.report();
+    assert!(
+        stats.results_total() > 0,
+        "parsed query produced no results"
+    );
 }
 
 #[test]
@@ -40,20 +57,19 @@ fn substrate_search_agrees_with_protocol_assignments() {
     let topo = aspen::net::random_with_degree(80, 7.0, 33);
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 10)), 33);
     let spec = query2(1);
-    let sc = Scenario {
-        topo: topo.clone(),
-        data: data.clone(),
-        spec: spec.clone(),
-        cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.1)),
-        sim: SimConfig::lossless(),
-        num_trees: 3,
-    };
-    let mut run = sc.build();
-    run.initiate();
+    let mut run = session(
+        topo.clone(),
+        data.clone(),
+        spec.clone(),
+        AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.1)),
+        SimConfig::lossless(),
+    );
+    run.step(0);
     // Pairs discovered by the protocol (producer-side assignments).
     let mut proto_pairs = std::collections::BTreeSet::new();
     for i in 0..topo.len() as u16 {
-        for p in run.engine.node(NodeId(i)).assigns.keys() {
+        let node = run.query_node(QueryId(0), NodeId(i)).expect("live query");
+        for p in node.assigns.keys() {
             proto_pairs.insert((p.s, p.t));
         }
     }
@@ -96,17 +112,15 @@ fn mesh_profile_message_counts_track_bytes() {
     let mut totals = Vec::new();
     for algo in [Algorithm::Naive, Algorithm::Base] {
         let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), 35);
-        let sc = Scenario {
-            topo: topo.clone(),
+        let mut session = session(
+            topo.clone(),
             data,
-            spec: aspen::workload::query1(3),
-            cfg: AlgoConfig::new(algo, Sigma::new(0.5, 0.5, 0.2)),
-            sim: SimConfig::lossless(),
-            num_trees: 3,
-        };
-        let mut session = sc.session();
+            aspen::workload::query1(3),
+            AlgoConfig::new(algo, Sigma::new(0.5, 0.5, 0.2)),
+            SimConfig::lossless(),
+        );
         session.step(40);
-        let st = RunStats::from(session.report());
+        let st = session.report();
         totals.push((st.total_traffic_msgs(), st.total_traffic_bytes()));
     }
     assert!(
@@ -122,17 +136,15 @@ fn lossy_network_still_computes_most_results() {
     let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), 37);
     let spec = aspen::workload::query1(3);
     let mk = |loss: f64| {
-        let sc = Scenario {
-            topo: topo.clone(),
-            data: data.clone(),
-            spec: spec.clone(),
-            cfg: AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2)),
-            sim: SimConfig::default().with_loss(loss).with_seed(1),
-            num_trees: 3,
-        };
-        let mut session = sc.session();
+        let mut session = session(
+            topo.clone(),
+            data.clone(),
+            spec.clone(),
+            AlgoConfig::new(Algorithm::Innet, Sigma::new(0.5, 0.5, 0.2)),
+            SimConfig::default().with_loss(loss).with_seed(1),
+        );
         session.step(40);
-        RunStats::from(session.report())
+        session.report()
     };
     let clean = mk(0.0);
     let lossy = mk(0.10);
@@ -140,10 +152,10 @@ fn lossy_network_still_computes_most_results() {
     assert!(lossy.total_traffic_bytes() > clean.total_traffic_bytes());
     // ...but link-layer recovery keeps the computation intact.
     assert!(
-        lossy.results as f64 > clean.results as f64 * 0.8,
+        lossy.results_total() as f64 > clean.results_total() as f64 * 0.8,
         "losing too many results under 10% loss: {} vs {}",
-        lossy.results,
-        clean.results
+        lossy.results_total(),
+        clean.results_total()
     );
 }
 
