@@ -170,6 +170,9 @@ pub struct MultiNode {
     /// Ascending by query id: walking the table is walking the live
     /// queries in id order, which fixes emission (and so MAC) order.
     slots: Vec<Slot>,
+    /// Slots with `ticks` set, kept wherever `ticks` is written, so
+    /// [`Protocol::wants_tick`] need not walk the table.
+    ticking: usize,
     sharing: Sharing,
     /// Wire bytes of the query tag each frame carries ([`QUERY_TAG_BYTES`],
     /// or 0 on the untagged single-query wire).
@@ -187,6 +190,7 @@ impl MultiNode {
         MultiNode {
             id,
             slots: Vec::new(),
+            ticking: 0,
             sharing,
             tag_bytes,
             staged: Vec::new(),
@@ -206,8 +210,12 @@ impl MultiNode {
             ticks: node.wants_tick(),
             node,
         };
+        self.ticking += usize::from(slot.ticks);
         match self.slot_index(q) {
-            Ok(i) => self.slots[i] = slot,
+            Ok(i) => {
+                let old = std::mem::replace(&mut self.slots[i], slot);
+                self.ticking -= usize::from(old.ticks);
+            }
             Err(i) => self.slots.insert(i, slot),
         }
     }
@@ -217,7 +225,9 @@ impl MultiNode {
     /// `None` when the query has no slot here.
     pub fn deactivate(&mut self, q: usize) -> Option<Box<JoinNode>> {
         let i = self.slot_index(q).ok()?;
-        Some(self.slots.remove(i).node)
+        let slot = self.slots.remove(i);
+        self.ticking -= usize::from(slot.ticks);
+        Some(slot.node)
     }
 
     /// Read access to query `q`'s protocol instance, while it is live.
@@ -273,7 +283,9 @@ impl MultiNode {
                 _ => outer.emit(to, payload_bytes + tag_bytes, MultiMsg::One { q, inner }),
             };
         let r = ctx.nested(frame, |inner| f(node, inner));
-        slot.ticks = slot.node.wants_tick();
+        let ticks = slot.node.wants_tick();
+        self.ticking = self.ticking + usize::from(ticks) - usize::from(slot.ticks);
+        slot.ticks = ticks;
         r
     }
 
@@ -417,6 +429,11 @@ impl Protocol for MultiNode {
     }
 
     fn on_sampling_cycle(&mut self, ctx: &mut Ctx<'_, MultiMsg>, cycle: u32) {
+        debug_assert_eq!(
+            self.ticking,
+            self.slots.iter().filter(|s| s.ticks).count(),
+            "stale ticking-slot count"
+        );
         for i in 0..self.slots.len() {
             if self.slots[i].ticks {
                 self.deliver_at(ctx, i, |n, c| n.on_sampling_cycle(c, cycle));
@@ -425,6 +442,11 @@ impl Protocol for MultiNode {
             }
         }
         self.flush(ctx);
+    }
+
+    /// Some live query's slot wants its tick.
+    fn wants_tick(&self) -> bool {
+        self.ticking > 0
     }
 
     /// Query `q` is flow `q + 1`; aggregated frames are the shared flow 0.

@@ -226,8 +226,8 @@ struct ExecState {
     /// Next sampling cycle to run.
     next_cycle: u32,
     /// Execution TX bytes when the last driven cycle ended: the base of
-    /// the next cycle's `per_cycle_tx_bytes` entry, so each cycle sums the
-    /// per-node counters once. Whoever runs the engine outside
+    /// the next cycle's `per_cycle_tx_bytes` entry, so each cycle reads
+    /// the engine's running total once. Whoever runs the engine outside
     /// [`drive_cycles`] (a draining report) brings it up to date.
     tx_bytes_seen: u64,
     energy_seen: usize,
@@ -258,7 +258,7 @@ impl ExecState {
             arrivals: Vec::new(),
             departures: Vec::new(),
             next_cycle: 0,
-            tx_bytes_seen: run.engine.metrics().total_tx_bytes(),
+            tx_bytes_seen: run.engine.total_tx_bytes(),
             energy_seen: run.engine.energy_depleted().len(),
             energy_msgs_seen: run.engine.energy_msgs_dropped(),
             migrations_seen: 0,
@@ -424,7 +424,7 @@ fn drive_cycles(
         }
         debug_assert_eq!(
             st.tx_bytes_seen,
-            run.engine.metrics().total_tx_bytes(),
+            run.engine.total_tx_bytes(),
             "traffic outside a driven cycle"
         );
         run.engine.sampling_cycle(c);
@@ -450,7 +450,7 @@ fn drive_cycles(
         let energy_msgs = run.engine.energy_msgs_dropped();
         st.queued_msgs_lost += energy_msgs - st.energy_msgs_seen;
         st.energy_msgs_seen = energy_msgs;
-        let tx_bytes = run.engine.metrics().total_tx_bytes();
+        let tx_bytes = run.engine.total_tx_bytes();
         st.per_cycle_tx_bytes.push(tx_bytes - st.tx_bytes_seen);
         st.tx_bytes_seen = tx_bytes;
         if !obs.is_empty() {
@@ -1182,7 +1182,15 @@ impl Session {
     /// Total bytes transmitted in the execution phase so far, without
     /// draining.
     pub fn tx_bytes_so_far(&self) -> u64 {
-        self.run.engine.metrics().total_tx_bytes()
+        self.run.engine.total_tx_bytes()
+    }
+
+    /// Nodes the engine has visited so far, initiation included: one per
+    /// node transmit pass and one per sampling tick dispatched (see
+    /// [`sensor_sim::Engine::node_visits`]). Deterministic; a work counter,
+    /// not a traffic figure.
+    pub fn node_visits(&self) -> u64 {
+        self.run.engine.node_visits()
     }
 
     /// The network this session executes over.

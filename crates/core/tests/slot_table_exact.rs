@@ -1,10 +1,11 @@
-//! Exactness nets under the tagged backend's per-node slot table and its
+//! Exactness nets under the session's per-node slot table and its
 //! sampling-tick gate. Both pass unchanged at the commit before the table
 //! went live-only, which is the point: they pin behaviour, not structure.
 //!
-//! - The bare backend runs [`aspen_join::JoinNode`] straight under the
-//!   engine, every tick at every node: it is the ungated reference the
-//!   tagged session must agree with, algorithm by algorithm.
+//! - A tagged session and a `bare_wire()` one run the same query through
+//!   the same slot table and tick gate; they differ only in the modelled
+//!   query tag (one byte per frame, or none). Algorithm by algorithm, the
+//!   two must agree on everything but that byte.
 //! - A fixed churn script's final `REPORT` line is compared with a fixture
 //!   taken at that earlier commit. Re-take it (only for an intended
 //!   change of behaviour) with
@@ -90,8 +91,8 @@ fn run_single(algo: &str, bare: bool) -> Observed {
 }
 
 /// Tagged = bare + one tag byte per transmission, node by node and phase
-/// by phase, with the same results and the same migrations: the slot
-/// lookup and the tick gate change nothing a query can observe.
+/// by phase, with the same results and the same migrations: the tag byte
+/// changes nothing a query can observe.
 #[test]
 fn tagged_session_matches_the_ungated_bare_backend() {
     let mut migrating = 0;

@@ -26,6 +26,31 @@
 //! thread count, including the sequential path. Messages stay in the
 //! pool untouched during the parallel phase, so `P::Msg` needs no
 //! `Send`/`Sync` bound.
+//!
+//! # Active sets
+//!
+//! Per-node work happens only at nodes that can act. Two node bitsets
+//! stand in for sweeps over every node:
+//!
+//! - `busy` holds at least every alive node with a non-empty outbox. A
+//!   callback that leaves its node's queue non-empty adds the node, the
+//!   end of a transmit step drops the nodes it emptied, and
+//!   [`Engine::kill`] drops its victim. The transmit phase walks only
+//!   `busy`: the sequential pass, each parallel chunk over its own index
+//!   range, and the draw-count prepass.
+//! - `ticking` holds at least every alive node whose
+//!   [`Protocol::wants_tick`] holds. It is refreshed after every callback,
+//!   set by [`Engine::node_mut`] (which may change anything) and cleared
+//!   by `kill`. [`Engine::sampling_cycle`] ticks only its members; debug
+//!   builds check that no skipped node wants a tick.
+//!
+//! Both are walked in ascending node order, the order of the sweeps they
+//! replace, and a node outside them would have drawn nothing, sent
+//! nothing and changed nothing: an empty queue transmits nothing, and an
+//! unwanted tick does nothing by contract. So MAC order, the position of
+//! every loss draw in the RNG stream, the parallel chunks' draw offsets
+//! and every output byte are those of an engine that visits every node.
+//! [`Engine::node_visits`] counts the visits that remain.
 
 use crate::config::SimConfig;
 use crate::metrics::{FlowMetrics, Metrics, NodeMetrics};
@@ -34,6 +59,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use sensor_net::{NodeId, Topology};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A node-local protocol. One instance per node; the engine dispatches
 /// link-layer events in deterministic (node-id, FIFO) order.
@@ -67,6 +93,16 @@ pub trait Protocol {
 
     /// Start of a sampling cycle (the engine's client decides the cadence).
     fn on_sampling_cycle(&mut self, _ctx: &mut Ctx<'_, Self::Msg>, _cycle: u32) {}
+
+    /// Whether [`Protocol::on_sampling_cycle`] could do anything at this
+    /// node now. While it is `false` the engine skips the tick, so a
+    /// protocol returning `false` promises that its tick would send
+    /// nothing and change nothing. The engine re-reads it after every
+    /// callback it runs at the node and assumes `true` after
+    /// [`Engine::node_mut`], so the answer may change only there.
+    fn wants_tick(&self) -> bool {
+        true
+    }
 
     /// Traffic class of a message. Flow 0 is the default; multi-query
     /// protocols tag each message with its query's flow so (a) the engine
@@ -357,6 +393,71 @@ struct TxScratch {
     picked: Vec<Option<QueueEntry>>,
     /// Lost unicasts awaiting retransmission next cycle.
     deferred: Vec<QueueEntry>,
+    /// This transmit pass's per-flow TX charges.
+    flows: FlowTally,
+    /// Nodes this pass left with nothing to send (queue emptied, or dead),
+    /// to leave the busy set.
+    idle: Vec<usize>,
+}
+
+impl TxScratch {
+    /// Fold what a transmit pass kept aside into the engine's state.
+    fn settle(&mut self, flows: &mut Vec<FlowMetrics>, busy: &mut NodeSet) {
+        self.flows.merge_into(flows);
+        for i in self.idle.drain(..) {
+            busy.set(i, false);
+        }
+    }
+}
+
+/// Per-flow TX charges of one transmit pass, merged into the run's flow
+/// table after it. Dense by flow id so a charge is O(1), with the charged
+/// flows listed so a merge touches only those, however many flow ids a
+/// long-lived run has issued.
+#[derive(Default)]
+struct FlowTally {
+    dense: Vec<FlowMetrics>,
+    /// Flows with a non-zero entry in `dense`.
+    charged: Vec<usize>,
+}
+
+impl FlowTally {
+    fn charge(&mut self, flow: usize, wire_bytes: u32) {
+        let fm = flow_slot(&mut self.dense, flow);
+        if fm.tx_msgs == 0 {
+            self.charged.push(flow);
+        }
+        fm.tx_bytes += wire_bytes as u64;
+        fm.tx_msgs += 1;
+    }
+
+    /// Add the charges to `flows` and zero them here.
+    fn merge_into(&mut self, flows: &mut Vec<FlowMetrics>) {
+        for f in self.charged.drain(..) {
+            let d = std::mem::take(&mut self.dense[f]);
+            let slot = flow_slot(flows, f);
+            slot.tx_bytes += d.tx_bytes;
+            slot.tx_msgs += d.tx_msgs;
+        }
+    }
+}
+
+/// What one transmit pass over a node range did, beyond its events.
+#[derive(Default, Clone, Copy)]
+struct Tally {
+    /// Queue entries finished with (served and not deferred).
+    retired: usize,
+    /// `transmit_node` calls.
+    visits: u64,
+    tx_bytes: u64,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, o: Tally) {
+        self.retired += o.retired;
+        self.visits += o.visits;
+        self.tx_bytes += o.tx_bytes;
+    }
 }
 
 /// Per-chunk output buffers for the parallel transmit phase, merged back
@@ -365,12 +466,52 @@ struct TxScratch {
 #[derive(Default)]
 struct ChunkScratch {
     events: Vec<EventRec>,
-    /// Queue entries the chunk's transmissions finished with this cycle.
-    retired: usize,
-    /// Chunk-local per-flow traffic deltas (dense, grown on demand like
-    /// the global table).
-    flows: Vec<FlowMetrics>,
+    tally: Tally,
     tx: TxScratch,
+}
+
+/// A set of node indices, one bit each, walked in ascending order.
+struct NodeSet {
+    words: Vec<u64>,
+}
+
+impl NodeSet {
+    fn new(n: usize) -> Self {
+        NodeSet {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    fn set(&mut self, i: usize, on: bool) {
+        let (w, bit) = (i / 64, 1u64 << (i % 64));
+        if on {
+            self.words[w] |= bit;
+        } else {
+            self.words[w] &= !bit;
+        }
+    }
+
+    /// The smallest member `>= from`. Walking with it tolerates changes to
+    /// members below `from` between calls.
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.words.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
+    }
+
+    /// The members in `range`, ascending.
+    fn members(&self, range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        std::iter::successors(self.next_from(range.start), |&i| self.next_from(i + 1))
+            .take_while(move |&i| i < range.end)
+    }
 }
 
 /// Immutable per-cycle inputs shared by every transmit worker.
@@ -392,6 +533,18 @@ pub struct Engine<P: Protocol> {
     /// Entries in all `outboxes` together, kept in step with every push,
     /// pop and discard so [`Engine::in_flight`] need not scan them.
     queued: usize,
+    /// Bytes charged to `metrics` since the last reset, kept in step with
+    /// every charge so [`Engine::total_tx_bytes`] need not scan them.
+    tx_bytes: u64,
+    /// Holds every alive node with a non-empty outbox (see "Active sets").
+    busy: NodeSet,
+    /// Holds every alive node whose protocol wants a tick.
+    ticking: NodeSet,
+    /// `transmit_node` calls plus tick dispatches since construction.
+    visits: u64,
+    /// [`SimConfig::threads`] resolved once: 0 mapped to the machine's
+    /// available parallelism, capped at the node count.
+    threads: usize,
     pool: MsgPool<P::Msg>,
     alive: Vec<bool>,
     metrics: Metrics,
@@ -415,11 +568,24 @@ impl<P: Protocol> Engine<P> {
     /// each node id.
     pub fn new(topo: Topology, cfg: SimConfig, mut make_node: impl FnMut(NodeId) -> P) -> Self {
         let n = topo.len();
-        let nodes = (0..n).map(|i| make_node(NodeId(i as u16))).collect();
+        let nodes: Vec<P> = (0..n).map(|i| make_node(NodeId(i as u16))).collect();
+        let mut ticking = NodeSet::new(n);
+        for (i, p) in nodes.iter().enumerate() {
+            ticking.set(i, p.wants_tick());
+        }
+        let threads = match cfg.threads {
+            0 => std::thread::available_parallelism().map_or(1, |t| t.get()),
+            t => t,
+        };
         Engine {
             nodes,
             outboxes: (0..n).map(|_| VecDeque::new()).collect(),
             queued: 0,
+            tx_bytes: 0,
+            busy: NodeSet::new(n),
+            ticking,
+            visits: 0,
+            threads: threads.clamp(1, n.max(1)),
             pool: MsgPool::new(),
             alive: vec![true; n],
             metrics: Metrics::new(n),
@@ -455,6 +621,21 @@ impl<P: Protocol> Engine<P> {
     /// computation cost are reported separately in the paper).
     pub fn reset_metrics(&mut self) {
         self.metrics = Metrics::new(self.topo.len());
+        self.tx_bytes = 0;
+    }
+
+    /// Bytes transmitted since the last [`Engine::reset_metrics`]: the
+    /// metrics' [`Metrics::total_tx_bytes`], kept as a running total.
+    pub fn total_tx_bytes(&self) -> u64 {
+        debug_assert_eq!(self.tx_bytes, self.metrics.total_tx_bytes());
+        self.tx_bytes
+    }
+
+    /// Nodes the engine has visited since it was built: one per node
+    /// transmit pass and one per sampling tick dispatched. A deterministic
+    /// work counter, the same for every [`SimConfig::threads`].
+    pub fn node_visits(&self) -> u64 {
+        self.visits
     }
 
     /// Rewind the clock to zero at a phase boundary (all queues must be
@@ -470,8 +651,13 @@ impl<P: Protocol> Engine<P> {
         &self.nodes[id.index()]
     }
 
+    /// Mutable access from outside any callback. An alive node is ticked
+    /// at the next sampling cycle whatever its [`Protocol::wants_tick`]
+    /// then says; only a callback refreshes that.
     pub fn node_mut(&mut self, id: NodeId) -> &mut P {
-        &mut self.nodes[id.index()]
+        let i = id.index();
+        self.ticking.set(i, self.alive[i]);
+        &mut self.nodes[i]
     }
 
     pub fn nodes(&self) -> &[P] {
@@ -487,6 +673,8 @@ impl<P: Protocol> Engine<P> {
     /// messages discarded with it (traffic lost in transit to the failure).
     pub fn kill(&mut self, id: NodeId) -> usize {
         self.alive[id.index()] = false;
+        self.busy.set(id.index(), false);
+        self.ticking.set(id.index(), false);
         let q = &mut self.outboxes[id.index()];
         let dropped = q.len();
         for e in q.drain(..) {
@@ -517,6 +705,11 @@ impl<P: Protocol> Engine<P> {
         self.queued
     }
 
+    /// Entries queued at node `id` (diagnostic).
+    pub fn queue_len(&self, id: NodeId) -> usize {
+        self.outboxes[id.index()].len()
+    }
+
     /// Live messages in the arena pool (diagnostic; leak detection). At
     /// quiescence — queues empty, events drained — this is zero. It can
     /// be *less* than [`Engine::queued_msgs`] when fan-out entries from
@@ -544,9 +737,10 @@ impl<P: Protocol> Engine<P> {
         id: NodeId,
         f: impl FnOnce(&mut P, &mut Ctx<'_, P::Msg>) -> R,
     ) -> R {
+        let i = id.index();
         let mut drops = 0u64;
         let mut self_sends = 0u64;
-        let queue = &mut self.outboxes[id.index()];
+        let queue = &mut self.outboxes[i];
         let before = queue.len();
         let r = {
             let mut ctx = Ctx {
@@ -563,206 +757,174 @@ impl<P: Protocol> Engine<P> {
                 self_send_drops: &mut self_sends,
                 header_bytes: self.cfg.header_bytes,
             };
-            f(&mut self.nodes[id.index()], &mut ctx)
+            f(&mut self.nodes[i], &mut ctx)
         };
-        // A callback only ever appends to its own node's queue.
-        self.queued += self.outboxes[id.index()].len() - before;
+        // A callback only ever appends to its own node's queue, and
+        // changes only its own node's wish for a tick.
+        let added = self.outboxes[i].len() - before;
+        self.queued += added;
+        if added > 0 {
+            self.busy.set(i, true);
+        }
+        self.ticking
+            .set(i, self.alive[i] && self.nodes[i].wants_tick());
         let m = self.metrics.node_mut(id);
         m.queue_drops += drops;
         m.self_send_drops += self_sends;
         r
     }
 
-    /// Advance one transmission cycle: every alive node transmits up to its
-    /// MAC budget, then deliveries/snoops/failures are dispatched in
-    /// deterministic order. With [`SimConfig::threads`] > 1 the transmit
-    /// phase runs chunk-parallel; the outcome is byte-identical either way
-    /// (see the module docs for the determinism contract).
+    /// Advance one transmission cycle: every alive node with a queued
+    /// message transmits up to its MAC budget, then deliveries/snoops/
+    /// failures are dispatched in deterministic order. With
+    /// [`SimConfig::threads`] > 1 the transmit phase runs chunk-parallel;
+    /// the outcome is byte-identical either way (see the module docs for
+    /// the determinism contract).
     pub fn step(&mut self) {
-        let threads = self.resolve_threads();
-        if threads <= 1 {
-            self.step_serial();
-        } else {
-            self.step_parallel(threads);
-        }
-    }
-
-    /// Effective intra-run worker count: [`SimConfig::threads`] with 0
-    /// mapped to the machine's available parallelism, capped at the node
-    /// count.
-    fn resolve_threads(&self) -> usize {
-        let t = match self.cfg.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            t => t,
-        };
-        t.clamp(1, self.topo.len().max(1))
-    }
-
-    fn step_serial(&mut self) {
         // The event buffer persists across steps (capacity reuse); it is
         // always drained before `step` returns, so it starts empty here.
         let mut events = std::mem::take(&mut self.events);
         debug_assert!(events.is_empty());
-
-        {
-            // Split the borrow so neighbor slices, the RNG and the metrics
-            // can be used together without per-broadcast Vec copies.
-            let Engine {
-                topo,
-                cfg,
-                outboxes,
-                queued,
-                alive,
-                metrics,
-                rng,
-                tx_scratch,
-                ..
-            } = self;
-            let env = TxEnv {
-                topo: &*topo,
-                cfg: &*cfg,
-                alive: &alive[..],
-                snoop: cfg.snooping && P::WANTS_SNOOP,
-            };
-            let (per_node, flows) = metrics.parts_mut();
-            for (i, queue) in outboxes.iter_mut().enumerate() {
-                // An empty queue transmits nothing and draws nothing.
-                if queue.is_empty() || !env.alive[i] {
-                    continue;
-                }
-                *queued -= transmit_node(
-                    &env,
-                    i,
-                    queue,
-                    &mut per_node[i],
-                    flows,
-                    rng,
-                    &mut events,
-                    tx_scratch,
-                );
-            }
-        }
-
+        let tally = if self.threads <= 1 {
+            self.step_serial(&mut events)
+        } else {
+            self.step_parallel(&mut events)
+        };
+        self.queued -= tally.retired;
+        self.visits += tally.visits;
+        self.tx_bytes += tally.tx_bytes;
         self.drain_events(events);
     }
 
-    /// The chunk-parallel transmit phase. Alive nodes are partitioned into
+    fn step_serial(&mut self, events: &mut Vec<EventRec>) -> Tally {
+        // Split the borrow so neighbor slices, the RNG and the metrics
+        // can be used together without per-broadcast Vec copies.
+        let Engine {
+            topo,
+            cfg,
+            outboxes,
+            busy,
+            alive,
+            metrics,
+            rng,
+            tx_scratch,
+            ..
+        } = self;
+        let env = TxEnv {
+            topo: &*topo,
+            cfg: &*cfg,
+            alive: &alive[..],
+            snoop: cfg.snooping && P::WANTS_SNOOP,
+        };
+        let (per_node, flows) = metrics.parts_mut();
+        let tally = transmit_range(&env, busy, 0, outboxes, per_node, rng, events, tx_scratch);
+        tx_scratch.settle(flows, busy);
+        tally
+    }
+
+    /// The chunk-parallel transmit phase. Nodes are partitioned into
     /// `threads` contiguous index ranges; each worker gets disjoint
     /// `&mut` slices of the queue and per-node metric arrays (messages
     /// stay in the pool, untouched, so `P::Msg` needs no `Send` bound),
     /// its own RNG stream positioned by the draw-count prepass, and
     /// chunk-local event/flow buffers that merge back in chunk order.
-    fn step_parallel(&mut self, threads: usize) {
-        let mut events = std::mem::take(&mut self.events);
-        debug_assert!(events.is_empty());
-
-        {
-            let Engine {
-                topo,
-                cfg,
-                outboxes,
-                queued,
-                alive,
-                metrics,
-                rng,
-                tx_scratch,
-                chunks,
-                ..
-            } = self;
-            let n = topo.len();
-            let env = TxEnv {
-                topo: &*topo,
-                cfg: &*cfg,
-                alive: &alive[..],
-                snoop: cfg.snooping && P::WANTS_SNOOP,
-            };
-            let chunk_len = n.div_ceil(threads);
-            if chunks.len() < threads {
-                chunks.resize_with(threads, ChunkScratch::default);
-            }
-            // Serial draw-count prepass: each chunk's RNG stream is the
-            // master stream advanced past the loss draws of every node
-            // before the chunk. Offsets accumulate in *node* order, so
-            // they are independent of the partition — the foundation of
-            // the thread-count invariance contract.
-            let mut chunk_rngs: Vec<StdRng> = Vec::with_capacity(threads);
-            let mut total_draws = 0u64;
-            if cfg.loss_prob > 0.0 {
-                let mut cursor = rng.clone();
-                for c in 0..threads {
-                    chunk_rngs.push(cursor.clone());
-                    let start = (c * chunk_len).min(n);
-                    let end = ((c + 1) * chunk_len).min(n);
-                    let mut draws = 0u64;
-                    for (i, queue) in outboxes.iter().enumerate().take(end).skip(start) {
-                        if env.alive[i] {
-                            draws += count_draws(&env, i, queue, tx_scratch);
-                        }
-                    }
-                    skip_draws(&mut cursor, draws);
-                    total_draws += draws;
-                }
-            } else {
-                // No loss => no draws anywhere: every chunk stream is an
-                // (untouched) clone of the master.
-                chunk_rngs.resize_with(threads, || rng.clone());
-            }
-            let (per_node, flows) = metrics.parts_mut();
-            let mut q_rest: &mut [VecDeque<QueueEntry>] = outboxes;
-            let mut m_rest: &mut [NodeMetrics] = per_node;
-            let env_ref = &env;
-            std::thread::scope(|s| {
-                let mut start = 0usize;
-                for (cs, mut chunk_rng) in chunks[..threads].iter_mut().zip(chunk_rngs) {
-                    let len = chunk_len.min(n - start);
-                    let (q_chunk, q_tail) = q_rest.split_at_mut(len);
-                    q_rest = q_tail;
-                    let (m_chunk, m_tail) = m_rest.split_at_mut(len);
-                    m_rest = m_tail;
-                    let base = start;
-                    start += len;
-                    s.spawn(move || {
-                        cs.events.clear();
-                        for (li, (q, m)) in q_chunk.iter_mut().zip(m_chunk.iter_mut()).enumerate() {
-                            let i = base + li;
-                            if q.is_empty() || !env_ref.alive[i] {
-                                continue;
-                            }
-                            cs.retired += transmit_node(
-                                env_ref,
-                                i,
-                                q,
-                                m,
-                                &mut cs.flows,
-                                &mut chunk_rng,
-                                &mut cs.events,
-                                &mut cs.tx,
-                            );
-                        }
-                    });
-                }
-            });
-            // The master stream jumps past the whole cycle's draws, as if
-            // it had made them itself.
-            skip_draws(rng, total_draws);
-            // Merge chunk outputs in chunk order: the concatenated event
-            // list and the summed flow tables are exactly what the
-            // sequential pass over the same node order produces.
-            for cs in &mut chunks[..threads] {
-                events.append(&mut cs.events);
-                *queued -= std::mem::take(&mut cs.retired);
-                for (f, d) in cs.flows.iter().enumerate() {
-                    let slot = flow_slot(flows, f);
-                    slot.tx_bytes += d.tx_bytes;
-                    slot.tx_msgs += d.tx_msgs;
-                    slot.rx_bytes += d.rx_bytes;
-                    slot.rx_msgs += d.rx_msgs;
-                }
-                cs.flows.clear();
-            }
+    /// Kept out of line: inlined, it nearly doubles [`Engine::step`], and
+    /// the sequential runs of a full `experiments fig9` measured slower.
+    #[inline(never)]
+    fn step_parallel(&mut self, events: &mut Vec<EventRec>) -> Tally {
+        let threads = self.threads;
+        let Engine {
+            topo,
+            cfg,
+            outboxes,
+            busy,
+            alive,
+            metrics,
+            rng,
+            tx_scratch,
+            chunks,
+            ..
+        } = self;
+        let n = topo.len();
+        let env = TxEnv {
+            topo: &*topo,
+            cfg: &*cfg,
+            alive: &alive[..],
+            snoop: cfg.snooping && P::WANTS_SNOOP,
+        };
+        let chunk_len = n.div_ceil(threads);
+        if chunks.len() < threads {
+            chunks.resize_with(threads, ChunkScratch::default);
         }
-
-        self.drain_events(events);
+        // Serial draw-count prepass: each chunk's RNG stream is the
+        // master stream advanced past the loss draws of every node
+        // before the chunk. Offsets accumulate in *node* order, so
+        // they are independent of the partition — the foundation of
+        // the thread-count invariance contract.
+        let mut chunk_rngs: Vec<StdRng> = Vec::with_capacity(threads);
+        let mut total_draws = 0u64;
+        if cfg.loss_prob > 0.0 {
+            let mut cursor = rng.clone();
+            for c in 0..threads {
+                chunk_rngs.push(cursor.clone());
+                let start = (c * chunk_len).min(n);
+                let end = ((c + 1) * chunk_len).min(n);
+                let mut draws = 0u64;
+                for i in busy.members(start..end) {
+                    if env.alive[i] {
+                        draws += count_draws(&env, i, &outboxes[i], tx_scratch);
+                    }
+                }
+                skip_draws(&mut cursor, draws);
+                total_draws += draws;
+            }
+        } else {
+            // No loss => no draws anywhere: every chunk stream is an
+            // (untouched) clone of the master.
+            chunk_rngs.resize_with(threads, || rng.clone());
+        }
+        let (per_node, flows) = metrics.parts_mut();
+        let mut q_rest: &mut [VecDeque<QueueEntry>] = outboxes;
+        let mut m_rest: &mut [NodeMetrics] = per_node;
+        let (env_ref, busy_ref) = (&env, &*busy);
+        std::thread::scope(|s| {
+            let mut start = 0usize;
+            for (cs, mut chunk_rng) in chunks[..threads].iter_mut().zip(chunk_rngs) {
+                let len = chunk_len.min(n - start);
+                let (q_chunk, q_tail) = q_rest.split_at_mut(len);
+                q_rest = q_tail;
+                let (m_chunk, m_tail) = m_rest.split_at_mut(len);
+                m_rest = m_tail;
+                let base = start;
+                start += len;
+                s.spawn(move || {
+                    cs.events.clear();
+                    cs.tally = transmit_range(
+                        env_ref,
+                        busy_ref,
+                        base,
+                        q_chunk,
+                        m_chunk,
+                        &mut chunk_rng,
+                        &mut cs.events,
+                        &mut cs.tx,
+                    );
+                });
+            }
+        });
+        // The master stream jumps past the whole cycle's draws, as if
+        // it had made them itself.
+        skip_draws(rng, total_draws);
+        // Merge chunk outputs in chunk order: the concatenated event
+        // list and the summed flow tables are exactly what the
+        // sequential pass over the same node order produces.
+        let mut tally = Tally::default();
+        for cs in &mut chunks[..threads] {
+            events.append(&mut cs.events);
+            tally += cs.tally;
+            cs.tx.settle(flows, busy);
+        }
+        tally
     }
 
     /// Dispatch the cycle's events in deterministic order, materializing
@@ -868,7 +1030,8 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Run one *sampling* cycle: fire `on_sampling_cycle` at every alive
-    /// node, then advance `tx_per_sampling_cycle` transmission cycles.
+    /// node that wants a tick, in node order, then advance
+    /// `tx_per_sampling_cycle` transmission cycles.
     pub fn sampling_cycle(&mut self, cycle: u32) {
         // Anchor the period at the clock's value on entry: the fast-forward
         // below must land on `start + tx_per_sampling_cycle` even when the
@@ -876,10 +1039,20 @@ impl<P: Protocol> Engine<P> {
         // computation would misalign for non-zero starting clocks).
         let start = self.now;
         self.enforce_energy_budget();
-        for i in 0..self.topo.len() {
-            if self.alive[i] {
-                self.with_node(NodeId(i as u16), |p, ctx| p.on_sampling_cycle(ctx, cycle));
+        if cfg!(debug_assertions) {
+            for (i, p) in self.nodes.iter().enumerate() {
+                assert!(
+                    self.ticking.contains(i) || !self.alive[i] || !p.wants_tick(),
+                    "node {i} wants a tick but is not in the ticking set"
+                );
             }
+        }
+        // A tick changes only its own node's bit, which the walk has passed.
+        let mut from = 0;
+        while let Some(i) = self.ticking.next_from(from) {
+            from = i + 1;
+            self.visits += 1;
+            self.with_node(NodeId(i as u16), |p, ctx| p.on_sampling_cycle(ctx, cycle));
         }
         for _ in 0..self.cfg.tx_per_sampling_cycle {
             self.step();
@@ -964,18 +1137,47 @@ fn fair_schedule(queue: &VecDeque<QueueEntry>, cap: usize, tx: &mut TxScratch) {
     }
 }
 
-/// Transmit one node's MAC budget for this cycle. Shared verbatim by the
-/// sequential and chunk-parallel paths, and protocol-independent (flow
-/// tags and wire sizes ride in the queue entries; messages stay pooled),
-/// so it monomorphizes once for the whole workspace. Returns how many
-/// entries left the queue for good (served and not deferred).
+/// Transmit every alive member of `busy` in `base..base + queues.len()`,
+/// in ascending order; `queues` and `node_ms` are that range's slices.
+/// Members left with nothing to send go to `tx.idle`. The one transmit
+/// loop of the sequential path and of every parallel chunk.
 #[allow(clippy::too_many_arguments)]
+fn transmit_range(
+    env: &TxEnv<'_>,
+    busy: &NodeSet,
+    base: usize,
+    queues: &mut [VecDeque<QueueEntry>],
+    node_ms: &mut [NodeMetrics],
+    rng: &mut StdRng,
+    events: &mut Vec<EventRec>,
+    tx: &mut TxScratch,
+) -> Tally {
+    let mut tally = Tally::default();
+    for i in busy.members(base..base + queues.len()) {
+        let queue = &mut queues[i - base];
+        if env.alive[i] {
+            let m = &mut node_ms[i - base];
+            let before = m.tx_bytes;
+            tally.retired += transmit_node(env, i, queue, m, rng, events, tx);
+            tally.visits += 1;
+            tally.tx_bytes += m.tx_bytes - before;
+        }
+        if queue.is_empty() || !env.alive[i] {
+            tx.idle.push(i);
+        }
+    }
+    tally
+}
+
+/// Transmit one node's MAC budget for this cycle. Protocol-independent
+/// (flow tags and wire sizes ride in the queue entries; messages stay
+/// pooled), so it monomorphizes once for the whole workspace. Returns how
+/// many entries left the queue for good (served and not deferred).
 fn transmit_node(
     env: &TxEnv<'_>,
     i: usize,
     queue: &mut VecDeque<QueueEntry>,
     node_m: &mut NodeMetrics,
-    flows: &mut Vec<FlowMetrics>,
     rng: &mut StdRng,
     events: &mut Vec<EventRec>,
     tx: &mut TxScratch,
@@ -1037,9 +1239,7 @@ fn transmit_node(
         // Charge the attempt.
         node_m.tx_bytes += e.wire_bytes as u64;
         node_m.tx_msgs += 1;
-        let fm = flow_slot(flows, e.flow as usize);
-        fm.tx_bytes += e.wire_bytes as u64;
-        fm.tx_msgs += 1;
+        tx.flows.charge(e.flow as usize, e.wire_bytes);
         match e.target {
             Target::Unicast(to) => {
                 let receiver_ok = env.alive[to.index()];
@@ -1782,6 +1982,60 @@ mod tests {
         assert_eq!(run(4).1, Some(8));
     }
 
+    /// A chunk's flow charges merge by the flows it charged, not by
+    /// enumerating every id up to the highest: a message on flow 100,000
+    /// leaves the same metrics at 2 threads as serially.
+    #[test]
+    fn parallel_flow_merge_matches_serial_on_a_high_flow_id() {
+        struct Tagged;
+        impl Protocol for Tagged {
+            type Msg = usize;
+            fn on_message(&mut self, _: &mut Ctx<'_, usize>, _: NodeId, _: usize) {}
+            fn flow_of(msg: &usize) -> usize {
+                *msg
+            }
+        }
+        let run = |threads: usize| {
+            let cfg = SimConfig::lossless().with_threads(threads);
+            let mut eng = Engine::new(line(4), cfg, |_| Tagged);
+            eng.with_node(NodeId(0), |_, ctx| {
+                for flow in [100_000, 5, 100_000] {
+                    ctx.send(NodeId(1), 4, flow);
+                }
+            });
+            eng.with_node(NodeId(3), |_, ctx| {
+                ctx.send(NodeId(2), 4, 9);
+            });
+            eng.run_until_quiet(10);
+            eng.metrics().clone()
+        };
+        let serial = run(1);
+        assert_eq!(serial.flow(100_000).tx_msgs, 2);
+        assert_eq!(serial.flow_count(), 100_001);
+        assert_eq!(run(2), serial);
+    }
+
+    #[test]
+    fn node_set_walks_members_across_word_boundaries() {
+        let mut s = NodeSet::new(200);
+        for i in [0, 63, 64, 127, 128, 199] {
+            s.set(i, true);
+        }
+        assert_eq!(
+            s.members(0..200).collect::<Vec<_>>(),
+            [0, 63, 64, 127, 128, 199]
+        );
+        assert_eq!(s.members(63..128).collect::<Vec<_>>(), [63, 64, 127]);
+        assert_eq!(s.members(129..199).count(), 0);
+        assert_eq!(s.next_from(200), None);
+        s.set(64, false);
+        assert_eq!(
+            s.members(0..200).collect::<Vec<_>>(),
+            [0, 63, 127, 128, 199]
+        );
+        assert!(s.contains(127) && !s.contains(64));
+    }
+
     #[test]
     fn pool_drains_to_zero_at_quiescence() {
         let (_, _, queued, _) = churn_run(1, 40);
@@ -1953,8 +2207,9 @@ mod tests {
     /// the run above, taken from the engine before it skipped empty queues.
     const PINNED_SPARSE_TOTALS: (u64, u64, u64, u64, usize) = (1114, 21166, 889, 10, 13);
 
-    /// The queued-entry counter against a scan of the queues, after every
-    /// kind of event that moves entries.
+    /// The queued-entry counter against a scan of the queues, and the busy
+    /// set against the alive non-empty queues, after every kind of event
+    /// that moves entries.
     #[test]
     fn queued_counter_matches_a_scan_of_the_queues() {
         fn check<P: Protocol>(eng: &Engine<P>, queued: usize) {
@@ -1963,6 +2218,9 @@ mod tests {
                 queued
             );
             assert_eq!(eng.queued, queued);
+            for (i, q) in eng.outboxes.iter().enumerate() {
+                assert!(q.is_empty() || !eng.alive[i] || eng.busy.contains(i));
+            }
         }
         let cfg = SimConfig {
             queue_capacity: 4,

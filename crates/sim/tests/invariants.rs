@@ -16,12 +16,19 @@
 //! - **Monotonicity**: cumulative counters never decrease and stay
 //!   consistent (`rx ≤ tx` network-wide, per-flow sums equal totals).
 //!
+//! The engine visits only nodes that can act. Its soundness property:
+//! every alive node that wants a tick is ticked once per sampling cycle,
+//! in node order; no node with a queued message is passed over by a
+//! transmit step; and the totals do not depend on the thread count.
+//!
 //! Run with a pinned case count for CI: `PROPTEST_CASES=64 cargo test -q
 //! -p sensor_sim --test invariants`.
 
 use proptest::prelude::*;
 use sensor_net::NodeId;
-use sensor_sim::{Ctx, Engine, Protocol, SimConfig};
+use sensor_sim::{Ctx, Engine, Metrics, Protocol, SimConfig};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Deterministic mixing for all protocol-level "random" choices (neighbor
 /// selection, production gating) so runs replay bit-for-bit.
@@ -239,7 +246,172 @@ fn terminal_consumed_without_rx(_l: &Ledger) -> u64 {
     0
 }
 
+/// A protocol whose wish for a tick flips at random — in its own
+/// callbacks, and through `Engine::node_mut` between cycles — and which
+/// logs every tick it is given, wanted or not. A tick it does not want
+/// changes nothing else, as the `wants_tick` contract demands.
+struct Flipper {
+    id: NodeId,
+    want: bool,
+    /// Every tick of the run, all nodes, in dispatch order: (cycle, node).
+    log: Rc<RefCell<Vec<(u32, u16)>>>,
+    delivered: u64,
+}
+
+impl Flipper {
+    /// Send a parcel with `hops` relays left toward a neighbor `h` picks.
+    fn emit(&self, ctx: &mut Ctx<'_, (u8, u64)>, hops: u8, h: u64) {
+        let nbrs = ctx.neighbors();
+        let to = nbrs[(h % nbrs.len() as u64) as usize];
+        ctx.send(to, 4, (hops, h));
+    }
+}
+
+impl Protocol for Flipper {
+    type Msg = (u8, u64);
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, (u8, u64)>, _from: NodeId, (hops, salt): (u8, u64)) {
+        self.delivered += 1;
+        let h = mix(self.id.0 as u64, salt, ctx.now);
+        if h.is_multiple_of(3) {
+            self.want = !self.want;
+        }
+        if hops > 0 {
+            self.emit(ctx, hops - 1, h);
+        }
+    }
+
+    fn on_sampling_cycle(&mut self, ctx: &mut Ctx<'_, (u8, u64)>, cycle: u32) {
+        self.log.borrow_mut().push((cycle, self.id.0));
+        if !self.want {
+            return;
+        }
+        let h = mix(self.id.0 as u64, cycle as u64, 0x71C);
+        self.emit(ctx, (h >> 8) as u8 % 4, h);
+        self.want = !h.is_multiple_of(2);
+    }
+
+    fn wants_tick(&self) -> bool {
+        self.want
+    }
+
+    fn flow_of(msg: &(u8, u64)) -> usize {
+        (msg.1 % 3) as usize
+    }
+}
+
+/// What must not depend on the thread count: metrics, the tick log, each
+/// node's state and what is still queued.
+type FlipperRun = (Metrics, Vec<(u32, u16)>, Vec<(bool, u64)>, usize);
+
+/// Run `Flipper` for `cycles` sampling cycles of `steps` transmission
+/// cycles each, flipping `flips` nodes' wish through `node_mut` and
+/// killing one node every `kill_every` cycles, and check the soundness
+/// property at every tick and every step.
+fn run_flipper(
+    nodes: u16,
+    loss: f64,
+    tx_per_cycle: usize,
+    fair: bool,
+    flips: u64,
+    kill_every: u32,
+    threads: usize,
+) -> FlipperRun {
+    let seed = mix(nodes as u64, flips, kill_every as u64);
+    let topo = sensor_net::random_with_degree(nodes as usize, 4.0, seed);
+    // The run steps the engine itself, so it can look at every step.
+    let cfg = SimConfig {
+        tx_per_cycle,
+        tx_per_sampling_cycle: 0,
+        ..SimConfig::default()
+            .with_loss(loss)
+            .with_seed(seed)
+            .with_fair_mac(fair)
+            .with_threads(threads)
+    };
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut engine = Engine::new(topo, cfg, |id| Flipper {
+        id,
+        want: id.0 % 2 == 0,
+        log: log.clone(),
+        delivered: 0,
+    });
+    let n = nodes as usize;
+    let ids = || (0..n).map(|i| NodeId(i as u16));
+    for c in 0..12u32 {
+        for k in 0..flips {
+            let v = NodeId((mix(seed, c as u64, k) % n as u64) as u16);
+            let p = engine.node_mut(v);
+            p.want = !p.want;
+        }
+        if c % kill_every == kill_every - 1 {
+            let v = NodeId(1 + (mix(seed, c as u64, 0xDEAD) % (n as u64 - 1)) as u16);
+            engine.kill(v);
+        }
+        let wanted: Vec<u16> = ids()
+            .filter(|&v| engine.is_alive(v) && engine.node(v).want)
+            .map(|v| v.0)
+            .collect();
+        let from = log.borrow().len();
+        engine.sampling_cycle(c);
+        let ticked: Vec<u16> = log.borrow()[from..].iter().map(|&(_, v)| v).collect();
+        assert!(
+            ticked.windows(2).all(|w| w[0] < w[1]),
+            "cycle {c}: ticks out of node order or repeated: {ticked:?}"
+        );
+        assert!(ticked.iter().all(|&v| engine.is_alive(NodeId(v))));
+        for v in &wanted {
+            assert!(ticked.contains(v), "cycle {c}: node {v} wanted a tick");
+        }
+        for _ in 0..6 {
+            let pending: Vec<(NodeId, u64)> = ids()
+                .filter(|&v| engine.is_alive(v) && engine.queue_len(v) > 0)
+                .map(|v| (v, engine.metrics().node(v).tx_msgs))
+                .collect();
+            engine.step();
+            for (v, tx_before) in pending {
+                assert!(
+                    engine.metrics().node(v).tx_msgs > tx_before,
+                    "cycle {c}: node {} held a message and did not transmit",
+                    v.0
+                );
+            }
+        }
+    }
+    let states = engine
+        .nodes()
+        .iter()
+        .map(|p| (p.want, p.delivered))
+        .collect();
+    let ticks = log.borrow().clone();
+    (
+        engine.metrics().clone(),
+        ticks,
+        states,
+        engine.queued_msgs(),
+    )
+}
+
 proptest! {
+    /// The engine's active sets are sound: skipping the nodes outside
+    /// them drops no tick and no transmission, at any thread count.
+    #[test]
+    fn visiting_only_active_nodes_skips_nothing_that_can_act(
+        nodes in 6u16..40,
+        loss in 0.0f64..0.4,
+        tx_per_cycle in 1usize..4,
+        fair in any::<bool>(),
+        flips in 0u64..6,
+        kill_every in 2u32..8,
+    ) {
+        let serial = run_flipper(nodes, loss, tx_per_cycle, fair, flips, kill_every, 1);
+        prop_assert!(serial.0.total_tx_msgs() > 0, "scenario generated no traffic");
+        for threads in [2, 8] {
+            let parallel = run_flipper(nodes, loss, tx_per_cycle, fair, flips, kill_every, threads);
+            prop_assert!(parallel == serial, "threads={} diverged from the serial run", threads);
+        }
+    }
+
     /// Conservation holds across random single-flow runs with loss,
     /// small queues and mid-run kills.
     #[test]
