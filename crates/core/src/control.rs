@@ -26,8 +26,8 @@ use sensor_query::{parse, parse_join_graph, Parsed};
 use sensor_sim::sweep::Json;
 
 /// Cap on cycles a single [`StopWhen::Results`] run may advance, so a
-/// wire client asking for unreachable result counts cannot wedge a serve
-/// worker forever.
+/// wire client asking for unreachable result counts cannot hold its
+/// session's serve shard forever.
 pub const RUN_UNTIL_MAX_CYCLES: u32 = 10_000;
 
 /// Selectivities assumed by wire admissions ([`Command::Admit`] carries

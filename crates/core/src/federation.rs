@@ -771,7 +771,7 @@ impl FederationOutcome {
     }
 
     /// The wire form served by `FEDREPORT`: one line, `esc`-quoted member
-    /// names, fixed field order — byte-identical across serve worker
+    /// names, fixed field order — byte-identical across serve shard
     /// counts by construction.
     pub fn summary_line(&self) -> String {
         use std::fmt::Write as _;

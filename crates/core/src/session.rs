@@ -119,7 +119,8 @@ pub struct CycleView<'a> {
 
 /// Streaming telemetry hook. Both methods default to no-ops so an
 /// observer implements only what it needs. Observers are `Send` so a
-/// whole [`Session`] can be moved into a serve worker thread.
+/// whole [`Session`] can sit behind a serve shard's lock and run on
+/// whichever connection thread holds it.
 pub trait Observer {
     /// Called after every sampling cycle.
     fn on_cycle(&mut self, _view: &CycleView<'_>) {}
@@ -1509,8 +1510,9 @@ impl SessionBuilder {
     }
 }
 
-// aspen-serve moves whole sessions into worker threads: the engine, plans
-// and observers must all stay `Send`. Compile-time check so a non-Send
+// aspen-serve keeps whole sessions behind per-shard mutexes and applies
+// commands on whichever connection thread holds the lock: the engine,
+// plans and observers must all stay `Send`. Compile-time check so a non-Send
 // closure snuck into e.g. DynamicsPlan fails here, with a readable error,
 // rather than deep inside the serve crate.
 const _: fn() = || {

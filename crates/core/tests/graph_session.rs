@@ -206,7 +206,7 @@ fn replan_swaps_skeleton_live() {
 
 /// Lifecycle regression: re-planning a *retired* graph must be a graceful
 /// no-op. Pre-fix, `replan_with` asserted on the retired entry (fatal for
-/// a serve worker applying wire commands), and would otherwise have
+/// a server applying wire commands), and would otherwise have
 /// re-acquired sub-join fingerprints — resurrecting operators that
 /// `retire_graph` had just released.
 #[test]

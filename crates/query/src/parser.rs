@@ -89,16 +89,12 @@ pub(crate) fn lex(input: &str) -> Result<Lexer, ParseError> {
             toks.push((start, Tok::Num(n)));
             continue;
         }
-        let two = if i + 1 < bytes.len() {
-            &input[i..i + 2]
-        } else {
-            ""
-        };
-        let sym: &'static str = match two {
-            "<=" => "<=",
-            ">=" => ">=",
-            "!=" => "!=",
-            "<>" => "!=",
+        // Bytes, not `&input[i..i + 2]`: the next character may be
+        // multi-byte, and a `str` slice through it panics.
+        let sym: &'static str = match bytes.get(i..i + 2) {
+            Some(b"<=") => "<=",
+            Some(b">=") => ">=",
+            Some(b"!=" | b"<>") => "!=",
             _ => match c {
                 '<' => "<",
                 '>' => ">",
@@ -114,11 +110,14 @@ pub(crate) fn lex(input: &str) -> Result<Lexer, ParseError> {
                 ']' => "]",
                 ',' => ",",
                 '.' => ".",
-                other => {
+                _ => {
+                    // `i` is on a character boundary: only ASCII bytes
+                    // are ever stepped over.
+                    let other = input[i..].chars().next().unwrap_or(c);
                     return Err(ParseError {
                         pos: i,
                         message: format!("unexpected character '{other}'"),
-                    })
+                    });
                 }
             },
         };
@@ -743,6 +742,19 @@ mod tests {
         let sql = "SELECT S.id FROM S, T WHERE S.u T.u";
         let err = parse_query(sql).unwrap_err();
         assert_eq!(err.pos, sql.rfind("T.u").unwrap());
+    }
+
+    #[test]
+    fn multi_byte_characters_are_errors_not_panics() {
+        // A symbol followed by a multi-byte character used to slice the
+        // input through that character.
+        for sql in ["SELECT S.id FROM S, T WHERE S.u <é", "<界", "é"] {
+            let err = parse(sql).unwrap_err();
+            let bad = sql.find(|c: char| !c.is_ascii()).unwrap();
+            assert_eq!(err.pos, bad, "{sql}");
+            let shown = sql[bad..].chars().next().unwrap();
+            assert!(err.message.contains(shown), "{sql}: {}", err.message);
+        }
     }
 
     #[test]

@@ -5,15 +5,19 @@
 //!             [--max-sessions N] [--max-queries N] [--max-federations N]
 //! ```
 //!
-//! Prints the bound address on stdout (`listening on 127.0.0.1:7878`) and
-//! serves until killed. See the crate docs for the line protocol.
+//! `--workers N` sets the number of session shards (default 4): each
+//! command runs on its connection's thread under the lock of the shard
+//! that owns its session. Prints the bound address on stdout
+//! (`listening on 127.0.0.1:7878`) and serves until killed. See the crate
+//! docs for the line protocol.
 
 use aspen_serve::{ServeConfig, Server};
 
 fn usage() -> ! {
     eprintln!(
         "usage: aspen-serve [--addr HOST:PORT] [--workers N] \
-         [--max-sessions N] [--max-queries N] [--max-federations N]"
+         [--max-sessions N] [--max-queries N] [--max-federations N]\n  \
+         --workers N  number of session shards (default 4)"
     );
     std::process::exit(2);
 }
@@ -58,7 +62,7 @@ fn main() {
     let workers = cfg.workers;
     match Server::start(cfg) {
         Ok(server) => {
-            println!("listening on {} ({workers} workers)", server.addr());
+            println!("listening on {} ({workers} shards)", server.addr());
             // Serve until the process is killed; the listener thread owns
             // the accept loop, so just park forever.
             loop {

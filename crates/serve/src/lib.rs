@@ -2,12 +2,18 @@
 //!
 //! The [control plane](aspen_join::control) made every session operation
 //! a serializable [`Command`]/[`Response`] pair; this crate puts a socket
-//! in front of it. A [`Server`] owns a fixed pool of OS worker threads
-//! and *shards* named sessions across them — each session is owned by
-//! exactly one worker for its whole life (`hash(name) % workers`), so
-//! commands against one session are applied strictly in arrival order
-//! with no locking around the simulation state, while different sessions
-//! run concurrently on different workers.
+//! in front of it. A [`Server`] runs one thread per connection, and each
+//! command runs on the thread that read it. Named sessions are *sharded*:
+//! `hash(name) % workers` picks the shard that owns a name for its whole
+//! life, and a command runs under that shard's lock — the name lookup,
+//! [`Session::apply`] and the reply's encoding. Sessions of one shard
+//! therefore take one command at a time, while different shards run in
+//! parallel. The reply is written after the lock is released, so a slow
+//! client never holds a shard.
+//!
+//! A panic inside a command answers `ERR INTERNAL …` and removes only the
+//! session or federation it ran against; the shard's other sessions keep
+//! answering.
 //!
 //! # Protocol
 //!
@@ -53,6 +59,9 @@
 //! An `OPEN` or `FEDOPEN` whose `nodes`/`degree`/`seed` yield no connected
 //! deployment answers `ERR TOPOLOGY …` and creates nothing.
 //!
+//! A request line longer than [`MAX_LINE`] bytes answers `ERR USAGE line
+//! longer than … bytes` and ends that connection.
+//!
 //! Replies are `OK …` / `ERR …` lines ([`Response::encode`]). After
 //! `OK SUBSCRIBED` the server writes `EVENT …` lines
 //! ([`aspen_join::encode_event`]) to the connection as the session
@@ -71,13 +80,13 @@
 //! Admission control is per *connection*: creating more than
 //! [`ServeConfig::max_sessions_per_client`] sessions or admitting more
 //! than [`ServeConfig::max_queries_per_client`] queries answers
-//! `ERR QUOTA …` without touching a worker. Attaching to an existing
+//! `ERR QUOTA …` without taking a shard lock. Attaching to an existing
 //! session costs no session quota; every `ADMIT`/`ADMITGRAPH` that
-//! reaches a worker costs one query quota, even if it is later rejected.
-//! Federations extend the same scheme: a `FEDOPEN` that creates a
-//! federation (which instantiates `members` whole networks at once) is
-//! capped by [`ServeConfig::max_federations_per_client`], and every
-//! `FEDADMIT` reaching a worker costs one query quota.
+//! reaches its session's shard costs one query quota, even if it is
+//! later rejected. Federations extend the same scheme: a `FEDOPEN` that
+//! creates a federation (which instantiates `members` whole networks at
+//! once) is capped by [`ServeConfig::max_federations_per_client`], and
+//! every `FEDADMIT` reaching its shard costs one query quota.
 
 use aspen_join::control::{Command, Response};
 use aspen_join::prelude::*;
@@ -87,12 +96,17 @@ use sensor_workload::WorkloadData;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
+
+/// Longest request line the server reads, terminator excluded. A longer
+/// one answers `ERR USAGE` and ends its connection, so no client can make
+/// the server buffer without bound.
+pub const MAX_LINE: usize = 64 * 1024;
 
 /// How a wire `OPEN` builds its network: a deterministic random topology
 /// plus the repo's standard uniform workload, keyed by one seed. Two
@@ -235,7 +249,7 @@ pub fn build_federation(spec: &FedSpec, links: &[GatewayLink]) -> Federation {
     b.build()
 }
 
-/// One parsed federation request, routed to the owning shard worker.
+/// One parsed federation request, run under its federation's shard lock.
 #[derive(Debug, Clone)]
 pub enum FedRequest {
     Open(FedSpec),
@@ -336,7 +350,8 @@ pub fn parse_fed_admit(args: &str) -> Result<FedRequest, String> {
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see [`Server::addr`]).
     pub addr: String,
-    /// Session shard workers (each owns a disjoint set of sessions).
+    /// Session shards: `hash(name) % workers` picks the one that owns a
+    /// name. A shard takes one command at a time; shards run in parallel.
     pub workers: usize,
     /// Sessions one connection may *create* (attaching is free).
     pub max_sessions_per_client: usize,
@@ -369,13 +384,19 @@ struct WireObserver {
 
 impl Observer for WireObserver {
     fn on_event(&mut self, ev: &SessionEvent) {
-        let mut subs = self.subs.lock().unwrap();
+        let mut subs = lock(&self.subs);
         if subs.is_empty() {
             return;
         }
         let line = format!("{}\n", encode_event(ev));
         subs.retain_mut(|s| s.write_all(line.as_bytes()).is_ok());
     }
+}
+
+/// Lock `m` whether or not a panic poisoned it: every critical section
+/// here leaves its data consistent.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One served session: the simulation plus its subscriber list (shared
@@ -385,42 +406,14 @@ struct Entry {
     subs: Arc<Mutex<Vec<TcpStream>>>,
 }
 
-/// Work routed to a shard worker. Every request carries its own reply
-/// channel; the worker answers with a ready-to-send protocol line.
-enum Job {
-    Open {
-        name: String,
-        spec: OpenSpec,
-        /// Whether the connection's session quota allows *creating* a
-        /// session; attaching to an existing one is always allowed, and
-        /// only the owning worker knows which case this is.
-        may_create: bool,
-        reply: Sender<String>,
-    },
-    Apply {
-        name: String,
-        cmd: Command,
-        reply: Sender<String>,
-    },
-    Subscribe {
-        name: String,
-        stream: TcpStream,
-        reply: Sender<String>,
-    },
-    Close {
-        name: String,
-        reply: Sender<String>,
-    },
-    Fed {
-        name: String,
-        req: FedRequest,
-        /// Whether the connection's federation quota allows *creating*
-        /// one; only the owning worker knows whether this `FEDOPEN`
-        /// creates or attaches.
-        may_create: bool,
-        reply: Sender<String>,
-    },
-    Stop,
+impl Drop for Entry {
+    /// However the session ends — `CLOSE`, a panic, server teardown — its
+    /// subscribers read EOF, never a dangling stream.
+    fn drop(&mut self) {
+        for s in lock(&self.subs).iter() {
+            let _ = s.shutdown(Shutdown::Both);
+        }
+    }
 }
 
 /// One served federation. Member sessions are held unassembled until the
@@ -457,14 +450,17 @@ impl FedEntry {
     }
 }
 
+/// `may_create`: whether the connection's federation quota allows
+/// *creating* one; only the shard knows whether a `FEDOPEN` creates or
+/// attaches.
 fn apply_fed(
     feds: &mut HashMap<String, FedEntry>,
-    name: String,
+    name: &str,
     req: FedRequest,
     may_create: bool,
 ) -> String {
     if let FedRequest::Open(spec) = req {
-        return if feds.contains_key(&name) {
+        return if feds.contains_key(name) {
             format!("OK FEDATTACHED {name}")
         } else if !may_create {
             err_line("QUOTA", "federation quota exhausted")
@@ -474,7 +470,7 @@ fn apply_fed(
                 Err(e) => return err_line("TOPOLOGY", &e.to_string()),
             };
             feds.insert(
-                name.clone(),
+                name.to_string(),
                 FedEntry {
                     spec,
                     links: Vec::new(),
@@ -487,7 +483,7 @@ fn apply_fed(
             )
         };
     }
-    let Some(entry) = feds.get_mut(&name) else {
+    let Some(entry) = feds.get_mut(name) else {
         return err_line("NOFED", &format!("no federation '{name}'"));
     };
     match req {
@@ -549,99 +545,8 @@ fn err_line(kind: &str, msg: &str) -> String {
     format!("ERR {kind} {}", aspen_join::control::esc(msg))
 }
 
-fn worker_loop(rx: std::sync::mpsc::Receiver<Job>) {
-    let mut sessions: HashMap<String, Entry> = HashMap::new();
-    let mut feds: HashMap<String, FedEntry> = HashMap::new();
-    while let Ok(job) = rx.recv() {
-        match job {
-            Job::Fed {
-                name,
-                req,
-                may_create,
-                reply,
-            } => {
-                let _ = reply.send(apply_fed(&mut feds, name, req, may_create));
-            }
-            Job::Open {
-                name,
-                spec,
-                may_create,
-                reply,
-            } => {
-                let line = if sessions.contains_key(&name) {
-                    format!("OK ATTACHED {name}")
-                } else if !may_create {
-                    err_line("QUOTA", "session quota exhausted")
-                } else {
-                    match try_open_session(&spec) {
-                        Ok(mut session) => {
-                            let subs = Arc::new(Mutex::new(Vec::new()));
-                            session.observe(Box::new(WireObserver { subs: subs.clone() }));
-                            sessions.insert(name.clone(), Entry { session, subs });
-                            format!("OK OPENED {name} nodes={}", spec.nodes)
-                        }
-                        Err(e) => err_line("TOPOLOGY", &e.to_string()),
-                    }
-                };
-                let _ = reply.send(line);
-            }
-            Job::Apply { name, cmd, reply } => {
-                let line = match sessions.get_mut(&name) {
-                    Some(e) => e.session.apply(cmd).encode(),
-                    None => err_line("NOSESSION", &format!("no session '{name}'")),
-                };
-                let _ = reply.send(line);
-            }
-            Job::Subscribe {
-                name,
-                stream,
-                reply,
-            } => {
-                let line = match sessions.get_mut(&name) {
-                    Some(e) => {
-                        // Answer the subscriber *before* registering it so
-                        // `OK SUBSCRIBED` is the first line it reads, ahead
-                        // of any event.
-                        let _ = reply.send(Response::Subscribed.encode());
-                        e.subs.lock().unwrap().push(stream);
-                        continue;
-                    }
-                    None => err_line("NOSESSION", &format!("no session '{name}'")),
-                };
-                let _ = reply.send(line);
-            }
-            Job::Close { name, reply } => {
-                let line = match sessions.remove(&name) {
-                    Some(e) => {
-                        // Terminal event, then a clean disconnect: every
-                        // subscriber reads `EVENT CLOSED <cycle>` followed
-                        // by EOF, never a dangling stream.
-                        let closed = format!(
-                            "{}\n",
-                            encode_event(&SessionEvent::Closed {
-                                cycle: e.session.cycle()
-                            })
-                        );
-                        for s in e.subs.lock().unwrap().iter_mut() {
-                            let _ = s.write_all(closed.as_bytes());
-                            let _ = s.flush();
-                            let _ = s.shutdown(Shutdown::Both);
-                        }
-                        format!("OK CLOSED {name}")
-                    }
-                    None => err_line("NOSESSION", &format!("no session '{name}'")),
-                };
-                let _ = reply.send(line);
-            }
-            Job::Stop => break,
-        }
-    }
-    // Unblock any subscriber connections still attached to this shard.
-    for e in sessions.values() {
-        for s in e.subs.lock().unwrap().iter() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
+fn no_session(name: &str) -> String {
+    err_line("NOSESSION", &format!("no session '{name}'"))
 }
 
 fn shard_of(name: &str, workers: usize) -> usize {
@@ -650,65 +555,167 @@ fn shard_of(name: &str, workers: usize) -> usize {
     (h.finish() as usize) % workers
 }
 
+/// What one shard owns: the sessions and federations whose names hash to
+/// it.
+#[derive(Default)]
+struct Shard {
+    sessions: HashMap<String, Entry>,
+    feds: HashMap<String, FedEntry>,
+}
+
+/// A name in one of the two namespaces a shard holds.
+#[derive(Clone, Copy)]
+enum Key<'a> {
+    Session(&'a str),
+    Fed(&'a str),
+}
+
+/// What the accept loop and every connection thread share.
+struct State {
+    cfg: ServeConfig,
+    shards: Vec<Mutex<Shard>>,
+    stop: AtomicBool,
+    /// Live connections by id, so `shutdown` can hang each one up.
+    conns: Mutex<HashMap<u64, TcpStream>>,
+}
+
+impl State {
+    fn new(cfg: ServeConfig) -> State {
+        assert!(cfg.workers >= 1, "need at least one session shard");
+        State {
+            shards: (0..cfg.workers).map(|_| Mutex::default()).collect(),
+            cfg,
+            stop: AtomicBool::new(false),
+            conns: Mutex::default(),
+        }
+    }
+
+    /// Run `f` under the lock of the shard that owns `key`; return its
+    /// reply line. A panic in `f` answers `ERR INTERNAL` and removes
+    /// `key`'s session or federation: the lock is never poisoned, and the
+    /// shard's other entries keep answering.
+    fn locked(&self, key: Key, f: impl FnOnce(&mut Shard) -> String) -> String {
+        let i = match key {
+            Key::Session(name) => shard_of(name, self.shards.len()),
+            Key::Fed(name) => shard_of(&format!("fed:{name}"), self.shards.len()),
+        };
+        let mut shard = lock(&self.shards[i]);
+        if self.stop.load(Ordering::SeqCst) {
+            return err_line("SHUTDOWN", "server is shutting down");
+        }
+        if let Ok(line) = catch_unwind(AssertUnwindSafe(|| f(&mut shard))) {
+            return line;
+        }
+        let what = match key {
+            Key::Session(name) => {
+                shard.sessions.remove(name);
+                format!("session '{name}'")
+            }
+            Key::Fed(name) => {
+                shard.feds.remove(name);
+                format!("federation '{name}'")
+            }
+        };
+        err_line("INTERNAL", &format!("{what} removed after a panic"))
+    }
+
+    /// `may_create`: whether the connection's session quota allows
+    /// *creating* a session; attaching to an existing one is always
+    /// allowed, and only the shard knows which case this is.
+    fn open(&self, name: &str, spec: OpenSpec, may_create: bool) -> String {
+        self.locked(Key::Session(name), |shard| {
+            if shard.sessions.contains_key(name) {
+                return format!("OK ATTACHED {name}");
+            }
+            if !may_create {
+                return err_line("QUOTA", "session quota exhausted");
+            }
+            match try_open_session(&spec) {
+                Ok(mut session) => {
+                    let subs = Arc::new(Mutex::new(Vec::new()));
+                    session.observe(Box::new(WireObserver { subs: subs.clone() }));
+                    shard
+                        .sessions
+                        .insert(name.to_string(), Entry { session, subs });
+                    format!("OK OPENED {name} nodes={}", spec.nodes)
+                }
+                Err(e) => err_line("TOPOLOGY", &e.to_string()),
+            }
+        })
+    }
+
+    fn apply(&self, name: &str, cmd: Command) -> String {
+        self.locked(Key::Session(name), |shard| {
+            match shard.sessions.get_mut(name) {
+                Some(e) => e.session.apply(cmd).encode(),
+                None => no_session(name),
+            }
+        })
+    }
+
+    /// Register `stream` for `name`'s events. `OK SUBSCRIBED` is written
+    /// here, under the lock and ahead of registering, so it is the first
+    /// line the subscriber reads, before any event.
+    fn subscribe(&self, name: &str, mut stream: TcpStream) -> String {
+        self.locked(Key::Session(name), |shard| {
+            match shard.sessions.get_mut(name) {
+                Some(e) => {
+                    let ok = Response::Subscribed.encode();
+                    let _ = write_line(&mut stream, &ok);
+                    lock(&e.subs).push(stream);
+                    ok
+                }
+                None => no_session(name),
+            }
+        })
+    }
+
+    /// Every subscriber reads `EVENT CLOSED <cycle>`, then EOF once the
+    /// entry drops.
+    fn close(&self, name: &str) -> String {
+        self.locked(Key::Session(name), |shard| {
+            match shard.sessions.remove(name) {
+                Some(e) => {
+                    let cycle = e.session.cycle();
+                    let closed = format!("{}\n", encode_event(&SessionEvent::Closed { cycle }));
+                    for s in lock(&e.subs).iter_mut() {
+                        let _ = s.write_all(closed.as_bytes());
+                    }
+                    format!("OK CLOSED {name}")
+                }
+                None => no_session(name),
+            }
+        })
+    }
+
+    fn fed(&self, name: &str, req: FedRequest, may_create: bool) -> String {
+        self.locked(Key::Fed(name), |shard| {
+            apply_fed(&mut shard.feds, name, req, may_create)
+        })
+    }
+}
+
 /// A running server. Dropping it without [`Server::shutdown`] leaks the
-/// listener thread; call `shutdown` for a clean exit (the CI smoke test
-/// asserts it returns).
+/// accept loop and the connection threads; call `shutdown` for a clean
+/// exit (the CI smoke test asserts it returns).
 pub struct Server {
     addr: SocketAddr,
-    shards: Vec<Sender<Job>>,
-    stop: Arc<AtomicBool>,
-    listener: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<TcpStream>>>,
+    state: Arc<State>,
+    listener: JoinHandle<()>,
 }
 
 impl Server {
-    /// Bind, spawn the shard workers and the accept loop, and return.
+    /// Bind, spawn the accept loop, and return.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Server> {
-        assert!(cfg.workers >= 1, "need at least one shard worker");
-        let listener = TcpListener::bind(&*cfg.addr)?;
+        let state = Arc::new(State::new(cfg));
+        let listener = TcpListener::bind(&*state.cfg.addr)?;
         let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let mut shards = Vec::with_capacity(cfg.workers);
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for _ in 0..cfg.workers {
-            let (tx, rx) = channel();
-            shards.push(tx);
-            workers.push(std::thread::spawn(move || worker_loop(rx)));
-        }
-
-        let accept_stop = stop.clone();
-        let accept_shards = shards.clone();
-        let accept_conns = conns.clone();
-        let accept_cfg = cfg.clone();
-        let handle = std::thread::spawn(move || {
-            // Handler threads are detached; they exit when their socket is
-            // shut down (tracked in `conns`) or the peer hangs up.
-            for stream in listener.incoming() {
-                if accept_stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                if let Ok(clone) = stream.try_clone() {
-                    accept_conns.lock().unwrap().push(clone);
-                }
-                let shards = accept_shards.clone();
-                let cfg = accept_cfg.clone();
-                std::thread::spawn(move || {
-                    let _ = serve_client(stream, &shards, &cfg);
-                });
-            }
-        });
-
+        let accept_state = state.clone();
+        let listener = std::thread::spawn(move || accept_loop(listener, &accept_state));
         Ok(Server {
             addr,
-            shards,
-            stop,
-            listener: Some(handle),
-            workers,
-            conns,
+            state,
+            listener,
         })
     }
 
@@ -717,54 +724,55 @@ impl Server {
         self.addr
     }
 
-    /// Stop accepting, stop every worker, unblock every connection, and
-    /// join all server threads.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock the accept loop with a throwaway connection.
+    /// Stop accepting, hang up every connection, and join every server
+    /// thread. Once this returns no thread touches a session; a command
+    /// that races it answers `ERR SHUTDOWN`.
+    pub fn shutdown(self) {
+        {
+            let conns = lock(&self.state.conns);
+            self.state.stop.store(true, Ordering::SeqCst);
+            for c in conns.values() {
+                let _ = c.shutdown(Shutdown::Both);
+            }
+        }
+        // Wake the accept loop with a throwaway connection; it joins the
+        // connection threads before it exits.
         let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.listener.take() {
-            let _ = h.join();
-        }
-        for tx in &self.shards {
-            let _ = tx.send(Job::Stop);
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        for c in self.conns.lock().unwrap().iter() {
-            let _ = c.shutdown(Shutdown::Both);
-        }
+        let _ = self.listener.join();
     }
 }
 
-/// Route one federation request to its shard (federations live in their
-/// own shard namespace, keyed by `fed:<name>`) and wait for the reply.
-fn fed_call(shards: &[Sender<Job>], name: &str, req: FedRequest, may_create: bool) -> String {
-    let key = format!("fed:{name}");
-    let name = name.to_string();
-    let (tx, rx) = channel();
-    let job = Job::Fed {
-        name,
-        req,
-        may_create,
-        reply: tx,
-    };
-    if shards[shard_of(&key, shards.len())].send(job).is_err() {
-        return err_line("SHUTDOWN", "server is shutting down");
+/// Serve every accepted connection on a thread of its own until
+/// `shutdown`, then join them all.
+fn accept_loop(listener: TcpListener, state: &Arc<State>) {
+    let mut threads: Vec<JoinHandle<()>> = Vec::new();
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
+        let Ok(stream) = stream else { continue };
+        let Ok(clone) = stream.try_clone() else {
+            continue;
+        };
+        {
+            let mut conns = lock(&state.conns);
+            // `stop` is set under this lock, so a connection is either in
+            // `conns` when `shutdown` hangs them up, or never served.
+            if state.stop.load(Ordering::SeqCst) {
+                break;
+            }
+            conns.insert(id, clone);
+        }
+        // A finished thread's handle can go: its body catches every panic.
+        threads.retain(|t| !t.is_finished());
+        let state = state.clone();
+        threads.push(std::thread::spawn(move || {
+            let _ = catch_unwind(AssertUnwindSafe(|| serve_client(stream, &state)));
+            // The entry goes with its connection, however that ended: a
+            // closed connection holds no descriptor.
+            lock(&state.conns).remove(&id);
+        }));
     }
-    rx.recv()
-        .unwrap_or_else(|_| err_line("SHUTDOWN", "server is shutting down"))
-}
-
-/// Route one request to its session's shard and wait for the reply line.
-fn call(shards: &[Sender<Job>], name: &str, job: impl FnOnce(Sender<String>) -> Job) -> String {
-    let (tx, rx) = channel();
-    if shards[shard_of(name, shards.len())].send(job(tx)).is_err() {
-        return err_line("SHUTDOWN", "server is shutting down");
+    for t in threads {
+        let _ = t.join();
     }
-    rx.recv()
-        .unwrap_or_else(|_| err_line("SHUTDOWN", "server is shutting down"))
 }
 
 /// Send `line` and its terminator in one `write`. As two, the `\n` waits
@@ -778,27 +786,43 @@ fn write_line(out: &mut impl Write, line: &str) -> std::io::Result<()> {
 }
 
 /// Per-connection protocol loop: line in, line out. Returns when the
-/// peer hangs up, after `QUIT`, or once the connection becomes an event
-/// stream via `SUBSCRIBE`.
-fn serve_client(
-    stream: TcpStream,
-    shards: &[Sender<Job>],
-    cfg: &ServeConfig,
-) -> std::io::Result<()> {
+/// peer hangs up, after `QUIT` or an over-long line, or once the
+/// connection becomes an event stream via `SUBSCRIBE`.
+fn serve_client(stream: TcpStream, state: &State) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = stream;
+    let cfg = &state.cfg;
     let mut current: Option<String> = None;
     let mut sessions_created = 0usize;
     let mut queries_admitted = 0usize;
     let mut federations_created = 0usize;
-    let mut line = String::new();
+    let quota_exhausted = || {
+        err_line(
+            "QUOTA",
+            &format!(
+                "query quota exhausted ({} per client)",
+                cfg.max_queries_per_client
+            ),
+        )
+    };
+    let mut line = Vec::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let cap = MAX_LINE as u64 + 1;
+        if reader.by_ref().take(cap).read_until(b'\n', &mut line)? == 0 {
             return Ok(());
         }
-        let req = line.trim_end_matches(['\r', '\n']);
+        if line.len() > MAX_LINE && !line.ends_with(b"\n") {
+            let e = err_line("USAGE", &format!("line longer than {MAX_LINE} bytes"));
+            write_line(&mut out, &e)?;
+            // A FIN ahead of the reset that closing on unread input sends:
+            // the client reads the error, then EOF.
+            return out.shutdown(Shutdown::Write);
+        }
+        let req = std::str::from_utf8(&line)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
+            .trim_end_matches(['\r', '\n']);
         if req.is_empty() {
             continue;
         }
@@ -815,14 +839,8 @@ fn serve_client(
                 } else {
                     match OpenSpec::parse(args) {
                         Ok(spec) => {
-                            let name_owned = name.to_string();
                             let may_create = sessions_created < cfg.max_sessions_per_client;
-                            let r = call(shards, name, |reply| Job::Open {
-                                name: name_owned,
-                                spec,
-                                may_create,
-                                reply,
-                            });
+                            let r = state.open(name, spec, may_create);
                             if r.starts_with("OK OPENED") {
                                 sessions_created += 1;
                             }
@@ -857,7 +875,7 @@ fn serve_client(
                     match FedSpec::parse(args) {
                         Ok(spec) => {
                             let may_create = federations_created < cfg.max_federations_per_client;
-                            let r = fed_call(shards, name, FedRequest::Open(spec), may_create);
+                            let r = state.fed(name, FedRequest::Open(spec), may_create);
                             if r.starts_with("OK FEDOPENED") {
                                 federations_created += 1;
                             }
@@ -876,7 +894,7 @@ fn serve_client(
                     )
                 } else {
                     match parse_link(args) {
-                        Ok(link) => fed_call(shards, name, FedRequest::Link(link), false),
+                        Ok(link) => state.fed(name, FedRequest::Link(link), false),
                         Err(e) => err_line("USAGE", &e),
                     }
                 }
@@ -890,19 +908,12 @@ fn serve_client(
                     )
                 } else {
                     match parse_fed_admit(args) {
+                        Ok(_) if queries_admitted >= cfg.max_queries_per_client => {
+                            quota_exhausted()
+                        }
                         Ok(req) => {
-                            if queries_admitted >= cfg.max_queries_per_client {
-                                err_line(
-                                    "QUOTA",
-                                    &format!(
-                                        "query quota exhausted ({} per client)",
-                                        cfg.max_queries_per_client
-                                    ),
-                                )
-                            } else {
-                                queries_admitted += 1;
-                                fed_call(shards, name, req, false)
-                            }
+                            queries_admitted += 1;
+                            state.fed(name, req, false)
                         }
                         Err(e) => err_line("USAGE", &e),
                     }
@@ -921,18 +932,14 @@ fn serve_client(
                     err_line("USAGE", "FEDREPORT <name> [cycles=N]")
                 } else {
                     match cycles {
-                        Ok(cycles) => fed_call(shards, name, FedRequest::Report { cycles }, false),
+                        Ok(cycles) => state.fed(name, FedRequest::Report { cycles }, false),
                         Err(e) => err_line("USAGE", &e),
                     }
                 }
             }
             "CLOSE" => match &current {
                 Some(name) => {
-                    let name_owned = name.clone();
-                    let r = call(shards, name, |reply| Job::Close {
-                        name: name_owned,
-                        reply,
-                    });
+                    let r = state.close(name);
                     if r.starts_with("OK") {
                         current = None;
                     }
@@ -945,47 +952,25 @@ fn serve_client(
                 Some(name) => match Command::decode(req) {
                     Err(e) => err_line("USAGE", &e),
                     Ok(Command::Subscribe) => {
-                        let name_owned = name.clone();
-                        let sub = out.try_clone()?;
-                        let r = call(shards, name, |reply| Job::Subscribe {
-                            name: name_owned,
-                            stream: sub,
-                            reply,
-                        });
-                        let subscribed = r.starts_with("OK");
-                        write_line(&mut out, &r)?;
-                        if subscribed {
+                        let r = state.subscribe(name, out.try_clone()?);
+                        if r.starts_with("OK") {
                             // The connection now belongs to the event
                             // stream; swallow any further input until the
                             // peer hangs up so we never write here again.
-                            while reader.read_line(&mut line)? != 0 {
-                                line.clear();
-                            }
+                            std::io::copy(&mut reader, &mut std::io::sink())?;
                             return Ok(());
                         }
-                        continue;
+                        r
                     }
                     Ok(cmd) => {
-                        if matches!(cmd, Command::Admit { .. } | Command::AdmitGraph { .. }) {
-                            if queries_admitted >= cfg.max_queries_per_client {
-                                let e = err_line(
-                                    "QUOTA",
-                                    &format!(
-                                        "query quota exhausted ({} per client)",
-                                        cfg.max_queries_per_client
-                                    ),
-                                );
-                                write_line(&mut out, &e)?;
-                                continue;
-                            }
-                            queries_admitted += 1;
+                        let admits =
+                            matches!(cmd, Command::Admit { .. } | Command::AdmitGraph { .. });
+                        if admits && queries_admitted >= cfg.max_queries_per_client {
+                            quota_exhausted()
+                        } else {
+                            queries_admitted += usize::from(admits);
+                            state.apply(name, cmd)
                         }
-                        let name_owned = name.clone();
-                        call(shards, name, |reply| Job::Apply {
-                            name: name_owned,
-                            cmd,
-                            reply,
-                        })
                     }
                 },
             },
@@ -1056,6 +1041,90 @@ mod tests {
             assert_eq!(shard_of("alpha", w), shard_of("alpha", w));
             assert!(shard_of("alpha", w) < w);
         }
+    }
+
+    const ADMIT_PAIR: &str = "ADMIT innet-cmg SELECT s.id, t.id FROM s, t \
+                              [windowsize=2 sampleinterval=100] \
+                              WHERE s.id < 20 AND t.id >= 20 AND s.u = t.u";
+
+    /// A panic in one session's command, with `workers: 1` so both
+    /// sessions share the shard: the panicking one answers `ERR INTERNAL`
+    /// and is gone, the other answers `REPORT` byte for byte as an
+    /// in-process session does, and the shard lock is not poisoned.
+    #[test]
+    fn a_panic_removes_only_its_own_session() {
+        let state = State::new(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let spec = OpenSpec::parse("nodes=40 seed=2").unwrap();
+        let admit = Command::decode(ADMIT_PAIR).unwrap();
+        for name in ["doomed", "bystander"] {
+            assert!(state.open(name, spec, true).starts_with("OK OPENED"));
+            assert_eq!(state.apply(name, admit.clone()), "OK ADMITTED q0");
+        }
+        let r = state.locked(Key::Session("doomed"), |shard| {
+            let e = shard.sessions.get_mut("doomed").unwrap();
+            e.session.apply(Command::Step(2));
+            panic!("injected fault");
+        });
+        assert_eq!(
+            r,
+            "ERR INTERNAL session%20'doomed'%20removed%20after%20a%20panic"
+        );
+        assert!(!state.shards[0].is_poisoned());
+        assert!(state
+            .apply("doomed", Command::Report)
+            .starts_with("ERR NOSESSION"));
+
+        let mut direct = open_session(&spec);
+        direct.apply(admit);
+        direct.apply(Command::Step(6));
+        assert_eq!(state.apply("bystander", Command::Step(6)), "OK STEPPED 6");
+        assert_eq!(
+            state.apply("bystander", Command::Report),
+            direct.apply(Command::Report).encode()
+        );
+        // The name is free again.
+        assert!(state.open("doomed", spec, true).starts_with("OK OPENED"));
+        // Once shutdown has begun, no command reaches a session.
+        state.stop.store(true, Ordering::SeqCst);
+        assert!(state
+            .apply("bystander", Command::Report)
+            .starts_with("ERR SHUTDOWN"));
+    }
+
+    /// A line past [`MAX_LINE`] reads `ERR USAGE` and then EOF on its own
+    /// connection; another connection's session does not notice.
+    #[test]
+    fn overlong_line_ends_only_its_connection() {
+        let server = Server::start(ServeConfig::default()).unwrap();
+        let mut other = Client::connect(server.addr()).unwrap();
+        other.request("OPEN keep nodes=40 seed=2").unwrap();
+        other.request(ADMIT_PAIR).unwrap();
+        other.request("STEP 3").unwrap();
+
+        let mut c = Client::connect(server.addr()).unwrap();
+        assert_eq!(
+            c.request("OPEN spam nodes=40").unwrap(),
+            "OK OPENED spam nodes=40"
+        );
+        // Write errors are fine: the server may hang up before it has all.
+        let _ = write_line(&mut c.stream, &"x".repeat(100 * 1024));
+        assert_eq!(
+            c.read_line().unwrap(),
+            format!("ERR USAGE line%20longer%20than%20{MAX_LINE}%20bytes")
+        );
+        assert_eq!(c.read_line().unwrap(), "");
+
+        let mut direct = open_session(&OpenSpec::parse("nodes=40 seed=2").unwrap());
+        direct.apply(Command::decode(ADMIT_PAIR).unwrap());
+        direct.apply(Command::Step(3));
+        assert_eq!(
+            other.request("REPORT").unwrap(),
+            direct.apply(Command::Report).encode()
+        );
+        server.shutdown();
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The serving acceptance contract: a session driven over the wire is
 //! *the same session* you would have driven in-process. Identical command
 //! scripts must produce byte-identical `REPORT` lines whether the server
-//! runs 1 shard worker or 4, and whether there is a server at all.
+//! runs 1 session shard or 4, and whether there is a server at all.
 
 use aspen_join::control::Command;
 use aspen_serve::{
@@ -109,7 +109,7 @@ fn outcomes_identical_across_worker_counts_and_in_process() {
 /// same shape reports `CACHESTATS` byte-identical to the in-process
 /// control plane, and closing it while a subscriber is attached ends the
 /// event stream with a terminal `EVENT CLOSED` line and a clean EOF —
-/// not a dangling stream — even with multiple shard workers.
+/// not a dangling stream — even with multiple session shards.
 #[test]
 fn warm_churn_cachestats_parity_and_close_terminates_subscriber() {
     const ADMIT_LEARN: &str = "ADMIT innet-cmg-learn SELECT s.id, t.id FROM s, t \
@@ -237,11 +237,19 @@ fn federation_outcomes_identical_across_worker_counts_and_in_process() {
 }
 
 /// Many concurrent clients hammering disjoint sessions: every client gets
-/// the exact same report it would get alone, regardless of interleaving.
+/// the exact same report it would get alone, regardless of interleaving,
+/// whether all twelve sessions share one shard or spread over two or
+/// eight.
 #[test]
 fn concurrent_clients_get_isolated_deterministic_sessions() {
+    for shards in [1, 2, 8] {
+        concurrent_clients(shards);
+    }
+}
+
+fn concurrent_clients(shards: usize) {
     let server = Server::start(ServeConfig {
-        workers: 4,
+        workers: shards,
         max_sessions_per_client: 2,
         max_queries_per_client: 8,
         ..ServeConfig::default()
@@ -276,7 +284,10 @@ fn concurrent_clients_get_isolated_deterministic_sessions() {
             s.apply(Command::Step(6));
             s.apply(Command::Report).encode()
         };
-        assert_eq!(report, &expected, "seed {seed} diverged under concurrency");
+        assert_eq!(
+            report, &expected,
+            "seed {seed} diverged under concurrency on {shards} shard(s)"
+        );
     }
     server.shutdown();
 }
