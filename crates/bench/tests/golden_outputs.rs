@@ -1,6 +1,5 @@
-//! Golden-output snapshot tests: the JSON reports of `experiments sweep
-//! --quick`, `experiments recovery --quick`, `experiments multiq --quick`,
-//! `experiments optimize --quick` and `experiments warmstart --quick` are
+//! Golden-output snapshot tests: the JSON and CSV reports of `experiments
+//! sweep|recovery|multiq|optimize|warmstart|federate --quick` are
 //! compared byte-for-byte against committed fixtures, so a
 //! report-format change or a determinism regression (seeding, float
 //! formatting, aggregation order, engine behavior) fails loudly instead
@@ -73,54 +72,54 @@ fn check_golden(name: &str, actual: &str) {
     }
 }
 
-/// `experiments sweep --quick` JSON (the 24-run CI grid).
+/// `experiments sweep --quick` JSON and CSV (the 24-run CI grid).
 #[test]
 fn sweep_quick_json_matches_golden() {
-    check_golden("sweep_quick.json", &SweepGrid::quick().run().to_json());
+    let report = SweepGrid::quick().run();
+    check_golden("sweep_quick.json", &report.to_json());
+    check_golden("sweep_quick.csv", &report.to_csv());
 }
 
-/// `experiments recovery --quick` JSON (the §7 failure-schedule grid).
+/// `experiments recovery --quick` JSON and CSV (the §7 failure-schedule grid).
 #[test]
 fn recovery_quick_json_matches_golden() {
-    check_golden(
-        "recovery_quick.json",
-        &SweepGrid::recovery_quick().run().to_json(),
-    );
+    let report = SweepGrid::recovery_quick().run();
+    check_golden("recovery_quick.json", &report.to_json());
+    check_golden("recovery_quick.csv", &report.to_csv());
 }
 
-/// `experiments multiq --quick` JSON (the 4-query shared-vs-independent
+/// `experiments multiq --quick` JSON and CSV (the 4-query shared-vs-independent
 /// comparison).
 #[test]
 fn multiq_quick_json_matches_golden() {
-    check_golden("multiq_quick.json", &MultiqConfig::quick().run().to_json());
+    let report = MultiqConfig::quick().run();
+    check_golden("multiq_quick.json", &report.to_json());
+    check_golden("multiq_quick.csv", &report.to_csv());
 }
 
-/// `experiments optimize --quick` JSON (the n-way join plan quality
+/// `experiments optimize --quick` JSON and CSV (the n-way join plan quality
 /// comparison: bushy DP vs left-deep vs pairwise-greedy).
 #[test]
 fn optimize_quick_json_matches_golden() {
-    check_golden(
-        "optimize_quick.json",
-        &OptimizeConfig::quick().run().to_json(),
-    );
+    let report = OptimizeConfig::quick().run();
+    check_golden("optimize_quick.json", &report.to_json());
+    check_golden("optimize_quick.csv", &report.to_csv());
 }
 
-/// `experiments warmstart --quick` JSON (the warm-vs-cold admission
+/// `experiments warmstart --quick` JSON and CSV (the warm-vs-cold admission
 /// comparison over a repeated-shape workload).
 #[test]
 fn warmstart_quick_json_matches_golden() {
-    check_golden(
-        "warmstart_quick.json",
-        &WarmstartConfig::quick().run().to_json(),
-    );
+    let report = WarmstartConfig::quick().run();
+    check_golden("warmstart_quick.json", &report.to_json());
+    check_golden("warmstart_quick.csv", &report.to_csv());
 }
 
-/// `experiments federate --quick` JSON (the cross-network federation
+/// `experiments federate --quick` JSON and CSV (the cross-network federation
 /// comparison: gateway-routed joins vs ship-everything-to-one-base).
 #[test]
 fn federate_quick_json_matches_golden() {
-    check_golden(
-        "federate_quick.json",
-        &FederateConfig::quick().run().to_json(),
-    );
+    let report = FederateConfig::quick().run();
+    check_golden("federate_quick.json", &report.to_json());
+    check_golden("federate_quick.csv", &report.to_csv());
 }
