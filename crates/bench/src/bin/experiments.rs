@@ -1,31 +1,31 @@
-//! Regenerates every table and figure of the paper's evaluation, and exposes
-//! the scenario-sweep subsystem from the CLI.
+//! Regenerates every table and figure of the paper's evaluation, and runs
+//! the seed-replicated grid harnesses.
 //!
-//! Usage: `experiments <id> [--quick] [--seeds N] [--cycles N]` where `<id>`
-//! is one of: table1 table2 table3 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//! fig10 fig11 fig12 fig13 fig14 fig16 fig17 fig18 fig19 fig20 appg all.
+//! Usage: `experiments <id>... [--quick|--full|--seeds N|--cycles N]`
+//! where `<id>` is one of: table1 table2 table3 fig2 fig3 fig4 fig5 fig6
+//! fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 fig16 fig17 fig18 fig19
+//! fig20 appg all.
 //!
-//! `experiments sweep [...]` runs a declarative multi-seed grid over
-//! {size, density, loss, query, rates, algorithm, dynamics} in parallel and
-//! emits an aligned table (stdout) plus JSON and CSV files; see
-//! `sweep --help`. `experiments recovery [...]` is the same machinery with
-//! the §7 failure schedules as defaults and the recovery-metric table
-//! (repair success rate, tuples lost, recovery overhead, re-convergence)
-//! as output.
+//! `experiments <sub> [options]` runs one of the grid subcommands —
+//! `sweep`, `recovery`, `multiq`, `optimize`, `warmstart`, `federate` —
+//! each a [`Harness`] row over one runner: the shared flags, the aligned
+//! table on stdout, the `--check-determinism` re-runs and the
+//! `PREFIX.json`/`PREFIX.csv` files are the runner's; a row supplies its
+//! defaults, its own flags and its emitters. See `<sub> --help`.
 //!
 //! Numbers will not equal the paper's absolute values (different simulator,
 //! synthetic Intel data) — the *shape* is the reproduction target: who
-//! wins, by what rough factor, and where crossovers fall. EXPERIMENTS.md
-//! records paper-vs-measured for every experiment.
+//! wins, by what rough factor, and where crossovers fall. The figure
+//! drivers print that shape; nothing yet checks it against the paper.
 
-use aspen_bench::federate::FederateConfig;
-use aspen_bench::multiq::MultiqConfig;
-use aspen_bench::optimize::OptimizeConfig;
+use aspen_bench::federate::{FederateConfig, FederateReport};
+use aspen_bench::multiq::{MultiqConfig, MultiqReport};
+use aspen_bench::optimize::{OptimizeConfig, OptimizeReport};
 use aspen_bench::sweep::{
     parse_algo, parse_density, seed_range, DynamicsSpec, MultiSpec, QueryId, SweepGrid,
-    WorkloadSel, SEED_BASE,
+    SweepReport, WorkloadSel, SEED_BASE,
 };
-use aspen_bench::warmstart::WarmstartConfig;
+use aspen_bench::warmstart::{WarmstartConfig, WarmstartReport};
 use aspen_bench::*;
 use aspen_join::prelude::*;
 use aspen_join::{centralized, Algorithm};
@@ -36,6 +36,8 @@ use sensor_routing::search::{best_path_per_target, find_paths, SearchQuery};
 use sensor_routing::substrate::MultiTreeSubstrate;
 use sensor_summaries::Constraint;
 use sensor_workload::{query0, query1, query2, query3, WorkloadData};
+use std::str::FromStr;
+use std::time::Instant;
 
 struct Opts {
     seeds: u64,
@@ -81,38 +83,22 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
     ("appg", appg),
 ];
 
-/// Grid-style subcommands with their own argument grammar, dispatched
-/// before figure parsing. Also part of the generated usage.
-const SUBCOMMANDS: &[(&str, &str)] = &[
-    ("sweep", "declarative multi-seed scenario grid"),
-    ("recovery", "§7 failure schedules + recovery metrics"),
-    (
-        "multiq",
-        "concurrent multi-query workloads, shared vs independent",
-    ),
-    (
-        "optimize",
-        "n-way join plans: bushy DP vs left-deep vs greedy",
-    ),
-    (
-        "warmstart",
-        "warm vs cold admission over a repeated-shape workload",
-    ),
-    (
-        "federate",
-        "cross-network joins over gateways, routed vs ship-to-base",
-    ),
-];
+/// The grid subcommands, dispatched before figure parsing and listed in
+/// the generated usage.
+const SUBCOMMANDS: [&dyn Subcommand; 6] =
+    [&SWEEP, &RECOVERY, &MULTIQ, &OPTIMIZE, &WARMSTART, &FEDERATE];
 
 fn usage_string() -> String {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(n, _)| n).collect();
     let mut out = format!(
-        "usage: experiments <{}|all> [--quick|--full|--seeds N|--cycles N]\n",
+        "usage: experiments <{}|all>... [--quick|--full|--seeds N|--cycles N]\n",
         ids.join("|")
     );
-    for (name, blurb) in SUBCOMMANDS {
+    for sub in SUBCOMMANDS {
+        let name = sub.name();
         out.push_str(&format!(
-            "       experiments {name} [options]   # {blurb} (see `{name} --help`)\n"
+            "       experiments {name} [options]   # {} (see `{name} --help`)\n",
+            sub.blurb()
         ));
     }
     out.pop();
@@ -121,75 +107,55 @@ fn usage_string() -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // The grid subcommands own their argument grammar (list-valued flags).
-    match args.first().map(String::as_str) {
-        Some("sweep") => {
-            sweep_cmd(&args[1..], SweepMode::Sweep);
-            return;
-        }
-        Some("recovery") => {
-            sweep_cmd(&args[1..], SweepMode::Recovery);
-            return;
-        }
-        Some("multiq") => {
-            multiq_cmd(&args[1..]);
-            return;
-        }
-        Some("optimize") => {
-            optimize_cmd(&args[1..]);
-            return;
-        }
-        Some("warmstart") => {
-            warmstart_cmd(&args[1..]);
-            return;
-        }
-        Some("federate") => {
-            federate_cmd(&args[1..]);
-            return;
-        }
-        _ => {}
+    match SUBCOMMANDS
+        .iter()
+        .find(|s| args.first().is_some_and(|a| a == s.name()))
+    {
+        Some(sub) => sub.main(&args[1..]),
+        None => figures(&args),
     }
-    let mut which: Vec<String> = Vec::new();
+}
+
+/// Figure mode: every argument is an experiment id or one of the flags
+/// `--quick`, `--full`, `--seeds N`, `--cycles N`, checked before anything
+/// runs.
+fn figures(args: &[String]) {
+    let cli = Cli {
+        cmd: "experiments",
+        usage: usage_string(),
+    };
+    let quick = args.iter().any(|a| a == "--quick");
     let mut opts = Opts {
-        seeds: QUICK_SEEDS,
-        quick: false,
+        seeds: if quick { 2 } else { QUICK_SEEDS },
+        quick,
         cycles_override: None,
     };
-    let mut it = args.iter().peekable();
+    let mut which: Vec<&str> = Vec::new();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => {
-                opts.quick = true;
-                opts.seeds = 2;
-            }
+            "--quick" => {}
             "--full" => opts.seeds = FULL_SEEDS,
-            "--seeds" => {
-                opts.seeds = it.next().and_then(|v| v.parse().ok()).unwrap_or(3);
-            }
-            "--cycles" => {
-                opts.cycles_override = it.next().and_then(|v| v.parse().ok());
-            }
-            other => which.push(other.to_string()),
+            "--seeds" => opts.seeds = cli.seeds(it.next()),
+            "--cycles" => opts.cycles_override = Some(cli.value(a, it.next())),
+            id if id == "all" || EXPERIMENTS.iter().any(|&(n, _)| n == id) => which.push(id),
+            flag if flag.starts_with('-') => cli.fail(&format!("unknown option {flag}")),
+            other => cli.fail(&format!("unknown experiment {other}")),
         }
     }
     if which.is_empty() {
-        eprintln!("{}", usage_string());
-        std::process::exit(2);
+        cli.fail("name an experiment");
     }
-    let selected: Vec<&str> = if which.iter().any(|w| w == "all") {
-        EXPERIMENTS.iter().map(|&(n, _)| n).collect()
-    } else {
-        which.iter().map(String::as_str).collect()
-    };
-    for exp in selected {
-        let t0 = std::time::Instant::now();
-        match EXPERIMENTS.iter().find(|&&(n, _)| n == exp) {
-            Some(&(_, f)) => f(&opts),
-            None => {
-                eprintln!("unknown experiment: {exp}\n{}", usage_string());
-                continue;
-            }
-        }
+    if which.contains(&"all") {
+        which = EXPERIMENTS.iter().map(|&(n, _)| n).collect();
+    }
+    for exp in which {
+        let &(_, f) = EXPERIMENTS
+            .iter()
+            .find(|&&(n, _)| n == exp)
+            .expect("ids were checked while parsing");
+        let t0 = Instant::now();
+        f(&opts);
         eprintln!("[{exp} done in {:.1}s]\n", t0.elapsed().as_secs_f64());
     }
 }
@@ -199,19 +165,240 @@ fn sigma_of(r: Rates) -> Sigma {
 }
 
 // ----------------------------------------------------------------------
-// The `sweep` and `recovery` subcommands: the full scenario grid from the
-// CLI. `recovery` is the same machinery with the §7 dynamics presets as
-// defaults and the recovery-metric table as output.
+// Argument parsing shared by figure mode and the grid subcommands.
 
-#[derive(Clone, Copy, PartialEq)]
-enum SweepMode {
-    Sweep,
-    Recovery,
+/// One command's argument errors: `CMD: message`, then the usage, on
+/// stderr, and exit status 2 — before anything runs.
+struct Cli {
+    cmd: &'static str,
+    usage: String,
 }
 
-const SWEEP_USAGE: &str = "usage: experiments <sweep|recovery> [options]
-  --quick              sweep: the 24-run CI grid (2 sizes x 3 loss x 2 algos x 2 seeds)
-                       recovery: the 16-run §7 grid (static + 3 failure schedules x 2 algos x 2 seeds)
+impl Cli {
+    fn fail(&self, msg: &str) -> ! {
+        eprintln!("{}: {msg}\n{}", self.cmd, self.usage);
+        std::process::exit(2);
+    }
+
+    /// `v`, the value after `flag`.
+    fn value<T: FromStr>(&self, flag: &str, v: Option<&String>) -> T {
+        num(flag, v.map(String::as_str)).unwrap_or_else(|e| self.fail(&e))
+    }
+
+    /// The `--seeds N` count: at least 1.
+    fn seeds(&self, v: Option<&String>) -> u64 {
+        match self.value("--seeds", v) {
+            0 => self.fail("--seeds must be at least 1"),
+            n => n,
+        }
+    }
+}
+
+/// `v`, the value of `flag`, read by `f`.
+fn read<T>(flag: &str, v: Option<&str>, f: impl Fn(&str) -> Option<T>) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+    f(v).ok_or_else(|| format!("bad {flag} {v}"))
+}
+
+fn num<T: FromStr>(flag: &str, v: Option<&str>) -> Result<T, String> {
+    read(flag, v, |s| s.parse().ok())
+}
+
+/// A count of at least `min`; `why` says what a smaller one would break.
+fn at_least(flag: &str, v: Option<&str>, min: usize, why: &str) -> Result<usize, String> {
+    match num(flag, v)? {
+        n if n < min => Err(format!("{flag} must be at least {min} ({why})")),
+        n => Ok(n),
+    }
+}
+
+fn loss(p: f64) -> Result<f64, String> {
+    if (0.0..1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!("loss {p} outside [0,1)"))
+    }
+}
+
+/// The comma-separated list value of `flag`, each item read by `f`. An
+/// empty list is an error: an empty dimension would silently yield a
+/// 0-cell sweep.
+fn list<T>(flag: &str, v: Option<&str>, f: impl Fn(&str) -> Option<T>) -> Result<Vec<T>, String> {
+    let items: Vec<&str> = v
+        .unwrap_or("")
+        .split(',')
+        .filter(|p| !p.is_empty())
+        .collect();
+    if items.is_empty() {
+        return Err(format!("{flag} needs a comma-separated value list"));
+    }
+    items.into_iter().map(|s| read(flag, Some(s), &f)).collect()
+}
+
+// ----------------------------------------------------------------------
+// The grid subcommands: one runner, one row per harness.
+
+/// One grid subcommand as a row of the runner: its defaults, its own flags
+/// and its emitters. The shared flags (`--quick`, `--seeds`, `--threads`,
+/// `--run-threads`, `--out`, `--check-determinism`, `--help`), the
+/// determinism re-runs and the output files are the runner's.
+struct Harness<C, R> {
+    name: &'static str,
+    blurb: &'static str,
+    /// Help for `--quick`, then for the row's own flags.
+    quick_help: &'static str,
+    flags_help: &'static str,
+    /// The base config without and with `--quick`.
+    default: fn() -> C,
+    quick: fn() -> C,
+    /// Applies one of the row's own flags to the config; `Ok(false)` if
+    /// `flag` is not one of them.
+    flag: fn(&mut C, &str, Option<&str>) -> Result<bool, String>,
+    seeds: fn(&mut C) -> &mut Vec<u64>,
+    threads: fn(&mut C) -> &mut usize,
+    /// Transmit-phase workers inside each run, where the harness simulates.
+    run_threads: Option<fn(&mut C) -> &mut usize>,
+    run: fn(&C) -> R,
+    /// What a run prints: the table and any summary line.
+    print: fn(&R) -> String,
+    json: fn(&R) -> String,
+    csv: fn(&R) -> String,
+    /// `--out`'s default under `--quick`, where not `target/NAME/NAME`.
+    quick_out: Option<&'static str>,
+    /// A file in the working directory that also records the JSON.
+    record: Option<&'static str>,
+}
+
+/// A [`Harness`] row with its config and report types erased, so the six
+/// rows share one table.
+trait Subcommand {
+    fn name(&self) -> &'static str;
+    fn blurb(&self) -> &'static str;
+    fn main(&self, args: &[String]);
+}
+
+impl<C: Clone, R> Harness<C, R> {
+    fn usage(&self) -> String {
+        let name = self.name;
+        let mut base = (self.default)();
+        let seeds = (self.seeds)(&mut base).len();
+        let threads = *(self.threads)(&mut base);
+        let (run_threads, rerun) = match self.run_threads {
+            Some(_) => (
+                "  --run-threads N      transmit-phase workers inside each run, 0 = all cores
+                       (default 1; outcomes are identical for any value)\n",
+                "single-threaded and at --run-threads 1|2|8",
+            ),
+            None => ("", "at --threads 1|2|8"),
+        };
+        let record = self
+            .record
+            .map(|r| format!(" and ./{r}"))
+            .unwrap_or_default();
+        format!(
+            "usage: experiments {name} [options]
+  --quick              {}
+{}
+  --seeds N            replicate seeds           (default {seeds})
+  --threads N          OS threads fanning runs out, 0 = all cores (default {threads})
+{run_threads}  --out PREFIX         write PREFIX.json, PREFIX.csv{record}
+                       (default target/{name}/{name})
+  --check-determinism  re-run {rerun},
+                       verifying byte-identical output",
+            self.quick_help, self.flags_help
+        )
+    }
+}
+
+impl<C: Clone, R> Subcommand for Harness<C, R> {
+    fn name(&self) -> &'static str {
+        self.name
+    }
+
+    fn blurb(&self) -> &'static str {
+        self.blurb
+    }
+
+    fn main(&self, args: &[String]) {
+        let cli = Cli {
+            cmd: self.name,
+            usage: self.usage(),
+        };
+        // --quick selects the base config, so apply it first regardless of
+        // where it appears: every other flag then overrides it, in any order.
+        let quick = args.iter().any(|a| a == "--quick");
+        let mut cfg = if quick {
+            (self.quick)()
+        } else {
+            (self.default)()
+        };
+        let mut out = match self.quick_out {
+            Some(prefix) if quick => prefix.to_string(),
+            _ => format!("target/{0}/{0}", self.name),
+        };
+        let mut check_determinism = false;
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--help" | "-h" => {
+                    println!("{}", cli.usage);
+                    return;
+                }
+                "--quick" => {}
+                "--seeds" => *(self.seeds)(&mut cfg) = seed_range(cli.seeds(it.next())),
+                "--threads" => *(self.threads)(&mut cfg) = cli.value(a, it.next()),
+                "--run-threads" => match self.run_threads {
+                    Some(run_threads) => *run_threads(&mut cfg) = cli.value(a, it.next()),
+                    None => cli.fail("unknown option --run-threads"),
+                },
+                "--out" => out = cli.value(a, it.next()),
+                "--check-determinism" => check_determinism = true,
+                flag => match (self.flag)(&mut cfg, flag, it.next().map(String::as_str)) {
+                    Ok(true) => {}
+                    Ok(false) => cli.fail(&format!("unknown option {flag}")),
+                    Err(e) => cli.fail(&e),
+                },
+            }
+        }
+        let t0 = Instant::now();
+        let report = (self.run)(&cfg);
+        let elapsed = t0.elapsed().as_secs_f64();
+        println!("{}", (self.print)(&report));
+        let (json, csv) = ((self.json)(&report), (self.csv)(&report));
+        if check_determinism {
+            // Fan-out threads 1, then intra-run workers 1|2|8 — or, for a
+            // harness without them, fan-out threads 1|2|8.
+            let workers = self.run_threads.unwrap_or(self.threads);
+            let single = self.run_threads.map(|_| (self.threads, 1));
+            for (knob, n) in single.into_iter().chain([1, 2, 8].map(|n| (workers, n))) {
+                let mut rerun = cfg.clone();
+                *knob(&mut rerun) = n;
+                let r = (self.run)(&rerun);
+                assert!(
+                    (self.json)(&r) == json && (self.csv)(&r) == csv,
+                    "{} output must not depend on thread counts",
+                    self.name
+                );
+            }
+            eprintln!("{}: determinism check ✓ (thread counts 1|2|8)", self.name);
+        }
+        if let Some(dir) = std::path::Path::new(&out).parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir).expect("create output directory");
+            }
+        }
+        std::fs::write(format!("{out}.json"), &json).expect("write JSON");
+        std::fs::write(format!("{out}.csv"), &csv).expect("write CSV");
+        let mut wrote = format!("{out}.json, {out}.csv");
+        if let Some(record) = self.record {
+            std::fs::write(record, &json).expect("write the JSON record");
+            wrote += &format!(", {record}");
+        }
+        eprintln!("{}: ran in {elapsed:.1}s -> {wrote}", self.name);
+    }
+}
+
+const GRID_FLAGS: &str = "  \
   --sizes N,N,..       topology sizes            (default 100)
   --densities a,b,..   sparse|moderate|medium|dense|grid (default moderate)
   --loss p,p,..        link-loss probabilities   (default 0.05)
@@ -226,805 +413,211 @@ const SWEEP_USAGE: &str = "usage: experiments <sweep|recovery> [options]
                        random center) | rateshift@C (swap sigma_s/sigma_t) | lossP@C
                        (step link loss to P) | move@C (re-home a random mobile
                        leaf, App. G)              (default none)
-  --seeds N            replicate seeds per cell  (default 3)
   --cycles N           execution sampling cycles (default 60)
-  --trees N            routing trees             (default 3)
-  --threads N          OS threads fanning runs out, 0 = all cores (default 0)
-  --run-threads N      transmit-phase workers inside each run, 0 = all cores
-                       (default 1; outcomes are identical for any value)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/sweep/sweep or target/recovery/recovery)
-  --check-determinism  re-run single-threaded and at --run-threads 1|2|8,
-                       verifying byte-identical output";
+  --trees N            routing trees             (default 3)";
 
-fn sweep_bad(msg: &str) -> ! {
-    eprintln!("sweep: {msg}\n{SWEEP_USAGE}");
-    std::process::exit(2);
+/// The grid flags of `sweep` and `recovery`.
+fn grid_flag(g: &mut SweepGrid, flag: &str, v: Option<&str>) -> Result<bool, String> {
+    match flag {
+        "--sizes" => g.sizes = list(flag, v, |s| s.parse().ok())?,
+        "--densities" => g.densities = list(flag, v, parse_density)?,
+        "--loss" => {
+            let ps = list(flag, v, |s| s.parse().ok())?;
+            g.loss_probs = ps.into_iter().map(loss).collect::<Result<_, _>>()?;
+        }
+        "--queries" => g.queries = list(flag, v, WorkloadSel::parse)?,
+        "--st-dens" => {
+            let st_dens: Vec<u16> = list(flag, v, |s| s.parse().ok())?;
+            g.rates = st_dens.into_iter().flat_map(Rates::ratio_stages).collect();
+        }
+        "--algos" => g.algorithms = list(flag, v, parse_algo)?,
+        "--dynamics" => g.dynamics = list(flag, v, DynamicsSpec::parse)?,
+        "--cycles" => g.cycles = num(flag, v)?,
+        "--trees" => g.num_trees = num(flag, v)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
-/// Comma-separated list value of `flag`; a missing or empty value is a
-/// usage error (an empty dimension would silently yield a 0-cell sweep).
-fn csv_items(flag: &str, v: Option<&String>) -> Vec<String> {
-    let items: Vec<String> = v
-        .map(|s| {
-            s.split(',')
-                .filter(|p| !p.is_empty())
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    if items.is_empty() {
-        sweep_bad(&format!("{flag} needs a comma-separated value list"));
-    }
-    items
-}
+const SWEEP: Harness<SweepGrid, SweepReport> = Harness {
+    name: "sweep",
+    blurb: "declarative multi-seed scenario grid",
+    quick_help: "the 24-run CI grid (2 sizes x 3 loss x 2 algos x 2 seeds)",
+    flags_help: GRID_FLAGS,
+    default: SweepGrid::default,
+    quick: SweepGrid::quick,
+    flag: grid_flag,
+    seeds: |g| &mut g.seeds,
+    threads: |g| &mut g.threads,
+    run_threads: Some(|g| &mut g.run_threads),
+    run: SweepGrid::run,
+    print: |r| r.to_table().to_aligned_string(),
+    json: SweepReport::to_json,
+    csv: SweepReport::to_csv,
+    quick_out: Some("target/sweep/quick"),
+    record: None,
+};
 
-fn sweep_cmd(args: &[String], mode: SweepMode) {
-    // --quick selects the base grid, so apply it first regardless of where
-    // it appears: every other flag then overrides it, in any order.
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut grid = match (mode, quick) {
-        (SweepMode::Sweep, true) => SweepGrid::quick(),
-        (SweepMode::Sweep, false) => SweepGrid::default(),
-        // Recovery defaults to the §7 grid either way; --quick trims seeds.
-        (SweepMode::Recovery, _) => SweepGrid::recovery_quick(),
-    };
-    if mode == SweepMode::Recovery && !quick {
-        grid.seeds = seed_range(3);
-    }
-    let mut out_prefix = match (mode, quick) {
-        (SweepMode::Sweep, true) => "target/sweep/quick".to_string(),
-        (SweepMode::Sweep, false) => "target/sweep/sweep".to_string(),
-        (SweepMode::Recovery, _) => "target/recovery/recovery".to_string(),
-    };
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{SWEEP_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--sizes" => {
-                grid.sizes = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|_| sweep_bad(&format!("bad size {s}")))
-                    })
-                    .collect();
-            }
-            "--densities" => {
-                grid.densities = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        parse_density(s).unwrap_or_else(|| sweep_bad(&format!("bad density {s}")))
-                    })
-                    .collect();
-            }
-            "--loss" => {
-                grid.loss_probs = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        let p: f64 = s
-                            .parse()
-                            .unwrap_or_else(|_| sweep_bad(&format!("bad loss {s}")));
-                        if !(0.0..1.0).contains(&p) {
-                            sweep_bad(&format!("loss {s} outside [0,1)"));
-                        }
-                        p
-                    })
-                    .collect();
-            }
-            "--queries" => {
-                grid.queries = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        WorkloadSel::parse(s)
-                            .unwrap_or_else(|| sweep_bad(&format!("bad query {s}")))
-                    })
-                    .collect();
-            }
-            "--st-dens" => {
-                let st_dens: Vec<u16> = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        s.parse()
-                            .unwrap_or_else(|_| sweep_bad(&format!("bad st-den {s}")))
-                    })
-                    .collect();
-                grid.rates = st_dens
-                    .iter()
-                    .flat_map(|&st| Rates::ratio_stages(st))
-                    .collect();
-            }
-            "--algos" => {
-                grid.algorithms = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        parse_algo(s).unwrap_or_else(|| sweep_bad(&format!("bad algorithm {s}")))
-                    })
-                    .collect();
-            }
-            "--dynamics" => {
-                grid.dynamics = csv_items(a, it.next())
-                    .iter()
-                    .map(|s| {
-                        DynamicsSpec::parse(s)
-                            .unwrap_or_else(|| sweep_bad(&format!("bad dynamics {s}")))
-                    })
-                    .collect();
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --seeds"));
-                if n == 0 {
-                    sweep_bad("--seeds must be at least 1");
-                }
-                grid.seeds = seed_range(n);
-            }
-            "--cycles" => {
-                grid.cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --cycles"));
-            }
-            "--trees" => {
-                grid.num_trees = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --trees"));
-            }
-            "--threads" => {
-                grid.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --threads"));
-            }
-            "--run-threads" => {
-                grid.run_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| sweep_bad("bad --run-threads"));
-            }
-            "--out" => {
-                out_prefix = it.next().cloned().unwrap_or_else(|| sweep_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => sweep_bad(&format!("unknown option {other}")),
-        }
-    }
-    let cmd = match mode {
-        SweepMode::Sweep => "sweep",
-        SweepMode::Recovery => "recovery",
-    };
-    let n_cells = grid.cells().len();
-    eprintln!(
-        "{cmd}: {} cells x {} seeds = {} runs ({} threads)",
-        n_cells,
-        grid.seeds.len(),
-        grid.total_runs(),
-        if grid.threads == 0 {
-            "all".to_string()
-        } else {
-            grid.threads.to_string()
-        }
-    );
-    let t0 = std::time::Instant::now();
-    let report = grid.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    match mode {
-        SweepMode::Sweep => println!("{}", report.to_table().to_aligned_string()),
-        SweepMode::Recovery => println!("{}", report.to_recovery_table().to_aligned_string()),
-    }
-    if check_determinism {
-        let mut single = grid.clone();
-        single.threads = 1;
-        let rerun = single.run();
-        assert_eq!(
-            report.to_json(),
-            rerun.to_json(),
-            "{cmd} output must not depend on thread count"
-        );
-        for run_threads in [1usize, 2, 8] {
-            let mut intra = grid.clone();
-            intra.run_threads = run_threads;
-            assert_eq!(
-                report.to_json(),
-                intra.run().to_json(),
-                "{cmd} output must not depend on intra-run threads ({run_threads})"
-            );
-        }
-        eprintln!("determinism check: fan-out threads and intra-run threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    eprintln!(
-        "{cmd}: {} runs in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv",
-        grid.total_runs()
-    );
-}
+/// The same grid with the §7 failure schedules as defaults and the
+/// recovery-metric table (repair success rate, tuples lost, recovery
+/// overhead, re-convergence) as output.
+const RECOVERY: Harness<SweepGrid, SweepReport> = Harness {
+    name: "recovery",
+    blurb: "§7 failure schedules + recovery metrics",
+    quick_help: "2 seeds instead of 3: the 16-run CI grid\n                       \
+                 (static + 3 failure schedules x 2 algos x 2 seeds)",
+    default: || SweepGrid {
+        seeds: seed_range(3),
+        ..SweepGrid::recovery_quick()
+    },
+    quick: SweepGrid::recovery_quick,
+    print: |r| r.to_recovery_table().to_aligned_string(),
+    quick_out: None,
+    ..SWEEP
+};
 
-// ----------------------------------------------------------------------
-// The `warmstart` subcommand: warm vs cold admission over a
-// repeated-shape workload, measuring what the learned-state cache saves.
-
-const WARMSTART_USAGE: &str = "usage: experiments warmstart [options]
-  --quick              CI smoke config (60 nodes, 2 episodes, 2 seeds)
-  --nodes N            topology size                  (default 60)
-  --episodes N         admissions of the repeated shape per session, >= 2
-                       (default 3; episode 1 warms the cache, 2.. are measured)
-  --cycles N           sampling cycles per episode    (default 45; must exceed
-                       the learn interval of 20 or nobody migrates)
-  --seeds N            replicate seeds per mode       (default 3)
-  --threads N          OS threads fanning runs out, 0 = all cores (default 0)
-  --run-threads N      transmit-phase workers inside each run, 0 = all cores
-                       (default 1; outcomes are identical for any value)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/warmstart/warmstart; the JSON is also
-                       recorded as BENCH_warmstart.json in the working dir)
-  --check-determinism  re-run single-threaded and at --run-threads 1|2|8,
-                       verifying byte-identical output";
-
-fn warmstart_bad(msg: &str) -> ! {
-    eprintln!("warmstart: {msg}\n{WARMSTART_USAGE}");
-    std::process::exit(2);
-}
-
-fn warmstart_cmd(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut cfg = if quick {
-        WarmstartConfig::quick()
-    } else {
-        WarmstartConfig::default()
-    };
-    let mut out_prefix = "target/warmstart/warmstart".to_string();
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{WARMSTART_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--nodes" => {
-                cfg.nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --nodes"));
-                if cfg.nodes < 40 {
-                    warmstart_bad("--nodes must be at least 40 (the query splits ids at 20/40)");
-                }
-            }
-            "--episodes" => {
-                cfg.episodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --episodes"));
-                if cfg.episodes < 2 {
-                    warmstart_bad("--episodes must be at least 2 (episode 1 only warms the cache)");
-                }
-            }
-            "--cycles" => {
-                cfg.episode_cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --cycles"));
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --seeds"));
-                if n == 0 {
-                    warmstart_bad("--seeds must be at least 1");
-                }
-                cfg.seeds = seed_range(n);
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --threads"));
-            }
-            "--run-threads" => {
-                cfg.run_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| warmstart_bad("bad --run-threads"));
-            }
-            "--out" => {
-                out_prefix = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| warmstart_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => warmstart_bad(&format!("unknown option {other}")),
-        }
-    }
-    eprintln!(
-        "warmstart: {} episodes x {} cycles, 2 modes x {} seeds = {} runs",
-        cfg.episodes,
-        cfg.episode_cycles,
-        cfg.seeds.len(),
-        2 * cfg.seeds.len()
-    );
-    let t0 = std::time::Instant::now();
-    let report = cfg.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    println!("{}", report.to_table().to_aligned_string());
-    println!("{}", report.savings_line());
-    if check_determinism {
-        let mut single = cfg.clone();
-        single.threads = 1;
-        let rerun = single.run();
-        assert_eq!(
-            report.to_json(),
-            rerun.to_json(),
-            "warmstart output must not depend on thread count"
-        );
-        for run_threads in [1usize, 2, 8] {
-            let mut intra = cfg.clone();
-            intra.run_threads = run_threads;
-            assert_eq!(
-                report.to_json(),
-                intra.run().to_json(),
-                "warmstart output must not depend on intra-run threads ({run_threads})"
-            );
-        }
-        eprintln!("determinism check: fan-out threads and intra-run threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    // The convergence trajectory of record, next to BENCH_engine.json
-    // and BENCH_serve.json when run from the repo root.
-    std::fs::write("BENCH_warmstart.json", report.to_json()).expect("write BENCH_warmstart.json");
-    eprintln!(
-        "warmstart: {} runs in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv, BENCH_warmstart.json",
-        2 * cfg.seeds.len()
-    );
-}
-
-// ----------------------------------------------------------------------
-// The `federate` subcommand: cross-network joins over a two-network
-// federation, gateway-routed vs ship-everything-to-one-base.
-
-const FEDERATE_USAGE: &str = "usage: experiments federate [options]
-  --quick              CI smoke config (50+40 nodes, 30 cycles, 2 seeds)
-  --nodes-a N          root member (alpha) topology size   (default 50)
-  --nodes-b N          remote member (beta) topology size  (default 40)
-  --cycles N           federation sampling cycles          (default 40;
-                       re-plan opportunities fire every 10)
-  --loss P             loss probability of the lossy link  (default 0.3)
-  --seeds N            replicate seeds per mode            (default 3)
-  --threads N          OS threads fanning runs out, 0 = all cores (default 0)
-  --run-threads N      transmit-phase workers inside each member run,
-                       0 = all cores (default 1; outcomes are identical
-                       for any value)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/federate/federate; the JSON is also
-                       recorded as BENCH_federate.json in the working dir)
-  --check-determinism  re-run single-threaded and at --run-threads 1|2|8,
-                       verifying byte-identical output";
-
-fn federate_bad(msg: &str) -> ! {
-    eprintln!("federate: {msg}\n{FEDERATE_USAGE}");
-    std::process::exit(2);
-}
-
-fn federate_cmd(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut cfg = if quick {
-        FederateConfig::quick()
-    } else {
-        FederateConfig::default()
-    };
-    let mut out_prefix = "target/federate/federate".to_string();
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{FEDERATE_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--nodes-a" => {
-                cfg.nodes_a = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --nodes-a"));
-            }
-            "--nodes-b" => {
-                cfg.nodes_b = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --nodes-b"));
-            }
-            "--cycles" => {
-                cfg.cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --cycles"));
-            }
-            "--loss" => {
-                cfg.loss = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --loss"));
-                if !(0.0..1.0).contains(&cfg.loss) {
-                    federate_bad("--loss must be in [0, 1)");
-                }
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --seeds"));
-                if n == 0 {
-                    federate_bad("--seeds must be at least 1");
-                }
-                cfg.seeds = seed_range(n);
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --threads"));
-            }
-            "--run-threads" => {
-                cfg.run_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| federate_bad("bad --run-threads"));
-            }
-            "--out" => {
-                out_prefix = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| federate_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => federate_bad(&format!("unknown option {other}")),
-        }
-    }
-    // Both networks must cover the chain's four 10-node id bands.
-    if cfg.nodes_a < 40 || cfg.nodes_b < 40 {
-        federate_bad("--nodes-a/--nodes-b must be at least 40 (the chain uses id bands up to 40)");
-    }
-    eprintln!(
-        "federate: {}+{} nodes x {} cycles, 2 modes x {} seeds = {} runs",
-        cfg.nodes_a,
-        cfg.nodes_b,
-        cfg.cycles,
-        cfg.seeds.len(),
-        2 * cfg.seeds.len()
-    );
-    let t0 = std::time::Instant::now();
-    let report = cfg.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    println!("{}", report.to_table().to_aligned_string());
-    println!("{}", report.savings_line());
-    if check_determinism {
-        let mut single = cfg.clone();
-        single.threads = 1;
-        let rerun = single.run();
-        assert_eq!(
-            report.to_json(),
-            rerun.to_json(),
-            "federate output must not depend on thread count"
-        );
-        for run_threads in [1usize, 2, 8] {
-            let mut intra = cfg.clone();
-            intra.run_threads = run_threads;
-            assert_eq!(
-                report.to_json(),
-                intra.run().to_json(),
-                "federate output must not depend on intra-run threads ({run_threads})"
-            );
-        }
-        eprintln!("determinism check: fan-out threads and intra-run threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    // The cross-network comparison of record, next to the other BENCH_*
-    // files when run from the repo root.
-    std::fs::write("BENCH_federate.json", report.to_json()).expect("write BENCH_federate.json");
-    eprintln!(
-        "federate: {} runs in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv, BENCH_federate.json",
-        2 * cfg.seeds.len()
-    );
-}
-
-// ----------------------------------------------------------------------
-// The `multiq` subcommand: concurrent multi-query workloads on one
-// network, both sharing modes compared side by side.
-
-const MULTIQ_USAGE: &str = "usage: experiments multiq [options]
-  --quick              CI smoke config (60 nodes, 4 mixed queries, 2 seeds, 20 cycles)
+const MULTIQ: Harness<MultiqConfig, MultiqReport> = Harness {
+    name: "multiq",
+    blurb: "concurrent multi-query workloads, shared vs independent",
+    quick_help: "CI smoke config (60 nodes, 4 mixed queries, 2 seeds, 20 cycles)",
+    flags_help: "  \
   --nodes N            topology size                  (default 100)
   --queries SPEC       workload: qKxN | mixN, optional @S arrival stagger
                        (default mix4; any +shared/+indep suffix is ignored —
                        both sharing modes always run and are compared)
   --algo A             naive|base|innet|innet-cm|innet-cmg|... (default innet-cmg)
   --loss P             link-loss probability          (default 0.05)
-  --seeds N            replicate seeds per mode       (default 3)
   --cycles N           execution sampling cycles      (default 40)
-  --trees N            routing trees                  (default 3)
-  --threads N          OS threads fanning runs out, 0 = all cores (default 0)
-  --run-threads N      transmit-phase workers inside each run, 0 = all cores
-                       (default 1; outcomes are identical for any value)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/multiq/multiq)
-  --check-determinism  re-run single-threaded and at --run-threads 1|2|8,
-                       verifying byte-identical output";
-
-fn multiq_bad(msg: &str) -> ! {
-    eprintln!("multiq: {msg}\n{MULTIQ_USAGE}");
-    std::process::exit(2);
-}
-
-fn multiq_cmd(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut cfg = if quick {
-        MultiqConfig::quick()
-    } else {
-        MultiqConfig::default()
-    };
-    let mut out_prefix = "target/multiq/multiq".to_string();
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{MULTIQ_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--nodes" => {
-                cfg.nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --nodes"));
-            }
+  --trees N            routing trees                  (default 3)",
+    default: MultiqConfig::default,
+    quick: MultiqConfig::quick,
+    flag: |c, flag, v| {
+        match flag {
+            "--nodes" => c.nodes = num(flag, v)?,
             "--queries" => {
-                let s = it.next().unwrap_or_else(|| multiq_bad("missing --queries"));
-                let m = MultiSpec::parse(s)
-                    .unwrap_or_else(|| multiq_bad(&format!("bad workload spec {s}")));
-                cfg.n_queries = m.n;
-                cfg.base_query = m.base;
-                cfg.stagger = m.stagger;
+                let m = read(flag, v, MultiSpec::parse)?;
+                (c.n_queries, c.base_query, c.stagger) = (m.n, m.base, m.stagger);
             }
-            "--algo" => {
-                let s = it.next().unwrap_or_else(|| multiq_bad("missing --algo"));
-                cfg.algo =
-                    parse_algo(s).unwrap_or_else(|| multiq_bad(&format!("bad algorithm {s}")));
-            }
-            "--loss" => {
-                let p: f64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --loss"));
-                if !(0.0..1.0).contains(&p) {
-                    multiq_bad("loss outside [0,1)");
-                }
-                cfg.loss = p;
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --seeds"));
-                if n == 0 {
-                    multiq_bad("--seeds must be at least 1");
-                }
-                cfg.seeds = seed_range(n);
-            }
-            "--cycles" => {
-                cfg.cycles = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --cycles"));
-            }
-            "--trees" => {
-                cfg.num_trees = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --trees"));
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --threads"));
-            }
-            "--run-threads" => {
-                cfg.run_threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| multiq_bad("bad --run-threads"));
-            }
-            "--out" => {
-                out_prefix = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| multiq_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => multiq_bad(&format!("unknown option {other}")),
+            "--algo" => c.algo = read(flag, v, parse_algo)?,
+            "--loss" => c.loss = loss(num(flag, v)?)?,
+            "--cycles" => c.cycles = num(flag, v)?,
+            "--trees" => c.num_trees = num(flag, v)?,
+            _ => return Ok(false),
         }
-    }
-    eprintln!(
-        "multiq: {} x {} queries, 2 modes x {} seeds = {} runs",
-        cfg.spec(aspen_join::Sharing::Independent).name(),
-        cfg.n_queries,
-        cfg.seeds.len(),
-        2 * cfg.seeds.len()
-    );
-    let t0 = std::time::Instant::now();
-    let report = cfg.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    println!("{}", report.to_table().to_aligned_string());
-    println!("{}", report.savings_line());
-    if check_determinism {
-        let mut single = cfg.clone();
-        single.threads = 1;
-        let rerun = single.run();
-        assert_eq!(
-            report.to_json(),
-            rerun.to_json(),
-            "multiq output must not depend on thread count"
-        );
-        for run_threads in [1usize, 2, 8] {
-            let mut intra = cfg.clone();
-            intra.run_threads = run_threads;
-            assert_eq!(
-                report.to_json(),
-                intra.run().to_json(),
-                "multiq output must not depend on intra-run threads ({run_threads})"
-            );
-        }
-        eprintln!("determinism check: fan-out threads and intra-run threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    eprintln!(
-        "multiq: {} runs in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv",
-        2 * cfg.seeds.len()
-    );
-}
+        Ok(true)
+    },
+    seeds: |c| &mut c.seeds,
+    threads: |c| &mut c.threads,
+    run_threads: Some(|c| &mut c.run_threads),
+    run: MultiqConfig::run,
+    print: |r| format!("{}\n{}", r.to_table().to_aligned_string(), r.savings_line()),
+    json: MultiqReport::to_json,
+    csv: MultiqReport::to_csv,
+    quick_out: None,
+    record: None,
+};
 
-// ----------------------------------------------------------------------
-// The `optimize` subcommand: n-way join plan quality — the bushy DP vs
-// the left-deep restriction vs the pairwise-greedy heuristic, on the §3
-// cost model over seed-replicated topologies. Pure plan costing, no
-// simulation.
-
-const OPTIMIZE_USAGE: &str = "usage: experiments optimize [options]
-  --quick              CI smoke config (60 nodes, 4 seeds)
-  --nodes N            topology size             (default 100)
-  --seeds N            replicate topology seeds  (default 8)
-  --threads N          OS threads fanning plan jobs out, 0 = all cores (default 0)
-  --out PREFIX         output prefix for PREFIX.json / PREFIX.csv
-                       (default target/optimize/optimize)
-  --check-determinism  re-run at --threads 1|2|8, verifying byte-identical output";
-
-fn optimize_bad(msg: &str) -> ! {
-    eprintln!("optimize: {msg}\n{OPTIMIZE_USAGE}");
-    std::process::exit(2);
-}
-
-fn optimize_cmd(args: &[String]) {
-    let quick = args.iter().any(|a| a == "--quick");
-    let mut cfg = if quick {
-        OptimizeConfig::quick()
-    } else {
-        OptimizeConfig::default()
-    };
-    let mut out_prefix = "target/optimize/optimize".to_string();
-    let mut check_determinism = false;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--help" | "-h" => {
-                println!("{OPTIMIZE_USAGE}");
-                return;
-            }
-            "--quick" => {}
-            "--nodes" => {
-                cfg.nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| optimize_bad("bad --nodes"));
-            }
-            "--seeds" => {
-                let n: u64 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| optimize_bad("bad --seeds"));
-                if n == 0 {
-                    optimize_bad("--seeds must be at least 1");
-                }
-                cfg.seeds = seed_range(n);
-            }
-            "--threads" => {
-                cfg.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| optimize_bad("bad --threads"));
-            }
-            "--out" => {
-                out_prefix = it
-                    .next()
-                    .cloned()
-                    .unwrap_or_else(|| optimize_bad("bad --out"));
-            }
-            "--check-determinism" => check_determinism = true,
-            other => optimize_bad(&format!("unknown option {other}")),
+/// n-way join plan quality — the bushy DP vs the left-deep restriction vs
+/// the pairwise-greedy heuristic, on the §3 cost model over
+/// seed-replicated topologies. Pure plan costing, no simulation.
+const OPTIMIZE: Harness<OptimizeConfig, OptimizeReport> = Harness {
+    name: "optimize",
+    blurb: "n-way join plans: bushy DP vs left-deep vs greedy",
+    quick_help: "CI smoke config (60 nodes, 4 seeds)",
+    flags_help: "  --nodes N            topology size             (default 100)",
+    default: OptimizeConfig::default,
+    quick: OptimizeConfig::quick,
+    flag: |c, flag, v| {
+        match flag {
+            "--nodes" => c.nodes = num(flag, v)?,
+            _ => return Ok(false),
         }
-    }
-    let n_workloads = aspen_bench::optimize::workloads().len();
-    eprintln!(
-        "optimize: {} workloads x {} seeds on {}-node topologies = {} plan comparisons",
-        n_workloads,
-        cfg.seeds.len(),
-        cfg.nodes,
-        n_workloads * cfg.seeds.len()
-    );
-    let t0 = std::time::Instant::now();
-    let report = cfg.run();
-    let elapsed = t0.elapsed().as_secs_f64();
-    println!("{}", report.to_table().to_aligned_string());
-    println!("{}", report.headline());
-    if check_determinism {
-        for threads in [1usize, 2, 8] {
-            let mut rerun = cfg.clone();
-            rerun.threads = threads;
-            assert_eq!(
-                report.to_json(),
-                rerun.run().to_json(),
-                "optimize output must not depend on thread count ({threads})"
-            );
+        Ok(true)
+    },
+    seeds: |c| &mut c.seeds,
+    threads: |c| &mut c.threads,
+    run_threads: None,
+    run: OptimizeConfig::run,
+    print: |r| format!("{}\n{}", r.to_table().to_aligned_string(), r.headline()),
+    json: OptimizeReport::to_json,
+    csv: OptimizeReport::to_csv,
+    quick_out: None,
+    record: None,
+};
+
+/// Warm vs cold admission over a repeated-shape workload, measuring what
+/// the learned-state cache saves.
+const WARMSTART: Harness<WarmstartConfig, WarmstartReport> = Harness {
+    name: "warmstart",
+    blurb: "warm vs cold admission over a repeated-shape workload",
+    quick_help: "CI smoke config (60 nodes, 2 episodes, 2 seeds)",
+    flags_help: "  \
+  --nodes N            topology size                  (default 60)
+  --episodes N         admissions of the repeated shape per session, >= 2
+                       (default 3; episode 1 warms the cache, 2.. are measured)
+  --cycles N           sampling cycles per episode    (default 45; must exceed
+                       the learn interval of 20 or nobody migrates)",
+    default: WarmstartConfig::default,
+    quick: WarmstartConfig::quick,
+    flag: |c, flag, v| {
+        match flag {
+            "--nodes" => c.nodes = at_least(flag, v, 40, "the query splits ids at 20/40")?,
+            "--episodes" => c.episodes = at_least(flag, v, 2, "episode 1 only warms the cache")?,
+            "--cycles" => c.episode_cycles = num(flag, v)?,
+            _ => return Ok(false),
         }
-        eprintln!("determinism check: threads 1|2|8 all identical ✓");
-    }
-    if let Some(dir) = std::path::Path::new(&out_prefix).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
+        Ok(true)
+    },
+    seeds: |c| &mut c.seeds,
+    threads: |c| &mut c.threads,
+    run_threads: Some(|c| &mut c.run_threads),
+    run: WarmstartConfig::run,
+    print: |r| format!("{}\n{}", r.to_table().to_aligned_string(), r.savings_line()),
+    json: WarmstartReport::to_json,
+    csv: WarmstartReport::to_csv,
+    quick_out: None,
+    // The convergence trajectory of record, next to the other BENCH_*
+    // files when run from the repo root.
+    record: Some("BENCH_warmstart.json"),
+};
+
+/// Cross-network joins over a two-network federation, gateway-routed vs
+/// ship-everything-to-one-base.
+const FEDERATE: Harness<FederateConfig, FederateReport> = Harness {
+    name: "federate",
+    blurb: "cross-network joins over gateways, routed vs ship-to-base",
+    quick_help: "CI smoke config (50+40 nodes, 30 cycles, 2 seeds)",
+    flags_help: "  \
+  --nodes-a N          root member (alpha) topology size   (default 50)
+  --nodes-b N          remote member (beta) topology size  (default 40)
+  --cycles N           federation sampling cycles          (default 40;
+                       re-plan opportunities fire every 10)
+  --loss P             loss probability of the lossy link  (default 0.3)",
+    default: FederateConfig::default,
+    quick: FederateConfig::quick,
+    flag: |c, flag, v| {
+        // Both networks must cover the chain's four 10-node id bands.
+        const BANDS: &str = "the chain uses id bands up to 40";
+        match flag {
+            "--nodes-a" => c.nodes_a = at_least(flag, v, 40, BANDS)?,
+            "--nodes-b" => c.nodes_b = at_least(flag, v, 40, BANDS)?,
+            "--cycles" => c.cycles = num(flag, v)?,
+            "--loss" => c.loss = loss(num(flag, v)?)?,
+            _ => return Ok(false),
         }
-    }
-    std::fs::write(format!("{out_prefix}.json"), report.to_json()).expect("write JSON");
-    std::fs::write(format!("{out_prefix}.csv"), report.to_csv()).expect("write CSV");
-    eprintln!(
-        "optimize: {} comparisons in {elapsed:.1}s -> {out_prefix}.json, {out_prefix}.csv",
-        n_workloads * cfg.seeds.len()
-    );
-}
+        Ok(true)
+    },
+    seeds: |c| &mut c.seeds,
+    threads: |c| &mut c.threads,
+    run_threads: Some(|c| &mut c.run_threads),
+    run: FederateConfig::run,
+    print: |r| format!("{}\n{}", r.to_table().to_aligned_string(), r.savings_line()),
+    json: FederateReport::to_json,
+    csv: FederateReport::to_csv,
+    quick_out: None,
+    // The cross-network comparison of record.
+    record: Some("BENCH_federate.json"),
+};
 
 // ----------------------------------------------------------------------
 // Table 1: attribute distributions of the synthetic workload.

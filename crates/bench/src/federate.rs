@@ -12,21 +12,22 @@
 //! federation exists to conserve), and replans taken.
 
 use crate::sweep::seed_range;
+use crate::{csv_header, fan_out, Metric, Stats};
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions};
 use sensor_net::{GatewayLink, NodeId};
 use sensor_query::parse_join_graph;
 use sensor_query::JoinGraph;
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{Json, SummaryStat, Table};
 use sensor_workload::WorkloadData;
 
 /// Aggregate metrics reported per cross-mode cell, in column order.
-pub const FEDERATE_METRICS: [&str; 5] = [
-    "cross_results",
-    "member_bytes",
-    "gateway_bytes",
-    "total_bytes",
-    "replans",
+const METRICS: [Metric<FederationOutcome>; 5] = [
+    ("cross_results", |o| o.cross_results as f64),
+    ("member_bytes", |o| o.member_traffic_bytes() as f64),
+    ("gateway_bytes", |o| o.gateway_bytes() as f64),
+    ("total_bytes", |o| o.total_traffic_bytes() as f64),
+    ("replans", |o| o.replans as f64),
 ];
 
 /// Everything one gateway-vs-ship comparison needs (minus the cross
@@ -155,18 +156,16 @@ impl FederateConfig {
     /// Fan every (mode, seed) run across OS threads and aggregate.
     pub fn run(&self) -> FederateReport {
         let modes = [CrossMode::Gateway, CrossMode::ShipBase];
-        let jobs: Vec<(CrossMode, u64)> = modes
-            .iter()
-            .flat_map(|&m| self.seeds.iter().map(move |&s| (m, s)))
-            .collect();
-        let outcomes: Vec<FederationOutcome> =
-            parallel_map(&jobs, self.threads, |&(m, s)| self.run_one(m, s));
-        let per_mode = self.seeds.len();
+        let rows = fan_out(&modes, &self.seeds, self.threads, |&m, s| {
+            self.run_one(m, s)
+        });
         let cells = modes
-            .iter()
-            .enumerate()
-            .map(|(mi, &mode)| {
-                ModeResult::aggregate(mode, &outcomes[mi * per_mode..(mi + 1) * per_mode])
+            .into_iter()
+            .zip(rows)
+            .map(|(mode, rows)| ModeResult {
+                mode,
+                runs: rows.len(),
+                stats: Stats::of(rows.iter(), &METRICS),
             })
             .collect();
         FederateReport {
@@ -184,33 +183,10 @@ impl FederateConfig {
 pub struct ModeResult {
     pub mode: CrossMode,
     pub runs: usize,
-    stats: Vec<(&'static str, SummaryStat)>,
+    stats: Stats,
 }
 
 impl ModeResult {
-    fn aggregate(mode: CrossMode, rows: &[FederationOutcome]) -> ModeResult {
-        type Col<'a> = (&'static str, &'a dyn Fn(&FederationOutcome) -> f64);
-        let cols: [Col; 5] = [
-            ("cross_results", &|o| o.cross_results as f64),
-            ("member_bytes", &|o| o.member_traffic_bytes() as f64),
-            ("gateway_bytes", &|o| o.gateway_bytes() as f64),
-            ("total_bytes", &|o| o.total_traffic_bytes() as f64),
-            ("replans", &|o| o.replans as f64),
-        ];
-        let stats = cols
-            .iter()
-            .map(|&(n, f)| {
-                let samples: Vec<f64> = rows.iter().map(f).collect();
-                (n, SummaryStat::from_samples(&samples))
-            })
-            .collect();
-        ModeResult {
-            mode,
-            runs: rows.len(),
-            stats,
-        }
-    }
-
     pub fn name(&self) -> &'static str {
         match self.mode {
             CrossMode::Gateway => "gateway",
@@ -219,11 +195,7 @@ impl ModeResult {
     }
 
     pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown federate metric {name}"))
+        self.stats.stat(name)
     }
 }
 
@@ -303,14 +275,10 @@ impl FederateReport {
             .cells
             .iter()
             .map(|c| {
-                let metrics = FEDERATE_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
-                    .collect();
                 Json::Obj(vec![
                     ("mode".into(), Json::str(c.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
-                    ("metrics".into(), Json::Obj(metrics)),
+                    ("metrics".into(), Json::Obj(c.stats.json_fields())),
                 ])
             })
             .collect();
@@ -332,20 +300,11 @@ impl FederateReport {
 
     pub fn to_csv(&self) -> String {
         let mut headers = vec!["mode".to_string(), "runs".to_string()];
-        for m in FEDERATE_METRICS {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
-        }
+        headers.extend(csv_header(METRICS.map(|m| m.0)));
         let mut t = Table::new(headers);
         for c in &self.cells {
             let mut row = vec![c.name().to_string(), c.runs.to_string()];
-            for m in FEDERATE_METRICS {
-                let s = c.stat(m);
-                row.push(format!("{}", s.mean));
-                row.push(format!("{}", s.stddev));
-                row.push(format!("{}", s.ci95));
-            }
+            row.extend(c.stats.csv_cells());
             t.push_row(row);
         }
         t.to_csv()
@@ -386,24 +345,5 @@ mod tests {
         let csv = rep.to_csv();
         assert_eq!(csv.lines().count(), 1 + 2);
         assert!(!rep.savings_line().is_empty());
-    }
-
-    #[test]
-    fn federate_report_thread_count_invariant() {
-        let cfg = |threads, run_threads| FederateConfig {
-            threads,
-            run_threads,
-            ..test_cfg()
-        };
-        let a = cfg(1, 1).run();
-        for (threads, run_threads) in [(4, 1), (1, 8), (2, 2)] {
-            let b = cfg(threads, run_threads).run();
-            assert_eq!(
-                a.to_json(),
-                b.to_json(),
-                "threads={threads} run_threads={run_threads}"
-            );
-            assert_eq!(a.to_csv(), b.to_csv());
-        }
     }
 }

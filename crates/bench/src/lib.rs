@@ -7,8 +7,9 @@
 //! (`experiments optimize`) in [`mod@optimize`]; the warm-vs-cold
 //! admission comparison (`experiments warmstart`) in [`warmstart`]; the
 //! cross-network federation comparison (`experiments federate`) in
-//! [`federate`]; the helpers here remain for the figure drivers that
-//! predate them.
+//! [`federate`]. All five fan their `(key, seed)` runs out through
+//! [`fan_out`] and aggregate them into named [`Stats`]; the other helpers
+//! here serve the figure drivers.
 
 pub mod federate;
 pub mod multiq;
@@ -20,6 +21,7 @@ use aspen_join::prelude::*;
 use aspen_join::Algorithm;
 use sensor_net::Topology;
 use sensor_query::JoinQuerySpec;
+use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat};
 use sensor_workload::WorkloadData;
 
 /// Number of seeds averaged per data point (the paper averages 9 runs).
@@ -28,10 +30,10 @@ pub const FULL_SEEDS: u64 = 9;
 pub const QUICK_SEEDS: u64 = 3;
 
 /// Mean and 95% confidence half-interval of a sample. Delegates to the
-/// sweep subsystem's [`sensor_sim::sweep::SummaryStat`] so every figure —
+/// sweep subsystem's [`SummaryStat`] so every figure —
 /// sweep-driven or not — computes its CI with the same t-quantile.
 pub fn mean_ci(xs: &[f64]) -> (f64, f64) {
-    let s = sensor_sim::sweep::SummaryStat::from_samples(xs);
+    let s = SummaryStat::from_samples(xs);
     (s.mean, s.ci95)
 }
 
@@ -117,7 +119,7 @@ impl Bench {
         seeds: u64,
     ) -> Vec<Outcome> {
         let jobs: Vec<u64> = crate::sweep::seed_range(seeds);
-        parallel_map(jobs, |&s| {
+        parallel_map(&jobs, 0, |&s| {
             run_stats(self.scenario(rates, assumed, algo, opts, s), self.cycles)
         })
     }
@@ -130,11 +132,84 @@ pub fn run_stats(b: SessionBuilder, cycles: u32) -> Outcome {
     session.report()
 }
 
-/// Simple parallel map over independent jobs (the paper ran its sweeps on
-/// a 20-machine cluster; we use the local cores). Thin wrapper over the
-/// engine-side deterministic fan-out in [`sensor_sim::sweep`].
-pub fn parallel_map<T: Send + Sync, R: Send>(jobs: Vec<T>, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    sensor_sim::sweep::parallel_map(&jobs, 0, f)
+/// Runs `run(key, seed)` for every key and seed across `threads` OS
+/// threads (0 = all cores) and returns each key's results in seed order.
+/// The jobs go to [`parallel_map`] key-major, so the result does not
+/// depend on `threads`.
+pub fn fan_out<K: Sync, R: Send>(
+    keys: &[K],
+    seeds: &[u64],
+    threads: usize,
+    run: impl Fn(&K, u64) -> R + Sync,
+) -> Vec<Vec<R>> {
+    let jobs: Vec<(&K, u64)> = keys
+        .iter()
+        .flat_map(|k| seeds.iter().map(move |&s| (k, s)))
+        .collect();
+    let mut results = parallel_map(&jobs, threads, |&(k, s)| run(k, s)).into_iter();
+    keys.iter()
+        .map(|_| results.by_ref().take(seeds.len()).collect())
+        .collect()
+}
+
+/// A named per-run observable, aggregated over seeds by [`Stats::of`].
+pub type Metric<T> = (&'static str, fn(&T) -> f64);
+
+/// One report cell's seed aggregates, by metric name, in column order.
+#[derive(Debug, Clone)]
+pub struct Stats(pub(crate) Vec<(&'static str, SummaryStat)>);
+
+impl Stats {
+    /// Aggregates each of `metrics` over `rows`.
+    pub fn of<'a, T: 'a>(
+        rows: impl Iterator<Item = &'a T> + Clone,
+        metrics: &[Metric<T>],
+    ) -> Stats {
+        Stats(
+            metrics
+                .iter()
+                .map(|&(name, f)| {
+                    let xs: Vec<f64> = rows.clone().map(f).collect();
+                    (name, SummaryStat::from_samples(&xs))
+                })
+                .collect(),
+        )
+    }
+
+    /// The aggregate of metric `name`; panics if the cell has none.
+    pub fn stat(&self, name: &str) -> &SummaryStat {
+        self.0
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, s)| s)
+            .unwrap_or_else(|| panic!("unknown metric {name}"))
+    }
+
+    /// One `name: {n, mean, stddev, ci95, min, max}` field per metric.
+    pub fn json_fields(&self) -> Vec<(String, Json)> {
+        self.0
+            .iter()
+            .map(|(name, s)| (name.to_string(), stat_json(s)))
+            .collect()
+    }
+
+    /// The cells under [`csv_header`]: mean, stddev and ci95 per metric.
+    pub fn csv_cells(&self) -> Vec<String> {
+        self.0.iter().flat_map(|(_, s)| csv_stat(s)).collect()
+    }
+}
+
+/// The `{m}_mean`, `{m}_stddev`, `{m}_ci95` CSV columns of each metric.
+pub fn csv_header<'a>(names: impl IntoIterator<Item = &'a str>) -> Vec<String> {
+    names
+        .into_iter()
+        .flat_map(|m| ["mean", "stddev", "ci95"].map(|suffix| format!("{m}_{suffix}")))
+        .collect()
+}
+
+/// One aggregate's three CSV cells: mean, stddev, ci95.
+pub fn csv_stat(s: &SummaryStat) -> [String; 3] {
+    [s.mean, s.stddev, s.ci95].map(|x| format!("{x}"))
 }
 
 #[cfg(test)]
@@ -148,13 +223,6 @@ mod tests {
         assert!(ci > 0.0);
         assert_eq!(mean_ci(&[]), (0.0, 0.0));
         assert_eq!(mean_ci(&[5.0]).1, 0.0);
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let jobs: Vec<u32> = (0..37).collect();
-        let out = parallel_map(jobs, |&x| x * 2);
-        assert_eq!(out, (0..37).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]

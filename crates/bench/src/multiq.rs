@@ -5,24 +5,32 @@
 //! contract of the sweep subsystem.
 
 use crate::sweep::{algo_name, seed_range, MultiSpec, QueryId};
+use crate::{csv_header, csv_stat, fan_out, Metric, Stats};
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions};
 use sensor_net::{DensityClass, TopologySpec};
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{Json, SummaryStat, Table};
 use sensor_workload::WorkloadData;
 
 /// Aggregate metrics reported per (sharing mode) cell, in column order.
-pub const MULTIQ_METRICS: [&str; 10] = [
-    "total_traffic_bytes",
-    "base_load_bytes",
-    "max_node_load_bytes",
-    "total_traffic_msgs",
-    "base_load_msgs",
-    "results",
-    "avg_delay_cycles",
-    "shared_frame_bytes",
-    "shared_frame_msgs",
-    "expired_frames",
+const METRICS: [Metric<Outcome>; 10] = [
+    ("total_traffic_bytes", |r| r.total_traffic_bytes() as f64),
+    ("base_load_bytes", |r| r.base_load_bytes() as f64),
+    ("max_node_load_bytes", |r| r.max_node_load_bytes() as f64),
+    ("total_traffic_msgs", |r| r.total_traffic_msgs() as f64),
+    ("base_load_msgs", |r| r.base_load_msgs() as f64),
+    ("results", |r| r.results_total() as f64),
+    ("avg_delay_cycles", |r| r.avg_delay_tx()),
+    ("shared_frame_bytes", |r| r.shared_flow.tx_bytes as f64),
+    ("shared_frame_msgs", |r| r.shared_flow.tx_msgs as f64),
+    ("expired_frames", |r| r.expired_frames as f64),
+];
+
+/// Per-query metrics, in column order.
+const QUERY_METRICS: [Metric<QueryStats>; 3] = [
+    ("results", |q| q.results as f64),
+    ("delay_cycles", |q| q.avg_delay_tx),
+    ("own_tx_bytes", |q| q.flow.tx_bytes as f64),
 ];
 
 /// Everything one multiq comparison needs: the workload shape (minus the
@@ -113,19 +121,13 @@ impl MultiqConfig {
     /// Fan every (mode, seed) run across OS threads and aggregate.
     pub fn run(&self) -> MultiqReport {
         let modes = [Sharing::Independent, Sharing::SharedTree];
-        let jobs: Vec<(Sharing, u64)> = modes
-            .iter()
-            .flat_map(|&m| self.seeds.iter().map(move |&s| (m, s)))
-            .collect();
-        let samples: Vec<Outcome> = parallel_map(&jobs, self.threads, |&(m, s)| self.run_one(m, s));
-        let per_mode = self.seeds.len();
+        let rows = fan_out(&modes, &self.seeds, self.threads, |&m, s| {
+            self.run_one(m, s)
+        });
         let cells = modes
-            .iter()
-            .enumerate()
-            .map(|(mi, &sharing)| {
-                let rows = &samples[mi * per_mode..(mi + 1) * per_mode];
-                ModeResult::aggregate(self, sharing, rows)
-            })
+            .into_iter()
+            .zip(rows)
+            .map(|(sharing, rows)| ModeResult::aggregate(self, sharing, &rows))
             .collect();
         MultiqReport {
             spec_name: self.spec(Sharing::Independent).name(),
@@ -139,15 +141,13 @@ impl MultiqConfig {
     }
 }
 
-/// Seed-aggregated per-query observables within one mode.
+/// Seed-aggregated per-query observables within one mode: results,
+/// delay and the query's own (un-aggregated) execution TX bytes.
 #[derive(Debug, Clone)]
 pub struct QueryAgg {
     pub name: String,
     pub arrival: u32,
-    pub results: SummaryStat,
-    pub delay: SummaryStat,
-    /// This query's own (un-aggregated) execution TX bytes.
-    pub own_tx_bytes: SummaryStat,
+    pub stats: Stats,
 }
 
 /// One sharing mode's aggregated replicates.
@@ -156,72 +156,34 @@ pub struct ModeResult {
     pub sharing: Sharing,
     pub runs: usize,
     pub per_query: Vec<QueryAgg>,
-    stats: Vec<(&'static str, SummaryStat)>,
+    stats: Stats,
 }
 
 impl ModeResult {
     fn aggregate(cfg: &MultiqConfig, sharing: Sharing, rows: &[Outcome]) -> ModeResult {
         let m = cfg.spec(sharing);
         let per_query = (0..cfg.n_queries)
-            .map(|q| {
-                let col = |f: &dyn Fn(&Outcome) -> f64| {
-                    SummaryStat::from_samples(&rows.iter().map(f).collect::<Vec<_>>())
-                };
-                QueryAgg {
-                    name: format!("{}#{q}", m.member(q).name()),
-                    // The authoritative lifecycle comes from the run, not
-                    // a re-derivation of the stagger formula.
-                    arrival: rows
-                        .first()
-                        .map(|r| r.per_query[q].arrival)
-                        .unwrap_or(q as u32 * cfg.stagger),
-                    results: col(&|r| r.per_query[q].results as f64),
-                    delay: col(&|r| r.per_query[q].avg_delay_tx),
-                    own_tx_bytes: col(&|r| r.per_query[q].flow.tx_bytes as f64),
-                }
+            .map(|q| QueryAgg {
+                name: format!("{}#{q}", m.member(q).name()),
+                // The authoritative lifecycle comes from the run, not
+                // a re-derivation of the stagger formula.
+                arrival: rows
+                    .first()
+                    .map(|r| r.per_query[q].arrival)
+                    .unwrap_or(q as u32 * cfg.stagger),
+                stats: Stats::of(rows.iter().map(|r| &r.per_query[q]), &QUERY_METRICS),
             })
             .collect();
-        let col = |f: &dyn Fn(&Outcome) -> f64| {
-            SummaryStat::from_samples(&rows.iter().map(f).collect::<Vec<_>>())
-        };
-        let stats = vec![
-            (
-                "total_traffic_bytes",
-                col(&|r| r.total_traffic_bytes() as f64),
-            ),
-            ("base_load_bytes", col(&|r| r.base_load_bytes() as f64)),
-            (
-                "max_node_load_bytes",
-                col(&|r| r.max_node_load_bytes() as f64),
-            ),
-            (
-                "total_traffic_msgs",
-                col(&|r| r.total_traffic_msgs() as f64),
-            ),
-            ("base_load_msgs", col(&|r| r.base_load_msgs() as f64)),
-            ("results", col(&|r| r.results_total() as f64)),
-            ("avg_delay_cycles", col(&|r| r.avg_delay_tx())),
-            (
-                "shared_frame_bytes",
-                col(&|r| r.shared_flow.tx_bytes as f64),
-            ),
-            ("shared_frame_msgs", col(&|r| r.shared_flow.tx_msgs as f64)),
-            ("expired_frames", col(&|r| r.expired_frames as f64)),
-        ];
         ModeResult {
             sharing,
             runs: rows.len(),
             per_query,
-            stats,
+            stats: Stats::of(rows.iter(), &METRICS),
         }
     }
 
     pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown multiq metric {name}"))
+        self.stats.stat(name)
     }
 }
 
@@ -263,13 +225,14 @@ impl MultiqReport {
         let kb = |s: &SummaryStat| format!("{:.1}", s.mean / 1024.0);
         for c in &self.cells {
             for q in &c.per_query {
+                let results = q.stats.stat("results");
                 t.push_row(vec![
                     c.sharing.name().to_string(),
                     q.name.clone(),
                     q.arrival.to_string(),
-                    format!("{:.0}±{:.0}", q.results.mean, q.results.ci95),
-                    format!("{:.1}", q.delay.mean),
-                    kb(&q.own_tx_bytes),
+                    format!("{:.0}±{:.0}", results.mean, results.ci95),
+                    format!("{:.1}", q.stats.stat("delay_cycles").mean),
+                    kb(q.stats.stat("own_tx_bytes")),
                     "-".to_string(),
                     "-".to_string(),
                     "-".to_string(),
@@ -327,24 +290,19 @@ impl MultiqReport {
                     .per_query
                     .iter()
                     .map(|q| {
-                        Json::Obj(vec![
+                        let mut fields = vec![
                             ("query".into(), Json::str(&q.name)),
                             ("arrival".into(), Json::num(q.arrival as f64)),
-                            ("results".into(), stat_json(&q.results)),
-                            ("delay_cycles".into(), stat_json(&q.delay)),
-                            ("own_tx_bytes".into(), stat_json(&q.own_tx_bytes)),
-                        ])
+                        ];
+                        fields.extend(q.stats.json_fields());
+                        Json::Obj(fields)
                     })
-                    .collect();
-                let metrics = MULTIQ_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
                     .collect();
                 Json::Obj(vec![
                     ("mode".into(), Json::str(c.sharing.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
                     ("queries".into(), Json::Arr(per_query)),
-                    ("metrics".into(), Json::Obj(metrics)),
+                    ("metrics".into(), Json::Obj(c.stats.json_fields())),
                 ])
             })
             .collect();
@@ -371,22 +329,9 @@ impl MultiqReport {
             "arrival".to_string(),
             "runs".to_string(),
         ];
-        for m in ["results", "delay_cycles", "own_tx_bytes"] {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
-        }
-        for m in MULTIQ_METRICS {
-            headers.push(format!("{m}_mean"));
-        }
+        headers.extend(csv_header(QUERY_METRICS.map(|m| m.0)));
+        headers.extend(METRICS.map(|(m, _)| format!("{m}_mean")));
         let mut t = Table::new(headers);
-        let stat3 = |s: &SummaryStat| {
-            vec![
-                format!("{}", s.mean),
-                format!("{}", s.stddev),
-                format!("{}", s.ci95),
-            ]
-        };
         for c in &self.cells {
             for q in &c.per_query {
                 let mut row = vec![
@@ -395,10 +340,8 @@ impl MultiqReport {
                     q.arrival.to_string(),
                     c.runs.to_string(),
                 ];
-                row.extend(stat3(&q.results));
-                row.extend(stat3(&q.delay));
-                row.extend(stat3(&q.own_tx_bytes));
-                row.extend(MULTIQ_METRICS.iter().map(|_| String::new()));
+                row.extend(q.stats.csv_cells());
+                row.extend(METRICS.map(|_| String::new()));
                 t.push_row(row);
             }
             let mut row = vec![
@@ -407,14 +350,10 @@ impl MultiqReport {
                 String::new(),
                 c.runs.to_string(),
             ];
-            row.extend(stat3(c.stat("results")));
-            row.extend(stat3(c.stat("avg_delay_cycles")));
+            row.extend(csv_stat(c.stat("results")));
+            row.extend(csv_stat(c.stat("avg_delay_cycles")));
             row.extend(["", "", ""].map(String::from));
-            row.extend(
-                MULTIQ_METRICS
-                    .iter()
-                    .map(|&m| format!("{}", c.stat(m).mean)),
-            );
+            row.extend(METRICS.map(|(m, _)| format!("{}", c.stat(m).mean)));
             t.push_row(row);
         }
         t.to_csv()
@@ -463,29 +402,5 @@ mod tests {
         // Header + (4 queries + ALL) per mode x 2 modes.
         assert_eq!(csv.lines().count(), 1 + 2 * 5);
         assert!(!rep.savings_line().is_empty());
-    }
-
-    #[test]
-    fn multiq_report_thread_count_invariant() {
-        let cfg = |threads, run_threads| MultiqConfig {
-            nodes: 40,
-            seeds: seed_range(2),
-            cycles: 6,
-            threads,
-            run_threads,
-            ..MultiqConfig::quick()
-        };
-        let a = cfg(1, 1).run();
-        // Cross-replicate fan-out, intra-run chunking, and both at once
-        // must all reproduce the sequential report byte-for-byte.
-        for (threads, run_threads) in [(4, 1), (1, 4), (2, 3)] {
-            let b = cfg(threads, run_threads).run();
-            assert_eq!(
-                a.to_json(),
-                b.to_json(),
-                "threads={threads} run_threads={run_threads}"
-            );
-            assert_eq!(a.to_csv(), b.to_csv());
-        }
     }
 }

@@ -18,15 +18,20 @@
 //! beats the best left-deep plan on at least one 4-way workload.
 
 use crate::sweep::seed_range;
+use crate::{csv_header, fan_out, Metric, Stats};
 use aspen_join::prelude::*;
 use aspen_join::PlanNode;
 use sensor_net::{DensityClass, TopologySpec};
 use sensor_query::{parse_join_graph, JoinGraph};
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{Json, SummaryStat, Table};
 use sensor_workload::WorkloadData;
 
 /// Per-workload aggregate metrics, in column order.
-pub const OPTIMIZE_METRICS: [&str; 3] = ["dp_cost", "left_deep_cost", "greedy_cost"];
+const METRICS: [Metric<PlanSample>; 3] = [
+    ("dp_cost", |r| r.dp_cost),
+    ("left_deep_cost", |r| r.left_deep_cost),
+    ("greedy_cost", |r| r.greedy_cost),
+];
 
 /// Low / high windowed join-edge selectivity (σ_st) used by the named
 /// workloads; source/target send rates stay at the standard 1/2.
@@ -162,16 +167,11 @@ impl OptimizeConfig {
     /// Fan every (workload, seed) cell across OS threads and aggregate.
     pub fn run(&self) -> OptimizeReport {
         let ws = workloads();
-        let jobs: Vec<(usize, u64)> = (0..ws.len())
-            .flat_map(|wi| self.seeds.iter().map(move |&s| (wi, s)))
-            .collect();
-        let samples: Vec<PlanSample> =
-            parallel_map(&jobs, self.threads, |&(wi, s)| self.run_one(&ws[wi], s));
-        let per_w = self.seeds.len();
+        let rows = fan_out(&ws, &self.seeds, self.threads, |w, s| self.run_one(w, s));
         let cells = ws
             .iter()
-            .enumerate()
-            .map(|(wi, w)| WorkloadResult::aggregate(w, &samples[wi * per_w..(wi + 1) * per_w]))
+            .zip(rows)
+            .map(|(w, rows)| WorkloadResult::aggregate(w, &rows))
             .collect();
         OptimizeReport {
             nodes: self.nodes,
@@ -218,20 +218,12 @@ pub struct WorkloadResult {
     pub bushy_plans: usize,
     /// The DP plan shape on the first seed (a stable exemplar).
     pub dp_shape: String,
-    stats: Vec<(&'static str, SummaryStat)>,
+    stats: Stats,
 }
 
 impl WorkloadResult {
     fn aggregate(w: &OptWorkload, rows: &[PlanSample]) -> WorkloadResult {
         let g = w.graph();
-        let col = |f: &dyn Fn(&PlanSample) -> f64| {
-            SummaryStat::from_samples(&rows.iter().map(f).collect::<Vec<_>>())
-        };
-        let stats = vec![
-            ("dp_cost", col(&|r| r.dp_cost)),
-            ("left_deep_cost", col(&|r| r.left_deep_cost)),
-            ("greedy_cost", col(&|r| r.greedy_cost)),
-        ];
         WorkloadResult {
             name: w.name,
             relations: g.n_relations(),
@@ -242,16 +234,12 @@ impl WorkloadResult {
                 .count(),
             bushy_plans: rows.iter().filter(|r| r.dp_bushy).count(),
             dp_shape: rows.first().map(|r| r.dp_shape.clone()).unwrap_or_default(),
-            stats,
+            stats: Stats::of(rows.iter(), &METRICS),
         }
     }
 
     pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown optimize metric {name}"))
+        self.stats.stat(name)
     }
 
     /// Mean percentage saved by the DP plan vs a baseline metric
@@ -341,15 +329,11 @@ impl OptimizeReport {
             .cells
             .iter()
             .map(|c| {
-                let metrics = OPTIMIZE_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
-                    .collect();
                 Json::Obj(vec![
                     ("workload".into(), Json::str(c.name)),
                     ("relations".into(), Json::num(c.relations as f64)),
                     ("edges".into(), Json::num(c.edges as f64)),
-                    ("metrics".into(), Json::Obj(metrics)),
+                    ("metrics".into(), Json::Obj(c.stats.json_fields())),
                     ("dp_strict_wins".into(), Json::num(c.dp_strict_wins as f64)),
                     ("bushy_plans".into(), Json::num(c.bushy_plans as f64)),
                     ("dp_shape".into(), Json::str(&c.dp_shape)),
@@ -375,11 +359,7 @@ impl OptimizeReport {
             "edges".to_string(),
             "seeds".to_string(),
         ];
-        for m in OPTIMIZE_METRICS {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
-        }
+        headers.extend(csv_header(METRICS.map(|m| m.0)));
         headers.push("dp_strict_wins".to_string());
         headers.push("bushy_plans".to_string());
         let mut t = Table::new(headers);
@@ -390,12 +370,7 @@ impl OptimizeReport {
                 c.edges.to_string(),
                 self.seeds.len().to_string(),
             ];
-            for m in OPTIMIZE_METRICS {
-                let s = c.stat(m);
-                row.push(format!("{}", s.mean));
-                row.push(format!("{}", s.stddev));
-                row.push(format!("{}", s.ci95));
-            }
+            row.extend(c.stats.csv_cells());
             row.push(c.dp_strict_wins.to_string());
             row.push(c.bushy_plans.to_string());
             t.push_row(row);
@@ -454,20 +429,5 @@ mod tests {
                 .map(|c| (c.name, c.dp_strict_wins))
                 .collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn optimize_report_thread_count_invariant() {
-        let cfg = |threads| OptimizeConfig {
-            seeds: seed_range(2),
-            threads,
-            ..OptimizeConfig::quick()
-        };
-        let a = cfg(1).run();
-        for threads in [2usize, 8] {
-            let b = cfg(threads).run();
-            assert_eq!(a.to_json(), b.to_json(), "threads={threads}");
-            assert_eq!(a.to_csv(), b.to_csv());
-        }
     }
 }

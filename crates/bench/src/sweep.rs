@@ -4,17 +4,18 @@
 //!
 //! A grid expands to cells in a fixed nested order, every (cell, seed) run
 //! is an independent deterministic simulation, and the runs fan out across
-//! OS threads through [`sensor_sim::sweep::parallel_map`] — so a report is
+//! OS threads through [`crate::fan_out`] — so a report is
 //! byte-identical for any thread count. Aggregation (mean / stddev / 95% CI
 //! over seeds) and the JSON/CSV/table emitters live here; the figure
 //! drivers in the `experiments` binary are thin formatters over a
 //! [`SweepReport`].
 
+use crate::{csv_header, fan_out, Stats};
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions};
 use sensor_net::{DensityClass, NodeId, Topology, TopologySpec};
 use sensor_query::JoinQuerySpec;
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{Json, SummaryStat, Table};
 use sensor_workload::{query0, query1, query2, query3, WorkloadData};
 
 /// The named workload queries of Table 2.
@@ -664,33 +665,25 @@ impl SweepGrid {
     /// seed replicates per cell.
     pub fn run(&self) -> SweepReport {
         let cells = self.cells();
-        let jobs: Vec<(usize, u64)> = cells
-            .iter()
-            .enumerate()
-            .flat_map(|(ci, _)| self.seeds.iter().map(move |&s| (ci, s)))
-            .collect();
-        let samples: Vec<[f64; 17]> = parallel_map(&jobs, self.threads, |&(ci, seed)| {
-            cells[ci].run_one(seed, self.cycles, self.num_trees, self.run_threads)
+        let rows = fan_out(&cells, &self.seeds, self.threads, |cell, seed| {
+            cell.run_one(seed, self.cycles, self.num_trees, self.run_threads)
         });
-        let per_cell = self.seeds.len();
         let results = cells
             .into_iter()
-            .enumerate()
-            .map(|(ci, spec)| {
-                let rows = &samples[ci * per_cell..(ci + 1) * per_cell];
-                let stats = SWEEP_METRICS
-                    .iter()
-                    .enumerate()
-                    .map(|(mi, &name)| {
-                        let xs: Vec<f64> = rows.iter().map(|r| r[mi]).collect();
-                        (name, SummaryStat::from_samples(&xs))
-                    })
-                    .collect();
-                CellResult {
-                    spec,
-                    runs: per_cell,
-                    stats,
-                }
+            .zip(rows)
+            .map(|(spec, rows)| CellResult {
+                spec,
+                runs: rows.len(),
+                stats: Stats(
+                    SWEEP_METRICS
+                        .iter()
+                        .enumerate()
+                        .map(|(mi, &name)| {
+                            let xs: Vec<f64> = rows.iter().map(|r| r[mi]).collect();
+                            (name, SummaryStat::from_samples(&xs))
+                        })
+                        .collect(),
+                ),
             })
             .collect();
         SweepReport {
@@ -706,16 +699,12 @@ impl SweepGrid {
 pub struct CellResult {
     pub spec: CellSpec,
     pub runs: usize,
-    stats: Vec<(&'static str, SummaryStat)>,
+    stats: Stats,
 }
 
 impl CellResult {
     pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown sweep metric {name}"))
+        self.stats.stat(name)
     }
 }
 
@@ -851,11 +840,7 @@ impl SweepReport {
             "dynamics".to_string(),
             "runs".to_string(),
         ];
-        for m in SWEEP_METRICS {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
-        }
+        headers.extend(csv_header(SWEEP_METRICS));
         let mut t = Table::new(headers);
         for c in &self.cells {
             let mut row = vec![
@@ -868,12 +853,7 @@ impl SweepReport {
                 c.spec.dynamics_name(),
                 c.runs.to_string(),
             ];
-            for m in SWEEP_METRICS {
-                let s = c.stat(m);
-                row.push(format!("{}", s.mean));
-                row.push(format!("{}", s.stddev));
-                row.push(format!("{}", s.ci95));
-            }
+            row.extend(c.stats.csv_cells());
             t.push_row(row);
         }
         t.to_csv()
@@ -884,10 +864,6 @@ impl SweepReport {
             .cells
             .iter()
             .map(|c| {
-                let metrics = SWEEP_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
-                    .collect();
                 Json::Obj(vec![
                     ("query".into(), Json::str(c.spec.query.name())),
                     ("nodes".into(), Json::num(c.spec.nodes as f64)),
@@ -897,7 +873,7 @@ impl SweepReport {
                     ("algorithm".into(), Json::str(c.spec.algo_name())),
                     ("dynamics".into(), Json::str(c.spec.dynamics_name())),
                     ("runs".into(), Json::num(c.runs as f64)),
-                    ("metrics".into(), Json::Obj(metrics)),
+                    ("metrics".into(), Json::Obj(c.stats.json_fields())),
                 ])
             })
             .collect();

@@ -10,23 +10,23 @@
 //! rate.
 
 use crate::sweep::{algo_name, seed_range};
+use crate::{csv_header, fan_out, Metric, Stats};
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions};
 use sensor_query::parser::parse_query;
 use sensor_query::JoinQuerySpec;
-use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat, Table};
+use sensor_sim::sweep::{Json, SummaryStat, Table};
 use sensor_workload::WorkloadData;
 
-/// Aggregate metrics reported per (admission mode) cell, in column order.
-/// All but `hit_rate` aggregate over the repeat episodes (2..) of every
-/// seed; `hit_rate` is the per-session cache hit fraction.
-pub const WARMSTART_METRICS: [&str; 6] = [
-    "convergence_cycles",
-    "migrated_pairs",
-    "ctrl_bytes",
-    "tx_bytes",
-    "results",
-    "hit_rate",
+/// Per-episode metrics, in column order. A mode's report aggregates them
+/// over the first episode and, followed by `hit_rate` (the per-session
+/// cache hit fraction), over the repeat episodes (2..) of every seed.
+const EPISODE_METRICS: [Metric<EpisodeMetrics>; 5] = [
+    ("convergence_cycles", |e| e.convergence as f64),
+    ("migrated_pairs", |e| e.migrated_pairs as f64),
+    ("ctrl_bytes", |e| e.ctrl_bytes as f64),
+    ("tx_bytes", |e| e.tx_bytes as f64),
+    ("results", |e| e.results as f64),
 ];
 
 /// Everything one warm-vs-cold comparison needs (minus the warm flag,
@@ -194,20 +194,13 @@ impl WarmstartConfig {
     /// Fan every (mode, seed) run across OS threads and aggregate.
     pub fn run(&self) -> WarmstartReport {
         let modes = [false, true];
-        let jobs: Vec<(bool, u64)> = modes
-            .iter()
-            .flat_map(|&m| self.seeds.iter().map(move |&s| (m, s)))
-            .collect();
-        let samples: Vec<SessionSample> =
-            parallel_map(&jobs, self.threads, |&(m, s)| self.run_one(m, s));
-        let per_mode = self.seeds.len();
+        let rows = fan_out(&modes, &self.seeds, self.threads, |&warm, s| {
+            self.run_one(warm, s)
+        });
         let cells = modes
-            .iter()
-            .enumerate()
-            .map(|(mi, &warm)| {
-                let rows = &samples[mi * per_mode..(mi + 1) * per_mode];
-                ModeResult::aggregate(warm, rows)
-            })
+            .into_iter()
+            .zip(rows)
+            .map(|(warm, rows)| ModeResult::aggregate(warm, &rows))
             .collect();
         WarmstartReport {
             algo: algo_name(self.algo().0, self.algo().1),
@@ -247,24 +240,14 @@ pub struct ModeResult {
     pub runs: usize,
     /// Episode-1 aggregates — cold for both modes, reported so parity is
     /// visible in the output.
-    pub first_episode: Vec<(&'static str, SummaryStat)>,
+    pub first_episode: Stats,
     /// Summed cache counters across the mode's sessions.
     pub cache: CacheStats,
-    stats: Vec<(&'static str, SummaryStat)>,
+    stats: Stats,
 }
 
 impl ModeResult {
     fn aggregate(warm: bool, rows: &[SessionSample]) -> ModeResult {
-        // (skip, take) selects the episode band: (0, 1) = the first
-        // (cold-for-everyone) episode, (1, MAX) = the measured repeats.
-        let over = |skip: usize, take: usize, f: &dyn Fn(&EpisodeMetrics) -> f64| {
-            let samples: Vec<f64> = rows
-                .iter()
-                .flat_map(|r| r.episodes.iter().skip(skip).take(take))
-                .map(f)
-                .collect();
-            SummaryStat::from_samples(&samples)
-        };
         let mut cache = CacheStats::default();
         for r in rows {
             cache.entries += r.stats.entries;
@@ -284,24 +267,18 @@ impl ModeResult {
                 }
             })
             .collect();
-        type Col<'a> = (&'static str, &'a dyn Fn(&EpisodeMetrics) -> f64);
-        let cols: [Col; 5] = [
-            ("convergence_cycles", &|e| e.convergence as f64),
-            ("migrated_pairs", &|e| e.migrated_pairs as f64),
-            ("ctrl_bytes", &|e| e.ctrl_bytes as f64),
-            ("tx_bytes", &|e| e.tx_bytes as f64),
-            ("results", &|e| e.results as f64),
-        ];
-        let mut stats: Vec<(&'static str, SummaryStat)> = cols
-            .iter()
-            .map(|&(n, f)| (n, over(1, usize::MAX, f)))
-            .collect();
-        stats.push(("hit_rate", SummaryStat::from_samples(&hit_rate)));
-        let first_episode = cols.iter().map(|&(n, f)| (n, over(0, 1, f))).collect();
+        let repeats = rows.iter().flat_map(|r| r.episodes.iter().skip(1));
+        let mut stats = Stats::of(repeats, &EPISODE_METRICS);
+        stats
+            .0
+            .push(("hit_rate", SummaryStat::from_samples(&hit_rate)));
         ModeResult {
             warm,
             runs: rows.len(),
-            first_episode,
+            first_episode: Stats::of(
+                rows.iter().flat_map(|r| r.episodes.first()),
+                &EPISODE_METRICS,
+            ),
             cache,
             stats,
         }
@@ -316,11 +293,7 @@ impl ModeResult {
     }
 
     pub fn stat(&self, name: &str) -> &SummaryStat {
-        self.stats
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, s)| s)
-            .unwrap_or_else(|| panic!("unknown warmstart metric {name}"))
+        self.stats.stat(name)
     }
 }
 
@@ -358,13 +331,7 @@ impl WarmstartReport {
             "hit_rate",
         ]);
         for c in &self.cells {
-            let first = |n: &str| {
-                c.first_episode
-                    .iter()
-                    .find(|(m, _)| *m == n)
-                    .map(|(_, s)| s)
-                    .expect("first-episode metric")
-            };
+            let first = |n: &str| c.first_episode.stat(n);
             t.push_row(vec![
                 c.name().to_string(),
                 "1".to_string(),
@@ -426,15 +393,6 @@ impl WarmstartReport {
             .cells
             .iter()
             .map(|c| {
-                let metrics = WARMSTART_METRICS
-                    .iter()
-                    .map(|&m| (m.to_string(), stat_json(c.stat(m))))
-                    .collect();
-                let first = c
-                    .first_episode
-                    .iter()
-                    .map(|(m, s)| (m.to_string(), stat_json(s)))
-                    .collect();
                 let cache = Json::Obj(vec![
                     ("entries".into(), Json::num(c.cache.entries as f64)),
                     ("hits".into(), Json::num(c.cache.hits as f64)),
@@ -445,8 +403,11 @@ impl WarmstartReport {
                 Json::Obj(vec![
                     ("mode".into(), Json::str(c.name())),
                     ("runs".into(), Json::num(c.runs as f64)),
-                    ("first_episode".into(), Json::Obj(first)),
-                    ("repeat_episodes".into(), Json::Obj(metrics)),
+                    (
+                        "first_episode".into(),
+                        Json::Obj(c.first_episode.json_fields()),
+                    ),
+                    ("repeat_episodes".into(), Json::Obj(c.stats.json_fields())),
                     ("cache".into(), cache),
                 ])
             })
@@ -477,24 +438,13 @@ impl WarmstartReport {
             "episodes".to_string(),
             "runs".to_string(),
         ];
-        for m in WARMSTART_METRICS {
-            for suffix in ["mean", "stddev", "ci95"] {
-                headers.push(format!("{m}_{suffix}"));
-            }
-        }
+        headers.extend(csv_header(
+            EPISODE_METRICS.iter().map(|m| m.0).chain(["hit_rate"]),
+        ));
         let mut t = Table::new(headers);
-        let stat3 = |s: &SummaryStat| {
-            vec![
-                format!("{}", s.mean),
-                format!("{}", s.stddev),
-                format!("{}", s.ci95),
-            ]
-        };
         for c in &self.cells {
             let mut row = vec![c.name().to_string(), "1".to_string(), c.runs.to_string()];
-            for (_, s) in &c.first_episode {
-                row.extend(stat3(s));
-            }
+            row.extend(c.first_episode.csv_cells());
             row.extend(["", "", ""].map(String::from)); // hit_rate: repeats only
             t.push_row(row);
             let mut row = vec![
@@ -502,9 +452,7 @@ impl WarmstartReport {
                 format!("2..{}", self.episodes),
                 c.runs.to_string(),
             ];
-            for m in WARMSTART_METRICS {
-                row.extend(stat3(c.stat(m)));
-            }
+            row.extend(c.stats.csv_cells());
             t.push_row(row);
         }
         t.to_csv()
@@ -552,26 +500,5 @@ mod tests {
         // Header + 2 episode bands per mode x 2 modes.
         assert_eq!(csv.lines().count(), 1 + 2 * 2);
         assert!(!rep.savings_line().is_empty());
-    }
-
-    #[test]
-    fn warmstart_report_thread_count_invariant() {
-        let cfg = |threads, run_threads| WarmstartConfig {
-            threads,
-            run_threads,
-            ..test_cfg()
-        };
-        let a = cfg(1, 1).run();
-        // Cross-replicate fan-out, intra-run chunking, and both at once
-        // must all reproduce the sequential report byte-for-byte.
-        for (threads, run_threads) in [(4, 1), (1, 8), (2, 2)] {
-            let b = cfg(threads, run_threads).run();
-            assert_eq!(
-                a.to_json(),
-                b.to_json(),
-                "threads={threads} run_threads={run_threads}"
-            );
-            assert_eq!(a.to_csv(), b.to_csv());
-        }
     }
 }
