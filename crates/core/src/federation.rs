@@ -922,33 +922,6 @@ mod tests {
     }
 
     #[test]
-    fn federation_is_deterministic_across_member_threads() {
-        let run = |threads: usize| {
-            let a = {
-                let topo = sensor_net::random_with_degree(50, 7.0, 3);
-                let data = WorkloadData::new(&topo, Schedule::Uniform(TEST_RATES), 3);
-                Session::builder(topo, data)
-                    .sim(SimConfig::lossless().with_seed(3).with_threads(threads))
-                    .allow_empty()
-                    .build()
-            };
-            let b = member_session(40, 6.0, 103);
-            let mut fed = Federation::builder()
-                .seed(3)
-                .member("alpha", a)
-                .member("beta", b)
-                .link(GatewayLink::new(0, NodeId(10), 1, NodeId(5)).with_loss(0.2))
-                .build();
-            let g = chain_graph(4);
-            fed.admit_cross(&g, &[0, 0, 1, 1], cfg(), CrossMode::Gateway)
-                .unwrap();
-            fed.step(30);
-            fed.report().summary_line()
-        };
-        assert_eq!(run(1), run(4));
-    }
-
-    #[test]
     fn ship_base_crosses_more_bytes_than_gateway_routing() {
         let run = |mode: CrossMode| {
             let mut fed = two_net_fed(5);

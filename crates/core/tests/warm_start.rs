@@ -1,8 +1,7 @@
 //! Warm-start admission parity: seeding an admission from the
 //! learned-state cache is a pure *optimization* — a cache-hit admission
 //! must converge in no more cycles than the cold run and produce
-//! identical final results, and the whole mechanism must be
-//! deterministic across intra-run thread counts.
+//! identical final results.
 
 use aspen_join::prelude::*;
 use aspen_join::Algorithm;
@@ -18,11 +17,11 @@ const RATES: Rates = Rates {
 
 /// Deterministic, contention-free simulator (no loss RNG, roomy MAC) so
 /// warm and cold runs differ only in how admissions are seeded.
-fn roomy_sim(seed: u64, threads: usize) -> SimConfig {
+fn roomy_sim(seed: u64) -> SimConfig {
     SimConfig {
         tx_per_cycle: 64,
         queue_capacity: 1024,
-        ..SimConfig::lossless().with_seed(seed).with_threads(threads)
+        ..SimConfig::lossless().with_seed(seed)
     }
 }
 
@@ -56,11 +55,11 @@ struct EpisodeTrace {
 
 /// Drive `episodes` admissions of the same shape through one session,
 /// retiring each before the next.
-fn run_episodes(warm: bool, seed: u64, threads: usize, episodes: usize) -> EpisodeTrace {
+fn run_episodes(warm: bool, seed: u64, episodes: usize) -> EpisodeTrace {
     let topo = sensor_net::random_with_degree(60, 7.0, seed);
     let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
     let mut s = Session::builder(topo, data)
-        .sim(roomy_sim(seed, threads))
+        .sim(roomy_sim(seed))
         .allow_empty()
         .warm_start(warm)
         .build();
@@ -118,8 +117,8 @@ fn run_episodes(warm: bool, seed: u64, threads: usize, episodes: usize) -> Episo
 /// seeding is invisible to correctness.
 #[test]
 fn warm_hit_converges_no_slower_with_identical_results() {
-    let cold = run_episodes(false, 1, 1, 2);
-    let warm = run_episodes(true, 1, 1, 2);
+    let cold = run_episodes(false, 1, 2);
+    let warm = run_episodes(true, 1, 2);
 
     // Cold sessions never consult or fill the cache.
     assert_eq!(cold.stats, CacheStats::default());
@@ -187,7 +186,7 @@ fn cache_hit_equals_explicit_assumed_sigma() {
         let topo = sensor_net::random_with_degree(60, 7.0, seed);
         let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
         let mut s = Session::builder(topo, data)
-            .sim(roomy_sim(seed, 1))
+            .sim(roomy_sim(seed))
             .allow_empty()
             .warm_start(explicit.is_none())
             .build();
@@ -214,7 +213,7 @@ fn cache_hit_equals_explicit_assumed_sigma() {
     let topo2 = sensor_net::random_with_degree(60, 7.0, seed);
     let data2 = WorkloadData::new(&topo2, Schedule::Uniform(RATES), seed);
     let mut probe = Session::builder(topo2, data2)
-        .sim(roomy_sim(seed, 1))
+        .sim(roomy_sim(seed))
         .allow_empty()
         .build();
     let q = probe.admit(spec(), cfg());
@@ -234,21 +233,6 @@ fn cache_hit_equals_explicit_assumed_sigma() {
     );
 }
 
-/// Thread-count invariance: the cache key, harvest and seeding are all
-/// derived from deterministic per-run state, so the entire trace is
-/// identical across intra-run thread counts.
-#[test]
-fn warm_start_is_thread_count_invariant() {
-    let base = run_episodes(true, 3, 1, 2);
-    for threads in [2, 8] {
-        let other = run_episodes(true, 3, threads, 2);
-        assert_eq!(other.episodes, base.episodes, "threads={threads}");
-        assert_eq!(other.ctrl_bytes, base.ctrl_bytes, "threads={threads}");
-        assert_eq!(other.results, base.results, "threads={threads}");
-        assert_eq!(other.stats, base.stats, "threads={threads}");
-    }
-}
-
 /// The cache itself: the harvested σ of the retired query is what seeds
 /// the next admission, and disabling warm-start really disables it.
 #[test]
@@ -256,7 +240,7 @@ fn harvest_then_seed_round_trip() {
     let topo = sensor_net::random_with_degree(60, 7.0, 5);
     let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), 5);
     let mut s = Session::builder(topo, data)
-        .sim(roomy_sim(5, 1))
+        .sim(roomy_sim(5))
         .allow_empty()
         .build();
     let q = s.admit(spec(), cfg());

@@ -1917,7 +1917,7 @@ mod tests {
         }
     }
 
-    fn churn_run(threads: usize, steps: u64) -> (Metrics, u64, usize, Vec<(u64, u64, u64)>) {
+    fn churn_run(steps: u64) -> (Metrics, u64, usize, Vec<(u64, u64, u64)>) {
         let pts = (0..25)
             .map(|i| Point::new((i % 5) as f64, (i / 5) as f64))
             .collect();
@@ -1926,8 +1926,7 @@ mod tests {
             .with_loss(0.25)
             .with_seed(42)
             .with_snooping(true)
-            .with_fair_mac(true)
-            .with_threads(threads);
+            .with_fair_mac(true);
         let mut eng = Engine::new(topo, cfg, |_| Churn {
             delivered: 0,
             snooped: 0,
@@ -1953,40 +1952,50 @@ mod tests {
         (eng.metrics().clone(), eng.now(), eng.queued_msgs(), states)
     }
 
+    /// The churn workload's outcome, pinned: every loss draw, retry,
+    /// snoop and fair-MAC pick lands where the engine with a chunk-parallel
+    /// transmit phase put it (at every worker count it had).
     #[test]
-    fn parallel_transmit_is_byte_identical_across_thread_counts() {
-        let baseline = churn_run(1, 40);
+    fn churn_run_matches_pinned_totals() {
+        let (m, now, queued, states) = churn_run(40);
         assert!(
-            baseline.3.iter().map(|s| s.0).sum::<u64>() > 100,
+            states.iter().map(|s| s.0).sum::<u64>() > 100,
             "workload must actually deliver traffic"
         );
-        for threads in [2, 3, 8, 64] {
-            assert_eq!(churn_run(threads, 40), baseline, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_lossless_matches_serial() {
-        // loss_prob == 0 skips the draw prepass entirely; the chunked
-        // path must still merge identically.
-        let run = |threads: usize| {
-            let cfg = SimConfig::lossless().with_threads(threads);
-            let mut eng = Engine::new(line(9), cfg, |_| Relay { arrived_at: None });
-            eng.with_node(NodeId(0), |_, ctx| {
-                ctx.send(NodeId(1), 4, 7);
+        let rx_msgs: u64 = m.per_node().iter().map(|n| n.rx_msgs).sum();
+        let totals = (
+            m.total_tx_msgs(),
+            m.total_tx_bytes(),
+            rx_msgs,
+            m.total_send_failures(),
+            m.total_queue_drops(),
+            m.flow(0).tx_bytes,
+            m.flow(1).tx_bytes,
+        );
+        assert_eq!(totals, PINNED_CHURN_TOTALS);
+        assert_eq!((now, queued), (40, PINNED_CHURN_QUEUED));
+        // FNV-1a over each node's (delivered, snooped, failed), in node order.
+        let digest = states
+            .iter()
+            .flat_map(|&(d, s, f)| [d, s, f])
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v).wrapping_mul(0x100_0000_01b3)
             });
-            eng.run_until_quiet(100);
-            (eng.metrics().clone(), eng.node(NodeId(8)).arrived_at)
-        };
-        assert_eq!(run(4), run(1));
-        assert_eq!(run(4).1, Some(8));
+        assert_eq!(digest, PINNED_CHURN_DIGEST);
     }
 
-    /// A chunk's flow charges merge by the flows it charged, not by
-    /// enumerating every id up to the highest: a message on flow 100,000
-    /// leaves the same metrics at 2 threads as serially.
+    /// (tx msgs, tx bytes, rx msgs, send failures, queue drops, flow 0 tx
+    /// bytes, flow 1 tx bytes) of `churn_run(40)`.
+    const PINNED_CHURN_TOTALS: (u64, u64, u64, u64, u64, u64, u64) =
+        (873, 16587, 589, 53, 0, 9652, 6935);
+    const PINNED_CHURN_QUEUED: usize = 17;
+    const PINNED_CHURN_DIGEST: u64 = 0x20e4_2f45_862c_fc38;
+
+    /// Flow charges land in a flow table grown only to the highest flow
+    /// charged: a message on flow 100,000 is counted there once per
+    /// transmission.
     #[test]
-    fn parallel_flow_merge_matches_serial_on_a_high_flow_id() {
+    fn high_flow_id_is_charged_in_place() {
         struct Tagged;
         impl Protocol for Tagged {
             type Msg = usize;
@@ -1995,24 +2004,19 @@ mod tests {
                 *msg
             }
         }
-        let run = |threads: usize| {
-            let cfg = SimConfig::lossless().with_threads(threads);
-            let mut eng = Engine::new(line(4), cfg, |_| Tagged);
-            eng.with_node(NodeId(0), |_, ctx| {
-                for flow in [100_000, 5, 100_000] {
-                    ctx.send(NodeId(1), 4, flow);
-                }
-            });
-            eng.with_node(NodeId(3), |_, ctx| {
-                ctx.send(NodeId(2), 4, 9);
-            });
-            eng.run_until_quiet(10);
-            eng.metrics().clone()
-        };
-        let serial = run(1);
-        assert_eq!(serial.flow(100_000).tx_msgs, 2);
-        assert_eq!(serial.flow_count(), 100_001);
-        assert_eq!(run(2), serial);
+        let mut eng = Engine::new(line(4), SimConfig::lossless(), |_| Tagged);
+        eng.with_node(NodeId(0), |_, ctx| {
+            for flow in [100_000, 5, 100_000] {
+                ctx.send(NodeId(1), 4, flow);
+            }
+        });
+        eng.with_node(NodeId(3), |_, ctx| {
+            ctx.send(NodeId(2), 4, 9);
+        });
+        eng.run_until_quiet(10);
+        let m = eng.metrics();
+        assert_eq!(m.flow(100_000).tx_msgs, 2);
+        assert_eq!(m.flow_count(), 100_001);
     }
 
     #[test]
@@ -2038,7 +2042,7 @@ mod tests {
 
     #[test]
     fn pool_drains_to_zero_at_quiescence() {
-        let (_, _, queued, _) = churn_run(1, 40);
+        let (_, _, queued, _) = churn_run(40);
         let _ = queued; // (the workload may or may not be drained at 40)
         let pts = (0..9)
             .map(|i| Point::new((i % 3) as f64, (i / 3) as f64))
@@ -2142,51 +2146,41 @@ mod tests {
 
     /// Sparse traffic on a lossy grid: at least nine outboxes in ten are
     /// empty at every step, so the transmit phase mostly skips. Skipped
-    /// nodes make no loss draws, so every thread count yields the totals
-    /// pinned here, which are those of the engine that visited every node.
+    /// nodes make no loss draws, so the run yields the totals pinned here,
+    /// which are those of the engine that visited every node.
     #[test]
-    fn sparse_lossy_traffic_is_byte_identical_across_thread_counts() {
-        let run = |threads: usize| {
-            let pts = (0..900)
-                .map(|i| Point::new((i % 30) as f64, (i / 30) as f64))
-                .collect();
-            let topo = Topology::from_positions(pts, 1.1, NodeId(0));
-            let cfg = SimConfig::default()
-                .with_loss(0.3)
-                .with_seed(7)
-                .with_fair_mac(true)
-                .with_threads(threads);
-            let mut eng = Engine::new(topo, cfg, |_| Churn {
-                delivered: 0,
-                snooped: 0,
-                failed: 0,
-            });
-            let mut busiest = 0;
-            for round in 0..6u16 {
-                for at in [31 + round, 450 + 30 * round, 868 - round] {
-                    eng.with_node(NodeId(at), |_, ctx| {
-                        let nb = ctx.neighbors()[0];
-                        ctx.send(nb, 8, (round as u8, 0));
-                    });
-                }
-                for _ in 0..12 {
-                    busiest = busiest.max(eng.outboxes.iter().filter(|q| !q.is_empty()).count());
-                    eng.step();
-                }
+    fn sparse_lossy_traffic_matches_pinned_totals() {
+        let pts = (0..900)
+            .map(|i| Point::new((i % 30) as f64, (i / 30) as f64))
+            .collect();
+        let topo = Topology::from_positions(pts, 1.1, NodeId(0));
+        let cfg = SimConfig::default()
+            .with_loss(0.3)
+            .with_seed(7)
+            .with_fair_mac(true);
+        let mut eng = Engine::new(topo, cfg, |_| Churn {
+            delivered: 0,
+            snooped: 0,
+            failed: 0,
+        });
+        let mut busiest = 0;
+        for round in 0..6u16 {
+            for at in [31 + round, 450 + 30 * round, 868 - round] {
+                eng.with_node(NodeId(at), |_, ctx| {
+                    let nb = ctx.neighbors()[0];
+                    ctx.send(nb, 8, (round as u8, 0));
+                });
             }
-            assert!(
-                busiest > 0 && busiest * 10 <= 900,
-                "busiest step: {busiest}"
-            );
-            let states: Vec<(u64, u64)> = eng
-                .nodes()
-                .iter()
-                .map(|n| (n.delivered, n.failed))
-                .collect();
-            (eng.metrics().clone(), eng.queued_msgs(), states)
-        };
-        let baseline = run(1);
-        let m = &baseline.0;
+            for _ in 0..12 {
+                busiest = busiest.max(eng.outboxes.iter().filter(|q| !q.is_empty()).count());
+                eng.step();
+            }
+        }
+        assert!(
+            busiest > 0 && busiest * 10 <= 900,
+            "busiest step: {busiest}"
+        );
+        let m = eng.metrics();
         let rx_msgs: u64 = m.per_node().iter().map(|n| n.rx_msgs).sum();
         assert_eq!(
             (
@@ -2194,13 +2188,10 @@ mod tests {
                 m.total_tx_bytes(),
                 rx_msgs,
                 m.total_send_failures(),
-                baseline.1
+                eng.queued_msgs()
             ),
             PINNED_SPARSE_TOTALS
         );
-        for threads in [2, 8] {
-            assert_eq!(run(threads), baseline, "threads={threads}");
-        }
     }
 
     /// (tx msgs, tx bytes, rx msgs, send failures, queued at the end) of
