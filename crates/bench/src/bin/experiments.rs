@@ -240,8 +240,8 @@ fn list<T>(flag: &str, v: Option<&str>, f: impl Fn(&str) -> Option<T>) -> Result
 
 /// One grid subcommand as a row of the runner: its defaults, its own flags
 /// and its emitters. The shared flags (`--quick`, `--seeds`, `--threads`,
-/// `--run-threads`, `--out`, `--check-determinism`, `--help`), the
-/// determinism re-runs and the output files are the runner's.
+/// `--out`, `--check-determinism`, `--help`), the determinism re-runs and
+/// the output files are the runner's.
 struct Harness<C, R> {
     name: &'static str,
     blurb: &'static str,
@@ -256,8 +256,6 @@ struct Harness<C, R> {
     flag: fn(&mut C, &str, Option<&str>) -> Result<bool, String>,
     seeds: fn(&mut C) -> &mut Vec<u64>,
     threads: fn(&mut C) -> &mut usize,
-    /// Transmit-phase workers inside each run, where the harness simulates.
-    run_threads: Option<fn(&mut C) -> &mut usize>,
     run: fn(&C) -> R,
     /// What a run prints: the table and any summary line.
     print: fn(&R) -> String,
@@ -283,14 +281,6 @@ impl<C: Clone, R> Harness<C, R> {
         let mut base = (self.default)();
         let seeds = (self.seeds)(&mut base).len();
         let threads = *(self.threads)(&mut base);
-        let (run_threads, rerun) = match self.run_threads {
-            Some(_) => (
-                "  --run-threads N      transmit-phase workers inside each run, 0 = all cores
-                       (default 1; outcomes are identical for any value)\n",
-                "single-threaded and at --run-threads 1|2|8",
-            ),
-            None => ("", "at --threads 1|2|8"),
-        };
         let record = self
             .record
             .map(|r| format!(" and ./{r}"))
@@ -301,9 +291,9 @@ impl<C: Clone, R> Harness<C, R> {
 {}
   --seeds N            replicate seeds           (default {seeds})
   --threads N          OS threads fanning runs out, 0 = all cores (default {threads})
-{run_threads}  --out PREFIX         write PREFIX.json, PREFIX.csv{record}
+  --out PREFIX         write PREFIX.json, PREFIX.csv{record}
                        (default target/{name}/{name})
-  --check-determinism  re-run {rerun},
+  --check-determinism  re-run at --threads 1|2|8,
                        verifying byte-identical output",
             self.quick_help, self.flags_help
         )
@@ -347,10 +337,6 @@ impl<C: Clone, R> Subcommand for Harness<C, R> {
                 "--quick" => {}
                 "--seeds" => *(self.seeds)(&mut cfg) = seed_range(cli.seeds(it.next())),
                 "--threads" => *(self.threads)(&mut cfg) = cli.value(a, it.next()),
-                "--run-threads" => match self.run_threads {
-                    Some(run_threads) => *run_threads(&mut cfg) = cli.value(a, it.next()),
-                    None => cli.fail("unknown option --run-threads"),
-                },
                 "--out" => out = cli.value(a, it.next()),
                 "--check-determinism" => check_determinism = true,
                 flag => match (self.flag)(&mut cfg, flag, it.next().map(String::as_str)) {
@@ -366,13 +352,9 @@ impl<C: Clone, R> Subcommand for Harness<C, R> {
         println!("{}", (self.print)(&report));
         let (json, csv) = ((self.json)(&report), (self.csv)(&report));
         if check_determinism {
-            // Fan-out threads 1, then intra-run workers 1|2|8 — or, for a
-            // harness without them, fan-out threads 1|2|8.
-            let workers = self.run_threads.unwrap_or(self.threads);
-            let single = self.run_threads.map(|_| (self.threads, 1));
-            for (knob, n) in single.into_iter().chain([1, 2, 8].map(|n| (workers, n))) {
+            for n in [1, 2, 8] {
                 let mut rerun = cfg.clone();
-                *knob(&mut rerun) = n;
+                *(self.threads)(&mut rerun) = n;
                 let r = (self.run)(&rerun);
                 assert!(
                     (self.json)(&r) == json && (self.csv)(&r) == csv,
@@ -449,7 +431,6 @@ const SWEEP: Harness<SweepGrid, SweepReport> = Harness {
     flag: grid_flag,
     seeds: |g| &mut g.seeds,
     threads: |g| &mut g.threads,
-    run_threads: Some(|g| &mut g.run_threads),
     run: SweepGrid::run,
     print: |r| r.to_table().to_aligned_string(),
     json: SweepReport::to_json,
@@ -508,7 +489,6 @@ const MULTIQ: Harness<MultiqConfig, MultiqReport> = Harness {
     },
     seeds: |c| &mut c.seeds,
     threads: |c| &mut c.threads,
-    run_threads: Some(|c| &mut c.run_threads),
     run: MultiqConfig::run,
     print: |r| format!("{}\n{}", r.to_table().to_aligned_string(), r.savings_line()),
     json: MultiqReport::to_json,
@@ -536,7 +516,6 @@ const OPTIMIZE: Harness<OptimizeConfig, OptimizeReport> = Harness {
     },
     seeds: |c| &mut c.seeds,
     threads: |c| &mut c.threads,
-    run_threads: None,
     run: OptimizeConfig::run,
     print: |r| format!("{}\n{}", r.to_table().to_aligned_string(), r.headline()),
     json: OptimizeReport::to_json,
@@ -570,7 +549,6 @@ const WARMSTART: Harness<WarmstartConfig, WarmstartReport> = Harness {
     },
     seeds: |c| &mut c.seeds,
     threads: |c| &mut c.threads,
-    run_threads: Some(|c| &mut c.run_threads),
     run: WarmstartConfig::run,
     print: |r| format!("{}\n{}", r.to_table().to_aligned_string(), r.savings_line()),
     json: WarmstartReport::to_json,
@@ -609,7 +587,6 @@ const FEDERATE: Harness<FederateConfig, FederateReport> = Harness {
     },
     seeds: |c| &mut c.seeds,
     threads: |c| &mut c.threads,
-    run_threads: Some(|c| &mut c.run_threads),
     run: FederateConfig::run,
     print: |r| format!("{}\n{}", r.to_table().to_aligned_string(), r.savings_line()),
     json: FederateReport::to_json,

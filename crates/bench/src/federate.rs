@@ -52,9 +52,6 @@ pub struct FederateConfig {
     /// OS threads fanning (mode, seed) runs out; 0 = all cores.
     /// Output is identical for any value.
     pub threads: usize,
-    /// Transmit-phase workers *inside* each member run
-    /// ([`SimConfig::threads`]; 0 = all cores). Outcome-neutral.
-    pub run_threads: usize,
 }
 
 impl Default for FederateConfig {
@@ -74,7 +71,6 @@ impl Default for FederateConfig {
             cycles: 40,
             seeds: seed_range(3),
             threads: 0,
-            run_threads: 1,
         }
     }
 }
@@ -121,9 +117,7 @@ impl FederateConfig {
         let sim = SimConfig {
             tx_per_cycle: 64,
             queue_capacity: 1024,
-            ..SimConfig::lossless()
-                .with_seed(seed)
-                .with_threads(self.run_threads)
+            ..SimConfig::lossless().with_seed(seed)
         };
         Session::builder(topo, data).sim(sim).allow_empty().build()
     }

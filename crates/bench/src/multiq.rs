@@ -53,9 +53,6 @@ pub struct MultiqConfig {
     pub num_trees: usize,
     /// OS threads; 0 = all cores. Output is identical for any value.
     pub threads: usize,
-    /// Transmit-phase workers *inside* each run ([`SimConfig::threads`];
-    /// 0 = all cores). Outcome-neutral like `threads`.
-    pub run_threads: usize,
 }
 
 impl Default for MultiqConfig {
@@ -75,7 +72,6 @@ impl Default for MultiqConfig {
             cycles: 40,
             num_trees: 3,
             threads: 0,
-            run_threads: 1,
         }
     }
 }
@@ -106,10 +102,7 @@ impl MultiqConfig {
         let data = WorkloadData::new(&topo, Schedule::Uniform(self.rates), seed);
         let cfg = AlgoConfig::new(self.algo.0, Sigma::from_rates(self.rates))
             .with_innet_options(self.algo.1);
-        let sim = SimConfig::default()
-            .with_loss(self.loss)
-            .with_seed(seed)
-            .with_threads(self.run_threads);
+        let sim = SimConfig::default().with_loss(self.loss).with_seed(seed);
         let mut session = self
             .spec(sharing)
             .build_set(topo, data, cfg, sim, self.num_trees)

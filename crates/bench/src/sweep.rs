@@ -412,41 +412,23 @@ impl CellSpec {
     /// [`SWEEP_METRICS`] order. Seed covers topology, workload, link RNG
     /// and dynamics-plan victim draws, exactly as the figure harness seeds
     /// its scenarios.
-    /// `run_threads` is the *intra-run* transmit-phase worker count
-    /// ([`SimConfig::threads`]); any value yields the same row.
-    pub fn run_one(
-        &self,
-        seed: u64,
-        cycles: u32,
-        num_trees: usize,
-        run_threads: usize,
-    ) -> [f64; 17] {
+    pub fn run_one(&self, seed: u64, cycles: u32, num_trees: usize) -> [f64; 17] {
         match self.query {
-            WorkloadSel::Single(q) => self.run_single(q, seed, cycles, num_trees, run_threads),
-            WorkloadSel::Multi(m) => self.run_multi(m, seed, cycles, num_trees, run_threads),
+            WorkloadSel::Single(q) => self.run_single(q, seed, cycles, num_trees),
+            WorkloadSel::Multi(m) => self.run_multi(m, seed, cycles, num_trees),
         }
     }
 
     /// The single-query path runs on the session's `bare_wire` mode — the
     /// paper's untagged frame format.
-    fn run_single(
-        &self,
-        query: QueryId,
-        seed: u64,
-        cycles: u32,
-        num_trees: usize,
-        run_threads: usize,
-    ) -> [f64; 17] {
+    fn run_single(&self, query: QueryId, seed: u64, cycles: u32, num_trees: usize) -> [f64; 17] {
         let topo = TopologySpec::new(self.density, self.nodes, seed).build();
         let plan = self.dynamics.plan(seed, &topo);
         let mut data = WorkloadData::new(&topo, self.dynamics.schedule(self.rates), seed);
         if query.n_pairs() > 0 {
             data = data.with_pairs(query.n_pairs());
         }
-        let mut sim = SimConfig::default()
-            .with_loss(self.loss)
-            .with_seed(seed)
-            .with_threads(run_threads);
+        let mut sim = SimConfig::default().with_loss(self.loss).with_seed(seed);
         if self.opts.path_collapse {
             sim = sim.with_snooping(true);
         }
@@ -471,21 +453,11 @@ impl CellSpec {
     /// single-run re-convergence split does not generalize to overlapping
     /// per-query lifecycles, so the last three [`SWEEP_METRICS`] report
     /// zero for multi-query cells.
-    fn run_multi(
-        &self,
-        m: MultiSpec,
-        seed: u64,
-        cycles: u32,
-        num_trees: usize,
-        run_threads: usize,
-    ) -> [f64; 17] {
+    fn run_multi(&self, m: MultiSpec, seed: u64, cycles: u32, num_trees: usize) -> [f64; 17] {
         let topo = TopologySpec::new(self.density, self.nodes, seed).build();
         let plan = self.dynamics.plan(seed, &topo);
         let data = WorkloadData::new(&topo, self.dynamics.schedule(self.rates), seed);
-        let mut sim = SimConfig::default()
-            .with_loss(self.loss)
-            .with_seed(seed)
-            .with_threads(run_threads);
+        let mut sim = SimConfig::default().with_loss(self.loss).with_seed(seed);
         if self.opts.path_collapse {
             sim = sim.with_snooping(true);
         }
@@ -545,12 +517,6 @@ pub struct SweepGrid {
     /// OS threads to fan runs across; 0 = all available cores. The report
     /// is identical for any value (determinism contract).
     pub threads: usize,
-    /// Transmit-phase workers *inside* each run ([`SimConfig::threads`];
-    /// 0 = all cores). Also outcome-neutral — the engine's intra-run
-    /// determinism contract — and compounding with `threads`, so the
-    /// default stays 1: cross-replicate fan-out already saturates cores
-    /// on multi-run grids.
-    pub run_threads: usize,
 }
 
 impl Default for SweepGrid {
@@ -574,7 +540,6 @@ impl Default for SweepGrid {
             cycles: 60,
             num_trees: 3,
             threads: 0,
-            run_threads: 1,
         }
     }
 }
@@ -666,7 +631,7 @@ impl SweepGrid {
     pub fn run(&self) -> SweepReport {
         let cells = self.cells();
         let rows = fan_out(&cells, &self.seeds, self.threads, |cell, seed| {
-            cell.run_one(seed, self.cycles, self.num_trees, self.run_threads)
+            cell.run_one(seed, self.cycles, self.num_trees)
         });
         let results = cells
             .into_iter()

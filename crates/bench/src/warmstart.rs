@@ -49,9 +49,6 @@ pub struct WarmstartConfig {
     pub seeds: Vec<u64>,
     /// OS threads; 0 = all cores. Output is identical for any value.
     pub threads: usize,
-    /// Transmit-phase workers *inside* each run ([`SimConfig::threads`];
-    /// 0 = all cores). Outcome-neutral like `threads`.
-    pub run_threads: usize,
 }
 
 impl Default for WarmstartConfig {
@@ -66,7 +63,6 @@ impl Default for WarmstartConfig {
             episode_cycles: 45,
             seeds: seed_range(3),
             threads: 0,
-            run_threads: 1,
         }
     }
 }
@@ -106,9 +102,7 @@ impl WarmstartConfig {
         SimConfig {
             tx_per_cycle: 64,
             queue_capacity: 1024,
-            ..SimConfig::lossless()
-                .with_seed(seed)
-                .with_threads(self.run_threads)
+            ..SimConfig::lossless().with_seed(seed)
         }
     }
 

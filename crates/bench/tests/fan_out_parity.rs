@@ -1,12 +1,9 @@
-//! Thread-count parity of every grid harness: a report must be
-//! byte-identical however its `(key, seed)` runs fan out across OS threads
-//! (`threads`) and for any transmit-phase worker count inside each run
-//! (`run_threads`, [`sensor_sim::SimConfig::threads`]). One test runs
-//! each harness's quick config — the grids CI drives through
-//! `experiments <name> --quick` — at one thread of each kind, then at
-//! every `(threads, run_threads)` pair of its row, and compares the
-//! rendered reports. Each run must first show real work, so two empty
-//! reports cannot pass as equal.
+//! Fan-out parity of every grid harness: a report must be byte-identical
+//! however its `(key, seed)` runs fan out across OS threads (`threads`).
+//! One test runs each harness's quick config — the grids CI drives
+//! through `experiments <name> --quick` — on one thread, then on 2, 8 and
+//! all cores, and compares the rendered reports. Each run must first show
+//! real work, so two empty reports cannot pass as equal.
 
 use aspen_bench::federate::FederateConfig;
 use aspen_bench::multiq::MultiqConfig;
@@ -17,20 +14,17 @@ use aspen_join::prelude::*;
 
 struct Case {
     name: &'static str,
-    /// The quick report at `(threads, run_threads)`, rendered, after
+    /// The quick report fanned out over `threads`, rendered, after
     /// asserting that the run did real work.
-    render: fn(usize, usize) -> Vec<String>,
-    /// Compared with the `(1, 1)` baseline; 0 = all cores.
-    pairs: &'static [(usize, usize)],
+    render: fn(usize) -> Vec<String>,
 }
 
 const CASES: [Case; 6] = [
     Case {
         name: "sweep",
-        render: |threads, run_threads| {
+        render: |threads| {
             let r = SweepGrid {
                 threads,
-                run_threads,
                 ..SweepGrid::quick()
             }
             .run();
@@ -42,14 +36,12 @@ const CASES: [Case; 6] = [
             );
             vec![r.to_json(), r.to_csv()]
         },
-        pairs: &[(0, 2), (0, 8)],
     },
     Case {
         name: "recovery",
-        render: |threads, run_threads| {
+        render: |threads| {
             let r = SweepGrid {
                 threads,
-                run_threads,
                 ..SweepGrid::recovery_quick()
             }
             .run();
@@ -62,14 +54,12 @@ const CASES: [Case; 6] = [
             let table = r.to_recovery_table().to_aligned_string();
             vec![r.to_json(), r.to_csv(), table]
         },
-        pairs: &[(0, 2), (0, 8)],
     },
     Case {
         name: "multiq",
-        render: |threads, run_threads| {
+        render: |threads| {
             let r = MultiqConfig {
                 threads,
-                run_threads,
                 ..MultiqConfig::quick()
             }
             .run();
@@ -79,12 +69,10 @@ const CASES: [Case; 6] = [
             );
             vec![r.to_json(), r.to_csv()]
         },
-        pairs: &[(4, 1), (1, 4), (2, 3), (0, 2), (0, 8)],
     },
     Case {
         name: "optimize",
-        // Pure plan costing: no intra-run workers.
-        render: |threads, _| {
+        render: |threads| {
             let r = OptimizeConfig {
                 threads,
                 ..OptimizeConfig::quick()
@@ -96,14 +84,12 @@ const CASES: [Case; 6] = [
             );
             vec![r.to_json(), r.to_csv()]
         },
-        pairs: &[(2, 1), (8, 1)],
     },
     Case {
         name: "warmstart",
-        render: |threads, run_threads| {
+        render: |threads| {
             let r = WarmstartConfig {
                 threads,
-                run_threads,
                 ..WarmstartConfig::quick()
             }
             .run();
@@ -114,14 +100,12 @@ const CASES: [Case; 6] = [
             );
             vec![r.to_json(), r.to_csv()]
         },
-        pairs: &[(4, 1), (1, 8), (2, 2)],
     },
     Case {
         name: "federate",
-        render: |threads, run_threads| {
+        render: |threads| {
             let r = FederateConfig {
                 threads,
-                run_threads,
                 ..FederateConfig::quick()
             }
             .run();
@@ -134,18 +118,18 @@ const CASES: [Case; 6] = [
             );
             vec![r.to_json(), r.to_csv()]
         },
-        pairs: &[(4, 1), (1, 8), (2, 2)],
     },
 ];
 
 #[test]
 fn quick_reports_identical_across_thread_counts() {
     for case in &CASES {
-        let baseline = (case.render)(1, 1);
-        for &(threads, run_threads) in case.pairs {
+        let baseline = (case.render)(1);
+        // 0 = all cores.
+        for threads in [2, 8, 0] {
             assert!(
-                (case.render)(threads, run_threads) == baseline,
-                "{} report differs at threads={threads} run_threads={run_threads}",
+                (case.render)(threads) == baseline,
+                "{} report differs at threads={threads}",
                 case.name
             );
         }

@@ -29,8 +29,7 @@
 //! gateway transfers are enqueued and delivered at cycle boundaries in
 //! fixed route-creation order; every channel owns a private RNG stream
 //! seeded from the federation seed and the route serial. No thread
-//! interleaving — including each member's own intra-run `threads`
-//! setting — can reorder inter-network deliveries.
+//! interleaving can reorder inter-network deliveries.
 //!
 //! The ship-everything-to-one-base baseline ([`CrossMode::ShipBase`])
 //! keeps the same gateway plumbing but crosses the member's *raw*
@@ -203,11 +202,6 @@ pub struct Federation {
 impl Federation {
     pub fn builder() -> FederationBuilder {
         FederationBuilder::new()
-    }
-
-    /// Number of member networks.
-    pub fn n_members(&self) -> usize {
-        self.members.len()
     }
 
     /// Member `i`'s session (diagnostics and tests).

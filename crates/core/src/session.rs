@@ -1180,12 +1180,6 @@ impl Session {
             .unwrap_or_else(|| self.run.live_snapshot(id.0).results)
     }
 
-    /// Total bytes transmitted in the execution phase so far, without
-    /// draining.
-    pub fn tx_bytes_so_far(&self) -> u64 {
-        self.run.engine.total_tx_bytes()
-    }
-
     /// Nodes the engine has visited so far, initiation included: one per
     /// node transmit pass and one per sampling tick dispatched (see
     /// [`sensor_sim::Engine::node_visits`]). Deterministic; a work counter,
@@ -1357,13 +1351,6 @@ impl SessionBuilder {
     /// Declarative network dynamics fired at cycle boundaries.
     pub fn plan(mut self, plan: DynamicsPlan) -> Self {
         self.plan = plan;
-        self
-    }
-
-    /// Per-node radio-byte energy budget (0 disables; base exempt).
-    /// Convenience over [`SimConfig::with_energy_budget`].
-    pub fn energy_budget(mut self, bytes: u64) -> Self {
-        self.sim = self.sim.with_energy_budget(bytes);
         self
     }
 

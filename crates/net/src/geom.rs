@@ -77,16 +77,6 @@ impl Rect {
         (self.max_x - self.min_x) * (self.max_y - self.min_y)
     }
 
-    /// Expand the rectangle by `margin` on every side.
-    pub fn inflate(&self, margin: f64) -> Rect {
-        Rect {
-            min_x: self.min_x - margin,
-            min_y: self.min_y - margin,
-            max_x: self.max_x + margin,
-            max_y: self.max_y + margin,
-        }
-    }
-
     /// Minimum distance between this rectangle and a point (0 if inside).
     pub fn dist_to_point(&self, p: &Point) -> f64 {
         let dx = (self.min_x - p.x).max(0.0).max(p.x - self.max_x);

@@ -154,12 +154,6 @@ impl MultiTreeSubstrate {
         })
     }
 
-    /// Scalar value snapshot (oracle/test use).
-    pub fn scalar_value(&self, node: NodeId, attr: AttrId) -> Option<u16> {
-        self.attr_index(attr)
-            .and_then(|ai| self.scalar_values[ai][node.index()])
-    }
-
     pub fn position(&self, node: NodeId) -> Point {
         self.positions[node.index()]
     }

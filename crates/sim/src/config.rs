@@ -28,13 +28,9 @@ pub struct SimConfig {
     /// query cannot starve the others' share of the shared radio. Off by
     /// default (single-flow protocols see pure FIFO either way).
     pub fair_mac: bool,
-    /// Intra-run worker threads for the transmit phase. `1` (the default)
-    /// runs fully sequentially; `0` means "all available cores"; any
-    /// value yields **byte-identical** outcomes — the engine partitions
-    /// nodes into contiguous chunks with per-chunk RNG streams positioned
-    /// by a draw-count prepass, and merges results in node order (see the
-    /// engine module docs). Not part of the experiment cell identity:
-    /// golden outputs never depend on it.
+    /// Ignored: the engine has one transmit path, and it runs on the
+    /// calling thread. Kept only because the `benchmark/` harness still
+    /// sets it; the field goes once that harness stops (ROADMAP item 3).
     pub threads: usize,
     /// Per-node energy budget in radio bytes (TX + RX) accumulated since
     /// the last [`crate::Engine::reset_metrics`] — in the standard
@@ -106,8 +102,7 @@ impl SimConfig {
         self
     }
 
-    /// Intra-run transmit-phase worker count (`0` = all available cores).
-    /// Outcome-neutral: any value produces byte-identical results.
+    /// Sets the ignored [`SimConfig::threads`]; kept for the same reason.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

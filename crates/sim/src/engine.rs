@@ -9,23 +9,9 @@
 //! (computed once at enqueue) and its wire size. The transmit phase
 //! never dereferences a handle: it moves 16-byte records between
 //! structure-of-arrays state (`queues`, `alive`, per-node metrics) and
-//! only the serial event drain materializes messages (the last consumer
+//! only the event drain materializes messages (the last consumer
 //! of a handle moves the message out; earlier consumers clone; snoop
 //! events borrow the pooled message with zero clones).
-//!
-//! # Deterministic intra-run parallelism
-//!
-//! With [`SimConfig::threads`] > 1 the transmit phase partitions nodes
-//! into contiguous chunks, one OS thread each. Each chunk runs against
-//! its own RNG clone advanced past the loss draws of all preceding
-//! nodes (a serial draw-count prepass makes the offsets exact), writes
-//! into its own slice of queue/metric state, and buffers its events
-//! locally; buffers merge back in chunk order. Because offsets follow
-//! *node* order, not chunk order, the merged event sequence — and hence
-//! every metric, queue and protocol state — is byte-identical for any
-//! thread count, including the sequential path. Messages stay in the
-//! pool untouched during the parallel phase, so `P::Msg` needs no
-//! `Send`/`Sync` bound.
 //!
 //! # Active sets
 //!
@@ -36,8 +22,7 @@
 //!   callback that leaves its node's queue non-empty adds the node, the
 //!   end of a transmit step drops the nodes it emptied, and
 //!   [`Engine::kill`] drops its victim. The transmit phase walks only
-//!   `busy`: the sequential pass, each parallel chunk over its own index
-//!   range, and the draw-count prepass.
+//!   `busy`.
 //! - `ticking` holds at least every alive node whose
 //!   [`Protocol::wants_tick`] holds. It is refreshed after every callback,
 //!   set by [`Engine::node_mut`] (which may change anything) and cleared
@@ -48,18 +33,17 @@
 //! replace, and a node outside them would have drawn nothing, sent
 //! nothing and changed nothing: an empty queue transmits nothing, and an
 //! unwanted tick does nothing by contract. So MAC order, the position of
-//! every loss draw in the RNG stream, the parallel chunks' draw offsets
-//! and every output byte are those of an engine that visits every node.
+//! every loss draw in the RNG stream and every output byte are those of
+//! an engine that visits every node.
 //! [`Engine::node_visits`] counts the visits that remain.
 
 use crate::config::SimConfig;
-use crate::metrics::{FlowMetrics, Metrics, NodeMetrics};
+use crate::metrics::Metrics;
 use crate::pool::{MsgHandle, MsgPool};
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 use sensor_net::{NodeId, Topology};
 use std::collections::VecDeque;
-use std::ops::Range;
 
 /// A node-local protocol. One instance per node; the engine dispatches
 /// link-layer events in deterministic (node-id, FIFO) order.
@@ -340,7 +324,7 @@ impl<M: Clone> Ctx<'_, M> {
 }
 
 /// A link-layer event produced by the transmit phase, dispatched in the
-/// serial drain. `Copy`: messages stay in the pool, referenced by handle.
+/// event drain. `Copy`: messages stay in the pool, referenced by handle.
 ///
 /// Handle-lifetime contract: every transmission ends its queue entry as
 /// exactly one of {deferred retry (handle stays queued), `Deliver` with
@@ -393,81 +377,6 @@ struct TxScratch {
     picked: Vec<Option<QueueEntry>>,
     /// Lost unicasts awaiting retransmission next cycle.
     deferred: Vec<QueueEntry>,
-    /// This transmit pass's per-flow TX charges.
-    flows: FlowTally,
-    /// Nodes this pass left with nothing to send (queue emptied, or dead),
-    /// to leave the busy set.
-    idle: Vec<usize>,
-}
-
-impl TxScratch {
-    /// Fold what a transmit pass kept aside into the engine's state.
-    fn settle(&mut self, flows: &mut Vec<FlowMetrics>, busy: &mut NodeSet) {
-        self.flows.merge_into(flows);
-        for i in self.idle.drain(..) {
-            busy.set(i, false);
-        }
-    }
-}
-
-/// Per-flow TX charges of one transmit pass, merged into the run's flow
-/// table after it. Dense by flow id so a charge is O(1), with the charged
-/// flows listed so a merge touches only those, however many flow ids a
-/// long-lived run has issued.
-#[derive(Default)]
-struct FlowTally {
-    dense: Vec<FlowMetrics>,
-    /// Flows with a non-zero entry in `dense`.
-    charged: Vec<usize>,
-}
-
-impl FlowTally {
-    fn charge(&mut self, flow: usize, wire_bytes: u32) {
-        let fm = flow_slot(&mut self.dense, flow);
-        if fm.tx_msgs == 0 {
-            self.charged.push(flow);
-        }
-        fm.tx_bytes += wire_bytes as u64;
-        fm.tx_msgs += 1;
-    }
-
-    /// Add the charges to `flows` and zero them here.
-    fn merge_into(&mut self, flows: &mut Vec<FlowMetrics>) {
-        for f in self.charged.drain(..) {
-            let d = std::mem::take(&mut self.dense[f]);
-            let slot = flow_slot(flows, f);
-            slot.tx_bytes += d.tx_bytes;
-            slot.tx_msgs += d.tx_msgs;
-        }
-    }
-}
-
-/// What one transmit pass over a node range did, beyond its events.
-#[derive(Default, Clone, Copy)]
-struct Tally {
-    /// Queue entries finished with (served and not deferred).
-    retired: usize,
-    /// `transmit_node` calls.
-    visits: u64,
-    tx_bytes: u64,
-}
-
-impl std::ops::AddAssign for Tally {
-    fn add_assign(&mut self, o: Tally) {
-        self.retired += o.retired;
-        self.visits += o.visits;
-        self.tx_bytes += o.tx_bytes;
-    }
-}
-
-/// Per-chunk output buffers for the parallel transmit phase, merged back
-/// in chunk order. Persisted on the engine so steady-state steps do not
-/// allocate.
-#[derive(Default)]
-struct ChunkScratch {
-    events: Vec<EventRec>,
-    tally: Tally,
-    tx: TxScratch,
 }
 
 /// A set of node indices, one bit each, walked in ascending order.
@@ -506,15 +415,9 @@ impl NodeSet {
         }
         Some(w * 64 + bits.trailing_zeros() as usize)
     }
-
-    /// The members in `range`, ascending.
-    fn members(&self, range: Range<usize>) -> impl Iterator<Item = usize> + '_ {
-        std::iter::successors(self.next_from(range.start), |&i| self.next_from(i + 1))
-            .take_while(move |&i| i < range.end)
-    }
 }
 
-/// Immutable per-cycle inputs shared by every transmit worker.
+/// Immutable per-cycle inputs of the transmit phase.
 struct TxEnv<'a> {
     topo: &'a Topology,
     cfg: &'a SimConfig,
@@ -542,9 +445,6 @@ pub struct Engine<P: Protocol> {
     ticking: NodeSet,
     /// `transmit_node` calls plus tick dispatches since construction.
     visits: u64,
-    /// [`SimConfig::threads`] resolved once: 0 mapped to the machine's
-    /// available parallelism, capped at the node count.
-    threads: usize,
     pool: MsgPool<P::Msg>,
     alive: Vec<bool>,
     metrics: Metrics,
@@ -553,10 +453,8 @@ pub struct Engine<P: Protocol> {
     /// Event buffer reused across [`Engine::step`] calls so the hot path
     /// does not allocate a fresh `Vec` every transmission cycle.
     events: Vec<EventRec>,
-    /// Transmit-phase scratch for the sequential path.
+    /// Transmit-phase scratch, reused across steps.
     tx_scratch: TxScratch,
-    /// Per-chunk buffers for the parallel path.
-    chunks: Vec<ChunkScratch>,
     /// Nodes killed by energy-budget depletion, in death order.
     energy_depleted: Vec<NodeId>,
     /// Messages discarded from depleted nodes' queues.
@@ -573,10 +471,6 @@ impl<P: Protocol> Engine<P> {
         for (i, p) in nodes.iter().enumerate() {
             ticking.set(i, p.wants_tick());
         }
-        let threads = match cfg.threads {
-            0 => std::thread::available_parallelism().map_or(1, |t| t.get()),
-            t => t,
-        };
         Engine {
             nodes,
             outboxes: (0..n).map(|_| VecDeque::new()).collect(),
@@ -585,7 +479,6 @@ impl<P: Protocol> Engine<P> {
             busy: NodeSet::new(n),
             ticking,
             visits: 0,
-            threads: threads.clamp(1, n.max(1)),
             pool: MsgPool::new(),
             alive: vec![true; n],
             metrics: Metrics::new(n),
@@ -593,7 +486,6 @@ impl<P: Protocol> Engine<P> {
             now: 0,
             events: Vec::new(),
             tx_scratch: TxScratch::default(),
-            chunks: Vec::new(),
             energy_depleted: Vec::new(),
             energy_msgs_dropped: 0,
             topo,
@@ -633,7 +525,7 @@ impl<P: Protocol> Engine<P> {
 
     /// Nodes the engine has visited since it was built: one per node
     /// transmit pass and one per sampling tick dispatched. A deterministic
-    /// work counter, the same for every [`SimConfig::threads`].
+    /// work counter.
     pub fn node_visits(&self) -> u64 {
         self.visits
     }
@@ -775,35 +667,23 @@ impl<P: Protocol> Engine<P> {
     }
 
     /// Advance one transmission cycle: every alive node with a queued
-    /// message transmits up to its MAC budget, then deliveries/snoops/
-    /// failures are dispatched in deterministic order. With
-    /// [`SimConfig::threads`] > 1 the transmit phase runs chunk-parallel;
-    /// the outcome is byte-identical either way (see the module docs for
-    /// the determinism contract).
+    /// message transmits up to its MAC budget, in node order, then
+    /// deliveries/snoops/failures are dispatched in deterministic order.
     pub fn step(&mut self) {
         // The event buffer persists across steps (capacity reuse); it is
         // always drained before `step` returns, so it starts empty here.
         let mut events = std::mem::take(&mut self.events);
         debug_assert!(events.is_empty());
-        let tally = if self.threads <= 1 {
-            self.step_serial(&mut events)
-        } else {
-            self.step_parallel(&mut events)
-        };
-        self.queued -= tally.retired;
-        self.visits += tally.visits;
-        self.tx_bytes += tally.tx_bytes;
-        self.drain_events(events);
-    }
-
-    fn step_serial(&mut self, events: &mut Vec<EventRec>) -> Tally {
         // Split the borrow so neighbor slices, the RNG and the metrics
         // can be used together without per-broadcast Vec copies.
         let Engine {
             topo,
             cfg,
             outboxes,
+            queued,
+            tx_bytes,
             busy,
+            visits,
             alive,
             metrics,
             rng,
@@ -816,115 +696,23 @@ impl<P: Protocol> Engine<P> {
             alive: &alive[..],
             snoop: cfg.snooping && P::WANTS_SNOOP,
         };
-        let (per_node, flows) = metrics.parts_mut();
-        let tally = transmit_range(&env, busy, 0, outboxes, per_node, rng, events, tx_scratch);
-        tx_scratch.settle(flows, busy);
-        tally
-    }
-
-    /// The chunk-parallel transmit phase. Nodes are partitioned into
-    /// `threads` contiguous index ranges; each worker gets disjoint
-    /// `&mut` slices of the queue and per-node metric arrays (messages
-    /// stay in the pool, untouched, so `P::Msg` needs no `Send` bound),
-    /// its own RNG stream positioned by the draw-count prepass, and
-    /// chunk-local event/flow buffers that merge back in chunk order.
-    /// Kept out of line: inlined, it nearly doubles [`Engine::step`], and
-    /// the sequential runs of a full `experiments fig9` measured slower.
-    #[inline(never)]
-    fn step_parallel(&mut self, events: &mut Vec<EventRec>) -> Tally {
-        let threads = self.threads;
-        let Engine {
-            topo,
-            cfg,
-            outboxes,
-            busy,
-            alive,
-            metrics,
-            rng,
-            tx_scratch,
-            chunks,
-            ..
-        } = self;
-        let n = topo.len();
-        let env = TxEnv {
-            topo: &*topo,
-            cfg: &*cfg,
-            alive: &alive[..],
-            snoop: cfg.snooping && P::WANTS_SNOOP,
-        };
-        let chunk_len = n.div_ceil(threads);
-        if chunks.len() < threads {
-            chunks.resize_with(threads, ChunkScratch::default);
-        }
-        // Serial draw-count prepass: each chunk's RNG stream is the
-        // master stream advanced past the loss draws of every node
-        // before the chunk. Offsets accumulate in *node* order, so
-        // they are independent of the partition — the foundation of
-        // the thread-count invariance contract.
-        let mut chunk_rngs: Vec<StdRng> = Vec::with_capacity(threads);
-        let mut total_draws = 0u64;
-        if cfg.loss_prob > 0.0 {
-            let mut cursor = rng.clone();
-            for c in 0..threads {
-                chunk_rngs.push(cursor.clone());
-                let start = (c * chunk_len).min(n);
-                let end = ((c + 1) * chunk_len).min(n);
-                let mut draws = 0u64;
-                for i in busy.members(start..end) {
-                    if env.alive[i] {
-                        draws += count_draws(&env, i, &outboxes[i], tx_scratch);
-                    }
-                }
-                skip_draws(&mut cursor, draws);
-                total_draws += draws;
+        // A pass changes only its own node's busy bit, which the walk has
+        // passed.
+        let mut from = 0;
+        while let Some(i) = busy.next_from(from) {
+            from = i + 1;
+            let queue = &mut outboxes[i];
+            if env.alive[i] {
+                let sent = metrics.per_node()[i].tx_bytes;
+                *queued -= transmit_node(&env, i, queue, metrics, rng, &mut events, tx_scratch);
+                *visits += 1;
+                *tx_bytes += metrics.per_node()[i].tx_bytes - sent;
             }
-        } else {
-            // No loss => no draws anywhere: every chunk stream is an
-            // (untouched) clone of the master.
-            chunk_rngs.resize_with(threads, || rng.clone());
-        }
-        let (per_node, flows) = metrics.parts_mut();
-        let mut q_rest: &mut [VecDeque<QueueEntry>] = outboxes;
-        let mut m_rest: &mut [NodeMetrics] = per_node;
-        let (env_ref, busy_ref) = (&env, &*busy);
-        std::thread::scope(|s| {
-            let mut start = 0usize;
-            for (cs, mut chunk_rng) in chunks[..threads].iter_mut().zip(chunk_rngs) {
-                let len = chunk_len.min(n - start);
-                let (q_chunk, q_tail) = q_rest.split_at_mut(len);
-                q_rest = q_tail;
-                let (m_chunk, m_tail) = m_rest.split_at_mut(len);
-                m_rest = m_tail;
-                let base = start;
-                start += len;
-                s.spawn(move || {
-                    cs.events.clear();
-                    cs.tally = transmit_range(
-                        env_ref,
-                        busy_ref,
-                        base,
-                        q_chunk,
-                        m_chunk,
-                        &mut chunk_rng,
-                        &mut cs.events,
-                        &mut cs.tx,
-                    );
-                });
+            if queue.is_empty() || !env.alive[i] {
+                busy.set(i, false);
             }
-        });
-        // The master stream jumps past the whole cycle's draws, as if
-        // it had made them itself.
-        skip_draws(rng, total_draws);
-        // Merge chunk outputs in chunk order: the concatenated event
-        // list and the summed flow tables are exactly what the
-        // sequential pass over the same node order produces.
-        let mut tally = Tally::default();
-        for cs in &mut chunks[..threads] {
-            events.append(&mut cs.events);
-            tally += cs.tally;
-            cs.tx.settle(flows, busy);
         }
-        tally
+        self.drain_events(events);
     }
 
     /// Dispatch the cycle's events in deterministic order, materializing
@@ -1067,23 +855,6 @@ impl<P: Protocol> Engine<P> {
     }
 }
 
-/// Dense per-flow slot in a detached flow table, grown on demand
-/// (mirrors `Metrics::flow_mut`).
-fn flow_slot(flows: &mut Vec<FlowMetrics>, flow: usize) -> &mut FlowMetrics {
-    if flow >= flows.len() {
-        flows.resize_with(flow + 1, FlowMetrics::default);
-    }
-    &mut flows[flow]
-}
-
-/// Advance `rng` past `n` loss draws (each `f64` draw consumes exactly
-/// one `next_u64` of the underlying stream).
-fn skip_draws(rng: &mut StdRng, n: u64) {
-    for _ in 0..n {
-        let _ = rng.next_u64();
-    }
-}
-
 /// Compute a node's fair-MAC service schedule for this cycle into
 /// `tx.sched`: the first `cap` queue entries ordered by (within-flow
 /// ordinal, queue position). Serving the earliest message of the
@@ -1137,38 +908,6 @@ fn fair_schedule(queue: &VecDeque<QueueEntry>, cap: usize, tx: &mut TxScratch) {
     }
 }
 
-/// Transmit every alive member of `busy` in `base..base + queues.len()`,
-/// in ascending order; `queues` and `node_ms` are that range's slices.
-/// Members left with nothing to send go to `tx.idle`. The one transmit
-/// loop of the sequential path and of every parallel chunk.
-#[allow(clippy::too_many_arguments)]
-fn transmit_range(
-    env: &TxEnv<'_>,
-    busy: &NodeSet,
-    base: usize,
-    queues: &mut [VecDeque<QueueEntry>],
-    node_ms: &mut [NodeMetrics],
-    rng: &mut StdRng,
-    events: &mut Vec<EventRec>,
-    tx: &mut TxScratch,
-) -> Tally {
-    let mut tally = Tally::default();
-    for i in busy.members(base..base + queues.len()) {
-        let queue = &mut queues[i - base];
-        if env.alive[i] {
-            let m = &mut node_ms[i - base];
-            let before = m.tx_bytes;
-            tally.retired += transmit_node(env, i, queue, m, rng, events, tx);
-            tally.visits += 1;
-            tally.tx_bytes += m.tx_bytes - before;
-        }
-        if queue.is_empty() || !env.alive[i] {
-            tx.idle.push(i);
-        }
-    }
-    tally
-}
-
 /// Transmit one node's MAC budget for this cycle. Protocol-independent
 /// (flow tags and wire sizes ride in the queue entries; messages stay
 /// pooled), so it monomorphizes once for the whole workspace. Returns how
@@ -1177,7 +916,7 @@ fn transmit_node(
     env: &TxEnv<'_>,
     i: usize,
     queue: &mut VecDeque<QueueEntry>,
-    node_m: &mut NodeMetrics,
+    metrics: &mut Metrics,
     rng: &mut StdRng,
     events: &mut Vec<EventRec>,
     tx: &mut TxScratch,
@@ -1237,9 +976,12 @@ fn transmit_node(
         };
         budget -= 1;
         // Charge the attempt.
-        node_m.tx_bytes += e.wire_bytes as u64;
-        node_m.tx_msgs += 1;
-        tx.flows.charge(e.flow as usize, e.wire_bytes);
+        let m = metrics.node_mut(sender);
+        m.tx_bytes += e.wire_bytes as u64;
+        m.tx_msgs += 1;
+        let fm = metrics.flow_mut(e.flow as usize);
+        fm.tx_bytes += e.wire_bytes as u64;
+        fm.tx_msgs += 1;
         match e.target {
             Target::Unicast(to) => {
                 let receiver_ok = env.alive[to.index()];
@@ -1269,7 +1011,7 @@ fn transmit_node(
                     e.attempts += 1;
                     tx.deferred.push(e);
                 } else {
-                    node_m.send_failures += 1;
+                    metrics.node_mut(sender).send_failures += 1;
                     events.push(EventRec::SendFailed {
                         sender,
                         to,
@@ -1314,59 +1056,6 @@ fn transmit_node(
         queue.push_front(e);
     }
     before - queue.len()
-}
-
-/// Count the loss draws node `i`'s transmissions will make this cycle:
-/// one per served unicast attempt, one per alive neighbor for a served
-/// broadcast (the caller guarantees `loss_prob > 0`; with zero loss
-/// nothing draws). This is the parallel prepass that positions each
-/// chunk's RNG stream without mutating any queue.
-fn count_draws(env: &TxEnv<'_>, i: usize, queue: &VecDeque<QueueEntry>, tx: &mut TxScratch) -> u64 {
-    let budget = env.cfg.tx_per_cycle;
-    if budget == 0 || queue.is_empty() {
-        return 0;
-    }
-    let sender = NodeId(i as u16);
-    let mut bcast_draws = u64::MAX; // lazily counted once per node
-    let mut draws = 0u64;
-    let use_fair = env.cfg.fair_mac && queue.len() > 1;
-    if use_fair {
-        fair_schedule(queue, budget, tx);
-        for &(_, pos) in &tx.sched {
-            draws += match queue[pos as usize].target {
-                Target::Unicast(_) => 1,
-                Target::Broadcast => {
-                    if bcast_draws == u64::MAX {
-                        bcast_draws = env
-                            .topo
-                            .neighbors(sender)
-                            .iter()
-                            .filter(|nb| env.alive[nb.index()])
-                            .count() as u64;
-                    }
-                    bcast_draws
-                }
-            };
-        }
-    } else {
-        for e in queue.iter().take(budget) {
-            draws += match e.target {
-                Target::Unicast(_) => 1,
-                Target::Broadcast => {
-                    if bcast_draws == u64::MAX {
-                        bcast_draws = env
-                            .topo
-                            .neighbors(sender)
-                            .iter()
-                            .filter(|nb| env.alive[nb.index()])
-                            .count() as u64;
-                    }
-                    bcast_draws
-                }
-            };
-        }
-    }
-    draws
 }
 
 #[cfg(test)]
@@ -2021,29 +1710,24 @@ mod tests {
 
     #[test]
     fn node_set_walks_members_across_word_boundaries() {
+        let members = |s: &NodeSet| {
+            std::iter::successors(s.next_from(0), |&i| s.next_from(i + 1)).collect::<Vec<_>>()
+        };
         let mut s = NodeSet::new(200);
         for i in [0, 63, 64, 127, 128, 199] {
             s.set(i, true);
         }
-        assert_eq!(
-            s.members(0..200).collect::<Vec<_>>(),
-            [0, 63, 64, 127, 128, 199]
-        );
-        assert_eq!(s.members(63..128).collect::<Vec<_>>(), [63, 64, 127]);
-        assert_eq!(s.members(129..199).count(), 0);
+        assert_eq!(members(&s), [0, 63, 64, 127, 128, 199]);
+        assert_eq!(s.next_from(65), Some(127));
+        assert_eq!(s.next_from(129), Some(199));
         assert_eq!(s.next_from(200), None);
         s.set(64, false);
-        assert_eq!(
-            s.members(0..200).collect::<Vec<_>>(),
-            [0, 63, 127, 128, 199]
-        );
+        assert_eq!(members(&s), [0, 63, 127, 128, 199]);
         assert!(s.contains(127) && !s.contains(64));
     }
 
     #[test]
     fn pool_drains_to_zero_at_quiescence() {
-        let (_, _, queued, _) = churn_run(40);
-        let _ = queued; // (the workload may or may not be drained at 40)
         let pts = (0..9)
             .map(|i| Point::new((i % 3) as f64, (i / 3) as f64))
             .collect();

@@ -98,13 +98,6 @@ impl Metrics {
         &self.per_node
     }
 
-    /// Split into the per-node slice and the flow table so the engine can
-    /// hand workers disjoint `&mut` node sub-slices while the flow table
-    /// is accumulated separately.
-    pub(crate) fn parts_mut(&mut self) -> (&mut [NodeMetrics], &mut Vec<FlowMetrics>) {
-        (&mut self.per_node, &mut self.flows)
-    }
-
     /// Total bytes transmitted network-wide ("Total traffic" in the mote
     /// figures). Counting TX only avoids double-counting each hop.
     pub fn total_tx_bytes(&self) -> u64 {

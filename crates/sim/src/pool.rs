@@ -9,10 +9,9 @@
 //! Reference counting is cooperative: callers that hand out several
 //! owners for one slot allocate with [`MsgPool::alloc_shared`], and each
 //! owner's final consuming event releases exactly one reference. The
-//! pool itself is **never touched during the parallel transmit phase** —
-//! allocation happens in protocol callbacks (serial dispatch) and
-//! release happens in the serial event drain, which is what lets chunked
-//! transmit threads run against plain `&`-free queue state.
+//! transmit phase never touches the pool: allocation happens in protocol
+//! callbacks and release in the event drain, so transmitting moves only
+//! handles.
 //!
 //! The message and its reference count share one slot struct (not
 //! parallel `Vec`s): the common single-owner alloc→consume round trip of
