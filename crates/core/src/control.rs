@@ -1,4 +1,4 @@
-//! The serializable control plane of a [`Session`].
+//! The serializable control plane of a [`Session`] and a [`Federation`].
 //!
 //! Everything a caller can *do* to a session is a [`Command`]; everything
 //! a session says back is a [`Response`]. [`Session::apply`] is the one
@@ -8,27 +8,36 @@
 //! driving a session through `apply` produces byte-identical outcomes to
 //! calling [`Session::admit`]/[`Session::step`]/[`Session::report`]
 //! directly, which is what the serve parity tests assert.
+//! [`Federation::apply`] is the same for a [`FedCommand`].
+//!
+//! A wire line is a [`Request`]: a session [`Command`], a connection verb
+//! (`OPEN`, `USE`, `CLOSE`, `QUIT`) or a federation verb (`FEDOPEN`,
+//! `LINK`, `FEDADMIT`, `FEDREPORT`). [`VERBS`] lists every verb with its
+//! syntax; a line that does not decode answers [`ControlError::Usage`]
+//! with that syntax.
 //!
 //! Every type here has a compact single-line text encoding (`encode` /
 //! `decode`, exact inverses — property-tested) that doubles as the wire
-//! protocol's line format, plus a JSON rendering for reports
-//! ([`ReportSummary::to_json`]). Strings embedded in responses and events
+//! protocol's line format. Strings embedded in responses and events
 //! are percent-escaped so encodings stay one line regardless of content;
-//! the SQL text of an `ADMIT` line is carried raw (rest-of-line) so
-//! humans can type it over `nc`.
+//! the SQL text of an `ADMIT`/`FEDADMIT` line is carried raw
+//! (rest-of-line) so humans can type it over `nc`.
 
 use crate::cache::CacheStats;
 use crate::cost::Sigma;
+use crate::federation::{CrossId, CrossMode, Federation};
 use crate::session::{GraphId, Outcome, Phase, QueryId, Session, SessionEvent};
 use crate::shared::{parse_algo, AlgoConfig};
-use sensor_net::NodeId;
-use sensor_query::{parse, parse_join_graph, Parsed};
-use sensor_sim::sweep::Json;
+use sensor_net::{GatewayLink, NoTopology, NodeId};
+use sensor_query::{parse, parse_join_graph, ParseError, Parsed};
+use sensor_sim::SimConfig;
+use sensor_workload::{Rates, Schedule, WorkloadData};
+use std::str::FromStr;
 
-/// Cap on cycles a single [`StopWhen::Results`] run may advance, so a
-/// wire client asking for unreachable result counts cannot hold its
-/// session's serve shard forever.
-pub const RUN_UNTIL_MAX_CYCLES: u32 = 10_000;
+/// Most sampling cycles one command may advance (`STEP`, `RUN CYCLE`,
+/// `RUN RESULTS`, `FEDREPORT cycles=`), so that no wire client can hold
+/// its session's serve shard for longer than that.
+pub const MAX_CYCLES_PER_COMMAND: u32 = 10_000;
 
 /// Selectivities assumed by wire admissions ([`Command::Admit`] carries
 /// an algorithm slug, not a full [`AlgoConfig`]); matches the workload
@@ -38,6 +47,111 @@ pub const WIRE_ASSUMED_SIGMA: Sigma = Sigma {
     t: 0.5,
     st: 0.2,
 };
+
+/// How a wire `OPEN` builds its network: a deterministic random topology
+/// plus the repo's standard uniform workload, keyed by one seed. Two
+/// servers (or a server and an in-process harness) given the same spec
+/// build byte-identical sessions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OpenSpec {
+    pub nodes: usize,
+    pub degree: f64,
+    pub seed: u64,
+}
+
+impl Default for OpenSpec {
+    fn default() -> Self {
+        OpenSpec {
+            nodes: 60,
+            degree: 7.0,
+            seed: 1,
+        }
+    }
+}
+
+impl std::fmt::Display for OpenSpec {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "nodes={} degree={} seed={}",
+            self.nodes, self.degree, self.seed
+        )
+    }
+}
+
+/// `key=value` options into an [`OpenSpec`]; with `members`, a `FEDOPEN`'s
+/// `members=M` too.
+fn parse_spec<'a>(
+    toks: impl Iterator<Item = &'a str>,
+    mut members: Option<&mut usize>,
+) -> Result<OpenSpec, String> {
+    let mut spec = OpenSpec::default();
+    for tok in toks {
+        let (k, v) = tok
+            .split_once('=')
+            .ok_or_else(|| format!("bad option '{tok}' (want key=value)"))?;
+        match (k, members.as_deref_mut()) {
+            ("nodes", _) => spec.nodes = num(v, k)?,
+            ("degree", _) => spec.degree = num(v, k)?,
+            ("seed", _) => spec.seed = num(v, k)?,
+            ("members", Some(m)) => *m = num(v, k)?,
+            _ => return Err(format!("unknown option '{k}'")),
+        }
+    }
+    if !(2..=20_000).contains(&spec.nodes) {
+        return Err(format!("nodes={} out of range [2, 20000]", spec.nodes));
+    }
+    Ok(spec)
+}
+
+/// How a wire `FEDOPEN` builds its federation: `members` networks, each
+/// constructed exactly like an `OPEN` session from `member_spec` with the
+/// seed offset by `100 * member_index` (so member networks differ but the
+/// whole federation is keyed by one seed).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FedSpec {
+    pub members: usize,
+    pub member_spec: OpenSpec,
+}
+
+/// Build the session an `OPEN` line describes, if its `nodes`, `degree`
+/// and `seed` — the client's choice — yield a connected deployment. The
+/// parity tests and the load generator run the *same* construction
+/// in-process and compare outcomes byte-for-byte with the served ones.
+pub fn try_open_session(spec: &OpenSpec) -> Result<Session, NoTopology> {
+    let topo = sensor_net::try_random_with_degree(spec.nodes, spec.degree, spec.seed)?;
+    let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), spec.seed);
+    let sim = SimConfig {
+        tx_per_cycle: 64,
+        queue_capacity: 1024,
+        ..SimConfig::lossless().with_seed(spec.seed)
+    };
+    Ok(Session::builder(topo, data).sim(sim).allow_empty().build())
+}
+
+/// [`try_open_session`] for a spec the caller chose itself.
+///
+/// # Panics
+/// If the spec yields no connected deployment.
+pub fn open_session(spec: &OpenSpec) -> Session {
+    try_open_session(spec).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Build the federation a `FEDOPEN` line describes: member `i` is named
+/// `net<i>`, and no link is declared yet. It takes [`FedCommand::Link`]s
+/// until its first admission or report.
+pub fn open_fed_members(spec: &FedSpec) -> Result<Federation, NoTopology> {
+    let mut fed = Federation::builder().seed(spec.member_spec.seed);
+    for i in 0..spec.members {
+        let seed = spec.member_spec.seed.wrapping_add(100 * i as u64);
+        let member = try_open_session(&OpenSpec {
+            seed,
+            ..spec.member_spec
+        })?;
+        fed = fed.member(format!("net{i}"), member);
+    }
+    Ok(fed.open())
+}
 
 /// Handle to either kind of admitted query, as it appears on the wire
 /// (`q3` / `g1`).
@@ -75,7 +189,7 @@ pub enum StopWhen {
     /// there).
     Cycle(u32),
     /// Run until at least `n` join results were delivered to the base,
-    /// bounded by [`RUN_UNTIL_MAX_CYCLES`] extra cycles.
+    /// bounded by [`MAX_CYCLES_PER_COMMAND`] extra cycles.
     Results(u64),
 }
 
@@ -115,11 +229,73 @@ pub enum Command {
     Subscribe,
 }
 
-/// Why a [`Command`] was rejected.
+/// One wire line: a session [`Command`], a connection verb, or a
+/// federation verb. A connection first selects a session (`OPEN`/`USE`),
+/// then speaks [`Command`] lines at it; federations always carry their
+/// name. See [`VERBS`] for the syntax of each.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Create the named session from `spec`, or attach to it if it exists.
+    Open { name: String, spec: OpenSpec },
+    /// Select an existing session.
+    Use(String),
+    /// Tear down the selected session.
+    Close,
+    /// End the connection.
+    Quit,
+    /// A command for the selected session.
+    Session(Command),
+    /// Create the named federation from `spec`, or attach to it.
+    FedOpen { name: String, spec: FedSpec },
+    /// A command for the named federation.
+    Fed { name: String, cmd: FedCommand },
+}
+
+/// One instruction to a [`Federation`] ([`Federation::apply`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum FedCommand {
+    /// Declare a gateway pair; only before the first admission or report.
+    Link(GatewayLink),
+    /// Admit a cross-network join graph, one home member per relation.
+    Admit {
+        algo: String,
+        homes: Vec<usize>,
+        mode: CrossMode,
+        sql: String,
+    },
+    /// Step `cycles` federation cycles, then drain and summarize.
+    Report { cycles: u32 },
+}
+
+/// Every request verb with its argument syntax: the one source of the
+/// `ERR USAGE` text a malformed line answers.
+#[rustfmt::skip]
+pub const VERBS: &[(&str, &str)] = &[
+    ("OPEN", "<name> [nodes=N] [degree=D] [seed=S]"),
+    ("USE", "<name>"),
+    ("ADMIT", "<algo> <streamsql>"),
+    ("ADMITGRAPH", "<algo> <streamsql>"),
+    ("RETIRE", "q<i> | g<i>"),
+    ("STEP", "<n>"),
+    ("RUN", "CYCLE <c> | RESULTS <n>"),
+    ("KILL", "<node>"),
+    ("REPORT", ""),
+    ("CACHESTATS", ""),
+    ("SUBSCRIBE", ""),
+    ("CLOSE", ""),
+    ("QUIT", ""),
+    ("FEDOPEN", "<name> [members=M] [nodes=N] [degree=D] [seed=S]"),
+    ("LINK", "<name> <an>:<anode> <bn>:<bnode> [loss=P] [latency=C] [budget=B]"),
+    ("FEDADMIT", "<name> <algo> homes=0,0,1,.. [mode=gateway|shipbase] <streamsql>"),
+    ("FEDREPORT", "<name> [cycles=N]"),
+];
+
+/// Why a [`Request`] was rejected. Every variant but `Parse` carries one
+/// human-readable detail.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlError {
     /// The SQL failed to parse (byte offset + message, from
-    /// [`ParseError`](sensor_query::ParseError)).
+    /// [`ParseError`]).
     Parse { pos: usize, msg: String },
     /// The algorithm slug names no known combination.
     UnknownAlgo(String),
@@ -128,15 +304,82 @@ pub enum ControlError {
     /// The command is not available on this session (e.g. admission on a
     /// bare-wire session).
     Unsupported(String),
+    /// The line is malformed, or asks for more than one command may do.
+    Usage(String),
+    /// No session is selected, or the selected one does not exist.
+    NoSession(String),
+    /// No federation has that name.
+    NoFed(String),
+    /// The connection's session, federation or query quota is spent.
+    Quota(String),
+    /// The spec yields no connected deployment.
+    Topology(String),
+    /// The federation is past the point where this is allowed.
+    State(String),
+    /// The federation refused the link or the admission.
+    Fed(String),
+    /// The server is shutting down.
+    Shutdown(String),
+    /// The command panicked; its session or federation is gone.
+    Internal(String),
+}
+
+/// Each detail-carrying [`ControlError`] by its wire token (the inverse of
+/// [`ControlError::kind`]).
+#[allow(clippy::type_complexity)]
+const ERR_KINDS: &[(&str, fn(String) -> ControlError)] = &[
+    ("ALGO", ControlError::UnknownAlgo),
+    ("TARGET", ControlError::BadTarget),
+    ("UNSUPPORTED", ControlError::Unsupported),
+    ("USAGE", ControlError::Usage),
+    ("NOSESSION", ControlError::NoSession),
+    ("NOFED", ControlError::NoFed),
+    ("QUOTA", ControlError::Quota),
+    ("TOPOLOGY", ControlError::Topology),
+    ("STATE", ControlError::State),
+    ("FED", ControlError::Fed),
+    ("SHUTDOWN", ControlError::Shutdown),
+    ("INTERNAL", ControlError::Internal),
+];
+
+impl ControlError {
+    /// The wire token after `ERR`, and the detail.
+    fn kind(&self) -> (&'static str, &str) {
+        match self {
+            ControlError::Parse { msg, .. } => ("PARSE", msg),
+            ControlError::UnknownAlgo(s) => ("ALGO", s),
+            ControlError::BadTarget(s) => ("TARGET", s),
+            ControlError::Unsupported(s) => ("UNSUPPORTED", s),
+            ControlError::Usage(s) => ("USAGE", s),
+            ControlError::NoSession(s) => ("NOSESSION", s),
+            ControlError::NoFed(s) => ("NOFED", s),
+            ControlError::Quota(s) => ("QUOTA", s),
+            ControlError::Topology(s) => ("TOPOLOGY", s),
+            ControlError::State(s) => ("STATE", s),
+            ControlError::Fed(s) => ("FED", s),
+            ControlError::Shutdown(s) => ("SHUTDOWN", s),
+            ControlError::Internal(s) => ("INTERNAL", s),
+        }
+    }
 }
 
 impl std::fmt::Display for ControlError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ControlError::Parse { pos, msg } => write!(f, "parse error at byte {pos}: {msg}"),
-            ControlError::UnknownAlgo(s) => write!(f, "unknown algorithm '{s}'"),
-            ControlError::BadTarget(s) => write!(f, "bad target: {s}"),
-            ControlError::Unsupported(s) => write!(f, "unsupported: {s}"),
+            e => {
+                let (kind, detail) = e.kind();
+                write!(f, "{}: {detail}", kind.to_ascii_lowercase())
+            }
+        }
+    }
+}
+
+impl From<ParseError> for ControlError {
+    fn from(e: ParseError) -> ControlError {
+        ControlError::Parse {
+            pos: e.pos,
+            msg: e.message,
         }
     }
 }
@@ -211,81 +454,6 @@ impl ReportSummary {
                 .collect(),
         }
     }
-
-    /// JSON rendering (for `BENCH_serve.json` and API consumers).
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("cycle".into(), Json::num(self.cycle as f64)),
-            ("results".into(), Json::num(self.results as f64)),
-            (
-                "total_traffic_bytes".into(),
-                Json::num(self.total_traffic_bytes as f64),
-            ),
-            (
-                "base_load_bytes".into(),
-                Json::num(self.base_load_bytes as f64),
-            ),
-            (
-                "max_node_load_bytes".into(),
-                Json::num(self.max_node_load_bytes as f64),
-            ),
-            (
-                "total_traffic_msgs".into(),
-                Json::num(self.total_traffic_msgs as f64),
-            ),
-            (
-                "base_load_msgs".into(),
-                Json::num(self.base_load_msgs as f64),
-            ),
-            ("avg_delay_cycles".into(), Json::num(self.avg_delay_cycles)),
-            ("send_failures".into(), Json::num(self.send_failures as f64)),
-            ("queue_drops".into(), Json::num(self.queue_drops as f64)),
-            (
-                "repair_attempts".into(),
-                Json::num(self.repair_attempts as f64),
-            ),
-            (
-                "repair_successes".into(),
-                Json::num(self.repair_successes as f64),
-            ),
-            ("tuples_lost".into(), Json::num(self.tuples_lost as f64)),
-            (
-                "tuples_rerouted".into(),
-                Json::num(self.tuples_rerouted as f64),
-            ),
-            (
-                "recovery_bytes".into(),
-                Json::num(self.recovery_bytes as f64),
-            ),
-            (
-                "expired_frames".into(),
-                Json::num(self.expired_frames as f64),
-            ),
-            (
-                "queries".into(),
-                Json::Arr(
-                    self.queries
-                        .iter()
-                        .map(|q| {
-                            Json::Obj(vec![
-                                ("label".into(), Json::str(&q.label)),
-                                ("name".into(), Json::str(&q.name)),
-                                ("arrival".into(), Json::num(q.arrival as f64)),
-                                (
-                                    "departure".into(),
-                                    q.departure
-                                        .map(|d| Json::num(d as f64))
-                                        .unwrap_or(Json::Null),
-                                ),
-                                ("results".into(), Json::num(q.results as f64)),
-                                ("avg_delay_tx".into(), Json::num(q.avg_delay_tx)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
 }
 
 /// A session's answer to one [`Command`].
@@ -310,6 +478,32 @@ pub enum Response {
     /// counters.
     CacheStats(CacheStats),
     Subscribed,
+    /// After [`Request::Open`] created the session.
+    Opened {
+        name: String,
+        nodes: usize,
+    },
+    /// After [`Request::Open`] found the session already there.
+    Attached(String),
+    Using(String),
+    Closed(String),
+    Bye,
+    /// After [`Request::FedOpen`] created the federation.
+    FedOpened {
+        name: String,
+        members: usize,
+        nodes: usize,
+    },
+    FedAttached(String),
+    /// After [`FedCommand::Link`]: the new link's index.
+    Linked {
+        name: String,
+        index: usize,
+    },
+    FedAdmitted(CrossId),
+    /// After [`FedCommand::Report`]: the
+    /// [summary line](crate::FederationOutcome::summary_line).
+    FedReport(String),
     Rejected(ControlError),
 }
 
@@ -361,21 +555,6 @@ pub fn unesc(s: &str) -> Option<String> {
     String::from_utf8(out).ok()
 }
 
-fn fmt_opt(o: Option<u32>) -> String {
-    match o {
-        Some(v) => v.to_string(),
-        None => "-".into(),
-    }
-}
-
-fn parse_opt(s: &str) -> Result<Option<u32>, String> {
-    if s == "-" {
-        Ok(None)
-    } else {
-        s.parse().map(Some).map_err(|_| format!("bad number '{s}'"))
-    }
-}
-
 // --- Command encoding ----------------------------------------------------
 
 impl Command {
@@ -397,60 +576,263 @@ impl Command {
         }
     }
 
-    /// Exact inverse of [`Command::encode`] (modulo the verb's case). The
-    /// error string is human-readable and safe to echo to a wire client.
+    /// Exact inverse of [`Command::encode`] (modulo the verb's case): a
+    /// [`Request::decode`] that accepts only session commands. The error
+    /// string is human-readable and safe to echo to a wire client.
     pub fn decode(line: &str) -> Result<Command, String> {
-        let line = line.strip_suffix('\r').unwrap_or(line);
-        let (verb, rest) = match line.split_once(' ') {
-            Some((v, r)) => (v, r),
-            None => (line, ""),
-        };
-        match verb.to_ascii_uppercase().as_str() {
-            "ADMIT" | "ADMITGRAPH" => {
-                let (algo, sql) = rest
-                    .split_once(' ')
-                    .ok_or("usage: ADMIT <algo> <streamsql>")?;
-                if algo.is_empty() || sql.is_empty() {
-                    return Err("usage: ADMIT <algo> <streamsql>".into());
-                }
-                let (algo, sql) = (algo.to_string(), sql.to_string());
-                Ok(if verb.eq_ignore_ascii_case("ADMIT") {
-                    Command::Admit { algo, sql }
-                } else {
-                    Command::AdmitGraph { algo, sql }
-                })
-            }
-            "RETIRE" => Target::parse(rest)
-                .map(Command::Retire)
-                .ok_or_else(|| format!("bad target '{rest}' (want q<i> or g<i>)")),
-            "STEP" => rest
-                .parse()
-                .map(Command::Step)
-                .map_err(|_| format!("bad cycle count '{rest}'")),
-            "RUN" => {
-                let (kind, n) = rest.split_once(' ').ok_or("usage: RUN CYCLE|RESULTS <n>")?;
-                match kind.to_ascii_uppercase().as_str() {
-                    "CYCLE" => n
-                        .parse()
-                        .map(|c| Command::RunUntil(StopWhen::Cycle(c)))
-                        .map_err(|_| format!("bad cycle '{n}'")),
-                    "RESULTS" => n
-                        .parse()
-                        .map(|r| Command::RunUntil(StopWhen::Results(r)))
-                        .map_err(|_| format!("bad result count '{n}'")),
-                    _ => Err("usage: RUN CYCLE|RESULTS <n>".into()),
-                }
-            }
-            "KILL" => rest
-                .parse()
-                .map(|v| Command::Kill(NodeId(v)))
-                .map_err(|_| format!("bad node id '{rest}'")),
-            "REPORT" if rest.is_empty() => Ok(Command::Report),
-            "CACHESTATS" if rest.is_empty() => Ok(Command::CacheStats),
-            "SUBSCRIBE" if rest.is_empty() => Ok(Command::Subscribe),
-            _ => Err(format!("unknown command '{verb}'")),
+        match Request::decode(line) {
+            Ok(Request::Session(cmd)) => Ok(cmd),
+            Ok(_) => Err(format!("not a session command: '{line}'")),
+            Err(e) => Err(e.to_string()),
         }
     }
+}
+
+// --- Request encoding ----------------------------------------------------
+
+/// The value of a `key=<n>` token.
+fn key_num<'a, T: FromStr>(
+    toks: &mut impl Iterator<Item = &'a str>,
+    key: &str,
+) -> Result<T, String> {
+    let t = next(toks, key)?;
+    let v = t
+        .strip_prefix(key)
+        .and_then(|t| t.strip_prefix('='))
+        .ok_or_else(|| format!("expected {key}=…, got '{t}'"))?;
+    num(v, key)
+}
+
+fn num<T: FromStr>(tok: &str, what: &str) -> Result<T, String> {
+    tok.parse().map_err(|_| format!("bad {what} '{tok}'"))
+}
+
+fn next<'a>(toks: &mut impl Iterator<Item = &'a str>, what: &str) -> Result<&'a str, String> {
+    toks.next().ok_or_else(|| format!("missing {what}"))
+}
+
+fn next_num<'a, T: FromStr>(
+    toks: &mut impl Iterator<Item = &'a str>,
+    what: &str,
+) -> Result<T, String> {
+    num(next(toks, what)?, what)
+}
+
+/// The word before the next single space of a raw-tail line; `rest`
+/// keeps what follows it.
+fn word<'a>(rest: &mut &'a str, what: &str) -> Result<&'a str, String> {
+    let (w, tail) = rest
+        .split_once(' ')
+        .filter(|(w, _)| !w.is_empty())
+        .ok_or_else(|| format!("missing {what}"))?;
+    *rest = tail;
+    Ok(w)
+}
+
+impl Request {
+    /// One-line wire form. Names are tokens without whitespace; the SQL of
+    /// `ADMIT`/`ADMITGRAPH`/`FEDADMIT` rides raw as the rest of the line.
+    pub fn encode(&self) -> String {
+        match self {
+            Request::Open { name, spec } => format!("OPEN {name} {spec}"),
+            Request::Use(name) => format!("USE {name}"),
+            Request::Close => "CLOSE".into(),
+            Request::Quit => "QUIT".into(),
+            Request::Session(cmd) => cmd.encode(),
+            Request::FedOpen { name, spec } => {
+                format!(
+                    "FEDOPEN {name} members={} {}",
+                    spec.members, spec.member_spec
+                )
+            }
+            Request::Fed { name, cmd } => match cmd {
+                FedCommand::Link(l) => format!(
+                    "LINK {name} {}:{} {}:{} loss={} latency={} budget={}",
+                    l.a_net,
+                    l.a_node.0,
+                    l.b_net,
+                    l.b_node.0,
+                    l.loss,
+                    l.latency_cycles,
+                    l.budget_bytes_per_cycle
+                ),
+                FedCommand::Admit {
+                    algo,
+                    homes,
+                    mode,
+                    sql,
+                } => {
+                    let homes: Vec<String> = homes.iter().map(usize::to_string).collect();
+                    let mode = match mode {
+                        CrossMode::Gateway => "gateway",
+                        CrossMode::ShipBase => "shipbase",
+                    };
+                    let homes = homes.join(",");
+                    format!("FEDADMIT {name} {algo} homes={homes} mode={mode} {sql}")
+                }
+                FedCommand::Report { cycles } => format!("FEDREPORT {name} cycles={cycles}"),
+            },
+        }
+    }
+
+    /// Exact inverse of [`Request::encode`] (modulo the verb's case). A
+    /// line that does not decode answers [`ControlError::Usage`], naming
+    /// what is wrong and the verb's syntax from [`VERBS`]. Extra tokens
+    /// are an error for every verb.
+    pub fn decode(line: &str) -> Result<Request, ControlError> {
+        let line = line.strip_suffix('\r').unwrap_or(line);
+        let (verb, rest) = line.split_once(' ').unwrap_or((line, ""));
+        let Some(&(verb, syntax)) = VERBS.iter().find(|(v, _)| v.eq_ignore_ascii_case(verb)) else {
+            return Err(ControlError::Usage(format!("unknown command '{verb}'")));
+        };
+        decode_args(verb, rest).map_err(|e| {
+            ControlError::Usage(format!("{e}; usage: {verb} {syntax}").trim_end().into())
+        })
+    }
+}
+
+fn decode_args(verb: &str, rest: &str) -> Result<Request, String> {
+    if let "ADMIT" | "ADMITGRAPH" = verb {
+        let (algo, sql) = rest
+            .split_once(' ')
+            .filter(|(a, s)| !a.is_empty() && !s.is_empty())
+            .ok_or("missing algorithm or query")?;
+        let (algo, sql) = (algo.to_string(), sql.to_string());
+        return Ok(Request::Session(if verb == "ADMIT" {
+            Command::Admit { algo, sql }
+        } else {
+            Command::AdmitGraph { algo, sql }
+        }));
+    }
+    if verb == "FEDADMIT" {
+        return decode_fed_admit(rest);
+    }
+    let mut toks = rest.split_whitespace();
+    let t = &mut toks;
+    let req = match verb {
+        "OPEN" => Request::Open {
+            name: next(t, "name")?.into(),
+            spec: parse_spec(t, None)?,
+        },
+        "USE" => Request::Use(next(t, "name")?.into()),
+        "CLOSE" => Request::Close,
+        "QUIT" => Request::Quit,
+        "RETIRE" => {
+            let s = next(t, "target")?;
+            Request::Session(Command::Retire(
+                Target::parse(s).ok_or_else(|| format!("bad target '{s}'"))?,
+            ))
+        }
+        "STEP" => Request::Session(Command::Step(next_num(t, "cycle count")?)),
+        "RUN" => {
+            let (kind, n) = (next(t, "condition")?, next(t, "count")?);
+            Request::Session(Command::RunUntil(if kind.eq_ignore_ascii_case("CYCLE") {
+                StopWhen::Cycle(num(n, "cycle")?)
+            } else if kind.eq_ignore_ascii_case("RESULTS") {
+                StopWhen::Results(num(n, "result count")?)
+            } else {
+                return Err(format!("bad condition '{kind}'"));
+            }))
+        }
+        "KILL" => Request::Session(Command::Kill(NodeId(next_num(t, "node id")?))),
+        "REPORT" => Request::Session(Command::Report),
+        "CACHESTATS" => Request::Session(Command::CacheStats),
+        "SUBSCRIBE" => Request::Session(Command::Subscribe),
+        "FEDOPEN" => {
+            let name = next(t, "name")?.into();
+            let mut members = 2;
+            let member_spec = parse_spec(t, Some(&mut members))?;
+            if !(2..=16).contains(&members) {
+                return Err(format!("members={members} out of range [2, 16]"));
+            }
+            let spec = FedSpec {
+                members,
+                member_spec,
+            };
+            Request::FedOpen { name, spec }
+        }
+        "LINK" => Request::Fed {
+            name: next(t, "name")?.into(),
+            cmd: FedCommand::Link(decode_link(t)?),
+        },
+        "FEDREPORT" => Request::Fed {
+            name: next(t, "name")?.into(),
+            cmd: FedCommand::Report {
+                cycles: match t.clone().next() {
+                    Some(_) => key_num(t, "cycles")?,
+                    None => 0,
+                },
+            },
+        },
+        _ => unreachable!("every verb of VERBS has a decoder"),
+    };
+    match toks.next() {
+        Some(extra) => Err(format!("unexpected '{extra}'")),
+        None => Ok(req),
+    }
+}
+
+/// `<an>:<anode> <bn>:<bnode> [loss=P] [latency=C] [budget=B]`. Loss is
+/// range-checked here so the link can never panic on it.
+fn decode_link<'a>(toks: &mut impl Iterator<Item = &'a str>) -> Result<GatewayLink, String> {
+    let mut endpoint = || -> Result<(usize, NodeId), String> {
+        let t = next(toks, "endpoint")?;
+        let (net, node) = t
+            .split_once(':')
+            .ok_or_else(|| format!("bad endpoint '{t}' (want net:node)"))?;
+        Ok((num(net, "net")?, NodeId(num(node, "node")?)))
+    };
+    let ((a_net, a_node), (b_net, b_node)) = (endpoint()?, endpoint()?);
+    let mut link = GatewayLink::new(a_net, a_node, b_net, b_node);
+    for tok in toks {
+        let (k, v) = tok
+            .split_once('=')
+            .ok_or_else(|| format!("bad option '{tok}' (want key=value)"))?;
+        match k {
+            "loss" => {
+                let p: f64 = num(v, k)?;
+                if !(0.0..1.0).contains(&p) {
+                    return Err(format!("loss={p} out of range [0, 1)"));
+                }
+                link = link.with_loss(p);
+            }
+            "latency" => link = link.with_latency(num(v, k)?),
+            "budget" => link = link.with_budget(num(v, k)?),
+            _ => return Err(format!("unknown option '{k}'")),
+        }
+    }
+    Ok(link)
+}
+
+/// `<name> <algo> homes=0,0,1,.. [mode=gateway|shipbase] <streamsql>`.
+fn decode_fed_admit(mut rest: &str) -> Result<Request, String> {
+    let name = word(&mut rest, "name")?.to_string();
+    let algo = word(&mut rest, "algorithm")?.to_string();
+    let homes = word(&mut rest, "homes=…")?;
+    let homes = homes
+        .strip_prefix("homes=")
+        .ok_or_else(|| format!("expected homes=…, got '{homes}'"))?
+        .split(',')
+        .map(|h| num(h, "home"))
+        .collect::<Result<_, _>>()?;
+    let mut mode = CrossMode::Gateway;
+    if rest.starts_with("mode=") {
+        mode = match &word(&mut rest, "query")?["mode=".len()..] {
+            "gateway" => CrossMode::Gateway,
+            "shipbase" | "ship-base" | "ship" => CrossMode::ShipBase,
+            other => return Err(format!("unknown mode '{other}'")),
+        };
+    }
+    if rest.is_empty() {
+        return Err("missing query".into());
+    }
+    let cmd = FedCommand::Admit {
+        algo,
+        homes,
+        mode,
+        sql: rest.to_string(),
+    };
+    Ok(Request::Fed { name, cmd })
 }
 
 // --- Response encoding ---------------------------------------------------
@@ -495,7 +877,7 @@ impl Response {
                         esc(&q.label),
                         esc(&q.name),
                         q.arrival,
-                        fmt_opt(q.departure),
+                        q.departure.map_or("-".into(), |d| d.to_string()),
                         q.results,
                         q.avg_delay_tx,
                     ));
@@ -506,18 +888,36 @@ impl Response {
                 "OK CACHESTATS entries={} hits={} misses={} insertions={} evictions={}",
                 c.entries, c.hits, c.misses, c.insertions, c.evictions,
             ),
-            Response::Rejected(e) => match e {
-                ControlError::Parse { pos, msg } => format!("ERR PARSE {pos} {}", esc(msg)),
-                ControlError::UnknownAlgo(s) => format!("ERR ALGO {}", esc(s)),
-                ControlError::BadTarget(s) => format!("ERR TARGET {}", esc(s)),
-                ControlError::Unsupported(s) => format!("ERR UNSUPPORTED {}", esc(s)),
-            },
+            Response::Opened { name, nodes } => format!("OK OPENED {name} nodes={nodes}"),
+            Response::Attached(name) => format!("OK ATTACHED {name}"),
+            Response::Using(name) => format!("OK USING {name}"),
+            Response::Closed(name) => format!("OK CLOSED {name}"),
+            Response::Bye => "OK BYE".into(),
+            Response::FedOpened {
+                name,
+                members,
+                nodes,
+            } => format!("OK FEDOPENED {name} members={members} nodes={nodes}"),
+            Response::FedAttached(name) => format!("OK FEDATTACHED {name}"),
+            Response::Linked { name, index } => format!("OK LINKED {name} {index}"),
+            Response::FedAdmitted(id) => format!("OK FEDADMITTED x{}", id.0),
+            Response::FedReport(summary) => format!("OK FEDREPORT {summary}"),
+            Response::Rejected(ControlError::Parse { pos, msg }) => {
+                format!("ERR PARSE {pos} {}", esc(msg))
+            }
+            Response::Rejected(e) => {
+                let (kind, detail) = e.kind();
+                format!("ERR {kind} {}", esc(detail))
+            }
         }
     }
 
     /// Exact inverse of [`Response::encode`].
     pub fn decode(line: &str) -> Result<Response, String> {
         let line = line.strip_suffix('\r').unwrap_or(line);
+        if let Some(summary) = line.strip_prefix("OK FEDREPORT ") {
+            return Ok(Response::FedReport(summary.into()));
+        }
         let mut toks = line.split(' ');
         let status = toks.next().unwrap_or("");
         let kind = toks.next().ok_or("truncated response")?;
@@ -532,40 +932,22 @@ impl Response {
                     Response::Retired(t)
                 })
             }
-            ("OK", "STEPPED") => {
-                let c = toks.next().ok_or("missing cycle")?;
-                Ok(Response::Stepped {
-                    cycle: c.parse().map_err(|_| bad("cycle", c))?,
-                })
-            }
-            ("OK", "RAN") => {
-                let n = toks.next().ok_or("missing cycles")?;
-                let c = toks.next().ok_or("missing cycle")?;
-                Ok(Response::Ran {
-                    cycles: n.parse().map_err(|_| bad("cycles", n))?,
-                    cycle: c.parse().map_err(|_| bad("cycle", c))?,
-                })
-            }
-            ("OK", "KILLED") => {
-                let v = toks.next().ok_or("missing node")?;
-                Ok(Response::Killed {
-                    node: NodeId(v.parse().map_err(|_| bad("node", v))?),
-                })
-            }
+            ("OK", "STEPPED") => Ok(Response::Stepped {
+                cycle: next_num(&mut toks, "cycle")?,
+            }),
+            ("OK", "RAN") => Ok(Response::Ran {
+                cycles: next_num(&mut toks, "cycles")?,
+                cycle: next_num(&mut toks, "cycle")?,
+            }),
+            ("OK", "KILLED") => Ok(Response::Killed {
+                node: NodeId(next_num(&mut toks, "node")?),
+            }),
             ("OK", "SUBSCRIBED") => Ok(Response::Subscribed),
             ("OK", "REPORT") => {
-                let mut num = |name: &str| -> Result<String, String> {
-                    let t = toks.next().ok_or_else(|| format!("missing {name}"))?;
-                    t.strip_prefix(name)
-                        .and_then(|t| t.strip_prefix('='))
-                        .map(str::to_string)
-                        .ok_or_else(|| format!("expected {name}=…, got '{t}'"))
-                };
                 macro_rules! field {
-                    ($name:literal) => {{
-                        let v = num($name)?;
-                        v.parse().map_err(|_| bad($name, &v))?
-                    }};
+                    ($name:literal) => {
+                        key_num(&mut toks, $name)?
+                    };
                 }
                 let mut r = ReportSummary {
                     cycle: field!("cycle"),
@@ -598,45 +980,61 @@ impl Response {
                         label: unesc(parts[0]).ok_or_else(|| bad("label", parts[0]))?,
                         name: unesc(parts[1]).ok_or_else(|| bad("name", parts[1]))?,
                         arrival: parts[2].parse().map_err(|_| bad("arrival", parts[2]))?,
-                        departure: parse_opt(parts[3])?,
+                        departure: match parts[3] {
+                            "-" => None,
+                            d => Some(num(d, "departure")?),
+                        },
                         results: parts[4].parse().map_err(|_| bad("results", parts[4]))?,
                         avg_delay_tx: parts[5].parse().map_err(|_| bad("delay", parts[5]))?,
                     });
                 }
                 Ok(Response::Report(Box::new(r)))
             }
-            ("OK", "CACHESTATS") => {
-                let mut num = |name: &str| -> Result<u64, String> {
-                    let t = toks.next().ok_or_else(|| format!("missing {name}"))?;
-                    t.strip_prefix(name)
-                        .and_then(|t| t.strip_prefix('='))
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| format!("expected {name}=<n>, got '{t}'"))
-                };
-                Ok(Response::CacheStats(CacheStats {
-                    entries: num("entries")?,
-                    hits: num("hits")?,
-                    misses: num("misses")?,
-                    insertions: num("insertions")?,
-                    evictions: num("evictions")?,
-                }))
-            }
+            ("OK", "CACHESTATS") => Ok(Response::CacheStats(CacheStats {
+                entries: key_num(&mut toks, "entries")?,
+                hits: key_num(&mut toks, "hits")?,
+                misses: key_num(&mut toks, "misses")?,
+                insertions: key_num(&mut toks, "insertions")?,
+                evictions: key_num(&mut toks, "evictions")?,
+            })),
             ("ERR", "PARSE") => {
-                let pos = toks.next().ok_or("missing position")?;
-                let msg = toks.next().ok_or("missing message")?;
-                Ok(Response::Rejected(ControlError::Parse {
-                    pos: pos.parse().map_err(|_| bad("position", pos))?,
-                    msg: unesc(msg).ok_or_else(|| bad("message", msg))?,
-                }))
+                let pos = next_num(&mut toks, "position")?;
+                let msg = next(&mut toks, "message")?;
+                let msg = unesc(msg).ok_or_else(|| bad("message", msg))?;
+                Ok(Response::Rejected(ControlError::Parse { pos, msg }))
             }
-            ("ERR", "ALGO") | ("ERR", "TARGET") | ("ERR", "UNSUPPORTED") => {
-                let s = toks.next().ok_or("missing detail")?;
-                let s = unesc(s).ok_or_else(|| bad("detail", s))?;
-                Ok(Response::Rejected(match kind {
-                    "ALGO" => ControlError::UnknownAlgo(s),
-                    "TARGET" => ControlError::BadTarget(s),
-                    _ => ControlError::Unsupported(s),
-                }))
+            ("OK", "OPENED") => Ok(Response::Opened {
+                name: next(&mut toks, "name")?.into(),
+                nodes: key_num(&mut toks, "nodes")?,
+            }),
+            ("OK", "ATTACHED") => Ok(Response::Attached(next(&mut toks, "name")?.into())),
+            ("OK", "USING") => Ok(Response::Using(next(&mut toks, "name")?.into())),
+            ("OK", "CLOSED") => Ok(Response::Closed(next(&mut toks, "name")?.into())),
+            ("OK", "BYE") => Ok(Response::Bye),
+            ("OK", "FEDOPENED") => Ok(Response::FedOpened {
+                name: next(&mut toks, "name")?.into(),
+                members: key_num(&mut toks, "members")?,
+                nodes: key_num(&mut toks, "nodes")?,
+            }),
+            ("OK", "FEDATTACHED") => Ok(Response::FedAttached(next(&mut toks, "name")?.into())),
+            ("OK", "LINKED") => Ok(Response::Linked {
+                name: next(&mut toks, "name")?.into(),
+                index: next_num(&mut toks, "index")?,
+            }),
+            ("OK", "FEDADMITTED") => {
+                let x = next(&mut toks, "id")?;
+                let id = x.strip_prefix('x').ok_or_else(|| bad("id", x))?;
+                Ok(Response::FedAdmitted(CrossId(num(id, "id")?)))
+            }
+            ("ERR", _) => {
+                let &(_, err) = ERR_KINDS
+                    .iter()
+                    .find(|(k, _)| *k == kind)
+                    .ok_or_else(|| format!("unknown error '{kind}'"))?;
+                let s = next(&mut toks, "detail")?;
+                Ok(Response::Rejected(err(
+                    unesc(s).ok_or_else(|| bad("detail", s))?
+                )))
             }
             _ => Err(format!("unknown response '{status} {kind}'")),
         }
@@ -682,11 +1080,8 @@ pub fn decode_event(line: &str) -> Result<SessionEvent, String> {
         return Err("not an EVENT line".into());
     }
     let kind = toks.next().ok_or("truncated event")?;
-    let cycle: u32 = {
-        let c = toks.next().ok_or("missing cycle")?;
-        c.parse().map_err(|_| format!("bad cycle '{c}'"))?
-    };
-    let mut arg = || toks.next().ok_or_else(|| "missing argument".to_string());
+    let cycle: u32 = next_num(&mut toks, "cycle")?;
+    let mut arg = || next(&mut toks, "argument");
     match kind {
         "ADMITTED" | "RETIRED" => {
             let t = arg()?;
@@ -701,28 +1096,21 @@ pub fn decode_event(line: &str) -> Result<SessionEvent, String> {
             })
         }
         "PAIRS_MIGRATED" | "PATHS_REPAIRED" => {
-            let n = arg()?;
-            let count = n.parse().map_err(|_| format!("bad count '{n}'"))?;
+            let count = num(arg()?, "count")?;
             Ok(if kind == "PAIRS_MIGRATED" {
                 SessionEvent::PairsMigrated { cycle, count }
             } else {
                 SessionEvent::PathsRepaired { cycle, count }
             })
         }
-        "NODE_KILLED" => {
-            let v = arg()?;
-            Ok(SessionEvent::NodeKilled {
-                cycle,
-                node: NodeId(v.parse().map_err(|_| format!("bad node '{v}'"))?),
-            })
-        }
-        "LOSS_SHIFTED" => {
-            let p = arg()?;
-            Ok(SessionEvent::LossShifted {
-                cycle,
-                loss_prob: p.parse().map_err(|_| format!("bad probability '{p}'"))?,
-            })
-        }
+        "NODE_KILLED" => Ok(SessionEvent::NodeKilled {
+            cycle,
+            node: NodeId(num(arg()?, "node")?),
+        }),
+        "LOSS_SHIFTED" => Ok(SessionEvent::LossShifted {
+            cycle,
+            loss_prob: num(arg()?, "probability")?,
+        }),
         "WORKLOAD_MARK" => Ok(SessionEvent::WorkloadMark { cycle }),
         "CLOSED" => Ok(SessionEvent::Closed { cycle }),
         "PHASE" => Ok(SessionEvent::PhaseTransition {
@@ -745,38 +1133,53 @@ pub fn decode_event(line: &str) -> Result<SessionEvent, String> {
     }
 }
 
-// --- Session::apply ------------------------------------------------------
+// --- Session::apply and Federation::apply ---------------------------------
+
+/// The [`AlgoConfig`] a wire algorithm slug names, at [`WIRE_ASSUMED_SIGMA`].
+fn wire_algo(slug: &str) -> Result<AlgoConfig, ControlError> {
+    let (a, opts) = parse_algo(slug).ok_or_else(|| ControlError::UnknownAlgo(slug.into()))?;
+    Ok(AlgoConfig::new(a, WIRE_ASSUMED_SIGMA).with_innet_options(opts))
+}
+
+/// Refuse to advance `n` cycles in one command past [`MAX_CYCLES_PER_COMMAND`].
+fn cycle_cap(n: u32) -> Result<u32, ControlError> {
+    if n > MAX_CYCLES_PER_COMMAND {
+        return Err(ControlError::Usage(format!(
+            "{n} cycles is more than {MAX_CYCLES_PER_COMMAND} per command"
+        )));
+    }
+    Ok(n)
+}
 
 impl Session {
     /// Apply one [`Command`]. Never panics on bad input: anything invalid
     /// answers [`Response::Rejected`]. This is the whole session API as a
     /// pure request/response pair, which is what `aspen-serve` speaks.
     pub fn apply(&mut self, cmd: Command) -> Response {
-        match cmd {
+        self.try_apply(cmd).unwrap_or_else(Response::Rejected)
+    }
+
+    fn try_apply(&mut self, cmd: Command) -> Result<Response, ControlError> {
+        Ok(match cmd {
             Command::Admit { .. } | Command::AdmitGraph { .. } | Command::Retire(_)
                 if self.is_bare() =>
             {
-                Response::Rejected(ControlError::Unsupported(
+                return Err(ControlError::Unsupported(
                     "bare-wire sessions host one fixed query".into(),
                 ))
             }
-            Command::Admit { algo, sql } => self.apply_admit(&algo, &sql, false),
-            Command::AdmitGraph { algo, sql } => self.apply_admit(&algo, &sql, true),
-            Command::Retire(t) => match t {
-                Target::Query(q) if q.0 < self.query_slots() => {
-                    self.retire(q);
-                    Response::Retired(t)
+            Command::Admit { algo, sql } => self.apply_admit(&algo, &sql, false)?,
+            Command::AdmitGraph { algo, sql } => self.apply_admit(&algo, &sql, true)?,
+            Command::Retire(t) => {
+                match t {
+                    Target::Query(q) if q.0 < self.query_slots() => self.retire(q),
+                    Target::Graph(g) if g.0 < self.graph_slots() => self.retire_graph(g),
+                    _ => return Err(ControlError::BadTarget(format!("no admitted query '{t}'"))),
                 }
-                Target::Graph(g) if g.0 < self.graph_slots() => {
-                    self.retire_graph(g);
-                    Response::Retired(t)
-                }
-                _ => {
-                    Response::Rejected(ControlError::BadTarget(format!("no admitted query '{t}'")))
-                }
-            },
+                Response::Retired(t)
+            }
             Command::Step(n) => {
-                self.step(n);
+                self.step(cycle_cap(n)?);
                 Response::Stepped {
                     cycle: self.cycle(),
                 }
@@ -784,16 +1187,13 @@ impl Session {
             Command::RunUntil(stop) => {
                 let cycles = match stop {
                     StopWhen::Cycle(c) => {
-                        let now = self.cycle();
-                        let n = c.saturating_sub(now);
+                        let n = cycle_cap(c.saturating_sub(self.cycle()))?;
                         self.step(n);
                         n
                     }
                     StopWhen::Results(n) => {
-                        let start = self.cycle();
-                        self.run_until(|v| {
-                            v.results >= n || v.cycle >= start + RUN_UNTIL_MAX_CYCLES
-                        })
+                        let end = self.cycle().saturating_add(MAX_CYCLES_PER_COMMAND);
+                        self.run_until(|v| v.results >= n || v.cycle >= end)
                     }
                 };
                 Response::Ran {
@@ -803,15 +1203,15 @@ impl Session {
             }
             Command::Kill(v) => {
                 if (v.0 as usize) >= self.node_count() {
-                    Response::Rejected(ControlError::BadTarget(format!("no node {}", v.0)))
-                } else if v == self.base_node() {
-                    Response::Rejected(ControlError::BadTarget(
-                        "refusing to kill the base station".into(),
-                    ))
-                } else {
-                    self.kill(v);
-                    Response::Killed { node: v }
+                    return Err(ControlError::BadTarget(format!("no node {}", v.0)));
                 }
+                if v == self.base_node() {
+                    return Err(ControlError::BadTarget(
+                        "refusing to kill the base station".into(),
+                    ));
+                }
+                self.kill(v);
+                Response::Killed { node: v }
             }
             Command::Report => {
                 let out = self.report();
@@ -819,28 +1219,60 @@ impl Session {
             }
             Command::CacheStats => Response::CacheStats(self.cache_stats()),
             Command::Subscribe => Response::Subscribed,
-        }
+        })
     }
 
-    fn apply_admit(&mut self, algo: &str, sql: &str, force_graph: bool) -> Response {
-        let (a, opts) = match parse_algo(algo) {
-            Some(p) => p,
-            None => return Response::Rejected(ControlError::UnknownAlgo(algo.into())),
-        };
-        let cfg = AlgoConfig::new(a, WIRE_ASSUMED_SIGMA).with_innet_options(opts);
+    fn apply_admit(
+        &mut self,
+        algo: &str,
+        sql: &str,
+        force_graph: bool,
+    ) -> Result<Response, ControlError> {
+        let cfg = wire_algo(algo)?;
         let parsed = if force_graph {
             parse_join_graph(sql).map(Parsed::Graph)
         } else {
             parse(sql)
         };
-        match parsed {
-            Ok(Parsed::Pair(spec)) => Response::Admitted(Target::Query(self.admit(*spec, cfg))),
-            Ok(Parsed::Graph(g)) => Response::Admitted(Target::Graph(self.admit_graph(&g, cfg))),
-            Err(e) => Response::Rejected(ControlError::Parse {
-                pos: e.pos,
-                msg: e.message,
-            }),
-        }
+        Ok(Response::Admitted(match parsed? {
+            Parsed::Pair(spec) => Target::Query(self.admit(*spec, cfg)),
+            Parsed::Graph(g) => Target::Graph(self.admit_graph(&g, cfg)),
+        }))
+    }
+}
+
+impl Federation {
+    /// Apply one [`FedCommand`]: the federation twin of
+    /// [`Session::apply`], never panicking on bad input. `name` is the
+    /// federation's wire name, echoed by [`Response::Linked`]. Links are
+    /// accepted until the first admission or report, which freezes the
+    /// link set.
+    pub fn apply(&mut self, name: &str, cmd: FedCommand) -> Response {
+        self.try_apply(name, cmd).unwrap_or_else(Response::Rejected)
+    }
+
+    fn try_apply(&mut self, name: &str, cmd: FedCommand) -> Result<Response, ControlError> {
+        Ok(match cmd {
+            FedCommand::Link(link) => Response::Linked {
+                name: name.into(),
+                index: self.add_link(link)?,
+            },
+            FedCommand::Admit {
+                algo,
+                homes,
+                mode,
+                sql,
+            } => {
+                let cfg = wire_algo(&algo)?;
+                let graph = parse_join_graph(&sql)?;
+                let id = self.admit_cross(&graph, &homes, cfg, mode);
+                Response::FedAdmitted(id.map_err(ControlError::Fed)?)
+            }
+            FedCommand::Report { cycles } => {
+                self.step(cycle_cap(cycles)?);
+                Response::FedReport(self.report().summary_line())
+            }
+        })
     }
 }
 
@@ -852,6 +1284,116 @@ mod tests {
     fn escape_round_trips() {
         for s in ["", "plain", "two words", "100% sure,really", "a\nb\tc"] {
             assert_eq!(unesc(&esc(s)).as_deref(), Some(s));
+        }
+    }
+
+    #[test]
+    fn open_lines_decode_and_validate() {
+        let open = |line: &str| match Request::decode(line) {
+            Ok(Request::Open { spec, .. }) => Ok(spec),
+            Ok(other) => panic!("{line}: {other:?}"),
+            Err(e) => Err(e),
+        };
+        assert_eq!(open("OPEN x"), Ok(OpenSpec::default()));
+        assert_eq!(
+            open("OPEN x nodes=40 degree=6.5 seed=9"),
+            Ok(OpenSpec {
+                nodes: 40,
+                degree: 6.5,
+                seed: 9
+            })
+        );
+        // `members` belongs to FEDOPEN only.
+        for bad in [
+            "OPEN x nodes=1",
+            "OPEN x widgets=3",
+            "OPEN x nodes",
+            "OPEN x members=2",
+        ] {
+            assert!(open(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn federation_lines_decode_and_validate() {
+        let fed = |line: &str| match Request::decode(line) {
+            Ok(Request::Fed { cmd, .. }) => Ok(cmd),
+            Ok(other) => panic!("{line}: {other:?}"),
+            Err(e) => Err(e),
+        };
+        assert_eq!(
+            Request::decode("FEDOPEN f members=3 nodes=40 degree=6.5 seed=9"),
+            Ok(Request::FedOpen {
+                name: "f".into(),
+                spec: FedSpec {
+                    members: 3,
+                    member_spec: OpenSpec {
+                        nodes: 40,
+                        degree: 6.5,
+                        seed: 9
+                    }
+                }
+            })
+        );
+        for bad in [
+            "FEDOPEN f members=1",
+            "FEDOPEN f members=17",
+            "FEDOPEN f widgets=3",
+        ] {
+            assert!(Request::decode(bad).is_err(), "{bad}");
+        }
+        let Ok(FedCommand::Link(l)) = fed("LINK f 0:12 1:7 loss=0.1 latency=2 budget=512") else {
+            panic!("link decodes");
+        };
+        assert_eq!(
+            (l.a_net, l.a_node, l.b_net, l.b_node),
+            (0, NodeId(12), 1, NodeId(7))
+        );
+        assert_eq!(
+            (l.loss, l.latency_cycles, l.budget_bytes_per_cycle),
+            (0.1, 2, 512)
+        );
+        for bad in [
+            "LINK f 0:12",
+            "LINK f 0:12 1:7 loss=1.0",
+            "LINK f 012 1:7",
+            "LINK f 0:12 1:7 frob=1",
+        ] {
+            assert!(fed(bad).is_err(), "{bad}");
+        }
+        assert_eq!(
+            fed("FEDADMIT f innet-cmg homes=0,0,1 mode=shipbase SELECT x"),
+            Ok(FedCommand::Admit {
+                algo: "innet-cmg".into(),
+                homes: vec![0, 0, 1],
+                mode: CrossMode::ShipBase,
+                sql: "SELECT x".into()
+            })
+        );
+        for bad in [
+            "FEDADMIT f innet-cmg SELECT x",
+            "FEDADMIT f innet-cmg homes=a,b SELECT x",
+            "FEDADMIT f innet-cmg homes=0,1 mode=warp SELECT x",
+            "FEDREPORT f 30",
+        ] {
+            assert!(fed(bad).is_err(), "{bad}");
+        }
+        assert_eq!(fed("fedreport f"), Ok(FedCommand::Report { cycles: 0 }));
+    }
+
+    #[test]
+    fn every_verb_rejects_extra_tokens_with_its_syntax() {
+        for (verb, syntax) in VERBS {
+            let Err(ControlError::Usage(msg)) = Request::decode(&format!("{verb} a b c d e f g h"))
+            else {
+                // The raw-tail verbs take any text as their query.
+                assert!(["ADMIT", "ADMITGRAPH", "FEDADMIT"].contains(verb), "{verb}");
+                continue;
+            };
+            assert!(
+                msg.ends_with(&format!("usage: {verb} {syntax}").trim_end()),
+                "{msg}"
+            );
         }
     }
 
@@ -907,6 +1449,28 @@ mod tests {
             Response::Rejected(ControlError::UnknownAlgo("quantum".into())),
             Response::Rejected(ControlError::BadTarget("no admitted query 'q9'".into())),
             Response::Rejected(ControlError::Unsupported("bare".into())),
+            Response::Opened {
+                name: "lab".into(),
+                nodes: 60,
+            },
+            Response::Attached("lab".into()),
+            Response::Using("lab".into()),
+            Response::Closed("lab".into()),
+            Response::Bye,
+            Response::FedOpened {
+                name: "f".into(),
+                members: 2,
+                nodes: 60,
+            },
+            Response::FedAttached("f".into()),
+            Response::Linked {
+                name: "f".into(),
+                index: 1,
+            },
+            Response::FedAdmitted(CrossId(3)),
+            Response::FedReport("FED cycles=30 cross_results=7 | net net0 nodes=60".into()),
+            Response::Rejected(ControlError::Quota("query quota exhausted".into())),
+            Response::Rejected(ControlError::Internal("".into())),
         ];
         for r in rs {
             assert_eq!(Response::decode(&r.encode()), Ok(r));
@@ -1029,6 +1593,16 @@ mod tests {
             s.apply(Command::Kill(NodeId(40_000))),
             Response::Rejected(ControlError::BadTarget(_))
         ));
+        for cmd in [
+            Command::Step(MAX_CYCLES_PER_COMMAND + 1),
+            Command::RunUntil(StopWhen::Cycle(u32::MAX)),
+        ] {
+            assert!(matches!(
+                s.apply(cmd),
+                Response::Rejected(ControlError::Usage(_))
+            ));
+        }
+        assert_eq!(s.cycle(), 0, "a refused command advances nothing");
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! constituent streams (joined nowhere until the root base), which is
 //! what the federation experiment measures gateway-routed joins against.
 
+use crate::control::ControlError;
 use crate::optimize::{optimize_to, Plan, PlanNode, PlanSpace};
 use crate::session::{GraphId, Outcome, QueryId, Session};
 use crate::shared::{AlgoConfig, Algorithm};
@@ -154,32 +155,35 @@ impl FederationBuilder {
         self
     }
 
-    /// # Panics
-    /// If a link references an unknown member or an out-of-range node.
-    pub fn build(self) -> Federation {
-        for (i, l) in self.links.iter().enumerate() {
-            assert!(
-                l.a_net < self.members.len() && l.b_net < self.members.len(),
-                "link {i} references an unknown member network"
-            );
-            assert_ne!(l.a_net, l.b_net, "link {i} must bridge two networks");
-            let a_len = self.members[l.a_net].session.topology().len();
-            let b_len = self.members[l.b_net].session.topology().len();
-            assert!(
-                (l.a_node.index()) < a_len && (l.b_node.index()) < b_len,
-                "link {i} gateway node out of range"
-            );
-        }
-        let mut fed = Federation {
-            summary_bytes: vec![0; self.links.len()],
+    /// The members and no link yet: a federation that takes
+    /// [`Federation::add_link`]s until it first runs (a wire `FEDOPEN`).
+    pub(crate) fn open(self) -> Federation {
+        Federation {
             members: self.members,
-            links: self.links,
+            links: Vec::new(),
+            summary_bytes: Vec::new(),
             channels: Vec::new(),
             cross: Vec::new(),
             seed: self.seed,
             cycle: 0,
-        };
-        fed.exchange_summaries();
+            frozen: false,
+        }
+    }
+
+    /// Add the links, then freeze the link set (one boundary-summary
+    /// exchange).
+    ///
+    /// # Panics
+    /// If a link references an unknown member or an out-of-range node.
+    pub fn build(mut self) -> Federation {
+        let links = std::mem::take(&mut self.links);
+        let mut fed = self.open();
+        for (i, l) in links.into_iter().enumerate() {
+            if let Err(e) = fed.add_link(l) {
+                panic!("link {i}: {e}");
+            }
+        }
+        fed.freeze();
         fed
     }
 }
@@ -197,6 +201,9 @@ pub struct Federation {
     cross: Vec<CrossEntry>,
     seed: u64,
     cycle: u64,
+    /// Set by the first admission or step; the link set is fixed from
+    /// then on.
+    frozen: bool,
 }
 
 impl Federation {
@@ -204,21 +211,45 @@ impl Federation {
         FederationBuilder::new()
     }
 
-    /// Member `i`'s session (diagnostics and tests).
-    pub fn member(&self, i: usize) -> &Session {
-        &self.members[i].session
+    /// Declare a gateway pair; returns its index. The one home of link
+    /// validation: both endpoints must name existing nodes of two
+    /// different members, and the federation must not have run yet.
+    pub(crate) fn add_link(&mut self, link: GatewayLink) -> Result<usize, ControlError> {
+        if self.frozen {
+            let msg = "links are fixed once the federation is running";
+            return Err(ControlError::State(msg.into()));
+        }
+        let members = self.members.len();
+        let nodes = |net: usize| self.members[net].session.topology().len();
+        let bad = if link.a_net >= members || link.b_net >= members {
+            format!("link endpoints must name members 0..{members}")
+        } else if link.a_net == link.b_net {
+            "a link must bridge two different members".into()
+        } else if link.a_node.index() >= nodes(link.a_net) {
+            format!("gateway nodes must be < {}", nodes(link.a_net))
+        } else if link.b_node.index() >= nodes(link.b_net) {
+            format!("gateway nodes must be < {}", nodes(link.b_net))
+        } else {
+            self.links.push(link);
+            self.summary_bytes.push(0);
+            return Ok(self.links.len() - 1);
+        };
+        Err(ControlError::Fed(bad))
     }
 
-    /// The federation cycle counter (cycles run so far).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
+    /// Fix the link set and exchange boundary summaries, once.
+    fn freeze(&mut self) {
+        if !self.frozen {
+            self.frozen = true;
+            self.exchange_summaries();
+        }
     }
 
     /// Exchange boundary summaries over every link, both directions: each
     /// side ships a digest of its network (header + one interval per
-    /// node), ETX-weighted for the bridge's loss. Runs at build time and
-    /// after every cross-network admission, mirroring the in-network
-    /// initiation phase's summary dissemination.
+    /// node), ETX-weighted for the bridge's loss. Runs when the link set
+    /// freezes and after every cross-network admission, mirroring the
+    /// in-network initiation phase's summary dissemination.
     fn exchange_summaries(&mut self) {
         for (i, l) in self.links.iter().enumerate() {
             let a = self.members[l.a_net].session.topology().len() as u64;
@@ -246,6 +277,10 @@ impl Federation {
         cfg: AlgoConfig,
         mode: CrossMode,
     ) -> Result<CrossId, String> {
+        if self.links.is_empty() {
+            return Err("declare at least one LINK before admitting".into());
+        }
+        self.freeze();
         if homes.len() != graph.n_relations() {
             return Err(format!(
                 "homes has {} entries for {} relations",
@@ -356,14 +391,14 @@ impl Federation {
             .iter()
             .map(|&i| self.links[i].node_in(root).expect("candidate touches root"))
             .collect();
-        let sub = member_graph(msession, part.gid);
+        let sub = msession.graph_of(part.gid).clone();
         let m_space = PlanSpace::build_with_gateways(
             msession.topology(),
             msession.workload(),
             &sub,
             &m_gateways,
         );
-        let r_sub = member_graph(rsession, root_part.gid);
+        let r_sub = rsession.graph_of(root_part.gid).clone();
         let r_space = PlanSpace::build_with_gateways(
             rsession.topology(),
             rsession.workload(),
@@ -436,6 +471,7 @@ impl Federation {
     /// route-creation order — the inter-network delivery order is part of
     /// the determinism contract.
     pub fn step(&mut self, n: u32) {
+        self.freeze();
         for _ in 0..n {
             for mem in &mut self.members {
                 mem.session.step(1);
@@ -545,19 +581,6 @@ impl Federation {
         any
     }
 
-    /// Cross-network results of query `id` so far.
-    pub fn cross_results(&self, id: CrossId) -> u64 {
-        self.cross[id.0].results
-    }
-
-    /// The declared link currently carrying part `pi` of query `id`
-    /// (diagnostics; `None` for the root part).
-    pub fn route_link(&self, id: CrossId, pi: usize) -> Option<usize> {
-        self.cross[id.0].parts[pi]
-            .channel
-            .map(|ci| self.channels[ci].link)
-    }
-
     /// Drain every member and assemble the federation report.
     pub fn report(&mut self) -> FederationOutcome {
         let members: Vec<MemberReport> = self
@@ -622,9 +645,6 @@ fn plan_out_rate(plan: &Plan) -> f64 {
     }
 }
 
-/// Raw constituent-stream rate of a member's share: the sum of its
-/// relations' per-cycle send rates implied by the assumed σ (the `.s`
-/// rate when the relation is the edge's `a` side, `.t` otherwise).
 /// Actual raw constituent tuples a member's share produces at `cycle`:
 /// every non-base node whose sample passes a share relation's selection,
 /// summed over the share's relations. [`TupleSource::sample`] is a pure
@@ -651,12 +671,6 @@ fn raw_count(session: &Session, sub: &JoinGraph, cycle: u32) -> u64 {
         }
     }
     n
-}
-
-/// A member's share of the parent graph, reconstructed from its admitted
-/// graph entry (the subgraph the session planned).
-fn member_graph(session: &Session, gid: GraphId) -> JoinGraph {
-    session.graph_of(gid).clone()
 }
 
 /// The induced subgraph of `graph` over global relation indices `rels`
@@ -894,17 +908,15 @@ mod tests {
     fn cross_admission_routes_and_produces_results() {
         let mut fed = two_net_fed(3);
         let g = chain_graph(4);
-        let id = fed
-            .admit_cross(&g, &[0, 0, 1, 1], cfg(), CrossMode::Gateway)
+        fed.admit_cross(&g, &[0, 0, 1, 1], cfg(), CrossMode::Gateway)
             .unwrap();
-        // One routed part (beta's), over one of the two declared links.
-        let link = fed.route_link(id, 1).expect("beta's stream is routed");
-        assert!(link < 2);
         fed.step(40);
         let out = fed.report();
         assert!(out.cross_results > 0, "no tuples crossed");
         assert_eq!(out.members.len(), 2);
         assert!(out.gateway_bytes() > 0);
+        // Beta's stream crossed one of the two declared links.
+        assert!(out.gateways.iter().any(|g| g.tuples_delivered() > 0));
         // Conservation at every gateway: entered = delivered + dropped +
         // in flight, per direction aggregate.
         for g in &out.gateways {

@@ -63,8 +63,8 @@ pub mod shared;
 
 pub use cache::{region_of, spec_fingerprint, CacheEntry, CacheStats, LearnedCache};
 pub use control::{
-    decode_event, encode_event, Command, ControlError, QuerySummary, ReportSummary, Response,
-    StopWhen, Target,
+    decode_event, encode_event, Command, ControlError, FedCommand, QuerySummary, ReportSummary,
+    Request, Response, StopWhen, Target,
 };
 pub use cost::{pair_cost_at, pair_cost_at_base, place_join_node, Placement, Sigma};
 pub use federation::{

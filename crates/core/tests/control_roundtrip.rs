@@ -1,18 +1,23 @@
 //! Property tests: the control-plane wire encodings are exact inverses.
-//! `decode(encode(x)) == x` for arbitrary commands, responses (including
-//! full report payloads with hostile strings) and session events.
+//! `decode(encode(x)) == x` for arbitrary requests (every verb),
+//! responses (including full report payloads with hostile strings) and
+//! session events.
 //!
 //! The vendored `proptest` shim has no combinator layer, so the
 //! generators are hand-rolled over its [`run_cases`] driver: each one is
 //! a plain function drawing from the per-case `StdRng`.
 
 use aspen_join::control::{
-    esc, unesc, Command, ControlError, QuerySummary, ReportSummary, Response, StopWhen, Target,
+    esc, unesc, Command, ControlError, FedCommand, FedSpec, OpenSpec, QuerySummary, ReportSummary,
+    Request, Response, StopWhen, Target,
 };
-use aspen_join::{decode_event, encode_event, GraphId, Phase, QueryId, SessionEvent};
+use aspen_join::{
+    decode_event, encode_event, CrossId, CrossMode, GraphId, Phase, QueryId, SessionEvent,
+};
 use proptest::run_cases;
 use rand::rngs::StdRng;
 use rand::Rng;
+use sensor_net::{GatewayLink, NodeId};
 
 /// Hostile enough to catch escaping bugs: spaces, commas, percent signs,
 /// control characters and multi-byte unicode mixed with alphanumerics.
@@ -86,21 +91,111 @@ fn command(rng: &mut StdRng) -> Command {
         3 => Command::Step(rng.random()),
         4 => Command::RunUntil(StopWhen::Cycle(rng.random())),
         5 => Command::RunUntil(StopWhen::Results(rng.random())),
-        6 => Command::Kill(sensor_net::NodeId(rng.random())),
+        6 => Command::Kill(NodeId(rng.random())),
         7 => Command::Report,
         _ => Command::Subscribe,
     }
 }
 
+/// A session or federation name: one token without whitespace.
+fn name(rng: &mut StdRng) -> String {
+    const PALETTE: [char; 6] = ['%', ',', ':', '=', 'é', '界'];
+    let len = rng.random_range(1..12usize);
+    (0..len)
+        .map(|_| match rng.random_range(0..4u32) {
+            0 => PALETTE[rng.random_range(0..PALETTE.len())],
+            1 => rng.random_range(b'0'..b':') as char,
+            _ => rng.random_range(b'a'..b'{') as char,
+        })
+        .collect()
+}
+
+fn open_spec(rng: &mut StdRng) -> OpenSpec {
+    OpenSpec {
+        nodes: rng.random_range(2..20_001usize),
+        degree: finite_f64(rng),
+        seed: rng.random(),
+    }
+}
+
+/// Any link the wire can carry: loss in [0, 1).
+fn link(rng: &mut StdRng) -> GatewayLink {
+    GatewayLink::new(
+        rng.random_range(0..16usize),
+        NodeId(rng.random()),
+        rng.random_range(0..16usize),
+        NodeId(rng.random()),
+    )
+    .with_loss(rng.random_range(0..1_000u32) as f64 / 1_000.0)
+    .with_latency(rng.random())
+    .with_budget(rng.random())
+}
+
+fn fed_command(rng: &mut StdRng) -> FedCommand {
+    match rng.random_range(0..3u32) {
+        0 => FedCommand::Link(link(rng)),
+        1 => FedCommand::Admit {
+            algo: algo(rng),
+            homes: {
+                let n = rng.random_range(1..6usize);
+                (0..n).map(|_| rng.random_range(0..16usize)).collect()
+            },
+            mode: if rng.random::<bool>() {
+                CrossMode::Gateway
+            } else {
+                CrossMode::ShipBase
+            },
+            sql: sql_string(rng),
+        },
+        _ => FedCommand::Report {
+            cycles: rng.random(),
+        },
+    }
+}
+
+fn request(rng: &mut StdRng) -> Request {
+    match rng.random_range(0..7u32) {
+        0 => Request::Open {
+            name: name(rng),
+            spec: open_spec(rng),
+        },
+        1 => Request::Use(name(rng)),
+        2 => Request::Close,
+        3 => Request::Quit,
+        4 => Request::Session(command(rng)),
+        5 => Request::FedOpen {
+            name: name(rng),
+            spec: FedSpec {
+                members: rng.random_range(2..17usize),
+                member_spec: open_spec(rng),
+            },
+        },
+        _ => Request::Fed {
+            name: name(rng),
+            cmd: fed_command(rng),
+        },
+    }
+}
+
 fn control_error(rng: &mut StdRng) -> ControlError {
-    match rng.random_range(0..4u32) {
+    let detail = hostile_string(rng);
+    match rng.random_range(0..13u32) {
         0 => ControlError::Parse {
             pos: rng.random_range(0..10_000usize),
-            msg: hostile_string(rng),
+            msg: detail,
         },
-        1 => ControlError::UnknownAlgo(hostile_string(rng)),
-        2 => ControlError::BadTarget(hostile_string(rng)),
-        _ => ControlError::Unsupported(hostile_string(rng)),
+        1 => ControlError::UnknownAlgo(detail),
+        2 => ControlError::BadTarget(detail),
+        3 => ControlError::Unsupported(detail),
+        4 => ControlError::Usage(detail),
+        5 => ControlError::NoSession(detail),
+        6 => ControlError::NoFed(detail),
+        7 => ControlError::Quota(detail),
+        8 => ControlError::Topology(detail),
+        9 => ControlError::State(detail),
+        10 => ControlError::Fed(detail),
+        11 => ControlError::Shutdown(detail),
+        _ => ControlError::Internal(detail),
     }
 }
 
@@ -145,7 +240,7 @@ fn report(rng: &mut StdRng) -> ReportSummary {
 }
 
 fn response(rng: &mut StdRng) -> Response {
-    match rng.random_range(0..8u32) {
+    match rng.random_range(0..18u32) {
         0 => Response::Admitted(target(rng)),
         1 => Response::Retired(target(rng)),
         2 => Response::Stepped {
@@ -156,10 +251,31 @@ fn response(rng: &mut StdRng) -> Response {
             cycle: rng.random(),
         },
         4 => Response::Killed {
-            node: sensor_net::NodeId(rng.random()),
+            node: NodeId(rng.random()),
         },
         5 => Response::Report(Box::new(report(rng))),
         6 => Response::Subscribed,
+        7 => Response::Opened {
+            name: name(rng),
+            nodes: rng.random(),
+        },
+        8 => Response::Attached(name(rng)),
+        9 => Response::Using(name(rng)),
+        10 => Response::Closed(name(rng)),
+        11 => Response::Bye,
+        12 => Response::FedOpened {
+            name: name(rng),
+            members: rng.random(),
+            nodes: rng.random(),
+        },
+        13 => Response::FedAttached(name(rng)),
+        14 => Response::Linked {
+            name: name(rng),
+            index: rng.random(),
+        },
+        15 => Response::FedAdmitted(CrossId(rng.random())),
+        // A summary line is one line: anything but a line break.
+        16 => Response::FedReport(sql_string(rng)),
         _ => Response::Rejected(control_error(rng)),
     }
 }
@@ -185,7 +301,7 @@ fn event(rng: &mut StdRng) -> SessionEvent {
         },
         4 => SessionEvent::NodeKilled {
             cycle,
-            node: sensor_net::NodeId(rng.random()),
+            node: NodeId(rng.random()),
         },
         5 => SessionEvent::LossShifted {
             cycle,
@@ -240,6 +356,16 @@ fn command_encoding_round_trips() {
         let line = cmd.encode();
         assert!(!line.contains('\n'), "wire line must be one line: {line:?}");
         assert_eq!(Command::decode(&line), Ok(cmd));
+    });
+}
+
+#[test]
+fn request_encoding_round_trips() {
+    run_cases("request_encoding_round_trips", |rng, _| {
+        let req = request(rng);
+        let line = req.encode();
+        assert!(!line.contains('\n'), "wire line must be one line: {line:?}");
+        assert_eq!(Request::decode(&line), Ok(req));
     });
 }
 

@@ -29,35 +29,25 @@ fn main() {
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut val = |what: &str| {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                usage()
-            })
-        };
+        if !arg.starts_with("--") || arg == "--help" {
+            usage();
+        }
+        let val = args.next().unwrap_or_else(|| {
+            eprintln!("{arg} needs a value");
+            usage()
+        });
+        let num = || val.parse().unwrap_or_else(|_| usage());
         match arg.as_str() {
-            "--addr" => cfg.addr = val("--addr"),
-            "--workers" => {
-                cfg.workers = val("--workers").parse().unwrap_or_else(|_| usage());
-                if cfg.workers == 0 {
-                    usage();
-                }
-            }
-            "--max-sessions" => {
-                cfg.max_sessions_per_client =
-                    val("--max-sessions").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-queries" => {
-                cfg.max_queries_per_client =
-                    val("--max-queries").parse().unwrap_or_else(|_| usage())
-            }
-            "--max-federations" => {
-                cfg.max_federations_per_client =
-                    val("--max-federations").parse().unwrap_or_else(|_| usage())
-            }
-            "--help" | "-h" => usage(),
+            "--addr" => cfg.addr = val,
+            "--workers" => cfg.workers = num(),
+            "--max-sessions" => cfg.max_sessions_per_client = num(),
+            "--max-queries" => cfg.max_queries_per_client = num(),
+            "--max-federations" => cfg.max_federations_per_client = num(),
             _ => usage(),
         }
+    }
+    if cfg.workers == 0 {
+        usage();
     }
     let workers = cfg.workers;
     match Server::start(cfg) {

@@ -1,15 +1,16 @@
 //! `aspen-serve`: many [`Session`]s behind a TCP line protocol.
 //!
-//! The [control plane](aspen_join::control) made every session operation
-//! a serializable [`Command`]/[`Response`] pair; this crate puts a socket
-//! in front of it. A [`Server`] runs one thread per connection, and each
-//! command runs on the thread that read it. Named sessions are *sharded*:
-//! `hash(name) % workers` picks the shard that owns a name for its whole
-//! life, and a command runs under that shard's lock — the name lookup,
-//! [`Session::apply`] and the reply's encoding. Sessions of one shard
-//! therefore take one command at a time, while different shards run in
-//! parallel. The reply is written after the lock is released, so a slow
-//! client never holds a shard.
+//! The [control plane](aspen_join::control) made every session and
+//! federation operation a serializable [`Request`]/[`Response`] pair;
+//! this crate puts a socket in front of it. A [`Server`] runs one thread
+//! per connection, and each request runs on the thread that read it.
+//! Named sessions are *sharded*: `hash(name) % workers` picks the shard
+//! that owns a name for its whole life, and a request runs under that
+//! shard's lock — the name lookup and [`Session::apply`] (or
+//! [`Federation::apply`]). Sessions of one shard therefore take one
+//! command at a time, while different shards run in parallel. The reply
+//! is encoded and written after the lock is released, so a slow client
+//! never holds a shard.
 //!
 //! A panic inside a command answers `ERR INTERNAL …` and removes only the
 //! session or federation it ran against; the shard's other sessions keep
@@ -17,44 +18,18 @@
 //!
 //! # Protocol
 //!
-//! One UTF-8 line per request, one line per reply. A connection first
-//! selects a session, then speaks [`Command`] lines at it:
-//!
-//! ```text
-//! OPEN <name> [nodes=N] [degree=D] [seed=S]   create (or attach to) a session
-//! USE <name>                                  switch to an existing session
-//! ADMIT <algo> <streamsql>                    admit a query (pairwise or n-way)
-//! ADMITGRAPH <algo> <streamsql>               admit forcing the graph grammar
-//! RETIRE q<i> | g<i>                          retire a query
-//! STEP <n>                                    advance n sampling cycles
-//! RUN CYCLE <c> | RUN RESULTS <n>             run until a condition holds
-//! KILL <node>                                 kill a node
-//! REPORT                                      drain and summarize the outcome
-//! CACHESTATS                                  warm-start cache counters
-//! SUBSCRIBE                                   dedicate this connection to events
-//! CLOSE                                       tear down the current session
-//! QUIT                                        close the connection
-//! ```
-//!
+//! One UTF-8 line per request, one line per reply. Each request line is a
+//! [`Request`] ([`VERBS`](aspen_join::control::VERBS) gives every verb's
+//! syntax): a connection first selects a session with `OPEN`/`USE`, then
+//! speaks [`Command`] lines at it.
 //! Federations — multiple member networks bridged by gateway links — live
-//! in their own namespace and always carry their name (no `USE`):
+//! in their own namespace and always carry their name (no `USE`). A line
+//! that does not decode answers `ERR USAGE …` with the verb's syntax.
 //!
-//! ```text
-//! FEDOPEN <name> [members=M] [nodes=N] [degree=D] [seed=S]
-//!                                             create a federation of M member
-//!                                             networks (member i seeds S+100i)
-//! LINK <name> <an>:<anode> <bn>:<bnode> [loss=P] [latency=C] [budget=B]
-//!                                             declare a gateway pair between
-//!                                             member networks an and bn
-//! FEDADMIT <name> <algo> homes=0,0,1,.. [mode=gateway|shipbase] <streamsql>
-//!                                             admit a cross-network join graph,
-//!                                             one home member per relation
-//! FEDREPORT <name> [cycles=N]                 step N federation cycles, then
-//!                                             drain and summarize the outcome
-//! ```
-//!
-//! The first `FEDADMIT` freezes the link set (building the federation and
-//! exchanging boundary summaries); later `LINK`s answer `ERR STATE`.
+//! The first `FEDADMIT`/`FEDREPORT` freezes a federation's link set;
+//! later `LINK`s answer `ERR STATE`. No command advances more than
+//! [`MAX_CYCLES_PER_COMMAND`](aspen_join::control::MAX_CYCLES_PER_COMMAND)
+//! cycles.
 //!
 //! An `OPEN` or `FEDOPEN` whose `nodes`/`degree`/`seed` yield no connected
 //! deployment answers `ERR TOPOLOGY …` and creates nothing.
@@ -70,29 +45,25 @@
 //! `CLOSE` is terminal for the event stream: every subscriber reads one
 //! final `EVENT CLOSED <cycle>` line and then a clean EOF.
 //!
-//! Sessions are long-lived and keep their warm-start
-//! [learned-state cache](aspen_join::cache) across query churn: queries
-//! admitted, retired and re-admitted on one named session seed from the
-//! cache, and `CACHESTATS` exposes the counters.
-//!
 //! # Quotas
 //!
-//! Admission control is per *connection*: creating more than
-//! [`ServeConfig::max_sessions_per_client`] sessions or admitting more
-//! than [`ServeConfig::max_queries_per_client`] queries answers
-//! `ERR QUOTA …` without taking a shard lock. Attaching to an existing
-//! session costs no session quota; every `ADMIT`/`ADMITGRAPH` that
-//! reaches its session's shard costs one query quota, even if it is
-//! later rejected. Federations extend the same scheme: a `FEDOPEN` that
-//! creates a federation (which instantiates `members` whole networks at
-//! once) is capped by [`ServeConfig::max_federations_per_client`], and
-//! every `FEDADMIT` reaching its shard costs one query quota.
+//! Admission control is per *connection*. Admitting more than
+//! [`ServeConfig::max_queries_per_client`] queries answers `ERR QUOTA …`
+//! without taking a shard lock: every `ADMIT`/`ADMITGRAPH`/`FEDADMIT`
+//! that reaches its shard costs one query quota, even if it is later
+//! rejected. Creating more than [`ServeConfig::max_sessions_per_client`]
+//! sessions or [`ServeConfig::max_federations_per_client`] federations
+//! (each instantiates `members` whole networks at once) also answers
+//! `ERR QUOTA …`, but that is decided under the shard lock, since only
+//! the shard knows whether an `OPEN`/`FEDOPEN` creates or attaches;
+//! attaching costs nothing.
 
-use aspen_join::control::{Command, Response};
+use aspen_join::control::{
+    open_fed_members, try_open_session, ControlError, FedCommand, FedSpec, Request,
+};
+pub use aspen_join::control::{open_session, OpenSpec};
 use aspen_join::prelude::*;
 use aspen_join::{encode_event, Observer, SessionEvent};
-use sensor_net::{GatewayLink, NoTopology, NodeId};
-use sensor_workload::WorkloadData;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -107,243 +78,6 @@ use std::thread::JoinHandle;
 /// one answers `ERR USAGE` and ends its connection, so no client can make
 /// the server buffer without bound.
 pub const MAX_LINE: usize = 64 * 1024;
-
-/// How a wire `OPEN` builds its network: a deterministic random topology
-/// plus the repo's standard uniform workload, keyed by one seed. Two
-/// servers (or a server and an in-process harness) given the same spec
-/// build byte-identical sessions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpenSpec {
-    pub nodes: usize,
-    pub degree: f64,
-    pub seed: u64,
-}
-
-impl Default for OpenSpec {
-    fn default() -> Self {
-        OpenSpec {
-            nodes: 60,
-            degree: 7.0,
-            seed: 1,
-        }
-    }
-}
-
-impl OpenSpec {
-    /// Parse the `nodes=… degree=… seed=…` tail of an `OPEN` line.
-    pub fn parse(args: &str) -> Result<OpenSpec, String> {
-        let mut spec = OpenSpec::default();
-        for tok in args.split_whitespace() {
-            let (k, v) = tok
-                .split_once('=')
-                .ok_or_else(|| format!("bad option '{tok}' (want key=value)"))?;
-            match k {
-                "nodes" => spec.nodes = v.parse().map_err(|_| format!("bad nodes '{v}'"))?,
-                "degree" => spec.degree = v.parse().map_err(|_| format!("bad degree '{v}'"))?,
-                "seed" => spec.seed = v.parse().map_err(|_| format!("bad seed '{v}'"))?,
-                _ => return Err(format!("unknown option '{k}'")),
-            }
-        }
-        if spec.nodes < 2 || spec.nodes > 20_000 {
-            return Err(format!("nodes={} out of range [2, 20000]", spec.nodes));
-        }
-        Ok(spec)
-    }
-}
-
-/// Build the session an `OPEN` line describes, if its `nodes`, `degree`
-/// and `seed` — the client's choice — yield a connected deployment. Public
-/// so the parity tests and the load generator can run the *same*
-/// construction in-process and compare outcomes byte-for-byte with the
-/// served ones.
-pub fn try_open_session(spec: &OpenSpec) -> Result<Session, NoTopology> {
-    let topo = sensor_net::try_random_with_degree(spec.nodes, spec.degree, spec.seed)?;
-    let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), spec.seed);
-    let sim = SimConfig {
-        tx_per_cycle: 64,
-        queue_capacity: 1024,
-        ..SimConfig::lossless().with_seed(spec.seed)
-    };
-    Ok(Session::builder(topo, data).sim(sim).allow_empty().build())
-}
-
-/// [`try_open_session`] for a spec the caller chose itself.
-///
-/// # Panics
-/// If the spec yields no connected deployment.
-pub fn open_session(spec: &OpenSpec) -> Session {
-    try_open_session(spec).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// How a wire `FEDOPEN` builds its federation: `members` networks, each
-/// constructed exactly like an `OPEN` session from `member_spec` with the
-/// seed offset by `100 * member_index` (so member networks differ but the
-/// whole federation is keyed by one seed).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FedSpec {
-    pub members: usize,
-    pub member_spec: OpenSpec,
-}
-
-impl Default for FedSpec {
-    fn default() -> Self {
-        FedSpec {
-            members: 2,
-            member_spec: OpenSpec::default(),
-        }
-    }
-}
-
-impl FedSpec {
-    /// Parse the `members=… nodes=… degree=… seed=…` tail of a `FEDOPEN`.
-    pub fn parse(args: &str) -> Result<FedSpec, String> {
-        let mut spec = FedSpec::default();
-        let mut member_args = String::new();
-        for tok in args.split_whitespace() {
-            match tok.split_once('=') {
-                Some(("members", v)) => {
-                    spec.members = v.parse().map_err(|_| format!("bad members '{v}'"))?;
-                }
-                _ => {
-                    member_args.push_str(tok);
-                    member_args.push(' ');
-                }
-            }
-        }
-        spec.member_spec = OpenSpec::parse(&member_args)?;
-        if !(2..=16).contains(&spec.members) {
-            return Err(format!("members={} out of range [2, 16]", spec.members));
-        }
-        Ok(spec)
-    }
-}
-
-/// Build the member sessions a `FEDOPEN` line describes, in member-index
-/// order. Public so parity tests can run the same construction
-/// in-process.
-pub fn open_fed_members(spec: &FedSpec) -> Result<Vec<Session>, NoTopology> {
-    (0..spec.members)
-        .map(|i| {
-            try_open_session(&OpenSpec {
-                seed: spec.member_spec.seed + 100 * i as u64,
-                ..spec.member_spec
-            })
-        })
-        .collect()
-}
-
-/// Assemble the federation a `FEDOPEN` plus its `LINK`s describe (member
-/// `i` is named `net<i>`). The in-process counterpart of the wire path.
-///
-/// # Panics
-/// If a member spec yields no connected deployment.
-pub fn build_federation(spec: &FedSpec, links: &[GatewayLink]) -> Federation {
-    let members = open_fed_members(spec).unwrap_or_else(|e| panic!("{e}"));
-    let mut b = FederationBuilder::new().seed(spec.member_spec.seed);
-    for (i, s) in members.into_iter().enumerate() {
-        b = b.member(format!("net{i}"), s);
-    }
-    for l in links {
-        b = b.link(l.clone());
-    }
-    b.build()
-}
-
-/// One parsed federation request, run under its federation's shard lock.
-#[derive(Debug, Clone)]
-pub enum FedRequest {
-    Open(FedSpec),
-    Link(GatewayLink),
-    Admit {
-        algo: String,
-        homes: Vec<usize>,
-        mode: CrossMode,
-        sql: String,
-    },
-    Report {
-        cycles: u32,
-    },
-}
-
-/// Parse `<an>:<anode> <bn>:<bnode> [loss=P] [latency=C] [budget=B]`.
-/// Loss is range-checked here so the builder can never panic on it.
-pub fn parse_link(args: &str) -> Result<GatewayLink, String> {
-    let mut toks = args.split_whitespace();
-    let endpoint = |tok: Option<&str>| -> Result<(usize, NodeId), String> {
-        let t = tok.ok_or("LINK needs two <net>:<node> endpoints")?;
-        let (net, node) = t
-            .split_once(':')
-            .ok_or_else(|| format!("bad endpoint '{t}' (want net:node)"))?;
-        Ok((
-            net.parse().map_err(|_| format!("bad net '{net}'"))?,
-            NodeId(node.parse().map_err(|_| format!("bad node '{node}'"))?),
-        ))
-    };
-    let (a_net, a_node) = endpoint(toks.next())?;
-    let (b_net, b_node) = endpoint(toks.next())?;
-    let mut link = GatewayLink::new(a_net, a_node, b_net, b_node);
-    for tok in toks {
-        let (k, v) = tok
-            .split_once('=')
-            .ok_or_else(|| format!("bad option '{tok}' (want key=value)"))?;
-        match k {
-            "loss" => {
-                let p: f64 = v.parse().map_err(|_| format!("bad loss '{v}'"))?;
-                if !(0.0..1.0).contains(&p) {
-                    return Err(format!("loss={p} out of range [0, 1)"));
-                }
-                link = link.with_loss(p);
-            }
-            "latency" => {
-                link = link.with_latency(v.parse().map_err(|_| format!("bad latency '{v}'"))?);
-            }
-            "budget" => {
-                link = link.with_budget(v.parse().map_err(|_| format!("bad budget '{v}'"))?);
-            }
-            _ => return Err(format!("unknown option '{k}'")),
-        }
-    }
-    Ok(link)
-}
-
-/// Parse `<algo> homes=0,0,1,.. [mode=gateway|shipbase] <streamsql>`.
-/// The SQL tail is passed through byte-exact.
-pub fn parse_fed_admit(args: &str) -> Result<FedRequest, String> {
-    let (algo, rest) = args
-        .split_once(' ')
-        .ok_or("FEDADMIT needs <algo> homes=… <streamsql>")?;
-    let rest = rest.trim_start();
-    let (homes_tok, rest) = rest
-        .split_once(' ')
-        .ok_or("FEDADMIT needs homes=… before the query")?;
-    let homes_val = homes_tok
-        .strip_prefix("homes=")
-        .ok_or_else(|| format!("expected homes=…, got '{homes_tok}'"))?;
-    let homes = homes_val
-        .split(',')
-        .map(|h| h.parse().map_err(|_| format!("bad home '{h}'")))
-        .collect::<Result<Vec<usize>, String>>()?;
-    let mut rest = rest.trim_start();
-    let mut mode = CrossMode::Gateway;
-    if let Some(tail) = rest.strip_prefix("mode=") {
-        let (m, sql) = tail.split_once(' ').ok_or("FEDADMIT needs a query")?;
-        mode = match m {
-            "gateway" => CrossMode::Gateway,
-            "shipbase" | "ship-base" | "ship" => CrossMode::ShipBase,
-            other => return Err(format!("unknown mode '{other}'")),
-        };
-        rest = sql.trim_start();
-    }
-    if rest.is_empty() {
-        return Err("FEDADMIT needs a query".into());
-    }
-    Ok(FedRequest::Admit {
-        algo: algo.to_string(),
-        homes,
-        mode,
-        sql: rest.to_string(),
-    })
-}
 
 /// Server knobs.
 #[derive(Debug, Clone)]
@@ -416,137 +150,12 @@ impl Drop for Entry {
     }
 }
 
-/// One served federation. Member sessions are held unassembled until the
-/// first `FEDADMIT`/`FEDREPORT`, so `LINK`s can keep arriving; building
-/// freezes the link set (boundary summaries are exchanged exactly once).
-enum FedState {
-    Building(Vec<Session>),
-    Running(Federation),
+fn rejected(e: fn(String) -> ControlError, detail: impl Into<String>) -> Response {
+    Response::Rejected(e(detail.into()))
 }
 
-struct FedEntry {
-    spec: FedSpec,
-    links: Vec<GatewayLink>,
-    state: FedState,
-}
-
-impl FedEntry {
-    /// Assemble on first use; no-op when already running.
-    fn ensure_running(&mut self) -> &mut Federation {
-        if let FedState::Building(sessions) = &mut self.state {
-            let mut b = FederationBuilder::new().seed(self.spec.member_spec.seed);
-            for (i, s) in std::mem::take(sessions).into_iter().enumerate() {
-                b = b.member(format!("net{i}"), s);
-            }
-            for l in &self.links {
-                b = b.link(l.clone());
-            }
-            self.state = FedState::Running(b.build());
-        }
-        match &mut self.state {
-            FedState::Running(f) => f,
-            FedState::Building(_) => unreachable!("just assembled"),
-        }
-    }
-}
-
-/// `may_create`: whether the connection's federation quota allows
-/// *creating* one; only the shard knows whether a `FEDOPEN` creates or
-/// attaches.
-fn apply_fed(
-    feds: &mut HashMap<String, FedEntry>,
-    name: &str,
-    req: FedRequest,
-    may_create: bool,
-) -> String {
-    if let FedRequest::Open(spec) = req {
-        return if feds.contains_key(name) {
-            format!("OK FEDATTACHED {name}")
-        } else if !may_create {
-            err_line("QUOTA", "federation quota exhausted")
-        } else {
-            let sessions = match open_fed_members(&spec) {
-                Ok(sessions) => sessions,
-                Err(e) => return err_line("TOPOLOGY", &e.to_string()),
-            };
-            feds.insert(
-                name.to_string(),
-                FedEntry {
-                    spec,
-                    links: Vec::new(),
-                    state: FedState::Building(sessions),
-                },
-            );
-            format!(
-                "OK FEDOPENED {name} members={} nodes={}",
-                spec.members, spec.member_spec.nodes
-            )
-        };
-    }
-    let Some(entry) = feds.get_mut(name) else {
-        return err_line("NOFED", &format!("no federation '{name}'"));
-    };
-    match req {
-        FedRequest::Open(_) => unreachable!("handled above"),
-        FedRequest::Link(link) => {
-            if matches!(entry.state, FedState::Running(_)) {
-                return err_line("STATE", "links are fixed once the federation is running");
-            }
-            let members = entry.spec.members;
-            if link.a_net >= members || link.b_net >= members {
-                return err_line(
-                    "FED",
-                    &format!("link endpoints must name members 0..{members}"),
-                );
-            }
-            if link.a_net == link.b_net {
-                return err_line("FED", "a link must bridge two different members");
-            }
-            let nodes = entry.spec.member_spec.nodes;
-            if link.a_node.index() >= nodes || link.b_node.index() >= nodes {
-                return err_line("FED", &format!("gateway nodes must be < {nodes}"));
-            }
-            entry.links.push(link);
-            format!("OK LINKED {name} {}", entry.links.len() - 1)
-        }
-        FedRequest::Admit {
-            algo,
-            homes,
-            mode,
-            sql,
-        } => {
-            if entry.links.is_empty() {
-                return err_line("FED", "declare at least one LINK before admitting");
-            }
-            let Some((a, opts)) = aspen_join::shared::parse_algo(&algo) else {
-                return err_line("ALGO", &algo);
-            };
-            let cfg = aspen_join::AlgoConfig::new(a, aspen_join::control::WIRE_ASSUMED_SIGMA)
-                .with_innet_options(opts);
-            let graph = match sensor_query::parse_join_graph(&sql) {
-                Ok(g) => g,
-                Err(e) => return err_line("PARSE", &format!("{} at {}", e.message, e.pos)),
-            };
-            let fed = entry.ensure_running();
-            match fed.admit_cross(&graph, &homes, cfg, mode) {
-                Ok(id) => format!("OK FEDADMITTED x{}", id.0),
-                Err(e) => err_line("FED", &e),
-            }
-        }
-        FedRequest::Report { cycles } => {
-            let fed = entry.ensure_running();
-            fed.step(cycles);
-            format!("OK FEDREPORT {}", fed.report().summary_line())
-        }
-    }
-}
-
-fn err_line(kind: &str, msg: &str) -> String {
-    format!("ERR {kind} {}", aspen_join::control::esc(msg))
-}
-
-fn no_session(name: &str) -> String {
-    err_line("NOSESSION", &format!("no session '{name}'"))
+fn no_session(name: &str) -> Response {
+    rejected(ControlError::NoSession, format!("no session '{name}'"))
 }
 
 fn shard_of(name: &str, workers: usize) -> usize {
@@ -560,7 +169,7 @@ fn shard_of(name: &str, workers: usize) -> usize {
 #[derive(Default)]
 struct Shard {
     sessions: HashMap<String, Entry>,
-    feds: HashMap<String, FedEntry>,
+    feds: HashMap<String, Federation>,
 }
 
 /// A name in one of the two namespaces a shard holds.
@@ -591,20 +200,20 @@ impl State {
     }
 
     /// Run `f` under the lock of the shard that owns `key`; return its
-    /// reply line. A panic in `f` answers `ERR INTERNAL` and removes
-    /// `key`'s session or federation: the lock is never poisoned, and the
-    /// shard's other entries keep answering.
-    fn locked(&self, key: Key, f: impl FnOnce(&mut Shard) -> String) -> String {
+    /// reply. A panic in `f` answers `ERR INTERNAL` and removes `key`'s
+    /// session or federation: the lock is never poisoned, and the shard's
+    /// other entries keep answering.
+    fn locked(&self, key: Key, f: impl FnOnce(&mut Shard) -> Response) -> Response {
         let i = match key {
             Key::Session(name) => shard_of(name, self.shards.len()),
             Key::Fed(name) => shard_of(&format!("fed:{name}"), self.shards.len()),
         };
         let mut shard = lock(&self.shards[i]);
         if self.stop.load(Ordering::SeqCst) {
-            return err_line("SHUTDOWN", "server is shutting down");
+            return rejected(ControlError::Shutdown, "server is shutting down");
         }
-        if let Ok(line) = catch_unwind(AssertUnwindSafe(|| f(&mut shard))) {
-            return line;
+        if let Ok(reply) = catch_unwind(AssertUnwindSafe(|| f(&mut shard))) {
+            return reply;
         }
         let what = match key {
             Key::Session(name) => {
@@ -616,19 +225,22 @@ impl State {
                 format!("federation '{name}'")
             }
         };
-        err_line("INTERNAL", &format!("{what} removed after a panic"))
+        rejected(
+            ControlError::Internal,
+            format!("{what} removed after a panic"),
+        )
     }
 
     /// `may_create`: whether the connection's session quota allows
     /// *creating* a session; attaching to an existing one is always
     /// allowed, and only the shard knows which case this is.
-    fn open(&self, name: &str, spec: OpenSpec, may_create: bool) -> String {
+    fn open(&self, name: &str, spec: OpenSpec, may_create: bool) -> Response {
         self.locked(Key::Session(name), |shard| {
             if shard.sessions.contains_key(name) {
-                return format!("OK ATTACHED {name}");
+                return Response::Attached(name.into());
             }
             if !may_create {
-                return err_line("QUOTA", "session quota exhausted");
+                return rejected(ControlError::Quota, "session quota exhausted");
             }
             match try_open_session(&spec) {
                 Ok(mut session) => {
@@ -637,33 +249,65 @@ impl State {
                     shard
                         .sessions
                         .insert(name.to_string(), Entry { session, subs });
-                    format!("OK OPENED {name} nodes={}", spec.nodes)
+                    Response::Opened {
+                        name: name.into(),
+                        nodes: spec.nodes,
+                    }
                 }
-                Err(e) => err_line("TOPOLOGY", &e.to_string()),
+                Err(e) => rejected(ControlError::Topology, e.to_string()),
             }
         })
     }
 
-    fn apply(&self, name: &str, cmd: Command) -> String {
+    /// [`State::open`] for a federation and its quota.
+    fn fed_open(&self, name: &str, spec: FedSpec, may_create: bool) -> Response {
+        self.locked(Key::Fed(name), |shard| {
+            if shard.feds.contains_key(name) {
+                return Response::FedAttached(name.into());
+            }
+            if !may_create {
+                return rejected(ControlError::Quota, "federation quota exhausted");
+            }
+            match open_fed_members(&spec) {
+                Ok(fed) => {
+                    shard.feds.insert(name.to_string(), fed);
+                    Response::FedOpened {
+                        name: name.into(),
+                        members: spec.members,
+                        nodes: spec.member_spec.nodes,
+                    }
+                }
+                Err(e) => rejected(ControlError::Topology, e.to_string()),
+            }
+        })
+    }
+
+    fn apply(&self, name: &str, cmd: Command) -> Response {
         self.locked(Key::Session(name), |shard| {
             match shard.sessions.get_mut(name) {
-                Some(e) => e.session.apply(cmd).encode(),
+                Some(e) => e.session.apply(cmd),
                 None => no_session(name),
             }
+        })
+    }
+
+    fn fed(&self, name: &str, cmd: FedCommand) -> Response {
+        self.locked(Key::Fed(name), |shard| match shard.feds.get_mut(name) {
+            Some(fed) => fed.apply(name, cmd),
+            None => rejected(ControlError::NoFed, format!("no federation '{name}'")),
         })
     }
 
     /// Register `stream` for `name`'s events. `OK SUBSCRIBED` is written
     /// here, under the lock and ahead of registering, so it is the first
     /// line the subscriber reads, before any event.
-    fn subscribe(&self, name: &str, mut stream: TcpStream) -> String {
+    fn subscribe(&self, name: &str, mut stream: TcpStream) -> Response {
         self.locked(Key::Session(name), |shard| {
             match shard.sessions.get_mut(name) {
                 Some(e) => {
-                    let ok = Response::Subscribed.encode();
-                    let _ = write_line(&mut stream, &ok);
+                    let _ = write_line(&mut stream, &Response::Subscribed.encode());
                     lock(&e.subs).push(stream);
-                    ok
+                    Response::Subscribed
                 }
                 None => no_session(name),
             }
@@ -672,7 +316,7 @@ impl State {
 
     /// Every subscriber reads `EVENT CLOSED <cycle>`, then EOF once the
     /// entry drops.
-    fn close(&self, name: &str) -> String {
+    fn close(&self, name: &str) -> Response {
         self.locked(Key::Session(name), |shard| {
             match shard.sessions.remove(name) {
                 Some(e) => {
@@ -681,16 +325,10 @@ impl State {
                     for s in lock(&e.subs).iter_mut() {
                         let _ = s.write_all(closed.as_bytes());
                     }
-                    format!("OK CLOSED {name}")
+                    Response::Closed(name.into())
                 }
                 None => no_session(name),
             }
-        })
-    }
-
-    fn fed(&self, name: &str, req: FedRequest, may_create: bool) -> String {
-        self.locked(Key::Fed(name), |shard| {
-            apply_fed(&mut shard.feds, name, req, may_create)
         })
     }
 }
@@ -797,15 +435,6 @@ fn serve_client(stream: TcpStream, state: &State) -> std::io::Result<()> {
     let mut sessions_created = 0usize;
     let mut queries_admitted = 0usize;
     let mut federations_created = 0usize;
-    let quota_exhausted = || {
-        err_line(
-            "QUOTA",
-            &format!(
-                "query quota exhausted ({} per client)",
-                cfg.max_queries_per_client
-            ),
-        )
-    };
     let mut line = Vec::new();
     loop {
         line.clear();
@@ -814,8 +443,8 @@ fn serve_client(stream: TcpStream, state: &State) -> std::io::Result<()> {
             return Ok(());
         }
         if line.len() > MAX_LINE && !line.ends_with(b"\n") {
-            let e = err_line("USAGE", &format!("line longer than {MAX_LINE} bytes"));
-            write_line(&mut out, &e)?;
+            let e = ControlError::Usage(format!("line longer than {MAX_LINE} bytes"));
+            write_line(&mut out, &Response::Rejected(e).encode())?;
             // A FIN ahead of the reset that closing on unread input sends:
             // the client reads the error, then EOF.
             return out.shutdown(Shutdown::Write);
@@ -826,156 +455,87 @@ fn serve_client(stream: TcpStream, state: &State) -> std::io::Result<()> {
         if req.is_empty() {
             continue;
         }
-        let (verb, rest) = req.split_once(' ').unwrap_or((req, ""));
-        let reply: String = match verb.to_ascii_uppercase().as_str() {
-            "QUIT" => {
-                out.write_all(b"OK BYE\n")?;
+        let req = match Request::decode(req) {
+            Ok(req) => req,
+            Err(e) => {
+                write_line(&mut out, &Response::Rejected(e).encode())?;
+                continue;
+            }
+        };
+        let admits = matches!(
+            req,
+            Request::Session(Command::Admit { .. } | Command::AdmitGraph { .. })
+                | Request::Fed {
+                    cmd: FedCommand::Admit { .. },
+                    ..
+                }
+        );
+        let reply = match (req, current.as_deref()) {
+            (Request::Quit, _) => {
+                write_line(&mut out, &Response::Bye.encode())?;
                 return Ok(());
             }
-            "OPEN" => {
-                let (name, args) = rest.split_once(' ').unwrap_or((rest, ""));
-                if name.is_empty() {
-                    err_line("USAGE", "OPEN <name> [nodes=N] [degree=D] [seed=S]")
-                } else {
-                    match OpenSpec::parse(args) {
-                        Ok(spec) => {
-                            let may_create = sessions_created < cfg.max_sessions_per_client;
-                            let r = state.open(name, spec, may_create);
-                            if r.starts_with("OK OPENED") {
-                                sessions_created += 1;
-                            }
-                            if r.starts_with("OK") {
-                                current = Some(name.to_string());
-                            }
-                            r
-                        }
-                        Err(e) => err_line("USAGE", &e),
-                    }
+            (Request::Close | Request::Session(_), None) => rejected(
+                ControlError::NoSession,
+                "no session selected (OPEN or USE one)",
+            ),
+            _ if admits && queries_admitted >= cfg.max_queries_per_client => rejected(
+                ControlError::Quota,
+                format!(
+                    "query quota exhausted ({} per client)",
+                    cfg.max_queries_per_client
+                ),
+            ),
+            (Request::Open { name, spec }, _) => {
+                let may_create = sessions_created < cfg.max_sessions_per_client;
+                let r = state.open(&name, spec, may_create);
+                sessions_created += usize::from(matches!(r, Response::Opened { .. }));
+                if matches!(r, Response::Opened { .. } | Response::Attached(_)) {
+                    current = Some(name);
                 }
+                r
             }
-            "USE" => {
-                if rest.is_empty() {
-                    err_line("USAGE", "USE <name>")
-                } else {
-                    // Cheap existence probe: report on open would be heavy,
-                    // so just adopt the name; a wrong one surfaces as
-                    // NOSESSION on the next command.
-                    current = Some(rest.to_string());
-                    format!("OK USING {rest}")
-                }
+            (Request::Use(name), _) => {
+                // Adopting the name is enough: a wrong one answers
+                // NOSESSION on the next command.
+                let r = Response::Using(name.clone());
+                current = Some(name);
+                r
             }
-            "FEDOPEN" => {
-                let (name, args) = rest.split_once(' ').unwrap_or((rest, ""));
-                if name.is_empty() {
-                    err_line(
-                        "USAGE",
-                        "FEDOPEN <name> [members=M] [nodes=N] [degree=D] [seed=S]",
-                    )
-                } else {
-                    match FedSpec::parse(args) {
-                        Ok(spec) => {
-                            let may_create = federations_created < cfg.max_federations_per_client;
-                            let r = state.fed(name, FedRequest::Open(spec), may_create);
-                            if r.starts_with("OK FEDOPENED") {
-                                federations_created += 1;
-                            }
-                            r
-                        }
-                        Err(e) => err_line("USAGE", &e),
-                    }
-                }
+            (Request::FedOpen { name, spec }, _) => {
+                let may_create = federations_created < cfg.max_federations_per_client;
+                let r = state.fed_open(&name, spec, may_create);
+                federations_created += usize::from(matches!(r, Response::FedOpened { .. }));
+                r
             }
-            "LINK" => {
-                let (name, args) = rest.split_once(' ').unwrap_or((rest, ""));
-                if name.is_empty() || args.is_empty() {
-                    err_line(
-                        "USAGE",
-                        "LINK <name> <an>:<anode> <bn>:<bnode> [loss=P] [latency=C] [budget=B]",
-                    )
-                } else {
-                    match parse_link(args) {
-                        Ok(link) => state.fed(name, FedRequest::Link(link), false),
-                        Err(e) => err_line("USAGE", &e),
-                    }
-                }
+            (Request::Fed { name, cmd }, _) => {
+                queries_admitted += usize::from(admits);
+                state.fed(&name, cmd)
             }
-            "FEDADMIT" => {
-                let (name, args) = rest.split_once(' ').unwrap_or((rest, ""));
-                if name.is_empty() || args.is_empty() {
-                    err_line(
-                        "USAGE",
-                        "FEDADMIT <name> <algo> homes=0,0,1,.. [mode=gateway|shipbase] <streamsql>",
-                    )
-                } else {
-                    match parse_fed_admit(args) {
-                        Ok(_) if queries_admitted >= cfg.max_queries_per_client => {
-                            quota_exhausted()
-                        }
-                        Ok(req) => {
-                            queries_admitted += 1;
-                            state.fed(name, req, false)
-                        }
-                        Err(e) => err_line("USAGE", &e),
-                    }
+            (Request::Close, Some(name)) => {
+                let r = state.close(name);
+                if let Response::Closed(_) = r {
+                    current = None;
                 }
+                r
             }
-            "FEDREPORT" => {
-                let (name, args) = rest.split_once(' ').unwrap_or((rest, ""));
-                let cycles: Result<u32, String> = match args.trim() {
-                    "" => Ok(0),
-                    c => c
-                        .strip_prefix("cycles=")
-                        .ok_or_else(|| format!("bad option '{c}' (want cycles=N)"))
-                        .and_then(|v| v.parse().map_err(|_| format!("bad cycles '{v}'"))),
-                };
-                if name.is_empty() {
-                    err_line("USAGE", "FEDREPORT <name> [cycles=N]")
-                } else {
-                    match cycles {
-                        Ok(cycles) => state.fed(name, FedRequest::Report { cycles }, false),
-                        Err(e) => err_line("USAGE", &e),
-                    }
+            (Request::Session(Command::Subscribe), Some(name)) => {
+                let r = state.subscribe(name, out.try_clone()?);
+                if let Response::Subscribed = r {
+                    // The connection now belongs to the event stream;
+                    // swallow any further input until the peer hangs up
+                    // so we never write here again.
+                    std::io::copy(&mut reader, &mut std::io::sink())?;
+                    return Ok(());
                 }
+                r
             }
-            "CLOSE" => match &current {
-                Some(name) => {
-                    let r = state.close(name);
-                    if r.starts_with("OK") {
-                        current = None;
-                    }
-                    r
-                }
-                None => err_line("NOSESSION", "no session selected (OPEN or USE one)"),
-            },
-            _ => match &current {
-                None => err_line("NOSESSION", "no session selected (OPEN or USE one)"),
-                Some(name) => match Command::decode(req) {
-                    Err(e) => err_line("USAGE", &e),
-                    Ok(Command::Subscribe) => {
-                        let r = state.subscribe(name, out.try_clone()?);
-                        if r.starts_with("OK") {
-                            // The connection now belongs to the event
-                            // stream; swallow any further input until the
-                            // peer hangs up so we never write here again.
-                            std::io::copy(&mut reader, &mut std::io::sink())?;
-                            return Ok(());
-                        }
-                        r
-                    }
-                    Ok(cmd) => {
-                        let admits =
-                            matches!(cmd, Command::Admit { .. } | Command::AdmitGraph { .. });
-                        if admits && queries_admitted >= cfg.max_queries_per_client {
-                            quota_exhausted()
-                        } else {
-                            queries_admitted += usize::from(admits);
-                            state.apply(name, cmd)
-                        }
-                    }
-                },
-            },
+            (Request::Session(cmd), Some(name)) => {
+                queries_admitted += usize::from(admits);
+                state.apply(name, cmd)
+            }
         };
-        write_line(&mut out, &reply)?;
+        write_line(&mut out, &reply.encode())?;
     }
 }
 
@@ -1019,23 +579,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn open_spec_parses_and_validates() {
-        assert_eq!(OpenSpec::parse("").unwrap(), OpenSpec::default());
-        let s = OpenSpec::parse("nodes=40 degree=6.5 seed=9").unwrap();
-        assert_eq!(
-            s,
-            OpenSpec {
-                nodes: 40,
-                degree: 6.5,
-                seed: 9
-            }
-        );
-        assert!(OpenSpec::parse("nodes=1").is_err());
-        assert!(OpenSpec::parse("widgets=3").is_err());
-        assert!(OpenSpec::parse("nodes").is_err());
-    }
-
-    #[test]
     fn shard_choice_is_stable() {
         for w in 1..6 {
             assert_eq!(shard_of("alpha", w), shard_of("alpha", w));
@@ -1057,11 +600,21 @@ mod tests {
             workers: 1,
             ..ServeConfig::default()
         });
-        let spec = OpenSpec::parse("nodes=40 seed=2").unwrap();
+        let spec = OpenSpec {
+            nodes: 40,
+            seed: 2,
+            ..OpenSpec::default()
+        };
         let admit = Command::decode(ADMIT_PAIR).unwrap();
         for name in ["doomed", "bystander"] {
-            assert!(state.open(name, spec, true).starts_with("OK OPENED"));
-            assert_eq!(state.apply(name, admit.clone()), "OK ADMITTED q0");
+            assert!(matches!(
+                state.open(name, spec, true),
+                Response::Opened { .. }
+            ));
+            assert_eq!(
+                state.apply(name, admit.clone()),
+                Response::Admitted(Target::Query(QueryId(0)))
+            );
         }
         let r = state.locked(Key::Session("doomed"), |shard| {
             let e = shard.sessions.get_mut("doomed").unwrap();
@@ -1069,29 +622,37 @@ mod tests {
             panic!("injected fault");
         });
         assert_eq!(
-            r,
+            r.encode(),
             "ERR INTERNAL session%20'doomed'%20removed%20after%20a%20panic"
         );
         assert!(!state.shards[0].is_poisoned());
-        assert!(state
-            .apply("doomed", Command::Report)
-            .starts_with("ERR NOSESSION"));
+        assert!(matches!(
+            state.apply("doomed", Command::Report),
+            Response::Rejected(ControlError::NoSession(_))
+        ));
 
         let mut direct = open_session(&spec);
         direct.apply(admit);
         direct.apply(Command::Step(6));
-        assert_eq!(state.apply("bystander", Command::Step(6)), "OK STEPPED 6");
+        assert_eq!(
+            state.apply("bystander", Command::Step(6)),
+            Response::Stepped { cycle: 6 }
+        );
         assert_eq!(
             state.apply("bystander", Command::Report),
-            direct.apply(Command::Report).encode()
+            direct.apply(Command::Report)
         );
         // The name is free again.
-        assert!(state.open("doomed", spec, true).starts_with("OK OPENED"));
+        assert!(matches!(
+            state.open("doomed", spec, true),
+            Response::Opened { .. }
+        ));
         // Once shutdown has begun, no command reaches a session.
         state.stop.store(true, Ordering::SeqCst);
-        assert!(state
-            .apply("bystander", Command::Report)
-            .starts_with("ERR SHUTDOWN"));
+        assert!(matches!(
+            state.apply("bystander", Command::Report),
+            Response::Rejected(ControlError::Shutdown(_))
+        ));
     }
 
     /// A line past [`MAX_LINE`] reads `ERR USAGE` and then EOF on its own
@@ -1117,7 +678,11 @@ mod tests {
         );
         assert_eq!(c.read_line().unwrap(), "");
 
-        let mut direct = open_session(&OpenSpec::parse("nodes=40 seed=2").unwrap());
+        let mut direct = open_session(&OpenSpec {
+            nodes: 40,
+            seed: 2,
+            ..OpenSpec::default()
+        });
         direct.apply(Command::decode(ADMIT_PAIR).unwrap());
         direct.apply(Command::Step(3));
         assert_eq!(
@@ -1181,59 +746,58 @@ mod tests {
             .unwrap()
             .starts_with("ERR PARSE"));
         assert!(c.request("RETIRE q7").unwrap().starts_with("ERR TARGET"));
+        // Every verb rejects extra tokens, and none of them acts.
+        for extra in ["QUIT x", "CLOSE x", "USE a b", "REPORT x"] {
+            let r = c.request(extra).unwrap();
+            assert!(r.starts_with("ERR USAGE"), "{extra}: {r}");
+        }
         // The connection is still usable after every error.
         assert_eq!(c.request("STEP 1").unwrap(), "OK STEPPED 1");
         server.shutdown();
     }
 
+    /// No command advances more than `MAX_CYCLES_PER_COMMAND` cycles: the
+    /// cycle-count verbs that would hold a shard for hours answer an error
+    /// at once, and another session on the same (only) shard keeps
+    /// answering. The client runs on its own thread so that a hang fails
+    /// the test instead of stalling the suite.
     #[test]
-    fn fed_spec_link_and_admit_parse() {
-        assert_eq!(FedSpec::parse("").unwrap(), FedSpec::default());
-        let s = FedSpec::parse("members=3 nodes=40 degree=6.5 seed=9").unwrap();
-        assert_eq!(s.members, 3);
-        assert_eq!(
-            s.member_spec,
-            OpenSpec {
-                nodes: 40,
-                degree: 6.5,
-                seed: 9
+    fn cycle_counts_past_the_cap_are_refused() {
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .unwrap();
+        let addr = server.addr();
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            let mut other = Client::connect(addr).unwrap();
+            other.request("OPEN bystander nodes=40").unwrap();
+            c.request("OPEN hog nodes=40").unwrap();
+            c.request("FEDOPEN f nodes=40").unwrap();
+            c.request("LINK f 0:10 1:5").unwrap();
+            for line in [
+                "STEP 4294967295",
+                "RUN CYCLE 4294967295",
+                "FEDREPORT f cycles=4294967295",
+            ] {
+                let _ = tx.send((line, c.request(line).unwrap()));
             }
-        );
-        assert!(FedSpec::parse("members=1").is_err());
-        assert!(FedSpec::parse("members=17").is_err());
-        assert!(FedSpec::parse("widgets=3").is_err());
-
-        let l = parse_link("0:12 1:7 loss=0.1 latency=2 budget=512").unwrap();
-        assert_eq!(
-            (l.a_net, l.a_node, l.b_net, l.b_node),
-            (0, NodeId(12), 1, NodeId(7))
-        );
-        assert_eq!(
-            (l.loss, l.latency_cycles, l.budget_bytes_per_cycle),
-            (0.1, 2, 512)
-        );
-        assert!(parse_link("0:12").is_err());
-        assert!(parse_link("0:12 1:7 loss=1.0").is_err());
-        assert!(parse_link("012 1:7").is_err());
-        assert!(parse_link("0:12 1:7 frob=1").is_err());
-
-        match parse_fed_admit("innet-cmg homes=0,0,1 mode=shipbase SELECT x").unwrap() {
-            FedRequest::Admit {
-                algo,
-                homes,
-                mode,
-                sql,
-            } => {
-                assert_eq!(algo, "innet-cmg");
-                assert_eq!(homes, vec![0, 0, 1]);
-                assert_eq!(mode, CrossMode::ShipBase);
-                assert_eq!(sql, "SELECT x");
-            }
-            other => panic!("unexpected {other:?}"),
+            let _ = tx.send(("REPORT", other.request("REPORT").unwrap()));
+        });
+        for want in ["STEP", "RUN", "FEDREPORT", "REPORT"] {
+            let (line, reply) = rx
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("no answer to {want} within 5 s"));
+            let ok = if want == "REPORT" {
+                reply.starts_with("OK REPORT cycle=0 ")
+            } else {
+                reply.starts_with("ERR USAGE")
+            };
+            assert!(ok, "{line}: {reply}");
         }
-        assert!(parse_fed_admit("innet-cmg SELECT x").is_err());
-        assert!(parse_fed_admit("innet-cmg homes=a,b SELECT x").is_err());
-        assert!(parse_fed_admit("innet-cmg homes=0,1 mode=warp SELECT x").is_err());
+        server.shutdown();
     }
 
     /// The 4-relation chain the wire federation tests admit: 10-node id
@@ -1291,10 +855,18 @@ mod tests {
             .request(&format!("FEDADMIT f quantum homes=0,1 {FED_SQL}"))
             .unwrap()
             .starts_with("ERR ALGO"));
-        assert!(c
-            .request("FEDADMIT f innet-cmg homes=0,0,1,1 SELECT FROM")
-            .unwrap()
-            .starts_with("ERR PARSE"));
+        // A federation's parse error reads like a session's.
+        let err = sensor_query::parse_join_graph("SELECT FROM").unwrap_err();
+        assert_eq!(
+            Response::decode(
+                &c.request("FEDADMIT f innet-cmg homes=0,0,1,1 SELECT FROM")
+                    .unwrap()
+            ),
+            Ok(Response::Rejected(ControlError::Parse {
+                pos: err.pos,
+                msg: err.message
+            }))
+        );
         assert!(c
             .request(&format!("FEDADMIT f innet-cmg homes=0,0,1 {FED_SQL}"))
             .unwrap()

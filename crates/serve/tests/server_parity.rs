@@ -3,10 +3,8 @@
 //! scripts must produce byte-identical `REPORT` lines whether the server
 //! runs 1 session shard or 4, and whether there is a server at all.
 
-use aspen_join::control::Command;
-use aspen_serve::{
-    build_federation, open_session, parse_link, Client, FedSpec, OpenSpec, ServeConfig, Server,
-};
+use aspen_join::control::{open_fed_members, Command, Request};
+use aspen_serve::{open_session, Client, OpenSpec, ServeConfig, Server};
 
 const ADMIT_PAIR: &str = "ADMIT innet-cmg SELECT s.id, t.id FROM s, t \
                           [windowsize=2 sampleinterval=100] \
@@ -79,8 +77,11 @@ fn run_served(workers: usize) -> Vec<String> {
 /// plane (no sockets anywhere).
 fn run_in_process() -> Vec<String> {
     let mut reports = Vec::new();
-    for (_, opts, lines) in scripts() {
-        let mut session = open_session(&OpenSpec::parse(opts).unwrap());
+    for (name, opts, lines) in scripts() {
+        let Ok(Request::Open { spec, .. }) = Request::decode(&format!("OPEN {name} {opts}")) else {
+            panic!("OPEN {name} {opts} decodes");
+        };
+        let mut session = open_session(&spec);
         let mut last = String::new();
         for l in &lines {
             let cmd = Command::decode(l).unwrap();
@@ -159,7 +160,10 @@ fn warm_churn_cachestats_parity_and_close_terminates_subscriber() {
     };
 
     let direct = {
-        let mut s = open_session(&OpenSpec::parse("nodes=60 seed=4").unwrap());
+        let mut s = open_session(&OpenSpec {
+            seed: 4,
+            ..OpenSpec::default()
+        });
         let mut last = String::new();
         for l in &script {
             last = s.apply(Command::decode(l).unwrap()).encode();
@@ -176,9 +180,18 @@ const FED_SQL: &str = "SELECT r0.id, r3.id FROM r0, r1, r2, r3 \
                        AND r2.id >= 20 AND r2.id < 30 \
                        AND r3.id >= 30 AND r3.id < 40 \
                        AND r0.u = r1.u AND r1.u = r2.u AND r2.u = r3.u";
-const FED_LINKS: [&str; 2] = ["0:10 1:5 latency=1", "0:20 1:15 loss=0.3"];
+/// One federation script, as wire lines; the last is the `FEDREPORT`.
+fn fed_script() -> Vec<String> {
+    vec![
+        "FEDOPEN par members=2 nodes=60 seed=3".into(),
+        "LINK par 0:10 1:5 latency=1".into(),
+        "LINK par 0:20 1:15 loss=0.3".into(),
+        format!("FEDADMIT par innet-cmg homes=0,0,1,1 {FED_SQL}"),
+        "FEDREPORT par cycles=30".into(),
+    ]
+}
 
-/// Drive one federation script over the wire and return its final
+/// Drive the federation script over the wire and return its final
 /// `FEDREPORT` line.
 fn fed_served(workers: usize) -> String {
     let server = Server::start(ServeConfig {
@@ -187,42 +200,43 @@ fn fed_served(workers: usize) -> String {
     })
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    let opened = c.request("FEDOPEN par members=2 nodes=60 seed=3").unwrap();
-    assert!(opened.starts_with("OK FEDOPENED"), "{opened}");
-    for link in FED_LINKS {
-        let linked = c.request(&format!("LINK par {link}")).unwrap();
-        assert!(linked.starts_with("OK LINKED"), "{linked}");
+    let mut last = String::new();
+    for l in fed_script() {
+        last = c.request(&l).unwrap();
+        assert!(last.starts_with("OK"), "'{l}' failed: {last}");
     }
-    let admitted = c
-        .request(&format!("FEDADMIT par innet-cmg homes=0,0,1,1 {FED_SQL}"))
-        .unwrap();
-    assert!(admitted.starts_with("OK FEDADMITTED"), "{admitted}");
-    let report = c.request("FEDREPORT par cycles=30").unwrap();
     server.shutdown();
-    report
+    last
+}
+
+/// The same lines decoded and applied in-process: `FEDOPEN` builds the
+/// federation, every later line goes through `Federation::apply`.
+fn fed_in_process() -> String {
+    let mut fed = None;
+    let mut last = String::new();
+    for l in fed_script() {
+        match Request::decode(&l).unwrap() {
+            Request::FedOpen { spec, .. } => fed = Some(open_fed_members(&spec).unwrap()),
+            Request::Fed { name, cmd } => {
+                let fed = fed.as_mut().expect("FEDOPEN comes first");
+                last = fed.apply(&name, cmd).encode();
+                assert!(last.starts_with("OK"), "'{l}' rejected: {last}");
+            }
+            other => panic!("not a federation line: {other:?}"),
+        }
+    }
+    last
 }
 
 /// The federation acceptance contract mirrors the session one: a
 /// federation driven over the wire is *the same federation* you would
-/// assemble in-process, byte-for-byte, whatever the worker count.
+/// drive in-process, byte-for-byte, whatever the worker count.
 #[test]
 fn federation_outcomes_identical_across_worker_counts_and_in_process() {
     let one = fed_served(1);
     let four = fed_served(4);
     assert_eq!(one, four, "worker count changed federation outcomes");
-
-    let spec = FedSpec::parse("members=2 nodes=60 seed=3").unwrap();
-    let links: Vec<_> = FED_LINKS.iter().map(|l| parse_link(l).unwrap()).collect();
-    let mut fed = build_federation(&spec, &links);
-    let (algo, opts) = aspen_join::shared::parse_algo("innet-cmg").unwrap();
-    let cfg = aspen_join::AlgoConfig::new(algo, aspen_join::control::WIRE_ASSUMED_SIGMA)
-        .with_innet_options(opts);
-    let graph = sensor_query::parse_join_graph(FED_SQL).unwrap();
-    fed.admit_cross(&graph, &[0, 0, 1, 1], cfg, aspen_join::CrossMode::Gateway)
-        .unwrap();
-    fed.step(30);
-    let direct = format!("OK FEDREPORT {}", fed.report().summary_line());
-    assert_eq!(one, direct, "serving changed federation outcomes");
+    assert_eq!(one, fed_in_process(), "serving changed federation outcomes");
 
     let cross: u64 = one
         .split_whitespace()

@@ -1,9 +1,9 @@
-//! Property test: the wire parsers a connection thread runs on client
-//! input, outside any lock, return `Ok` or `Err` and never panic — on
-//! arbitrary strings, multi-byte UTF-8 and control characters included.
+//! Property test: the one wire grammar a connection thread runs on client
+//! input, outside any lock, and the StreamSQL parser behind `ADMIT`
+//! return `Ok` or `Err` and never panic — on arbitrary strings,
+//! multi-byte UTF-8 and control characters included.
 
-use aspen_join::control::Command;
-use aspen_serve::{parse_fed_admit, parse_link, FedSpec, OpenSpec};
+use aspen_join::control::Request;
 use proptest::prelude::*;
 
 /// Fragments the parsers branch on, numbers at and past their types'
@@ -11,7 +11,8 @@ use proptest::prelude::*;
 #[rustfmt::skip]
 const PIECES: &[&str] = &[
     "ADMIT", "ADMITGRAPH", "RETIRE", "STEP", "RUN", "CYCLE", "RESULTS", "KILL", "REPORT",
-    "CACHESTATS", "SUBSCRIBE", "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "s", "t", "a",
+    "CACHESTATS", "SUBSCRIBE", "OPEN", "USE", "CLOSE", "QUIT", "FEDOPEN", "LINK", "FEDADMIT",
+    "FEDREPORT", "SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "s", "t", "a",
     "b", "s.id", "t.u", "s, t", "[windowsize=2 sampleinterval=100]", "[", "]", "(", ")", "=",
     "<", ">=", "!=", "+", "-", "*", "/", ",", ".", ":", ";", "'", "\"", "q0", "g1", "nodes=",
     "degree=", "seed=", "members=", "homes=", "mode=", "loss=", "latency=", "budget=",
@@ -45,12 +46,8 @@ proptest! {
         // malformed line.
         let end = s.char_indices().map(|(i, _)| i).nth(cut).unwrap_or(s.len());
         for input in [s.as_str(), &s[..end]] {
-            let _ = Command::decode(input);
+            let _ = Request::decode(input);
             let _ = sensor_query::parse(input);
-            let _ = OpenSpec::parse(input);
-            let _ = FedSpec::parse(input);
-            let _ = parse_link(input);
-            let _ = parse_fed_admit(input);
         }
     }
 }

@@ -88,6 +88,8 @@ fn transcript() -> String {
         "STEP 5".into(),
         "STEP x".into(),
         "RUN CYCLE 12".into(),
+        "STEP 4294967295".into(),
+        "RUN CYCLE 4294967295".into(),
         "RUN LATER 3".into(),
         "KILL 7".into(),
         "KILL 0".into(),
@@ -147,6 +149,7 @@ fn transcript() -> String {
         format!("FEDADMIT f innet-cmg homes=0,0,1,1 {FED_SQL}"),
         format!("FEDADMIT f innet-cmg homes=0,0,1,1 mode=shipbase {FED_SQL}"),
         "FEDREPORT f cycles=x".into(),
+        "FEDREPORT f cycles=4294967295".into(),
         "FEDREPORT f cycles=30".into(),
         "FEDREPORT f".into(),
         "QUIT".into(),
