@@ -7,7 +7,12 @@
 
 use aspen_join::prelude::*;
 use aspen_join::{Algorithm, InnetOptions, QueryId};
+use sensor_net::NodeId;
 use sensor_workload::{query1, query2, WorkloadData};
+
+/// Radio bytes per node before it dies: enough that the relays near the
+/// base deplete within the first few cycles of a roomy run.
+const ENERGY_BUDGET: u64 = 1_500;
 
 const RATES: Rates = Rates {
     s_den: 2,
@@ -302,6 +307,61 @@ fn recovery_totals_survive_retirement() {
         after, before,
         "retirement dropped recovery counters with the retired state"
     );
+}
+
+/// A death is a fact about the network, not about the queries present
+/// when it happened: a query admitted after deaths by every route — a
+/// `Session::kill`, a plan kill and energy depletion — starts out with all
+/// of them in its liveness oracle, and with nobody else.
+#[test]
+fn late_admission_inherits_every_death() {
+    let seed = 11;
+    let (manual, planned) = (NodeId(7), NodeId(13));
+    let topo = sensor_net::random_with_degree(60, 7.0, seed);
+    let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
+    let mut s = Session::builder(topo, data)
+        .sim(roomy_sim(seed).with_energy_budget(ENERGY_BUDGET))
+        .query(query1(3), resident_cfg())
+        .plan(DynamicsPlan::none().kill_nodes(4, vec![planned]))
+        .build();
+    s.step(2);
+    s.kill(manual);
+    s.step(8);
+    let killed = s.report().killed;
+    assert!(
+        killed.contains(&(2, manual)),
+        "the manual kill was not recorded"
+    );
+    assert!(killed.contains(&(4, planned)), "the plan kill did not fire");
+    assert!(
+        killed.len() > 2,
+        "test vacuous: no node depleted its energy budget"
+    );
+    let victims: Vec<NodeId> = killed.iter().map(|&(_, v)| v).collect();
+    let q = s.admit(query2(1), admitted_cfg());
+    s.step(1);
+    let base = s.topology().base();
+    let sh = &s
+        .query_node(q, base)
+        .expect("the admitted query is live")
+        .sh;
+    for &v in &victims {
+        assert!(
+            sh.is_dead(v),
+            "the admitted query missed the death of {v:?}"
+        );
+    }
+    let all_dead: Vec<NodeId> = s.report().killed.iter().map(|&(_, v)| v).collect();
+    let bystander = s
+        .topology()
+        .node_ids()
+        .find(|&v| v != base && !all_dead.contains(&v))
+        .expect("a node survived");
+    let sh = &s
+        .query_node(q, base)
+        .expect("the admitted query is live")
+        .sh;
+    assert!(!sh.is_dead(bystander), "{bystander:?} never died");
 }
 
 /// Review regression: `Session::kill` counts as an event — the Outcome's
