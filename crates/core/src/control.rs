@@ -1202,10 +1202,10 @@ impl Session {
                 }
             }
             Command::Kill(v) => {
-                if (v.0 as usize) >= self.node_count() {
+                if (v.0 as usize) >= self.topology().len() {
                     return Err(ControlError::BadTarget(format!("no node {}", v.0)));
                 }
-                if v == self.base_node() {
+                if v == self.topology().base() {
                     return Err(ControlError::BadTarget(
                         "refusing to kill the base station".into(),
                     ));

@@ -72,7 +72,7 @@ pub use federation::{
     MemberReport,
 };
 pub use msg::{Msg, Pair};
-pub use multi::{Lifecycle, MultiMsg, MultiNode, MultiRun, QueryInstance, QueryStats, Sharing};
+pub use multi::{Lifecycle, MultiMsg, MultiNode, QueryInstance, QueryStats, Sharing};
 pub use node::{JoinNode, RecoveryStats};
 pub use optimize::{
     greedy, left_deep, optimize, sigmas_diverged, uniform_sigmas, Plan, PlanNode, PlanSpace,
@@ -94,7 +94,7 @@ pub mod prelude {
     pub use crate::federation::{
         CrossId, CrossMode, Federation, FederationBuilder, FederationOutcome,
     };
-    pub use crate::multi::{Lifecycle, MultiRun, QueryInstance, QueryStats, Sharing};
+    pub use crate::multi::{Lifecycle, QueryInstance, QueryStats, Sharing};
     pub use crate::node::RecoveryStats;
     pub use crate::optimize::{greedy, left_deep, optimize, Plan, PlanSpace};
     pub use crate::scenario::{oracle_graph_result_count, oracle_result_count};

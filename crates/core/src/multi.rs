@@ -1,13 +1,13 @@
-//! The one execution backend: concurrent join queries over one shared
-//! network.
+//! The wire protocol of concurrent join queries over one shared network.
 //!
 //! The paper evaluates one long-running join at a time; realistic
-//! deployments run *populations* of them. This module instantiates N
+//! deployments run *populations* of them. A [`crate::Session`] hosts N
 //! concurrent join queries — each with its own spec, algorithm
 //! configuration, pair state, operator placement and adaptation — over a
 //! single topology, workload and routing substrate, contending for every
 //! node's shared MAC budget (and, optionally, energy budget) in one
-//! engine. The paper's own runs are the N = 1 case.
+//! engine. The paper's own runs are the N = 1 case. This module is what
+//! travels between nodes and what sits at each of them.
 //!
 //! Architecture: the engine stays single-protocol. [`MultiNode`] is a
 //! wrapper protocol hosting one [`JoinNode`] instance per query at every
@@ -45,22 +45,17 @@
 //! *live*, their [`crate::scenario::InitStep`]s spread over sampling
 //! cycles while the resident queries keep streaming. The
 //! [`crate::session`] drivers fire lifecycle events at the same
-//! sampling-cycle boundaries as [`DynamicsPlan`] events (departures, then
-//! arrivals and due live-init steps, then plan kills/loss shifts).
+//! sampling-cycle boundaries as [`sensor_sim::dynamics::DynamicsPlan`]
+//! events (departures, then arrivals and due live-init steps, then plan
+//! kills/loss shifts).
 
-use crate::cost::Sigma;
 use crate::msg::Msg;
-use crate::node::{JoinNode, RecoveryStats};
-use crate::scenario::{default_indexed_attrs, InitStep};
+use crate::node::JoinNode;
 use crate::shared::{AlgoConfig, Shared};
-use sensor_net::{NodeId, Point, Topology};
+use sensor_net::NodeId;
 use sensor_query::JoinQuerySpec;
-use sensor_routing::substrate::MultiTreeSubstrate;
-use sensor_sim::dynamics::{DynamicsPlan, FireOutcome};
-use sensor_sim::{Ctx, Engine, FlowMetrics, Protocol, SimConfig};
-use sensor_workload::WorkloadData;
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex};
+use sensor_sim::{Ctx, FlowMetrics, Protocol};
+use std::sync::Arc;
 
 /// Wire bytes of the per-frame query tag (up to 256 concurrent queries).
 pub const QUERY_TAG_BYTES: u32 = 1;
@@ -495,336 +490,14 @@ impl BaseSnapshot {
     }
 }
 
-/// What a run keeps of every query id it ever issued: the few fields a
-/// report row and `cfg_of` need (the query's flow id is its id), plus the
-/// run context while the query is live.
-struct QueryRecord {
-    /// Query-spec name ("Query 1", …).
-    name: String,
-    cfg: AlgoConfig,
-    /// Held from admission to retirement.
-    shared: Option<Arc<Shared>>,
-}
-
-/// The engine a [`crate::Session`] drives: one [`MultiNode`] per node over
-/// one topology, workload and routing substrate, plus the run-level
-/// records of every query id issued.
-pub struct MultiRun {
-    pub engine: Engine<MultiNode>,
-    /// Indexed by query id; ids are never reused.
-    queries: Vec<QueryRecord>,
-    /// The network, the routing substrate and the workload, each shared by
-    /// every query's [`Shared`] and held run-level so queries can be
-    /// admitted into a run that currently hosts none (a freshly opened
-    /// serve session).
-    topo: Arc<Topology>,
-    sub: Arc<MultiTreeSubstrate>,
-    data: Arc<WorkloadData>,
-    /// Modelled wire bytes of the per-frame query tag: [`QUERY_TAG_BYTES`],
-    /// or 0 for the paper's untagged single-query wire.
-    tag_bytes: u32,
-    /// Master death ledger: every node that died so far, so queries
-    /// admitted later inherit the deaths regardless of query population.
-    dead: Mutex<HashSet<NodeId>>,
-    /// §7 recovery counters carried by retired queries' protocol state
-    /// (retirement frees each node's slot, so the counters are absorbed
-    /// here to keep network totals monotone).
-    retired_recovery: RecoveryStats,
-    /// Migration adoptions of retired queries (same monotonicity need —
-    /// the session's observer diffing relies on it).
-    retired_migrations: u64,
-    /// `WindowXfer` bytes of retired queries (same monotonicity need).
-    retired_xfer_bytes: u64,
-}
-
-impl MultiRun {
-    /// Construct the engine: the substrate built offline (routing-tree
-    /// construction is excluded from query costs, as in Table 3) and one
-    /// empty [`MultiNode`] per node; queries come with
-    /// [`MultiRun::add_query`].
-    pub(crate) fn new(
-        topo: Topology,
-        data: WorkloadData,
-        sim: SimConfig,
-        num_trees: usize,
-        sharing: Sharing,
-        tag_bytes: u32,
-    ) -> MultiRun {
-        let sub = Arc::new(MultiTreeSubstrate::build(
-            &topo,
-            num_trees,
-            default_indexed_attrs(),
-            &data,
-        ));
-        MultiRun {
-            topo: Arc::new(topo.clone()),
-            engine: Engine::new(topo, sim, move |id| MultiNode::new(id, sharing, tag_bytes)),
-            queries: Vec::new(),
-            sub,
-            data: Arc::new(data),
-            tag_bytes,
-            dead: Mutex::new(HashSet::new()),
-            retired_recovery: RecoveryStats::default(),
-            retired_migrations: 0,
-            retired_xfer_bytes: 0,
-        }
-    }
-
-    pub(crate) fn n_queries(&self) -> usize {
-        self.queries.len()
-    }
-
-    pub(crate) fn base(&self) -> NodeId {
-        self.topo.base()
-    }
-
-    /// The network the run executes over.
-    pub(crate) fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The workload data the run executes over.
-    pub(crate) fn workload(&self) -> &WorkloadData {
-        &self.data
-    }
-
-    /// Whether frames go out untagged (the paper's single-query wire).
-    pub(crate) fn is_bare(&self) -> bool {
-        self.tag_bytes == 0
-    }
-
-    /// The run contexts of the live (admitted, not yet retired) queries.
-    fn live_shareds(&self) -> impl Iterator<Item = &Arc<Shared>> {
-        self.queries.iter().filter_map(|r| r.shared.as_ref())
-    }
-
-    pub(crate) fn cfg_of(&self, q: usize) -> AlgoConfig {
-        self.queries[q].cfg
-    }
-
-    pub(crate) fn name_of(&self, q: usize) -> &str {
-        &self.queries[q].name
-    }
-
-    /// Query `q`'s protocol instance at `id`, while the query is live.
-    pub(crate) fn query_node(&self, q: usize, id: NodeId) -> Option<&JoinNode> {
-        self.engine.node(id).query_node(q)
-    }
-
-    /// Activate query `q` at every node.
-    ///
-    /// # Panics
-    /// If `q` was retired: its run context is gone.
-    pub(crate) fn activate_everywhere(&mut self, q: usize) {
-        let sh = self.queries[q]
-            .shared
-            .clone()
-            .expect("a retired query is never activated");
-        for id in self.topo.node_ids() {
-            self.engine.node_mut(id).activate(q, &sh);
-        }
-    }
-
-    /// Issue the next query id (online admission by the session layer).
-    /// The new query shares the network, substrate and workload and
-    /// inherits the already-known deaths; it has no per-node state until
-    /// it is activated.
-    pub(crate) fn add_query(&mut self, spec: JoinQuerySpec, cfg: AlgoConfig) -> usize {
-        let name = spec.name.clone();
-        let sh = Arc::new(Shared::new(
-            self.topo.clone(),
-            self.sub.clone(),
-            spec,
-            self.data.clone(),
-            cfg,
-        ));
-        // The admitted query's liveness oracle must know the nodes that
-        // died before it arrived.
-        for &v in self.dead.lock().expect("death ledger poisoned").iter() {
-            sh.mark_dead(v);
-        }
-        self.queries.push(QueryRecord {
-            name,
-            cfg,
-            shared: Some(sh),
-        });
-        self.queries.len() - 1
-    }
-
-    /// Record a death in the run-level ledger and every resident query's
-    /// liveness oracle (later admissions inherit it from the ledger).
-    pub(crate) fn mark_dead(&self, v: NodeId) {
-        self.dead.lock().expect("death ledger poisoned").insert(v);
-        for sh in self.live_shareds() {
-            sh.mark_dead(v);
-        }
-    }
-
-    /// Fire one initiation step of query `q` across the network: the
-    /// step's entry point at the base (`Flood`), at every other node
-    /// (`Announce`) or at every node, each through the per-query drive so
-    /// emissions are framed. A drive for a query with no slot is a
-    /// side-effect-free no-op, so no per-node activity guard is needed.
-    pub(crate) fn apply_step(&mut self, q: usize, step: InitStep) {
-        let f: fn(&mut JoinNode, &mut Ctx<'_, Msg>) = match step {
-            InitStep::Flood => |nd, c| nd.start_flood(c),
-            InitStep::EnsureQuery => |nd, _| nd.ensure_query(),
-            InitStep::Announce => |nd, c| nd.start_announce(c),
-            InitStep::GhtRegister => |nd, c| nd.start_ght_register(c),
-            InitStep::Search => |nd, c| nd.start_search(c),
-            InitStep::FinishTSide => |nd, _| nd.finish_t_side_assigns(),
-            InitStep::GroupOpt => |nd, c| nd.start_group_opt(c),
-        };
-        let base = self.base();
-        for id in self.topo.node_ids() {
-            let fires = match step {
-                InitStep::Flood => id == base,
-                InitStep::Announce => id != base,
-                _ => true,
-            };
-            if fires {
-                self.engine.with_node(id, |mn, ctx| mn.drive(ctx, q, f));
-            }
-        }
-    }
-
-    /// Take query `q` offline everywhere and free its per-node state and
-    /// run context, returning its base counters (zero for a query that
-    /// never came online). The retired instances' recovery/migration
-    /// counters are absorbed into the run-level accumulators so
-    /// network-wide totals never shrink on retirement.
-    pub(crate) fn retire_query(&mut self, q: usize) -> BaseSnapshot {
-        let base = self.base();
-        let mut snap = BaseSnapshot::default();
-        for id in self.topo.node_ids() {
-            let Some(node) = self.engine.node_mut(id).deactivate(q) else {
-                continue;
-            };
-            self.retired_recovery.absorb(&node.recovery);
-            self.retired_migrations += node.migrations_adopted;
-            self.retired_xfer_bytes += node.xfer_bytes;
-            if id == base {
-                snap = BaseSnapshot::of(&node);
-            }
-        }
-        self.queries[q].shared = None;
-        snap
-    }
-
-    /// Base counters of query `q` while it is live (zero before it came
-    /// online).
-    pub(crate) fn live_snapshot(&self, q: usize) -> BaseSnapshot {
-        self.query_node(q, self.base())
-            .map(BaseSnapshot::of)
-            .unwrap_or_default()
-    }
-
-    /// Results currently counted at the base across the live queries.
-    pub(crate) fn live_results(&self) -> u64 {
-        self.engine
-            .node(self.base())
-            .query_nodes()
-            .map(|jn| BaseSnapshot::of(jn).results)
-            .sum()
-    }
-
-    /// The alive non-base node serving the most join pairs across all live
-    /// queries (failure-target selection, Fig 14).
-    pub(crate) fn busiest_join_node(&self) -> Option<NodeId> {
-        busiest_join_node(&self.engine, self.base())
-    }
-
-    /// Fire `plan`'s events for sampling cycle `cycle`, a `Picked` kill
-    /// resolving to the busiest join node (§7's worst-case victim).
-    pub(crate) fn fire_plan(&mut self, cycle: u32, plan: &DynamicsPlan) -> FireOutcome {
-        let base = self.base();
-        plan.fire(cycle, &mut self.engine, |eng| busiest_join_node(eng, base))
-    }
-
-    /// Re-home a mobile leaf at `to` on the routing substrate (App. G);
-    /// returns `(delay_cycles, traffic_bytes)` of the summary updates.
-    pub(crate) fn move_leaf(&self, node: NodeId, to: Point) -> (u32, u64) {
-        let mv = sensor_routing::mobility::move_leaf(&self.topo, &self.sub, node, to);
-        (mv.delay_cycles, mv.traffic_bytes)
-    }
-
-    /// Mean of query `q`'s learned per-pair σ estimates across every join
-    /// node currently holding state for it (`None` until §6 learning has
-    /// evidence). `w` is the query's window size.
-    pub(crate) fn learned_sigma(&self, q: usize, w: usize) -> Option<Sigma> {
-        let (mut s, mut t, mut st, mut n) = (0.0, 0.0, 0.0, 0u32);
-        let estimates = self
-            .engine
-            .nodes()
-            .iter()
-            .filter_map(|mn| mn.query_node(q))
-            .flat_map(|jn| jn.pairs.values())
-            .filter_map(|ps| ps.stats.estimate(w));
-        for e in estimates {
-            s += e.s;
-            t += e.t;
-            st += e.st;
-            n += 1;
-        }
-        (n > 0).then(|| {
-            let n = f64::from(n);
-            Sigma::new(s / n, t / n, st / n)
-        })
-    }
-
-    /// Network-wide sum of the §7 recovery counters across every query's
-    /// protocol instances, including the counters departed queries
-    /// carried (absorbed at retirement; see `MultiRun::retire_query`) —
-    /// totals are monotone across the whole run.
-    pub fn recovery_totals(&self) -> RecoveryStats {
-        let mut total = self.retired_recovery;
-        for jn in self.live_nodes() {
-            total.absorb(&jn.recovery);
-        }
-        total
-    }
-
-    /// Frames dropped at arrival because their query had been retired.
-    pub(crate) fn expired_frames(&self) -> u64 {
-        self.engine.nodes().iter().map(|n| n.expired_frames).sum()
-    }
-
-    /// Network-wide migration adoptions, monotone across retirements
-    /// (observer diffing).
-    pub(crate) fn migrations_total(&self) -> u64 {
-        self.retired_migrations
-            + self
-                .live_nodes()
-                .map(|jn| jn.migrations_adopted)
-                .sum::<u64>()
-    }
-
-    /// Network-wide `WindowXfer` bytes, monotone across retirements.
-    pub(crate) fn xfer_bytes_total(&self) -> u64 {
-        self.retired_xfer_bytes + self.live_nodes().map(|jn| jn.xfer_bytes).sum::<u64>()
-    }
-
-    /// Every live query's protocol instance at every node.
-    fn live_nodes(&self) -> impl Iterator<Item = &JoinNode> {
-        self.engine.nodes().iter().flat_map(|mn| mn.query_nodes())
-    }
-}
-
-/// The alive non-base node serving the most join pairs across all live
-/// queries.
-fn busiest_join_node(engine: &Engine<MultiNode>, base: NodeId) -> Option<NodeId> {
-    (0..engine.topology().len() as u16)
-        .map(NodeId)
-        .filter(|&id| id != base && engine.is_alive(id))
-        .max_by_key(|&id| engine.node(id).pair_count_total())
-        .filter(|&id| engine.node(id).pair_count_total() > 0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::default_indexed_attrs;
     use crate::shared::Algorithm;
-    use sensor_workload::{Rates, Schedule};
+    use sensor_routing::substrate::MultiTreeSubstrate;
+    use sensor_sim::{Engine, SimConfig};
+    use sensor_workload::{Rates, Schedule, WorkloadData};
 
     /// Every hop moves a `MultiMsg` by value: the full-width query tag
     /// must ride in what was padding beside the inner message (see

@@ -138,8 +138,8 @@ pub struct CoordState {
 }
 
 /// §7 recovery accounting at one node: how the failure-handling layer
-/// reacted to abandoned sends. Aggregated network-wide by the harness
-/// (`MultiRun::recovery_totals`) into the dynamics sweeps' recovery metrics.
+/// reacted to abandoned sends. Summed network-wide by the session into
+/// [`crate::Outcome::recovery`], the dynamics sweeps' recovery metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Path repairs attempted after an abandoned in-flight data unicast.

@@ -22,25 +22,32 @@
 //!   shifts, phase transitions) — streaming telemetry instead of post-hoc
 //!   stat scraping.
 //!
-//! Underneath is one backend, [`MultiRun`]: every frame carries its
-//! query's tag and every query is an engine flow. The paper's figures
-//! model untagged frames; [`SessionBuilder::bare_wire`] gives them a tag
-//! of 0 bytes, which restricts the session to its one static query.
+//! A session is the run: it owns the engine with one [`MultiNode`] per
+//! node, the network, substrate and workload its queries share, one record
+//! per query id it ever issued, and one death flag per node that every
+//! query reads. Every frame carries its query's tag and every query is an
+//! engine flow. The paper's figures model untagged frames;
+//! [`SessionBuilder::bare_wire`] gives them a tag of 0 bytes, which
+//! restricts the session to its one static query.
 
 use crate::cache::{region_of, spec_fingerprint, CacheStats, LearnedCache, Region};
 use crate::cost::Sigma;
+use crate::msg::Msg;
 use crate::multi::{
-    BaseSnapshot, Lifecycle, MultiRun, QueryInstance, QueryStats, Sharing, QUERY_TAG_BYTES,
+    BaseSnapshot, Lifecycle, MultiNode, QueryInstance, QueryStats, Sharing, QUERY_TAG_BYTES,
 };
 use crate::node::{JoinNode, RecoveryStats};
 use crate::optimize::{optimize, sigmas_diverged, uniform_sigmas, Plan, PlanSpace};
-use crate::scenario::{init_steps, reconvergence, InitStep};
-use crate::shared::AlgoConfig;
-use sensor_net::NodeId;
+use crate::scenario::{default_indexed_attrs, init_steps, reconvergence, InitStep};
+use crate::shared::{all_alive, AlgoConfig, Shared};
+use sensor_net::{NodeId, Topology};
 use sensor_query::{JoinGraph, JoinQuerySpec};
+use sensor_routing::substrate::MultiTreeSubstrate;
 use sensor_sim::dynamics::DynamicsPlan;
-use sensor_sim::{FlowMetrics, Metrics, SimConfig};
+use sensor_sim::{Ctx, Engine, FlowMetrics, Metrics, SimConfig};
 use sensor_workload::WorkloadData;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 pub use crate::multi::LIVE_INIT_SPACING;
@@ -148,345 +155,6 @@ impl Observer for EventLog {
     fn on_event(&mut self, ev: &SessionEvent) {
         self.0.lock().unwrap().push(ev.clone());
     }
-}
-
-// ----------------------------------------------------------------------
-// The drivers: initiation to quiescence, then sampling cycles.
-
-/// Drive the initiation of the given queries to quiescence, the steps
-/// interleaved across queries so their control traffic contends. The
-/// caller selects `arrivals` (the cycle-0 batch, minus anything already
-/// retired). Returns `(initiation metrics, initiation cycles)` and
-/// leaves the engine with fresh metrics and a rewound clock.
-fn drive_initiation(run: &mut MultiRun, arrivals: &[usize]) -> (Metrics, u64) {
-    for &q in arrivals {
-        run.activate_everywhere(q);
-    }
-    let schedules: Vec<Vec<(InitStep, u64)>> = arrivals
-        .iter()
-        .map(|&q| init_steps(&run.cfg_of(q)))
-        .collect();
-    let max_len = schedules.iter().map(Vec::len).max().unwrap_or(0);
-    for step_idx in 0..max_len {
-        let mut budget = 0u64;
-        for (ai, &q) in arrivals.iter().enumerate() {
-            if let Some(&(step, b)) = schedules[ai].get(step_idx) {
-                run.apply_step(q, step);
-                budget = budget.max(b);
-            }
-        }
-        if budget > 0 {
-            run.engine.run_until_quiet(budget);
-        }
-    }
-    let cycles = run.engine.now();
-    let metrics = run.engine.metrics().clone();
-    run.engine.reset_metrics();
-    run.engine.reset_clock();
-    (metrics, cycles)
-}
-
-/// Mutable execution-phase state threaded through [`drive_cycles`] calls:
-/// per-query lifecycle bookkeeping plus the dynamics trace an [`Outcome`]
-/// reports. A [`Session`] keeps one for its whole life so stepping is
-/// resumable.
-struct ExecState {
-    lifecycles: Vec<Lifecycle>,
-    /// `true` once a query has been brought online (initiation batch or
-    /// live arrival); guards against double activation.
-    activated: Vec<bool>,
-    /// Base-counter snapshots of retired queries.
-    snapshots: Vec<Option<BaseSnapshot>>,
-    /// The queries admitted and not yet retired (waiting for their
-    /// arrival cycle, or online), ascending: what the per-cycle lifecycle
-    /// scans walk. The three vectors above, `arrivals` and `departures`
-    /// are indexed by (or list) every id ever issued, a few dozen bytes
-    /// each, because the report has a row for every one of them.
-    live: Vec<usize>,
-    /// Results of the retired queries (the sum over `snapshots`).
-    retired_results: u64,
-    /// Live-initiation steps pending for late arrivals.
-    pending_steps: Vec<(u32, usize, InitStep)>,
-    killed: Vec<(u32, NodeId)>,
-    queued_msgs_lost: u64,
-    /// App. G mobility accounting: re-homings fired by the plan and the
-    /// summary-update delay/traffic they cost (session-level — the report
-    /// folds these into [`RecoveryStats`]).
-    leaf_moves: u64,
-    move_delay_cycles: u64,
-    move_update_bytes: u64,
-    per_cycle_tx_bytes: Vec<u64>,
-    /// Results at the moment the first scheduled event fired (`None`
-    /// until one does).
-    results_pre_event: Option<u64>,
-    /// Bounds of the events that actually fired.
-    first_fired: Option<u32>,
-    last_fired: Option<u32>,
-    arrivals: Vec<(u32, usize)>,
-    departures: Vec<(u32, usize)>,
-    /// Next sampling cycle to run.
-    next_cycle: u32,
-    /// Execution TX bytes when the last driven cycle ended: the base of
-    /// the next cycle's `per_cycle_tx_bytes` entry, so each cycle reads
-    /// the engine's running total once. Whoever runs the engine outside
-    /// [`drive_cycles`] (a draining report) brings it up to date.
-    tx_bytes_seen: u64,
-    energy_seen: usize,
-    energy_msgs_seen: u64,
-    migrations_seen: u64,
-    repairs_seen: u64,
-}
-
-impl ExecState {
-    /// Execution state over `run`'s initial queries, none retired yet.
-    fn new(run: &MultiRun, lifecycles: Vec<Lifecycle>) -> ExecState {
-        ExecState {
-            activated: lifecycles.iter().map(|lc| lc.arrival == 0).collect(),
-            live: (0..lifecycles.len()).collect(),
-            snapshots: vec![None; lifecycles.len()],
-            lifecycles,
-            retired_results: 0,
-            pending_steps: Vec::new(),
-            killed: Vec::new(),
-            queued_msgs_lost: 0,
-            leaf_moves: 0,
-            move_delay_cycles: 0,
-            move_update_bytes: 0,
-            per_cycle_tx_bytes: Vec::new(),
-            results_pre_event: None,
-            first_fired: None,
-            last_fired: None,
-            arrivals: Vec::new(),
-            departures: Vec::new(),
-            next_cycle: 0,
-            tx_bytes_seen: run.engine.total_tx_bytes(),
-            energy_seen: run.engine.energy_depleted().len(),
-            energy_msgs_seen: run.engine.energy_msgs_dropped(),
-            migrations_seen: 0,
-            repairs_seen: 0,
-        }
-    }
-
-    /// Join results delivered to the base so far: the online queries'
-    /// counters plus what the retired ones left with.
-    fn results_so_far(&self, run: &MultiRun) -> u64 {
-        run.live_results() + self.retired_results
-    }
-
-    /// Issue the next query id with `lifecycle`; `online` when the
-    /// initiation batch, not the arrival scan, brings it up.
-    fn admit(&mut self, lifecycle: Lifecycle, online: bool) {
-        self.live.push(self.snapshots.len());
-        self.lifecycles.push(lifecycle);
-        self.activated.push(online);
-        self.snapshots.push(None);
-    }
-
-    /// Retire query `q` at cycle `c`: take it offline everywhere and keep
-    /// its base counters for the report.
-    fn retire(&mut self, run: &mut MultiRun, q: usize, c: u32) {
-        let snap = run.retire_query(q);
-        self.retired_results += snap.results;
-        self.snapshots[q] = Some(snap);
-        self.live.retain(|&l| l != q);
-        // A deliberate retirement is not a truncated initiation: its
-        // pending live-init steps are moot, and dropping them keeps
-        // `unfinished_inits` an honest truncation signal.
-        self.pending_steps.retain(|&(_, pq, _)| pq != q);
-        self.departures.push((c, q));
-    }
-
-    /// Queries whose live initiation has not finished (steps still
-    /// pending), sorted and deduplicated.
-    fn unfinished_inits(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self.pending_steps.iter().map(|&(_, q, _)| q).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-}
-
-/// The per-cycle view both the observer stream and [`Session::run_until`]
-/// predicates see — one constructor so the two can never drift apart.
-fn cycle_view<'a>(run: &'a MultiRun, st: &ExecState, cycle: u32) -> CycleView<'a> {
-    CycleView {
-        cycle,
-        now: run.engine.now(),
-        results: st.results_so_far(run),
-        cycle_tx_bytes: *st.per_cycle_tx_bytes.last().unwrap_or(&0),
-        metrics: run.engine.metrics(),
-    }
-}
-
-/// Run `n` sampling cycles: lifecycle events (departures, then arrivals
-/// and due live-init steps), then scheduled dynamics, then the sampling
-/// cycle itself, then energy-depletion propagation.
-fn drive_cycles(
-    run: &mut MultiRun,
-    st: &mut ExecState,
-    plan: &DynamicsPlan,
-    n: u32,
-    obs: &mut [Box<dyn Observer + Send>],
-) {
-    let emit = |obs: &mut [Box<dyn Observer + Send>], ev: SessionEvent| {
-        for o in obs.iter_mut() {
-            o.on_event(&ev);
-        }
-    };
-    let end = st.next_cycle + n;
-    for c in st.next_cycle..end {
-        // Event-bound tracking and the pre-event result split (bookkeeping
-        // only — reads engine state, mutates nothing).
-        if plan.has_event_at(c) {
-            if st.results_pre_event.is_none() {
-                st.results_pre_event = Some(st.results_so_far(run));
-                st.first_fired = Some(c);
-            }
-            st.last_fired = Some(c);
-        }
-        // Lifecycle: departures first (a query leaving at c does not
-        // sample at c), then arrivals, then any due live-init steps.
-        let departing: Vec<usize> = st
-            .live
-            .iter()
-            .copied()
-            .filter(|&q| st.lifecycles[q].departure == Some(c))
-            .collect();
-        for q in departing {
-            st.retire(run, q, c);
-            emit(
-                obs,
-                SessionEvent::Retired {
-                    cycle: c,
-                    query: QueryId(q),
-                },
-            );
-        }
-        // A query already retired is no longer in `live`, so it never
-        // re-arrives, even under a nonsensical departure-before-arrival
-        // lifecycle.
-        for i in 0..st.live.len() {
-            let q = st.live[i];
-            if st.lifecycles[q].arrival == c && !st.activated[q] {
-                run.activate_everywhere(q);
-                st.activated[q] = true;
-                st.arrivals.push((c, q));
-                for (i, (step, _)) in init_steps(&run.cfg_of(q)).iter().enumerate() {
-                    st.pending_steps
-                        .push((c + i as u32 * LIVE_INIT_SPACING, q, *step));
-                }
-                emit(
-                    obs,
-                    SessionEvent::Admitted {
-                        cycle: c,
-                        query: QueryId(q),
-                    },
-                );
-            }
-        }
-        let due: Vec<(usize, InitStep)> = st
-            .pending_steps
-            .iter()
-            .filter(|&&(at, _, _)| at == c)
-            .map(|&(_, q, step)| (q, step))
-            .collect();
-        for (q, step) in due {
-            run.apply_step(q, step);
-        }
-        st.pending_steps.retain(|&(at, _, _)| at > c);
-        // Scheduled dynamics (kills resolve `Picked` to the busiest join
-        // node — §7's worst-case victim).
-        let fired = run.fire_plan(c, plan);
-        st.queued_msgs_lost += fired.queued_msgs_dropped;
-        for &v in &fired.killed {
-            run.mark_dead(v);
-            st.killed.push((c, v));
-            emit(obs, SessionEvent::NodeKilled { cycle: c, node: v });
-        }
-        for &p in &fired.loss_shifts {
-            emit(
-                obs,
-                SessionEvent::LossShifted {
-                    cycle: c,
-                    loss_prob: p,
-                },
-            );
-        }
-        // Mobile-leaf re-homings (App. G): the engine resolved who moves
-        // where; the substrate charges the summary-update delay/traffic.
-        for &(node, to) in &fired.moved {
-            let (delay, bytes) = run.move_leaf(node, to);
-            st.leaf_moves += 1;
-            st.move_delay_cycles += u64::from(delay);
-            st.move_update_bytes += bytes;
-        }
-        if plan.marks.contains(&c) {
-            emit(obs, SessionEvent::WorkloadMark { cycle: c });
-        }
-        debug_assert_eq!(
-            st.tx_bytes_seen,
-            run.engine.total_tx_bytes(),
-            "traffic outside a driven cycle"
-        );
-        run.engine.sampling_cycle(c);
-        // Nodes that ran out of energy this cycle propagate to every
-        // query's liveness oracle and the loss accounting, like plan kills.
-        let depleted: Vec<NodeId> = run.engine.energy_depleted()[st.energy_seen..].to_vec();
-        st.energy_seen += depleted.len();
-        if !depleted.is_empty() {
-            // A depletion is an event for the pre/post split, discovered
-            // only after the cycle ran — the "pre" snapshot therefore
-            // includes this cycle's results (the death happened during it).
-            if st.results_pre_event.is_none() {
-                st.results_pre_event = Some(st.results_so_far(run));
-                st.first_fired = Some(c);
-            }
-            st.last_fired = Some(c);
-        }
-        for v in depleted {
-            run.mark_dead(v);
-            st.killed.push((c, v));
-            emit(obs, SessionEvent::NodeKilled { cycle: c, node: v });
-        }
-        let energy_msgs = run.engine.energy_msgs_dropped();
-        st.queued_msgs_lost += energy_msgs - st.energy_msgs_seen;
-        st.energy_msgs_seen = energy_msgs;
-        let tx_bytes = run.engine.total_tx_bytes();
-        st.per_cycle_tx_bytes.push(tx_bytes - st.tx_bytes_seen);
-        st.tx_bytes_seen = tx_bytes;
-        if !obs.is_empty() {
-            // Totals are monotone (retirement absorbs counters into the
-            // run's accumulators); the unconditional baseline update is
-            // belt-and-braces against any future counter reset.
-            let mig = run.migrations_total();
-            if mig > st.migrations_seen {
-                emit(
-                    obs,
-                    SessionEvent::PairsMigrated {
-                        cycle: c,
-                        count: mig - st.migrations_seen,
-                    },
-                );
-            }
-            st.migrations_seen = mig;
-            let rep = run.recovery_totals().repair_successes;
-            if rep > st.repairs_seen {
-                emit(
-                    obs,
-                    SessionEvent::PathsRepaired {
-                        cycle: c,
-                        count: rep - st.repairs_seen,
-                    },
-                );
-            }
-            st.repairs_seen = rep;
-            let view = cycle_view(run, st, c);
-            for o in obs.iter_mut() {
-                o.on_cycle(&view);
-            }
-        }
-    }
-    st.next_cycle = end;
 }
 
 // ----------------------------------------------------------------------
@@ -658,13 +326,68 @@ fn sub_fingerprint(graph: &JoinGraph, edge: usize, scope: Option<usize>) -> Stri
         None => base,
     }
 }
-
 /// Cache identity of one admitted pairwise query, recorded at admission
 /// so retirement can harvest its learned state under the same key.
-struct QueryCacheMeta {
+struct CacheKey {
     fingerprint: String,
     region: Region,
     window: usize,
+}
+
+/// Everything a session keeps of one query id it ever issued. Ids are
+/// never reused and the report has a row for every one, so retirement
+/// frees what a row does not need.
+struct QueryRecord {
+    /// Query-spec name ("Query 1", …).
+    name: String,
+    cfg: AlgoConfig,
+    lifecycle: Lifecycle,
+    /// Brought online (initiation batch or live arrival); guards against
+    /// double activation.
+    online: bool,
+    /// The query's run context, held from admission to retirement.
+    shared: Option<Arc<Shared>>,
+    /// Base counters at retirement; `Some` exactly once retired.
+    snapshot: Option<BaseSnapshot>,
+    /// Taken by the warm-start harvest at retirement (`None` after, and
+    /// when warm-start is off).
+    cache_key: Option<CacheKey>,
+}
+
+/// What the execution phase accumulates beyond the engine's counters: the
+/// dynamics trace an [`Outcome`] reports, the totals retired queries
+/// carried off the network, and the baselines of the per-cycle diffs.
+#[derive(Default)]
+struct Trace {
+    killed: Vec<(u32, NodeId)>,
+    queued_msgs_lost: u64,
+    per_cycle_tx_bytes: Vec<u64>,
+    /// Results at the moment the first scheduled event fired (`None`
+    /// until one does).
+    results_pre_event: Option<u64>,
+    /// Bounds of the events that actually fired.
+    first_fired: Option<u32>,
+    last_fired: Option<u32>,
+    arrivals: Vec<(u32, usize)>,
+    departures: Vec<(u32, usize)>,
+    /// §7 recovery counters of retired queries' protocol state (absorbed
+    /// at retirement, so network totals never shrink), plus the App. G
+    /// leaf moves the plan fired, which no node counts.
+    carried_recovery: RecoveryStats,
+    /// Migration adoptions, `WindowXfer` bytes and results of retired
+    /// queries (same monotonicity need: observer diffing relies on it).
+    carried_migrations: u64,
+    carried_xfer_bytes: u64,
+    carried_results: u64,
+    /// Execution TX bytes when the last driven cycle ended: the base of
+    /// the next cycle's `per_cycle_tx_bytes` entry, so each cycle reads
+    /// the engine's running total once. Whoever runs the engine outside
+    /// `drive_cycles` (a draining report) brings it up to date.
+    tx_bytes_seen: u64,
+    energy_seen: usize,
+    energy_msgs_seen: u64,
+    migrations_seen: u64,
+    repairs_seen: u64,
 }
 
 /// A long-lived execution context: one network (topology + workload +
@@ -672,41 +395,59 @@ struct QueryCacheMeta {
 /// Built via [`SessionBuilder`]; see the [module docs](self) for the
 /// lifecycle.
 pub struct Session {
-    run: MultiRun,
+    engine: Engine<MultiNode>,
+    /// The network, the routing substrate and the workload, one `Arc` of
+    /// each shared by every query's [`Shared`] and held here so queries
+    /// can be admitted into a session that hosts none (a freshly opened
+    /// serve session).
+    topo: Arc<Topology>,
+    sub: Arc<MultiTreeSubstrate>,
+    data: Arc<WorkloadData>,
+    /// One flag per node, set once per death; every query's [`Shared`]
+    /// reads this array, so a late admission knows every earlier death.
+    dead: Arc<[AtomicBool]>,
+    /// Frames go out untagged (the paper's single-query wire).
+    bare: bool,
     plan: DynamicsPlan,
-    st: ExecState,
+    /// Indexed by query id.
+    queries: Vec<QueryRecord>,
+    /// The queries admitted and not yet retired (waiting for their
+    /// arrival cycle, or online), ascending: what the per-cycle lifecycle
+    /// scans walk.
+    live: Vec<usize>,
+    /// Live-initiation steps pending for late arrivals.
+    pending_steps: Vec<(u32, usize, InitStep)>,
+    /// Next sampling cycle to run.
+    next_cycle: u32,
+    trace: Trace,
     observers: Vec<Box<dyn Observer + Send>>,
     /// Traffic of the cycle-0 initiation phase (empty until it ran).
     init_metrics: Metrics,
     init_cycles: u64,
     initiated: bool,
     graphs: Vec<GraphEntry>,
-    sub_registry: std::collections::BTreeMap<String, SharedSub>,
+    sub_registry: BTreeMap<String, SharedSub>,
     share_subjoins: bool,
     /// Warm-start learned-state cache (see [`crate::cache`]); disabled
     /// sessions keep it empty.
     cache: LearnedCache,
     warm_start: bool,
-    /// Indexed by query id: cache identity for the harvest at retirement,
-    /// which takes it (`None` after, and when warm-start is off).
-    q_meta: Vec<Option<QueryCacheMeta>>,
 }
-
 impl Session {
     /// Start assembling a session over `topo` and `data`.
-    pub fn builder(topo: sensor_net::Topology, data: WorkloadData) -> SessionBuilder {
+    pub fn builder(topo: Topology, data: WorkloadData) -> SessionBuilder {
         SessionBuilder::new(topo, data)
     }
 
     /// The next sampling cycle [`Session::step`] would run.
     pub fn cycle(&self) -> u32 {
-        self.st.next_cycle
+        self.next_cycle
     }
 
     /// Pairwise query ids ever issued (ids are never reused, so this
     /// counts retired queries too; it bounds valid [`QueryId`]s).
     pub fn query_slots(&self) -> usize {
-        self.st.snapshots.len()
+        self.queries.len()
     }
 
     /// Graph query slots ever admitted (bounds valid [`GraphId`]s).
@@ -718,7 +459,7 @@ impl Session {
     /// hosts its one static query for its whole life: the one check every
     /// admission and retirement path consults.
     pub(crate) fn is_bare(&self) -> bool {
-        self.run.is_bare()
+        self.bare
     }
 
     /// Panics with the bare wire's restriction when `self` is bare.
@@ -728,14 +469,6 @@ impl Session {
             "bare-wire sessions host exactly one fixed query; \
              use the default tagged session for online {what}"
         );
-    }
-
-    pub(crate) fn node_count(&self) -> usize {
-        self.run.topology().len()
-    }
-
-    pub(crate) fn base_node(&self) -> NodeId {
-        self.run.base()
     }
 
     /// Replace the dynamics plan (takes effect from the next cycle; events
@@ -752,8 +485,8 @@ impl Session {
             // The counters are only advanced while observers are attached
             // (sweeps shouldn't pay for telemetry nobody reads), so a
             // mid-run attach must not inherit a stale baseline.
-            self.st.migrations_seen = self.run.migrations_total();
-            self.st.repairs_seen = self.run.recovery_totals().repair_successes;
+            self.trace.migrations_seen = self.migrations_total();
+            self.trace.repairs_seen = self.recovery_totals().repair_successes;
         }
         self.observers.push(obs);
     }
@@ -775,28 +508,16 @@ impl Session {
     /// format hosts exactly one query for its whole life.
     pub fn admit(&mut self, spec: JoinQuerySpec, mut cfg: AlgoConfig) -> QueryId {
         self.assert_tagged("admission");
-        let meta = self.warm_start.then(|| QueryCacheMeta {
-            fingerprint: spec_fingerprint(&spec),
-            region: region_of(&spec, self.run.topology(), self.run.workload()),
-            window: spec.window,
-        });
-        if let Some(m) = &meta {
-            if let Some(sigma) = self.cache.lookup(&m.fingerprint, m.region) {
+        let key = self.cache_key(&spec);
+        if let Some(k) = &key {
+            if let Some(sigma) = self.cache.lookup(&k.fingerprint, k.region) {
                 cfg.assumed = sigma;
             }
         }
-        let arrival = if self.initiated {
-            self.st.next_cycle
-        } else {
-            0
-        };
-        let lifecycle = Lifecycle::arriving(arrival);
-        let q = self.run.add_query(spec, cfg);
         // Cycle-0 admissions are activated by the initiation batch; live
         // ones by the arrival scan at the top of the next cycle.
-        self.st.admit(lifecycle, !self.initiated);
-        self.q_meta.push(meta);
-        QueryId(q)
+        let arrival = if self.initiated { self.next_cycle } else { 0 };
+        QueryId(self.issue(spec, cfg, Lifecycle::arriving(arrival), key))
     }
 
     /// Retire a query now: snapshot its base counters (kept in the final
@@ -813,18 +534,18 @@ impl Session {
     pub fn retire(&mut self, id: QueryId) {
         self.assert_tagged("retirement");
         let q = id.0;
-        if self.st.snapshots[q].is_some() {
+        if self.queries[q].snapshot.is_some() {
             return;
         }
         // Harvest learned state while the per-node protocol instances
-        // still hold it; `retire_query` frees them everywhere. The cache
+        // still hold it; retirement frees them everywhere. The cache
         // identity is of no use after.
-        if let Some(meta) = self.q_meta[q].take() {
-            if let Some(sigma) = self.run.learned_sigma(q, meta.window) {
+        if let Some(key) = self.queries[q].cache_key.take() {
+            if let Some(sigma) = self.learned_sigma(q, key.window) {
                 let mut placements = Vec::new();
                 let (mut attempts, mut successes) = (0u64, 0u64);
-                for id in self.run.topology().node_ids() {
-                    let Some(jn) = self.run.query_node(q, id) else {
+                for id in self.topo.node_ids() {
+                    let Some(jn) = self.engine.node(id).query_node(q) else {
                         continue;
                     };
                     if !jn.pairs.is_empty() {
@@ -834,24 +555,15 @@ impl Session {
                     successes += jn.recovery.repair_successes;
                 }
                 self.cache.insert(
-                    meta.fingerprint,
-                    meta.region,
+                    key.fingerprint,
+                    key.region,
                     sigma,
                     placements,
                     (attempts, successes),
                 );
             }
         }
-        let c = self.st.next_cycle;
-        self.st.retire(&mut self.run, q, c);
-        self.st.lifecycles[q].departure = Some(c);
-        let ev = SessionEvent::Retired {
-            cycle: c,
-            query: id,
-        };
-        for o in &mut self.observers {
-            o.on_event(&ev);
-        }
+        self.retire_at(q, self.next_cycle);
     }
 
     /// Admit an n-way [`JoinGraph`] query: optimize a bushy plan over the
@@ -875,7 +587,7 @@ impl Session {
     /// On a bare-wire session (see [`Session::admit`]).
     pub fn admit_graph(&mut self, graph: &JoinGraph, cfg: AlgoConfig) -> GraphId {
         let sigmas = self.seeded_sigmas(graph, cfg.assumed);
-        let space = PlanSpace::build(self.run.topology(), self.run.workload(), graph);
+        let space = PlanSpace::build(&self.topo, &self.data, graph);
         let plan = optimize(graph, &sigmas, &space);
         let gid = GraphId(self.graphs.len());
         let scope = (!self.share_subjoins).then_some(gid.0);
@@ -905,7 +617,7 @@ impl Session {
         let keys: Vec<(String, Region)> = (0..graph.edges.len())
             .map(|e| {
                 let spec = graph.edge_spec(e);
-                let region = region_of(&spec, self.run.topology(), self.run.workload());
+                let region = region_of(&spec, &self.topo, &self.data);
                 (spec_fingerprint(&spec), region)
             })
             .collect();
@@ -930,7 +642,8 @@ impl Session {
     /// air carrying `WindowXfer` frames. Monotone across retirements, so
     /// per-phase costs fall out of boundary differences.
     pub fn migration_xfer_bytes(&self) -> u64 {
-        self.run.xfer_bytes_total()
+        let live: u64 = self.live_nodes().map(|jn| jn.xfer_bytes).sum();
+        self.trace.carried_xfer_bytes + live
     }
 
     /// Retire a graph query: drop its references on its skeleton
@@ -984,7 +697,7 @@ impl Session {
         let mut learned: Vec<Option<Sigma>> = vec![None; entry.graph.edges.len()];
         for (k, &e) in entry.plan.skeleton.iter().enumerate() {
             let qid = self.sub_registry[&entry.subs[k]].qid;
-            learned[e] = self.run.learned_sigma(qid.0, w);
+            learned[e] = self.learned_sigma(qid.0, w);
         }
         let entry = &self.graphs[id.0];
         if !sigmas_diverged(&entry.plan.sigmas, &learned, entry.cfg.divergence_threshold) {
@@ -1020,7 +733,7 @@ impl Session {
         }
         let graph = entry.graph.clone();
         let cfg = entry.cfg;
-        let space = PlanSpace::build(self.run.topology(), self.run.workload(), &graph);
+        let space = PlanSpace::build(&self.topo, &self.data, &graph);
         let plan = optimize(&graph, sigmas, &space);
         let scope = (!self.share_subjoins).then_some(id.0);
         // Acquire the new skeleton first, then release the old one, so
@@ -1037,13 +750,10 @@ impl Session {
         for fp in &old_subs {
             self.release_sub(fp);
         }
-        let ev = SessionEvent::Replanned {
-            cycle: self.st.next_cycle,
+        self.emit(SessionEvent::Replanned {
+            cycle: self.next_cycle,
             graph: id,
-        };
-        for o in &mut self.observers {
-            o.on_event(&ev);
-        }
+        });
     }
 
     /// Take (or add) a reference on the sub-join keyed `fp`, admitting its
@@ -1073,61 +783,12 @@ impl Session {
         }
     }
 
-    fn ensure_initiated(&mut self) {
-        if self.initiated {
-            return;
-        }
-        let ev = SessionEvent::PhaseTransition {
-            cycle: 0,
-            phase: Phase::Initiation,
-        };
-        for o in &mut self.observers {
-            o.on_event(&ev);
-        }
-        // The cycle-0 batch: scheduled for cycle 0 and not already retired
-        // (a pre-step `retire` must stick — the query never comes online).
-        let arrivals: Vec<usize> = self
-            .st
-            .live
-            .iter()
-            .copied()
-            .filter(|&q| self.st.lifecycles[q].arrival == 0)
-            .collect();
-        for &q in &arrivals {
-            let ev = SessionEvent::Admitted {
-                cycle: 0,
-                query: QueryId(q),
-            };
-            for o in &mut self.observers {
-                o.on_event(&ev);
-            }
-        }
-        let (m, c) = drive_initiation(&mut self.run, &arrivals);
-        self.init_metrics = m;
-        self.init_cycles = c;
-        self.initiated = true;
-        let ev = SessionEvent::PhaseTransition {
-            cycle: 0,
-            phase: Phase::Execution,
-        };
-        for o in &mut self.observers {
-            o.on_event(&ev);
-        }
-    }
-
     /// Advance `n` sampling cycles (running the initiation phase first if
     /// it has not happened yet). In-flight messages are *not* drained
     /// between calls; [`Session::report`] drains.
     pub fn step(&mut self, n: u32) {
         self.ensure_initiated();
-        let Session {
-            run,
-            plan,
-            st,
-            observers,
-            ..
-        } = self;
-        drive_cycles(run, st, plan, n, observers);
+        self.drive_cycles(n);
     }
 
     /// Step one cycle at a time until `pred` returns `true` on the
@@ -1136,15 +797,14 @@ impl Session {
     /// `view.cycle` if unsure.
     pub fn run_until(&mut self, mut pred: impl FnMut(&CycleView<'_>) -> bool) -> u32 {
         self.ensure_initiated();
-        let start = self.st.next_cycle;
+        let start = self.next_cycle;
         loop {
             self.step(1);
-            let view = cycle_view(&self.run, &self.st, self.st.next_cycle - 1);
-            if pred(&view) {
+            if pred(&self.cycle_view(self.next_cycle - 1)) {
                 break;
             }
         }
-        self.st.next_cycle - start
+        self.next_cycle - start
     }
 
     /// Kill a node immediately (outside any dynamics plan): its queue is
@@ -1153,20 +813,10 @@ impl Session {
     /// as an *event* for the [`Outcome`]'s pre/post-event result split
     /// and re-convergence trace, exactly like a plan-scheduled failure.
     pub fn kill(&mut self, v: NodeId) {
-        let c = self.st.next_cycle;
-        if self.st.results_pre_event.is_none() {
-            self.st.results_pre_event = Some(self.st.results_so_far(&self.run));
-            self.st.first_fired = Some(c);
-        }
-        self.st.last_fired = Some(c);
-        let dropped = self.run.engine.kill(v);
-        self.run.mark_dead(v);
-        self.st.queued_msgs_lost += dropped as u64;
-        self.st.killed.push((c, v));
-        let ev = SessionEvent::NodeKilled { cycle: c, node: v };
-        for o in &mut self.observers {
-            o.on_event(&ev);
-        }
+        let c = self.next_cycle;
+        self.note_event(c);
+        self.trace.queued_msgs_lost += self.engine.kill(v) as u64;
+        self.record_death(c, v);
     }
 
     /// Results delivered to the base so far for query `id`, *without*
@@ -1175,9 +825,7 @@ impl Session {
     /// streams through this at every cycle boundary, where a draining
     /// [`Session::report`] would perturb the run.
     pub fn query_results(&self, id: QueryId) -> u64 {
-        self.st.snapshots[id.0]
-            .map(|s| s.results)
-            .unwrap_or_else(|| self.run.live_snapshot(id.0).results)
+        self.base_counters(id.0).results
     }
 
     /// Nodes the engine has visited so far, initiation included: one per
@@ -1185,30 +833,30 @@ impl Session {
     /// [`sensor_sim::Engine::node_visits`]). Deterministic; a work counter,
     /// not a traffic figure.
     pub fn node_visits(&self) -> u64 {
-        self.run.engine.node_visits()
+        self.engine.node_visits()
     }
 
     /// The network this session executes over.
-    pub fn topology(&self) -> &sensor_net::Topology {
-        self.run.topology()
+    pub fn topology(&self) -> &Topology {
+        &self.topo
     }
 
     /// The workload data this session executes over.
     pub fn workload(&self) -> &WorkloadData {
-        self.run.workload()
+        &self.data
     }
 
     /// The alive non-base node currently serving the most join pairs
     /// (failure-target selection, Fig 14).
     pub fn busiest_join_node(&self) -> Option<NodeId> {
-        self.run.busiest_join_node()
+        busiest_join_node(&self.engine, self.topo.base())
     }
 
     /// Read access to query `id`'s protocol instance at node `node`
     /// (diagnostics; e.g. producer assignments after initiation). `None`
     /// before the query has come online and once it has been retired.
     pub fn query_node(&self, id: QueryId, node: NodeId) -> Option<&JoinNode> {
-        self.run.query_node(id.0, node)
+        self.engine.node(node).query_node(id.0)
     }
 
     /// Drain in-flight messages and assemble the unified [`Outcome`].
@@ -1216,25 +864,26 @@ impl Session {
     /// until quiescence so the last cycles' results are counted.
     pub fn report(&mut self) -> Outcome {
         self.ensure_initiated();
-        self.run.engine.run_until_quiet(5_000);
-        let run = &self.run;
-        let exec = run.engine.metrics().clone();
+        self.engine.run_until_quiet(5_000);
+        let exec = self.engine.metrics().clone();
         // The drain's traffic belongs to no cycle.
-        self.st.tx_bytes_seen = exec.total_tx_bytes();
-        let st = &self.st;
-        let per_query: Vec<QueryStats> = (0..run.n_queries())
-            .map(|q| {
-                let snap = st.snapshots[q].unwrap_or_else(|| run.live_snapshot(q));
+        self.trace.tx_bytes_seen = exec.total_tx_bytes();
+        let per_query: Vec<QueryStats> = self
+            .queries
+            .iter()
+            .enumerate()
+            .map(|(q, r)| {
+                let snap = self.base_counters(q);
                 let avg_delay = if snap.results > 0 {
                     snap.delay_sum as f64 / snap.results as f64
                 } else {
                     0.0
                 };
                 QueryStats {
-                    label: run.cfg_of(q).label(),
-                    name: run.name_of(q).to_string(),
-                    arrival: st.lifecycles[q].arrival,
-                    departure: st.lifecycles[q].departure,
+                    label: r.cfg.label(),
+                    name: r.name.clone(),
+                    arrival: r.lifecycle.arrival,
+                    departure: r.lifecycle.departure,
                     results: snap.results,
                     avg_delay_tx: avg_delay,
                     flow: exec.flow(q + 1),
@@ -1242,37 +891,465 @@ impl Session {
             })
             .collect();
         let total: u64 = per_query.iter().map(|q| q.results).sum();
-        let pre = st.results_pre_event.unwrap_or(total);
+        let t = &self.trace;
+        let pre = t.results_pre_event.unwrap_or(total);
+        // Queries whose live initiation still has steps pending.
+        let mut unfinished: Vec<usize> = self.pending_steps.iter().map(|&(_, q, _)| q).collect();
+        unfinished.sort_unstable();
+        unfinished.dedup();
         Outcome {
             shared_flow: exec.flow(0),
-            base: run.base(),
-            expired_frames: run.expired_frames(),
-            recovery: {
-                let mut r = run.recovery_totals();
-                r.leaf_moves += st.leaf_moves;
-                r.move_delay_cycles += st.move_delay_cycles;
-                r.move_update_bytes += st.move_update_bytes;
-                r
-            },
+            base: self.topo.base(),
+            expired_frames: self.engine.nodes().iter().map(|n| n.expired_frames).sum(),
+            recovery: self.recovery_totals(),
             per_query,
             initiation: self.init_metrics.clone(),
             execution: exec,
             initiation_cycles: self.init_cycles,
-            killed: st.killed.clone(),
-            queued_msgs_lost: st.queued_msgs_lost,
-            per_cycle_tx_bytes: st.per_cycle_tx_bytes.clone(),
+            killed: t.killed.clone(),
+            queued_msgs_lost: t.queued_msgs_lost,
+            per_cycle_tx_bytes: t.per_cycle_tx_bytes.clone(),
             results_pre_event: pre,
             results_post_event: total - pre,
-            reconvergence_cycles: reconvergence(
-                &st.per_cycle_tx_bytes,
-                st.first_fired,
-                st.last_fired,
-            ),
-            arrivals: st.arrivals.clone(),
-            departures: st.departures.clone(),
-            unfinished_inits: st.unfinished_inits(),
+            reconvergence_cycles: reconvergence(&t.per_cycle_tx_bytes, t.first_fired, t.last_fired),
+            arrivals: t.arrivals.clone(),
+            departures: t.departures.clone(),
+            unfinished_inits: unfinished,
         }
     }
+}
+
+// ----------------------------------------------------------------------
+// The run underneath: query records, the drivers and network-wide totals.
+
+impl Session {
+    /// Warm-start cache identity of `spec` (`None` with warm-start off).
+    fn cache_key(&self, spec: &JoinQuerySpec) -> Option<CacheKey> {
+        self.warm_start.then(|| CacheKey {
+            fingerprint: spec_fingerprint(spec),
+            region: region_of(spec, &self.topo, &self.data),
+            window: spec.window,
+        })
+    }
+
+    /// Issue the next query id. Its run context shares the network,
+    /// substrate, workload and death flags; it has no per-node state until
+    /// it is activated.
+    fn issue(
+        &mut self,
+        spec: JoinQuerySpec,
+        cfg: AlgoConfig,
+        lifecycle: Lifecycle,
+        cache_key: Option<CacheKey>,
+    ) -> usize {
+        let q = self.queries.len();
+        let name = spec.name.clone();
+        let (topo, sub, data) = (self.topo.clone(), self.sub.clone(), self.data.clone());
+        let sh = Shared::reading(self.dead.clone(), topo, sub, spec, data, cfg);
+        self.queries.push(QueryRecord {
+            name,
+            cfg,
+            lifecycle,
+            online: false,
+            shared: Some(Arc::new(sh)),
+            snapshot: None,
+            cache_key,
+        });
+        self.live.push(q);
+        q
+    }
+
+    /// Bring query `q` online at every node.
+    ///
+    /// # Panics
+    /// If `q` was retired: its run context is gone.
+    fn activate(&mut self, q: usize) {
+        let record = &mut self.queries[q];
+        record.online = true;
+        let sh = record
+            .shared
+            .clone()
+            .expect("a retired query is never activated");
+        for id in self.topo.node_ids() {
+            self.engine.node_mut(id).activate(q, &sh);
+        }
+    }
+
+    /// Fire one initiation step of query `q` across the network: the
+    /// step's entry point at the base (`Flood`), at every other node
+    /// (`Announce`) or at every node, each through the per-query drive so
+    /// emissions are framed. A drive for a query with no slot is a
+    /// side-effect-free no-op, so no per-node activity guard is needed.
+    fn apply_step(&mut self, q: usize, step: InitStep) {
+        let f: fn(&mut JoinNode, &mut Ctx<'_, Msg>) = match step {
+            InitStep::Flood => |nd, c| nd.start_flood(c),
+            InitStep::EnsureQuery => |nd, _| nd.ensure_query(),
+            InitStep::Announce => |nd, c| nd.start_announce(c),
+            InitStep::GhtRegister => |nd, c| nd.start_ght_register(c),
+            InitStep::Search => |nd, c| nd.start_search(c),
+            InitStep::FinishTSide => |nd, _| nd.finish_t_side_assigns(),
+            InitStep::GroupOpt => |nd, c| nd.start_group_opt(c),
+        };
+        let base = self.topo.base();
+        for id in self.topo.node_ids() {
+            let fires = match step {
+                InitStep::Flood => id == base,
+                InitStep::Announce => id != base,
+                _ => true,
+            };
+            if fires {
+                self.engine.with_node(id, |mn, ctx| mn.drive(ctx, q, f));
+            }
+        }
+    }
+
+    /// Retire query `q` at cycle `c`: take it offline everywhere, free its
+    /// per-node state and run context, and keep its base counters (zero
+    /// for a query that never came online) for the report. The retired
+    /// instances' recovery/migration counters are carried into the trace
+    /// so network-wide totals never shrink on retirement.
+    fn retire_at(&mut self, q: usize, c: u32) {
+        let base = self.topo.base();
+        let mut snap = BaseSnapshot::default();
+        for id in self.topo.node_ids() {
+            let Some(node) = self.engine.node_mut(id).deactivate(q) else {
+                continue;
+            };
+            self.trace.carried_recovery.absorb(&node.recovery);
+            self.trace.carried_migrations += node.migrations_adopted;
+            self.trace.carried_xfer_bytes += node.xfer_bytes;
+            if id == base {
+                snap = BaseSnapshot::of(&node);
+            }
+        }
+        self.trace.carried_results += snap.results;
+        let record = &mut self.queries[q];
+        record.shared = None;
+        record.cache_key = None;
+        record.snapshot = Some(snap);
+        record.lifecycle.departure = Some(c);
+        self.live.retain(|&l| l != q);
+        // A deliberate retirement is not a truncated initiation: its
+        // pending live-init steps are moot, and dropping them keeps
+        // `unfinished_inits` an honest truncation signal.
+        self.pending_steps.retain(|&(_, pq, _)| pq != q);
+        self.trace.departures.push((c, q));
+        self.emit(SessionEvent::Retired {
+            cycle: c,
+            query: QueryId(q),
+        });
+    }
+
+    fn emit(&mut self, ev: SessionEvent) {
+        for o in &mut self.observers {
+            o.on_event(&ev);
+        }
+    }
+
+    /// A dynamics event fired at cycle `c`: the first one splits the
+    /// results into pre- and post-event, and the bounds of all of them
+    /// feed the re-convergence trace.
+    fn note_event(&mut self, c: u32) {
+        if self.trace.results_pre_event.is_none() {
+            self.trace.results_pre_event = Some(self.results_so_far());
+            self.trace.first_fired = Some(c);
+        }
+        self.trace.last_fired = Some(c);
+    }
+
+    /// Node `v` died at cycle `c`: set the one flag every query reads, and
+    /// record the death.
+    fn record_death(&mut self, c: u32, v: NodeId) {
+        self.dead[v.index()].store(true, Ordering::Relaxed);
+        self.trace.killed.push((c, v));
+        self.emit(SessionEvent::NodeKilled { cycle: c, node: v });
+    }
+
+    /// Run the cycle-0 initiation phase once: the cycle-0 batch (minus
+    /// anything already retired) is activated and its steps are driven to
+    /// quiescence, interleaved across queries so their control traffic
+    /// contends. The phase's traffic and length are kept, and execution
+    /// starts on fresh metrics and a rewound clock.
+    fn ensure_initiated(&mut self) {
+        if self.initiated {
+            return;
+        }
+        self.emit(SessionEvent::PhaseTransition {
+            cycle: 0,
+            phase: Phase::Initiation,
+        });
+        // A pre-step `retire` must stick: the query never comes online.
+        let arrivals: Vec<usize> = self
+            .live
+            .iter()
+            .copied()
+            .filter(|&q| self.queries[q].lifecycle.arrival == 0)
+            .collect();
+        for &q in &arrivals {
+            self.emit(SessionEvent::Admitted {
+                cycle: 0,
+                query: QueryId(q),
+            });
+        }
+        for &q in &arrivals {
+            self.activate(q);
+        }
+        let schedules: Vec<Vec<(InitStep, u64)>> = arrivals
+            .iter()
+            .map(|&q| init_steps(&self.queries[q].cfg))
+            .collect();
+        let max_len = schedules.iter().map(Vec::len).max().unwrap_or(0);
+        for step_idx in 0..max_len {
+            let mut budget = 0u64;
+            for (ai, &q) in arrivals.iter().enumerate() {
+                if let Some(&(step, b)) = schedules[ai].get(step_idx) {
+                    self.apply_step(q, step);
+                    budget = budget.max(b);
+                }
+            }
+            if budget > 0 {
+                self.engine.run_until_quiet(budget);
+            }
+        }
+        self.init_cycles = self.engine.now();
+        self.init_metrics = self.engine.metrics().clone();
+        self.engine.reset_metrics();
+        self.engine.reset_clock();
+        self.initiated = true;
+        self.emit(SessionEvent::PhaseTransition {
+            cycle: 0,
+            phase: Phase::Execution,
+        });
+    }
+
+    /// Run `n` sampling cycles: lifecycle events (departures, then arrivals
+    /// and due live-init steps), then scheduled dynamics, then the sampling
+    /// cycle itself, then energy-depletion propagation.
+    fn drive_cycles(&mut self, n: u32) {
+        let end = self.next_cycle + n;
+        for c in self.next_cycle..end {
+            if self.plan.has_event_at(c) {
+                self.note_event(c);
+            }
+            // Lifecycle: departures first (a query leaving at c does not
+            // sample at c), then arrivals, then any due live-init steps.
+            let departing: Vec<usize> = self
+                .live
+                .iter()
+                .copied()
+                .filter(|&q| self.queries[q].lifecycle.departure == Some(c))
+                .collect();
+            for q in departing {
+                self.retire_at(q, c);
+            }
+            // A query already retired is no longer in `live`, so it never
+            // re-arrives, even under a nonsensical departure-before-arrival
+            // lifecycle.
+            for i in 0..self.live.len() {
+                let q = self.live[i];
+                let record = &self.queries[q];
+                if record.lifecycle.arrival == c && !record.online {
+                    let steps = init_steps(&record.cfg);
+                    self.activate(q);
+                    self.trace.arrivals.push((c, q));
+                    for (i, (step, _)) in steps.iter().enumerate() {
+                        self.pending_steps
+                            .push((c + i as u32 * LIVE_INIT_SPACING, q, *step));
+                    }
+                    self.emit(SessionEvent::Admitted {
+                        cycle: c,
+                        query: QueryId(q),
+                    });
+                }
+            }
+            let due: Vec<(usize, InitStep)> = self
+                .pending_steps
+                .iter()
+                .filter(|&&(at, _, _)| at == c)
+                .map(|&(_, q, step)| (q, step))
+                .collect();
+            for (q, step) in due {
+                self.apply_step(q, step);
+            }
+            self.pending_steps.retain(|&(at, _, _)| at > c);
+            // Scheduled dynamics (kills resolve `Picked` to the busiest join
+            // node — §7's worst-case victim).
+            let base = self.topo.base();
+            let fired = self
+                .plan
+                .fire(c, &mut self.engine, |eng| busiest_join_node(eng, base));
+            self.trace.queued_msgs_lost += fired.queued_msgs_dropped;
+            for &v in &fired.killed {
+                self.record_death(c, v);
+            }
+            for &p in &fired.loss_shifts {
+                self.emit(SessionEvent::LossShifted {
+                    cycle: c,
+                    loss_prob: p,
+                });
+            }
+            // Mobile-leaf re-homings (App. G): the engine resolved who moves
+            // where; the substrate charges the summary-update delay/traffic.
+            for &(node, to) in &fired.moved {
+                let mv = sensor_routing::mobility::move_leaf(&self.topo, &self.sub, node, to);
+                let r = &mut self.trace.carried_recovery;
+                r.leaf_moves += 1;
+                r.move_delay_cycles += u64::from(mv.delay_cycles);
+                r.move_update_bytes += mv.traffic_bytes;
+            }
+            if self.plan.marks.contains(&c) {
+                self.emit(SessionEvent::WorkloadMark { cycle: c });
+            }
+            debug_assert_eq!(
+                self.trace.tx_bytes_seen,
+                self.engine.total_tx_bytes(),
+                "traffic outside a driven cycle"
+            );
+            self.engine.sampling_cycle(c);
+            // Nodes that ran out of energy this cycle die like plan kills.
+            // A depletion is discovered only after the cycle ran, so its
+            // "pre" snapshot includes this cycle's results (the death
+            // happened during it).
+            let depleted: Vec<NodeId> =
+                self.engine.energy_depleted()[self.trace.energy_seen..].to_vec();
+            self.trace.energy_seen += depleted.len();
+            if !depleted.is_empty() {
+                self.note_event(c);
+            }
+            for v in depleted {
+                self.record_death(c, v);
+            }
+            let energy_msgs = self.engine.energy_msgs_dropped();
+            self.trace.queued_msgs_lost += energy_msgs - self.trace.energy_msgs_seen;
+            self.trace.energy_msgs_seen = energy_msgs;
+            let tx_bytes = self.engine.total_tx_bytes();
+            self.trace
+                .per_cycle_tx_bytes
+                .push(tx_bytes - self.trace.tx_bytes_seen);
+            self.trace.tx_bytes_seen = tx_bytes;
+            if !self.observers.is_empty() {
+                self.observe_cycle(c);
+            }
+        }
+        self.next_cycle = end;
+    }
+
+    /// The observer stream's end of cycle `c`: migration and repair
+    /// events diffed from the monotone network totals, then the view.
+    fn observe_cycle(&mut self, c: u32) {
+        let mig = self.migrations_total();
+        if mig > self.trace.migrations_seen {
+            self.emit(SessionEvent::PairsMigrated {
+                cycle: c,
+                count: mig - self.trace.migrations_seen,
+            });
+        }
+        self.trace.migrations_seen = mig;
+        let rep = self.recovery_totals().repair_successes;
+        if rep > self.trace.repairs_seen {
+            self.emit(SessionEvent::PathsRepaired {
+                cycle: c,
+                count: rep - self.trace.repairs_seen,
+            });
+        }
+        self.trace.repairs_seen = rep;
+        let mut observers = std::mem::take(&mut self.observers);
+        let view = self.cycle_view(c);
+        for o in &mut observers {
+            o.on_cycle(&view);
+        }
+        self.observers = observers;
+    }
+
+    /// The per-cycle view both the observer stream and [`Session::run_until`]
+    /// predicates see — one constructor so the two can never drift apart.
+    fn cycle_view(&self, cycle: u32) -> CycleView<'_> {
+        CycleView {
+            cycle,
+            now: self.engine.now(),
+            results: self.results_so_far(),
+            cycle_tx_bytes: *self.trace.per_cycle_tx_bytes.last().unwrap_or(&0),
+            metrics: self.engine.metrics(),
+        }
+    }
+
+    /// Join results delivered to the base so far: the online queries'
+    /// counters plus what the retired ones left with.
+    fn results_so_far(&self) -> u64 {
+        let base = self.engine.node(self.topo.base());
+        let live: u64 = base
+            .query_nodes()
+            .map(|jn| BaseSnapshot::of(jn).results)
+            .sum();
+        live + self.trace.carried_results
+    }
+
+    /// Query `q`'s base counters: its snapshot once retired, its live
+    /// counters before (zero before it came online).
+    fn base_counters(&self, q: usize) -> BaseSnapshot {
+        self.queries[q].snapshot.unwrap_or_else(|| {
+            self.query_node(QueryId(q), self.topo.base())
+                .map(BaseSnapshot::of)
+                .unwrap_or_default()
+        })
+    }
+
+    /// Mean of query `q`'s learned per-pair σ estimates across every join
+    /// node currently holding state for it (`None` until §6 learning has
+    /// evidence). `w` is the query's window size.
+    fn learned_sigma(&self, q: usize, w: usize) -> Option<Sigma> {
+        let (mut s, mut t, mut st, mut n) = (0.0, 0.0, 0.0, 0u32);
+        let estimates = self
+            .engine
+            .nodes()
+            .iter()
+            .filter_map(|mn| mn.query_node(q))
+            .flat_map(|jn| jn.pairs.values())
+            .filter_map(|ps| ps.stats.estimate(w));
+        for e in estimates {
+            s += e.s;
+            t += e.t;
+            st += e.st;
+            n += 1;
+        }
+        (n > 0).then(|| {
+            let n = f64::from(n);
+            Sigma::new(s / n, t / n, st / n)
+        })
+    }
+
+    /// Network-wide sum of the §7 recovery counters across every query's
+    /// protocol instances, including those retired queries carried, plus
+    /// the plan's leaf moves: monotone across the whole run.
+    fn recovery_totals(&self) -> RecoveryStats {
+        let mut total = self.trace.carried_recovery;
+        for jn in self.live_nodes() {
+            total.absorb(&jn.recovery);
+        }
+        total
+    }
+
+    /// Network-wide migration adoptions, monotone across retirements
+    /// (observer diffing).
+    fn migrations_total(&self) -> u64 {
+        let live: u64 = self.live_nodes().map(|jn| jn.migrations_adopted).sum();
+        self.trace.carried_migrations + live
+    }
+
+    /// Every live query's protocol instance at every node.
+    fn live_nodes(&self) -> impl Iterator<Item = &JoinNode> {
+        self.engine.nodes().iter().flat_map(|mn| mn.query_nodes())
+    }
+}
+
+/// The alive non-base node serving the most join pairs across all live
+/// queries.
+fn busiest_join_node(engine: &Engine<MultiNode>, base: NodeId) -> Option<NodeId> {
+    (0..engine.topology().len() as u16)
+        .map(NodeId)
+        .filter(|&id| id != base && engine.is_alive(id))
+        .max_by_key(|&id| engine.node(id).pair_count_total())
+        .filter(|&id| engine.node(id).pair_count_total() > 0)
 }
 
 /// Fluent assembly of a [`Session`]; see the [module docs](self).
@@ -1297,7 +1374,7 @@ impl Session {
 /// assert!(outcome.total_traffic_bytes() > 0);
 /// ```
 pub struct SessionBuilder {
-    topo: sensor_net::Topology,
+    topo: Topology,
     data: WorkloadData,
     sim: SimConfig,
     num_trees: usize,
@@ -1312,7 +1389,7 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    pub fn new(topo: sensor_net::Topology, data: WorkloadData) -> SessionBuilder {
+    pub fn new(topo: Topology, data: WorkloadData) -> SessionBuilder {
         SessionBuilder {
             topo,
             data,
@@ -1447,53 +1524,47 @@ impl SessionBuilder {
             "a session needs at least one initial query (add one with \
              .query(), or opt into an empty session with .allow_empty())"
         );
-        let lifecycles: Vec<Lifecycle> = self.queries.iter().map(|qi| qi.lifecycle).collect();
-        // Cache identities of the initial population, computed before the
-        // topology and workload move into the run. Builder queries are
-        // never *seeded* (they exist before anything could be harvested),
-        // but retiring one live still contributes its learned state.
-        let q_meta: Vec<Option<QueryCacheMeta>> = if self.warm_start {
-            self.queries
-                .iter()
-                .map(|qi| {
-                    Some(QueryCacheMeta {
-                        fingerprint: spec_fingerprint(&qi.spec),
-                        region: region_of(&qi.spec, &self.topo, &self.data),
-                        window: qi.spec.window,
-                    })
-                })
-                .collect()
-        } else {
-            (0..self.queries.len()).map(|_| None).collect()
-        };
-        let tag_bytes = if self.bare { 0 } else { QUERY_TAG_BYTES };
-        let mut run = MultiRun::new(
-            self.topo,
-            self.data,
-            self.sim,
+        let sub = MultiTreeSubstrate::build(
+            &self.topo,
             self.num_trees,
-            self.sharing,
-            tag_bytes,
+            default_indexed_attrs(),
+            &self.data,
         );
-        for qi in self.queries {
-            run.add_query(qi.spec, qi.cfg);
-        }
-        let st = ExecState::new(&run, lifecycles);
-        Session {
-            init_metrics: Metrics::new(run.topology().len()),
-            run,
+        let (sharing, bare) = (self.sharing, self.bare);
+        let tag_bytes = if bare { 0 } else { QUERY_TAG_BYTES };
+        let mut session = Session {
+            dead: all_alive(self.topo.len()),
+            init_metrics: Metrics::new(self.topo.len()),
+            topo: Arc::new(self.topo.clone()),
+            engine: Engine::new(self.topo, self.sim, move |id| {
+                MultiNode::new(id, sharing, tag_bytes)
+            }),
+            sub: Arc::new(sub),
+            data: Arc::new(self.data),
+            bare,
             plan: self.plan,
-            st,
+            queries: Vec::new(),
+            live: Vec::new(),
+            pending_steps: Vec::new(),
+            next_cycle: 0,
+            trace: Trace::default(),
             observers: self.observers,
             init_cycles: 0,
             initiated: false,
             graphs: Vec::new(),
-            sub_registry: std::collections::BTreeMap::new(),
+            sub_registry: BTreeMap::new(),
             share_subjoins: self.share_subjoins,
             cache: LearnedCache::new(),
             warm_start: self.warm_start,
-            q_meta,
+        };
+        // Builder queries are never *seeded* (they exist before anything
+        // could be harvested), but retiring one live still contributes its
+        // learned state.
+        for qi in self.queries {
+            let key = session.cache_key(&qi.spec);
+            session.issue(qi.spec, qi.cfg, qi.lifecycle, key);
         }
+        session
     }
 }
 

@@ -184,7 +184,7 @@ pub fn parse_algo(s: &str) -> Option<(Algorithm, InnetOptions)> {
 }
 
 /// Immutable run context shared across nodes (via `Arc`). The `dead` flags
-/// are the one mutable element: the harness sets them on node failure and
+/// are the one mutable element: the session sets them on node failure and
 /// neighbors consult them as the outcome of local liveness probes (§7).
 pub struct Shared {
     /// The network and the workload are the run's own: every query of a
@@ -195,9 +195,10 @@ pub struct Shared {
     pub spec: JoinQuerySpec,
     pub data: Arc<WorkloadData>,
     pub cfg: AlgoConfig,
-    /// One flag per node, read on every tree-up hop. `Relaxed` suffices:
-    /// a flag publishes nothing but itself.
-    dead: Vec<AtomicBool>,
+    /// One flag per node, read on every tree-up hop: in a session, the
+    /// run's one array, which every query reads. `Relaxed` suffices: a
+    /// flag publishes nothing but itself.
+    dead: Arc<[AtomicBool]>,
     /// `spec.data_bytes()` / `spec.result_bytes()`, worked out once: every
     /// send sizes its message with them.
     data_bytes: u32,
@@ -205,8 +206,22 @@ pub struct Shared {
 }
 
 impl Shared {
-    /// The run context of one query over `topo`; GHT gets its GPSR router.
+    /// The run context of one query over `topo`, with no node dead yet;
+    /// GHT gets its GPSR router.
     pub fn new(
+        topo: Arc<Topology>,
+        sub: Arc<MultiTreeSubstrate>,
+        spec: JoinQuerySpec,
+        data: Arc<WorkloadData>,
+        cfg: AlgoConfig,
+    ) -> Self {
+        let dead = all_alive(topo.len());
+        Shared::reading(dead, topo, sub, spec, data, cfg)
+    }
+
+    /// [`Shared::new`] over `dead`, the liveness flags of a run's nodes.
+    pub(crate) fn reading(
+        dead: Arc<[AtomicBool]>,
         topo: Arc<Topology>,
         sub: Arc<MultiTreeSubstrate>,
         spec: JoinQuerySpec,
@@ -215,7 +230,7 @@ impl Shared {
     ) -> Self {
         Shared {
             gpsr: matches!(cfg.algorithm, Algorithm::Ght).then(|| GpsrRouter::new(&topo)),
-            dead: (0..topo.len()).map(|_| AtomicBool::new(false)).collect(),
+            dead,
             data_bytes: spec.data_bytes(),
             result_bytes: spec.result_bytes(),
             topo,
@@ -251,6 +266,11 @@ impl Shared {
     pub fn tree_path(&self, a: NodeId, b: NodeId) -> Vec<NodeId> {
         self.sub.primary().path_between(a, b)
     }
+}
+
+/// Liveness flags for `n` nodes, none dead.
+pub(crate) fn all_alive(n: usize) -> Arc<[AtomicBool]> {
+    (0..n).map(|_| AtomicBool::new(false)).collect()
 }
 
 #[cfg(test)]
