@@ -622,10 +622,6 @@ impl SweepGrid {
         out
     }
 
-    pub fn total_runs(&self) -> usize {
-        self.cells().len() * self.seeds.len()
-    }
-
     /// Fan every (cell, seed) run out across OS threads, then aggregate
     /// seed replicates per cell.
     pub fn run(&self) -> SweepReport {
@@ -863,8 +859,7 @@ mod tests {
         let g = SweepGrid::quick();
         let cells = g.cells();
         assert_eq!(cells.len(), 2 * 3 * 2); // sizes x loss x algos
-        assert_eq!(g.total_runs(), 24); // x 2 seeds: the acceptance grid
-                                        // Nested order: size-major over loss, algorithm innermost.
+                                            // Nested order: size-major over loss, algorithm innermost.
         assert_eq!(cells[0].nodes, 60);
         assert_eq!(cells[0].loss, 0.0);
         assert_eq!(cells[1].algo_name(), "Innet-cmg");

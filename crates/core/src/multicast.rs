@@ -142,23 +142,6 @@ impl McastTree {
         v.sort_by_key(|(n, _)| *n);
         v
     }
-
-    /// Nodes of the tree in BFS order from the root (setup push order).
-    pub fn bfs_nodes(&self) -> Vec<NodeId> {
-        let Some(root) = self.root else {
-            return Vec::new();
-        };
-        let mut order = vec![root];
-        let mut q = VecDeque::new();
-        q.push_back(root);
-        while let Some(n) = q.pop_front() {
-            for &c in self.children(n) {
-                order.push(c);
-                q.push_back(c);
-            }
-        }
-        order
-    }
 }
 
 #[cfg(test)]
@@ -186,7 +169,7 @@ mod tests {
         let t = McastTree::from_paths(n(0), &[vec![n(0), n(5), n(9)]]);
         assert_eq!(t.edge_count(), 2);
         assert_eq!(t.children(n(0)), &[n(5)]);
-        assert_eq!(t.bfs_nodes(), vec![n(0), n(5), n(9)]);
+        assert_eq!(t.children(n(5)), &[n(9)]);
     }
 
     #[test]
@@ -200,8 +183,6 @@ mod tests {
         assert!(collapsed.edge_count() < plain.edge_count());
         // All terminals still reachable.
         assert_eq!(collapsed.terminals(), &[n(3), n(6)]);
-        let nodes = collapsed.bfs_nodes();
-        assert!(nodes.contains(&n(3)) && nodes.contains(&n(6)));
     }
 
     #[test]

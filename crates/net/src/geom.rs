@@ -84,17 +84,6 @@ impl Rect {
         (dx * dx + dy * dy).sqrt()
     }
 
-    /// Minimum distance between two rectangles (0 if they intersect).
-    pub fn dist_to_rect(&self, other: &Rect) -> f64 {
-        let dx = (self.min_x - other.max_x)
-            .max(0.0)
-            .max(other.min_x - self.max_x);
-        let dy = (self.min_y - other.max_y)
-            .max(0.0)
-            .max(other.min_y - self.max_y);
-        (dx * dx + dy * dy).sqrt()
-    }
-
     pub fn center(&self) -> Point {
         Point::new(
             (self.min_x + self.max_x) / 2.0,
@@ -138,13 +127,5 @@ mod tests {
         assert_eq!(r.dist_to_point(&Point::new(1.0, 1.0)), 0.0);
         assert!((r.dist_to_point(&Point::new(5.0, 2.0)) - 3.0).abs() < 1e-12);
         assert!((r.dist_to_point(&Point::new(5.0, 6.0)) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rect_rect_distance() {
-        let a = Rect::new(0.0, 0.0, 1.0, 1.0);
-        let b = Rect::new(4.0, 5.0, 6.0, 7.0);
-        assert!((a.dist_to_rect(&b) - 5.0).abs() < 1e-12);
-        assert_eq!(a.dist_to_rect(&Rect::new(0.5, 0.5, 2.0, 2.0)), 0.0);
     }
 }

@@ -128,14 +128,6 @@ impl Schema {
     pub fn all() -> impl Iterator<Item = AttrId> {
         0..NUM_ATTRS as u8
     }
-
-    pub fn static_attrs() -> impl Iterator<Item = AttrId> {
-        (0..NUM_ATTRS as u8).filter(|&a| Self::is_static(a))
-    }
-
-    pub fn dynamic_attrs() -> impl Iterator<Item = AttrId> {
-        (0..NUM_ATTRS as u8).filter(|&a| !Self::is_static(a))
-    }
 }
 
 #[cfg(test)]
@@ -154,9 +146,9 @@ mod tests {
         assert!(Schema::is_static(ATTR_POS_Y));
         assert!(!Schema::is_static(ATTR_U));
         assert!(!Schema::is_static(ATTR_V));
-        // Appendix B: most attributes carry readings (dynamic).
-        assert_eq!(Schema::dynamic_attrs().count(), 16);
-        assert_eq!(Schema::static_attrs().count(), 12);
+        // Appendix B: most attributes carry readings (dynamic), 12 of 28
+        // are static.
+        assert_eq!(Schema::all().filter(|&a| Schema::is_static(a)).count(), 12);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! On an IP mesh, grouped joins can hash keys into a DHT: the node whose
 //! hashed identifier most closely follows the key (clockwise on the ring)
 //! is responsible. Overlay routing is greedy in key space via finger
-//! tables; every overlay hop expands to a multi-hop underlay path (IP
-//! routing = shortest path in the mesh). The paper observes DHT paths are
+//! tables; once the responsible node is resolved, data takes the mesh's
+//! shortest path to it (IP routing). The paper observes DHT paths are
 //! slightly shorter than GPSR's (no void traversal) at the price of higher
 //! maximum load — both properties emerge from this model.
 
@@ -107,18 +107,6 @@ impl DhtOverlay {
             .expect("node on ring");
         self.ring[(pos + 1) % self.ring.len()]
     }
-
-    /// Full underlay path: every overlay hop expands to the mesh's shortest
-    /// path (IP routing). Returns the concatenated node walk.
-    pub fn underlay_route(&self, topo: &Topology, from: NodeId, key: u64) -> Option<Vec<NodeId>> {
-        let overlay = self.overlay_route(from, key);
-        let mut walk = vec![from];
-        for pair in overlay.windows(2) {
-            let seg = topo.shortest_path(pair[0], pair[1])?;
-            walk.extend_from_slice(&seg[1..]);
-        }
-        Some(walk)
-    }
 }
 
 #[cfg(test)]
@@ -167,18 +155,6 @@ mod tests {
                 path.len()
             );
         }
-    }
-
-    #[test]
-    fn underlay_route_is_a_walk() {
-        let t = topo();
-        let dht = DhtOverlay::new(&t);
-        let walk = dht.underlay_route(&t, NodeId(5), 0xfeed).unwrap();
-        for w in walk.windows(2) {
-            assert!(t.are_neighbors(w[0], w[1]), "{:?} not adjacent", w);
-        }
-        assert_eq!(walk[0], NodeId(5));
-        assert_eq!(*walk.last().unwrap(), dht.responsible(0xfeed));
     }
 
     #[test]

@@ -71,14 +71,6 @@ pub fn repair_path(
     None
 }
 
-/// Traffic cost (message hops) of the repair exploration itself: the
-/// upstream node probes its neighborhood. One probe broadcast plus one
-/// reply per candidate examined — a small constant, per "limited
-/// exploration".
-pub fn repair_probe_hops(topo: &Topology, before: NodeId) -> usize {
-    1 + topo.neighbors(before).len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,11 +169,5 @@ mod tests {
         // All potential bridge nodes dead: repair must fail.
         let repaired = repair_path(&topo, &path, failed, |n| path.contains(&n) && n != failed);
         assert_eq!(repaired, None);
-    }
-
-    #[test]
-    fn probe_cost_is_local() {
-        let topo = ladder(1.1);
-        assert!(repair_probe_hops(&topo, NodeId(1)) <= 1 + 3);
     }
 }

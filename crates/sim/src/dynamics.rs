@@ -207,22 +207,6 @@ impl DynamicsPlan {
         self.event_cycles().min()
     }
 
-    /// Latest event cycle.
-    pub fn last_event_cycle(&self) -> Option<u32> {
-        self.event_cycles().max()
-    }
-
-    /// Earliest event cycle strictly before `limit` (events scheduled at
-    /// or beyond a run's length never fire and must not skew accounting).
-    pub fn first_event_before(&self, limit: u32) -> Option<u32> {
-        self.event_cycles().filter(|&c| c < limit).min()
-    }
-
-    /// Latest event cycle strictly before `limit`.
-    pub fn last_event_before(&self, limit: u32) -> Option<u32> {
-        self.event_cycles().filter(|&c| c < limit).max()
-    }
-
     /// Whether anything (fault, loss shift, or mark) is scheduled at
     /// `cycle`. The session layer uses this to track fired-event bounds
     /// online instead of needing the total run length up front.
@@ -495,11 +479,10 @@ mod tests {
             .shift_loss(5, 0.2)
             .mark(30);
         assert_eq!(plan.first_event_cycle(), Some(5));
-        assert_eq!(plan.last_event_cycle(), Some(30));
-        // Bounded views: only events a `cycles`-long run would fire.
-        assert_eq!(plan.first_event_before(20), Some(5));
-        assert_eq!(plan.last_event_before(20), Some(10));
-        assert_eq!(plan.first_event_before(5), None);
+        for c in [5, 10, 30] {
+            assert!(plan.has_event_at(c), "no event at {c}");
+        }
+        assert!(!plan.has_event_at(20));
         assert!(!plan.is_static());
     }
 }

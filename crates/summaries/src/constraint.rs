@@ -4,7 +4,7 @@ use sensor_net::{Point, Rect};
 
 /// A routing constraint derived from a static join or selection predicate.
 ///
-/// Scalar constraints apply to Bloom/Interval/Histogram summaries; spatial
+/// Scalar constraints apply to Bloom/Interval summaries; spatial
 /// constraints to R-tree summaries.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Constraint {

@@ -7,20 +7,18 @@
 //!
 //! The paper's implementation supports 1-D intervals (as in TinyDB's
 //! semantic routing trees), Bloom filters, multidimensional R-tree
-//! rectangles and histograms (App. C). All four are provided here behind a
-//! common [`Summary`] enum with a conservative `may_match` contract:
+//! rectangles and histograms (App. C). The three that an indexed attribute
+//! builds are provided here behind a common [`Summary`] enum with a conservative `may_match` contract:
 //! **no false negatives** — if any inserted value satisfies the constraint,
 //! `may_match` returns `true`.
 
 pub mod bloom;
 pub mod constraint;
-pub mod histogram;
 pub mod interval;
 pub mod rtree;
 
 pub use bloom::BloomFilter;
 pub use constraint::Constraint;
-pub use histogram::Histogram;
 pub use interval::IntervalSummary;
 pub use rtree::RectSummary;
 
@@ -35,8 +33,6 @@ pub enum SummaryKind {
     Interval,
     /// Bounding rectangles over 2-D positions.
     Rects,
-    /// Equi-width histogram over the u16 domain.
-    Histogram,
 }
 
 /// A summary of the set of values present in a subtree.
@@ -45,7 +41,6 @@ pub enum Summary {
     Bloom(BloomFilter),
     Interval(IntervalSummary),
     Rects(RectSummary),
-    Histogram(Histogram),
 }
 
 impl Summary {
@@ -56,7 +51,6 @@ impl Summary {
             SummaryKind::Bloom => Summary::Bloom(BloomFilter::new(128, 3)),
             SummaryKind::Interval => Summary::Interval(IntervalSummary::new(4)),
             SummaryKind::Rects => Summary::Rects(RectSummary::new(3)),
-            SummaryKind::Histogram => Summary::Histogram(Histogram::new(16)),
         }
     }
 
@@ -65,7 +59,6 @@ impl Summary {
             Summary::Bloom(_) => SummaryKind::Bloom,
             Summary::Interval(_) => SummaryKind::Interval,
             Summary::Rects(_) => SummaryKind::Rects,
-            Summary::Histogram(_) => SummaryKind::Histogram,
         }
     }
 
@@ -74,7 +67,6 @@ impl Summary {
         match self {
             Summary::Bloom(b) => b.insert(v),
             Summary::Interval(i) => i.insert(v),
-            Summary::Histogram(h) => h.insert(v),
             Summary::Rects(_) => {
                 debug_assert!(false, "scalar insert into spatial summary");
             }
@@ -98,7 +90,6 @@ impl Summary {
             (Summary::Bloom(a), Summary::Bloom(b)) => a.merge(b),
             (Summary::Interval(a), Summary::Interval(b)) => a.merge(b),
             (Summary::Rects(a), Summary::Rects(b)) => a.merge(b),
-            (Summary::Histogram(a), Summary::Histogram(b)) => a.merge(b),
             _ => panic!("summary kind mismatch in merge"),
         }
     }
@@ -110,7 +101,6 @@ impl Summary {
             Summary::Bloom(b) => b.may_match(c),
             Summary::Interval(i) => i.may_match(c),
             Summary::Rects(r) => r.may_match(c),
-            Summary::Histogram(h) => h.may_match(c),
         }
     }
 
@@ -121,7 +111,6 @@ impl Summary {
             Summary::Bloom(b) => b.size_bytes(),
             Summary::Interval(i) => i.size_bytes(),
             Summary::Rects(r) => r.size_bytes(),
-            Summary::Histogram(h) => h.size_bytes(),
         }
     }
 
@@ -130,7 +119,6 @@ impl Summary {
             Summary::Bloom(b) => b.is_empty(),
             Summary::Interval(i) => i.is_empty(),
             Summary::Rects(r) => r.is_empty(),
-            Summary::Histogram(h) => h.is_empty(),
         }
     }
 }
@@ -141,11 +129,7 @@ mod tests {
 
     #[test]
     fn empty_summaries_match_nothing() {
-        for kind in [
-            SummaryKind::Bloom,
-            SummaryKind::Interval,
-            SummaryKind::Histogram,
-        ] {
+        for kind in [SummaryKind::Bloom, SummaryKind::Interval] {
             let s = Summary::empty(kind);
             assert!(s.is_empty());
             assert!(!s.may_match(&Constraint::Eq(5)), "{kind:?}");
@@ -159,11 +143,7 @@ mod tests {
 
     #[test]
     fn no_false_negatives_after_insert() {
-        for kind in [
-            SummaryKind::Bloom,
-            SummaryKind::Interval,
-            SummaryKind::Histogram,
-        ] {
+        for kind in [SummaryKind::Bloom, SummaryKind::Interval] {
             let mut s = Summary::empty(kind);
             for v in [0u16, 7, 999, 65535] {
                 s.insert_value(v);
@@ -200,7 +180,6 @@ mod tests {
             SummaryKind::Bloom,
             SummaryKind::Interval,
             SummaryKind::Rects,
-            SummaryKind::Histogram,
         ] {
             let s = Summary::empty(kind);
             assert!(s.size_bytes() <= 64, "{kind:?} = {}", s.size_bytes());

@@ -1,11 +1,11 @@
 //! Merge/query edge cases of the summary structures: empty merges in
-//! every direction, single-element contents (including quantiles), and
+//! every direction, single-element contents, and
 //! the degenerate capacities — the corners the property round-trips never
 //! pin down exactly.
 
 use sensor_net::{Point, Rect};
 use sensor_summaries::{
-    BloomFilter, Constraint, Histogram, IntervalSummary, RectSummary, Summary, SummaryKind,
+    BloomFilter, Constraint, IntervalSummary, RectSummary, Summary, SummaryKind,
 };
 
 // ----- empty merges, every direction, every structure ------------------
@@ -51,30 +51,6 @@ fn interval_empty_merges() {
 }
 
 #[test]
-fn histogram_empty_merges() {
-    let empty = Histogram::new(16);
-    let mut a = empty.clone();
-    a.merge(&empty);
-    assert!(a.is_empty());
-    assert_eq!(a.total(), 0);
-    assert!(!a.may_match(&Constraint::Eq(5)));
-    // Mod constraints are conservatively true only when populated.
-    assert!(!a.may_match(&Constraint::Mod {
-        modulus: 4,
-        residue: 1
-    }));
-    let mut x = Histogram::new(16);
-    x.insert(5000);
-    let before = x.clone();
-    x.merge(&empty);
-    assert_eq!(x, before);
-    let mut e = empty.clone();
-    e.merge(&before);
-    assert_eq!(e.total(), 1);
-    assert!(e.may_match(&Constraint::Eq(5000)));
-}
-
-#[test]
 fn rtree_empty_merges() {
     let empty = RectSummary::new(3);
     let mut a = empty.clone();
@@ -108,7 +84,6 @@ fn summary_enum_empty_merges_all_kinds() {
         SummaryKind::Bloom,
         SummaryKind::Interval,
         SummaryKind::Rects,
-        SummaryKind::Histogram,
     ] {
         let mut a = Summary::empty(kind);
         let b = Summary::empty(kind);
@@ -137,55 +112,6 @@ fn summary_enum_empty_merges_all_kinds() {
 }
 
 // ----- single-element contents -----------------------------------------
-
-#[test]
-fn histogram_single_element_quantiles() {
-    let mut h = Histogram::new(16);
-    assert_eq!(h.quantile(0.5), None, "empty histogram has no quantiles");
-    h.insert(5000);
-    // Every quantile of a single-element histogram lands inside that
-    // element's bucket (here: bucket [4096, 8191]).
-    for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-        let v = h.quantile(q).expect("populated");
-        assert!(
-            (4096..=8191).contains(&v),
-            "q={q}: {v} escaped the single element's bucket"
-        );
-    }
-    // Out-of-range q clamps rather than panicking.
-    assert!(h.quantile(-3.0).is_some());
-    assert!(h.quantile(42.0).is_some());
-}
-
-#[test]
-fn histogram_quantiles_order_and_bounds() {
-    let mut h = Histogram::new(32);
-    for v in [100u16, 200, 30000, 60000] {
-        h.insert(v);
-    }
-    let q0 = h.quantile(0.0).unwrap();
-    let q5 = h.quantile(0.5).unwrap();
-    let q1 = h.quantile(1.0).unwrap();
-    assert!(
-        q0 <= q5 && q5 <= q1,
-        "quantiles not monotone: {q0} {q5} {q1}"
-    );
-    // The extremes stay within the populated buckets' spans.
-    assert!(q0 <= 2047, "q0={q0} beyond the first populated bucket");
-    assert!(q1 >= 59392, "q1={q1} before the last populated bucket");
-}
-
-#[test]
-fn histogram_single_element_range_estimate() {
-    let mut h = Histogram::new(16);
-    h.insert(4096); // exactly on a bucket edge
-                    // The whole domain contains the element.
-    assert!((h.estimate_range_fraction(0, 65535) - 1.0).abs() < 1e-9);
-    // Its own bucket contains the whole mass.
-    assert!((h.estimate_range_fraction(4096, 8191) - 1.0).abs() < 1e-9);
-    // A disjoint bucket contains none of it.
-    assert_eq!(h.estimate_range_fraction(20000, 30000), 0.0);
-}
 
 #[test]
 fn interval_single_element_queries() {
@@ -260,26 +186,4 @@ fn rtree_merge_respects_destination_capacity() {
     for p in pts {
         assert!(dst.contains_point(p), "{p:?} lost in capacity-1 merge");
     }
-}
-
-#[test]
-fn histogram_single_bucket_degenerate() {
-    // One bucket spans the whole domain: everything matches after any
-    // insert, and the range estimate is proportional to range width.
-    let mut h = Histogram::new(1);
-    h.insert(12345);
-    assert!(h.may_match(&Constraint::Eq(0)));
-    assert!(h.may_match(&Constraint::Eq(65535)));
-    let half = h.estimate_range_fraction(0, 32767);
-    assert!((half - 0.5).abs() < 0.01, "half-domain estimate {half}");
-    assert_eq!(h.quantile(0.0).unwrap(), 0);
-    assert_eq!(h.quantile(1.0).unwrap(), 65535);
-}
-
-#[test]
-#[should_panic(expected = "bucket mismatch")]
-fn histogram_merge_bucket_mismatch_panics() {
-    let mut a = Histogram::new(8);
-    let b = Histogram::new(16);
-    a.merge(&b);
 }

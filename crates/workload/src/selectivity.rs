@@ -125,11 +125,6 @@ impl Schedule {
             Schedule::PerNode(v) => v[node],
         }
     }
-
-    /// Whether the schedule ever deviates from `r` (used by oracles).
-    pub fn is_uniform(&self) -> bool {
-        matches!(self, Schedule::Uniform(_))
-    }
 }
 
 #[cfg(test)]
@@ -180,6 +175,5 @@ mod tests {
     fn per_node_lookup() {
         let s = Schedule::PerNode(vec![Rates::SEL1, Rates::SEL2]);
         assert_eq!(s.rates(1, 0, 0), Rates::SEL2);
-        assert!(!s.is_uniform());
     }
 }
