@@ -326,6 +326,7 @@ fn sub_fingerprint(graph: &JoinGraph, edge: usize, scope: Option<usize>) -> Stri
         None => base,
     }
 }
+
 /// Cache identity of one admitted pairwise query, recorded at admission
 /// so retirement can harvest its learned state under the same key.
 struct CacheKey {
@@ -357,6 +358,8 @@ struct QueryRecord {
 /// What the execution phase accumulates beyond the engine's counters: the
 /// dynamics trace an [`Outcome`] reports, the totals retired queries
 /// carried off the network, and the baselines of the per-cycle diffs.
+/// `Default` is the state over a freshly built engine, whose counters all
+/// start at zero.
 #[derive(Default)]
 struct Trace {
     killed: Vec<(u32, NodeId)>,
@@ -433,6 +436,7 @@ pub struct Session {
     cache: LearnedCache,
     warm_start: bool,
 }
+
 impl Session {
     /// Start assembling a session over `topo` and `data`.
     pub fn builder(topo: Topology, data: WorkloadData) -> SessionBuilder {

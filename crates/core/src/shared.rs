@@ -249,6 +249,8 @@ impl Shared {
         self.dead[n.index()].load(Ordering::Relaxed)
     }
 
+    /// Mark `n` dead for every query reading these flags: in a session,
+    /// every query of the run.
     pub fn mark_dead(&self, n: NodeId) {
         self.dead[n.index()].store(true, Ordering::Relaxed);
     }
