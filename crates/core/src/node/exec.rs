@@ -242,11 +242,7 @@ impl JoinNode {
                 };
                 self.forward_mcast(ctx, owner, msg);
                 // Consume if I am a join node for any of the owner's pairs.
-                if self
-                    .pairs
-                    .values()
-                    .any(|p| p.pair.s == origin || p.pair.t == origin)
-                {
+                if self.pairs.keys().any(|p| p.s == origin || p.t == origin) {
                     self.consume_data_at_terminus(ctx, origin, sides, tuple);
                 }
             }
@@ -284,10 +280,11 @@ impl JoinNode {
     fn innet_join(&mut self, ctx: &mut Ctx<'_, Msg>, origin: NodeId, sides: u8, tuple: Tuple) {
         let spec = &self.sh.spec;
         let mut results = 0u32;
-        // In `Pair` order, which is the map's.
-        for st in self.pairs.values_mut() {
-            if (st.pair.s == origin && sides & side::S != 0)
-                || (st.pair.t == origin && sides & side::T != 0)
+        // In `Pair` order, which is the map's. The key decides, so only
+        // the matching pairs' states are loaded.
+        for (pair, st) in self.pairs.iter_mut() {
+            if (pair.s == origin && sides & side::S != 0)
+                || (pair.t == origin && sides & side::T != 0)
             {
                 results += join_into_pair(spec, st, origin, tuple, spec.window);
             }
@@ -428,9 +425,8 @@ impl JoinNode {
     }
 
     pub(super) fn base_record_results(&mut self, now: u64, count: u64, gen_cycle: u32) {
-        let tx_per = 100u64; // sampling interval in transmission cycles
+        let born = self.sh.cycle_start(gen_cycle);
         let b = self.base.as_mut().expect("result recorded off-base");
-        let born = gen_cycle as u64 * tx_per;
         let delay = now.saturating_sub(born) as u32;
         b.results += count;
         b.delay_sum += delay as u64 * count;
@@ -529,10 +525,10 @@ impl JoinNode {
             }
             push_window(b.windows.entry((origin, probe_side)).or_default(), tuple, w);
             // Pair stats: count arrivals.
-            for ps in b.pairs.values_mut() {
-                if probe_side == side::S && ps.pair.s == origin {
+            for (pair, ps) in b.pairs.iter_mut() {
+                if probe_side == side::S && pair.s == origin {
                     ps.stats.record_s();
-                } else if probe_side == side::T && ps.pair.t == origin {
+                } else if probe_side == side::T && pair.t == origin {
                     ps.stats.record_t();
                 }
             }

@@ -949,7 +949,8 @@ impl Session {
         let q = self.queries.len();
         let name = spec.name.clone();
         let (topo, sub, data) = (self.topo.clone(), self.sub.clone(), self.data.clone());
-        let sh = Shared::reading(self.dead.clone(), topo, sub, spec, data, cfg);
+        let tx_per = self.engine.config().tx_per_sampling_cycle;
+        let sh = Shared::reading(self.dead.clone(), tx_per, topo, sub, spec, data, cfg);
         self.queries.push(QueryRecord {
             name,
             cfg,

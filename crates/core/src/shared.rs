@@ -6,6 +6,7 @@ use sensor_net::{NodeId, Topology};
 use sensor_query::JoinQuerySpec;
 use sensor_routing::ght::GpsrRouter;
 use sensor_routing::MultiTreeSubstrate;
+use sensor_sim::SimConfig;
 use sensor_workload::WorkloadData;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -203,11 +204,14 @@ pub struct Shared {
     /// send sizes its message with them.
     data_bytes: u32,
     result_bytes: u32,
+    /// Transmission cycles per sampling cycle: a result generated in
+    /// sampling cycle `c` was born at transmission cycle `c` times this.
+    tx_per_sampling_cycle: u64,
 }
 
 impl Shared {
-    /// The run context of one query over `topo`, with no node dead yet;
-    /// GHT gets its GPSR router.
+    /// The run context of one query over `topo`, with no node dead yet
+    /// and the default sampling interval; GHT gets its GPSR router.
     pub fn new(
         topo: Arc<Topology>,
         sub: Arc<MultiTreeSubstrate>,
@@ -216,12 +220,15 @@ impl Shared {
         cfg: AlgoConfig,
     ) -> Self {
         let dead = all_alive(topo.len());
-        Shared::reading(dead, topo, sub, spec, data, cfg)
+        let tx_per = SimConfig::default().tx_per_sampling_cycle;
+        Shared::reading(dead, tx_per, topo, sub, spec, data, cfg)
     }
 
-    /// [`Shared::new`] over `dead`, the liveness flags of a run's nodes.
+    /// [`Shared::new`] over `dead`, the liveness flags of a run's nodes,
+    /// sampling every `tx_per_sampling_cycle` transmission cycles.
     pub(crate) fn reading(
         dead: Arc<[AtomicBool]>,
+        tx_per_sampling_cycle: u32,
         topo: Arc<Topology>,
         sub: Arc<MultiTreeSubstrate>,
         spec: JoinQuerySpec,
@@ -233,6 +240,7 @@ impl Shared {
             dead,
             data_bytes: spec.data_bytes(),
             result_bytes: spec.result_bytes(),
+            tx_per_sampling_cycle: tx_per_sampling_cycle.into(),
             topo,
             sub,
             spec,
@@ -262,6 +270,11 @@ impl Shared {
 
     pub fn result_bytes(&self) -> u32 {
         self.result_bytes
+    }
+
+    /// Transmission cycle at which sampling cycle `cycle` began.
+    pub(crate) fn cycle_start(&self, cycle: u32) -> u64 {
+        u64::from(cycle) * self.tx_per_sampling_cycle
     }
 
     /// Primary-tree path between two nodes (BestRoute-style id routing).

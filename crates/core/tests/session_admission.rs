@@ -491,3 +491,25 @@ fn bare_wire_rejects_shared_tree_delivery() {
         .bare_wire()
         .build();
 }
+
+/// Result delay is measured against the session's own sampling interval:
+/// with 4 transmission cycles per sampling cycle, a result generated in
+/// cycle `c` was born at transmission cycle `4c`, and its trip to the
+/// base takes time.
+#[test]
+fn short_sampling_cycles_report_a_positive_delay() {
+    let seed = 5;
+    let topo = sensor_net::random_with_degree(60, 7.0, seed);
+    let data = WorkloadData::new(&topo, Schedule::Uniform(RATES), seed);
+    let mut s = Session::builder(topo, data)
+        .sim(SimConfig {
+            tx_per_sampling_cycle: 4,
+            ..roomy_sim(seed)
+        })
+        .query(query1(3), resident_cfg())
+        .build();
+    s.step(TOTAL);
+    let out = s.report();
+    assert!(out.results_total() > 0, "no results to time");
+    assert!(out.avg_delay_tx() > 0.0, "delay {}", out.avg_delay_tx());
+}

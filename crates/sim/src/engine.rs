@@ -186,7 +186,7 @@ impl<M> Ctx<'_, M> {
                     return false;
                 }
                 let flow = flow_of(&msg) as u32;
-                let handle = pool.alloc(msg);
+                let handle = pool.alloc_shared(msg, 1);
                 queue.push_back(QueueEntry {
                     handle,
                     target,
@@ -359,6 +359,21 @@ enum EventRec {
     /// A transmission whose message reached nobody (zero-delivery
     /// broadcast): drop its pool reference in dispatch order.
     Free { handle: MsgHandle },
+}
+
+/// How many events ahead of its dispatch the drain prefetches a message.
+const PREFETCH_AHEAD: usize = 4;
+
+impl EventRec {
+    /// The pooled message this event's dispatch reads, if it reads one.
+    fn handle(&self) -> Option<MsgHandle> {
+        match *self {
+            EventRec::Deliver { handle, .. }
+            | EventRec::Snoop { handle, .. }
+            | EventRec::SendFailed { handle, .. } => Some(handle),
+            EventRec::Free { .. } => None,
+        }
+    }
 }
 
 /// Reusable per-node fair-MAC scratch (see the schedule derivation in
@@ -721,8 +736,13 @@ impl<P: Protocol> Engine<P> {
     /// dead endpoints are still dropped.
     fn drain_events(&mut self, mut events: Vec<EventRec>) {
         self.now += 1;
-        for ev in events.drain(..) {
-            match ev {
+        for k in 0..events.len() {
+            // A busy network's pool outgrows the cache: start loading the
+            // slot of a later event now, so it is warm when its turn comes.
+            if let Some(h) = events.get(k + PREFETCH_AHEAD).and_then(EventRec::handle) {
+                self.pool.prefetch(h);
+            }
+            match events[k] {
                 EventRec::Deliver {
                     dst,
                     from,
@@ -782,6 +802,7 @@ impl<P: Protocol> Engine<P> {
                 EventRec::Free { handle } => self.pool.release(handle),
             }
         }
+        events.clear();
         self.events = events;
     }
 

@@ -6,38 +6,22 @@
 //! protocol messages, and the snoop events of a transmission share one
 //! pooled message instead of cloning it per bystander.
 //!
-//! Reference counting is cooperative: callers that hand out several
-//! owners for one slot allocate with [`MsgPool::alloc_shared`], and each
-//! owner's final consuming event releases exactly one reference. The
-//! transmit phase never touches the pool: allocation happens in protocol
-//! callbacks and release in the event drain, so transmitting moves only
-//! handles.
+//! Every slot is reference counted: [`MsgPool::alloc_shared`] gives it
+//! one owner per queue entry that will carry the handle, and each owner's
+//! final consuming event releases exactly one reference. The transmit
+//! phase never touches the pool: allocation happens in protocol callbacks
+//! and release in the event drain, so transmitting moves only handles.
 //!
-//! The message and its reference count share one slot struct (not
-//! parallel `Vec`s): the common single-owner alloc→consume round trip of
-//! unsnooped unicast traffic touches one slab entry, not two arrays.
-//! Single-owner allocations go further still: [`MsgPool::alloc`] tags its
-//! handle with [`UNIQUE_BIT`], and consuming a tagged handle is a
-//! straight move — the reference count is never read or written on the
-//! never-shared path that dominates snoop-off traffic.
+//! The message and its reference count share one slot struct, so a
+//! dispatch reads one slab entry. When link queues fill up the pool holds
+//! ~10^5 live messages, far more than the L2 cache: the entry a dispatch
+//! reads was written cycles earlier and has been evicted. That cold read,
+//! not the reference count, is what dispatch costs, so the event drain
+//! calls [`MsgPool::prefetch`] on the slots of the events a few places
+//! ahead of the one it dispatches.
 
 /// Index of a pooled message. Stable for the slot's lifetime.
-///
-/// The top bit is the **unique tag**: handles minted by [`MsgPool::alloc`]
-/// carry it, promising the slot has exactly one owner for its whole
-/// lifetime. Consuming such a handle skips the reference bookkeeping
-/// entirely — the common unsnooped-unicast round trip is alloc → move,
-/// with no refcount read-modify-write on either end.
 pub(crate) type MsgHandle = u32;
-
-/// Tags a [`MsgHandle`] whose slot can never be shared.
-const UNIQUE_BIT: u32 = 1 << 31;
-
-/// Slab index of a handle, unique tag stripped.
-#[inline]
-fn idx(h: MsgHandle) -> usize {
-    (h & !UNIQUE_BIT) as usize
-}
 
 #[derive(Debug)]
 struct Slot<M> {
@@ -64,14 +48,6 @@ impl<M> MsgPool<M> {
         self.slots.len() - self.free.len()
     }
 
-    /// Allocate a never-shared slot: exactly one owner, whose single
-    /// consuming event ([`MsgPool::consume`] or [`MsgPool::release`])
-    /// frees it with no reference bookkeeping (the returned handle
-    /// carries [`UNIQUE_BIT`]).
-    pub(crate) fn alloc(&mut self, msg: M) -> MsgHandle {
-        self.alloc_shared(msg, 1) | UNIQUE_BIT
-    }
-
     /// Allocate a slot with `owners` references; each is released
     /// independently via [`MsgPool::consume`] or [`MsgPool::release`].
     pub(crate) fn alloc_shared(&mut self, msg: M, owners: u32) -> MsgHandle {
@@ -85,26 +61,45 @@ impl<M> MsgPool<M> {
                 h
             }
             None => {
-                let h = self.slots.len() as MsgHandle;
-                debug_assert!(h & UNIQUE_BIT == 0, "pool outgrew the handle space");
                 self.slots.push(Slot {
                     msg: Some(msg),
                     refs: owners,
                 });
-                h
+                MsgHandle::try_from(self.slots.len() - 1).expect("pool outgrew the handle space")
             }
         }
+    }
+
+    /// Start pulling every cache line of `h`'s slot into L1, for a
+    /// dispatch a few events later. A freed or out-of-range handle is
+    /// harmless; on targets other than x86-64 this does nothing.
+    #[inline]
+    pub(crate) fn prefetch(&self, h: MsgHandle) {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(s) = self.slots.get(h as usize) {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            let (at, len) = ((s as *const Slot<M>).cast::<i8>(), size_of::<Slot<M>>());
+            // A slot need not start on a line: its last byte names the
+            // last line it touches.
+            for off in (0..len).step_by(64).chain([len - 1]) {
+                // SAFETY: a prefetch is a hint. It never faults and reads
+                // nothing into the program, whatever address it is given.
+                unsafe { _mm_prefetch::<_MM_HINT_T0>(at.wrapping_add(off)) };
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = h;
     }
 
     /// Temporarily move the message out of its slot (borrow-by-move for
     /// snoop dispatch: the callback may allocate into the pool while the
     /// slot sits empty). Pair with [`MsgPool::put_back`].
     pub(crate) fn take(&mut self, h: MsgHandle) -> M {
-        self.slots[idx(h)].msg.take().expect("live pool slot")
+        self.slots[h as usize].msg.take().expect("live pool slot")
     }
 
     pub(crate) fn put_back(&mut self, h: MsgHandle, msg: M) {
-        let s = &mut self.slots[idx(h)];
+        let s = &mut self.slots[h as usize];
         debug_assert!(s.msg.is_none());
         s.msg = Some(msg);
     }
@@ -112,16 +107,7 @@ impl<M> MsgPool<M> {
     /// Drop one reference without consuming the message (dead receiver,
     /// zero-delivery broadcast, discarded queue).
     pub(crate) fn release(&mut self, h: MsgHandle) {
-        let s = &mut self.slots[idx(h)];
-        if h & UNIQUE_BIT != 0 {
-            debug_assert_eq!(s.refs, 1, "unique slot released twice");
-            if cfg!(debug_assertions) {
-                s.refs = 0;
-            }
-            s.msg = None;
-            self.free.push(idx(h) as MsgHandle);
-            return;
-        }
+        let s = &mut self.slots[h as usize];
         debug_assert!(s.refs >= 1);
         s.refs -= 1;
         if s.refs == 0 {
@@ -134,9 +120,9 @@ impl<M> MsgPool<M> {
 impl<M: Clone> MsgPool<M> {
     /// Clone the slot's message without touching its references (a
     /// non-final delivery of a shared transmission, or the non-final
-    /// deliveries of a never-shared broadcast's single queue entry).
+    /// deliveries of a broadcast's single queue entry).
     pub(crate) fn clone_at(&self, h: MsgHandle) -> M {
-        self.slots[idx(h)]
+        self.slots[h as usize]
             .msg
             .as_ref()
             .expect("live pool slot")
@@ -145,27 +131,14 @@ impl<M: Clone> MsgPool<M> {
 
     /// Consume one reference, yielding an owned message: the last owner
     /// moves the message out and frees the slot, earlier owners clone.
-    /// Unique handles take the fast path — straight move, no reference
-    /// count read or write.
     pub(crate) fn consume(&mut self, h: MsgHandle) -> M {
-        let s = &mut self.slots[idx(h)];
-        if h & UNIQUE_BIT != 0 {
-            debug_assert_eq!(s.refs, 1, "unique slot consumed twice");
-            if cfg!(debug_assertions) {
-                s.refs = 0;
-            }
-            let msg = s.msg.take().expect("live pool slot");
-            self.free.push(idx(h) as MsgHandle);
-            return msg;
-        }
+        let s = &mut self.slots[h as usize];
         debug_assert!(s.refs >= 1);
-        if s.refs == 1 {
-            s.refs = 0;
-            let msg = s.msg.take().expect("live pool slot");
+        s.refs -= 1;
+        if s.refs == 0 {
             self.free.push(h);
-            msg
+            s.msg.take().expect("live pool slot")
         } else {
-            s.refs -= 1;
             s.msg.as_ref().expect("live pool slot").clone()
         }
     }
@@ -178,12 +151,12 @@ mod tests {
     #[test]
     fn alloc_consume_reuses_slots() {
         let mut p: MsgPool<String> = MsgPool::new();
-        let a = p.alloc("a".into());
-        let b = p.alloc("b".into());
+        let a = p.alloc_shared("a".into(), 1);
+        let b = p.alloc_shared("b".into(), 1);
         assert_eq!(p.live(), 2);
         assert_eq!(p.consume(a), "a");
         assert_eq!(p.live(), 1);
-        let c = p.alloc("c".into());
+        let c = p.alloc_shared("c".into(), 1);
         assert_eq!(c, a, "freed slot is reused");
         assert_eq!(p.consume(b), "b");
         assert_eq!(p.consume(c), "c");
@@ -203,25 +176,23 @@ mod tests {
     }
 
     #[test]
-    fn unique_and_shared_handles_interleave() {
+    fn single_owner_and_shared_slots_interleave() {
         let mut p: MsgPool<String> = MsgPool::new();
-        let u = p.alloc("u".into());
-        assert_ne!(u & UNIQUE_BIT, 0, "alloc mints unique handles");
+        let one = p.alloc_shared("u".into(), 1);
         let sh = p.alloc_shared("s".into(), 2);
-        assert_eq!(sh & UNIQUE_BIT, 0, "shared handles are untagged");
-        assert_eq!(p.clone_at(u), "u");
-        assert_eq!(p.consume(u), "u");
+        assert_eq!(p.clone_at(one), "u");
+        assert_eq!(p.consume(one), "u");
         assert_eq!(p.live(), 1);
-        // The tag lives on the handle, not the slot: a freed unique slot
+        // A slot forgets its owner count when freed: a single-owner slot
         // is reusable by a shared allocation and vice versa.
         let sh2 = p.alloc_shared("t".into(), 2);
-        assert_eq!(idx(sh2), idx(u), "freed unique slot is reused");
+        assert_eq!(sh2, one, "freed single-owner slot is reused");
         assert_eq!(p.consume(sh), "s");
         assert_eq!(p.consume(sh), "s");
         assert_eq!(p.consume(sh2), "t");
-        let u2 = p.alloc("v".into());
-        assert_ne!(u2 & UNIQUE_BIT, 0);
-        p.release(u2); // dead-receiver path, unique flavor
+        let one2 = p.alloc_shared("v".into(), 1);
+        assert_eq!(one2, sh, "freed shared slot is reused");
+        p.release(one2); // dead-receiver path, single owner
         assert_eq!(p.consume(sh2), "t");
         assert_eq!(p.live(), 0);
     }
@@ -229,13 +200,26 @@ mod tests {
     #[test]
     fn take_and_put_back_keep_slot_live() {
         let mut p: MsgPool<u32> = MsgPool::new();
-        let h = p.alloc(9);
+        let h = p.alloc_shared(9, 1);
         let m = p.take(h);
-        let other = p.alloc(1); // may not disturb the taken slot
+        let other = p.alloc_shared(1, 1); // may not disturb the taken slot
         assert_ne!(other, h);
         p.put_back(h, m);
         assert_eq!(p.consume(h), 9);
         p.release(other);
         assert_eq!(p.live(), 0);
+    }
+
+    #[test]
+    fn prefetch_of_a_freed_or_unknown_handle_is_harmless() {
+        let mut p: MsgPool<[u8; 120]> = MsgPool::new();
+        p.prefetch(0); // empty pool
+        let h = p.alloc_shared([3; 120], 1);
+        p.prefetch(h);
+        assert_eq!(p.consume(h), [3; 120]);
+        p.prefetch(h); // freed
+        p.prefetch(MsgHandle::MAX);
+        assert_eq!(p.live(), 0);
+        assert_eq!(p.alloc_shared([4; 120], 1), h);
     }
 }

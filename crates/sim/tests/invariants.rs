@@ -21,6 +21,12 @@
 //! in node order; and no node with a queued message is passed over by a
 //! transmit step.
 //!
+//! The message pool's safety net: at every step boundary each live
+//! pool slot is owned by at least one queue entry, so the pool holds no
+//! more messages than the queues do, and none once they are empty —
+//! under loss, broadcasts, `send_many` fan-outs, snooping, kills and
+//! energy depletion.
+//!
 //! Run with a pinned case count for CI: `PROPTEST_CASES=64 cargo test -q
 //! -p sensor_sim --test invariants`.
 
@@ -150,12 +156,15 @@ fn run_scenario(
     seed: u64,
 ) -> Ledger {
     let topo = sensor_net::random_with_degree(nodes as usize, 4.0, seed);
-    let cfg = SimConfig::default()
-        .with_loss(loss)
-        .with_seed(seed)
-        .with_queue_capacity(queue_cap)
-        .with_fair_mac(fair)
-        .with_energy_budget(energy);
+    let cfg = SimConfig {
+        tx_per_sampling_cycle: 0,
+        ..SimConfig::default()
+            .with_loss(loss)
+            .with_seed(seed)
+            .with_queue_capacity(queue_cap)
+            .with_fair_mac(fair)
+            .with_energy_budget(energy)
+    };
     let mut engine = Engine::new(topo, cfg, |id| Courier {
         id,
         flows,
@@ -186,9 +195,10 @@ fn run_scenario(
                     }
                 });
                 killed_drops += engine.kill(victim) as u64;
+                assert_pool_covered(&engine);
             }
         }
-        engine.sampling_cycle(c);
+        sampling_cycle_checked(&mut engine, c);
     }
     let nodes_iter = engine.nodes().iter();
     let (mut src, mut fwd, mut acc, mut cons) = (0, 0, 0, 0);
@@ -206,6 +216,40 @@ fn run_scenario(
         killed_drops,
         engine,
     }
+}
+
+/// Transmission cycles per sampling cycle in the runs that step the
+/// engine themselves: the engine's default.
+const STEPS_PER_CYCLE: u32 = 100;
+
+/// [`Engine::sampling_cycle`] for an engine built with
+/// `tx_per_sampling_cycle: 0`: the ticks, then the steps taken here, one
+/// at a time, checking the pool at every step boundary. The steps end
+/// where the engine's own would, once nothing is in flight.
+fn sampling_cycle_checked<P: Protocol>(engine: &mut Engine<P>, cycle: u32) {
+    engine.sampling_cycle(cycle);
+    assert_pool_covered(engine);
+    for _ in 0..STEPS_PER_CYCLE {
+        engine.step();
+        assert_pool_covered(engine);
+        if !engine.in_flight() {
+            break;
+        }
+    }
+}
+
+/// Every live pool slot has a queue entry: the pool holds no more
+/// messages than the queues, and none when nothing is queued.
+fn assert_pool_covered<P: Protocol>(engine: &Engine<P>) {
+    let (pooled, queued) = (engine.pooled_msgs(), engine.queued_msgs());
+    assert!(
+        pooled <= queued,
+        "{pooled} pooled messages but {queued} queue entries"
+    );
+    assert!(
+        queued > 0 || pooled == 0,
+        "{pooled} pooled messages with nothing queued"
+    );
 }
 
 fn check_conservation(l: &Ledger) {
@@ -298,6 +342,73 @@ impl Protocol for Flipper {
     }
 }
 
+/// Traffic that shares pooled messages: radio broadcasts, `send_many`
+/// fan-outs and unicasts, relayed a few hops. Bystanders snoop and some
+/// answer what they overhear (allocating while the overheard message is
+/// out of its slot); senders retry half of what failed.
+struct Chatter {
+    id: NodeId,
+}
+
+impl Chatter {
+    /// Send `(hops, h)` one of three ways, chosen by `h`.
+    fn emit(&self, ctx: &mut Ctx<'_, (u8, u64)>, hops: u8, h: u64) {
+        let nbrs = ctx.neighbors().to_vec();
+        match h % 3 {
+            0 => {
+                ctx.broadcast(4, (hops, h));
+            }
+            1 => {
+                ctx.send_many(&nbrs, 4, (hops, h));
+            }
+            _ => {
+                ctx.send(nbrs[(h >> 4) as usize % nbrs.len()], 4, (hops, h));
+            }
+        }
+    }
+}
+
+impl Protocol for Chatter {
+    type Msg = (u8, u64);
+    const WANTS_SNOOP: bool = true;
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_, (u8, u64)>, _from: NodeId, (hops, h): (u8, u64)) {
+        if hops > 0 {
+            self.emit(ctx, hops - 1, mix(self.id.0 as u64, h, 1));
+        }
+    }
+
+    fn on_snoop(
+        &mut self,
+        ctx: &mut Ctx<'_, (u8, u64)>,
+        _sender: NodeId,
+        _next_hop: NodeId,
+        &(hops, h): &(u8, u64),
+    ) {
+        let h = mix(self.id.0 as u64, h, 2);
+        if hops > 0 && h.is_multiple_of(4) {
+            self.emit(ctx, 0, h);
+        }
+    }
+
+    fn on_send_failed(&mut self, ctx: &mut Ctx<'_, (u8, u64)>, to: NodeId, (hops, h): (u8, u64)) {
+        if h.is_multiple_of(2) {
+            ctx.send(to, 4, (hops, h >> 1));
+        }
+    }
+
+    fn on_sampling_cycle(&mut self, ctx: &mut Ctx<'_, (u8, u64)>, cycle: u32) {
+        let h = mix(self.id.0 as u64, cycle as u64, 3);
+        if h.is_multiple_of(2) {
+            self.emit(ctx, (h >> 8) as u8 % 3, h);
+        }
+    }
+
+    fn flow_of(msg: &(u8, u64)) -> usize {
+        (msg.1 % 2) as usize
+    }
+}
+
 /// Run `Flipper` for `cycles` sampling cycles of `steps` transmission
 /// cycles each, flipping `flips` nodes' wish through `node_mut` and
 /// killing one node every `kill_every` cycles, and check the soundness
@@ -386,6 +497,49 @@ proptest! {
     ) {
         let m = run_flipper(nodes, loss, tx_per_cycle, fair, flips, kill_every);
         prop_assert!(m.total_tx_msgs() > 0, "scenario generated no traffic");
+    }
+
+    /// Shared and snooped messages keep every live pool slot queued, at
+    /// every step boundary, through loss, kills and energy depletion.
+    #[test]
+    fn every_live_pool_slot_has_a_queue_entry(
+        nodes in 6u16..30,
+        loss in 0.0f64..0.5,
+        queue_cap in 2usize..12,
+        snooping in any::<bool>(),
+        kills in 0usize..4,
+        energy in 0u64..4000,
+    ) {
+        let seed = mix(nodes as u64, queue_cap as u64, energy);
+        let topo = sensor_net::random_with_degree(nodes as usize, 4.0, seed);
+        let cfg = SimConfig {
+            tx_per_sampling_cycle: 0,
+            ..SimConfig::default()
+                .with_loss(loss)
+                .with_seed(seed)
+                .with_queue_capacity(queue_cap)
+                .with_snooping(snooping)
+                // One case in eight runs without a budget.
+                .with_energy_budget(if energy < 500 { 0 } else { energy })
+        };
+        let mut engine = Engine::new(topo, cfg, |id| Chatter { id });
+        for c in 0..8u32 {
+            if (c as usize) < kills {
+                let v = NodeId(1 + (mix(seed, c as u64, 0xDEAD) % (nodes as u64 - 1)) as u16);
+                if engine.is_alive(v) && v != engine.topology().base() {
+                    // Queue three messages first, so the kill discards them.
+                    engine.with_node(v, |n, ctx| {
+                        for k in 0..3 {
+                            n.emit(ctx, 1, mix(seed, c as u64, k));
+                        }
+                    });
+                    engine.kill(v);
+                    assert_pool_covered(&engine);
+                }
+            }
+            sampling_cycle_checked(&mut engine, c);
+        }
+        prop_assert!(engine.metrics().total_tx_msgs() > 0, "scenario generated no traffic");
     }
 
     /// Conservation holds across random single-flow runs with loss,
