@@ -123,3 +123,27 @@ fn federate_quick_json_matches_golden() {
     check_golden("federate_quick.json", &report.to_json());
     check_golden("federate_quick.csv", &report.to_csv());
 }
+
+/// The figure drivers that finish in well under a second each in a debug
+/// build: each one's `--quick` stdout must appear, whole and in one piece,
+/// in `figures_quick.txt` (the stdout of `experiments all --quick`, which
+/// CI regenerates and diffs). The slow drivers are covered by that step.
+#[test]
+fn quick_figures_match_the_figure_golden() {
+    let golden = std::fs::read_to_string(golden_path("figures_quick.txt")).expect("figure golden");
+    for id in [
+        "table1", "table2", "table3", "fig4", "fig5", "fig6", "fig7", "fig13", "fig14", "fig16",
+        "fig17", "fig18", "appg",
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args([id, "--quick"])
+            .output()
+            .expect("run experiments");
+        assert!(out.status.success(), "experiments {id} --quick failed");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        assert!(
+            !stdout.is_empty() && golden.contains(&stdout),
+            "experiments {id} --quick drifted from figures_quick.txt:\n{stdout}"
+        );
+    }
+}
