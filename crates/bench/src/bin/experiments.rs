@@ -137,7 +137,11 @@ fn figures(args: &[String]) {
             "--quick" => {}
             "--full" => opts.seeds = FULL_SEEDS,
             "--seeds" => opts.seeds = cli.seeds(it.next()),
-            "--cycles" => opts.cycles_override = Some(cli.value(a, it.next())),
+            "--cycles" => {
+                let v = it.next().map(String::as_str);
+                let n = at_least(a, v, 1, "the figures divide by the cycle count");
+                opts.cycles_override = Some(n.unwrap_or_else(|e| cli.fail(&e)));
+            }
             id if id == "all" || EXPERIMENTS.iter().any(|&(n, _)| n == id) => which.push(id),
             flag if flag.starts_with('-') => cli.fail(&format!("unknown option {flag}")),
             other => cli.fail(&format!("unknown experiment {other}")),
@@ -205,7 +209,10 @@ fn num<T: FromStr>(flag: &str, v: Option<&str>) -> Result<T, String> {
 }
 
 /// A count of at least `min`; `why` says what a smaller one would break.
-fn at_least(flag: &str, v: Option<&str>, min: usize, why: &str) -> Result<usize, String> {
+fn at_least<T>(flag: &str, v: Option<&str>, min: T, why: &str) -> Result<T, String>
+where
+    T: FromStr + PartialOrd + std::fmt::Display,
+{
     match num(flag, v)? {
         n if n < min => Err(format!("{flag} must be at least {min} ({why})")),
         n => Ok(n),

@@ -58,6 +58,10 @@ fn figure_flag_values_are_checked() {
         &["table2", "--cycles", "bogus"],
         "experiments: bad --cycles",
     );
+    assert_usage_error(
+        &["table3", "--cycles", "0"],
+        "experiments: --cycles must be at least 1",
+    );
 }
 
 /// `--quick` picks the base settings wherever it stands, so an explicit
