@@ -13,6 +13,13 @@
 //! `PREFIX.json`/`PREFIX.csv` files are the runner's; a row supplies its
 //! defaults, its own flags and its emitters. See `<sub> --help`.
 //!
+//! The figure drivers share three shapes: `sigma_matrix`, a true-ratio ×
+//! assumed-ratio matrix (fig4, fig8, fig10, fig11); `stage_grid`, one sweep
+//! grid over ratio stage × σ_st (fig2/3, fig19/20); and `sample_pair` with
+//! `PathTally`, sampled node pairs tallied into path length and node load
+//! (fig16-18). Their sessions come from `standard_session` and run over
+//! the replicate seeds through `run_seeds`.
+//!
 //! Numbers will not equal the paper's absolute values (different simulator,
 //! synthetic Intel data) — the *shape* is the reproduction target: who
 //! wins, by what rough factor, and where crossovers fall. The figure
@@ -22,20 +29,24 @@ use aspen_bench::federate::{FederateConfig, FederateReport};
 use aspen_bench::multiq::{MultiqConfig, MultiqReport};
 use aspen_bench::optimize::{OptimizeConfig, OptimizeReport};
 use aspen_bench::sweep::{
-    parse_algo, parse_density, seed_range, DynamicsSpec, MultiSpec, QueryId, SweepGrid,
-    SweepReport, WorkloadSel, SEED_BASE,
+    algo_name, parse_algo, parse_density, seed_range, CellResult, DynamicsSpec, MultiSpec, QueryId,
+    SweepGrid, SweepReport, WorkloadSel, SEED_BASE,
 };
 use aspen_bench::warmstart::{WarmstartConfig, WarmstartReport};
 use aspen_bench::*;
+use aspen_join::cost::analytic;
 use aspen_join::prelude::*;
-use aspen_join::{centralized, Algorithm};
-use sensor_net::{DensityClass, NodeId, TopologySpec};
+use aspen_join::scenario::default_indexed_attrs;
+use aspen_join::{centralized, place_join_node, Algorithm, Placement};
+use sensor_net::{DensityClass, NodeId, Topology, TopologySpec};
 use sensor_routing::dht::DhtOverlay;
 use sensor_routing::ght::GpsrRouter;
 use sensor_routing::search::{best_path_per_target, find_paths, SearchQuery};
 use sensor_routing::substrate::MultiTreeSubstrate;
+use sensor_sim::sweep::parallel_map;
 use sensor_summaries::Constraint;
-use sensor_workload::{query0, query1, query2, query3, WorkloadData};
+use sensor_workload::WorkloadData;
+use std::fmt::Display;
 use std::str::FromStr;
 use std::time::Instant;
 
@@ -164,10 +175,6 @@ fn figures(args: &[String]) {
     }
 }
 
-fn sigma_of(r: Rates) -> Sigma {
-    Sigma::from_rates(r)
-}
-
 // ----------------------------------------------------------------------
 // Argument parsing shared by figure mode and the grid subcommands.
 
@@ -211,7 +218,7 @@ fn num<T: FromStr>(flag: &str, v: Option<&str>) -> Result<T, String> {
 /// A count of at least `min`; `why` says what a smaller one would break.
 fn at_least<T>(flag: &str, v: Option<&str>, min: T, why: &str) -> Result<T, String>
 where
-    T: FromStr + PartialOrd + std::fmt::Display,
+    T: FromStr + PartialOrd + Display,
 {
     match num(flag, v)? {
         n if n < min => Err(format!("{flag} must be at least {min} ({why})")),
@@ -604,6 +611,151 @@ const FEDERATE: Harness<FederateConfig, FederateReport> = Harness {
 };
 
 // ----------------------------------------------------------------------
+// The figure drivers and the shapes they share (see the module doc).
+
+/// `algo` with `opts`, optimized for the selectivities of `assumed`.
+fn algo_cfg(algo: Algorithm, opts: InnetOptions, assumed: Rates) -> AlgoConfig {
+    AlgoConfig::new(algo, Sigma::from_rates(assumed)).with_innet_options(opts)
+}
+
+/// `query` with its usual pairs under uniform `rates`, run for `cycles`
+/// on the first `seeds` replicate seeds.
+fn uniform_runs(
+    seeds: u64,
+    cycles: u32,
+    query: QueryId,
+    rates: Rates,
+    cfg: AlgoConfig,
+) -> Vec<Outcome> {
+    run_seeds(seeds, cycles, |seed| {
+        standard_session(query, query.n_pairs(), Schedule::Uniform(rates), cfg, seed)
+    })
+}
+
+/// Mean total traffic in KB.
+fn total_kb(runs: &[Outcome]) -> f64 {
+    mean(runs, |s| kb(s.total_traffic_bytes() as f64))
+}
+
+/// The multi-tree routing substrate of `topo` over `data`.
+fn substrate(topo: &Topology, trees: usize, data: &WorkloadData) -> MultiTreeSubstrate {
+    MultiTreeSubstrate::build(topo, trees, default_indexed_attrs(), data)
+}
+
+/// One ` {name:>width}` column head per algorithm.
+fn heads(algos: &[(Algorithm, InnetOptions)], width: usize) -> String {
+    algos
+        .iter()
+        .map(|&(a, o)| format!(" {:>width$}", algo_name(a, o)))
+        .collect()
+}
+
+/// Shape 1 — a true-ratio × assumed-ratio matrix over `stages` (Figs 4,
+/// 8, 10, 11), `width` columns wide. `cell(true, assumed)` gives a cell's
+/// value and its text; `tail(row, values)` what ends row `row`.
+fn sigma_matrix(
+    stages: &[Rates],
+    width: usize,
+    cell: impl Fn(Rates, Rates) -> (f64, String),
+    tail: impl Fn(usize, &[f64]) -> String,
+) {
+    print!("{:>10}", "true\\opt");
+    for a in stages {
+        print!(" {:>width$}", a.ratio_label());
+    }
+    println!();
+    for (i, &true_r) in stages.iter().enumerate() {
+        print!("{:>10}", true_r.ratio_label());
+        let mut values = Vec::new();
+        for &assumed in stages {
+            let (value, text) = cell(true_r, assumed);
+            print!(" {text}");
+            values.push(value);
+        }
+        println!("{}", tail(i, &values));
+    }
+}
+
+/// Shape 2 — `query` over every ratio stage × σ_st ∈ {20%, 10%, 5%} for
+/// each of `algos` (Figs 2, 3, 19, 20), as one sweep grid. `row` gets each
+/// grid row's rates and its cells, in `algos` order.
+fn stage_grid(
+    query: QueryId,
+    algos: &[(Algorithm, InnetOptions)],
+    seeds: u64,
+    cycles: u32,
+    row: impl Fn(Rates, &[CellResult]),
+) {
+    let grid = SweepGrid {
+        queries: vec![query.into()],
+        rates: Rates::ratio_stages(5)
+            .iter()
+            .flat_map(|stage| [5, 10, 20].map(|st| Rates::new(stage.s_den, stage.t_den, st)))
+            .collect(),
+        algorithms: algos.to_vec(),
+        seeds: seed_range(seeds),
+        cycles,
+        ..SweepGrid::default()
+    };
+    let report = grid.run();
+    for (&rates, cells) in grid.rates.iter().zip(report.cells.chunks(algos.len())) {
+        row(rates, cells);
+    }
+}
+
+/// Shape 3 — the `k`-th sampled node pair of an `n`-node network
+/// (Figs 16-18): deterministic, pseudo-random, possibly `a == b`.
+fn sample_pair(k: u64, n: usize) -> (NodeId, NodeId) {
+    let n = n as u64;
+    (
+        NodeId((k.wrapping_mul(2654435761) % n) as u16),
+        NodeId(((k.wrapping_mul(40503) + 7) % n) as u16),
+    )
+}
+
+/// Paths tallied into their average length (hops) and the most paths
+/// through one node.
+struct PathTally {
+    hops: Vec<f64>,
+    load: Vec<u64>,
+}
+
+impl PathTally {
+    fn new(nodes: usize) -> Self {
+        PathTally {
+            hops: Vec::new(),
+            load: vec![0; nodes],
+        }
+    }
+
+    fn add(&mut self, path: &[NodeId]) {
+        self.hops.push((path.len() - 1) as f64);
+        for n in path {
+            self.load[n.index()] += 1;
+        }
+    }
+
+    fn avg(&self) -> f64 {
+        self.hops.iter().sum::<f64>() / self.hops.len().max(1) as f64
+    }
+
+    fn max_load(&self) -> u64 {
+        self.load.iter().copied().max().unwrap_or(0)
+    }
+
+    /// `avg/max-load`, the cell of Figs 16 and 17.
+    fn cell(&self) -> String {
+        format!("{:5.2}/{}", self.avg(), self.max_load())
+    }
+}
+
+/// One row of a path-quality table: `label` right-aligned to `width`, then
+/// each cell to 12.
+fn path_row(label: impl Display, width: usize, cells: &[impl Display]) {
+    let cells: String = cells.iter().map(|c| format!(" {c:>12}")).collect();
+    println!("{label:>width$}{cells}");
+}
+
 // Table 1: attribute distributions of the synthetic workload.
 fn table1(_o: &Opts) {
     println!("== Table 1: attribute sanity over the 100-node topology ==");
@@ -638,16 +790,12 @@ fn table1(_o: &Opts) {
 // Table 2: the compiled query workload.
 fn table2(_o: &Opts) {
     println!("== Table 2: compiled query workload ==");
-    for (q, w) in [
-        (query0(3), 3usize),
-        (query1(3), 3),
-        (query2(1), 1),
-        (query3(3), 3),
-    ] {
+    for query in QueryId::ALL {
+        let q = query.spec();
         println!(
             "{:8} w={} | sel clauses S/T: {}/{} static, {}/{} dynamic | join: {} static, {} dynamic | routable: {} | near: {:?}",
             q.name,
-            w,
+            query.window(),
             q.analysis.s_static_sel.len(),
             q.analysis.t_static_sel.len(),
             q.analysis.s_dynamic_sel.len(),
@@ -670,27 +818,21 @@ fn table3(o: &Opts) {
         "algorithm", "analytic(B/cyc)", "simulated", "ratio"
     );
     let rates = Rates::new(2, 2, 5);
+    let sig = Sigma::from_rates(rates);
     let cycles = o.cycles(100);
-    let bench = Bench {
-        query: query1,
-        window: 3,
-        n_pairs: 0,
-        cycles,
-    };
+    let spec = QueryId::Q1.spec();
+    let a = &spec.analysis;
     for (algo, opts_a) in [
         (Algorithm::Naive, InnetOptions::PLAIN),
         (Algorithm::Base, InnetOptions::PLAIN),
         (Algorithm::Innet, InnetOptions::PLAIN),
     ] {
         // Analytic shape from the actual deployment.
-        let mut session = bench
-            .scenario(rates, sigma_of(rates), algo, opts_a, 1000)
-            .build();
+        let cfg = algo_cfg(algo, opts_a, rates);
+        let uniform = Schedule::Uniform(rates);
+        let mut session = standard_session(QueryId::Q1, 0, uniform, cfg, SEED_BASE).build();
         let (topo, data) = (session.topology(), session.workload());
-        let spec = (bench.query)(bench.window);
-        let sub =
-            MultiTreeSubstrate::build(topo, 3, aspen_join::scenario::default_indexed_attrs(), data);
-        let a = &spec.analysis;
+        let sub = substrate(topo, 3, data);
         let mut d_sr = Vec::new();
         let mut d_tr = Vec::new();
         let mut pair_d = Vec::new();
@@ -726,30 +868,28 @@ fn table3(o: &Opts) {
                 let (results, _) = find_paths(&sub, n, &q);
                 for r in best_path_per_target(&results) {
                     let hops: Vec<u16> = r.path.iter().map(|&x| sub.hops_to_base(x)).collect();
-                    let placement = aspen_join::place_join_node(sigma_of(rates), 3, &hops);
-                    match placement {
-                        aspen_join::Placement::OnPath { index, .. } => pair_d.push((
+                    match place_join_node(sig, 3, &hops) {
+                        Placement::OnPath { index, .. } => pair_d.push((
                             index as f64,
                             (r.path.len() - 1 - index) as f64,
                             hops[index] as f64,
                         )),
-                        aspen_join::Placement::AtBase { .. } => {
+                        Placement::AtBase { .. } => {
                             pair_d.push((hops[0] as f64, hops[hops.len() - 1] as f64, 0.0))
                         }
                     }
                 }
             }
         }
-        let shape = aspen_join::cost::analytic::QueryShape {
+        let shape = analytic::QueryShape {
             d_sr,
             d_tr,
             pair_distances: pair_d,
         };
-        let sig = sigma_of(rates);
         let tuples_per_cycle = match algo {
-            Algorithm::Naive => aspen_join::cost::analytic::naive_per_cycle(sig, &shape),
-            Algorithm::Base => aspen_join::cost::analytic::base_per_cycle(sig, &shape),
-            _ => aspen_join::cost::analytic::pairwise_per_cycle(sig, 3, &shape),
+            Algorithm::Naive => analytic::naive_per_cycle(sig, &shape),
+            Algorithm::Base => analytic::base_per_cycle(sig, &shape),
+            _ => analytic::pairwise_per_cycle(sig, 3, &shape),
         };
         let bytes_per_tuple = (spec.data_bytes() + 1 + 11) as f64;
         let analytic = tuples_per_cycle * bytes_per_tuple;
@@ -758,9 +898,7 @@ fn table3(o: &Opts) {
         let simulated = stats.execution_traffic_bytes() as f64 / cycles as f64;
         println!(
             "{:12} {:>14.0} {:>14.0} {:>7.2}",
-            AlgoConfig::new(algo, sig)
-                .with_innet_options(opts_a)
-                .label(),
+            cfg.label(),
             analytic,
             simulated,
             simulated / analytic.max(1e-9)
@@ -768,115 +906,71 @@ fn table3(o: &Opts) {
     }
 }
 
-// ----------------------------------------------------------------------
+/// The algorithm set of Figures 2-3.
+const FIG2_ALGOS: [(Algorithm, InnetOptions); 6] = [
+    (Algorithm::Naive, InnetOptions::PLAIN),
+    (Algorithm::Base, InnetOptions::PLAIN),
+    (Algorithm::Ght, InnetOptions::PLAIN),
+    (Algorithm::Innet, InnetOptions::PLAIN),
+    (Algorithm::Innet, InnetOptions::CMG),
+    (Algorithm::Innet, InnetOptions::CMPG),
+];
+
 // Figures 2 & 3: total traffic + base load across selectivity stages.
-// One declarative sweep over the figure's (ratio x sigma_st x algorithm)
-// grid; all runs fan out together instead of per-point seed loops.
 fn fig2_or_3(o: &Opts, q2: bool) {
     let (name, query) = if q2 {
         ("Figure 3 (Query 2, w=1)", QueryId::Q2)
     } else {
         ("Figure 2 (Query 1, w=3)", QueryId::Q1)
     };
-    let st_dens = [5u16, 10, 20];
-    let grid = SweepGrid {
-        queries: vec![query.into()],
-        rates: Rates::ratio_stages(5)
+    let cycles = o.cycles(100);
+    println!(
+        "== {name}: total traffic (KB) / base load (KB), {cycles} cycles, {} seeds ==",
+        o.seeds
+    );
+    println!("{:10} {:6} |{}", "ratio", "sig_st", heads(&FIG2_ALGOS, 22));
+    stage_grid(query, &FIG2_ALGOS, o.seeds, cycles, |rates, cells| {
+        let cells: String = cells
             .iter()
-            .flat_map(|stage| st_dens.map(|st| Rates::new(stage.s_den, stage.t_den, st)))
-            .collect(),
-        algorithms: figure2_algorithms(),
-        seeds: seed_range(o.seeds),
-        cycles: o.cycles(100),
-        ..SweepGrid::default()
-    };
-    println!(
-        "== {name}: total traffic (KB) / base load (KB), {} cycles, {} seeds ==",
-        grid.cycles, o.seeds
-    );
-    let report = grid.run();
-    println!(
-        "{:10} {:6} | {:>22} {:>22} {:>22} {:>22} {:>22} {:>22}",
-        "ratio", "sig_st", "Naive", "Base", "GHT", "Innet", "Innet-cmg", "Innet-cmpg"
-    );
-    for stage in Rates::ratio_stages(5) {
-        for st in st_dens {
-            let rates = Rates::new(stage.s_den, stage.t_den, st);
-            let mut cells = Vec::new();
-            for (algo, opts_a) in figure2_algorithms() {
-                let cell = report
-                    .find(|c| c.rates == rates && c.algo == algo && c.opts == opts_a)
-                    .expect("cell in grid");
-                let tot = cell.stat("total_traffic_bytes");
-                let bl = cell.stat("base_load_bytes");
-                cells.push(format!(
+            .map(|c| {
+                let (tot, bl) = (c.stat("total_traffic_bytes"), c.stat("base_load_bytes"));
+                let text = format!(
                     "{:7.1}±{:<4.1}/{:6.1}",
                     kb(tot.mean),
                     kb(tot.ci95),
                     kb(bl.mean)
-                ));
-            }
-            println!(
-                "{:10} {:5.0}% | {}",
-                rates.ratio_label(),
-                100.0 / st as f64,
-                cells
-                    .iter()
-                    .map(|c| format!("{c:>22}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            );
-        }
-    }
+                );
+                format!(" {text:>22}")
+            })
+            .collect();
+        let st = 100.0 / rates.st_den as f64;
+        println!("{:10} {st:5.0}% |{cells}", rates.ratio_label());
+    });
 }
 
 // Figure 4: cost-model validation on Query 0 — optimize for each assumed
 // ratio while the data follows each true ratio; the diagonal should win.
 fn fig4(o: &Opts) {
     println!("== Figure 4: Innet traffic (KB), Query 0, sigma_st=20%, w=3; rows=true ratio, cols=assumed ==");
-    let stages = Rates::ratio_stages(5);
-    let bench = Bench {
-        query: query0,
-        window: 3,
-        n_pairs: 10,
-        cycles: o.cycles(100),
-    };
-    print!("{:>10}", "true\\opt");
-    for a in &stages {
-        print!(" {:>10}", a.ratio_label());
-    }
-    println!();
-    for true_r in &stages {
-        print!("{:>10}", true_r.ratio_label());
-        let mut diag_ok = true;
-        let mut row = Vec::new();
-        for assumed_r in &stages {
-            let stats = bench.run_seeds(
-                *true_r,
-                sigma_of(*assumed_r),
-                Algorithm::Innet,
-                InnetOptions::PLAIN,
-                o.seeds,
-            );
-            let (tot, _) = mean_ci(
-                &stats
-                    .iter()
-                    .map(|s| kb(s.total_traffic_bytes() as f64))
-                    .collect::<Vec<_>>(),
-            );
-            row.push(tot);
-            print!(" {tot:>10.1}");
-        }
-        let true_idx = stages
-            .iter()
-            .position(|r| r.ratio_label() == true_r.ratio_label())
-            .unwrap();
-        let min = row.iter().cloned().fold(f64::INFINITY, f64::min);
-        if row[true_idx] > min * 1.10 {
-            diag_ok = false;
-        }
-        println!("  {}", if diag_ok { "(diag ok)" } else { "(diag off)" });
-    }
+    let cycles = o.cycles(100);
+    sigma_matrix(
+        &Rates::ratio_stages(5),
+        10,
+        |true_r, assumed| {
+            let cfg = algo_cfg(Algorithm::Innet, InnetOptions::PLAIN, assumed);
+            let tot = total_kb(&uniform_runs(o.seeds, cycles, QueryId::Q0, true_r, cfg));
+            (tot, format!("{tot:>10.1}"))
+        },
+        |row, values| {
+            let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
+            let diag = if values[row] > min * 1.10 {
+                "off"
+            } else {
+                "ok"
+            };
+            format!("  (diag {diag})")
+        },
+    );
 }
 
 // Figure 5: the 15 most-loaded nodes per algorithm.
@@ -884,39 +978,32 @@ fn fig5(o: &Opts) {
     println!(
         "== Figure 5: load (KB) of the 15 most-loaded nodes, Query 1, 1/2:1/2, sigma_st=20% =="
     );
-    let bench = Bench {
-        query: query1,
-        window: 3,
-        n_pairs: 0,
-        cycles: o.cycles(100),
-    };
-    let rates = Rates::new(2, 2, 5);
-    let algos: Vec<(Algorithm, InnetOptions, &str)> = vec![
-        (Algorithm::Naive, InnetOptions::PLAIN, "Naive"),
-        (Algorithm::Base, InnetOptions::PLAIN, "Base"),
-        (Algorithm::Innet, InnetOptions::PLAIN, "Innet"),
-        (Algorithm::Innet, InnetOptions::CM, "Innet-cm"),
-        (Algorithm::Innet, InnetOptions::CMP, "Innet-cmp"),
-        (Algorithm::Innet, InnetOptions::CMG, "Innet-cmg"),
-        (Algorithm::Innet, InnetOptions::CMPG, "Innet-cmpg"),
+    let algos = [
+        (Algorithm::Naive, InnetOptions::PLAIN),
+        (Algorithm::Base, InnetOptions::PLAIN),
+        (Algorithm::Innet, InnetOptions::PLAIN),
+        (Algorithm::Innet, InnetOptions::CM),
+        (Algorithm::Innet, InnetOptions::CMP),
+        (Algorithm::Innet, InnetOptions::CMG),
+        (Algorithm::Innet, InnetOptions::CMPG),
     ];
-    print!("{:>5}", "rank");
-    for (_, _, n) in &algos {
-        print!(" {n:>10}");
-    }
-    println!();
-    let mut columns = Vec::new();
-    for (algo, opts_a, _) in &algos {
-        let stats = bench.run_seeds(rates, sigma_of(rates), *algo, *opts_a, o.seeds);
-        // Average the rank profile across seeds.
-        let mut avg = vec![0.0f64; 15];
-        for s in &stats {
-            for (i, l) in s.top_loads(15).iter().enumerate() {
-                avg[i] += *l as f64 / stats.len() as f64;
+    println!("{:>5}{}", "rank", heads(&algos, 10));
+    let rates = Rates::new(2, 2, 5);
+    let columns: Vec<Vec<f64>> = algos
+        .iter()
+        .map(|&(algo, opts_a)| {
+            let cfg = algo_cfg(algo, opts_a, rates);
+            let runs = uniform_runs(o.seeds, o.cycles(100), QueryId::Q1, rates, cfg);
+            // Average the rank profile across seeds.
+            let mut avg = vec![0.0f64; 15];
+            for s in &runs {
+                for (i, l) in s.top_loads(15).iter().enumerate() {
+                    avg[i] += *l as f64 / runs.len() as f64;
+                }
             }
-        }
-        columns.push(avg);
-    }
+            avg
+        })
+        .collect();
     for rank in 0..15 {
         print!("{:>5}", rank + 1);
         for col in &columns {
@@ -929,32 +1016,15 @@ fn fig5(o: &Opts) {
 // Figure 6: centralized vs distributed initiation.
 fn fig6(o: &Opts) {
     println!("== Figure 6: initiation — distributed (Innet) vs centralized ==");
-    let bench = Bench {
-        query: query0,
-        window: 3,
-        n_pairs: 10,
-        cycles: 1,
-    };
     let rates = Rates::new(1, 1, 5);
-    let mut d_base = Vec::new();
-    let mut d_lat = Vec::new();
-    let mut c_base = Vec::new();
-    let mut c_lat = Vec::new();
-    for seed in 0..o.seeds {
-        let mut session = bench
-            .scenario(
-                rates,
-                sigma_of(rates),
-                Algorithm::Innet,
-                InnetOptions::CMG,
-                SEED_BASE + seed,
-            )
-            .build();
+    let cfg = algo_cfg(Algorithm::Innet, InnetOptions::CMG, rates);
+    // Per seed: distributed base KB and latency, centralized base KB and
+    // latency on the same pairs.
+    let runs = parallel_map(&seed_range(o.seeds), 0, |&seed| {
+        let mut session =
+            standard_session(QueryId::Q0, 10, Schedule::Uniform(rates), cfg, seed).build();
         session.step(0); // initiation only
         let out = session.report();
-        d_base.push(kb(out.initiation.load_bytes(out.base) as f64));
-        d_lat.push(out.initiation_cycles as f64);
-        // Centralized on the same pairs.
         let pairs: Vec<(NodeId, NodeId)> = (0..session.topology().len() as u16)
             .map(NodeId)
             .flat_map(|n| {
@@ -969,13 +1039,15 @@ fn fig6(o: &Opts) {
             })
             .collect();
         let cent = centralized::centralized_initiation(session.topology(), &pairs);
-        c_base.push(kb(cent.base_bytes as f64));
-        c_lat.push(cent.latency_cycles as f64);
-    }
-    let (db, _) = mean_ci(&d_base);
-    let (cb, _) = mean_ci(&c_base);
-    let (dl, _) = mean_ci(&d_lat);
-    let (cl, _) = mean_ci(&c_lat);
+        (
+            kb(out.initiation.load_bytes(out.base) as f64),
+            out.initiation_cycles as f64,
+            kb(cent.base_bytes as f64),
+            cent.latency_cycles as f64,
+        )
+    });
+    let (db, dl) = (mean(&runs, |r| r.0), mean(&runs, |r| r.1));
+    let (cb, cl) = (mean(&runs, |r| r.2), mean(&runs, |r| r.3));
     println!(
         "(a) base traffic:   distributed {db:.2} KB vs centralized {cb:.2} KB  (x{:.1})",
         cb / db.max(1e-9)
@@ -994,6 +1066,7 @@ fn fig6(o: &Opts) {
 fn fig7(o: &Opts) {
     println!("== Figure 7: per-cycle S-data traffic (tuple-hops), optimal routes (O) vs distributed (D) ==");
     println!("{:>18} {:>10} {:>10} {:>8}", "topology", "O", "D", "D/O");
+    let spec = QueryId::Q0.spec();
     for class in DensityClass::ALL {
         let mut o_hops = Vec::new();
         let mut d_hops = Vec::new();
@@ -1001,13 +1074,7 @@ fn fig7(o: &Opts) {
             let topo = TopologySpec::new(class, 100, 40 + seed).build();
             let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 40 + seed)
                 .with_pairs(10);
-            let sub = MultiTreeSubstrate::build(
-                &topo,
-                3,
-                aspen_join::scenario::default_indexed_attrs(),
-                &data,
-            );
-            let spec = query0(3);
+            let sub = substrate(&topo, 3, &data);
             for a in topo.node_ids() {
                 let sa = data.static_of(a);
                 if a == topo.base() || !spec.analysis.s_eligible(sa) {
@@ -1026,8 +1093,7 @@ fn fig7(o: &Opts) {
                 }
             }
         }
-        let (om, _) = mean_ci(&o_hops);
-        let (dm, _) = mean_ci(&d_hops);
+        let (om, dm) = (mean(&o_hops, |&h| h), mean(&d_hops, |&h| h));
         println!(
             "{:>18} {:>10.2} {:>10.2} {:>8.3}",
             class.name(),
@@ -1040,53 +1106,22 @@ fn fig7(o: &Opts) {
 
 // Figure 8: MPO cost-model validation (5x5) for Query 1 and Query 2.
 fn fig8(o: &Opts) {
-    for (label, query, window, st_den) in [
-        (
-            "(a) Query 1, sigma_st=5%, w=3",
-            query1 as fn(usize) -> _,
-            3usize,
-            20u16,
-        ),
-        (
-            "(b) Query 2, sigma_st=10%, w=1",
-            query2 as fn(usize) -> _,
-            1usize,
-            10u16,
-        ),
+    let cycles = o.cycles(100);
+    for (label, query, st_den) in [
+        ("(a) Query 1, sigma_st=5%, w=3", QueryId::Q1, 20),
+        ("(b) Query 2, sigma_st=10%, w=1", QueryId::Q2, 10),
     ] {
         println!("== Figure 8{label}: Innet-cmpg traffic (KB); rows=true ratio, cols=assumed ==");
-        let stages = Rates::ratio_stages(st_den);
-        let bench = Bench {
-            query,
-            window,
-            n_pairs: 0,
-            cycles: o.cycles(100),
-        };
-        print!("{:>10}", "true\\opt");
-        for a in &stages {
-            print!(" {:>10}", a.ratio_label());
-        }
-        println!();
-        for true_r in &stages {
-            print!("{:>10}", true_r.ratio_label());
-            for assumed_r in &stages {
-                let stats = bench.run_seeds(
-                    *true_r,
-                    sigma_of(*assumed_r),
-                    Algorithm::Innet,
-                    InnetOptions::CMPG,
-                    o.seeds,
-                );
-                let (tot, _) = mean_ci(
-                    &stats
-                        .iter()
-                        .map(|s| kb(s.total_traffic_bytes() as f64))
-                        .collect::<Vec<_>>(),
-                );
-                print!(" {tot:>10.1}");
-            }
-            println!();
-        }
+        sigma_matrix(
+            &Rates::ratio_stages(st_den),
+            10,
+            |true_r, assumed| {
+                let cfg = algo_cfg(Algorithm::Innet, InnetOptions::CMPG, assumed);
+                let tot = total_kb(&uniform_runs(o.seeds, cycles, query, true_r, cfg));
+                (tot, format!("{tot:>10.1}"))
+            },
+            |_, _| String::new(),
+        );
     }
 }
 
@@ -1097,7 +1132,7 @@ fn fig9(o: &Opts) {
     println!(
         "== Figure 9(a): total traffic (KB) vs duration, Query 2, w=1, 1/2:1/2 sigma_st=10% =="
     );
-    let algos: Vec<(Algorithm, InnetOptions)> = vec![
+    let algos = [
         (Algorithm::Naive, InnetOptions::PLAIN),
         (Algorithm::Base, InnetOptions::PLAIN),
         (Algorithm::Ght, InnetOptions::PLAIN),
@@ -1106,30 +1141,17 @@ fn fig9(o: &Opts) {
         (Algorithm::Innet, InnetOptions::CMG),
         (Algorithm::Innet, InnetOptions::CMPG),
     ];
-    let names = [
-        "Naive",
-        "Base",
-        "GHT",
-        "Innet",
-        "Innet-cm",
-        "Innet-cmg",
-        "Innet-cmpg",
-    ];
     let durations: Vec<u32> = if o.quick {
         vec![30, 90, 150]
     } else {
         vec![30, 60, 90, 120, 150, 180, 210, 240, 270, 300]
     };
-    print!("{:>7}", "cycles");
-    for n in &names {
-        print!(" {n:>10}");
-    }
-    println!();
+    println!("{:>7}{}", "cycles", heads(&algos, 10));
     for d in durations {
         let grid = SweepGrid {
             queries: vec![QueryId::Q2.into()],
             rates: vec![Rates::new(2, 2, 10)],
-            algorithms: algos.clone(),
+            algorithms: algos.to_vec(),
             seeds: seed_range(o.seeds.min(3)),
             cycles: d,
             ..SweepGrid::default()
@@ -1148,28 +1170,21 @@ fn fig9(o: &Opts) {
         InnetOptions::CM,
         InnetOptions::CMG,
         InnetOptions::CMPG,
-    ];
+    ]
+    .map(|v| (Algorithm::Innet, v));
     let grid = SweepGrid {
         queries: vec![QueryId::Q2.into()],
-        rates: [5u16, 10, 20].map(|st| Rates::new(2, 2, st)).to_vec(),
-        algorithms: variants.map(|v| (Algorithm::Innet, v)).to_vec(),
+        rates: [5, 10, 20].map(|st| Rates::new(2, 2, st)).to_vec(),
+        algorithms: variants.to_vec(),
         seeds: seed_range(o.seeds.min(3)),
         cycles: long,
         ..SweepGrid::default()
     };
     let report = grid.run();
-    print!("{:>7}", "sig_st");
-    for n in ["Innet", "Innet-cm", "Innet-cmg", "Innet-cmpg"] {
-        print!(" {n:>10}");
-    }
-    println!();
-    for st in [5u16, 10, 20] {
-        let rates = Rates::new(2, 2, st);
-        print!("{:>6.0}%", 100.0 / st as f64);
-        for opts_a in variants {
-            let cell = report
-                .find(|c| c.rates == rates && c.opts == opts_a)
-                .expect("cell in grid");
+    println!("{:>7}{}", "sig_st", heads(&variants, 10));
+    for (rates, cells) in grid.rates.iter().zip(report.cells.chunks(variants.len())) {
+        print!("{:>6.0}%", 100.0 / rates.st_den as f64);
+        for cell in cells {
             print!(" {:>10.1}", kb(cell.stat("total_traffic_bytes").mean));
         }
         println!();
@@ -1177,87 +1192,35 @@ fn fig9(o: &Opts) {
 }
 
 // Figures 10-11: learning gain/loss matrices.
-fn learning_matrix(
-    o: &Opts,
-    query: fn(usize) -> sensor_query::JoinQuerySpec,
-    window: usize,
-    n_pairs: usize,
-    st_den: u16,
-    cycles: u32,
-    label: &str,
-) {
+fn learning_matrix(o: &Opts, query: QueryId, st_den: u16, cycles: u32, label: &str) {
     println!("== {label}: Innet-cmpg traffic (KB) static->learned; rows=true, cols=assumed ==");
-    let stages = Rates::ratio_stages(st_den);
-    let bench = Bench {
-        query,
-        window,
-        n_pairs,
-        cycles,
-    };
-    print!("{:>10}", "true\\opt");
-    for a in &stages {
-        print!(" {:>17}", a.ratio_label());
-    }
-    println!();
-    for true_r in &stages {
-        print!("{:>10}", true_r.ratio_label());
-        for assumed_r in &stages {
-            let static_stats = bench.run_seeds(
-                *true_r,
-                sigma_of(*assumed_r),
-                Algorithm::Innet,
-                InnetOptions::CMPG,
-                o.seeds.min(3),
-            );
-            let learn_stats: Vec<Outcome> = (0..o.seeds.min(3))
-                .map(|s| {
-                    let sc = bench.scenario(
-                        *true_r,
-                        sigma_of(*assumed_r),
-                        Algorithm::Innet,
-                        InnetOptions::CMPG.with_learning(),
-                        SEED_BASE + s,
-                    );
-                    run_stats(sc, cycles)
-                })
-                .collect();
-            let (st, _) = mean_ci(
-                &static_stats
-                    .iter()
-                    .map(|s| kb(s.total_traffic_bytes() as f64))
-                    .collect::<Vec<_>>(),
-            );
-            let (ln, _) = mean_ci(
-                &learn_stats
-                    .iter()
-                    .map(|s| kb(s.total_traffic_bytes() as f64))
-                    .collect::<Vec<_>>(),
-            );
-            print!(" {st:>8.1}->{ln:<7.1}");
-        }
-        println!();
-    }
+    let seeds = o.seeds.min(3);
+    sigma_matrix(
+        &Rates::ratio_stages(st_den),
+        17,
+        |true_r, assumed| {
+            let [st, ln] = [InnetOptions::CMPG, InnetOptions::CMPG.with_learning()].map(|opts| {
+                let cfg = algo_cfg(Algorithm::Innet, opts, assumed);
+                total_kb(&uniform_runs(seeds, cycles, query, true_r, cfg))
+            });
+            (st, format!("{st:>8.1}->{ln:<7.1}"))
+        },
+        |_, _| String::new(),
+    );
 }
 
 fn fig10(o: &Opts) {
     let c = o.cycles(200);
-    learning_matrix(o, query0, 3, 10, 5, c, "Figure 10(a) Query 0, sigma_st=20%");
-    learning_matrix(o, query1, 3, 0, 20, c, "Figure 10(b) Query 1, sigma_st=5%");
-    learning_matrix(o, query2, 1, 0, 10, c, "Figure 10(c) Query 2, sigma_st=10%");
+    learning_matrix(o, QueryId::Q0, 5, c, "Figure 10(a) Query 0, sigma_st=20%");
+    learning_matrix(o, QueryId::Q1, 20, c, "Figure 10(b) Query 1, sigma_st=5%");
+    learning_matrix(o, QueryId::Q2, 10, c, "Figure 10(c) Query 2, sigma_st=10%");
 }
 
 fn fig11(o: &Opts) {
     for cycles in [200u32, 400, 800] {
         let c = if o.quick { cycles.min(200) } else { cycles };
-        learning_matrix(
-            o,
-            query0,
-            3,
-            10,
-            5,
-            c,
-            &format!("Figure 11 Query 0, sigma_st=20%, {c} cycles"),
-        );
+        let label = format!("Figure 11 Query 0, sigma_st=20%, {c} cycles");
+        learning_matrix(o, QueryId::Q0, 5, c, &label);
         if o.quick {
             break;
         }
@@ -1267,61 +1230,39 @@ fn fig11(o: &Opts) {
 // Figure 12: spatial skew and temporal change.
 fn fig12(o: &Opts) {
     let cycles = o.cycles(800);
-    for (panel, mk_schedule) in [
+    let learn = InnetOptions::CMPG.with_learning();
+    for (panel, schedule) in [
         (
             "(a) spatial skew (west=Sel1, east=Sel2)",
-            (|_c: u32| Schedule::SpatialSplit {
+            Schedule::SpatialSplit {
                 west: Rates::SEL1,
                 east: Rates::SEL2,
                 split_x_dm: 1280,
-            }) as fn(u32) -> Schedule,
+            },
         ),
         (
             "(b) temporal change (Sel1 then Sel2 at half-run)",
-            (|c: u32| Schedule::TemporalSwitch {
+            Schedule::TemporalSwitch {
                 before: Rates::SEL1,
                 after: Rates::SEL2,
-                at_cycle: c / 2,
-            }) as fn(u32) -> Schedule,
+                at_cycle: cycles / 2,
+            },
         ),
     ] {
         println!("== Figure 12{panel}: traffic (MB), {cycles} cycles ==");
-        for (qname, query, window) in [
-            ("Q1", query1 as fn(usize) -> _, 3usize),
-            ("Q2", query2 as fn(usize) -> _, 1usize),
-        ] {
-            let bench = Bench {
-                query,
-                window,
-                n_pairs: 0,
-                cycles,
-            };
-            let cols: Vec<(&str, Sigma, bool)> = vec![
-                ("Sel1", Sigma::from_rates(Rates::SEL1), false),
-                ("Sel2", Sigma::from_rates(Rates::SEL2), false),
-                ("Sel1 learn", Sigma::from_rates(Rates::SEL1), true),
-                ("Sel2 learn", Sigma::from_rates(Rates::SEL2), true),
-            ];
+        for (qname, query) in [("Q1", QueryId::Q1), ("Q2", QueryId::Q2)] {
             print!("{qname:>3}:");
-            for (name, assumed, learn) in cols {
-                let opts_a = if learn {
-                    InnetOptions::CMPG.with_learning()
-                } else {
-                    InnetOptions::CMPG
-                };
-                let vals: Vec<f64> = (0..o.seeds.min(3))
-                    .map(|s| {
-                        let sc = bench.scenario_with_schedule(
-                            mk_schedule(cycles),
-                            assumed,
-                            Algorithm::Innet,
-                            opts_a,
-                            SEED_BASE + s,
-                        );
-                        mb(run_stats(sc, cycles).total_traffic_bytes() as f64)
-                    })
-                    .collect();
-                let (m, _) = mean_ci(&vals);
+            for (name, assumed, opts) in [
+                ("Sel1", Rates::SEL1, InnetOptions::CMPG),
+                ("Sel2", Rates::SEL2, InnetOptions::CMPG),
+                ("Sel1 learn", Rates::SEL1, learn),
+                ("Sel2 learn", Rates::SEL2, learn),
+            ] {
+                let cfg = algo_cfg(Algorithm::Innet, opts, assumed);
+                let runs = run_seeds(o.seeds.min(3), cycles, |seed| {
+                    standard_session(query, 0, schedule.clone(), cfg, seed)
+                });
+                let m = mean(&runs, |s| mb(s.total_traffic_bytes() as f64));
                 print!("  {name}={m:.3}");
             }
             println!();
@@ -1334,37 +1275,33 @@ fn fig13(o: &Opts) {
     let cycles = o.cycles(400);
     println!("== Figure 13: Intel lab, Query 3, {cycles} cycles — total / base / max-node traffic (KB) ==");
     let topo = sensor_net::intel::intel_lab();
-    let configs: Vec<(&str, Algorithm, InnetOptions, Sigma)> = vec![
+    let static_sigma = Sigma::new(1.0, 1.0, 0.2);
+    let configs = [
         (
             "Yang+07",
             Algorithm::Yang07,
             InnetOptions::PLAIN,
-            Sigma::new(1.0, 1.0, 0.2),
+            static_sigma,
         ),
         (
             "GHT/GPSR",
             Algorithm::Ght,
             InnetOptions::PLAIN,
-            Sigma::new(1.0, 1.0, 0.2),
+            static_sigma,
         ),
         (
             "Naive/Base",
             Algorithm::Naive,
             InnetOptions::PLAIN,
-            Sigma::new(1.0, 1.0, 0.2),
+            static_sigma,
         ),
-        (
-            "In-net",
-            Algorithm::Innet,
-            InnetOptions::CM,
-            Sigma::new(1.0, 1.0, 0.2),
-        ),
+        ("In-net", Algorithm::Innet, InnetOptions::CM, static_sigma),
+        // Initially optimized for sigma=100% everywhere: placement
+        // starts at the base and migrates inward as estimates arrive.
         (
             "In-net learn",
             Algorithm::Innet,
             InnetOptions::CM.with_learning(),
-            // Initially optimized for sigma=100% everywhere: placement
-            // starts at the base and migrates inward as estimates arrive.
             Sigma::new(1.0, 1.0, 1.0),
         ),
     ];
@@ -1372,32 +1309,23 @@ fn fig13(o: &Opts) {
         "{:>14} {:>10} {:>10} {:>10} {:>9}",
         "strategy", "total", "base", "max-node", "results"
     );
-    for (name, algo, opts_a, assumed) in configs {
-        let vals: Vec<(f64, f64, f64, f64)> = (0..o.seeds.min(3))
-            .map(|s| {
-                let data =
-                    WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 100 + s)
-                        .with_humidity(&topo);
-                let sc = Session::builder(topo.clone(), data)
-                    .sim(SimConfig::default().with_seed(s))
-                    .query(
-                        query3(3),
-                        AlgoConfig::new(algo, assumed).with_innet_options(opts_a),
-                    )
-                    .bare_wire();
-                let st = run_stats(sc, cycles);
-                (
-                    kb(st.total_traffic_bytes() as f64),
-                    kb(st.base_load_bytes() as f64),
-                    kb(st.max_node_load_bytes() as f64),
-                    st.results_total() as f64,
-                )
-            })
-            .collect();
-        let (t, _) = mean_ci(&vals.iter().map(|v| v.0).collect::<Vec<_>>());
-        let (b, _) = mean_ci(&vals.iter().map(|v| v.1).collect::<Vec<_>>());
-        let (m, _) = mean_ci(&vals.iter().map(|v| v.2).collect::<Vec<_>>());
-        let (r, _) = mean_ci(&vals.iter().map(|v| v.3).collect::<Vec<_>>());
+    for (name, algo, opts, assumed) in configs {
+        let cfg = AlgoConfig::new(algo, assumed).with_innet_options(opts);
+        let runs = run_seeds(o.seeds.min(3), cycles, |seed| {
+            // Replicate i seeds the engine with i and the workload with
+            // 100 + i.
+            let i = seed - SEED_BASE;
+            let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), 100 + i)
+                .with_humidity(&topo);
+            Session::builder(topo.clone(), data)
+                .sim(SimConfig::default().with_seed(i))
+                .query(QueryId::Q3.spec(), cfg)
+                .bare_wire()
+        });
+        let t = total_kb(&runs);
+        let b = mean(&runs, |s| kb(s.base_load_bytes() as f64));
+        let m = mean(&runs, |s| kb(s.max_node_load_bytes() as f64));
+        let r = mean(&runs, |s| s.results_total() as f64);
         println!("{name:>14} {t:>10.1} {b:>10.1} {m:>10.1} {r:>9.0}");
     }
 }
@@ -1411,44 +1339,27 @@ fn fig14(o: &Opts) {
         "sig_st", "delay-ok", "delay-fail", "kb-ok", "kb-fail"
     );
     for st_den in [10u16, 5] {
-        let mut ok_delay = Vec::new();
-        let mut fail_delay = Vec::new();
-        let mut ok_kb = Vec::new();
-        let mut fail_kb = Vec::new();
-        for seed in 0..o.seeds {
-            let bench = Bench {
-                query: query0,
-                window: 3,
-                n_pairs: 1,
-                cycles,
-            };
-            let rates = Rates::new(1, 1, st_den);
-            let sc = || {
-                bench.scenario(
-                    rates,
-                    sigma_of(rates),
-                    Algorithm::Innet,
-                    InnetOptions::PLAIN,
-                    SEED_BASE + seed,
-                )
-            };
-            let cs = run_stats(sc(), cycles);
-            ok_delay.push(cs.avg_delay_tx());
-            ok_kb.push(kb(cs.execution_traffic_bytes() as f64));
-            let mut faulty = sc().build();
+        let rates = Rates::new(1, 1, st_den);
+        let cfg = algo_cfg(Algorithm::Innet, InnetOptions::PLAIN, rates);
+        let session = |seed| standard_session(QueryId::Q0, 1, Schedule::Uniform(rates), cfg, seed);
+        let ok = run_seeds(o.seeds, cycles, session);
+        // The same runs with the busiest join node killed at mid-run; a run
+        // without a join node is left out.
+        let failed: Vec<Outcome> = parallel_map(&seed_range(o.seeds), 0, |&seed| {
+            let mut faulty = session(seed).build();
             faulty.step(0); // initiate, so the busiest join node is known
-            if let Some(v) = faulty.busiest_join_node() {
-                faulty.set_plan(DynamicsPlan::none().kill_nodes(cycles / 2, vec![v]));
-                faulty.step(cycles);
-                let fs = faulty.report();
-                fail_delay.push(fs.avg_delay_tx());
-                fail_kb.push(kb(fs.execution_traffic_bytes() as f64));
-            }
-        }
-        let (od, _) = mean_ci(&ok_delay);
-        let (fd, _) = mean_ci(&fail_delay);
-        let (okb, _) = mean_ci(&ok_kb);
-        let (fkb, _) = mean_ci(&fail_kb);
+            let v = faulty.busiest_join_node()?;
+            faulty.set_plan(DynamicsPlan::none().kill_nodes(cycles / 2, vec![v]));
+            faulty.step(cycles);
+            Some(faulty.report())
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+        let delay = |runs: &[Outcome]| mean(runs, |s| s.avg_delay_tx());
+        let exec_kb = |runs: &[Outcome]| mean(runs, |s| kb(s.execution_traffic_bytes() as f64));
+        let (od, fd) = (delay(&ok), delay(&failed));
+        let (okb, fkb) = (exec_kb(&ok), exec_kb(&failed));
         println!(
             "{:>6.0}% {od:>12.1} {fd:>12.1} {okb:>12.2} {fkb:>12.2}",
             100.0 / st_den as f64
@@ -1457,109 +1368,60 @@ fn fig14(o: &Opts) {
 }
 
 // Figures 16-18: routing-substrate path quality.
-fn path_quality(
-    topo: &sensor_net::Topology,
-    trees: usize,
-    sample_pairs: usize,
-    seed: u64,
-) -> (f64, u64) {
+
+/// The best multi-tree path of each of the first `pairs` distinct sampled
+/// pairs (a pair without one still counts), tallied.
+fn path_quality(topo: &Topology, trees: usize, pairs: usize, seed: u64) -> PathTally {
     let data = WorkloadData::new(topo, Schedule::Uniform(Rates::new(1, 1, 5)), seed);
-    let sub = MultiTreeSubstrate::build(
-        topo,
-        trees,
-        aspen_join::scenario::default_indexed_attrs(),
-        &data,
-    );
-    let mut lens = Vec::new();
-    let mut load = vec![0u64; topo.len()];
-    let n = topo.len() as u16;
+    let sub = substrate(topo, trees, &data);
+    let mut tally = PathTally::new(topo.len());
     let mut pairs_done = 0;
     let mut k = 0u64;
-    while pairs_done < sample_pairs {
-        // Deterministic pseudo-random pair sampling.
+    while pairs_done < pairs {
         k += 1;
-        let a = NodeId(((k.wrapping_mul(2654435761)) % n as u64) as u16);
-        let b = NodeId(((k.wrapping_mul(40503) + 7) % n as u64) as u16);
+        let (a, b) = sample_pair(k, topo.len());
         if a == b {
             continue;
         }
         let q = SearchQuery::new(vec![(sensor_query::schema::ATTR_ID, Constraint::Eq(b.0))]);
         let (results, _) = find_paths(&sub, a, &q);
-        let best = results.iter().map(|r| r.path.len() - 1).min();
-        if let Some(len) = best {
-            lens.push(len as f64);
-            let path = &results
-                .iter()
-                .find(|r| r.path.len() - 1 == len)
-                .unwrap()
-                .path;
-            for nd in path {
-                load[nd.index()] += 1;
-            }
+        if let Some(best) = results.iter().min_by_key(|r| r.path.len()) {
+            tally.add(&best.path);
         }
         pairs_done += 1;
     }
-    let avg = lens.iter().sum::<f64>() / lens.len().max(1) as f64;
-    (avg, load.into_iter().max().unwrap_or(0))
+    tally
 }
 
 fn fig16(o: &Opts) {
     println!("== Figure 16: mote path quality — avg path length (hops) / max node load (paths) ==");
     let pairs = if o.quick { 200 } else { 1000 };
-    println!(
-        "{:>18} {:>12} {:>12} {:>12} {:>12} {:>12}",
-        "topology", "1 tree", "2 trees", "3 trees", "GPSR", "full graph"
-    );
+    let head = ["1 tree", "2 trees", "3 trees", "GPSR", "full graph"];
+    path_row("topology", 18, &head);
     for class in DensityClass::ALL {
         let topo = TopologySpec::new(class, 100, 77).build();
-        let mut cells = Vec::new();
-        for trees in 1..=3 {
-            let (avg, max_load) = path_quality(&topo, trees, pairs, 77);
-            cells.push(format!("{avg:5.2}/{max_load}"));
-        }
-        // GPSR.
+        let mut cells: Vec<String> = (1..=3)
+            .map(|trees| path_quality(&topo, trees, pairs, 77).cell())
+            .collect();
         let router = GpsrRouter::new(&topo);
-        let mut lens = Vec::new();
-        let mut load = vec![0u64; topo.len()];
-        let n = topo.len() as u16;
+        let mut gpsr = PathTally::new(topo.len());
+        // Full graph: BFS shortest paths.
+        let mut full = PathTally::new(topo.len());
         for k in 0..pairs as u64 {
-            let a = NodeId(((k.wrapping_mul(2654435761)) % n as u64) as u16);
-            let b = NodeId(((k.wrapping_mul(40503) + 7) % n as u64) as u16);
+            let (a, b) = sample_pair(k, topo.len());
             if a == b {
                 continue;
             }
             if let Some(p) = router.route(&topo, a, b) {
-                lens.push((p.len() - 1) as f64);
-                for nd in &p {
-                    load[nd.index()] += 1;
-                }
+                gpsr.add(&p);
+            }
+            if let Some(p) = topo.shortest_path(a, b) {
+                full.add(&p);
             }
         }
-        let gpsr_avg = lens.iter().sum::<f64>() / lens.len().max(1) as f64;
-        cells.push(format!("{gpsr_avg:5.2}/{}", load.iter().max().unwrap()));
-        // Full graph (BFS shortest paths).
-        let mut lens = Vec::new();
-        for k in 0..pairs as u64 {
-            let a = NodeId(((k.wrapping_mul(2654435761)) % n as u64) as u16);
-            let b = NodeId(((k.wrapping_mul(40503) + 7) % n as u64) as u16);
-            if a == b {
-                continue;
-            }
-            if let Some(h) = topo.hop_distance(a, b) {
-                lens.push(h as f64);
-            }
-        }
-        let full_avg = lens.iter().sum::<f64>() / lens.len().max(1) as f64;
-        cells.push(format!("{full_avg:5.2}/-"));
-        println!(
-            "{:>18} {:>12} {:>12} {:>12} {:>12} {:>12}",
-            class.name(),
-            cells[0],
-            cells[1],
-            cells[2],
-            cells[3],
-            cells[4]
-        );
+        cells.push(gpsr.cell());
+        cells.push(format!("{:5.2}/-", full.avg()));
+        path_row(class.name(), 18, &cells);
     }
 }
 
@@ -1568,45 +1430,26 @@ fn fig17(o: &Opts) {
         "== Figure 17: mesh path quality — avg path length / max node load; DHT instead of GPSR =="
     );
     let pairs = if o.quick { 200 } else { 1000 };
-    println!(
-        "{:>18} {:>12} {:>12} {:>12} {:>12}",
-        "topology", "1 tree", "2 trees", "3 trees", "DHT"
-    );
+    path_row("topology", 18, &["1 tree", "2 trees", "3 trees", "DHT"]);
     for class in DensityClass::ALL {
         let topo = TopologySpec::new(class, 100, 78).build();
-        let mut cells = Vec::new();
-        for trees in 1..=3 {
-            let (avg, max_load) = path_quality(&topo, trees, pairs, 78);
-            cells.push(format!("{avg:5.2}/{max_load}"));
-        }
+        let mut cells: Vec<String> = (1..=3)
+            .map(|trees| path_quality(&topo, trees, pairs, 78).cell())
+            .collect();
         // On an IP mesh the DHT overlay only resolves the responsible
         // node; data then takes the direct shortest path (App. F: DHT
         // paths slightly beat GPSR, max load rises from hash imbalance).
         let dht = DhtOverlay::new(&topo);
-        let mut lens = Vec::new();
-        let mut load = vec![0u64; topo.len()];
-        let n = topo.len() as u16;
+        let mut tally = PathTally::new(topo.len());
         for k in 0..pairs as u64 {
-            let a = NodeId(((k.wrapping_mul(2654435761)) % n as u64) as u16);
-            let key = k.wrapping_mul(0x9E3779B97F4A7C15);
-            let home = dht.home_for_key(key);
+            let (a, _) = sample_pair(k, topo.len());
+            let home = dht.home_for_key(k.wrapping_mul(0x9E3779B97F4A7C15));
             if let Some(p) = topo.shortest_path(a, home) {
-                lens.push((p.len() - 1) as f64);
-                for nd in &p {
-                    load[nd.index()] += 1;
-                }
+                tally.add(&p);
             }
         }
-        let avg = lens.iter().sum::<f64>() / lens.len().max(1) as f64;
-        cells.push(format!("{avg:5.2}/{}", load.iter().max().unwrap()));
-        println!(
-            "{:>18} {:>12} {:>12} {:>12} {:>12}",
-            class.name(),
-            cells[0],
-            cells[1],
-            cells[2],
-            cells[3]
-        );
+        cells.push(tally.cell());
+        path_row(class.name(), 18, &cells);
     }
 }
 
@@ -1615,76 +1458,54 @@ fn fig18(o: &Opts) {
         "== Figure 18: mesh scale-up — avg path length / max load per path, medium density =="
     );
     let pairs = if o.quick { 200 } else { 1000 };
-    println!(
-        "{:>10} {:>12} {:>12} {:>12}",
-        "nodes", "1 tree", "2 trees", "3 trees"
-    );
+    path_row("nodes", 10, &["1 tree", "2 trees", "3 trees"]);
     for nodes in [50usize, 100, 200] {
         let topo = TopologySpec::new(DensityClass::Medium, nodes, 79).build();
-        let mut cells = Vec::new();
-        for trees in 1..=3 {
-            let (avg, max_load) = path_quality(&topo, trees, pairs, 79);
-            cells.push(format!("{avg:5.2}/{:.2}", max_load as f64 / pairs as f64));
-        }
-        println!(
-            "{:>10} {:>12} {:>12} {:>12}",
-            nodes, cells[0], cells[1], cells[2]
-        );
+        let cells: Vec<String> = (1..=3)
+            .map(|trees| {
+                let t = path_quality(&topo, trees, pairs, 79);
+                format!("{:5.2}/{:.2}", t.avg(), t.max_load() as f64 / pairs as f64)
+            })
+            .collect();
+        path_row(nodes, 10, &cells);
     }
 }
 
 // Figures 19-20: mesh-profile query runs (message counts, DHT grouped).
-// One sweep grid over (ratio x sigma_st x algorithm); mesh profile means no
-// snooping/path collapse (App. F), which holds for every algorithm here.
+// Mesh profile means no snooping/path collapse (App. F), which holds for
+// every algorithm here.
 fn fig19_or_20(o: &Opts, q2: bool) {
     let (name, query) = if q2 {
         ("Figure 20 (Query 2, w=1, mesh)", QueryId::Q2)
     } else {
         ("Figure 19 (Query 1, w=3, mesh)", QueryId::Q1)
     };
-    let st_dens = [5u16, 10, 20];
     let n_seeds = o.seeds.min(3);
     println!("== {name}: total msgs (1000s) / base msgs (1000s), {n_seeds} seeds ==");
-    let algos: Vec<(Algorithm, InnetOptions)> = vec![
+    let algos = [
         (Algorithm::Naive, InnetOptions::PLAIN),
         (Algorithm::Base, InnetOptions::PLAIN),
         (Algorithm::Ght, InnetOptions::PLAIN),
         (Algorithm::Innet, InnetOptions::CMG),
     ];
-    let grid = SweepGrid {
-        queries: vec![query.into()],
-        rates: Rates::ratio_stages(5)
-            .iter()
-            .flat_map(|stage| st_dens.map(|st| Rates::new(stage.s_den, stage.t_den, st)))
-            .collect(),
-        algorithms: algos.clone(),
-        seeds: seed_range(n_seeds),
-        cycles: o.cycles(100),
-        ..SweepGrid::default()
-    };
-    let report = grid.run();
-    print!("{:>10} {:>6}", "ratio", "sig_st");
-    for n in ["Naive", "Base", "DHT", "Innet-cmg"] {
-        print!(" {n:>15}");
-    }
-    println!();
-    for stage in Rates::ratio_stages(5) {
-        for st in st_dens {
-            let rates = Rates::new(stage.s_den, stage.t_den, st);
-            print!("{:>10} {:>5.0}%", rates.ratio_label(), 100.0 / st as f64);
-            for &(algo, opts_a) in &algos {
-                let cell = report
-                    .find(|c| c.rates == rates && c.algo == algo && c.opts == opts_a)
-                    .expect("cell in grid");
-                print!(
-                    " {:>8.2}/{:<6.2}",
-                    cell.stat("total_traffic_msgs").mean / 1000.0,
-                    cell.stat("base_load_msgs").mean / 1000.0
-                );
-            }
-            println!();
+    // On the mesh, GHT's grouped joins hash into the DHT.
+    let head = heads(&algos, 15).replace("GHT", "DHT");
+    println!("{:>10} {:>6}{head}", "ratio", "sig_st");
+    stage_grid(query, &algos, n_seeds, o.cycles(100), |rates, cells| {
+        print!(
+            "{:>10} {:>5.0}%",
+            rates.ratio_label(),
+            100.0 / rates.st_den as f64
+        );
+        for c in cells {
+            print!(
+                " {:>8.2}/{:<6.2}",
+                c.stat("total_traffic_msgs").mean / 1000.0,
+                c.stat("base_load_msgs").mean / 1000.0
+            );
         }
-    }
+        println!();
+    });
 }
 
 // Appendix G: mobile leaf node.
@@ -1695,20 +1516,14 @@ fn appg(o: &Opts) {
     for seed in 0..o.seeds.max(3) {
         let topo = TopologySpec::new(DensityClass::Medium, 100, 90 + seed).build();
         let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(1, 1, 5)), seed);
-        let sub = MultiTreeSubstrate::build(
-            &topo,
-            3,
-            aspen_join::scenario::default_indexed_attrs(),
-            &data,
-        );
+        let sub = substrate(&topo, 3, &data);
         // Move a leaf toward the centroid.
         let leaf = NodeId((topo.len() - 1) as u16);
         let mv = sensor_routing::mobility::move_leaf(&topo, &sub, leaf, topo.centroid());
         delays.push(mv.delay_cycles as f64);
         bytes.push(mv.traffic_bytes as f64);
     }
-    let (d, _) = mean_ci(&delays);
-    let (b, _) = mean_ci(&bytes);
+    let (d, b) = (mean(&delays, |&x| x), mean(&bytes, |&x| x));
     println!("update propagation: {d:.1} cycles, {b:.0} bytes (paper: 19.4 cycles, 1195 bytes)");
     println!(
         "max sustainable speed at 10 m range: {:.2} m/s (paper: ~0.5 m/s)",

@@ -1,5 +1,5 @@
-//! Experiment harness support: seed-averaged runs, confidence intervals,
-//! and the standard scenario builders shared by every figure.
+//! Experiment harness support: the standard session and its seed runner,
+//! seed means, and the fan-out and statistics core of the grid harnesses.
 //!
 //! The declarative multi-dimensional sweep lives in [`sweep`]; the
 //! concurrent multi-query comparison harness (`experiments multiq`) in
@@ -18,23 +18,20 @@ pub mod sweep;
 pub mod warmstart;
 
 use aspen_join::prelude::*;
-use aspen_join::Algorithm;
 use sensor_net::Topology;
-use sensor_query::JoinQuerySpec;
 use sensor_sim::sweep::{parallel_map, stat_json, Json, SummaryStat};
 use sensor_workload::WorkloadData;
+use sweep::{seed_range, QueryId};
 
 /// Number of seeds averaged per data point (the paper averages 9 runs).
 pub const FULL_SEEDS: u64 = 9;
 /// Reduced seed count for quick runs.
 pub const QUICK_SEEDS: u64 = 3;
 
-/// Mean and 95% confidence half-interval of a sample. Delegates to the
-/// sweep subsystem's [`SummaryStat`] so every figure —
-/// sweep-driven or not — computes its CI with the same t-quantile.
-pub fn mean_ci(xs: &[f64]) -> (f64, f64) {
-    let s = SummaryStat::from_samples(xs);
-    (s.mean, s.ci95)
+/// The mean of `f` over `runs`, taken as the sweep subsystem's
+/// [`SummaryStat`] takes it, so every figure averages seeds the same way.
+pub fn mean<T>(runs: &[T], f: impl Fn(&T) -> f64) -> f64 {
+    SummaryStat::from_samples(&runs.iter().map(f).collect::<Vec<_>>()).mean
 }
 
 pub fn kb(bytes: f64) -> f64 {
@@ -50,86 +47,43 @@ pub fn standard_topology(seed: u64) -> Topology {
     sensor_net::random_with_degree(100, 7.0, seed)
 }
 
-/// The algorithm set of Figures 2-3.
-pub fn figure2_algorithms() -> Vec<(Algorithm, InnetOptions)> {
-    vec![
-        (Algorithm::Naive, InnetOptions::PLAIN),
-        (Algorithm::Base, InnetOptions::PLAIN),
-        (Algorithm::Ght, InnetOptions::PLAIN),
-        (Algorithm::Innet, InnetOptions::PLAIN),
-        (Algorithm::Innet, InnetOptions::CMG),
-        (Algorithm::Innet, InnetOptions::CMPG),
-    ]
+/// `query` with `pairs` explicit join pairs (0: none) on the standard
+/// network of `seed`, under `schedule`, on the paper's untagged wire.
+pub fn standard_session(
+    query: QueryId,
+    pairs: usize,
+    schedule: Schedule,
+    cfg: AlgoConfig,
+    seed: u64,
+) -> SessionBuilder {
+    let topo = standard_topology(seed);
+    let mut data = WorkloadData::new(&topo, schedule, seed);
+    if pairs > 0 {
+        data = data.with_pairs(pairs);
+    }
+    let mut sim = SimConfig::default().with_seed(seed);
+    if cfg.innet.path_collapse {
+        sim = sim.with_snooping(true);
+    }
+    Session::builder(topo, data)
+        .sim(sim)
+        .query(query.spec(), cfg)
+        .bare_wire()
 }
 
-/// Session builder for the synthetic experiments: one query on the
-/// standard network, on the paper's untagged wire.
-pub struct Bench {
-    pub query: fn(usize) -> JoinQuerySpec,
-    pub window: usize,
-    pub n_pairs: usize,
-    pub cycles: u32,
-}
-
-impl Bench {
-    pub fn scenario(
-        &self,
-        rates: Rates,
-        assumed: Sigma,
-        algo: Algorithm,
-        opts: InnetOptions,
-        seed: u64,
-    ) -> SessionBuilder {
-        self.scenario_with_schedule(Schedule::Uniform(rates), assumed, algo, opts, seed)
-    }
-
-    pub fn scenario_with_schedule(
-        &self,
-        schedule: Schedule,
-        assumed: Sigma,
-        algo: Algorithm,
-        opts: InnetOptions,
-        seed: u64,
-    ) -> SessionBuilder {
-        let topo = standard_topology(seed);
-        let mut data = WorkloadData::new(&topo, schedule, seed);
-        if self.n_pairs > 0 {
-            data = data.with_pairs(self.n_pairs);
-        }
-        let mut sim = SimConfig::default().with_seed(seed);
-        if opts.path_collapse {
-            sim = sim.with_snooping(true);
-        }
-        Session::builder(topo, data)
-            .sim(sim)
-            .query(
-                (self.query)(self.window),
-                AlgoConfig::new(algo, assumed).with_innet_options(opts),
-            )
-            .bare_wire()
-    }
-
-    /// Run across seeds and return the per-seed outcomes.
-    pub fn run_seeds(
-        &self,
-        rates: Rates,
-        assumed: Sigma,
-        algo: Algorithm,
-        opts: InnetOptions,
-        seeds: u64,
-    ) -> Vec<Outcome> {
-        let jobs: Vec<u64> = crate::sweep::seed_range(seeds);
-        parallel_map(&jobs, 0, |&s| {
-            run_stats(self.scenario(rates, assumed, algo, opts, s), self.cycles)
-        })
-    }
-}
-
-/// Build the session, run `cycles` sampling cycles and report.
-pub fn run_stats(b: SessionBuilder, cycles: u32) -> Outcome {
-    let mut session = b.build();
-    session.step(cycles);
-    session.report()
+/// Builds `session(seed)` for each of the first `seeds` replicate seeds
+/// (see [`seed_range`]), runs it for `cycles` and reports. The runs fan
+/// out through [`parallel_map`]; the outcomes come back in seed order.
+pub fn run_seeds(
+    seeds: u64,
+    cycles: u32,
+    session: impl Fn(u64) -> SessionBuilder + Sync,
+) -> Vec<Outcome> {
+    parallel_map(&seed_range(seeds), 0, |&seed| {
+        let mut session = session(seed).build();
+        session.step(cycles);
+        session.report()
+    })
 }
 
 /// Runs `run(key, seed)` for every key and seed across `threads` OS
@@ -217,29 +171,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_ci_basics() {
-        let (m, ci) = mean_ci(&[1.0, 2.0, 3.0]);
-        assert!((m - 2.0).abs() < 1e-12);
-        assert!(ci > 0.0);
-        assert_eq!(mean_ci(&[]), (0.0, 0.0));
-        assert_eq!(mean_ci(&[5.0]).1, 0.0);
+    fn mean_basics() {
+        assert!((mean(&[1.0, 2.0, 3.0], |&x| x) - 2.0).abs() < 1e-12);
+        assert_eq!(mean(&[(7, 5.0)], |r| r.1), 5.0);
+        assert_eq!(mean(&[] as &[f64], |&x| x), 0.0);
     }
 
     #[test]
-    fn bench_scenario_runs() {
-        let b = Bench {
-            query: sensor_workload::query1,
-            window: 3,
-            n_pairs: 0,
-            cycles: 5,
-        };
-        let stats = b.run_seeds(
-            Rates::new(2, 2, 5),
-            Sigma::new(0.5, 0.5, 0.2),
-            Algorithm::Naive,
-            InnetOptions::PLAIN,
-            2,
-        );
+    fn run_seeds_reports_each_seed() {
+        let rates = Rates::new(2, 2, 5);
+        let cfg = AlgoConfig::new(Algorithm::Naive, Sigma::new(0.5, 0.5, 0.2));
+        let stats = run_seeds(2, 5, |seed| {
+            standard_session(QueryId::Q1, 0, Schedule::Uniform(rates), cfg, seed)
+        });
         assert_eq!(stats.len(), 2);
         assert!(stats[0].total_traffic_bytes() > 0);
     }

@@ -39,15 +39,17 @@ fn same_seed_same_cell_identical_metrics() {
         if cell.opts.path_collapse {
             sim = sim.with_snooping(true);
         }
-        let sc = Session::builder(topo, data)
+        let mut session = Session::builder(topo, data)
             .sim(sim)
             .query(
                 cell.query.single().expect("single-query cell").spec(),
                 AlgoConfig::new(cell.algo, Sigma::from_rates(cell.rates))
                     .with_innet_options(cell.opts),
             )
-            .bare_wire();
-        aspen_bench::run_stats(sc, grid.cycles)
+            .bare_wire()
+            .build();
+        session.step(grid.cycles);
+        session.report()
     };
     let (a, b) = (run(), run());
     // Metrics implements Eq: every per-node counter must match exactly.
