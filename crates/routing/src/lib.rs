@@ -11,9 +11,9 @@
 //!    let content-addressed searches prune subtrees.
 //! 3. **GHT/GPSR** ([`ght`]) — geographic hashing to a home node plus
 //!    greedy/perimeter geographic forwarding \[13\].
-//! 4. **DHT** ([`dht`]) — a Chord-style hash-space overlay for 802.11 mesh
-//!    networks (Appendix F), where each overlay hop expands to an underlay
-//!    path.
+//! 4. **DHT** ([`dht`]) — Chord-style hash-space key placement for 802.11
+//!    mesh networks (Appendix F); data takes the mesh's shortest path to a
+//!    key's responsible node.
 //!
 //! Also here: limited-exploration path repair (§7) and the mobile-leaf
 //! update protocol (Appendix G).
