@@ -46,7 +46,7 @@ pub enum Route {
     TreeUp,
     /// Follow an explicit node path; `pos` indexes the current node. The
     /// path is shared: a hop advances `pos` and passes the same vector on.
-    Path { path: Arc<[NodeId]>, pos: usize },
+    Path { path: Arc<[NodeId]>, pos: u32 },
     /// Follow the sender's installed multicast tree (state pushed by
     /// `McastSetup`).
     Mcast { owner: NodeId },
@@ -127,10 +127,12 @@ pub struct McastSetup {
 }
 
 /// Protocol message set (all algorithms share the enum; each uses a
-/// subset). Every transmission moves a `Msg` by value several times, so
-/// the payloads of the rare control messages are boxed: the enum is as
-/// large as the per-tuple `Data` it mostly carries, not as its largest
-/// member.
+/// subset). Every transmission moves a `Msg` by value several times and
+/// parks it in a pool slot, so the enum is kept to 48 bytes: the payloads
+/// of the rare control messages are boxed, the 64-byte tuple of the
+/// per-tuple `Data` sits behind an `Arc` made once per sample, and path
+/// positions are `u32`. The tagged frame around it then fits one cache
+/// line (see `multi::tests::pool_slot_is_one_cache_line`).
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// Query dissemination flood.
@@ -157,15 +159,16 @@ pub enum Msg {
         pair: Pair,
         seq: u32,
         path: Vec<NodeId>,
-        j_idx: Option<usize>,
-        pos: usize,
+        j_idx: Option<u32>,
+        pos: u32,
         toward_t: bool,
     },
-    /// A producer's data tuple.
+    /// A producer's data tuple, shared by every hop and fan-out copy of
+    /// the one sample it was taken from.
     Data {
         from: NodeId,
         sides: u8,
-        tuple: Tuple,
+        tuple: Arc<Tuple>,
         route: Route,
         /// Set when this is a §7 fallback stream the base must adopt.
         fallback: Option<Pair>,
@@ -214,6 +217,12 @@ pub enum Msg {
     },
     /// §7: local liveness probe (broadcast, neighbors ignore silently).
     Probe,
+}
+
+/// A path index as messages carry it. Paths are simple paths over 16-bit
+/// node ids, so every index fits; a failure here is a corrupted path.
+pub(crate) fn wire_pos(i: usize) -> u32 {
+    u32::try_from(i).expect("path index fits in u32")
 }
 
 /// Delta-encoded path vector: 2-byte origin + ~1 byte per subsequent hop.
@@ -305,7 +314,7 @@ mod tests {
         let d = Msg::Data {
             from: NodeId(1),
             sides: side::S,
-            tuple: Tuple::new(NodeId(1), 0),
+            tuple: Tuple::new(NodeId(1), 0).into(),
             route: Route::TreeUp,
             fallback: None,
         };
@@ -313,7 +322,7 @@ mod tests {
         let d2 = Msg::Data {
             from: NodeId(1),
             sides: side::S,
-            tuple: Tuple::new(NodeId(1), 0),
+            tuple: Tuple::new(NodeId(1), 0).into(),
             route: Route::Path {
                 path: vec![NodeId(1), NodeId(2), NodeId(3)].into(),
                 pos: 0,
@@ -357,12 +366,14 @@ mod tests {
     }
 
     /// Every hop moves a `Msg` by value through the sink, the wrapper and
-    /// the pool: it must stay the size of the per-tuple `Data`, with the
-    /// control payloads behind a `Box`.
+    /// the pool: 48 bytes leave room for the 8-byte query tag of a
+    /// `MultiMsg` and the pool's refcount within one 64-byte line. The
+    /// control payloads stay behind a `Box`, the sampled tuple behind an
+    /// `Arc`, and path positions are `u32`.
     #[test]
     fn hot_message_stays_small() {
         assert!(
-            std::mem::size_of::<Msg>() <= 112,
+            std::mem::size_of::<Msg>() <= 48,
             "Msg is {} bytes",
             std::mem::size_of::<Msg>()
         );

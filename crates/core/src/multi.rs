@@ -500,11 +500,22 @@ mod tests {
     use sensor_workload::{Rates, Schedule, WorkloadData};
 
     /// Every hop moves a `MultiMsg` by value: the full-width query tag
-    /// must ride in what was padding beside the inner message (see
+    /// costs 8 bytes beside the 48-byte inner message, and the `Batch`
+    /// variant hides in the inner message's spare discriminant values (see
     /// `msg::tests::hot_message_stays_small`).
     #[test]
     fn tagged_message_stays_small() {
-        assert_eq!(std::mem::size_of::<MultiMsg>(), 120);
+        assert_eq!(std::mem::size_of::<MultiMsg>(), 56);
+    }
+
+    /// The engine's `MsgPool` keeps each in-flight frame as an
+    /// `Option<MultiMsg>` plus a `u32` refcount. At 64 bytes a slot is one
+    /// cache line's worth: a hop writes, prefetches and reads half the
+    /// memory a 128-byte slot took.
+    #[test]
+    fn pool_slot_is_one_cache_line() {
+        let slot = std::mem::size_of::<Option<MultiMsg>>() + std::mem::size_of::<u32>();
+        assert!(slot <= 64, "pool slot is {slot} bytes");
     }
 
     /// Query ids are monotone and never reused, so a long-lived session

@@ -3,7 +3,7 @@
 
 use super::{JoinNode, PairState};
 use crate::cost::{place_join_node, Placement};
-use crate::msg::{side, Msg, Pair, Route, WindowXfer};
+use crate::msg::{side, wire_pos, Msg, Pair, Route, WindowXfer};
 use sensor_net::NodeId;
 use sensor_query::Tuple;
 use sensor_routing::repair::repair_path;
@@ -156,8 +156,12 @@ impl JoinNode {
                 self.adopt_transferred_pair(ctx, *m);
             }
             Route::Path { path, pos } => {
-                debug_assert_eq!(path.get(pos), Some(&self.id), "path routing desync");
-                if let Some(&next) = path.get(pos + 1) {
+                debug_assert_eq!(
+                    path.get(pos as usize),
+                    Some(&self.id),
+                    "path routing desync"
+                );
+                if let Some(&next) = path.get(pos as usize + 1) {
                     m.route = Route::Path { path, pos: pos + 1 };
                     let msg = Msg::WindowXfer(m);
                     self.xfer_bytes += self.wire_bytes(&msg) as u64;
@@ -240,7 +244,7 @@ impl JoinNode {
                                     tuple,
                                     route: Route::Path {
                                         path: new_path.into(),
-                                        pos: my_pos + 1,
+                                        pos: wire_pos(my_pos + 1),
                                     },
                                     fallback,
                                 };
@@ -258,7 +262,7 @@ impl JoinNode {
                                 let m = Msg::Data {
                                     from,
                                     sides,
-                                    tuple,
+                                    tuple: tuple.clone(),
                                     route: Route::TreeUp,
                                     fallback,
                                 };
@@ -273,14 +277,14 @@ impl JoinNode {
                                 }
                             }
                         }
-                        self.notify_route_broken(ctx, from, to, &path, pos, false);
+                        self.notify_route_broken(ctx, from, to, &path, pos as usize, false);
                     }
                     None => {
                         // No local bypass: this tuple instance is gone; the
                         // producer's buffered fallback (§7) re-ships its
                         // window to the base.
                         self.recovery.tuples_lost += 1;
-                        self.notify_route_broken(ctx, from, to, &path, pos, true);
+                        self.notify_route_broken(ctx, from, to, &path, pos as usize, true);
                     }
                 }
             }
@@ -505,7 +509,7 @@ impl JoinNode {
             side::T
         };
         for tuple in buffered {
-            self.send_to_base(ctx, my_side, tuple, Some(affected[0]));
+            self.send_to_base(ctx, my_side, Arc::new(tuple), Some(affected[0]));
         }
     }
 }

@@ -44,18 +44,19 @@ impl JoinNode {
         // Failure fallback buffer: the last w tuples this producer sent.
         push_window(&mut self.sent, tuple, self.sh.spec.window);
 
+        // The one allocation of a sample: every hop and fan-out copy of
+        // the data message shares it.
         match self.sh.cfg.algorithm {
-            Algorithm::Naive => self.send_to_base(ctx, sides, tuple, None),
-            Algorithm::Base => {
-                self.send_to_base(ctx, sides, tuple, None);
+            Algorithm::Naive | Algorithm::Base => {
+                self.send_to_base(ctx, sides, Arc::new(tuple), None);
             }
             Algorithm::Yang07 => {
                 if s_sends {
-                    self.send_to_base(ctx, side::S, tuple, None);
+                    self.send_to_base(ctx, side::S, Arc::new(tuple), None);
                 }
             }
-            Algorithm::Ght => self.ght_send(ctx, sides, tuple),
-            Algorithm::Innet => self.innet_send(ctx, sides, tuple),
+            Algorithm::Ght => self.ght_send(ctx, sides, Arc::new(tuple)),
+            Algorithm::Innet => self.innet_send(ctx, sides, Arc::new(tuple)),
         }
     }
 
@@ -72,23 +73,13 @@ impl JoinNode {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         sides: u8,
-        tuple: Tuple,
+        tuple: Arc<Tuple>,
         fallback: Option<Pair>,
     ) {
-        let msg = Msg::Data {
-            from: self.id,
-            sides,
-            tuple,
-            route: Route::TreeUp,
-            fallback,
-        };
-        if !self.forward_tree_up(ctx, msg) {
-            // I am the base myself (possible for GHT homes near the root).
-            self.base_consume_data(ctx, self.id, sides, tuple, fallback);
-        }
+        self.on_data(ctx, self.id, sides, tuple, Route::TreeUp, fallback);
     }
 
-    fn ght_send(&mut self, ctx: &mut Ctx<'_, Msg>, sides: u8, tuple: Tuple) {
+    fn ght_send(&mut self, ctx: &mut Ctx<'_, Msg>, sides: u8, tuple: Arc<Tuple>) {
         for i in 0..self.ght_routes.len() {
             let (key, ref path, route_sides) = self.ght_routes[i];
             let use_sides = sides & route_sides;
@@ -97,13 +88,13 @@ impl JoinNode {
             }
             let Some(&next) = path.get(1) else {
                 // I am the home node.
-                self.ght_consume(ctx, key, self.id, use_sides, tuple);
+                self.ght_consume(ctx, key, self.id, use_sides, *tuple);
                 continue;
             };
             let msg = Msg::Data {
                 from: self.id,
                 sides: use_sides,
-                tuple,
+                tuple: tuple.clone(),
                 route: Route::Path {
                     path: path.clone(),
                     pos: 1,
@@ -114,7 +105,7 @@ impl JoinNode {
         }
     }
 
-    fn innet_send(&mut self, ctx: &mut Ctx<'_, Msg>, sides: u8, tuple: Tuple) {
+    fn innet_send(&mut self, ctx: &mut Ctx<'_, Msg>, sides: u8, tuple: Arc<Tuple>) {
         // Split assignments by transport: base-mode pairs share one TreeUp
         // message; multicast covers all on-tree join nodes with one send;
         // remaining pairs get per-path unicasts (deduped per join node).
@@ -152,16 +143,16 @@ impl JoinNode {
             }
         }
         for (pair, my_side_s) in local {
-            self.local_join_insert(ctx, pair, my_side_s, tuple);
+            self.local_join_insert(ctx, pair, my_side_s, *tuple);
         }
         if any_base {
-            self.send_to_base(ctx, sides, tuple, None);
+            self.send_to_base(ctx, sides, tuple.clone(), None);
         }
         if use_mcast {
             let msg = Msg::Data {
                 from: self.id,
                 sides,
-                tuple,
+                tuple: tuple.clone(),
                 route: Route::Mcast { owner: self.id },
                 fallback: None,
             };
@@ -172,7 +163,7 @@ impl JoinNode {
             let msg = Msg::Data {
                 from: self.id,
                 sides,
-                tuple,
+                tuple: tuple.clone(),
                 route: Route::Path { path, pos: 1 },
                 fallback: None,
             };
@@ -203,11 +194,16 @@ impl JoinNode {
         ctx: &mut Ctx<'_, Msg>,
         origin: NodeId,
         sides: u8,
-        tuple: Tuple,
+        tuple: Arc<Tuple>,
         route: Route,
         fallback: Option<Pair>,
     ) {
+        // A relay moves the shared tuple on without reading it; only the
+        // node that consumes it copies the value out.
         match route {
+            Route::TreeUp if self.id == self.sh.base() => {
+                self.base_consume_data(ctx, origin, sides, tuple, fallback);
+            }
             Route::TreeUp => {
                 let msg = Msg::Data {
                     from: origin,
@@ -216,23 +212,32 @@ impl JoinNode {
                     route: Route::TreeUp,
                     fallback,
                 };
-                if !self.forward_tree_up(ctx, msg) {
-                    self.base_consume_data(ctx, origin, sides, tuple, fallback);
-                }
+                self.forward_tree_up(ctx, msg);
             }
             Route::Path { path, pos } => {
-                let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::Data {
-                    from: origin,
-                    sides,
-                    tuple,
-                    route: Route::Path { path, pos },
-                    fallback,
-                });
-                if !forwarded {
-                    self.consume_data_at_terminus(ctx, origin, sides, tuple);
+                debug_assert_eq!(
+                    path.get(pos as usize),
+                    Some(&self.id),
+                    "path routing desync"
+                );
+                match path.get(pos as usize + 1) {
+                    Some(&next) => {
+                        let msg = Msg::Data {
+                            from: origin,
+                            sides,
+                            tuple,
+                            route: Route::Path { path, pos: pos + 1 },
+                            fallback,
+                        };
+                        self.send(ctx, next, msg);
+                    }
+                    None => self.consume_data_at_terminus(ctx, origin, sides, *tuple),
                 }
             }
             Route::Mcast { owner } => {
+                // Consume if I am a join node for any of the owner's pairs.
+                let joins_here = self.pairs.keys().any(|p| p.s == origin || p.t == origin);
+                let local = joins_here.then(|| *tuple);
                 let msg = Msg::Data {
                     from: origin,
                     sides,
@@ -241,8 +246,7 @@ impl JoinNode {
                     fallback,
                 };
                 self.forward_mcast(ctx, owner, msg);
-                // Consume if I am a join node for any of the owner's pairs.
-                if self.pairs.keys().any(|p| p.s == origin || p.t == origin) {
+                if let Some(tuple) = local {
                     self.consume_data_at_terminus(ctx, origin, sides, tuple);
                 }
             }
@@ -442,9 +446,10 @@ impl JoinNode {
         ctx: &mut Ctx<'_, Msg>,
         origin: NodeId,
         sides: u8,
-        tuple: Tuple,
+        shared: Arc<Tuple>,
         fallback: Option<Pair>,
     ) {
+        let tuple = *shared;
         let now = ctx.now;
         let spec = &self.sh.spec;
         let w = spec.window;
@@ -539,11 +544,11 @@ impl JoinNode {
         }
         // Yang+07: the base re-routes S data down to matching targets.
         if self.sh.cfg.algorithm == Algorithm::Yang07 && sides & side::S != 0 {
-            self.yang_forward_down(ctx, origin, tuple);
+            self.yang_forward_down(ctx, origin, shared);
         }
     }
 
-    fn yang_forward_down(&mut self, ctx: &mut Ctx<'_, Msg>, origin: NodeId, tuple: Tuple) {
+    fn yang_forward_down(&mut self, ctx: &mut Ctx<'_, Msg>, origin: NodeId, tuple: Arc<Tuple>) {
         let a = &self.sh.spec.analysis;
         let origin_static = *self.sh.data.static_of(origin);
         let targets: Vec<NodeId> = self
@@ -562,7 +567,7 @@ impl JoinNode {
                 let msg = Msg::Data {
                     from: origin,
                     sides: side::S,
-                    tuple,
+                    tuple: tuple.clone(),
                     route: Route::Path {
                         path: path.into(),
                         pos: 1,

@@ -4,7 +4,7 @@
 use super::{Candidate, JoinNode, PairState, ProducerAssign};
 use crate::cost::{place_join_node, Placement, Sigma};
 use crate::learn::PairStats;
-use crate::msg::{side, GhtRegister, Msg, Nominate, Pair, Search};
+use crate::msg::{side, wire_pos, GhtRegister, Msg, Nominate, Pair, Search};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
 use sensor_query::Tuple;
@@ -493,8 +493,8 @@ impl JoinNode {
                         pair,
                         seq,
                         path,
-                        j_idx,
-                        pos: next_pos,
+                        j_idx: Some(wire_pos(j)),
+                        pos: wire_pos(next_pos),
                         toward_t,
                     },
                 );
@@ -529,14 +529,18 @@ impl JoinNode {
         pair: Pair,
         seq: u32,
         path: Vec<NodeId>,
-        j_idx: Option<usize>,
-        pos: usize,
+        j_idx: Option<u32>,
+        pos: u32,
         toward_t: bool,
     ) {
-        debug_assert_eq!(path.get(pos), Some(&self.id), "assign routing desync");
+        debug_assert_eq!(
+            path.get(pos as usize),
+            Some(&self.id),
+            "assign routing desync"
+        );
         let dest = if toward_t { pair.t } else { pair.s };
         if dest == self.id {
-            self.adopt_assign(pair, seq, path, j_idx);
+            self.adopt_assign(pair, seq, path, j_idx.map(|j| j as usize));
             return;
         }
         let next_pos = match j_idx {
@@ -547,13 +551,13 @@ impl JoinNode {
                 pos - 1
             }
             _ => {
-                if pos + 1 >= path.len() {
+                if pos as usize + 1 >= path.len() {
                     return;
                 }
                 pos + 1
             }
         };
-        let next = path[next_pos];
+        let next = path[next_pos as usize];
         self.send(
             ctx,
             next,

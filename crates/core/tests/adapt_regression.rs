@@ -122,7 +122,7 @@ fn in_flight_tuple_survives_desynced_repair() {
     let msg = Msg::Data {
         from: NodeId(1),
         sides: side::S,
-        tuple,
+        tuple: tuple.into(),
         route: Route::Path {
             path: vec![NodeId(1), dead, NodeId(3)].into(),
             pos: 1,
@@ -189,7 +189,7 @@ fn successful_repair_patches_stale_path_and_hops() {
     let msg = Msg::Data {
         from: producer,
         sides: side::S,
-        tuple: Tuple::new(producer, 0),
+        tuple: Tuple::new(producer, 0).into(),
         route: Route::Path {
             path: vec![NodeId(1), NodeId(2), NodeId(3)].into(),
             pos: 1,

@@ -78,10 +78,6 @@ impl GpsrRouter {
         GpsrRouter { planar }
     }
 
-    pub fn planar_neighbors(&self, id: NodeId) -> &[NodeId] {
-        &self.planar[id.index()]
-    }
-
     /// Route from `from` toward the node closest to `dest` (the `home`
     /// node, which the caller determines via [`ght_home`]). Returns the
     /// node path inclusive of both endpoints, or `None` on routing failure
@@ -291,10 +287,10 @@ mod tests {
         let topo = sensor_net::random_with_degree(50, 8.0, 2);
         let router = GpsrRouter::new(&topo);
         for u in 0..50u16 {
-            for &v in router.planar_neighbors(NodeId(u)) {
+            for &v in &router.planar[NodeId(u).index()] {
                 assert!(topo.are_neighbors(NodeId(u), v));
                 assert!(
-                    router.planar_neighbors(v).contains(&NodeId(u)),
+                    router.planar[v.index()].contains(&NodeId(u)),
                     "gabriel graph must be symmetric"
                 );
             }

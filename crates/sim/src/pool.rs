@@ -19,6 +19,13 @@
 //! not the reference count, is what dispatch costs, so the event drain
 //! calls [`MsgPool::prefetch`] on the slots of the events a few places
 //! ahead of the one it dispatches.
+//!
+//! The slot's size therefore sets what a hop costs. A join session's
+//! slot, an `Option<MultiMsg>` plus the reference count, is 64 bytes, one
+//! cache line's worth: the sampled tuple a data message carries lives
+//! behind an `Arc`, outside the pool. The slab is only as aligned as its
+//! element, so a slot may still straddle two lines; the prefetch covers
+//! both.
 
 /// Index of a pooled message. Stable for the slot's lifetime.
 pub(crate) type MsgHandle = u32;

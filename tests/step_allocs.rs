@@ -2,7 +2,11 @@
 //! cost of a sampling cycle is per message delivered, and a delivered
 //! message must not cost a heap allocation of its own (a deep copy of the
 //! compiled query, a scratch `Vec` per dispatch, a route rebuilt per hop).
-//! Counts calls into the allocator; measures no time.
+//! What remains is about one shared tuple per sample, which every hop and
+//! fan-out copy of its data message reuses: ~0.1 allocations per
+//! transmission on both runs below. The bound of 0.25 leaves room for
+//! that and fails as soon as a per-hop allocation comes back. Counts
+//! calls into the allocator; measures no time; prints the ratio.
 
 use aspen::join::prelude::*;
 use aspen::net::random_with_degree;
@@ -90,8 +94,9 @@ fn assert_allocation_free_per_message(algo: &str) {
         "{algo}: only {msgs} transmissions, not a dense run"
     );
     let per_msg = allocs as f64 / msgs as f64;
+    println!("{algo}: {allocs} allocations / {msgs} transmissions = {per_msg:.4} per transmission");
     assert!(
-        per_msg <= 1.0,
+        per_msg <= 0.25,
         "{algo}: {allocs} allocations over {msgs} simulated transmissions = {per_msg:.2} per message"
     );
     assert_eq!(line, run(algo, false).0, "{algo}: counting changed the run");
