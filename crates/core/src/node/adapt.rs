@@ -320,11 +320,9 @@ impl JoinNode {
             // Multicast branch died: tell the owner; it will rebuild
             // around the failure or fall back.
             Msg::Data {
-                from,
                 route: Route::Mcast { owner },
                 ..
             } => {
-                let _ = from;
                 self.recovery.tuples_lost += 1;
                 self.notify_route_broken(ctx, owner, to, &[], 0, true);
             }

@@ -1,11 +1,19 @@
 //! Execution: per-cycle sampling, data shipment, windowed join
 //! computation and result delivery (§2.2, §3.2).
+//!
+//! A windowed join runs at two sites. A pair's join node runs
+//! `join_into_pair` over the pair's own two windows. The base station
+//! and every GHT home each run a [`GroupJoin`]; only who its partners
+//! are differs, and the base adds its eligibility gate, §7 fallback
+//! pinning, at-base learning and Yang+07's forward-down around it. Both
+//! sites, and a Yang+07 target's local window, count matches with
+//! `probe`, the only code that decides which of two tuples is S.
 
-use super::{JoinNode, PairState};
+use super::{GroupJoin, JoinNode, PairState};
 use crate::msg::{side, Msg, Pair, Route};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
-use sensor_query::{Tuple, TupleSource};
+use sensor_query::{QueryAnalysis, Tuple, TupleSource};
 use sensor_sim::Ctx;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -110,7 +118,7 @@ impl JoinNode {
         // message; multicast covers all on-tree join nodes with one send;
         // remaining pairs get per-path unicasts (deduped per join node).
         let mut any_base = false;
-        let mut local: Vec<(Pair, bool)> = Vec::new();
+        let mut local: Vec<Pair> = Vec::new();
         let mut unicast: Vec<(NodeId, Arc<[NodeId]>)> = Vec::new(); // (j, my path to j)
         let use_mcast = self.sh.cfg.innet.multicast && self.mc_tree.is_some();
         for asg in self.assigns.values() {
@@ -127,7 +135,7 @@ impl JoinNode {
             let j = asg.path[asg.j_idx.expect("innet route")];
             if j == self.id {
                 // I am the join node for my own pair: local insert.
-                local.push((asg.pair, my_side_s));
+                local.push(asg.pair);
                 continue;
             }
             if use_mcast
@@ -142,8 +150,8 @@ impl JoinNode {
                 unicast.push((j, asg.route_to_j(self.id).expect("innet route")));
             }
         }
-        for (pair, my_side_s) in local {
-            self.local_join_insert(ctx, pair, my_side_s, *tuple);
+        for pair in local {
+            self.local_join_insert(ctx, pair, *tuple);
         }
         if any_base {
             self.send_to_base(ctx, sides, tuple.clone(), None);
@@ -268,7 +276,7 @@ impl JoinNode {
                 let keys: Vec<u64> = self
                     .ght_groups
                     .iter()
-                    .filter(|(_, g)| g.members.iter().any(|(n, _, _)| *n == origin))
+                    .filter(|(_, g)| g.partners.keys().any(|(n, _)| *n == origin))
                     .map(|(k, _)| *k)
                     .collect();
                 for key in keys {
@@ -300,13 +308,7 @@ impl JoinNode {
     }
 
     /// Local-insert shortcut when the producer is its own join node.
-    fn local_join_insert(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        pair: Pair,
-        _my_side_s: bool,
-        tuple: Tuple,
-    ) {
+    fn local_join_insert(&mut self, ctx: &mut Ctx<'_, Msg>, pair: Pair, tuple: Tuple) {
         let spec = &self.sh.spec;
         if let Some(st) = self.pairs.get_mut(&pair) {
             let results = join_into_pair(spec, st, self.id, tuple, spec.window);
@@ -319,18 +321,14 @@ impl JoinNode {
 
     /// Yang+07 target: probe the local window of own samples.
     fn yang_target_join(&mut self, ctx: &mut Ctx<'_, Msg>, s_tuple: Tuple) {
-        let a = &self.sh.spec.analysis;
-        let results = self
-            .yang_win
-            .iter()
-            .filter(|t_tuple| a.join_matches(&s_tuple, t_tuple))
-            .count() as u32;
+        let results = probe(&self.sh.spec.analysis, side::S, &s_tuple, &self.yang_win);
         if results > 0 {
             self.emit_results(ctx, results, s_tuple.cycle);
         }
     }
 
-    /// GHT home: probe opposite-side windows of all group members.
+    /// GHT home: join the tuple, on each of its sides, against the
+    /// key's group. The tuple's own static attributes decide its partners.
     pub(super) fn ght_consume(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -339,57 +337,18 @@ impl JoinNode {
         sides: u8,
         tuple: Tuple,
     ) {
-        let spec = &self.sh.spec;
-        let w = spec.window;
-        let mut results = 0u32;
+        let (a, w) = (&self.sh.spec.analysis, self.sh.spec.window);
+        let mut results = 0u64;
         if let Some(group) = self.ght_groups.get_mut(&key) {
-            // As S tuple: probe T members' windows.
-            if sides & side::S != 0 {
-                for (m, m_sides, m_statics) in &group.members {
-                    if *m == origin || m_sides & side::T == 0 {
-                        continue;
-                    }
-                    if !spec.analysis.static_join_matches(&tuple, m_statics) {
-                        continue;
-                    }
-                    if let Some(win) = group.windows.get(&(*m, side::T)) {
-                        results += win
-                            .iter()
-                            .filter(|tt| spec.analysis.join_matches(&tuple, tt))
-                            .count() as u32;
-                    }
+            for sd in [side::S, side::T] {
+                if sides & sd != 0 {
+                    results += group.consume(a, origin, &tuple, sd, tuple, w, |_, _| {});
                 }
-                push_window(
-                    group.windows.entry((origin, side::S)).or_default(),
-                    tuple,
-                    w,
-                );
-            }
-            if sides & side::T != 0 {
-                for (m, m_sides, m_statics) in &group.members {
-                    if *m == origin || m_sides & side::S == 0 {
-                        continue;
-                    }
-                    if !spec.analysis.static_join_matches(m_statics, &tuple) {
-                        continue;
-                    }
-                    if let Some(win) = group.windows.get(&(*m, side::S)) {
-                        results += win
-                            .iter()
-                            .filter(|ss| spec.analysis.join_matches(ss, &tuple))
-                            .count() as u32;
-                    }
-                }
-                push_window(
-                    group.windows.entry((origin, side::T)).or_default(),
-                    tuple,
-                    w,
-                );
             }
         }
-        self.produced_results += results as u64;
+        self.produced_results += results;
         if results > 0 {
-            self.emit_results(ctx, results, tuple.cycle);
+            self.emit_results(ctx, results as u32, tuple.cycle);
         }
     }
 
@@ -470,70 +429,44 @@ impl JoinNode {
                 stats: crate::learn::PairStats::default(),
             });
         }
+        let a = &spec.analysis;
         let mut produced = 0u64;
-        for probe_side in [side::S, side::T] {
-            if sides & probe_side == 0 {
+        for sd in [side::S, side::T] {
+            if sides & sd == 0 {
                 continue;
             }
-            let opposite = if probe_side == side::S {
-                side::T
-            } else {
-                side::S
-            };
             // A sender is a partner only if statically eligible on its
             // side: settled here, when it sends, for every tuple it is
-            // later probed by (`senders` holds eligible ones only).
-            let eligible = if probe_side == side::S {
-                spec.analysis.s_eligible(&origin_static)
+            // later probed by. An ineligible sender's tuple probes nothing.
+            let eligible = if sd == side::S {
+                a.s_eligible(&origin_static)
             } else {
-                spec.analysis.t_eligible(&origin_static)
+                a.t_eligible(&origin_static)
             };
-            // Partners in node order, which is the map's.
-            let partners = b
-                .senders
-                .iter()
-                .filter(|((n, sd), _)| eligible && *sd == opposite && *n != origin);
-            for (&(partner, _), p_static) in partners {
-                let statically_joins = if probe_side == side::S {
-                    spec.analysis.static_join_matches(&origin_static, p_static)
-                } else {
-                    spec.analysis.static_join_matches(p_static, &origin_static)
-                };
-                if !statically_joins {
-                    continue;
-                }
-                if let Some(win) = b.windows.get(&(partner, opposite)) {
-                    let matches = win
-                        .iter()
-                        .filter(|other| {
-                            if probe_side == side::S {
-                                spec.analysis.join_matches(&tuple, other)
-                            } else {
-                                spec.analysis.join_matches(other, &tuple)
-                            }
-                        })
-                        .count() as u64;
-                    produced += matches;
-                    // Learning bookkeeping for registered at-base pairs.
-                    let pair = if probe_side == side::S {
-                        Pair::new(origin, partner)
-                    } else {
-                        Pair::new(partner, origin)
-                    };
-                    if let Some(ps) = b.pairs.get_mut(&pair) {
-                        ps.stats.record_results(matches as u32);
-                    }
-                }
-            }
             if eligible {
-                b.senders.insert((origin, probe_side), origin_static);
+                let pairs = &mut b.pairs;
+                // Learning bookkeeping for registered at-base pairs.
+                produced += b
+                    .join
+                    .consume(a, origin, &origin_static, sd, tuple, w, |p, n| {
+                        let pair = if sd == side::S {
+                            Pair::new(origin, p)
+                        } else {
+                            Pair::new(p, origin)
+                        };
+                        if let Some(ps) = pairs.get_mut(&pair) {
+                            ps.stats.record_results(n);
+                        }
+                    });
+                b.join.partners.insert((origin, sd), origin_static);
+            } else {
+                b.join.insert(origin, sd, tuple, w);
             }
-            push_window(b.windows.entry((origin, probe_side)).or_default(), tuple, w);
             // Pair stats: count arrivals.
             for (pair, ps) in b.pairs.iter_mut() {
-                if probe_side == side::S && pair.s == origin {
+                if sd == side::S && pair.s == origin {
                     ps.stats.record_s();
-                } else if probe_side == side::T && pair.t == origin {
+                } else if sd == side::T && pair.t == origin {
                     ps.stats.record_t();
                 }
             }
@@ -580,6 +513,18 @@ impl JoinNode {
     }
 }
 
+/// Count the tuples of `window` that join `tuple`, which arrived on side
+/// `sd`; the window holds the opposite side. The one place a windowed
+/// join decides which of two tuples is S.
+pub(super) fn probe(a: &QueryAnalysis, sd: u8, tuple: &Tuple, window: &VecDeque<Tuple>) -> u32 {
+    let n = if sd == side::S {
+        window.iter().filter(|t| a.join_matches(tuple, t)).count()
+    } else {
+        window.iter().filter(|s| a.join_matches(s, tuple)).count()
+    };
+    n as u32
+}
+
 /// Probe-then-insert windowed join for one pair at its join node.
 /// Returns the number of result tuples.
 pub(super) fn join_into_pair(
@@ -589,25 +534,160 @@ pub(super) fn join_into_pair(
     tuple: Tuple,
     w: usize,
 ) -> u32 {
+    let a = &spec.analysis;
     let mut results = 0u32;
     if origin == st.pair.s {
         st.stats.record_s();
-        results += st
-            .win_t
-            .iter()
-            .filter(|t| spec.analysis.join_matches(&tuple, t))
-            .count() as u32;
+        results += probe(a, side::S, &tuple, &st.win_t);
         push_window(&mut st.win_s, tuple, w);
     }
     if origin == st.pair.t {
         st.stats.record_t();
-        results += st
-            .win_s
-            .iter()
-            .filter(|s| spec.analysis.join_matches(s, &tuple))
-            .count() as u32;
+        results += probe(a, side::T, &tuple, &st.win_s);
         push_window(&mut st.win_t, tuple, w);
     }
     st.stats.record_results(results);
     results
+}
+
+impl GroupJoin {
+    /// Join `tuple`, which `origin` sent on side `sd`, against the
+    /// opposite-side window of every other partner whose static tuple
+    /// matches `origin_static`, calling `hit(partner, matches)` per
+    /// probed window; then window the tuple. Returns the matches.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn consume(
+        &mut self,
+        a: &QueryAnalysis,
+        origin: NodeId,
+        origin_static: &Tuple,
+        sd: u8,
+        tuple: Tuple,
+        w: usize,
+        mut hit: impl FnMut(NodeId, u32),
+    ) -> u64 {
+        let opposite = sd ^ (side::S | side::T);
+        let mut results = 0u64;
+        // Partners in node order, which is the map's.
+        for (&(p, _), p_static) in self
+            .partners
+            .iter()
+            .filter(|((n, s), _)| *s == opposite && *n != origin)
+        {
+            let statically_joins = if sd == side::S {
+                a.static_join_matches(origin_static, p_static)
+            } else {
+                a.static_join_matches(p_static, origin_static)
+            };
+            if !statically_joins {
+                continue;
+            }
+            if let Some(win) = self.windows.get(&(p, opposite)) {
+                let n = probe(a, sd, &tuple, win);
+                hit(p, n);
+                results += n as u64;
+            }
+        }
+        self.insert(origin, sd, tuple, w);
+        results
+    }
+
+    /// Window `tuple` under (`origin`, `sd`) without probing.
+    pub(super) fn insert(&mut self, origin: NodeId, sd: u8, tuple: Tuple, w: usize) {
+        push_window(self.windows.entry((origin, sd)).or_default(), tuple, w);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sensor_query::schema::{ATTR_U, ATTR_X, ATTR_Y};
+
+    /// Node `n`'s tuple at `cycle`; every tuple shares `u`, so only
+    /// Query 1's static clause S.x = T.y + 5 tells them apart.
+    fn t(n: u16, cycle: u32, x: u16, y: u16) -> Tuple {
+        let mut t = Tuple::new(NodeId(n), cycle);
+        t.set(ATTR_X, x).set(ATTR_Y, y).set(ATTR_U, 7);
+        t
+    }
+
+    /// One arrival, its sender's static attributes read off the tuple as
+    /// a GHT home does: the result count and the hits in call order.
+    fn arrive(
+        g: &mut GroupJoin,
+        a: &QueryAnalysis,
+        sd: u8,
+        tuple: Tuple,
+    ) -> (u64, Vec<(u16, u32)>) {
+        let mut hits = Vec::new();
+        let n = g.consume(a, tuple.node, &tuple, sd, tuple, 2, |p, n| {
+            hits.push((p.0, n))
+        });
+        (n, hits)
+    }
+
+    fn cycles(g: &GroupJoin, n: u16, sd: u8) -> Vec<u32> {
+        g.windows[&(NodeId(n), sd)]
+            .iter()
+            .map(|t| t.cycle)
+            .collect()
+    }
+
+    #[test]
+    fn group_join_orients_probes_and_windows_on_query_1() {
+        let a = &sensor_workload::query1(2).analysis;
+        let (s, tt) = (side::S, side::T);
+        let mut g = GroupJoin::default();
+        // s1 joins t2 and n4; t3 joins s1 only as T.x = S.y + 5; n4 is
+        // on both sides and joins itself.
+        for (n, sd, x, y) in [
+            (1, s, 8, 0),
+            (2, tt, 0, 3),
+            (3, tt, 5, 9),
+            (4, s, 8, 3),
+            (4, tt, 8, 3),
+        ] {
+            g.partners.insert((NodeId(n), sd), t(n, 0, x, y));
+        }
+        assert!(!a.static_join_matches(&t(1, 0, 8, 0), &t(3, 0, 5, 9)));
+        // Windows filled by `insert` may hold tuples their owner's static
+        // attributes would not produce; each one isolates a rule.
+        g.insert(NodeId(2), tt, t(2, 0, 0, 3), 2); // joins s1 S→T only
+        g.insert(NodeId(2), tt, t(2, 1, 5, 9), 2); // joins s1 T→S only
+        g.insert(NodeId(3), tt, t(3, 0, 0, 3), 2); // would join s1
+        g.insert(NodeId(4), tt, t(4, 0, 8, 3), 2);
+
+        // An S arrival probes T windows in S→T orientation; t3 does not
+        // statically match, so it is neither probed nor hit.
+        assert_eq!(
+            arrive(&mut g, a, s, t(1, 2, 8, 0)),
+            (2, vec![(2, 1), (4, 1)])
+        );
+        assert_eq!(cycles(&g, 1, s), [2]);
+        // A T arrival probes S windows, still S→T: (9, 0) joins (5, 3)
+        // only as T.x = S.y + 5.
+        g.insert(NodeId(1), s, t(1, 3, 9, 0), 2);
+        assert_eq!(arrive(&mut g, a, tt, t(2, 4, 5, 3)), (1, vec![(1, 1)]));
+        // The window keeps the last w = 2 tuples.
+        assert_eq!(cycles(&g, 2, tt), [1, 4]);
+
+        // n4's own S window joins its T arrival but is never probed, and
+        // the arrival is windowed after the probe, so it never meets itself.
+        g.insert(NodeId(4), s, t(4, 5, 8, 3), 2);
+        assert_eq!(arrive(&mut g, a, tt, t(4, 6, 8, 3)), (1, vec![(1, 1)]));
+        assert_eq!(cycles(&g, 4, tt), [0, 6]);
+
+        // A non-partner's tuple probes the partners (its own static
+        // attributes pick them) and is windowed ...
+        assert_eq!(
+            arrive(&mut g, a, s, t(9, 7, 8, 0)),
+            (3, vec![(2, 1), (4, 2)])
+        );
+        assert_eq!(cycles(&g, 9, s), [7]);
+        // ... but no partner ever probes that window.
+        assert_eq!(
+            arrive(&mut g, a, tt, t(2, 8, 0, 3)),
+            (2, vec![(1, 1), (4, 1)])
+        );
+    }
 }

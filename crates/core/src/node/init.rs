@@ -61,22 +61,14 @@ impl JoinNode {
         // At the base: decide participation from global static knowledge
         // (the base ran the static pre-computation) and reply.
         let participate = self.has_static_partner(origin, sides);
-        if participate {
-            if let Some(b) = self.base.as_mut() {
-                b.participants.insert(origin);
-            }
-        }
         let path = self.sh.tree_path(self.id, origin);
-        let reply = Msg::Verdict {
-            pos: 1,
-            participate,
-            path,
-        };
-        if let Msg::Verdict { ref path, .. } = reply {
-            if path.len() > 1 {
-                let next = path[1];
-                self.send(ctx, next, reply.clone());
-            }
+        if let Some(&next) = path.get(1) {
+            let reply = Msg::Verdict {
+                pos: 1,
+                participate,
+                path,
+            };
+            self.send(ctx, next, reply);
         }
     }
 
@@ -121,7 +113,6 @@ impl JoinNode {
 
     /// Register this producer at the home node(s) of its join key(s).
     pub fn start_ght_register(&mut self, ctx: &mut Ctx<'_, Msg>) {
-        let plan = &self.sh.spec.plan;
         let mut targets: Vec<(u64, u8)> = Vec::new();
         if self.is_s {
             targets.push((self.ght_key(true), side::S));
@@ -138,7 +129,6 @@ impl JoinNode {
                 _ => merged.push((k, s)),
             }
         }
-        let _ = plan;
         for (key, sides) in merged {
             let home = sensor_routing::ght::ght_home(&self.sh.topo, key);
             let path = match self.sh.gpsr.as_ref() {
@@ -206,10 +196,10 @@ impl JoinNode {
         statics: Tuple,
     ) {
         let group = self.ght_groups.entry(key).or_default();
-        if let Some(m) = group.members.iter_mut().find(|(n, _, _)| *n == node) {
-            m.1 |= sides;
-        } else {
-            group.members.push((node, sides, statics));
+        for sd in [side::S, side::T] {
+            if sides & sd != 0 {
+                group.partners.entry((node, sd)).or_insert(statics);
+            }
         }
     }
 

@@ -7,7 +7,10 @@
 //! - [`init`]: query dissemination, Base pre-filtering, GHT registration,
 //!   Innet exploration / nomination / assignment (§3);
 //! - [`exec`]: sampling, data forwarding, windowed join computation,
-//!   result delivery (§2.2);
+//!   result delivery (§2.2). A pair's join node runs
+//!   `exec::join_into_pair`; the base station and every GHT home run
+//!   one [`GroupJoin`]; `exec::probe` is the only code that decides
+//!   which of two tuples is S;
 //! - [`mpo`]: group optimization (Algorithm 1) and multicast trees with
 //!   path collapsing (§5, Appendix E);
 //! - [`adapt`]: selectivity learning with join-node migration (§6) and
@@ -84,12 +87,14 @@ pub struct PairState {
     pub stats: PairStats,
 }
 
-/// GHT home-node state for one hashed key group.
+/// A grouped windowed join (§2.2, §4.2): the base station runs one for
+/// every tuple shipped to it, a GHT home one per hashed key.
 #[derive(Debug, Clone, Default)]
-pub struct GhtGroup {
-    /// (node, sides bitmask, static tuple).
-    pub members: Vec<(NodeId, u8, Tuple)>,
-    /// Windows per (node, side).
+pub struct GroupJoin {
+    /// Static tuples of the producers whose windows arrivals probe, per
+    /// (node, side): GHT registrations, or the base's eligible senders.
+    pub partners: BTreeMap<(NodeId, u8), Tuple>,
+    /// The last `w` tuples per (node, side).
     pub windows: BTreeMap<(NodeId, u8), VecDeque<Tuple>>,
 }
 
@@ -100,13 +105,8 @@ pub struct BaseState {
     pub results: u64,
     /// Sum of result delays in transmission cycles.
     pub delay_sum: u64,
-    /// Windows of base-joined producers, per (node, side).
-    pub windows: BTreeMap<(NodeId, u8), VecDeque<Tuple>>,
-    /// Static tuples of the statically eligible producers currently
-    /// shipping to the base.
-    pub senders: BTreeMap<(NodeId, u8), Tuple>,
-    /// Base-algorithm verdicts issued during initiation.
-    pub participants: HashSet<NodeId>,
+    /// The grouped join over every producer shipping to the base.
+    pub join: GroupJoin,
     /// Innet pairs joined at the base (for learning/migration).
     pub pairs: BTreeMap<Pair, PairState>,
 }
@@ -203,8 +203,8 @@ pub struct JoinNode {
     pub candidates: BTreeMap<NodeId, Candidate>,
     /// Join-node: pairs computed here.
     pub pairs: BTreeMap<Pair, PairState>,
-    /// GHT home-node groups.
-    pub ght_groups: BTreeMap<u64, GhtGroup>,
+    /// GHT home-node groups by hashed key.
+    pub ght_groups: BTreeMap<u64, GroupJoin>,
     /// GHT producer: precomputed route(s) to home node(s): (key, path, sides).
     pub ght_routes: Vec<(u64, Arc<[NodeId]>, u8)>,
     /// Yang+07 target-side local window of own samples.
@@ -468,6 +468,6 @@ impl Protocol for JoinNode {
     fn on_sampling_cycle(&mut self, ctx: &mut Ctx<'_, Msg>, cycle: u32) {
         self.sample_and_send(ctx, cycle);
         self.learning_tick(ctx, cycle);
-        self.mcast_maintenance(ctx, cycle);
+        self.mcast_maintenance(ctx);
     }
 }

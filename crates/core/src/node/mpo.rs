@@ -369,7 +369,7 @@ impl JoinNode {
 
     /// Rebuild and push my multicast tree if assignments changed. Runs in
     /// the sampling tick so migrations/decisions batch naturally.
-    pub(super) fn mcast_maintenance(&mut self, ctx: &mut Ctx<'_, Msg>, _cycle: u32) {
+    pub(super) fn mcast_maintenance(&mut self, ctx: &mut Ctx<'_, Msg>) {
         if !self.sh.cfg.innet.multicast || !self.mc_dirty {
             return;
         }

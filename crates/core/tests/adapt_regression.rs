@@ -144,6 +144,7 @@ fn in_flight_tuple_survives_desynced_repair() {
         .node(NodeId(0))
         .base_state()
         .expect("base state")
+        .join
         .windows;
     assert!(
         base_windows.contains_key(&(NodeId(1), side::S)),

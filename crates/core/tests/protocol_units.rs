@@ -227,16 +227,8 @@ fn ght_members_register_at_common_home() {
     let mut homes_with_full_groups = 0;
     for i in 0..topo.len() as u16 {
         for g in node(&run, NodeId(i)).ght_groups.values() {
-            let s_count = g
-                .members
-                .iter()
-                .filter(|(_, sides, _)| sides & 1 != 0)
-                .count();
-            let t_count = g
-                .members
-                .iter()
-                .filter(|(_, sides, _)| sides & 2 != 0)
-                .count();
+            let s_count = g.partners.keys().filter(|(_, side)| *side == 1).count();
+            let t_count = g.partners.keys().filter(|(_, side)| *side == 2).count();
             if s_count >= 1 && t_count >= 1 {
                 homes_with_full_groups += 1;
             }
