@@ -365,6 +365,89 @@ mod tests {
         assert_eq!(mk(4).wire_bytes(6, 10) - mk(0).wire_bytes(6, 10), 24);
     }
 
+    /// Each path-routed control kind pays its own payload constant plus
+    /// the delta-encoded path (6 bytes for 5 nodes); the goldens see only
+    /// per-node totals, so this pins every kind's size on its own.
+    #[test]
+    fn control_message_sizes() {
+        let path: Vec<NodeId> = (1..=5).map(NodeId).collect();
+        let n = NodeId(1);
+        let cases = [
+            (
+                Msg::Verdict {
+                    path: path.clone(),
+                    pos: 1,
+                    participate: true,
+                },
+                7,
+            ),
+            (
+                Msg::GhtRegister(Box::new(GhtRegister {
+                    origin: n,
+                    sides: side::S,
+                    key: 0,
+                    statics: Tuple::new(n, 0),
+                    path: path.clone(),
+                    pos: 1,
+                })),
+                25,
+            ),
+            (
+                Msg::DeltaCost(Box::new(DeltaCost {
+                    group: 0,
+                    from: n,
+                    members: path[..3].to_vec(),
+                    delta: 0.0,
+                    path: path.clone(),
+                    pos: 1,
+                })),
+                22,
+            ),
+            (
+                Msg::CoordPing {
+                    group: 0,
+                    coordinator: n,
+                    path: path.clone(),
+                    pos: 1,
+                },
+                14,
+            ),
+            (
+                Msg::GroupDecision {
+                    group: 0,
+                    coordinator: n,
+                    seq: 0,
+                    innet: true,
+                    path: path.clone(),
+                    pos: 1,
+                },
+                18,
+            ),
+            (
+                Msg::CollapseHint {
+                    owner: n,
+                    n1: n,
+                    n2: n,
+                    path: path.clone(),
+                    pos: 1,
+                },
+                14,
+            ),
+            (
+                Msg::RouteBroken {
+                    pair: Pair::new(n, n),
+                    failed: n,
+                    path,
+                    pos: 1,
+                },
+                14,
+            ),
+        ];
+        for (msg, bytes) in cases {
+            assert_eq!(msg.wire_bytes(6, 10), bytes, "{msg:?}");
+        }
+    }
+
     /// Every hop moves a `Msg` by value through the sink, the wrapper and
     /// the pool: 48 bytes leave room for the 8-byte query tag of a
     /// `MultiMsg` and the pool's refcount within one 64-byte line. The
