@@ -59,8 +59,6 @@ pub struct GhtRegister {
     pub sides: u8,
     pub key: u64,
     pub statics: Tuple,
-    pub path: Vec<NodeId>,
-    pub pos: usize,
 }
 
 /// Innet exploration (multi-tree content-routed search).
@@ -100,8 +98,6 @@ pub struct DeltaCost {
     pub from: NodeId,
     pub members: Vec<NodeId>,
     pub delta: f64,
-    pub path: Vec<NodeId>,
-    pub pos: usize,
 }
 
 /// §6: window + estimate hand-off when the join node migrates.
@@ -126,13 +122,63 @@ pub struct McastSetup {
     pub edges: Vec<(NodeId, Vec<NodeId>)>,
 }
 
+/// What a node-addressed control message tells the last node of its
+/// path. It travels inside [`Msg::Ctl`]; relays read only the envelope.
+#[derive(Debug, Clone)]
+pub enum Ctl {
+    /// Base-algorithm initiation: participation verdict routed back.
+    Verdict {
+        participate: bool,
+    },
+    GhtRegister(Box<GhtRegister>),
+    DeltaCost(Box<DeltaCost>),
+    /// §5.2: a coordinator announcing itself to a member whose ΔCp it has
+    /// not seen (Algorithm 1 lines 7-8: members adopt the lowest-id
+    /// coordinator and re-send their cost difference).
+    CoordPing {
+        group: u64,
+        coordinator: NodeId,
+    },
+    /// §5.2: coordinator's verdict (Algorithm 1).
+    GroupDecision {
+        group: u64,
+        seq: u32,
+        innet: bool,
+    },
+    /// Appendix E: snooped path-collapse opportunity reported to `owner`.
+    CollapseHint {
+        owner: NodeId,
+        n1: NodeId,
+        n2: NodeId,
+    },
+    /// §7: route failure notification heading back to the producer.
+    RouteBroken {
+        failed: NodeId,
+    },
+}
+
+impl Ctl {
+    /// Payload size of the control body; the envelope adds its path.
+    pub fn wire_bytes(&self) -> u32 {
+        match self {
+            Ctl::Verdict { .. } => 1,
+            Ctl::GhtRegister(_) => 11 + STATIC_EXCERPT_BYTES,
+            Ctl::DeltaCost(m) => 10 + 2 * m.members.len() as u32,
+            Ctl::CoordPing { .. } | Ctl::CollapseHint { .. } | Ctl::RouteBroken { .. } => 8,
+            Ctl::GroupDecision { .. } => 12,
+        }
+    }
+}
+
 /// Protocol message set (all algorithms share the enum; each uses a
-/// subset). Every transmission moves a `Msg` by value several times and
-/// parks it in a pool slot, so the enum is kept to 48 bytes: the payloads
-/// of the rare control messages are boxed, the 64-byte tuple of the
-/// per-tuple `Data` sits behind an `Arc` made once per sample, and path
-/// positions are `u32`. The tagged frame around it then fits one cache
-/// line (see `multi::tests::pool_slot_is_one_cache_line`).
+/// subset). Node-addressed control travels as [`Msg::Ctl`], sent by
+/// `JoinNode::send_ctl` and relayed hop by hop by `JoinNode::on_ctl`.
+/// Every transmission moves a `Msg` by value several times and parks it
+/// in a pool slot, so the enum is kept to 48 bytes: the large control
+/// payloads are boxed, the 64-byte tuple of the per-tuple `Data` sits
+/// behind an `Arc` made once per sample, and path positions are `u32`.
+/// The tagged frame around it then fits one cache line (see
+/// `multi::tests::pool_slot_is_one_cache_line`).
 #[derive(Debug, Clone)]
 pub enum Msg {
     /// Query dissemination flood.
@@ -142,13 +188,13 @@ pub enum Msg {
         origin: NodeId,
         sides: u8,
     },
-    /// Base-algorithm initiation: participation verdict routed back.
-    Verdict {
+    /// A control message for `path`'s last node; `pos` indexes the
+    /// current node.
+    Ctl {
         path: Vec<NodeId>,
-        pos: usize,
-        participate: bool,
+        pos: u32,
+        ctl: Ctl,
     },
-    GhtRegister(Box<GhtRegister>),
     Search(Box<Search>),
     Nominate(Box<Nominate>),
     /// j → producer: the pair assignment. For on-path assigns (`j_idx`
@@ -179,42 +225,8 @@ pub enum Msg {
         gen_cycle: u32,
         route: Route,
     },
-    DeltaCost(Box<DeltaCost>),
-    /// §5.2: a coordinator announcing itself to a member whose ΔCp it has
-    /// not seen (Algorithm 1 lines 7-8: members adopt the lowest-id
-    /// coordinator and re-send their cost difference).
-    CoordPing {
-        group: u64,
-        coordinator: NodeId,
-        path: Vec<NodeId>,
-        pos: usize,
-    },
-    /// §5.2: coordinator's verdict (Algorithm 1).
-    GroupDecision {
-        group: u64,
-        coordinator: NodeId,
-        seq: u32,
-        innet: bool,
-        path: Vec<NodeId>,
-        pos: usize,
-    },
     WindowXfer(Box<WindowXfer>),
     McastSetup(Box<McastSetup>),
-    /// Appendix E: snooped path-collapse opportunity reported to `owner`.
-    CollapseHint {
-        owner: NodeId,
-        n1: NodeId,
-        n2: NodeId,
-        path: Vec<NodeId>,
-        pos: usize,
-    },
-    /// §7: route failure notification heading back to the producer.
-    RouteBroken {
-        pair: Pair,
-        failed: NodeId,
-        path: Vec<NodeId>,
-        pos: usize,
-    },
     /// §7: local liveness probe (broadcast, neighbors ignore silently).
     Probe,
 }
@@ -250,8 +262,7 @@ impl Msg {
         match self {
             Msg::QueryFlood => 40, // compiled query broadcast
             Msg::Announce { .. } => 3 + STATIC_EXCERPT_BYTES,
-            Msg::Verdict { path, .. } => 1 + path_bytes(path.len()),
-            Msg::GhtRegister(m) => 11 + STATIC_EXCERPT_BYTES + path_bytes(m.path.len()),
+            Msg::Ctl { path, ctl, .. } => ctl.wire_bytes() + path_bytes(path.len()),
             Msg::Search(m) => {
                 // tree + flags + origin + statics + constraints + path +
                 // delta-encoded hops array (§3.1: "delta encoded").
@@ -274,9 +285,6 @@ impl Msg {
                 data_bytes + 1 + route_overhead
             }
             Msg::Result { count, .. } => 4 + *count as u32 * result_bytes,
-            Msg::DeltaCost(m) => 10 + 2 * m.members.len() as u32 + path_bytes(m.path.len()),
-            Msg::CoordPing { path, .. } => 8 + path_bytes(path.len()),
-            Msg::GroupDecision { path, .. } => 12 + path_bytes(path.len()),
             Msg::WindowXfer(m) => {
                 14 + (m.win_s.len() + m.win_t.len()) as u32 * data_bytes + path_bytes(m.path.len())
             }
@@ -284,8 +292,6 @@ impl Msg {
                 let state: u32 = m.edges.iter().map(|(_, cs)| 2 + 2 * cs.len() as u32).sum();
                 2 + state
             }
-            Msg::CollapseHint { path, .. } => 8 + path_bytes(path.len()),
-            Msg::RouteBroken { path, .. } => 8 + path_bytes(path.len()),
             Msg::Probe => 2,
         }
     }
@@ -372,76 +378,55 @@ mod tests {
     fn control_message_sizes() {
         let path: Vec<NodeId> = (1..=5).map(NodeId).collect();
         let n = NodeId(1);
+        let ctl = |ctl| Msg::Ctl {
+            path: path.clone(),
+            pos: 1,
+            ctl,
+        };
         let cases = [
+            (ctl(Ctl::Verdict { participate: true }), 7),
             (
-                Msg::Verdict {
-                    path: path.clone(),
-                    pos: 1,
-                    participate: true,
-                },
-                7,
-            ),
-            (
-                Msg::GhtRegister(Box::new(GhtRegister {
+                ctl(Ctl::GhtRegister(Box::new(GhtRegister {
                     origin: n,
                     sides: side::S,
                     key: 0,
                     statics: Tuple::new(n, 0),
-                    path: path.clone(),
-                    pos: 1,
-                })),
+                }))),
                 25,
             ),
             (
-                Msg::DeltaCost(Box::new(DeltaCost {
+                ctl(Ctl::DeltaCost(Box::new(DeltaCost {
                     group: 0,
                     from: n,
                     members: path[..3].to_vec(),
                     delta: 0.0,
-                    path: path.clone(),
-                    pos: 1,
-                })),
+                }))),
                 22,
             ),
             (
-                Msg::CoordPing {
+                ctl(Ctl::CoordPing {
                     group: 0,
                     coordinator: n,
-                    path: path.clone(),
-                    pos: 1,
-                },
+                }),
                 14,
             ),
             (
-                Msg::GroupDecision {
+                ctl(Ctl::GroupDecision {
                     group: 0,
-                    coordinator: n,
                     seq: 0,
                     innet: true,
-                    path: path.clone(),
-                    pos: 1,
-                },
+                }),
                 18,
             ),
             (
-                Msg::CollapseHint {
+                ctl(Ctl::CollapseHint {
                     owner: n,
                     n1: n,
                     n2: n,
-                    path: path.clone(),
-                    pos: 1,
-                },
+                }),
                 14,
             ),
-            (
-                Msg::RouteBroken {
-                    pair: Pair::new(n, n),
-                    failed: n,
-                    path,
-                    pos: 1,
-                },
-                14,
-            ),
+            (ctl(Ctl::RouteBroken { failed: n }), 14),
         ];
         for (msg, bytes) in cases {
             assert_eq!(msg.wire_bytes(6, 10), bytes, "{msg:?}");

@@ -3,7 +3,7 @@
 
 use super::{JoinNode, PairState};
 use crate::cost::{place_join_node, Placement};
-use crate::msg::{side, wire_pos, Msg, Pair, Route, WindowXfer};
+use crate::msg::{side, wire_pos, Ctl, Msg, Pair, Route, WindowXfer};
 use sensor_net::NodeId;
 use sensor_query::Tuple;
 use sensor_routing::repair::repair_path;
@@ -438,41 +438,26 @@ impl JoinNode {
             } else {
                 self.sh.tree_path(self.id, producer)
             };
-        if back_path.len() > 1 {
-            let msg = Msg::RouteBroken {
-                pair: Pair::new(producer, failed), // s slot = producer, t slot unused
-                failed,
-                path: back_path.clone(),
+        if let Some(&next) = back_path.get(1) {
+            let msg = Msg::Ctl {
+                path: back_path,
                 pos: 1,
+                ctl: Ctl::RouteBroken { failed },
             };
             self.recovery.control_bytes += self.wire_bytes(&msg) as u64;
-            self.send(ctx, back_path[1], msg);
-        }
-    }
-
-    pub(super) fn on_route_broken(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        pair: Pair,
-        failed: NodeId,
-        path: Vec<NodeId>,
-        pos: usize,
-    ) {
-        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::RouteBroken {
-            pair,
-            failed,
-            path,
-            pos,
-        });
-        if !forwarded {
-            self.producer_route_broken(ctx, failed, true);
+            self.send(ctx, next, msg);
         }
     }
 
     /// §7: producer-side reaction — switch every pair whose path includes
     /// the failed node to joining at the base, forwarding the last `w`
     /// tuples so the base can reconstruct the join window.
-    fn producer_route_broken(&mut self, ctx: &mut Ctx<'_, Msg>, failed: NodeId, fatal: bool) {
+    pub(super) fn producer_route_broken(
+        &mut self,
+        ctx: &mut Ctx<'_, Msg>,
+        failed: NodeId,
+        fatal: bool,
+    ) {
         self.known_dead.insert(failed);
         // Adopt the detour locally: splice my stored paths around the dead
         // node so future tuples route past it directly instead of hitting

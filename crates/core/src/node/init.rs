@@ -4,7 +4,7 @@
 use super::{Candidate, JoinNode, PairState, ProducerAssign};
 use crate::cost::{place_join_node, Placement, Sigma};
 use crate::learn::PairStats;
-use crate::msg::{side, wire_pos, GhtRegister, Msg, Nominate, Pair, Search};
+use crate::msg::{side, wire_pos, Ctl, GhtRegister, Msg, Nominate, Pair, Search};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
 use sensor_query::Tuple;
@@ -62,14 +62,7 @@ impl JoinNode {
         // (the base ran the static pre-computation) and reply.
         let participate = self.has_static_partner(origin, sides);
         let path = self.sh.tree_path(self.id, origin);
-        if let Some(&next) = path.get(1) {
-            let reply = Msg::Verdict {
-                pos: 1,
-                participate,
-                path,
-            };
-            self.send(ctx, next, reply);
-        }
+        self.send_ctl(ctx, path, Ctl::Verdict { participate });
     }
 
     fn has_static_partner(&self, origin: NodeId, sides: u8) -> bool {
@@ -88,25 +81,6 @@ impl JoinNode {
                 && a.static_join_matches(t_static, o_static);
             s_to_t || t_to_s
         })
-    }
-
-    pub(super) fn on_verdict(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        path: Vec<NodeId>,
-        pos: usize,
-        participate: bool,
-    ) {
-        let done = !self.forward_path(ctx, path, pos, |path, pos| Msg::Verdict {
-            path,
-            pos,
-            participate,
-        });
-        if done && !participate {
-            // Pruned: stop producing for this query.
-            self.is_s = false;
-            self.is_t = false;
-        }
     }
 
     // ----- GHT registration -------------------------------------------------
@@ -139,16 +113,13 @@ impl JoinNode {
             };
             self.ght_routes.push((key, path.as_slice().into(), sides));
             if path.len() > 1 {
-                let next = path[1];
-                let msg = Msg::GhtRegister(Box::new(GhtRegister {
+                let reg = GhtRegister {
                     origin: self.id,
                     sides,
                     key,
                     statics: self.statics,
-                    pos: 1,
-                    path,
-                }));
-                self.send(ctx, next, msg);
+                };
+                self.send_ctl(ctx, path, Ctl::GhtRegister(Box::new(reg)));
             } else {
                 // I am the home node myself.
                 self.register_ght_member(key, self.id, sides, self.statics);
@@ -174,17 +145,6 @@ impl JoinNode {
             x << 32 | y
         } else {
             0 // single global group: join at one hashed node
-        }
-    }
-
-    pub(super) fn on_ght_register(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<GhtRegister>) {
-        debug_assert_eq!(m.path.get(m.pos), Some(&self.id), "path routing desync");
-        match m.path.get(m.pos + 1) {
-            Some(&next) => {
-                m.pos += 1;
-                self.send(ctx, next, Msg::GhtRegister(m));
-            }
-            None => self.register_ght_member(m.key, m.origin, m.sides, m.statics),
         }
     }
 

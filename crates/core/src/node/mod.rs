@@ -15,6 +15,12 @@
 //!   path collapsing (§5, Appendix E);
 //! - [`adapt`]: selectivity learning with join-node migration (§6) and
 //!   failure recovery (§7).
+//!
+//! Control addressed to one node along a known path (Base verdicts, GHT
+//! registration, GROUPOPT reports, pings and decisions, collapse hints,
+//! route-broken notices) travels as [`Msg::Ctl`]: `JoinNode::send_ctl`
+//! sends it, and `on_ctl` relays it hop by hop and acts on its [`Ctl`]
+//! at the end of the path.
 
 pub mod adapt;
 pub mod exec;
@@ -23,7 +29,7 @@ pub mod mpo;
 
 use crate::cost::Sigma;
 use crate::learn::PairStats;
-use crate::msg::{Msg, Pair};
+use crate::msg::{Ctl, Msg, Pair};
 use crate::multicast::McastTree;
 use crate::shared::{Algorithm, Shared};
 use sensor_net::NodeId;
@@ -327,26 +333,51 @@ impl JoinNode {
         true
     }
 
-    /// Forward a path-routed message (`path[pos]` must be me); returns
-    /// `true` if forwarded, `false` if I am the terminus. The path moves
-    /// on into the message `rebuild` makes for the next position.
-    pub(crate) fn forward_path<P: AsRef<[NodeId]>>(
-        &self,
-        ctx: &mut Ctx<'_, Msg>,
-        path: P,
-        pos: usize,
-        rebuild: impl FnOnce(P, usize) -> Msg,
-    ) -> bool {
+    /// Send `ctl` along `path`, which starts at me and ends at the node
+    /// that acts on it. A one-node path sends nothing.
+    pub(crate) fn send_ctl(&self, ctx: &mut Ctx<'_, Msg>, path: Vec<NodeId>, ctl: Ctl) {
+        if let Some(&next) = path.get(1) {
+            self.send(ctx, next, Msg::Ctl { path, pos: 1, ctl });
+        }
+    }
+
+    /// A control message is here (`path[pos]` is me): relay it to the next
+    /// node on its path, or act on it at the end.
+    fn on_ctl(&mut self, ctx: &mut Ctx<'_, Msg>, path: Vec<NodeId>, pos: u32, ctl: Ctl) {
         debug_assert_eq!(
-            path.as_ref().get(pos),
+            path.get(pos as usize),
             Some(&self.id),
             "path routing desync"
         );
-        let Some(&next) = path.as_ref().get(pos + 1) else {
-            return false;
-        };
-        self.send(ctx, next, rebuild(path, pos + 1));
-        true
+        if let Some(&next) = path.get(pos as usize + 1) {
+            let pos = pos + 1;
+            self.send(ctx, next, Msg::Ctl { path, pos, ctl });
+            return;
+        }
+        match ctl {
+            Ctl::Verdict { participate } => {
+                if !participate {
+                    // Pruned: stop producing for this query.
+                    self.is_s = false;
+                    self.is_t = false;
+                }
+            }
+            Ctl::GhtRegister(m) => self.register_ght_member(m.key, m.origin, m.sides, m.statics),
+            Ctl::DeltaCost(m) => self.coord_absorb(ctx, m.group, m.from, m.members, m.delta),
+            Ctl::CoordPing { group, coordinator } => self.on_coord_ping(ctx, group, coordinator),
+            Ctl::GroupDecision { group, seq, innet } => {
+                self.apply_group_decision(group, seq, innet)
+            }
+            Ctl::CollapseHint { owner, n1, n2 } => {
+                let link = (n1.min(n2), n1.max(n2));
+                if owner == self.id && !self.cross_links.contains(&link) {
+                    self.cross_links.push(link);
+                    self.mc_dirty = true;
+                }
+            }
+            // A notice that crossed the air always reports a fatal break.
+            Ctl::RouteBroken { failed } => self.producer_route_broken(ctx, failed, true),
+        }
     }
 
     /// Is this node currently a producer on the given side?
@@ -395,12 +426,7 @@ impl Protocol for JoinNode {
         match msg {
             Msg::QueryFlood => self.on_flood(ctx),
             Msg::Announce { origin, sides } => self.on_announce(ctx, origin, sides),
-            Msg::Verdict {
-                path,
-                pos,
-                participate,
-            } => self.on_verdict(ctx, path, pos, participate),
-            Msg::GhtRegister(m) => self.on_ght_register(ctx, m),
+            Msg::Ctl { path, pos, ctl } => self.on_ctl(ctx, path, pos, ctl),
             Msg::Search(m) => self.on_search(ctx, from, *m),
             Msg::Nominate(m) => self.on_nominate(ctx, m),
             Msg::Assign {
@@ -423,36 +449,8 @@ impl Protocol for JoinNode {
                 gen_cycle,
                 route,
             } => self.on_result(ctx, count, gen_cycle, route),
-            Msg::DeltaCost(m) => self.on_delta_cost(ctx, m),
-            Msg::CoordPing {
-                group,
-                coordinator,
-                path,
-                pos,
-            } => self.on_coord_ping(ctx, group, coordinator, path, pos),
-            Msg::GroupDecision {
-                group,
-                coordinator,
-                seq,
-                innet,
-                path,
-                pos,
-            } => self.on_group_decision(ctx, group, coordinator, seq, innet, path, pos),
             Msg::WindowXfer(m) => self.on_window_xfer(ctx, m),
             Msg::McastSetup(m) => self.on_mcast_setup(ctx, *m),
-            Msg::CollapseHint {
-                owner,
-                n1,
-                n2,
-                path,
-                pos,
-            } => self.on_collapse_hint(ctx, owner, n1, n2, path, pos),
-            Msg::RouteBroken {
-                pair,
-                failed,
-                path,
-                pos,
-            } => self.on_route_broken(ctx, pair, failed, path, pos),
             Msg::Probe => {} // liveness probes are consumed silently
         }
     }

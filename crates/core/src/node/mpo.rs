@@ -3,7 +3,7 @@
 
 use super::{CoordState, GroupLocal, JoinNode};
 use crate::cost::delta_cp;
-use crate::msg::{DeltaCost, McastSetup, Msg, Route};
+use crate::msg::{Ctl, DeltaCost, McastSetup, Msg, Route};
 use crate::multicast::McastTree;
 use sensor_net::NodeId;
 use sensor_sim::Ctx;
@@ -86,12 +86,17 @@ impl JoinNode {
                 my_delta: delta,
                 coordinator,
             };
-            if s_side {
-                self.group_s = Some(local);
-            } else {
-                self.group_t = Some(local);
-            }
+            *self.group_mut(s_side) = Some(local);
             self.send_delta(ctx, group_id, members, delta, coordinator);
+        }
+    }
+
+    /// My group-optimization state for one role side.
+    fn group_mut(&mut self, s_side: bool) -> &mut Option<GroupLocal> {
+        if s_side {
+            &mut self.group_s
+        } else {
+            &mut self.group_t
         }
     }
 
@@ -114,28 +119,13 @@ impl JoinNode {
             return;
         }
         let path = self.sh.tree_path(self.id, coordinator);
-        if let Some(&next) = path.get(1) {
-            let msg = Msg::DeltaCost(Box::new(DeltaCost {
-                group,
-                from: self.id,
-                members: members.into_iter().collect(),
-                delta,
-                path,
-                pos: 1,
-            }));
-            self.send(ctx, next, msg);
-        }
-    }
-
-    pub(super) fn on_delta_cost(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<DeltaCost>) {
-        debug_assert_eq!(m.path.get(m.pos), Some(&self.id), "path routing desync");
-        match m.path.get(m.pos + 1) {
-            Some(&next) => {
-                m.pos += 1;
-                self.send(ctx, next, Msg::DeltaCost(m));
-            }
-            None => self.coord_absorb(ctx, m.group, m.from, m.members, m.delta),
-        }
+        let report = DeltaCost {
+            group,
+            from: self.id,
+            members: members.into_iter().collect(),
+            delta,
+        };
+        self.send_ctl(ctx, path, Ctl::DeltaCost(Box::new(report)));
     }
 
     /// Coordinator bookkeeping: merge membership, re-forward to a
@@ -155,26 +145,8 @@ impl JoinNode {
         state.deltas.insert(origin, delta);
         let lowest = *state.members.iter().next().unwrap();
         if lowest < self.id {
-            // Someone lower-id should coordinate (Algorithm 1 line 8):
-            // hand over everything collected so far, preserving each
-            // report's original sender.
-            let handoff: Vec<(NodeId, f64)> = state.deltas.iter().map(|(n, d)| (*n, *d)).collect();
-            let all: Vec<NodeId> = state.members.iter().copied().collect();
-            self.coord.remove(&group);
-            let route = self.sh.tree_path(self.id, lowest);
-            for (n, d) in handoff {
-                if route.len() > 1 {
-                    let msg = Msg::DeltaCost(Box::new(DeltaCost {
-                        group,
-                        from: n,
-                        members: all.clone(),
-                        delta: d,
-                        path: route.clone(),
-                        pos: 1,
-                    }));
-                    self.send(ctx, route[1], msg);
-                }
-            }
+            // Someone lower-id should coordinate (Algorithm 1 line 8).
+            self.hand_over(ctx, group, lowest);
             return;
         }
         let missing: Vec<NodeId> = state
@@ -195,15 +167,11 @@ impl JoinNode {
             // re-send (Algorithm 1 lines 7-8).
             for m in missing {
                 let path = self.sh.tree_path(self.id, m);
-                if path.len() > 1 {
-                    let msg = Msg::CoordPing {
-                        group,
-                        coordinator: self.id,
-                        path: path.clone(),
-                        pos: 1,
-                    };
-                    self.send(ctx, path[1], msg);
-                }
+                let ping = Ctl::CoordPing {
+                    group,
+                    coordinator: self.id,
+                };
+                self.send_ctl(ctx, path, ping);
             }
             return;
         }
@@ -225,8 +193,27 @@ impl JoinNode {
             if base != self.id {
                 self.send_decision(ctx, group, seq, innet, base);
             } else {
-                self.apply_group_decision(group, self.id, seq, innet);
+                self.apply_group_decision(group, seq, innet);
             }
+        }
+    }
+
+    /// Hand everything I collected as `group`'s coordinator over to the
+    /// lower-id coordinator `to`, each report under its original sender.
+    fn hand_over(&mut self, ctx: &mut Ctx<'_, Msg>, group: u64, to: NodeId) {
+        let Some(state) = self.coord.remove(&group) else {
+            return;
+        };
+        let route = self.sh.tree_path(self.id, to);
+        let members: Vec<NodeId> = state.members.into_iter().collect();
+        for (from, delta) in state.deltas {
+            let report = DeltaCost {
+                group,
+                from,
+                members: members.clone(),
+                delta,
+            };
+            self.send_ctl(ctx, route.clone(), Ctl::DeltaCost(Box::new(report)));
         }
     }
 
@@ -239,61 +226,18 @@ impl JoinNode {
         to: NodeId,
     ) {
         if to == self.id {
-            self.apply_group_decision(group, self.id, seq, innet);
+            self.apply_group_decision(group, seq, innet);
             return;
         }
         let path = self.sh.tree_path(self.id, to);
-        if path.len() > 1 {
-            let msg = Msg::GroupDecision {
-                group,
-                coordinator: self.id,
-                seq,
-                innet,
-                path: path.clone(),
-                pos: 1,
-            };
-            self.send(ctx, path[1], msg);
-        }
+        self.send_ctl(ctx, path, Ctl::GroupDecision { group, seq, innet });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_group_decision(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        group: u64,
-        coordinator: NodeId,
-        seq: u32,
-        innet: bool,
-        path: Vec<NodeId>,
-        pos: usize,
-    ) {
-        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::GroupDecision {
-            group,
-            coordinator,
-            seq,
-            innet,
-            path,
-            pos,
-        });
-        if !forwarded {
-            self.apply_group_decision(group, coordinator, seq, innet);
-        }
-    }
-
-    pub(super) fn apply_group_decision(
-        &mut self,
-        group: u64,
-        _coordinator: NodeId,
-        seq: u32,
-        innet: bool,
-    ) {
+    pub(super) fn apply_group_decision(&mut self, group: u64, seq: u32, innet: bool) {
         for side_s in [true, false] {
-            let local = if side_s {
-                self.group_s.as_mut()
-            } else {
-                self.group_t.as_mut()
+            let Some(local) = self.group_mut(side_s) else {
+                continue;
             };
-            let Some(local) = local else { continue };
             if local.id != group || seq < local.decision_seq {
                 continue;
             }
@@ -313,25 +257,10 @@ impl JoinNode {
         ctx: &mut Ctx<'_, Msg>,
         group: u64,
         coordinator: NodeId,
-        path: Vec<NodeId>,
-        pos: usize,
     ) {
-        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::CoordPing {
-            group,
-            coordinator,
-            path,
-            pos,
-        });
-        if forwarded {
-            return;
-        }
         // Adopt strictly lower-id coordinators only.
         for side_s in [true, false] {
-            let Some(local) = (if side_s {
-                self.group_s.as_mut()
-            } else {
-                self.group_t.as_mut()
-            }) else {
+            let Some(local) = self.group_mut(side_s) else {
                 continue;
             };
             if local.id != group || coordinator >= local.coordinator {
@@ -343,25 +272,8 @@ impl JoinNode {
             self.send_delta(ctx, group, members, delta, coordinator);
         }
         // If I was coordinating this group myself, hand everything over.
-        if let Some(state) = self.coord.get(&group).cloned() {
-            if coordinator < self.id {
-                self.coord.remove(&group);
-                let route = self.sh.tree_path(self.id, coordinator);
-                let all: Vec<NodeId> = state.members.iter().copied().collect();
-                for (n, d) in state.deltas {
-                    if route.len() > 1 {
-                        let msg = Msg::DeltaCost(Box::new(DeltaCost {
-                            group,
-                            from: n,
-                            members: all.clone(),
-                            delta: d,
-                            path: route.clone(),
-                            pos: 1,
-                        }));
-                        self.send(ctx, route[1], msg);
-                    }
-                }
-            }
+        if coordinator < self.id {
+            self.hand_over(ctx, group, coordinator);
         }
     }
 
@@ -480,41 +392,12 @@ impl JoinNode {
         }
         self.reported_links.insert(link);
         let path = self.sh.tree_path(self.id, owner);
-        if path.len() > 1 {
-            let msg = Msg::CollapseHint {
-                owner,
-                n1: self.id,
-                n2: sender,
-                path: path.clone(),
-                pos: 1,
-            };
-            self.send(ctx, path[1], msg);
-        }
-    }
-
-    pub(super) fn on_collapse_hint(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        owner: NodeId,
-        n1: NodeId,
-        n2: NodeId,
-        path: Vec<NodeId>,
-        pos: usize,
-    ) {
-        let forwarded = self.forward_path(ctx, path, pos, |path, pos| Msg::CollapseHint {
+        let hint = Ctl::CollapseHint {
             owner,
-            n1,
-            n2,
-            path,
-            pos,
-        });
-        if !forwarded && owner == self.id {
-            let link = (n1.min(n2), n1.max(n2));
-            if !self.cross_links.contains(&link) {
-                self.cross_links.push(link);
-                self.mc_dirty = true;
-            }
-        }
+            n1: self.id,
+            n2: sender,
+        };
+        self.send_ctl(ctx, path, hint);
     }
 }
 
