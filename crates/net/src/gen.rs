@@ -102,7 +102,7 @@ impl std::fmt::Display for NoTopology {
 impl std::error::Error for NoTopology {}
 
 /// Deployments [`try_random_with_degree`] draws before it gives up.
-const RESAMPLES: u32 = 64;
+pub(crate) const RESAMPLES: u32 = 64;
 
 /// Generate a connected random deployment of `n` nodes in the standard
 /// 256m x 256m area whose average unit-disk degree is close to
@@ -125,15 +125,7 @@ pub fn try_random_with_degree(
     assert!(n >= 2, "a network has a base station and a sensor");
     let mut rng = StdRng::seed_from_u64(seed ^ 0x05ee_d700_ba5e);
     for _ in 0..RESAMPLES {
-        let mut positions: Vec<Point> = Vec::with_capacity(n);
-        // Base station at the bottom edge midpoint.
-        positions.push(Point::new(AREA_SIDE_M / 2.0, 0.0));
-        for _ in 1..n {
-            positions.push(Point::new(
-                rng.random_range(0.0..AREA_SIDE_M),
-                rng.random_range(0.0..AREA_SIDE_M),
-            ));
-        }
+        let positions = draw_positions(&mut rng, n);
         if let Some(topo) = fit_range(&positions, target_degree) {
             return Ok(topo);
         }
@@ -143,6 +135,20 @@ pub fn try_random_with_degree(
         nodes: n,
         target_degree,
     })
+}
+
+/// One draw of `n` positions: the base station at the bottom edge
+/// midpoint, every sensor uniform over the area.
+pub(crate) fn draw_positions(rng: &mut StdRng, n: usize) -> Vec<Point> {
+    let mut positions: Vec<Point> = Vec::with_capacity(n);
+    positions.push(Point::new(AREA_SIDE_M / 2.0, 0.0));
+    for _ in 1..n {
+        positions.push(Point::new(
+            rng.random_range(0.0..AREA_SIDE_M),
+            rng.random_range(0.0..AREA_SIDE_M),
+        ));
+    }
+    positions
 }
 
 /// [`try_random_with_degree`] for callers that chose `n`, `target_degree`

@@ -12,6 +12,8 @@ pub mod gateway;
 pub mod gen;
 pub mod geom;
 pub mod intel;
+#[cfg(test)]
+mod reference;
 pub mod topology;
 
 pub use gateway::{Direction, DirectionStats, GatewayChannel, GatewayLink};

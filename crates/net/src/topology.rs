@@ -89,6 +89,11 @@ impl Topology {
         self.adjacency[a.index()].binary_search(&b).is_ok()
     }
 
+    #[cfg(test)]
+    pub(crate) fn adjacency(&self) -> &[Vec<NodeId>] {
+        &self.adjacency
+    }
+
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.positions.len()).map(|i| NodeId(i as u16))
     }
