@@ -7,7 +7,6 @@
 //! routing tree and reports the base-station congestion and latency that
 //! Figure 6 contrasts with the distributed scheme.
 
-use crate::cost::{pair_cost_at, Sigma};
 use sensor_net::{NodeId, Topology};
 use sensor_routing::RoutingTree;
 
@@ -66,48 +65,6 @@ pub fn centralized_initiation(topo: &Topology, pairs: &[(NodeId, NodeId)]) -> Ce
     }
 }
 
-/// Globally optimal placement: the join node may be *any* network node
-/// (not just one on a discovered path); distances are true shortest paths.
-/// Returns (join node, expected per-cycle cost).
-pub fn optimal_placement(
-    topo: &Topology,
-    s: NodeId,
-    t: NodeId,
-    sigma: Sigma,
-    w: usize,
-) -> (NodeId, f64) {
-    let from_s = topo.bfs_hops(s);
-    let from_t = topo.bfs_hops(t);
-    let from_r = topo.bfs_hops(topo.base());
-    let mut best = (s, f64::INFINITY);
-    for j in topo.node_ids() {
-        let (ds, dt, dr) = (
-            from_s[j.index()] as f64,
-            from_t[j.index()] as f64,
-            from_r[j.index()] as f64,
-        );
-        let c = pair_cost_at(sigma, w, ds, dt, dr);
-        if c < best.1 {
-            best = (j, c);
-        }
-    }
-    best
-}
-
-/// Expected execution traffic (tuple-hops) of serving `pairs` with the
-/// globally optimal placement, for Figure 7's "O" bars.
-pub fn optimal_execution_cost(
-    topo: &Topology,
-    pairs: &[(NodeId, NodeId)],
-    sigma: Sigma,
-    w: usize,
-) -> f64 {
-    pairs
-        .iter()
-        .map(|&(s, t)| optimal_placement(topo, s, t, sigma, w).1)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,34 +81,5 @@ mod tests {
         // Base handles at least one report per node.
         assert!(init.base_bytes as usize >= (t.len() - 1) * 24);
         assert!(init.latency_cycles as usize >= t.len() - 1);
-    }
-
-    #[test]
-    fn optimal_placement_beats_endpoints_sometimes() {
-        let t = topo();
-        let sigma = Sigma::new(1.0, 1.0, 0.05);
-        let (j, c) = optimal_placement(&t, NodeId(10), NodeId(50), sigma, 3);
-        // Optimal cost is no worse than placing at either endpoint.
-        let d = t.bfs_hops(NodeId(10));
-        let r = t.bfs_hops(t.base());
-        let at_s = pair_cost_at(
-            sigma,
-            3,
-            0.0,
-            t.bfs_hops(NodeId(50))[10] as f64,
-            r[10] as f64,
-        );
-        assert!(c <= at_s + 1e-9, "optimal {c} worse than at-s {at_s}");
-        let _ = (j, d);
-    }
-
-    #[test]
-    fn zero_sigma_t_places_at_source() {
-        // Fig 7's setting: σs=1, σt=σst=0 — cost reduces to σs·Dsj, so the
-        // optimum is the source itself with cost 0.
-        let t = topo();
-        let (j, c) = optimal_placement(&t, NodeId(7), NodeId(30), Sigma::new(1.0, 0.0, 0.0), 3);
-        assert_eq!(j, NodeId(7));
-        assert_eq!(c, 0.0);
     }
 }

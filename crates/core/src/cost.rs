@@ -69,12 +69,6 @@ pub fn pair_cost_at_base(sig: Sigma, d_sr: f64, d_tr: f64) -> f64 {
     sig.s * d_sr + sig.t * d_tr
 }
 
-/// §3.1: through-the-base cost for the pair:
-/// `σs·Dsr + (σs + (σs+σt)·w·σst)·Dtr`.
-pub fn pair_cost_through_base(sig: Sigma, w: usize, d_sr: f64, d_tr: f64) -> f64 {
-    sig.s * d_sr + (sig.s + (sig.s + sig.t) * w as f64 * sig.st) * d_tr
-}
-
 /// N-way generalization (plan optimizer, [`mod@crate::optimize`]): expected
 /// per-cycle output rate of a join whose input streams arrive at combined
 /// rates `rate_l`/`rate_r`. Each arriving tuple probes the opposite
@@ -188,15 +182,6 @@ pub mod analytic {
         naive_per_cycle(sig, shape)
     }
 
-    /// Yang+07: `σs·Σs Dsr + (σs·|S|/|T| + (σs+σt)·w·σst)·Σt Dtr`.
-    pub fn yang07_per_cycle(sig: Sigma, w: usize, shape: &QueryShape) -> f64 {
-        let s_n = shape.d_sr.len() as f64;
-        let t_n = shape.d_tr.len().max(1) as f64;
-        sig.s * shape.d_sr.iter().sum::<f64>()
-            + (sig.s * s_n / t_n + (sig.s + sig.t) * w as f64 * sig.st)
-                * shape.d_tr.iter().sum::<f64>()
-    }
-
     /// In-Net / GHT execution: `Σ_pairs σs·Dsj + σt·Dtj +
     /// (σs+σt)·w·σst·Djr` (cs = ct = 1 per pair; grouped sharing appears
     /// through repeated (s, j) legs in `pair_distances`).
@@ -266,13 +251,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn through_base_charges_fanout() {
-        let c = pair_cost_through_base(sig(0.5, 0.5, 0.2), 1, 4.0, 6.0);
-        // 0.5*4 + (0.5 + 1.0*1*0.2)*6 = 2 + 4.2
-        assert!((c - 6.2).abs() < 1e-12);
     }
 
     #[test]
@@ -404,20 +382,5 @@ mod tests {
                 prop_assert!(!a.diverged(&a, 0.33));
             }
         }
-    }
-
-    #[test]
-    fn analytic_yang_vs_naive() {
-        let shape = analytic::QueryShape {
-            d_sr: vec![3.0, 4.0],
-            d_tr: vec![5.0],
-            pair_distances: vec![],
-        };
-        let s = sig(1.0, 1.0, 0.2);
-        let naive = analytic::naive_per_cycle(s, &shape);
-        let yang = analytic::yang07_per_cycle(s, 1, &shape);
-        // Yang ships S data down to T as well: strictly more than Naive
-        // when σs > 0.
-        assert!(yang > naive);
     }
 }

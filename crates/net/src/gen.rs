@@ -5,6 +5,7 @@
 //! random"), a regular grid with ~7 average neighbors, and the Intel
 //! Research-Berkeley lab topology.
 
+use crate::cells::CellGrid;
 use crate::geom::Point;
 use crate::topology::{NodeId, Topology};
 use rand::rngs::StdRng;
@@ -110,10 +111,14 @@ pub(crate) const RESAMPLES: u32 = 64;
 /// midpoint, matching the evaluation setups where the base sits at the
 /// network boundary.
 ///
-/// The radio range is solved by bisection on the measured average degree;
-/// disconnected deployments are rejected and resampled deterministically,
-/// 64 times at most: large sparse deployments (4000 nodes at
-/// degree 7) and degrees no connected graph has run out of them.
+/// The radio range is solved by bisection on the average degree, read
+/// from one sorted list of the layout's short link lengths; a probe's
+/// connectivity is a comparison with the list's bottleneck length (see
+/// `fit_range`). Disconnected deployments are rejected and resampled
+/// deterministically, 64 times at most: large sparse deployments (4000
+/// nodes at degree 7) and degrees no connected graph has run out of
+/// them. A draw costs O(n + short pairs) plus the sort, not a graph
+/// build per probe.
 ///
 /// # Panics
 /// If `n < 2`.
@@ -160,31 +165,158 @@ pub fn random_with_degree(n: usize, target_degree: f64, seed: u64) -> Topology {
     try_random_with_degree(n, target_degree, seed).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The upper end of [`fit_range`]'s bisection: beyond the area's diagonal,
+/// so every pair of a drawn layout is a link there.
+const MAX_RANGE: f64 = AREA_SIDE_M * 1.5;
+
 /// Find a radio range achieving `target_degree` (within tolerance) over fixed
 /// positions, requiring connectivity.
+///
+/// A 48-step bisection on the range. A probe whose average degree is within
+/// 0.25 of the target and whose graph is connected is the answer. Below the
+/// target the range grows; otherwise it shrinks, and a connected probe
+/// becomes the fallback, accepted at the end if its degree is within 1.5.
+///
+/// No probe builds a graph. [`LinkLengths`] sorts the squared lengths of the
+/// layout's short pairs once: a probe's link count is a binary search in
+/// that list, and its connectivity is a comparison with the bottleneck, the
+/// length at which a union-find pass over the sorted list first joins every
+/// node. The list holds every count a decision can tell apart (see
+/// `first_far`), so the probes, and the one [`Topology`] built at the range
+/// returned, are those of a full graph build per probe.
 fn fit_range(positions: &[Point], target_degree: f64) -> Option<Topology> {
+    let n = positions.len();
+    let pairs = n * (n - 1) / 2;
+    // The three decisions, as functions of a probe's link count.
+    let degree = |links: usize| (2 * links) as f64 / n as f64;
+    let on_target = |links| (degree(links) - target_degree).abs() < 0.25;
+    let below = |links| degree(links) < target_degree;
+    let acceptable = |links| (degree(links) - target_degree).abs() < 1.5;
+    // Too sparse even with every pair linked: each probe raises `lo`.
+    if below(pairs) && !on_target(pairs) {
+        return None;
+    }
+    // From `first_far` links on, a probe lowers `hi`, and, kept as the
+    // fallback, fails the final filter: no decision needs a larger count
+    // exactly. Both tests are monotone in the count, so the counts that
+    // pass them are a suffix of `0..=pairs` (possibly empty).
+    let far = |links| !below(links) && !acceptable(links);
+    let (mut first_far, mut end) = (0, pairs + 1);
+    while first_far < end {
+        let mid = first_far + (end - first_far) / 2;
+        if far(mid) {
+            end = mid;
+        } else {
+            first_far = mid + 1;
+        }
+    }
+    let lengths = LinkLengths::new(positions, first_far);
     let mut lo = 1.0;
-    let mut hi = AREA_SIDE_M * 1.5;
-    let mut best: Option<Topology> = None;
+    let mut hi = MAX_RANGE;
+    let mut best = None;
     for _ in 0..48 {
         let mid = (lo + hi) / 2.0;
-        let topo = Topology::from_positions(positions.to_vec(), mid, NodeId(0));
-        let deg = topo.avg_degree();
-        if (deg - target_degree).abs() < 0.25 && topo.is_connected() {
-            return Some(topo);
+        let links = lengths.links(mid);
+        if on_target(links) && lengths.connected(mid) {
+            return Some(Topology::from_positions(positions.to_vec(), mid, NodeId(0)));
         }
-        if deg < target_degree {
+        if below(links) {
             lo = mid;
         } else {
             hi = mid;
-            if topo.is_connected() {
-                best = Some(topo);
+            if lengths.connected(mid) {
+                best = Some(mid);
             }
         }
     }
     // Accept a connected topology with slightly-too-high degree rather than a
     // disconnected one that nails the degree.
-    best.filter(|t| (t.avg_degree() - target_degree).abs() < 1.5)
+    best.filter(|&r| acceptable(lengths.links(r)))
+        .map(|r| Topology::from_positions(positions.to_vec(), r, NodeId(0)))
+}
+
+/// The squared lengths of a layout's pairs within a cover radius, sorted,
+/// and the bottleneck: the least squared range at which those pairs join
+/// every node (infinite when they never do).
+///
+/// At a range within the cover, [`LinkLengths::links`] is the exact link
+/// count and [`LinkLengths::connected`] the exact connectivity. Past it
+/// the count is the list's length, at least the `at_least` it was built
+/// for, which [`fit_range`] treats alike whatever the true count.
+struct LinkLengths {
+    /// `(d2, i, j)` for `i < j`, ascending by `d2`.
+    links: Vec<(f64, u32, u32)>,
+    bottleneck: f64,
+}
+
+impl LinkLengths {
+    /// Grows the cover radius from an estimate until the list holds
+    /// `at_least` pairs, or until it reaches [`MAX_RANGE`].
+    fn new(positions: &[Point], at_least: usize) -> Self {
+        let n = positions.len();
+        let pairs = n * (n - 1) / 2;
+        // About pairs · πr² / area pairs lie within r of each other, a
+        // little fewer at the area's edges: aim a quarter above.
+        let mut reach = if at_least > pairs {
+            MAX_RANGE
+        } else {
+            let area = AREA_SIDE_M * AREA_SIDE_M;
+            (1.25 * at_least as f64 * area / (std::f64::consts::PI * pairs as f64)).sqrt()
+        };
+        let mut links = Vec::new();
+        loop {
+            let reach2 = reach * reach;
+            let cells = CellGrid::new(positions, reach2);
+            links.clear();
+            for i in 0..n {
+                cells.for_each_later(positions, i, |j, d2| {
+                    if d2 <= reach2 {
+                        links.push((d2, i as u32, j as u32));
+                    }
+                });
+            }
+            if links.len() >= at_least || reach >= MAX_RANGE {
+                break;
+            }
+            reach = (reach * 1.5).min(MAX_RANGE);
+        }
+        links.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut parent: Vec<u32> = (0..n as u32).collect();
+        let mut parts = n;
+        let mut bottleneck = f64::INFINITY;
+        for &(d2, i, j) in &links {
+            let (a, b) = (root(&mut parent, i), root(&mut parent, j));
+            if a != b {
+                parent[a as usize] = b;
+                parts -= 1;
+                if parts == 1 {
+                    bottleneck = d2;
+                    break;
+                }
+            }
+        }
+        LinkLengths { links, bottleneck }
+    }
+
+    /// Links at radio range `r`.
+    fn links(&self, r: f64) -> usize {
+        let r2 = r * r;
+        self.links.partition_point(|l| l.0 <= r2)
+    }
+
+    /// Whether the links at radio range `r` connect every node.
+    fn connected(&self, r: f64) -> bool {
+        self.bottleneck <= r * r
+    }
+}
+
+/// Union-find root of `x`, halving the path on the way.
+fn root(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        parent[x as usize] = parent[parent[x as usize] as usize];
+        x = parent[x as usize];
+    }
+    x
 }
 
 /// Regular grid over the standard area with a radio range covering the 8
@@ -264,6 +396,30 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("n=40, degree=1"), "{err}");
+    }
+
+    /// Distance tests, pinned exactly: the deterministic cost of a draw.
+    /// The `sparse_large` deployment, then one that fails all 64
+    /// resamples. A graph build per bisection probe made up to
+    /// 48 × n(n−1)/2 tests per resample: 115,942,000 for the first (58
+    /// probes over two resamples) and 24,569,856,000 for the second.
+    const PINNED_DIST_TESTS: (u64, u64) = (104_727, 3_722_902);
+
+    #[test]
+    fn deployments_test_few_distances() {
+        let tests_during = |f: &dyn Fn()| {
+            let before = crate::cells::dist_tests();
+            f();
+            crate::cells::dist_tests() - before
+        };
+        let built = tests_during(&|| {
+            random_with_degree(2000, 10.0, 1);
+        });
+        let failed = tests_during(&|| {
+            try_random_with_degree(4000, 7.0, 1).unwrap_err();
+        });
+        println!("{built} distance tests to build, {failed} to fail");
+        assert_eq!((built, failed), PINNED_DIST_TESTS);
     }
 
     #[test]

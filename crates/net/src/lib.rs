@@ -8,6 +8,7 @@
 //! Everything here is pure geometry and graph structure; message dynamics
 //! live in `sensor-sim`, and routing state lives in `sensor-routing`.
 
+mod cells;
 pub mod gateway;
 pub mod gen;
 pub mod geom;

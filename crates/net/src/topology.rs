@@ -1,5 +1,6 @@
 //! Network topology: node positions plus unit-disk connectivity.
 
+use crate::cells::CellGrid;
 use crate::geom::Point;
 use std::collections::VecDeque;
 
@@ -34,19 +35,42 @@ pub struct Topology {
 
 impl Topology {
     /// Build a topology from positions with unit-disk connectivity at
-    /// `radio_range`. Neighbor lists are sorted by id for determinism.
+    /// `radio_range`: `i` and `j` are linked when `positions[i].dist2(
+    /// &positions[j]) <= radio_range * radio_range`. Neighbor lists are
+    /// sorted by id for determinism.
+    ///
+    /// Candidate pairs come from a [`CellGrid`] whose cells are at least
+    /// the range wide, so the build is O(n + links) for a spread-out
+    /// layout. Each node's later neighbours are sorted before they are
+    /// pushed to both ends, which is the push order (and so the list
+    /// capacities) of a scan over every pair `i < j`.
+    ///
+    /// # Panics
+    /// If `positions` is empty, has more than 65,536 entries (ids are
+    /// 16-bit), or `base` is not one of them.
     pub fn from_positions(positions: Vec<Point>, radio_range: f64, base: NodeId) -> Self {
         assert!(!positions.is_empty(), "topology needs at least one node");
+        assert!(
+            positions.len() <= 1 << 16,
+            "{} nodes: node ids are 16-bit, at most 65536 nodes",
+            positions.len()
+        );
         assert!(base.index() < positions.len(), "base id out of range");
-        let n = positions.len();
         let range2 = radio_range * radio_range;
-        let mut adjacency = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if positions[i].dist2(&positions[j]) <= range2 {
-                    adjacency[i].push(NodeId(j as u16));
-                    adjacency[j].push(NodeId(i as u16));
+        let cells = CellGrid::new(&positions, range2);
+        let mut adjacency = vec![Vec::new(); positions.len()];
+        let mut later = Vec::new();
+        for i in 0..positions.len() {
+            later.clear();
+            cells.for_each_later(&positions, i, |j, d2| {
+                if d2 <= range2 {
+                    later.push(j);
                 }
+            });
+            later.sort_unstable();
+            for &j in &later {
+                adjacency[i].push(NodeId(j as u16));
+                adjacency[j].push(NodeId(i as u16));
             }
         }
         Topology {
@@ -231,6 +255,13 @@ mod tests {
         assert!(!t.is_connected());
         assert_eq!(t.shortest_path(NodeId(0), NodeId(2)), None);
         assert_eq!(t.hop_distance(NodeId(0), NodeId(2)), None);
+    }
+
+    /// Ids are 16-bit: node 70,000 would alias node 4,464.
+    #[test]
+    #[should_panic(expected = "node ids are 16-bit")]
+    fn more_nodes_than_ids_is_refused() {
+        Topology::from_positions(vec![Point::new(0.0, 0.0); 70_000], 1.0, NodeId(0));
     }
 
     #[test]

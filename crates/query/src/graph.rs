@@ -203,40 +203,6 @@ impl JoinGraph {
         })
     }
 
-    /// Wrap a classic pairwise spec as a two-relation graph (the inverse
-    /// of [`JoinGraph::pair_spec`]). The whole predicate — selections and
-    /// join clauses alike — rides on the single edge; compiling the edge
-    /// re-classifies it exactly as the original spec did.
-    pub fn from_spec(spec: &JoinQuerySpec) -> JoinGraph {
-        let select = spec
-            .select
-            .iter()
-            .map(|&(side, attr)| (if side == Side::S { 0 } else { 1 }, attr))
-            .collect();
-        JoinGraph::new(
-            spec.name.clone(),
-            vec![
-                Relation {
-                    name: "s".into(),
-                    selection: None,
-                },
-                Relation {
-                    name: "t".into(),
-                    selection: None,
-                },
-            ],
-            vec![JoinEdge {
-                a: 0,
-                b: 1,
-                predicate: spec.predicate.clone(),
-            }],
-            select,
-            spec.window,
-            spec.sample_interval,
-        )
-        .expect("a two-relation graph with one edge is always valid")
-    }
-
     /// Number of relations.
     pub fn n_relations(&self) -> usize {
         self.relations.len()
@@ -698,20 +664,6 @@ mod tests {
         assert_eq!(ab.name, "parsed:axb");
         // C's projection does not leak into the A⋈B spec.
         assert!(ab.select.iter().all(|&(_, attr)| attr == ATTR_ID));
-    }
-
-    #[test]
-    fn from_spec_round_trip() {
-        let classic = parse_query(
-            "SELECT S.id, T.id FROM S, T [windowsize=2] \
-             WHERE S.id < 25 AND T.id > 50 AND S.u = T.u",
-        )
-        .expect("parse");
-        let g = JoinGraph::from_spec(&classic);
-        let back = g.pair_spec().expect("pair view");
-        assert_eq!(back.window, classic.window);
-        assert_eq!(back.select, classic.select);
-        assert_eq!(back.predicate, classic.predicate);
     }
 
     #[test]
