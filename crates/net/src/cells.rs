@@ -34,7 +34,7 @@ impl CellGrid {
     /// of the cell arithmetic, and an absolute floor above the distances
     /// whose square underflows. A side below the extent over ⌈√n⌉ is
     /// raised to it, which bounds the cell count by about n. An infinite
-    /// reach or extent (or a NaN coordinate bound) makes one cell.
+    /// reach, or an extent that is not finite, makes one cell.
     pub(crate) fn new(positions: &[Point], reach2: f64) -> Self {
         let (mut min_x, mut min_y) = (f64::INFINITY, f64::INFINITY);
         let (mut max_x, mut max_y) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
@@ -49,7 +49,7 @@ impl CellGrid {
         let side = (reach2.sqrt() * (1.0 + 1e-9))
             .max(extent / per_axis)
             .max(1e-150);
-        let (cols, rows) = if side.is_finite() && extent.is_finite() {
+        let (cols, rows) = if extent.is_finite() {
             (
                 ((max_x - min_x) / side) as usize + 1,
                 ((max_y - min_y) / side) as usize + 1,
@@ -84,9 +84,6 @@ impl CellGrid {
     }
 
     fn col_row(&self, p: &Point) -> (usize, usize) {
-        if self.cols * self.rows == 1 {
-            return (0, 0);
-        }
         // `as usize` floors, and sends NaN to 0.
         let c = ((p.x - self.min_x) / self.side) as usize;
         let r = ((p.y - self.min_y) / self.side) as usize;

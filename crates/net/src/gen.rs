@@ -121,13 +121,17 @@ pub(crate) const RESAMPLES: u32 = 64;
 /// build per probe.
 ///
 /// # Panics
-/// If `n < 2`.
+/// If `n < 2` or `n > 65,536` (node ids are 16-bit).
 pub fn try_random_with_degree(
     n: usize,
     target_degree: f64,
     seed: u64,
 ) -> Result<Topology, NoTopology> {
     assert!(n >= 2, "a network has a base station and a sensor");
+    assert!(
+        n <= 1 << 16,
+        "{n} nodes: node ids are 16-bit, at most 65536 nodes"
+    );
     let mut rng = StdRng::seed_from_u64(seed ^ 0x05ee_d700_ba5e);
     for _ in 0..RESAMPLES {
         let positions = draw_positions(&mut rng, n);
@@ -198,8 +202,8 @@ fn fit_range(positions: &[Point], target_degree: f64) -> Option<Topology> {
     }
     // From `first_far` links on, a probe lowers `hi`, and, kept as the
     // fallback, fails the final filter: no decision needs a larger count
-    // exactly. Both tests are monotone in the count, so the counts that
-    // pass them are a suffix of `0..=pairs` (possibly empty).
+    // exactly. `far` is monotone in the count, so it holds on a suffix of
+    // `0..=pairs` (possibly empty).
     let far = |links| !below(links) && !acceptable(links);
     let (mut first_far, mut end) = (0, pairs + 1);
     while first_far < end {
@@ -420,6 +424,12 @@ mod tests {
         });
         println!("{built} distance tests to build, {failed} to fail");
         assert_eq!((built, failed), PINNED_DIST_TESTS);
+    }
+
+    #[test]
+    #[should_panic(expected = "node ids are 16-bit")]
+    fn more_nodes_than_ids_is_refused() {
+        let _ = try_random_with_degree(70_000, 7.0, 1);
     }
 
     #[test]

@@ -164,7 +164,11 @@ mod tests {
             try_random_with_degree(n, degree, seed),
         ) {
             (Ok(topo), Ok(want)) => assert_same(&topo, &want, &what),
-            (Err(got), Err(want)) => assert_eq!(got, want, "{what}"),
+            (Err(got), Err(want)) => assert_eq!(
+                (got.nodes, got.target_degree.to_bits()),
+                (want.nodes, want.target_degree.to_bits()),
+                "{what}"
+            ),
             (got, want) => panic!(
                 "{what}: production {} but reference {}",
                 if got.is_ok() { "built" } else { "failed" },
@@ -198,6 +202,34 @@ mod tests {
         check_seeds(3..6);
     }
 
+    /// Degrees at the edges of the fit's decisions: within 0.25 and 1.5 of
+    /// what a complete graph reaches, beyond it, and not a degree at all
+    /// (`OPEN` takes any number).
+    #[test]
+    fn odd_degrees_match_the_reference() {
+        for n in [2, 3, 5, 12, 40] {
+            let full = (n - 1) as f64;
+            for degree in [
+                full + 0.2,
+                full + 0.3,
+                full - 0.2,
+                full + 1.4,
+                full + 1.6,
+                full - 2.5,
+                0.0,
+                -1.0,
+                1e9,
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+            ] {
+                for seed in 0..2 {
+                    check(n, degree, seed);
+                }
+            }
+        }
+    }
+
     /// The deployments the benchmark and the figures run on.
     #[test]
     #[ignore = "long; run in release mode"]
@@ -216,14 +248,29 @@ mod tests {
     }
 
     /// Layouts no generator draws: duplicate points, negative coordinates,
-    /// lattice points exactly one range apart, range 0, a negative range
-    /// and ranges beyond the extent.
+    /// lattice points and twins exactly one range apart, range 0, a
+    /// negative range, ranges beyond the extent, one whose square
+    /// overflows, and infinite and NaN ranges.
     #[test]
     fn from_positions_matches_the_reference_on_odd_layouts() {
         let mut rng = StdRng::seed_from_u64(40);
-        let ranges = [0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 7.0, 30.0, 1e6, -3.0];
+        let ranges = [
+            0.0,
+            0.5,
+            1.0,
+            2.0,
+            2.5,
+            5.0,
+            7.0,
+            30.0,
+            1e6,
+            1e200,
+            f64::INFINITY,
+            f64::NAN,
+            -3.0,
+        ];
         for n in [1, 2, 3, 7, 20, 64, 150, 300] {
-            for layout in 0..4 {
+            for layout in 0..5 {
                 let mut positions: Vec<Point> = Vec::with_capacity(n);
                 for i in 0..n {
                     let p = match layout {
@@ -242,7 +289,14 @@ mod tests {
                             rng.random_range(-1.0..1.0),
                         ),
                         // Every point at one of a few sites.
-                        _ => Point::new(rng.random_range(0..3u32) as f64, 0.5),
+                        3 => Point::new(rng.random_range(0..3u32) as f64, 0.5),
+                        // Twins one range (7) apart, anywhere across cell
+                        // boundaries.
+                        _ if i % 2 == 1 => {
+                            let q = positions[i - 1];
+                            Point::new(q.x + 7.0, q.y)
+                        }
+                        _ => Point::new(rng.random_range(0.0..100.0), rng.random_range(0.0..9.0)),
                     };
                     // Every fifth point repeats an earlier one.
                     let p = if i > 0 && i % 5 == 0 {

@@ -39,8 +39,8 @@ impl Topology {
     /// &positions[j]) <= radio_range * radio_range`. Neighbor lists are
     /// sorted by id for determinism.
     ///
-    /// Candidate pairs come from a [`CellGrid`] whose cells are at least
-    /// the range wide, so the build is O(n + links) for a spread-out
+    /// Candidate pairs come from a uniform cell grid whose cells are at
+    /// least the range wide, so the build is O(n + links) for a spread-out
     /// layout. Each node's later neighbours are sorted before they are
     /// pushed to both ends, which is the push order (and so the list
     /// capacities) of a scan over every pair `i < j`.
