@@ -7,7 +7,8 @@
 //! fig20 appg all.
 //!
 //! `experiments <sub> [options]` runs one of the grid subcommands —
-//! `sweep`, `recovery`, `multiq`, `optimize`, `warmstart`, `federate` —
+//! `sweep`, `recovery`, `multiq`, `optimize`, `warmstart`, `federate`,
+//! `answers` —
 //! each a [`Harness`] row over one runner: the shared flags, the aligned
 //! table on stdout, the `--check-determinism` re-runs and the
 //! `PREFIX.json`/`PREFIX.csv` files are the runner's; a row supplies its
@@ -25,6 +26,7 @@
 //! wins, by what rough factor, and where crossovers fall. The figure
 //! drivers print that shape; nothing yet checks it against the paper.
 
+use aspen_bench::answers::{AnswersConfig, AnswersReport};
 use aspen_bench::federate::{FederateConfig, FederateReport};
 use aspen_bench::multiq::{MultiqConfig, MultiqReport};
 use aspen_bench::optimize::{OptimizeConfig, OptimizeReport};
@@ -96,8 +98,9 @@ const EXPERIMENTS: &[(&str, ExpFn)] = &[
 
 /// The grid subcommands, dispatched before figure parsing and listed in
 /// the generated usage.
-const SUBCOMMANDS: [&dyn Subcommand; 6] =
-    [&SWEEP, &RECOVERY, &MULTIQ, &OPTIMIZE, &WARMSTART, &FEDERATE];
+const SUBCOMMANDS: [&dyn Subcommand; 7] = [
+    &SWEEP, &RECOVERY, &MULTIQ, &OPTIMIZE, &WARMSTART, &FEDERATE, &ANSWERS,
+];
 
 fn usage_string() -> String {
     let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(n, _)| n).collect();
@@ -259,7 +262,7 @@ fn list<T>(flag: &str, v: Option<&str>, f: impl Fn(&str) -> Option<T>) -> Result
 struct Harness<C, R> {
     name: &'static str,
     blurb: &'static str,
-    /// Help for `--quick`, then for the row's own flags.
+    /// Help for `--quick`, then for the row's own flags (empty if none).
     quick_help: &'static str,
     flags_help: &'static str,
     /// The base config without and with `--quick`.
@@ -281,7 +284,7 @@ struct Harness<C, R> {
     record: Option<&'static str>,
 }
 
-/// A [`Harness`] row with its config and report types erased, so the six
+/// A [`Harness`] row with its config and report types erased, so the
 /// rows share one table.
 trait Subcommand {
     fn name(&self) -> &'static str;
@@ -299,17 +302,17 @@ impl<C: Clone, R> Harness<C, R> {
             .record
             .map(|r| format!(" and ./{r}"))
             .unwrap_or_default();
+        let flags: String = self.flags_help.lines().map(|l| format!("\n{l}")).collect();
         format!(
             "usage: experiments {name} [options]
-  --quick              {}
-{}
+  --quick              {}{flags}
   --seeds N            replicate seeds           (default {seeds})
   --threads N          OS threads fanning runs out, 0 = all cores (default {threads})
   --out PREFIX         write PREFIX.json, PREFIX.csv{record}
                        (default target/{name}/{name})
   --check-determinism  re-run at --threads 1|2|8,
                        verifying byte-identical output",
-            self.quick_help, self.flags_help
+            self.quick_help
         )
     }
 }
@@ -608,6 +611,27 @@ const FEDERATE: Harness<FederateConfig, FederateReport> = Harness {
     quick_out: None,
     // The cross-network comparison of record.
     record: Some("BENCH_federate.json"),
+};
+
+/// The result count of every variant against Base's on the same network
+/// and seed, lossless: the join's correctness status as a golden.
+const ANSWERS: Harness<AnswersConfig, AnswersReport> = Harness {
+    name: "answers",
+    blurb: "result counts of every variant against Base, lossless",
+    quick_help: "1 seed instead of 3: the 154-run CI grid\n                       \
+                 (7 queries x 11 algos x 1|3 trees)",
+    flags_help: "",
+    default: AnswersConfig::default,
+    quick: AnswersConfig::quick,
+    flag: |_, _, _| Ok(false),
+    seeds: |c| &mut c.seeds,
+    threads: |c| &mut c.threads,
+    run: AnswersConfig::run,
+    print: |r| r.to_table().to_aligned_string(),
+    json: AnswersReport::to_json,
+    csv: AnswersReport::to_csv,
+    quick_out: None,
+    record: None,
 };
 
 // ----------------------------------------------------------------------

@@ -7,10 +7,13 @@
 //! (`experiments optimize`) in [`mod@optimize`]; the warm-vs-cold
 //! admission comparison (`experiments warmstart`) in [`warmstart`]; the
 //! cross-network federation comparison (`experiments federate`) in
-//! [`federate`]. All five fan their `(key, seed)` runs out through
+//! [`federate`]; the result counts of every variant against Base
+//! (`experiments answers`) in [`answers`]. All six fan their `(key, seed)`
+//! runs out through
 //! [`fan_out`] and aggregate them into named [`Stats`]; the other helpers
 //! here serve the figure drivers.
 
+pub mod answers;
 pub mod federate;
 pub mod multiq;
 pub mod optimize;

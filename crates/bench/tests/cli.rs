@@ -5,13 +5,14 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Command, Output, Stdio};
 
-const SUBCOMMANDS: [&str; 6] = [
+const SUBCOMMANDS: [&str; 7] = [
     "sweep",
     "recovery",
     "multiq",
     "optimize",
     "warmstart",
     "federate",
+    "answers",
 ];
 
 fn experiments(args: &[&str]) -> Output {

@@ -5,6 +5,7 @@
 //! all cores, and compares the rendered reports. Each run must first show
 //! real work, so two empty reports cannot pass as equal.
 
+use aspen_bench::answers::AnswersConfig;
 use aspen_bench::federate::FederateConfig;
 use aspen_bench::multiq::MultiqConfig;
 use aspen_bench::optimize::OptimizeConfig;
@@ -19,7 +20,7 @@ struct Case {
     render: fn(usize) -> Vec<String>,
 }
 
-const CASES: [Case; 6] = [
+const CASES: [Case; 7] = [
     Case {
         name: "sweep",
         render: |threads| {
@@ -115,6 +116,23 @@ const CASES: [Case; 6] = [
                         && r.mode(m).stat("gateway_bytes").mean > 0.0
                 }),
                 "both modes must join across the gateways"
+            );
+            vec![r.to_json(), r.to_csv()]
+        },
+    },
+    Case {
+        name: "answers",
+        render: |threads| {
+            let r = AnswersConfig {
+                threads,
+                ..AnswersConfig::quick()
+            }
+            .run();
+            assert!(
+                r.cells
+                    .iter()
+                    .any(|c| c.stat("results").mean > 0.0 && c.stat("base_results").mean > 0.0),
+                "the answers grid must return results"
             );
             vec![r.to_json(), r.to_csv()]
         },

@@ -1,5 +1,5 @@
 //! Golden-output snapshot tests: the JSON and CSV reports of `experiments
-//! sweep|recovery|multiq|optimize|warmstart|federate --quick` are
+//! sweep|recovery|multiq|optimize|warmstart|federate|answers --quick` are
 //! compared byte-for-byte against committed fixtures, so a
 //! report-format change or a determinism regression (seeding, float
 //! formatting, aggregation order, engine behavior) fails loudly instead
@@ -15,6 +15,7 @@
 //! explaining in the commit message why the numbers moved (see
 //! EXPERIMENTS.md § Golden outputs).
 
+use aspen_bench::answers::AnswersConfig;
 use aspen_bench::federate::FederateConfig;
 use aspen_bench::multiq::MultiqConfig;
 use aspen_bench::optimize::OptimizeConfig;
@@ -122,6 +123,15 @@ fn federate_quick_json_matches_golden() {
     let report = FederateConfig::quick().run();
     check_golden("federate_quick.json", &report.to_json());
     check_golden("federate_quick.csv", &report.to_csv());
+}
+
+/// `experiments answers --quick` JSON and CSV (every variant's result
+/// count against Base's, lossless; a join fix moves its rows' ratios).
+#[test]
+fn answers_quick_json_matches_golden() {
+    let report = AnswersConfig::quick().run();
+    check_golden("answers_quick.json", &report.to_json());
+    check_golden("answers_quick.csv", &report.to_csv());
 }
 
 /// The figure drivers that finish in well under a second each in a debug

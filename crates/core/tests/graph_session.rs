@@ -242,17 +242,37 @@ fn replan_on_retired_graph_is_a_noop() {
     }
 }
 
+/// The n-way oracle is the reference the pairwise one must equal on two
+/// relations: over static selections on position, id and sensor
+/// readings, an arithmetic join clause, windows 1 to 4 and three networks.
 #[test]
 fn graph_oracle_matches_pairwise_oracle_on_two_relations() {
-    let sql = "SELECT s.id, t.id FROM s, t [windowsize=2 sampleinterval=100] \
-               WHERE s.adc0 = 0 AND t.adc1 = 0 AND s.u = t.u";
-    let graph = parse_join_graph(sql).expect("graph form parses");
-    let classic = parse_query(sql).expect("classic form parses");
-    for seed in [1u64, 7, 23] {
-        let (topo, data) = network(seed);
-        let a = oracle_graph_result_count(&topo, &data, &graph, 30);
-        let b = aspen_join::oracle_result_count(&topo, &data, &classic, 30);
-        assert_eq!(a, b, "oracles disagree on seed {seed}");
+    for clause in [
+        "s.adc0 = 0 AND t.adc1 = 0 AND s.u = t.u",
+        "s.pos_y < 1250 AND t.pos_y >= 1250 AND s.u = t.u",
+        "s.pos_x < 1250 AND t.pos_x >= 1250 AND s.u = t.u",
+        "s.id < 50 AND t.id >= 50 AND s.u = t.u",
+        "s.id < 50 AND t.id >= 50 AND s.x = t.y + 5 AND s.u = t.u",
+    ] {
+        let mut total = 0;
+        for w in 1..=4 {
+            let sql = format!(
+                "SELECT s.id, t.id FROM s, t [windowsize={w} sampleinterval=100] WHERE {clause}"
+            );
+            let graph = parse_join_graph(&sql).expect("graph form parses");
+            let classic = parse_query(&sql).expect("classic form parses");
+            for seed in [1u64, 7, 23] {
+                let (topo, data) = network(seed);
+                let a = oracle_graph_result_count(&topo, &data, &graph, 30);
+                let b = aspen_join::oracle_result_count(&topo, &data, &classic, 30);
+                assert_eq!(a, b, "oracles disagree on {clause}, w={w}, seed {seed}");
+                total += a;
+            }
+        }
+        assert!(
+            total > 0,
+            "{clause} joins nothing, so equality shows nothing"
+        );
     }
 }
 
