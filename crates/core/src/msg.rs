@@ -6,6 +6,7 @@
 //! by the simulator.
 
 use crate::cost::Sigma;
+use crate::node::WindowJoin;
 use sensor_net::NodeId;
 use sensor_query::Tuple;
 use sensor_summaries::Constraint;
@@ -109,8 +110,8 @@ pub struct WindowXfer {
     pub hops: Vec<u16>,
     pub new_j_idx: Option<usize>,
     pub assumed: Sigma,
-    pub win_s: Vec<Tuple>,
-    pub win_t: Vec<Tuple>,
+    /// The pair's windows, both sides.
+    pub win: WindowJoin,
     pub route: Route,
 }
 
@@ -285,9 +286,7 @@ impl Msg {
                 data_bytes + 1 + route_overhead
             }
             Msg::Result { count, .. } => 4 + *count as u32 * result_bytes,
-            Msg::WindowXfer(m) => {
-                14 + (m.win_s.len() + m.win_t.len()) as u32 * data_bytes + path_bytes(m.path.len())
-            }
+            Msg::WindowXfer(m) => 14 + m.win.len() as u32 * data_bytes + path_bytes(m.path.len()),
             Msg::McastSetup(m) => {
                 let state: u32 = m.edges.iter().map(|(_, cs)| 2 + 2 * cs.len() as u32).sum();
                 2 + state
@@ -355,7 +354,13 @@ mod tests {
 
     #[test]
     fn window_transfer_scales_with_window() {
-        let mk = |n: usize| {
+        // Both sides count: n tuples, alternating S and T.
+        let mk = |n: u32| {
+            let mut win = WindowJoin::default();
+            for c in 0..n {
+                let sd = if c % 2 == 0 { side::S } else { side::T };
+                win.push(sd, Tuple::new(NodeId(1), c), n as usize);
+            }
             Msg::WindowXfer(Box::new(WindowXfer {
                 pair: Pair::new(NodeId(1), NodeId(2)),
                 seq: 0,
@@ -363,8 +368,7 @@ mod tests {
                 hops: vec![],
                 new_j_idx: None,
                 assumed: Sigma::new(1.0, 1.0, 1.0),
-                win_s: vec![Tuple::new(NodeId(1), 0); n],
-                win_t: vec![],
+                win,
                 route: Route::TreeUp,
             }))
         };

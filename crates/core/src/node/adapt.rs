@@ -1,7 +1,7 @@
 //! Adaptation: selectivity learning with join-node migration (§6) and
 //! best-effort failure recovery (§7).
 
-use super::{JoinNode, PairState};
+use super::{JoinNode, PairState, WindowJoin};
 use crate::cost::{place_join_node, Placement};
 use crate::msg::{side, wire_pos, Ctl, Msg, Pair, Route, WindowXfer};
 use sensor_net::NodeId;
@@ -94,8 +94,7 @@ impl JoinNode {
             hops: st.hops.clone(),
             new_j_idx,
             assumed: est,
-            win_s: st.win_s.iter().copied().collect(),
-            win_t: st.win_t.iter().copied().collect(),
+            win: std::mem::take(&mut st.win),
             route: Route::TreeUp,
         });
         if at_base {
@@ -109,14 +108,15 @@ impl JoinNode {
     /// Route a WindowXfer from the current join point to the new one.
     pub(super) fn dispatch_window_xfer(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<WindowXfer>) {
         match m.new_j_idx {
-            // Moving to the base, where I am already.
+            // Moving to the base, where I am already. The windows are
+            // dropped, not fed to the base's `GroupJoin`: the lost at-base
+            // matches of ROADMAP item 1's cause (iv).
             None if self.id == self.sh.base() => self.adopt_transferred_pair(
                 ctx,
                 WindowXfer {
                     path: Vec::new(),
                     hops: Vec::new(),
-                    win_s: Vec::new(),
-                    win_t: Vec::new(),
+                    win: WindowJoin::default(),
                     ..*m
                 },
             ),
@@ -179,15 +179,8 @@ impl JoinNode {
     fn adopt_transferred_pair(&mut self, ctx: &mut Ctx<'_, Msg>, m: WindowXfer) {
         let (pair, seq, j_idx) = (m.pair, m.seq, m.new_j_idx);
         let state = PairState {
-            pair,
-            seq,
-            path: m.path.clone(),
-            hops: m.hops,
-            j_idx,
-            assumed: m.assumed,
-            win_s: m.win_s.into(),
-            win_t: m.win_t.into(),
-            stats: crate::learn::PairStats::default(),
+            win: m.win,
+            ..PairState::new(pair, seq, m.path.clone(), m.hops, j_idx, m.assumed)
         };
         self.migrations_adopted += 1;
         match j_idx {
@@ -343,7 +336,7 @@ impl JoinNode {
                     // unrecoverable (the old join node already dropped it).
                     // Record the loss instead of pretending the divert
                     // succeeded.
-                    self.recovery.tuples_lost += (m.win_s.len() + m.win_t.len()) as u64;
+                    self.recovery.tuples_lost += m.win.len() as u64;
                 }
             }
             // Control traffic losses during initiation self-correct via

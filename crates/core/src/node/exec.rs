@@ -1,13 +1,14 @@
 //! Execution: per-cycle sampling, data shipment, windowed join
 //! computation and result delivery (§2.2, §3.2).
 //!
-//! A windowed join runs at two sites. A pair's join node runs
-//! `join_into_pair` over the pair's own two windows. The base station
-//! and every GHT home each run a [`GroupJoin`]; only who its partners
-//! are differs, and the base adds its eligibility gate, §7 fallback
-//! pinning, at-base learning and Yang+07's forward-down around it. Both
-//! sites, and a Yang+07 target's local window, count matches with
-//! `probe`, the only code that decides which of two tuples is S.
+//! Every windowed join is a [`WindowJoin`]: the last `w` tuples of an S
+//! side and a T side, probed S→T. A pair's join node holds one per pair
+//! (`join_into_pair`), and a migration carries it. The base station and
+//! every GHT home run a [`GroupJoin`], one kernel per sending node; only
+//! who its partners are differs, and the base adds its eligibility gate,
+//! §7 fallback pinning, at-base learning and Yang+07's forward-down
+//! around it. A Yang+07 target keeps a kernel of its own T samples, and
+//! the pairwise oracle one per statically matching pair.
 
 use super::{GroupJoin, JoinNode, PairState};
 use crate::msg::{side, Msg, Pair, Route};
@@ -19,22 +20,70 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Insert into a bounded window, evicting the oldest.
-fn push_window(win: &mut VecDeque<Tuple>, t: Tuple, w: usize) {
+fn push_window<T>(win: &mut VecDeque<T>, t: T, w: usize) {
     if win.len() == w {
         win.pop_front();
     }
     win.push_back(t);
 }
 
+/// One sliding-window join (§2.2): the last `w` tuples of an S side and
+/// of a T side. A tuple probes the opposite side's window, then is
+/// windowed on its own side, so it never meets itself; every match is
+/// oriented S→T, whichever side the tuple arrived on.
+#[derive(Debug, Clone, Default)]
+pub struct WindowJoin {
+    /// The S window, then the T window, oldest first.
+    wins: [VecDeque<Tuple>; 2],
+}
+
+impl WindowJoin {
+    /// Count the tuples on the side opposite `sd` that join `tuple`. The
+    /// one place a windowed join decides which of two tuples is S.
+    fn probe(&self, a: &QueryAnalysis, sd: u8, tuple: &Tuple) -> u32 {
+        let opposite = self.window(sd ^ (side::S | side::T)).iter();
+        let n = if sd == side::S {
+            opposite.filter(|t| a.join_matches(tuple, t)).count()
+        } else {
+            opposite.filter(|s| a.join_matches(s, tuple)).count()
+        };
+        n as u32
+    }
+
+    /// Window `tuple` on side `sd`, evicting that side's oldest beyond `w`.
+    pub fn push(&mut self, sd: u8, tuple: Tuple, w: usize) {
+        push_window(&mut self.wins[(sd == side::T) as usize], tuple, w);
+    }
+
+    /// Probe with `tuple`, then window it: the matches it makes.
+    pub fn insert(&mut self, a: &QueryAnalysis, sd: u8, tuple: Tuple, w: usize) -> u32 {
+        let n = self.probe(a, sd, &tuple);
+        self.push(sd, tuple, w);
+        n
+    }
+
+    /// The window of side `sd`, oldest first.
+    pub fn window(&self, sd: u8) -> &VecDeque<Tuple> {
+        &self.wins[(sd == side::T) as usize]
+    }
+
+    /// Tuples windowed on both sides.
+    pub fn len(&self) -> usize {
+        self.wins.iter().map(VecDeque::len).sum()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
 impl JoinNode {
     // ----- sampling --------------------------------------------------------
 
     pub(super) fn sample_and_send(&mut self, ctx: &mut Ctx<'_, Msg>, cycle: u32) {
-        if !self.have_query || (!self.is_s && !self.is_t) {
-            // Yang+07 targets still maintain their local window below.
-            if self.sh.cfg.algorithm == Algorithm::Yang07 {
-                self.yang_maintain_window(cycle);
-            }
+        let yang = self.sh.cfg.algorithm == Algorithm::Yang07;
+        // A Yang+07 target keeps its local window even before the query.
+        if !((self.have_query && (self.is_s || self.is_t)) || (yang && self.is_t)) {
             return;
         }
         let tuple = self.sh.data.sample(self.id, cycle);
@@ -42,11 +91,11 @@ impl JoinNode {
         let s_sends = self.is_s && a.s_sends(&tuple);
         let t_sends = self.is_t && a.t_sends(&tuple);
         let sides = (s_sends as u8 * side::S) | (t_sends as u8 * side::T);
-        if self.sh.cfg.algorithm == Algorithm::Yang07 && t_sends {
+        if yang && t_sends {
             // Yang+07: T-side data never travels; it waits locally.
-            push_window(&mut self.yang_win, tuple, self.sh.spec.window);
+            self.yang_win.push(side::T, tuple, self.sh.spec.window);
         }
-        if sides == 0 {
+        if sides == 0 || !self.have_query {
             return;
         }
         // Failure fallback buffer: the last w tuples this producer sent.
@@ -65,15 +114,6 @@ impl JoinNode {
             }
             Algorithm::Ght => self.ght_send(ctx, sides, Arc::new(tuple)),
             Algorithm::Innet => self.innet_send(ctx, sides, Arc::new(tuple)),
-        }
-    }
-
-    fn yang_maintain_window(&mut self, cycle: u32) {
-        if self.is_t {
-            let tuple = self.sh.data.sample(self.id, cycle);
-            if self.sh.spec.analysis.t_sends(&tuple) {
-                push_window(&mut self.yang_win, tuple, self.sh.spec.window);
-            }
         }
     }
 
@@ -319,9 +359,14 @@ impl JoinNode {
         }
     }
 
-    /// Yang+07 target: probe the local window of own samples.
+    /// Yang+07 target: probe the local window of own samples. Only the T
+    /// side of `yang_win` is ever filled and an S tuple only probes it, so
+    /// a match whose T sample is the later one is lost: the
+    /// one-directional join of ROADMAP item 1's cause (v).
     fn yang_target_join(&mut self, ctx: &mut Ctx<'_, Msg>, s_tuple: Tuple) {
-        let results = probe(&self.sh.spec.analysis, side::S, &s_tuple, &self.yang_win);
+        let results = self
+            .yang_win
+            .probe(&self.sh.spec.analysis, side::S, &s_tuple);
         if results > 0 {
             self.emit_results(ctx, results, s_tuple.cycle);
         }
@@ -417,17 +462,10 @@ impl JoinNode {
             return;
         };
         if let Some(pair) = fallback {
-            b.pairs.entry(pair).or_insert_with(|| PairState {
-                pair,
-                seq: u32::MAX, // fallback pins the pair at the base
-                path: Vec::new(),
-                hops: Vec::new(),
-                j_idx: None,
-                assumed: crate::cost::Sigma::new(1.0, 1.0, 1.0),
-                win_s: VecDeque::new(),
-                win_t: VecDeque::new(),
-                stats: crate::learn::PairStats::default(),
-            });
+            // Sequence number u32::MAX pins the pair at the base.
+            let sigma = crate::cost::Sigma::new(1.0, 1.0, 1.0);
+            let pinned = || PairState::new(pair, u32::MAX, Vec::new(), Vec::new(), None, sigma);
+            b.pairs.entry(pair).or_insert_with(pinned);
         }
         let a = &spec.analysis;
         let mut produced = 0u64;
@@ -460,7 +498,7 @@ impl JoinNode {
                     });
                 b.join.partners.insert((origin, sd), origin_static);
             } else {
-                b.join.insert(origin, sd, tuple, w);
+                b.join.windows.entry(origin).or_default().push(sd, tuple, w);
             }
             // Pair stats: count arrivals.
             for (pair, ps) in b.pairs.iter_mut() {
@@ -513,20 +551,9 @@ impl JoinNode {
     }
 }
 
-/// Count the tuples of `window` that join `tuple`, which arrived on side
-/// `sd`; the window holds the opposite side. The one place a windowed
-/// join decides which of two tuples is S.
-pub(super) fn probe(a: &QueryAnalysis, sd: u8, tuple: &Tuple, window: &VecDeque<Tuple>) -> u32 {
-    let n = if sd == side::S {
-        window.iter().filter(|t| a.join_matches(tuple, t)).count()
-    } else {
-        window.iter().filter(|s| a.join_matches(s, tuple)).count()
-    };
-    n as u32
-}
-
-/// Probe-then-insert windowed join for one pair at its join node.
-/// Returns the number of result tuples.
+/// Probe-then-insert windowed join for one pair at its join node, S
+/// before T for an origin that is both. Returns the number of result
+/// tuples.
 pub(super) fn join_into_pair(
     spec: &sensor_query::JoinQuerySpec,
     st: &mut PairState,
@@ -538,13 +565,11 @@ pub(super) fn join_into_pair(
     let mut results = 0u32;
     if origin == st.pair.s {
         st.stats.record_s();
-        results += probe(a, side::S, &tuple, &st.win_t);
-        push_window(&mut st.win_s, tuple, w);
+        results += st.win.insert(a, side::S, tuple, w);
     }
     if origin == st.pair.t {
         st.stats.record_t();
-        results += probe(a, side::T, &tuple, &st.win_s);
-        push_window(&mut st.win_t, tuple, w);
+        results += st.win.insert(a, side::T, tuple, w);
     }
     st.stats.record_results(results);
     results
@@ -554,7 +579,9 @@ impl GroupJoin {
     /// Join `tuple`, which `origin` sent on side `sd`, against the
     /// opposite-side window of every other partner whose static tuple
     /// matches `origin_static`, calling `hit(partner, matches)` per
-    /// probed window; then window the tuple. Returns the matches.
+    /// probed window (a partner with nothing windowed on that side is
+    /// skipped); then window the tuple under `origin`. Returns the
+    /// matches.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn consume(
         &mut self,
@@ -582,19 +609,18 @@ impl GroupJoin {
             if !statically_joins {
                 continue;
             }
-            if let Some(win) = self.windows.get(&(p, opposite)) {
-                let n = probe(a, sd, &tuple, win);
+            let probed = self
+                .windows
+                .get(&p)
+                .filter(|k| !k.window(opposite).is_empty());
+            if let Some(k) = probed {
+                let n = k.probe(a, sd, &tuple);
                 hit(p, n);
                 results += n as u64;
             }
         }
-        self.insert(origin, sd, tuple, w);
+        self.windows.entry(origin).or_default().push(sd, tuple, w);
         results
-    }
-
-    /// Window `tuple` under (`origin`, `sd`) without probing.
-    pub(super) fn insert(&mut self, origin: NodeId, sd: u8, tuple: Tuple, w: usize) {
-        push_window(self.windows.entry((origin, sd)).or_default(), tuple, w);
     }
 }
 
@@ -627,10 +653,43 @@ mod tests {
     }
 
     fn cycles(g: &GroupJoin, n: u16, sd: u8) -> Vec<u32> {
-        g.windows[&(NodeId(n), sd)]
+        g.windows[&NodeId(n)]
+            .window(sd)
             .iter()
             .map(|t| t.cycle)
             .collect()
+    }
+
+    /// Window `tuple` under node `n`'s side `sd` without probing (w = 2).
+    fn fill(g: &mut GroupJoin, n: u16, sd: u8, tuple: Tuple) {
+        g.windows.entry(NodeId(n)).or_default().push(sd, tuple, 2);
+    }
+
+    #[test]
+    fn window_join_probes_before_windowing_and_orients_s_to_t() {
+        let a = &sensor_workload::query1(2).analysis;
+        let (s, tt) = (side::S, side::T);
+        let mut k = WindowJoin::default();
+        // The first tuple meets an empty T side, then is windowed.
+        assert_eq!(k.insert(a, s, t(1, 0, 8, 0), 2), 0);
+        // A T arrival probes S→T: (0, 3) joins (8, 0) as S.x = T.y + 5;
+        // (5, 9) would join it only as T.x = S.y + 5, so it does not.
+        assert_eq!(k.insert(a, tt, t(2, 1, 0, 3), 2), 1);
+        assert_eq!(k.insert(a, tt, t(2, 2, 5, 9), 2), 0);
+        // An S arrival probes the T side S→T too.
+        assert_eq!(k.insert(a, s, t(1, 3, 8, 0), 2), 1);
+        // A tuple that would join itself (8 = 3 + 5) meets only the
+        // other side as it was before the call, never its own copy.
+        assert_eq!(k.insert(a, s, t(3, 4, 8, 3), 2), 1);
+        assert_eq!(k.insert(a, s, t(3, 5, 8, 3), 2), 1);
+        // Each side keeps its last w = 2, oldest first, and `push`
+        // windows without probing.
+        let cycles = |k: &WindowJoin, sd| k.window(sd).iter().map(|t| t.cycle).collect::<Vec<_>>();
+        assert_eq!(cycles(&k, s), [4, 5]);
+        assert_eq!(cycles(&k, tt), [1, 2]);
+        k.push(tt, t(2, 6, 0, 3), 2);
+        assert_eq!(cycles(&k, tt), [2, 6]);
+        assert_eq!(k.len(), 4);
     }
 
     #[test]
@@ -650,12 +709,12 @@ mod tests {
             g.partners.insert((NodeId(n), sd), t(n, 0, x, y));
         }
         assert!(!a.static_join_matches(&t(1, 0, 8, 0), &t(3, 0, 5, 9)));
-        // Windows filled by `insert` may hold tuples their owner's static
+        // Windows filled by `fill` may hold tuples their owner's static
         // attributes would not produce; each one isolates a rule.
-        g.insert(NodeId(2), tt, t(2, 0, 0, 3), 2); // joins s1 S→T only
-        g.insert(NodeId(2), tt, t(2, 1, 5, 9), 2); // joins s1 T→S only
-        g.insert(NodeId(3), tt, t(3, 0, 0, 3), 2); // would join s1
-        g.insert(NodeId(4), tt, t(4, 0, 8, 3), 2);
+        fill(&mut g, 2, tt, t(2, 0, 0, 3)); // joins s1 S→T only
+        fill(&mut g, 2, tt, t(2, 1, 5, 9)); // joins s1 T→S only
+        fill(&mut g, 3, tt, t(3, 0, 0, 3)); // would join s1
+        fill(&mut g, 4, tt, t(4, 0, 8, 3));
 
         // An S arrival probes T windows in S→T orientation; t3 does not
         // statically match, so it is neither probed nor hit.
@@ -666,14 +725,14 @@ mod tests {
         assert_eq!(cycles(&g, 1, s), [2]);
         // A T arrival probes S windows, still S→T: (9, 0) joins (5, 3)
         // only as T.x = S.y + 5.
-        g.insert(NodeId(1), s, t(1, 3, 9, 0), 2);
+        fill(&mut g, 1, s, t(1, 3, 9, 0));
         assert_eq!(arrive(&mut g, a, tt, t(2, 4, 5, 3)), (1, vec![(1, 1)]));
         // The window keeps the last w = 2 tuples.
         assert_eq!(cycles(&g, 2, tt), [1, 4]);
 
         // n4's own S window joins its T arrival but is never probed, and
         // the arrival is windowed after the probe, so it never meets itself.
-        g.insert(NodeId(4), s, t(4, 5, 8, 3), 2);
+        fill(&mut g, 4, s, t(4, 5, 8, 3));
         assert_eq!(arrive(&mut g, a, tt, t(4, 6, 8, 3)), (1, vec![(1, 1)]));
         assert_eq!(cycles(&g, 4, tt), [0, 6]);
 

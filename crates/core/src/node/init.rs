@@ -3,7 +3,6 @@
 
 use super::{Candidate, JoinNode, PairState, ProducerAssign};
 use crate::cost::{place_join_node, Placement, Sigma};
-use crate::learn::PairStats;
 use crate::msg::{side, wire_pos, Ctl, GhtRegister, Msg, Nominate, Pair, Search};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
@@ -11,7 +10,6 @@ use sensor_query::Tuple;
 use sensor_routing::search::{next_hops, SearchQuery};
 use sensor_sim::Ctx;
 use sensor_summaries::Constraint;
-use std::collections::VecDeque;
 
 impl JoinNode {
     // ----- dissemination ---------------------------------------------------
@@ -378,17 +376,7 @@ impl JoinNode {
         j_idx: Option<usize>,
         assumed: Sigma,
     ) {
-        let state = PairState {
-            pair,
-            seq,
-            path: path.clone(),
-            hops: hops.clone(),
-            j_idx,
-            assumed,
-            win_s: VecDeque::new(),
-            win_t: VecDeque::new(),
-            stats: PairStats::default(),
-        };
+        let state = PairState::new(pair, seq, path.clone(), hops.clone(), j_idx, assumed);
         let stale = |old_seq: u32| seq < old_seq;
         match j_idx {
             Some(_) => {

@@ -7,10 +7,11 @@
 //! - [`init`]: query dissemination, Base pre-filtering, GHT registration,
 //!   Innet exploration / nomination / assignment (§3);
 //! - [`exec`]: sampling, data forwarding, windowed join computation,
-//!   result delivery (§2.2). A pair's join node runs
-//!   `exec::join_into_pair`; the base station and every GHT home run
-//!   one [`GroupJoin`]; `exec::probe` is the only code that decides
-//!   which of two tuples is S;
+//!   result delivery (§2.2). Every join window is a [`WindowJoin`], the
+//!   one kernel that probes S→T and evicts at `w`: one per pair at its
+//!   join node (and in a migration's [`crate::msg::WindowXfer`]), one per
+//!   sending node in the [`GroupJoin`] of the base station and of every
+//!   GHT home, and a T-only one at each Yang+07 target;
 //! - [`mpo`]: group optimization (Algorithm 1) and multicast trees with
 //!   path collapsing (§5, Appendix E);
 //! - [`adapt`]: selectivity learning with join-node migration (§6) and
@@ -37,6 +38,8 @@ use sensor_query::Tuple;
 use sensor_sim::{Ctx, Protocol};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::sync::Arc;
+
+pub use exec::WindowJoin;
 
 /// A candidate placement a target node tracks per source (§3.2 footnote 4:
 /// t keeps nominating better join nodes as better paths are discovered).
@@ -88,9 +91,32 @@ pub struct PairState {
     pub hops: Vec<u16>,
     pub j_idx: Option<usize>,
     pub assumed: Sigma,
-    pub win_s: VecDeque<Tuple>,
-    pub win_t: VecDeque<Tuple>,
+    pub win: WindowJoin,
     pub stats: PairStats,
+}
+
+impl PairState {
+    /// A pair joined at `path[j_idx]` (at the base if `None`), with empty
+    /// windows and no statistics yet.
+    pub fn new(
+        pair: Pair,
+        seq: u32,
+        path: Vec<NodeId>,
+        hops: Vec<u16>,
+        j_idx: Option<usize>,
+        assumed: Sigma,
+    ) -> Self {
+        PairState {
+            pair,
+            seq,
+            path,
+            hops,
+            j_idx,
+            assumed,
+            win: WindowJoin::default(),
+            stats: PairStats::default(),
+        }
+    }
 }
 
 /// A grouped windowed join (§2.2, §4.2): the base station runs one for
@@ -100,8 +126,8 @@ pub struct GroupJoin {
     /// Static tuples of the producers whose windows arrivals probe, per
     /// (node, side): GHT registrations, or the base's eligible senders.
     pub partners: BTreeMap<(NodeId, u8), Tuple>,
-    /// The last `w` tuples per (node, side).
-    pub windows: BTreeMap<(NodeId, u8), VecDeque<Tuple>>,
+    /// The last `w` tuples each node sent, per side.
+    pub windows: BTreeMap<NodeId, WindowJoin>,
 }
 
 /// Base-station bookkeeping.
@@ -213,8 +239,8 @@ pub struct JoinNode {
     pub ght_groups: BTreeMap<u64, GroupJoin>,
     /// GHT producer: precomputed route(s) to home node(s): (key, path, sides).
     pub ght_routes: Vec<(u64, Arc<[NodeId]>, u8)>,
-    /// Yang+07 target-side local window of own samples.
-    pub yang_win: VecDeque<Tuple>,
+    /// Yang+07 target-side local window of own samples, on its T side.
+    pub yang_win: WindowJoin,
     /// Base-station state (only at the base).
     pub base: Option<BaseState>,
     /// Multicast: forwarding state per owner.
@@ -267,7 +293,7 @@ impl JoinNode {
             pairs: BTreeMap::new(),
             ght_groups: BTreeMap::new(),
             ght_routes: Vec::new(),
-            yang_win: VecDeque::new(),
+            yang_win: WindowJoin::default(),
             base: is_base.then(BaseState::default),
             mc_children: BTreeMap::new(),
             mc_tree: None,

@@ -4,6 +4,8 @@
 //! check the distributed computation against. Runs themselves go through
 //! [`crate::session`].
 
+use crate::msg::side;
+use crate::node::WindowJoin;
 use crate::shared::{AlgoConfig, Algorithm};
 use sensor_net::{NodeId, Topology};
 use sensor_query::schema::{
@@ -113,8 +115,9 @@ pub(crate) fn reconvergence(
 }
 
 /// Oracle: expected number of join results over `cycles` sampling cycles,
-/// ignoring transport delays and losses (window semantics evaluated on
-/// generation order). Used by integration tests to sanity-check the
+/// ignoring transport delays and losses: one [`WindowJoin`] per statically
+/// matching pair, fed every sent sample in generation order (S before T
+/// within a cycle). Used by integration tests to sanity-check the
 /// distributed computation.
 pub fn oracle_result_count(
     topo: &Topology,
@@ -123,7 +126,6 @@ pub fn oracle_result_count(
     cycles: u32,
 ) -> u64 {
     use sensor_query::TupleSource;
-    use std::collections::VecDeque;
     let base = topo.base();
     let a = &spec.analysis;
     // Eligible producers.
@@ -135,39 +137,26 @@ pub fn oracle_result_count(
         .node_ids()
         .filter(|&n| n != base && a.t_eligible(data.static_of(n)))
         .collect();
-    // Statically matching pairs.
-    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+    // Statically matching pairs, each with its join.
+    let mut pairs: Vec<(NodeId, NodeId, WindowJoin)> = Vec::new();
     for &s in &s_nodes {
         for &t in &t_nodes {
             if s != t && a.static_join_matches(data.static_of(s), data.static_of(t)) {
-                pairs.push((s, t));
+                pairs.push((s, t, WindowJoin::default()));
             }
         }
     }
     let w = spec.window;
     let mut count = 0u64;
-    let mut windows: Vec<(VecDeque<sensor_query::Tuple>, VecDeque<sensor_query::Tuple>)> =
-        vec![(VecDeque::new(), VecDeque::new()); pairs.len()];
     for c in 0..cycles {
-        for (idx, &(s, t)) in pairs.iter().enumerate() {
-            let st = data.sample(s, c);
-            let tt = data.sample(t, c);
-            let s_sends = a.s_sends(&st);
-            let t_sends = a.t_sends(&tt);
-            let (ws, wt) = &mut windows[idx];
-            if s_sends {
-                count += wt.iter().filter(|x| a.join_matches(&st, x)).count() as u64;
-                if ws.len() == w {
-                    ws.pop_front();
-                }
-                ws.push_back(st);
+        for (s, t, join) in &mut pairs {
+            let st = data.sample(*s, c);
+            if a.s_sends(&st) {
+                count += join.insert(a, side::S, st, w) as u64;
             }
-            if t_sends {
-                count += ws.iter().filter(|x| a.join_matches(x, &tt)).count() as u64;
-                if wt.len() == w {
-                    wt.pop_front();
-                }
-                wt.push_back(tt);
+            let tt = data.sample(*t, c);
+            if a.t_sends(&tt) {
+                count += join.insert(a, side::T, tt, w) as u64;
             }
         }
     }

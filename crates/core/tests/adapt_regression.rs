@@ -10,7 +10,7 @@
 
 use aspen_join::learn::PairStats;
 use aspen_join::msg::{side, Msg, Pair, Route, WindowXfer};
-use aspen_join::node::PairState;
+use aspen_join::node::{PairState, WindowJoin};
 use aspen_join::prelude::*;
 use aspen_join::scenario::default_indexed_attrs;
 use aspen_join::{Algorithm, JoinNode, Shared};
@@ -19,7 +19,6 @@ use sensor_query::Tuple;
 use sensor_routing::substrate::MultiTreeSubstrate;
 use sensor_sim::{Engine, Protocol};
 use sensor_workload::{query0, WorkloadData};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// Ladder topology (as in the repair unit tests): with range 1.5 the
@@ -66,10 +65,20 @@ fn pair_state(pair: Pair, path: Vec<NodeId>, hops: Vec<u16>, j_idx: Option<usize
         hops,
         j_idx,
         assumed: Sigma::new(0.5, 0.5, 0.2),
-        win_s: VecDeque::new(),
-        win_t: VecDeque::new(),
+        win: WindowJoin::default(),
         stats: PairStats::default(),
     }
+}
+
+/// A pair's windows holding `s` on the S side and `t` on the T side.
+fn windows(s: &[Tuple], t: &[Tuple]) -> WindowJoin {
+    let mut win = WindowJoin::default();
+    for (sd, tuples) in [(side::S, s), (side::T, t)] {
+        for &tuple in tuples {
+            win.push(sd, tuple, tuples.len());
+        }
+    }
+    win
 }
 
 /// Bug 1: on an evaluation cycle where a pair has no estimate yet (no
@@ -147,7 +156,9 @@ fn in_flight_tuple_survives_desynced_repair() {
         .join
         .windows;
     assert!(
-        base_windows.contains_key(&(NodeId(1), side::S)),
+        base_windows
+            .get(&NodeId(1))
+            .is_some_and(|k| !k.window(side::S).is_empty()),
         "in-flight tuple must arrive at the base (was silently dropped pre-fix)"
     );
 }
@@ -237,8 +248,7 @@ fn lost_window_xfer_reforms_pair_at_base() {
         hops: vec![1, 2, 2, 2],
         new_j_idx: Some(2),
         assumed: Sigma::new(0.5, 0.5, 0.2),
-        win_s: vec![tuple],
-        win_t: vec![],
+        win: windows(&[tuple], &[]),
         route: Route::Path {
             path: vec![NodeId(5), NodeId(6)].into(),
             pos: 1,
@@ -256,7 +266,11 @@ fn lost_window_xfer_reforms_pair_at_base() {
         adopted.j_idx, None,
         "diverted transfer must target the base"
     );
-    assert_eq!(adopted.win_s.len(), 1, "window state survived the hand-off");
+    assert_eq!(
+        adopted.win.window(side::S).len(),
+        1,
+        "window state survived the hand-off"
+    );
 }
 
 /// A node isolated from the routing tree (no alive parent) cannot divert
@@ -279,8 +293,10 @@ fn stranded_window_xfer_is_counted_as_lost() {
         hops: vec![1, 2, 2, 2],
         new_j_idx: Some(2),
         assumed: Sigma::new(0.5, 0.5, 0.2),
-        win_s: vec![Tuple::new(NodeId(4), 0), Tuple::new(NodeId(4), 1)],
-        win_t: vec![Tuple::new(NodeId(7), 1)],
+        win: windows(
+            &[Tuple::new(NodeId(4), 0), Tuple::new(NodeId(4), 1)],
+            &[Tuple::new(NodeId(7), 1)],
+        ),
         route: Route::Path {
             path: vec![NodeId(7), NodeId(6)].into(),
             pos: 1,

@@ -113,7 +113,7 @@ fn learning_migrates_pair_with_windows() {
     let jn = node(&run, j.unwrap());
     let pair_state = jn.pairs.values().next().unwrap();
     assert!(
-        !pair_state.win_s.is_empty() || !pair_state.win_t.is_empty(),
+        !pair_state.win.is_empty(),
         "windows empty after migration + execution"
     );
 }
