@@ -101,6 +101,12 @@ fn parse_spec<'a>(
     if !(2..=20_000).contains(&spec.nodes) {
         return Err(format!("nodes={} out of range [2, 20000]", spec.nodes));
     }
+    // Fitting a deployment sorts every link within reach, so its cost
+    // grows with the degree: near `nodes` it is every pair, under the
+    // shard lock. The paper's densest network has degree 13.
+    if spec.degree.is_nan() || spec.degree > 64.0 {
+        return Err(format!("degree={} out of range (at most 64)", spec.degree));
+    }
     Ok(spec)
 }
 
@@ -1311,6 +1317,21 @@ mod tests {
             "OPEN x members=2",
         ] {
             assert!(open(bad).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn open_and_fedopen_cap_the_degree() {
+        for verb in ["OPEN x", "FEDOPEN f"] {
+            assert!(Request::decode(&format!("{verb} degree=64")).is_ok());
+            for bad in ["65", "nan", "inf"] {
+                let err = Request::decode(&format!("{verb} degree={bad}")).unwrap_err();
+                let err = err.to_string();
+                assert!(
+                    err.contains("out of range (at most 64)"),
+                    "{verb} {bad}: {err}"
+                );
+            }
         }
     }
 

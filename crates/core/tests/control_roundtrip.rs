@@ -110,10 +110,17 @@ fn name(rng: &mut StdRng) -> String {
         .collect()
 }
 
+/// Any spec the wire accepts: a degree of at most 64.
 fn open_spec(rng: &mut StdRng) -> OpenSpec {
+    let degree = loop {
+        let d = finite_f64(rng);
+        if d <= 64.0 {
+            break d;
+        }
+    };
     OpenSpec {
         nodes: rng.random_range(2..20_001usize),
-        degree: finite_f64(rng),
+        degree,
         seed: rng.random(),
     }
 }
