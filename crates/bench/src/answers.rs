@@ -2,21 +2,22 @@
 //! algorithm returns, next to what Base returns on the same network and
 //! seed.
 //!
-//! The grid crosses seven queries with the 11 evaluation variants, 1 and 3
-//! routing trees, and the replicate seeds. The queries are four WHERE
-//! clauses over `S.u = T.u` whose static selections stress routing
-//! differently (a `pos_y` split, a `pos_x` split, an `id` split, and the
-//! `id` split with Query 1's `S.x = T.y + 5`), then Queries 1, 2 and 3 at
-//! window 3. Each run is lossless with a roomy MAC, so queue drops and
-//! send failures stay 0 and Base (which equals Naive) is the answer every
-//! variant owes: a ratio other than 1 is a wrong answer, not noise.
+//! The grid crosses seven queries with the 11 evaluation variants
+//! ([`VARIANTS`]), 1 and 3 routing trees, and the replicate seeds. The
+//! queries are four WHERE clauses over `S.u = T.u` whose static
+//! selections stress routing differently (a `pos_y` split, a `pos_x`
+//! split, an `id` split, and the `id` split with Query 1's
+//! `S.x = T.y + 5`), then Queries 1, 2 and 3 at window 3. Each run is
+//! lossless with a roomy MAC, so queue drops and send failures stay 0
+//! and Base (which equals Naive) is the answer every variant owes: a ratio other than 1 is a wrong answer, not noise.
 //! Query 3 (`dist < 50`) returns 0 results in every cell of this
 //! 100-node network; its row stays so that a change that makes it join
 //! anything shows in the golden.
 
-use crate::sweep::{algo_name, parse_algo, seed_range};
+use crate::sweep::{algo_name, seed_range};
 use crate::{csv_header, fan_out, Metric, Stats};
 use aspen_join::prelude::*;
+use aspen_join::shared::VARIANTS;
 use aspen_join::{Algorithm, InnetOptions};
 use sensor_query::parser::parse_query;
 use sensor_query::JoinQuerySpec;
@@ -27,20 +28,6 @@ use sensor_workload::{query1, query2, query3, WorkloadData};
 const CYCLES: u32 = 20;
 /// Routing-tree counts crossed with every query and variant.
 const TREES: [usize; 2] = [1, 3];
-/// The 11 evaluation variants, in `parse_algo`'s order.
-const ALGOS: [&str; 11] = [
-    "naive",
-    "base",
-    "ght",
-    "yang+07",
-    "innet",
-    "innet-cm",
-    "innet-cmp",
-    "innet-cmg",
-    "innet-cmpg",
-    "innet-learn",
-    "innet-cmg-learn",
-];
 /// The four WHERE clauses, by row name.
 const WHERES: [(&str, &str); 4] = [
     ("pos_y", "S.pos_y < 1250 AND T.pos_y >= 1250 AND S.u = T.u"),
@@ -153,16 +140,11 @@ impl AnswersConfig {
     /// against its Base cell.
     pub fn run(&self) -> AnswersReport {
         let queries = queries();
-        let algos: Vec<_> = ALGOS
-            .iter()
-            .map(|a| parse_algo(a).expect("known variant"))
-            .collect();
         let keys: Vec<Key> = (0..queries.len())
             .flat_map(|query| {
-                let algos = &algos;
-                TREES.into_iter().flat_map(move |trees| {
-                    algos.iter().map(move |&algo| Key { query, trees, algo })
-                })
+                TREES
+                    .into_iter()
+                    .flat_map(move |trees| VARIANTS.map(|algo| Key { query, trees, algo }))
             })
             .collect();
         let runs = fan_out(&keys, &self.seeds, self.threads, |k, seed| {
@@ -231,14 +213,6 @@ pub struct AnswersReport {
 }
 
 impl AnswersReport {
-    /// The cell of `query`, `trees` and `algorithm` (a display name).
-    pub fn cell(&self, query: &str, trees: usize, algorithm: &str) -> &AnswerCell {
-        self.cells
-            .iter()
-            .find(|c| c.query == query && c.trees == trees && c.algorithm == algorithm)
-            .unwrap_or_else(|| panic!("no cell {query}/{trees}/{algorithm}"))
-    }
-
     /// One row per cell: mean results, Base's, the ratio, drops and
     /// failures.
     pub fn to_table(&self) -> Table {

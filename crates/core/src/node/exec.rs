@@ -56,7 +56,7 @@ impl WindowJoin {
     }
 
     /// Probe with `tuple`, then window it: the matches it makes.
-    pub fn insert(&mut self, a: &QueryAnalysis, sd: u8, tuple: Tuple, w: usize) -> u32 {
+    pub(crate) fn insert(&mut self, a: &QueryAnalysis, sd: u8, tuple: Tuple, w: usize) -> u32 {
         let n = self.probe(a, sd, &tuple);
         self.push(sd, tuple, w);
         n

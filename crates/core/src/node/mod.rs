@@ -98,7 +98,7 @@ pub struct PairState {
 impl PairState {
     /// A pair joined at `path[j_idx]` (at the base if `None`), with empty
     /// windows and no statistics yet.
-    pub fn new(
+    pub(crate) fn new(
         pair: Pair,
         seq: u32,
         path: Vec<NodeId>,

@@ -80,7 +80,7 @@ impl InnetOptions {
         ..Self::PLAIN
     };
 
-    pub fn with_learning(mut self) -> Self {
+    pub const fn with_learning(mut self) -> Self {
         self.learning = true;
         self
     }
@@ -156,27 +156,29 @@ pub fn algo_name(algo: Algorithm, opts: InnetOptions) -> String {
     }
 }
 
+/// The evaluation's 11 algorithm variants, in presentation order.
+pub const VARIANTS: [(Algorithm, InnetOptions); 11] = [
+    (Algorithm::Naive, InnetOptions::PLAIN),
+    (Algorithm::Base, InnetOptions::PLAIN),
+    (Algorithm::Ght, InnetOptions::PLAIN),
+    (Algorithm::Yang07, InnetOptions::PLAIN),
+    (Algorithm::Innet, InnetOptions::PLAIN),
+    (Algorithm::Innet, InnetOptions::CM),
+    (Algorithm::Innet, InnetOptions::CMP),
+    (Algorithm::Innet, InnetOptions::CMG),
+    (Algorithm::Innet, InnetOptions::CMPG),
+    // Learning variants ("innet-learn", "innet-cmg-learn"): §6
+    // adaptation on — the interesting setting under dynamics plans.
+    (Algorithm::Innet, InnetOptions::PLAIN.with_learning()),
+    (Algorithm::Innet, InnetOptions::CMG.with_learning()),
+];
+
 /// Parse a sweep-style algorithm slug back into the option matrix
 /// (case-insensitive; accepts bare enum names like "ght" too). The
-/// inverse of [`algo_name`] over the evaluation's 11 combinations.
+/// inverse of [`algo_name`] over [`VARIANTS`].
 pub fn parse_algo(s: &str) -> Option<(Algorithm, InnetOptions)> {
-    let all: [(Algorithm, InnetOptions); 11] = [
-        (Algorithm::Naive, InnetOptions::PLAIN),
-        (Algorithm::Base, InnetOptions::PLAIN),
-        (Algorithm::Ght, InnetOptions::PLAIN),
-        (Algorithm::Yang07, InnetOptions::PLAIN),
-        (Algorithm::Innet, InnetOptions::PLAIN),
-        (Algorithm::Innet, InnetOptions::CM),
-        (Algorithm::Innet, InnetOptions::CMP),
-        (Algorithm::Innet, InnetOptions::CMG),
-        (Algorithm::Innet, InnetOptions::CMPG),
-        // Learning variants ("innet-learn", "innet-cmg-learn"): §6
-        // adaptation on — the interesting setting under dynamics plans.
-        (Algorithm::Innet, InnetOptions::PLAIN.with_learning()),
-        (Algorithm::Innet, InnetOptions::CMG.with_learning()),
-    ];
     let want = s.to_ascii_lowercase();
-    all.into_iter().find(|&(a, o)| {
+    VARIANTS.into_iter().find(|&(a, o)| {
         algo_name(a, o).to_ascii_lowercase() == want || {
             // Accept the bare enum name too ("ght" for "GHT").
             a != Algorithm::Innet && a.name().to_ascii_lowercase() == want
