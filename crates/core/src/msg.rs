@@ -437,6 +437,92 @@ mod tests {
         }
     }
 
+    /// Every kind that travels toward a known end, on each route it takes,
+    /// on the same 5-node path: what a route costs on the wire is its
+    /// kind's own formula, so a change to how messages are routed must
+    /// leave every figure here alone.
+    #[test]
+    fn routed_message_sizes() {
+        let path: Vec<NodeId> = (1..=5).map(NodeId).collect();
+        let on_path = || Route::Path {
+            path: path.as_slice().into(),
+            pos: 1,
+        };
+        let (s, t) = (path[0], path[4]);
+        let pair = Pair::new(s, t);
+        let nominate = |j_idx| {
+            Msg::Nominate(Box::new(Nominate {
+                pair,
+                seq: 1,
+                path: path.clone(),
+                hops: vec![3, 2, 1, 2, 3],
+                j_idx,
+                assumed: Sigma::new(1.0, 1.0, 1.0),
+                pos: 3,
+            }))
+        };
+        let assign = |j_idx, toward_t| Msg::Assign {
+            pair,
+            seq: 1,
+            path: path.clone(),
+            j_idx,
+            pos: 1,
+            toward_t,
+        };
+        let xfer = |route| {
+            let mut win = WindowJoin::default();
+            win.push(side::S, Tuple::new(s, 0), 2);
+            win.push(side::T, Tuple::new(t, 0), 2);
+            Msg::WindowXfer(Box::new(WindowXfer {
+                pair,
+                seq: 1,
+                path: path.clone(),
+                hops: vec![3, 2, 1, 2, 3],
+                new_j_idx: Some(2),
+                assumed: Sigma::new(1.0, 1.0, 1.0),
+                win,
+                route,
+            }))
+        };
+        let data = |route| Msg::Data {
+            from: s,
+            sides: side::S,
+            tuple: Tuple::new(s, 0).into(),
+            route,
+            fallback: None,
+        };
+        let cases = [
+            (nominate(Some(2)), 23),
+            (nominate(None), 23),
+            (assign(Some(2), false), 16),
+            (assign(Some(2), true), 16),
+            (assign(None, false), 16),
+            (xfer(Route::TreeUp), 32),
+            (xfer(on_path()), 32),
+            (
+                Msg::Announce {
+                    origin: s,
+                    sides: side::S | side::T,
+                },
+                11,
+            ),
+            (
+                Msg::Result {
+                    count: 3,
+                    gen_cycle: 0,
+                    route: Route::TreeUp,
+                },
+                34,
+            ),
+            (data(Route::TreeUp), 7),
+            (data(on_path()), 9),
+            (data(Route::Mcast { owner: s }), 9),
+        ];
+        for (msg, bytes) in cases {
+            assert_eq!(msg.wire_bytes(6, 10), bytes, "{msg:?}");
+        }
+    }
+
     /// Every hop moves a `Msg` by value through the sink, the wrapper and
     /// the pool: 48 bytes leave room for the 8-byte query tag of a
     /// `MultiMsg` and the pool's refcount within one 64-byte line. The
