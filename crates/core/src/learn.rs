@@ -14,6 +14,13 @@
 
 use crate::cost::Sigma;
 
+/// Sampling cycles between learning evaluations at join nodes.
+pub const LEARN_INTERVAL: u32 = 20;
+
+/// How far a learned selectivity may stray from the one a placement (or
+/// a graph plan) assumed before it is re-optimized: the paper's 33 %.
+pub const DIVERGENCE_THRESHOLD: f64 = 0.33;
+
 /// Minimum sampling cycles since the last reset before
 /// [`PairStats::estimate`] yields anything. One cycle of history is pure
 /// noise: a counter straight out of `reset()` would otherwise estimate

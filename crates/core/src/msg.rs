@@ -40,13 +40,15 @@ pub mod side {
     pub const T: u8 = 2;
 }
 
-/// How a data/result message is being routed.
+/// How a message travels to the node that acts on it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Route {
-    /// Follow the primary routing tree upward to the base station.
+    /// Follow the (self-healing) primary routing tree up to the base
+    /// station.
     TreeUp,
-    /// Follow an explicit node path; `pos` indexes the current node. The
-    /// path is shared: a hop advances `pos` and passes the same vector on.
+    /// Follow an explicit node path to its last node; `pos` indexes the
+    /// current node. The path is shared: a hop advances `pos` and passes
+    /// the same vector on.
     Path { path: Arc<[NodeId]>, pos: u32 },
     /// Follow the sender's installed multicast tree (state pushed by
     /// `McastSetup`).
@@ -87,9 +89,23 @@ pub struct Nominate {
     /// Index of the join node on `path`; `None` = join at base.
     pub j_idx: Option<usize>,
     pub assumed: Sigma,
-    /// Position of the current node on `path` while routing t → j
-    /// (decreasing). For at-base nominations the message goes TreeUp.
-    pub pos: usize,
+    /// Back along `path` from t to the join node, or up the tree for an
+    /// at-base nomination.
+    pub route: Route,
+}
+
+/// j → producer: the pair assignment.
+#[derive(Debug, Clone)]
+pub struct Assign {
+    pub pair: Pair,
+    pub seq: u32,
+    /// What the producer adopts: the s..t path for an on-path assign, the
+    /// base→producer tree path (also its route) for an at-base one.
+    pub path: Vec<NodeId>,
+    pub j_idx: Option<u32>,
+    /// Along `path` from the join node to the producer, or down the tree
+    /// from the base.
+    pub route: Route,
 }
 
 /// §5.2: producer's ΔCp routed to its group coordinator.
@@ -172,13 +188,17 @@ impl Ctl {
 }
 
 /// Protocol message set (all algorithms share the enum; each uses a
-/// subset). Node-addressed control travels as [`Msg::Ctl`], sent by
-/// `JoinNode::send_ctl` and relayed hop by hop by `JoinNode::on_ctl`.
-/// Every transmission moves a `Msg` by value several times and parks it
-/// in a pool slot, so the enum is kept to 48 bytes: the large control
-/// payloads are boxed, the 64-byte tuple of the per-tuple `Data` sits
-/// behind an `Arc` made once per sample, and path positions are `u32`.
-/// The tagged frame around it then fits one cache line (see
+/// subset). Every kind bound for a known end — data, results,
+/// announcements, nominations, assignments, window transfers and
+/// node-addressed [`Msg::Ctl`] control — travels on a [`Route`]
+/// (`Announce` and `Result` implicitly up the tree) and is moved hop by
+/// hop by `JoinNode::relay`, which hands it to its kind's handler where
+/// the route ends. Multicast data fans out on its own. Every
+/// transmission moves a `Msg` by value several times and parks it in a
+/// pool slot, so the enum is kept to 48 bytes: the large control and
+/// assignment payloads are boxed, the 64-byte tuple of the per-tuple
+/// `Data` sits behind an `Arc` made once per sample, and path positions
+/// are `u32`. The tagged frame around it then fits one cache line (see
 /// `multi::tests::pool_slot_is_one_cache_line`).
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -189,27 +209,14 @@ pub enum Msg {
         origin: NodeId,
         sides: u8,
     },
-    /// A control message for `path`'s last node; `pos` indexes the
-    /// current node.
+    /// A control message for the last node of its [`Route::Path`].
     Ctl {
-        path: Vec<NodeId>,
-        pos: u32,
+        route: Route,
         ctl: Ctl,
     },
     Search(Box<Search>),
     Nominate(Box<Nominate>),
-    /// j → producer: the pair assignment. For on-path assigns (`j_idx`
-    /// set) the message walks `path` from the join node toward the
-    /// endpoint (`toward_t` selects the direction); for at-base assigns
-    /// `path` is a base→producer tree path walked by increasing `pos`.
-    Assign {
-        pair: Pair,
-        seq: u32,
-        path: Vec<NodeId>,
-        j_idx: Option<u32>,
-        pos: u32,
-        toward_t: bool,
-    },
+    Assign(Box<Assign>),
     /// A producer's data tuple, shared by every hop and fan-out copy of
     /// the one sample it was taken from.
     Data {
@@ -220,11 +227,10 @@ pub enum Msg {
         /// Set when this is a §7 fallback stream the base must adopt.
         fallback: Option<Pair>,
     },
-    /// Join results heading to the base (merged per cycle).
+    /// Join results heading up the tree to the base (merged per cycle).
     Result {
         count: u16,
         gen_cycle: u32,
-        route: Route,
     },
     WindowXfer(Box<WindowXfer>),
     McastSetup(Box<McastSetup>),
@@ -263,7 +269,13 @@ impl Msg {
         match self {
             Msg::QueryFlood => 40, // compiled query broadcast
             Msg::Announce { .. } => 3 + STATIC_EXCERPT_BYTES,
-            Msg::Ctl { path, ctl, .. } => ctl.wire_bytes() + path_bytes(path.len()),
+            Msg::Ctl { route, ctl } => {
+                let hops = match route {
+                    Route::Path { path, .. } => path.len(),
+                    Route::TreeUp | Route::Mcast { .. } => 0,
+                };
+                ctl.wire_bytes() + path_bytes(hops)
+            }
             Msg::Search(m) => {
                 // tree + flags + origin + statics + constraints + path +
                 // delta-encoded hops array (§3.1: "delta encoded").
@@ -273,7 +285,7 @@ impl Msg {
                     + m.path.len() as u32
             }
             Msg::Nominate(m) => 12 + path_bytes(m.path.len()) + m.path.len() as u32,
-            Msg::Assign { path, .. } => 10 + path_bytes(path.len()),
+            Msg::Assign(m) => 10 + path_bytes(m.path.len()),
             Msg::Data { route, .. } => {
                 // Established flows route on cached state (flow buffers /
                 // path vectors installed during initiation), so data
@@ -292,6 +304,19 @@ impl Msg {
                 2 + state
             }
             Msg::Probe => 2,
+        }
+    }
+
+    /// The route of a kind bound for a known end. `Announce` and `Result`
+    /// carry none: they only ever travel up the tree to the base. The
+    /// other kinds are never relayed.
+    pub(crate) fn route_mut(&mut self) -> Option<&mut Route> {
+        match self {
+            Msg::Ctl { route, .. } | Msg::Data { route, .. } => Some(route),
+            Msg::Nominate(m) => Some(&mut m.route),
+            Msg::Assign(m) => Some(&mut m.route),
+            Msg::WindowXfer(m) => Some(&mut m.route),
+            _ => None,
         }
     }
 }
@@ -342,12 +367,10 @@ mod tests {
         let merged = Msg::Result {
             count: 3,
             gen_cycle: 0,
-            route: Route::TreeUp,
         };
         let single = Msg::Result {
             count: 1,
             gen_cycle: 0,
-            route: Route::TreeUp,
         };
         assert!(merged.wire_bytes(6, 10) < 3 * single.wire_bytes(6, 10));
     }
@@ -383,8 +406,10 @@ mod tests {
         let path: Vec<NodeId> = (1..=5).map(NodeId).collect();
         let n = NodeId(1);
         let ctl = |ctl| Msg::Ctl {
-            path: path.clone(),
-            pos: 1,
+            route: Route::Path {
+                path: path.as_slice().into(),
+                pos: 1,
+            },
             ctl,
         };
         let cases = [
@@ -458,16 +483,28 @@ mod tests {
                 hops: vec![3, 2, 1, 2, 3],
                 j_idx,
                 assumed: Sigma::new(1.0, 1.0, 1.0),
-                pos: 3,
+                route: match j_idx {
+                    Some(_) => on_path(),
+                    None => Route::TreeUp,
+                },
             }))
         };
-        let assign = |j_idx, toward_t| Msg::Assign {
-            pair,
-            seq: 1,
-            path: path.clone(),
-            j_idx,
-            pos: 1,
-            toward_t,
+        let assign = |j_idx: Option<u32>, dest: NodeId| {
+            let j = j_idx.unwrap_or(0) as usize;
+            let route: Arc<[NodeId]> = match j_idx {
+                Some(_) if dest == s => path[..=j].iter().rev().copied().collect(),
+                _ => path[j..].into(),
+            };
+            Msg::Assign(Box::new(Assign {
+                pair,
+                seq: 1,
+                path: path.clone(),
+                j_idx,
+                route: Route::Path {
+                    path: route,
+                    pos: 1,
+                },
+            }))
         };
         let xfer = |route| {
             let mut win = WindowJoin::default();
@@ -494,9 +531,9 @@ mod tests {
         let cases = [
             (nominate(Some(2)), 23),
             (nominate(None), 23),
-            (assign(Some(2), false), 16),
-            (assign(Some(2), true), 16),
-            (assign(None, false), 16),
+            (assign(Some(2), s), 16),
+            (assign(Some(2), t), 16),
+            (assign(None, s), 16),
             (xfer(Route::TreeUp), 32),
             (xfer(on_path()), 32),
             (
@@ -510,7 +547,6 @@ mod tests {
                 Msg::Result {
                     count: 3,
                     gen_cycle: 0,
-                    route: Route::TreeUp,
                 },
                 34,
             ),

@@ -3,6 +3,7 @@
 
 use super::{JoinNode, PairState, WindowJoin};
 use crate::cost::{place_join_node, Placement};
+use crate::learn::{DIVERGENCE_THRESHOLD, LEARN_INTERVAL};
 use crate::msg::{side, wire_pos, Ctl, Msg, Pair, Route, WindowXfer};
 use sensor_net::NodeId;
 use sensor_query::Tuple;
@@ -19,7 +20,6 @@ impl JoinNode {
         if !self.sh.cfg.innet.learning {
             return;
         }
-        let interval = self.sh.cfg.learn_interval.max(1);
         for st in self.pairs.values_mut() {
             st.stats.tick();
         }
@@ -28,7 +28,7 @@ impl JoinNode {
                 st.stats.tick();
             }
         }
-        if cycle == 0 || !cycle.is_multiple_of(interval) {
+        if cycle == 0 || !cycle.is_multiple_of(LEARN_INTERVAL) {
             return;
         }
         // Evaluate join-node pairs.
@@ -50,7 +50,6 @@ impl JoinNode {
     /// estimates diverge >33% from the values the placement assumed.
     fn evaluate_pair(&mut self, ctx: &mut Ctx<'_, Msg>, pair: Pair, at_base: bool) {
         let w = self.sh.spec.window;
-        let threshold = self.sh.cfg.divergence_threshold;
         let st = if at_base {
             self.base.as_mut().and_then(|b| b.pairs.get_mut(&pair))
         } else {
@@ -69,7 +68,7 @@ impl JoinNode {
             // every σ estimate — ISSUE 3 regression.)
             return;
         };
-        if !st.assumed.diverged(&est, threshold) {
+        if !st.assumed.diverged(&est, DIVERGENCE_THRESHOLD) {
             // Close enough: keep running, restart the local time span.
             st.stats.reset();
             return;
@@ -107,76 +106,38 @@ impl JoinNode {
 
     /// Route a WindowXfer from the current join point to the new one.
     pub(super) fn dispatch_window_xfer(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<WindowXfer>) {
-        match m.new_j_idx {
-            // Moving to the base, where I am already. The windows are
-            // dropped, not fed to the base's `GroupJoin`: the lost at-base
-            // matches of ROADMAP item 1's cause (iv).
-            None if self.id == self.sh.base() => self.adopt_transferred_pair(
-                ctx,
-                WindowXfer {
+        m.route = match m.new_j_idx {
+            // Moving to the base, where I am already. The path, hops and
+            // windows are dropped, not fed to the base's `GroupJoin`: the
+            // lost at-base matches of ROADMAP item 1's cause (iv). A
+            // transfer that arrives at the base keeps them.
+            None if self.id == self.sh.base() => {
+                let cleared = WindowXfer {
                     path: Vec::new(),
                     hops: Vec::new(),
                     win: WindowJoin::default(),
                     ..*m
-                },
-            ),
-            // Moving to the base: up the tree.
-            None => self.on_window_xfer(ctx, m),
-            Some(j) if m.path[j] == self.id => self.adopt_transferred_pair(ctx, *m),
-            Some(j) => {
-                // Route along the pair's path if I am on it; otherwise
-                // (migrating away from the base) use the primary tree.
-                let route: Arc<[NodeId]> = match m.path.iter().position(|&n| n == self.id) {
+                };
+                return self.adopt_transferred_pair(ctx, cleared);
+            }
+            None => Route::TreeUp,
+            // Along the pair's path if I am on it; otherwise (migrating
+            // away from the base) down the primary tree.
+            Some(j) => Route::Path {
+                path: match m.path.iter().position(|&n| n == self.id) {
                     Some(my_idx) if my_idx < j => m.path[my_idx..=j].into(),
                     Some(my_idx) => m.path[j..=my_idx].iter().rev().copied().collect(),
                     None => self.sh.tree_path(self.id, m.path[j]).into(),
-                };
-                if route.len() > 1 {
-                    m.route = Route::Path {
-                        path: route,
-                        pos: 0,
-                    };
-                    self.on_window_xfer(ctx, m);
-                }
-            }
-        }
-    }
-
-    /// A WindowXfer is here, on its way: pass it on, or adopt the pair at
-    /// the end of its route.
-    pub(super) fn on_window_xfer(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<WindowXfer>) {
-        match std::mem::replace(&mut m.route, Route::TreeUp) {
-            Route::TreeUp => {
-                if self.id != self.sh.base() {
-                    let msg = Msg::WindowXfer(m);
-                    self.xfer_bytes += self.wire_bytes(&msg) as u64;
-                    self.forward_tree_up(ctx, msg);
-                    return;
-                }
-                self.adopt_transferred_pair(ctx, *m);
-            }
-            Route::Path { path, pos } => {
-                debug_assert_eq!(
-                    path.get(pos as usize),
-                    Some(&self.id),
-                    "path routing desync"
-                );
-                if let Some(&next) = path.get(pos as usize + 1) {
-                    m.route = Route::Path { path, pos: pos + 1 };
-                    let msg = Msg::WindowXfer(m);
-                    self.xfer_bytes += self.wire_bytes(&msg) as u64;
-                    self.send(ctx, next, msg);
-                } else {
-                    self.adopt_transferred_pair(ctx, *m);
-                }
-            }
-            Route::Mcast { .. } => unreachable!("window transfers are unicast"),
-        }
+                },
+                pos: 0,
+            },
+        };
+        self.relay(ctx, Msg::WindowXfer(m));
     }
 
     /// The new join node adopts a migrated pair and re-points both
     /// producers at itself.
-    fn adopt_transferred_pair(&mut self, ctx: &mut Ctx<'_, Msg>, m: WindowXfer) {
+    pub(super) fn adopt_transferred_pair(&mut self, ctx: &mut Ctx<'_, Msg>, m: WindowXfer) {
         let (pair, seq, j_idx) = (m.pair, m.seq, m.new_j_idx);
         let state = PairState {
             win: m.win,
@@ -193,8 +154,8 @@ impl JoinNode {
                 }
             }
         }
-        self.send_assign(ctx, pair, seq, m.path.clone(), j_idx, false);
-        self.send_assign(ctx, pair, seq, m.path, j_idx, true);
+        self.send_assign(ctx, pair, seq, m.path.clone(), j_idx, pair.s);
+        self.send_assign(ctx, pair, seq, m.path, j_idx, pair.t);
     }
 
     // ----- failure handling (§7) ----------------------------------------------
@@ -230,39 +191,35 @@ impl JoinNode {
                             .filter(|&p| p + 1 < new_path.len());
                         match resume {
                             Some(my_pos) => {
-                                let next = new_path[my_pos + 1];
                                 let m = Msg::Data {
                                     from,
                                     sides,
                                     tuple,
                                     route: Route::Path {
                                         path: new_path.into(),
-                                        pos: wire_pos(my_pos + 1),
+                                        pos: wire_pos(my_pos),
                                     },
                                     fallback,
                                 };
-                                self.send(ctx, next, m);
+                                self.relay(ctx, m);
                             }
                             None => {
                                 // The repaired path no longer runs through
                                 // me (stale or desynced route). Divert the
                                 // in-flight tuple onto the routing tree
                                 // instead of dropping it (ISSUE 3
-                                // regression). `forward_tree_up` returns
-                                // true even with no alive parent, so check
-                                // the parent to keep the salvage counter
-                                // honest.
+                                // regression). The relay drops it silently
+                                // with no alive parent, so check the parent
+                                // to keep the salvage counter honest.
                                 let m = Msg::Data {
                                     from,
                                     sides,
-                                    tuple: tuple.clone(),
+                                    tuple,
                                     route: Route::TreeUp,
                                     fallback,
                                 };
-                                if !self.forward_tree_up(ctx, m) {
-                                    self.base_consume_data(ctx, from, sides, tuple, fallback);
-                                    self.recovery.tuples_rerouted += 1;
-                                } else if self.alive_parent().is_some() {
+                                self.relay(ctx, m);
+                                if self.id == self.sh.base() || self.alive_parent().is_some() {
                                     self.recovery.tuples_rerouted += 1;
                                 } else {
                                     // Isolated from the tree: nothing left.
@@ -282,34 +239,11 @@ impl JoinNode {
                 }
             }
             // Tree-up traffic heals by re-parenting; re-send once.
-            Msg::Data {
-                from,
-                sides,
-                tuple,
+            msg @ (Msg::Data {
                 route: Route::TreeUp,
-                fallback,
-            } => {
-                let m = Msg::Data {
-                    from,
-                    sides,
-                    tuple,
-                    route: Route::TreeUp,
-                    fallback,
-                };
-                let _ = self.forward_tree_up(ctx, m);
+                ..
             }
-            Msg::Result {
-                count,
-                gen_cycle,
-                route: Route::TreeUp,
-            } => {
-                let m = Msg::Result {
-                    count,
-                    gen_cycle,
-                    route: Route::TreeUp,
-                };
-                let _ = self.forward_tree_up(ctx, m);
-            }
+            | Msg::Result { .. }) => self.relay(ctx, msg),
             // Multicast branch died: tell the owner; it will rebuild
             // around the failure or fall back.
             Msg::Data {
@@ -330,7 +264,7 @@ impl JoinNode {
                 if self.id == self.sh.base() || self.alive_parent().is_some() {
                     m.new_j_idx = None;
                     m.route = Route::TreeUp;
-                    self.on_window_xfer(ctx, m);
+                    self.relay(ctx, Msg::WindowXfer(m));
                 } else {
                     // Isolated from the tree: the migration state is
                     // unrecoverable (the old join node already dropped it).
@@ -419,27 +353,27 @@ impl JoinNode {
         fatal: bool,
     ) {
         if producer == self.id {
+            // Only a notice to myself may report a repaired break: one that
+            // crossed the air is always fatal (`on_ctl`, ROADMAP item 6(c)).
             self.producer_route_broken(ctx, failed, fatal);
             return;
         }
         // Reverse along the data path if I am on it; else tree-route.
-        let back_path: Vec<NodeId> =
+        let back_path: Arc<[NodeId]> =
             if !path.is_empty() && pos > 0 && path.get(pos) == Some(&self.id) {
-                let mut p = path[..=pos].to_vec();
-                p.reverse();
-                p
+                path[..=pos].iter().rev().copied().collect()
             } else {
-                self.sh.tree_path(self.id, producer)
+                self.sh.tree_path(self.id, producer).into()
             };
-        if let Some(&next) = back_path.get(1) {
-            let msg = Msg::Ctl {
+        let msg = Msg::Ctl {
+            route: Route::Path {
                 path: back_path,
-                pos: 1,
-                ctl: Ctl::RouteBroken { failed },
-            };
-            self.recovery.control_bytes += self.wire_bytes(&msg) as u64;
-            self.send(ctx, next, msg);
-        }
+                pos: 0,
+            },
+            ctl: Ctl::RouteBroken { failed },
+        };
+        self.recovery.control_bytes += self.wire_bytes(&msg) as u64;
+        self.relay(ctx, msg);
     }
 
     /// §7: producer-side reaction — switch every pair whose path includes

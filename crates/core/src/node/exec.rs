@@ -124,7 +124,14 @@ impl JoinNode {
         tuple: Arc<Tuple>,
         fallback: Option<Pair>,
     ) {
-        self.on_data(ctx, self.id, sides, tuple, Route::TreeUp, fallback);
+        let msg = Msg::Data {
+            from: self.id,
+            sides,
+            tuple,
+            route: Route::TreeUp,
+            fallback,
+        };
+        self.relay(ctx, msg);
     }
 
     fn ght_send(&mut self, ctx: &mut Ctx<'_, Msg>, sides: u8, tuple: Arc<Tuple>) {
@@ -134,22 +141,24 @@ impl JoinNode {
             if use_sides == 0 {
                 continue;
             }
-            let Some(&next) = path.get(1) else {
-                // I am the home node.
+            if path.len() == 1 {
+                // I am the home node: only this key's group consumes the
+                // tuple, where a path arrival feeds every group that
+                // partners its origin.
                 self.ght_consume(ctx, key, self.id, use_sides, *tuple);
                 continue;
-            };
+            }
             let msg = Msg::Data {
                 from: self.id,
                 sides: use_sides,
                 tuple: tuple.clone(),
                 route: Route::Path {
                     path: path.clone(),
-                    pos: 1,
+                    pos: 0,
                 },
                 fallback: None,
             };
-            self.send(ctx, next, msg);
+            self.relay(ctx, msg);
         }
     }
 
@@ -207,15 +216,14 @@ impl JoinNode {
             self.forward_mcast(ctx, self.id, msg);
         }
         for (_, path) in unicast {
-            let next = path[1];
             let msg = Msg::Data {
                 from: self.id,
                 sides,
                 tuple: tuple.clone(),
-                route: Route::Path { path, pos: 1 },
+                route: Route::Path { path, pos: 0 },
                 fallback: None,
             };
-            self.send(ctx, next, msg);
+            self.relay(ctx, msg);
         }
     }
 
@@ -237,73 +245,31 @@ impl JoinNode {
 
     // ----- data handling -----------------------------------------------------
 
-    pub(super) fn on_data(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        origin: NodeId,
-        sides: u8,
-        tuple: Arc<Tuple>,
-        route: Route,
-        fallback: Option<Pair>,
-    ) {
+    /// Multicast data: pass a copy to each of the owner's children here,
+    /// and consume it if I am a join node for any of the origin's pairs.
+    pub(super) fn on_mcast_data(&mut self, ctx: &mut Ctx<'_, Msg>, owner: NodeId, msg: Msg) {
+        let Msg::Data {
+            from: origin,
+            sides,
+            ref tuple,
+            ..
+        } = msg
+        else {
+            unreachable!("multicast carries data only")
+        };
         // A relay moves the shared tuple on without reading it; only the
         // node that consumes it copies the value out.
-        match route {
-            Route::TreeUp if self.id == self.sh.base() => {
-                self.base_consume_data(ctx, origin, sides, tuple, fallback);
-            }
-            Route::TreeUp => {
-                let msg = Msg::Data {
-                    from: origin,
-                    sides,
-                    tuple,
-                    route: Route::TreeUp,
-                    fallback,
-                };
-                self.forward_tree_up(ctx, msg);
-            }
-            Route::Path { path, pos } => {
-                debug_assert_eq!(
-                    path.get(pos as usize),
-                    Some(&self.id),
-                    "path routing desync"
-                );
-                match path.get(pos as usize + 1) {
-                    Some(&next) => {
-                        let msg = Msg::Data {
-                            from: origin,
-                            sides,
-                            tuple,
-                            route: Route::Path { path, pos: pos + 1 },
-                            fallback,
-                        };
-                        self.send(ctx, next, msg);
-                    }
-                    None => self.consume_data_at_terminus(ctx, origin, sides, *tuple),
-                }
-            }
-            Route::Mcast { owner } => {
-                // Consume if I am a join node for any of the owner's pairs.
-                let joins_here = self.pairs.keys().any(|p| p.s == origin || p.t == origin);
-                let local = joins_here.then(|| *tuple);
-                let msg = Msg::Data {
-                    from: origin,
-                    sides,
-                    tuple,
-                    route: Route::Mcast { owner },
-                    fallback,
-                };
-                self.forward_mcast(ctx, owner, msg);
-                if let Some(tuple) = local {
-                    self.consume_data_at_terminus(ctx, origin, sides, tuple);
-                }
-            }
+        let joins_here = self.pairs.keys().any(|p| p.s == origin || p.t == origin);
+        let local = joins_here.then(|| **tuple);
+        self.forward_mcast(ctx, owner, msg);
+        if let Some(tuple) = local {
+            self.consume_data_at_terminus(ctx, origin, sides, tuple);
         }
     }
 
     /// A data tuple reached a path terminus: Innet join node, GHT home, or
     /// a Yang+07 target.
-    fn consume_data_at_terminus(
+    pub(super) fn consume_data_at_terminus(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         origin: NodeId,
@@ -341,7 +307,6 @@ impl JoinNode {
                 results += join_into_pair(spec, st, origin, tuple, spec.window);
             }
         }
-        self.produced_results += results as u64;
         if results > 0 {
             self.emit_results(ctx, results, tuple.cycle);
         }
@@ -352,7 +317,6 @@ impl JoinNode {
         let spec = &self.sh.spec;
         if let Some(st) = self.pairs.get_mut(&pair) {
             let results = join_into_pair(spec, st, self.id, tuple, spec.window);
-            self.produced_results += results as u64;
             if results > 0 {
                 self.emit_results(ctx, results, tuple.cycle);
             }
@@ -391,7 +355,6 @@ impl JoinNode {
                 }
             }
         }
-        self.produced_results += results;
         if results > 0 {
             self.emit_results(ctx, results as u32, tuple.cycle);
         }
@@ -407,28 +370,8 @@ impl JoinNode {
             let msg = Msg::Result {
                 count: batch,
                 gen_cycle,
-                route: Route::TreeUp,
             };
-            if !self.forward_tree_up(ctx, msg) {
-                self.base_record_results(ctx.now, batch as u64, gen_cycle);
-            }
-        }
-    }
-
-    pub(super) fn on_result(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        count: u16,
-        gen_cycle: u32,
-        route: Route,
-    ) {
-        let msg = Msg::Result {
-            count,
-            gen_cycle,
-            route,
-        };
-        if !self.forward_tree_up(ctx, msg) {
-            self.base_record_results(ctx.now, count as u64, gen_cycle);
+            self.relay(ctx, msg);
         }
     }
 
@@ -510,7 +453,6 @@ impl JoinNode {
             }
         }
         if produced > 0 {
-            self.produced_results += produced;
             self.base_record_results(now, produced, tuple.cycle);
         }
         // Yang+07: the base re-routes S data down to matching targets.
@@ -533,20 +475,17 @@ impl JoinNode {
             })
             .collect();
         for t in targets {
-            let path = self.sh.tree_path(self.id, t);
-            if let Some(&next) = path.get(1) {
-                let msg = Msg::Data {
-                    from: origin,
-                    sides: side::S,
-                    tuple: tuple.clone(),
-                    route: Route::Path {
-                        path: path.into(),
-                        pos: 1,
-                    },
-                    fallback: None,
-                };
-                self.send(ctx, next, msg);
-            }
+            let msg = Msg::Data {
+                from: origin,
+                sides: side::S,
+                tuple: tuple.clone(),
+                route: Route::Path {
+                    path: self.sh.tree_path(self.id, t).into(),
+                    pos: 0,
+                },
+                fallback: None,
+            };
+            self.relay(ctx, msg);
         }
     }
 }

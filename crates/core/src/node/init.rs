@@ -3,13 +3,14 @@
 
 use super::{Candidate, JoinNode, PairState, ProducerAssign};
 use crate::cost::{place_join_node, Placement, Sigma};
-use crate::msg::{side, wire_pos, Ctl, GhtRegister, Msg, Nominate, Pair, Search};
+use crate::msg::{side, wire_pos, Assign, Ctl, GhtRegister, Msg, Nominate, Pair, Route, Search};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
 use sensor_query::Tuple;
 use sensor_routing::search::{next_hops, SearchQuery};
 use sensor_sim::Ctx;
 use sensor_summaries::Constraint;
+use std::sync::Arc;
 
 impl JoinNode {
     // ----- dissemination ---------------------------------------------------
@@ -46,18 +47,13 @@ impl JoinNode {
             origin: self.id,
             sides,
         };
-        if !self.forward_tree_up(ctx, msg) {
-            unreachable!("base never announces");
-        }
+        self.relay(ctx, msg);
     }
 
+    /// An announcement reached the base: decide participation from global
+    /// static knowledge (the base ran the static pre-computation) and
+    /// reply.
     pub(super) fn on_announce(&mut self, ctx: &mut Ctx<'_, Msg>, origin: NodeId, sides: u8) {
-        let msg = Msg::Announce { origin, sides };
-        if self.forward_tree_up(ctx, msg) {
-            return;
-        }
-        // At the base: decide participation from global static knowledge
-        // (the base ran the static pre-computation) and reply.
         let participate = self.has_static_partner(origin, sides);
         let path = self.sh.tree_path(self.id, origin);
         self.send_ctl(ctx, path, Ctl::Verdict { participate });
@@ -110,18 +106,13 @@ impl JoinNode {
                 None => self.sh.tree_path(self.id, home),
             };
             self.ght_routes.push((key, path.as_slice().into(), sides));
-            if path.len() > 1 {
-                let reg = GhtRegister {
-                    origin: self.id,
-                    sides,
-                    key,
-                    statics: self.statics,
-                };
-                self.send_ctl(ctx, path, Ctl::GhtRegister(Box::new(reg)));
-            } else {
-                // I am the home node myself.
-                self.register_ght_member(key, self.id, sides, self.statics);
-            }
+            let reg = GhtRegister {
+                origin: self.id,
+                sides,
+                key,
+                statics: self.statics,
+            };
+            self.send_ctl(ctx, path, Ctl::GhtRegister(Box::new(reg)));
         }
     }
 
@@ -304,63 +295,27 @@ impl JoinNode {
     }
 
     pub(super) fn nominate(&mut self, ctx: &mut Ctx<'_, Msg>, s: NodeId, seq: u32) {
-        let Some(c) = self.candidates.get(&s).cloned() else {
+        let Some(c) = self.candidates.get(&s) else {
             return;
         };
-        let pair = Pair::new(s, self.id);
+        let route = match c.j_idx {
+            // Back along the path to the join node, which may be me.
+            Some(j) => Route::Path {
+                path: c.path[j..].iter().rev().copied().collect(),
+                pos: 0,
+            },
+            None => Route::TreeUp,
+        };
         let msg = Msg::Nominate(Box::new(Nominate {
-            pair,
+            pair: Pair::new(s, self.id),
             seq,
             path: c.path.clone(),
             hops: c.hops.clone(),
             j_idx: c.j_idx,
             assumed: self.sh.cfg.assumed,
-            // pos stamps the *receiver's* index on the path.
-            pos: c.path.len().saturating_sub(2),
+            route,
         }));
-        match c.j_idx {
-            Some(j) if j == c.path.len() - 1 => {
-                // I am the join node myself: register and assign.
-                self.install_pair(ctx, pair, seq, c.path, c.hops, Some(j), self.sh.cfg.assumed);
-            }
-            Some(_) => {
-                // Route toward s along the path; the join node intercepts.
-                let prev = c.path[c.path.len() - 2];
-                self.send(ctx, prev, msg);
-            }
-            None => {
-                // At-base nomination travels up the primary tree.
-                if !self.forward_tree_up(ctx, msg) {
-                    // I AM the base (degenerate); install directly.
-                    self.install_pair(ctx, pair, seq, c.path, c.hops, None, self.sh.cfg.assumed);
-                }
-            }
-        }
-    }
-
-    pub(super) fn on_nominate(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<Nominate>) {
-        match m.j_idx {
-            None => {
-                // Heading to the base.
-                if self.id != self.sh.base() {
-                    self.forward_tree_up(ctx, Msg::Nominate(m));
-                    return;
-                }
-                let m = *m;
-                self.install_pair(ctx, m.pair, m.seq, m.path, m.hops, None, m.assumed);
-            }
-            Some(j) => {
-                debug_assert_eq!(m.path.get(m.pos), Some(&self.id));
-                if m.pos == j {
-                    let m = *m;
-                    self.install_pair(ctx, m.pair, m.seq, m.path, m.hops, Some(j), m.assumed);
-                } else {
-                    m.pos -= 1;
-                    let next = m.path[m.pos];
-                    self.send(ctx, next, Msg::Nominate(m));
-                }
-            }
-        }
+        self.relay(ctx, msg);
     }
 
     /// Register a pair at this node (the join node or the base) and notify
@@ -399,115 +354,41 @@ impl JoinNode {
         }
         // Notify s (the t side already knows: it nominated). Migration
         // (adapt.rs) additionally notifies t explicitly.
-        self.send_assign(ctx, pair, seq, path, j_idx, false);
+        self.send_assign(ctx, pair, seq, path, j_idx, pair.s);
     }
 
-    /// Notify a producer of the pair's placement. On-path assigns walk the
-    /// s..t path from the join node toward the endpoint; at-base assigns
-    /// walk a base→producer tree path.
+    /// Notify `dest`, one of the pair's producers, of its placement. An
+    /// on-path assign walks the s..t path from the join node, which is me,
+    /// to `dest`; an at-base assign walks the primary tree down from the
+    /// base and carries that tree path in place of the s..t path.
     pub(super) fn send_assign(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         pair: Pair,
         seq: u32,
-        path: Vec<NodeId>,
+        mut path: Vec<NodeId>,
         j_idx: Option<usize>,
-        toward_t: bool,
+        dest: NodeId,
     ) {
-        let dest = if toward_t { pair.t } else { pair.s };
-        if dest == self.id {
-            self.adopt_assign(pair, seq, path, j_idx);
-            return;
-        }
-        match j_idx {
-            Some(j) => {
-                debug_assert_eq!(path.get(j), Some(&self.id), "assign must start at j");
-                let next_pos = if toward_t { j + 1 } else { j - 1 };
-                let next = path[next_pos];
-                self.send(
-                    ctx,
-                    next,
-                    Msg::Assign {
-                        pair,
-                        seq,
-                        path,
-                        j_idx: Some(wire_pos(j)),
-                        pos: wire_pos(next_pos),
-                        toward_t,
-                    },
-                );
-            }
+        let route: Arc<[NodeId]> = match j_idx {
+            Some(j) if dest == pair.s => path[..=j].iter().rev().copied().collect(),
+            Some(j) => path[j..].into(),
             None => {
-                // From the base: route along the primary tree; the s..t
-                // path is irrelevant for base-mode producers.
-                let tree_path = self.sh.tree_path(self.id, dest);
-                if tree_path.len() > 1 {
-                    let next = tree_path[1];
-                    self.send(
-                        ctx,
-                        next,
-                        Msg::Assign {
-                            pair,
-                            seq,
-                            path: tree_path,
-                            j_idx: None,
-                            pos: 1,
-                            toward_t,
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(super) fn on_assign(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        pair: Pair,
-        seq: u32,
-        path: Vec<NodeId>,
-        j_idx: Option<u32>,
-        pos: u32,
-        toward_t: bool,
-    ) {
-        debug_assert_eq!(
-            path.get(pos as usize),
-            Some(&self.id),
-            "assign routing desync"
-        );
-        let dest = if toward_t { pair.t } else { pair.s };
-        if dest == self.id {
-            self.adopt_assign(pair, seq, path, j_idx.map(|j| j as usize));
-            return;
-        }
-        let next_pos = match j_idx {
-            Some(_) if !toward_t => {
-                if pos == 0 {
-                    return;
-                }
-                pos - 1
-            }
-            _ => {
-                if pos as usize + 1 >= path.len() {
-                    return;
-                }
-                pos + 1
+                path = self.sh.tree_path(self.id, dest);
+                path.as_slice().into()
             }
         };
-        let next = path[next_pos as usize];
-        self.send(
-            ctx,
-            next,
-            Msg::Assign {
-                pair,
-                seq,
-                path,
-                j_idx,
-                pos: next_pos,
-                toward_t,
+        let msg = Msg::Assign(Box::new(Assign {
+            pair,
+            seq,
+            path,
+            j_idx: j_idx.map(wire_pos),
+            route: Route::Path {
+                path: route,
+                pos: 0,
             },
-        );
+        }));
+        self.relay(ctx, msg);
     }
 
     pub fn adopt_assign(&mut self, pair: Pair, seq: u32, path: Vec<NodeId>, j_idx: Option<usize>) {

@@ -17,11 +17,18 @@
 //! - [`adapt`]: selectivity learning with join-node migration (§6) and
 //!   failure recovery (§7).
 //!
-//! Control addressed to one node along a known path (Base verdicts, GHT
-//! registration, GROUPOPT reports, pings and decisions, collapse hints,
-//! route-broken notices) travels as [`Msg::Ctl`]: `JoinNode::send_ctl`
-//! sends it, and `on_ctl` relays it hop by hop and acts on its [`Ctl`]
-//! at the end of the path.
+//! Every message bound for a known end goes through one relay,
+//! `JoinNode::relay`: data and results up the tree to the base, data
+//! along a recorded path vector, announcements, nominations back along
+//! the discovered path, assignments out to both producers, window
+//! transfers to a new join node, and node-addressed control ([`Msg::Ctl`]:
+//! Base verdicts, GHT registration, GROUPOPT reports, pings and
+//! decisions, collapse hints, route-broken notices). Its [`Route`] is
+//! `TreeUp` or a `Path`; at each hop the relay forwards the message, and
+//! where the route ends, at its sender too, it hands it to its kind's
+//! handler (`deliver`, and `on_ctl` for a [`Ctl`]). Multicast data fans
+//! out on its own, and §7's `handle_send_failure` keeps its per-kind
+//! recovery.
 
 pub mod adapt;
 pub mod exec;
@@ -30,7 +37,7 @@ pub mod mpo;
 
 use crate::cost::Sigma;
 use crate::learn::PairStats;
-use crate::msg::{Ctl, Msg, Pair};
+use crate::msg::{Ctl, Msg, Pair, Route};
 use crate::multicast::McastTree;
 use crate::shared::{Algorithm, Shared};
 use sensor_net::NodeId;
@@ -262,8 +269,6 @@ pub struct JoinNode {
     pub known_dead: HashSet<NodeId>,
     /// §7 recovery reaction counters (see [`RecoveryStats`]).
     pub recovery: RecoveryStats,
-    /// Diagnostics: join results this node produced as a join node.
-    pub produced_results: u64,
     /// Migrated pairs this node adopted as their new join node (§6). The
     /// session layer diffs the network-wide total per cycle to emit
     /// `PairsMigrated` observer events.
@@ -305,7 +310,6 @@ impl JoinNode {
             coord: BTreeMap::new(),
             known_dead: HashSet::new(),
             recovery: RecoveryStats::default(),
-            produced_results: 0,
             migrations_adopted: 0,
             xfer_bytes: 0,
             sh,
@@ -347,39 +351,82 @@ impl JoinNode {
             .min_by_key(|&n| (tree.depth(n), n))
     }
 
-    /// Forward a message one hop toward the base along the (self-healing)
-    /// primary tree. Returns false at the base (caller consumes).
-    pub(crate) fn forward_tree_up(&self, ctx: &mut Ctx<'_, Msg>, msg: Msg) -> bool {
-        if self.id == self.sh.base() {
-            return false;
+    /// The one relay for every message bound for a known end: move `msg`
+    /// one hop along its route, the primary tree up to the base or a
+    /// [`Route::Path`] to its last node, or hand it to its kind's handler
+    /// where the route ends. A route that ends at its sender is handled in
+    /// place. A tree-up message with no alive parent is dropped silently,
+    /// and every hop a `WindowXfer` is sent on counts in `xfer_bytes`.
+    pub(crate) fn relay(&mut self, ctx: &mut Ctx<'_, Msg>, mut msg: Msg) {
+        let at_base = self.id == self.sh.base();
+        let next = match msg.route_mut() {
+            None | Some(Route::TreeUp) if at_base => return self.deliver(ctx, msg),
+            None | Some(Route::TreeUp) => self.alive_parent(),
+            Some(Route::Path { path, pos }) => {
+                debug_assert_eq!(
+                    path.get(*pos as usize),
+                    Some(&self.id),
+                    "path routing desync"
+                );
+                let Some(&next) = path.get(*pos as usize + 1) else {
+                    return self.deliver(ctx, msg);
+                };
+                *pos += 1;
+                Some(next)
+            }
+            Some(Route::Mcast { .. }) => unreachable!("multicast data fans out on its own"),
+        };
+        if let Msg::WindowXfer(_) = msg {
+            self.xfer_bytes += self.wire_bytes(&msg) as u64;
         }
-        if let Some(p) = self.alive_parent() {
-            self.send(ctx, p, msg);
+        if let Some(next) = next {
+            self.send(ctx, next, msg);
         }
-        true
+    }
+
+    /// A routed message reached the end of its route: act on it.
+    fn deliver(&mut self, ctx: &mut Ctx<'_, Msg>, msg: Msg) {
+        match msg {
+            Msg::Announce { origin, sides } => self.on_announce(ctx, origin, sides),
+            Msg::Ctl { ctl, .. } => self.on_ctl(ctx, ctl),
+            Msg::Nominate(m) => {
+                let m = *m;
+                self.install_pair(ctx, m.pair, m.seq, m.path, m.hops, m.j_idx, m.assumed);
+            }
+            Msg::Assign(m) => {
+                let j_idx = m.j_idx.map(|j| j as usize);
+                self.adopt_assign(m.pair, m.seq, m.path, j_idx);
+            }
+            Msg::Data {
+                from,
+                sides,
+                tuple,
+                route: Route::TreeUp,
+                fallback,
+            } => self.base_consume_data(ctx, from, sides, tuple, fallback),
+            Msg::Data {
+                from, sides, tuple, ..
+            } => self.consume_data_at_terminus(ctx, from, sides, *tuple),
+            Msg::Result { count, gen_cycle } => {
+                self.base_record_results(ctx.now, count as u64, gen_cycle)
+            }
+            Msg::WindowXfer(m) => self.adopt_transferred_pair(ctx, *m),
+            other => unreachable!("{other:?} has no route"),
+        }
     }
 
     /// Send `ctl` along `path`, which starts at me and ends at the node
-    /// that acts on it. A one-node path sends nothing.
-    pub(crate) fn send_ctl(&self, ctx: &mut Ctx<'_, Msg>, path: Vec<NodeId>, ctl: Ctl) {
-        if let Some(&next) = path.get(1) {
-            self.send(ctx, next, Msg::Ctl { path, pos: 1, ctl });
-        }
+    /// that acts on it (me, for a one-node path).
+    pub(crate) fn send_ctl(&mut self, ctx: &mut Ctx<'_, Msg>, path: Vec<NodeId>, ctl: Ctl) {
+        let route = Route::Path {
+            path: path.into(),
+            pos: 0,
+        };
+        self.relay(ctx, Msg::Ctl { route, ctl });
     }
 
-    /// A control message is here (`path[pos]` is me): relay it to the next
-    /// node on its path, or act on it at the end.
-    fn on_ctl(&mut self, ctx: &mut Ctx<'_, Msg>, path: Vec<NodeId>, pos: u32, ctl: Ctl) {
-        debug_assert_eq!(
-            path.get(pos as usize),
-            Some(&self.id),
-            "path routing desync"
-        );
-        if let Some(&next) = path.get(pos as usize + 1) {
-            let pos = pos + 1;
-            self.send(ctx, next, Msg::Ctl { path, pos, ctl });
-            return;
-        }
+    /// A control message reached the last node of its path.
+    fn on_ctl(&mut self, ctx: &mut Ctx<'_, Msg>, ctl: Ctl) {
         match ctl {
             Ctl::Verdict { participate } => {
                 if !participate {
@@ -401,7 +448,8 @@ impl JoinNode {
                     self.mc_dirty = true;
                 }
             }
-            // A notice that crossed the air always reports a fatal break.
+            // Always fatal: only `notify_route_broken`'s notice to a
+            // producer that is itself may report a repaired break.
             Ctl::RouteBroken { failed } => self.producer_route_broken(ctx, failed, true),
         }
     }
@@ -451,33 +499,14 @@ impl Protocol for JoinNode {
     fn on_message(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, msg: Msg) {
         match msg {
             Msg::QueryFlood => self.on_flood(ctx),
-            Msg::Announce { origin, sides } => self.on_announce(ctx, origin, sides),
-            Msg::Ctl { path, pos, ctl } => self.on_ctl(ctx, path, pos, ctl),
             Msg::Search(m) => self.on_search(ctx, from, *m),
-            Msg::Nominate(m) => self.on_nominate(ctx, m),
-            Msg::Assign {
-                pair,
-                seq,
-                path,
-                j_idx,
-                pos,
-                toward_t,
-            } => self.on_assign(ctx, pair, seq, path, j_idx, pos, toward_t),
-            Msg::Data {
-                from: origin,
-                sides,
-                tuple,
-                route,
-                fallback,
-            } => self.on_data(ctx, origin, sides, tuple, route, fallback),
-            Msg::Result {
-                count,
-                gen_cycle,
-                route,
-            } => self.on_result(ctx, count, gen_cycle, route),
-            Msg::WindowXfer(m) => self.on_window_xfer(ctx, m),
             Msg::McastSetup(m) => self.on_mcast_setup(ctx, *m),
             Msg::Probe => {} // liveness probes are consumed silently
+            Msg::Data {
+                route: Route::Mcast { owner },
+                ..
+            } => self.on_mcast_data(ctx, owner, msg),
+            routed => self.relay(ctx, routed),
         }
     }
 

@@ -100,6 +100,7 @@ impl JoinNode {
         }
     }
 
+    /// Report my ΔCp to `coordinator` (absorbed in place if that is me).
     fn send_delta(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -108,16 +109,6 @@ impl JoinNode {
         delta: f64,
         coordinator: NodeId,
     ) {
-        if coordinator == self.id {
-            self.coord_absorb(
-                ctx,
-                group,
-                self.id,
-                members.iter().copied().collect(),
-                delta,
-            );
-            return;
-        }
         let path = self.sh.tree_path(self.id, coordinator);
         let report = DeltaCost {
             group,
@@ -189,12 +180,7 @@ impl JoinNode {
                 self.send_decision(ctx, group, seq, innet, m);
             }
             // The base must know too: at-base groups are joined there.
-            let base = self.sh.base();
-            if base != self.id {
-                self.send_decision(ctx, group, seq, innet, base);
-            } else {
-                self.apply_group_decision(group, seq, innet);
-            }
+            self.send_decision(ctx, group, seq, innet, self.sh.base());
         }
     }
 
@@ -217,6 +203,7 @@ impl JoinNode {
         }
     }
 
+    /// Tell `to` the group's decision (applied in place if that is me).
     fn send_decision(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
@@ -225,10 +212,6 @@ impl JoinNode {
         innet: bool,
         to: NodeId,
     ) {
-        if to == self.id {
-            self.apply_group_decision(group, seq, innet);
-            return;
-        }
         let path = self.sh.tree_path(self.id, to);
         self.send_ctl(ctx, path, Ctl::GroupDecision { group, seq, innet });
     }

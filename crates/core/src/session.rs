@@ -32,6 +32,7 @@
 
 use crate::cache::{region_of, spec_fingerprint, CacheStats, LearnedCache, Region};
 use crate::cost::Sigma;
+use crate::learn::DIVERGENCE_THRESHOLD;
 use crate::msg::Msg;
 use crate::multi::{
     BaseSnapshot, Lifecycle, MultiNode, QueryInstance, QueryStats, Sharing, QUERY_TAG_BYTES,
@@ -689,7 +690,7 @@ impl Session {
     /// §6 re-optimization hook, generalized to plans: aggregate the
     /// learned σ estimates of graph `id`'s skeleton sub-queries, and if
     /// any edge's estimate diverged from the plan's costing basis by more
-    /// than `cfg.divergence_threshold`, re-run the DP on the learned
+    /// than [`DIVERGENCE_THRESHOLD`], re-run the DP on the learned
     /// values and swap the skeleton in place ([`Session::replan_with`]).
     /// Returns whether a re-plan happened.
     pub fn maybe_replan(&mut self, id: GraphId) -> bool {
@@ -704,7 +705,7 @@ impl Session {
             learned[e] = self.learned_sigma(qid.0, w);
         }
         let entry = &self.graphs[id.0];
-        if !sigmas_diverged(&entry.plan.sigmas, &learned, entry.cfg.divergence_threshold) {
+        if !sigmas_diverged(&entry.plan.sigmas, &learned, DIVERGENCE_THRESHOLD) {
             return false;
         }
         let sigmas: Vec<Sigma> = entry

@@ -116,10 +116,6 @@ pub struct AlgoConfig {
     /// Selectivities the optimizer *assumes* (§3's a-priori knowledge; §6
     /// starts from wrong values and learns).
     pub assumed: Sigma,
-    /// Sampling cycles between learning evaluations at join nodes.
-    pub learn_interval: u32,
-    /// Re-optimization trigger (paper: 0.33).
-    pub divergence_threshold: f64,
 }
 
 impl AlgoConfig {
@@ -128,8 +124,6 @@ impl AlgoConfig {
             algorithm,
             innet: InnetOptions::PLAIN,
             assumed,
-            learn_interval: 20,
-            divergence_threshold: 0.33,
         }
     }
 

@@ -8,7 +8,7 @@
 //! 3. a successful repair never updated the stored `path`/`hops` vectors,
 //!    so later §6 placement decisions used pre-repair distances.
 
-use aspen_join::learn::PairStats;
+use aspen_join::learn::{PairStats, LEARN_INTERVAL};
 use aspen_join::msg::{side, Msg, Pair, Route, WindowXfer};
 use aspen_join::node::{PairState, WindowJoin};
 use aspen_join::prelude::*;
@@ -88,7 +88,7 @@ fn windows(s: &[Tuple], t: &[Tuple]) -> WindowJoin {
 /// so σ = N/T used an inflated T on every evaluation cycle.
 #[test]
 fn evaluation_cycle_does_not_double_tick() {
-    let (mut engine, sh) = build_run(ladder(), InnetOptions::PLAIN.with_learning());
+    let (mut engine, _) = build_run(ladder(), InnetOptions::PLAIN.with_learning());
     let id = NodeId(5);
     let pair = Pair::new(NodeId(4), NodeId(6));
     engine.node_mut(id).pairs.insert(
@@ -100,10 +100,10 @@ fn evaluation_cycle_does_not_double_tick() {
             Some(1),
         ),
     );
-    // Drive sampling cycles 0..=20 directly at the node; the default
-    // learn_interval is 20, so cycle 20 runs an evaluation with no
-    // evidence (the node never received a tuple for the pair).
-    assert_eq!(sh.cfg.learn_interval, 20);
+    // Drive sampling cycles 0..=20 directly at the node; the learning
+    // interval is 20, so cycle 20 runs an evaluation with no evidence
+    // (the node never received a tuple for the pair).
+    assert_eq!(LEARN_INTERVAL, 20);
     for c in 0..=20u32 {
         engine.with_node(id, |p, ctx| p.on_sampling_cycle(ctx, c));
     }

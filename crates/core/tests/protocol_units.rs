@@ -94,12 +94,11 @@ fn hot_joins_go_to_base() {
 fn learning_migrates_pair_with_windows() {
     // Start believing the join is hot (pair at base); the true data is
     // rare-joining, so learning must migrate the pair into the network.
-    let mut cfg = AlgoConfig::new(
+    let cfg = AlgoConfig::new(
         Algorithm::Innet,
         Sigma::new(1.0, 1.0, 1.0), // wrong: true sigma_st is 0.2
     )
     .with_innet_options(InnetOptions::PLAIN.with_learning());
-    cfg.learn_interval = 10;
     let mut run = line_session(cfg);
     run.step(0);
     assert_eq!(find_join_node(&run), None, "starts at the base");
