@@ -135,10 +135,7 @@ fn bench_algorithms(c: &mut Criterion) {
             b.iter(|| {
                 let topo = sensor_net::random_with_degree(60, 7.0, 5);
                 let data = WorkloadData::new(&topo, Schedule::Uniform(Rates::new(2, 2, 5)), 5);
-                let mut sim = SimConfig::lossless();
-                if opts.path_collapse {
-                    sim = sim.with_snooping(true);
-                }
+                let sim = SimConfig::lossless();
                 let cfg = AlgoConfig::new(algo, Sigma::new(0.5, 0.5, 0.2)).with_innet_options(opts);
                 let mut session = Session::builder(topo, data)
                     .sim(sim)

@@ -118,8 +118,7 @@ impl AnswersConfig {
             tx_per_cycle: 256,
             queue_capacity: 1_000_000,
             ..SimConfig::default().with_seed(seed)
-        }
-        .with_snooping(opts.path_collapse);
+        };
         let mut session = Session::builder(topo, data)
             .sim(sim)
             .trees(key.trees)

@@ -64,12 +64,8 @@ pub fn standard_session(
     if pairs > 0 {
         data = data.with_pairs(pairs);
     }
-    let mut sim = SimConfig::default().with_seed(seed);
-    if cfg.innet.path_collapse {
-        sim = sim.with_snooping(true);
-    }
     Session::builder(topo, data)
-        .sim(sim)
+        .sim(SimConfig::default().with_seed(seed))
         .query(query.spec(), cfg)
         .bare_wire()
 }

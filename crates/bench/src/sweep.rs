@@ -428,10 +428,7 @@ impl CellSpec {
         if query.n_pairs() > 0 {
             data = data.with_pairs(query.n_pairs());
         }
-        let mut sim = SimConfig::default().with_loss(self.loss).with_seed(seed);
-        if self.opts.path_collapse {
-            sim = sim.with_snooping(true);
-        }
+        let sim = SimConfig::default().with_loss(self.loss).with_seed(seed);
         let mut session = Session::builder(topo, data)
             .sim(sim)
             .trees(num_trees)
@@ -457,10 +454,7 @@ impl CellSpec {
         let topo = TopologySpec::new(self.density, self.nodes, seed).build();
         let plan = self.dynamics.plan(seed, &topo);
         let data = WorkloadData::new(&topo, self.dynamics.schedule(self.rates), seed);
-        let mut sim = SimConfig::default().with_loss(self.loss).with_seed(seed);
-        if self.opts.path_collapse {
-            sim = sim.with_snooping(true);
-        }
+        let sim = SimConfig::default().with_loss(self.loss).with_seed(seed);
         let mut session = m
             .build_set(topo, data, self.algo_cfg(), sim, num_trees)
             .build();

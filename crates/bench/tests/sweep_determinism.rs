@@ -35,10 +35,7 @@ fn same_seed_same_cell_identical_metrics() {
         let cell = grid.cells()[3]; // a lossy Innet-cmg cell
         let topo = TopologySpec::new(cell.density, cell.nodes, 1000).build();
         let data = WorkloadData::new(&topo, Schedule::Uniform(cell.rates), 1000);
-        let mut sim = SimConfig::default().with_loss(cell.loss).with_seed(1000);
-        if cell.opts.path_collapse {
-            sim = sim.with_snooping(true);
-        }
+        let sim = SimConfig::default().with_loss(cell.loss).with_seed(1000);
         let mut session = Session::builder(topo, data)
             .sim(sim)
             .query(

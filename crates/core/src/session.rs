@@ -939,7 +939,9 @@ impl Session {
 
     /// Issue the next query id. Its run context shares the network,
     /// substrate, workload and death flags; it has no per-node state until
-    /// it is activated.
+    /// it is activated. A path-collapsing query turns the engine's
+    /// snooping on for the rest of the run: its relays learn cross-links
+    /// by overhearing.
     fn issue(
         &mut self,
         spec: JoinQuerySpec,
@@ -947,6 +949,9 @@ impl Session {
         lifecycle: Lifecycle,
         cache_key: Option<CacheKey>,
     ) -> usize {
+        if cfg.innet.path_collapse {
+            self.engine.set_snooping(true);
+        }
         let q = self.queries.len();
         let name = spec.name.clone();
         let (topo, sub, data) = (self.topo.clone(), self.sub.clone(), self.data.clone());

@@ -53,10 +53,7 @@ fn run_bare(algo: &str) -> (String, bool) {
     let sim = SimConfig {
         tx_per_cycle: 1,
         queue_capacity: 8,
-        ..SimConfig::default()
-            .with_loss(0.15)
-            .with_seed(seed)
-            .with_snooping(opts.path_collapse)
+        ..SimConfig::default().with_loss(0.15).with_seed(seed)
     };
     // Placement assumes selectivities far from the workload's, so the
     // learning variants migrate.

@@ -513,3 +513,35 @@ fn short_sampling_cycles_report_a_positive_delay() {
     assert!(out.results_total() > 0, "no results to time");
     assert!(out.avg_delay_tx() > 0.0, "delay {}", out.avg_delay_tx());
 }
+
+/// A path-collapsing query admitted over the wire's session (no snooping
+/// set by the caller) still overhears its relays: some node reports a
+/// cross-link to a producer, which records it.
+#[test]
+fn served_path_collapse_query_snoops_cross_links() {
+    let spec = aspen_join::control::OpenSpec {
+        nodes: 80,
+        degree: 9.0,
+        seed: 3,
+    };
+    let mut session = aspen_join::control::open_session(&spec);
+    let resp = session.apply(Command::Admit {
+        algo: "innet-cmp".into(),
+        sql: "SELECT s.id, t.id FROM s, t [windowsize=2 sampleinterval=100] \
+              WHERE s.id < 40 AND t.id >= 40 AND s.u = t.u"
+            .into(),
+    });
+    let Response::Admitted(Target::Query(q)) = resp else {
+        panic!("{resp:?}")
+    };
+    session.step(20);
+    let (mut reported, mut recorded) = (0, 0);
+    for n in session.topology().node_ids() {
+        if let Some(jn) = session.query_node(q, n) {
+            reported += jn.reported_links.len();
+            recorded += jn.cross_links.len();
+        }
+    }
+    assert!(reported > 0, "no relay reported a cross-link");
+    assert!(recorded > 0, "no producer recorded a cross-link");
+}

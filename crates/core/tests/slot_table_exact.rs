@@ -57,9 +57,7 @@ fn run_single(algo: &str, bare: bool) -> Observed {
     let sim = SimConfig {
         tx_per_cycle: 64,
         queue_capacity: 1024,
-        ..SimConfig::lossless()
-            .with_seed(seed)
-            .with_snooping(opts.path_collapse)
+        ..SimConfig::lossless().with_seed(seed)
     };
     // Placement assumes selectivities far from the workload's, so learning
     // has something to correct.

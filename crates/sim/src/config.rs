@@ -16,6 +16,8 @@ pub struct SimConfig {
     pub tx_per_sampling_cycle: u32,
     /// Whether neighbors snoop on transmissions (needed by path collapsing;
     /// off by default as it costs simulation time, not simulated traffic).
+    /// A session turns it on itself for a path-collapsing query
+    /// ([`crate::Engine::set_snooping`]); raw engine runs set it here.
     pub snooping: bool,
     /// Link-layer header size in bytes charged per message (TinyOS active
     /// message header + CRC).

@@ -598,6 +598,12 @@ impl<P: Protocol> Engine<P> {
         self.cfg.loss_prob = p;
     }
 
+    /// Turn neighbors' snooping on or off mid-run (a session turns it on
+    /// when it admits a path-collapsing query).
+    pub fn set_snooping(&mut self, on: bool) {
+        self.cfg.snooping = on;
+    }
+
     /// Any messages still queued anywhere?
     pub fn in_flight(&self) -> bool {
         self.queued_msgs() > 0

@@ -34,10 +34,7 @@ fn main() {
         (Algorithm::Innet, InnetOptions::CMPG),
     ] {
         let data = WorkloadData::new(&topo, Schedule::Uniform(rates), 9);
-        let mut sim = SimConfig::default();
-        if opts.path_collapse {
-            sim = sim.with_snooping(true);
-        }
+        let sim = SimConfig::default();
         let mut session = Session::builder(topo.clone(), data)
             .sim(sim)
             .query(
