@@ -456,6 +456,18 @@ mod tests {
                 14,
             ),
             (ctl(Ctl::RouteBroken { failed: n }), 14),
+            // A route-broken notice walking a data route back from its
+            // third node to its first pays for the three nodes it walks.
+            (
+                Msg::Ctl {
+                    route: Route::Path {
+                        path: path[..3].iter().rev().copied().collect(),
+                        pos: 0,
+                    },
+                    ctl: Ctl::RouteBroken { failed: n },
+                },
+                12,
+            ),
         ];
         for (msg, bytes) in cases {
             assert_eq!(msg.wire_bytes(6, 10), bytes, "{msg:?}");

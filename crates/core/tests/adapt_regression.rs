@@ -225,6 +225,49 @@ fn successful_repair_patches_stale_path_and_hops() {
     assert_eq!(engine.node(producer).recovery.paths_patched, 1);
 }
 
+/// A pair whose on-path join node is the base station itself, re-placed at
+/// the base by learning, migrates without leaving the base: the pair is
+/// re-pinned there with an empty path and empty windows (the at-base
+/// matches they held are dropped, not fed to the base's grouped join), the
+/// base counts one adopted migration, and both producers are re-assigned
+/// to the base.
+#[test]
+fn base_to_base_migration_repins_the_pair_empty() {
+    let (mut engine, _) = build_run(ladder(), InnetOptions::PLAIN.with_learning());
+    let base = NodeId(0);
+    // s = 5 and t = 1 are both one hop from the base, but the pair's path
+    // 5-4-0-1 runs through it at index 2: joining at the base itself, as
+    // an on-path node, costs s an extra hop.
+    let (s, t) = (NodeId(5), NodeId(1));
+    let pair = Pair::new(s, t);
+    let mut st = pair_state(pair, vec![s, NodeId(4), base, t], vec![1, 1, 0, 1], Some(2));
+    st.win = windows(&[Tuple::new(s, 0)], &[Tuple::new(t, 0)]);
+    // Learned σs = σt = 20/20 and σst = 0 diverge from the assumed
+    // (0.5, 0.5, 0.2); with no results to ship, joining at the base
+    // (σs + σt) beats every node of the path.
+    st.stats = PairStats {
+        n_s: 20,
+        n_t: 20,
+        n_st: 0,
+        cycles: LEARN_INTERVAL - 1,
+    };
+    engine.node_mut(base).pairs.insert(pair, st);
+    engine.with_node(base, |p, ctx| p.on_sampling_cycle(ctx, LEARN_INTERVAL));
+    engine.run_until_quiet(100);
+
+    let node = engine.node(base);
+    assert!(!node.pairs.contains_key(&pair), "no longer held on path");
+    let pinned = &node.base_state().expect("base state").pairs[&pair];
+    assert_eq!(pinned.j_idx, None);
+    assert!(pinned.path.is_empty(), "re-pinned with an empty path");
+    assert!(pinned.win.is_empty(), "re-pinned with empty windows");
+    assert_eq!(node.migrations_adopted, 1);
+    for producer in [s, t] {
+        let a = &engine.node(producer).assigns[&pair];
+        assert_eq!(a.j_idx, None, "{producer:?} re-assigned to the base");
+    }
+}
+
 /// A migration hand-off lost in flight must re-form the pair at the base
 /// with `j_idx = None`: diverting it tree-up while keeping the original
 /// `Some(j)` index would make the base adopt a pair whose assignments
