@@ -46,6 +46,7 @@ use sensor_routing::ght::GpsrRouter;
 use sensor_routing::search::{best_path_per_target, find_paths, SearchQuery};
 use sensor_routing::substrate::MultiTreeSubstrate;
 use sensor_sim::sweep::parallel_map;
+use sensor_sim::HEADER_BYTES;
 use sensor_summaries::Constraint;
 use sensor_workload::WorkloadData;
 use std::fmt::Display;
@@ -915,7 +916,7 @@ fn table3(o: &Opts) {
             Algorithm::Base => analytic::base_per_cycle(sig, &shape),
             _ => analytic::pairwise_per_cycle(sig, 3, &shape),
         };
-        let bytes_per_tuple = (spec.data_bytes() + 1 + 11) as f64;
+        let bytes_per_tuple = (spec.data_bytes() + 1 + HEADER_BYTES) as f64;
         let analytic = tuples_per_cycle * bytes_per_tuple;
         session.step(cycles);
         let stats = session.report();

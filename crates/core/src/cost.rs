@@ -5,6 +5,8 @@
 //! tuple wire size gives bytes. The optimizer only ever compares costs, so
 //! the unit cancels.
 
+use std::borrow::Borrow;
+
 /// Selectivities as the optimizer consumes them (possibly estimates).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sigma {
@@ -103,21 +105,31 @@ impl Placement {
 }
 
 /// Choose the cheapest join node along a path (s = `path[0]`, t = last),
-/// comparing against a join at the base (§3.2). `hops_to_base[i]` is the
-/// base distance of `path[i]` (recorded during exploration).
+/// comparing against a join at the base (§3.2). `hops_to_base` yields the
+/// base distance of each `path[i]` in order: a slice of them, or depths
+/// read off the routing tree as the path is walked.
 ///
 /// Ties prefer on-path placement (avoids base congestion at equal cost)
 /// and, among path nodes, the one closest to `t` (the nominator reaches it
 /// soonest).
-pub fn place_join_node(sig: Sigma, w: usize, hops_to_base: &[u16]) -> Placement {
-    assert!(!hops_to_base.is_empty());
-    let n = hops_to_base.len();
-    let d_sr = hops_to_base[0] as f64;
-    let d_tr = hops_to_base[n - 1] as f64;
+pub fn place_join_node(
+    sig: Sigma,
+    w: usize,
+    hops_to_base: impl IntoIterator<Item = impl Borrow<u16>, IntoIter: ExactSizeIterator>,
+) -> Placement {
+    let hops = hops_to_base.into_iter();
+    let n = hops.len();
+    assert!(n > 0);
+    let (mut d_sr, mut d_tr) = (0.0, 0.0);
     let mut best_idx = 0usize;
     let mut best_cost = f64::INFINITY;
-    for (i, &h) in hops_to_base.iter().enumerate() {
-        let cost = pair_cost_at(sig, w, i as f64, (n - 1 - i) as f64, h as f64);
+    for (i, h) in hops.enumerate() {
+        let h = *h.borrow() as f64;
+        if i == 0 {
+            d_sr = h;
+        }
+        d_tr = h;
+        let cost = pair_cost_at(sig, w, i as f64, (n - 1 - i) as f64, h);
         if cost < best_cost - 1e-12 || (cost < best_cost + 1e-12 && i > best_idx) {
             best_cost = cost;
             best_idx = i;
@@ -216,7 +228,7 @@ mod tests {
         let s = sig(1.0, 1.0, 1.0);
         // Path of 5 nodes; base distances shaped like a tree walk.
         let hops = [4u16, 3, 4, 5, 6];
-        match place_join_node(s, 8, &hops) {
+        match place_join_node(s, 8, hops) {
             Placement::AtBase { cost } => {
                 assert!((cost - (4.0 + 6.0)).abs() < 1e-12);
             }
@@ -230,7 +242,7 @@ mod tests {
         // shipping both sides to a distant base.
         let s = sig(1.0, 1.0, 0.001);
         let hops = [10u16, 9, 8, 9, 10];
-        match place_join_node(s, 1, &hops) {
+        match place_join_node(s, 1, hops) {
             Placement::OnPath { index, .. } => {
                 assert_eq!(index, 2, "balanced rates place at the midpoint");
             }
@@ -241,8 +253,8 @@ mod tests {
     #[test]
     fn asymmetric_rates_pull_join_node_toward_heavy_side() {
         // σs >> σt: join node should sit near s (path[0..]).
-        let heavy_s = place_join_node(sig(1.0, 0.1, 0.01), 1, &[5, 5, 5, 5, 5]);
-        let heavy_t = place_join_node(sig(0.1, 1.0, 0.01), 1, &[5, 5, 5, 5, 5]);
+        let heavy_s = place_join_node(sig(1.0, 0.1, 0.01), 1, [5, 5, 5, 5, 5]);
+        let heavy_t = place_join_node(sig(0.1, 1.0, 0.01), 1, [5, 5, 5, 5, 5]);
         match (heavy_s, heavy_t) {
             (Placement::OnPath { index: i_s, .. }, Placement::OnPath { index: i_t, .. }) => {
                 assert!(i_s < i_t, "i_s={i_s} i_t={i_t}");
@@ -298,7 +310,7 @@ mod tests {
         ] {
             let sigv = sig(s, t, st);
             let hops = [7u16, 6, 5, 6, 7, 8];
-            let p = place_join_node(sigv, w, &hops);
+            let p = place_join_node(sigv, w, hops);
             let base = pair_cost_at_base(sigv, 7.0, 8.0);
             assert!(p.cost() <= base + 1e-9, "{sigv:?} w={w}");
         }

@@ -7,8 +7,9 @@
 
 use crate::cost::Sigma;
 use crate::node::WindowJoin;
-use sensor_net::NodeId;
+use sensor_net::{NodeId, Topology};
 use sensor_query::Tuple;
+use sensor_routing::repair::repair_path;
 use sensor_summaries::Constraint;
 use std::sync::Arc;
 
@@ -46,13 +47,135 @@ pub enum Route {
     /// Follow the (self-healing) primary routing tree up to the base
     /// station.
     TreeUp,
-    /// Follow an explicit node path to its last node; `pos` indexes the
-    /// current node. The path is shared: a hop advances `pos` and passes
-    /// the same vector on.
-    Path { path: Arc<[NodeId]>, pos: u32 },
+    /// Walk a shared node path from `path[start]` to `path[end]`, in
+    /// either direction; `pos` indexes the current node. A hop moves `pos`
+    /// one step toward `end` and passes the same slice on, so a route
+    /// along a pair's [`PairPath`], or back along a data route, copies no
+    /// node.
+    Path {
+        path: Arc<[NodeId]>,
+        start: u16,
+        pos: u16,
+        end: u16,
+    },
     /// Follow the sender's installed multicast tree (state pushed by
     /// `McastSetup`).
     Mcast { owner: NodeId },
+}
+
+impl Route {
+    /// Walk `path` from index `from` to index `to`, starting at `from`.
+    pub(crate) fn along(path: Arc<[NodeId]>, from: usize, to: usize) -> Route {
+        let (start, end) = (wire_pos(from), wire_pos(to));
+        Route::Path {
+            path,
+            start,
+            pos: start,
+            end,
+        }
+    }
+
+    /// Walk all of `path`, first node to last.
+    pub(crate) fn whole(path: Arc<[NodeId]>) -> Route {
+        let last = path.len() - 1;
+        Route::along(path, 0, last)
+    }
+
+    /// The nodes a `Path` route walks, `start` to `end` in walking order
+    /// (none for the other routes): the form a repair or a multicast tree
+    /// reads.
+    pub(crate) fn nodes(&self) -> Vec<NodeId> {
+        let Route::Path {
+            path, start, end, ..
+        } = self
+        else {
+            return Vec::new();
+        };
+        let (start, end) = (*start as usize, *end as usize);
+        if start <= end {
+            path[start..=end].to_vec()
+        } else {
+            path[end..=start].iter().rev().copied().collect()
+        }
+    }
+}
+
+/// Where one pair is joined (§3.2): the s..t path its target chose and the
+/// join node on it. The target makes it once; the nomination, the join
+/// node's `PairState`, both producers' assignments, a §6 migration and
+/// every route along the path share it, and a §7 repair splices a new one
+/// in its place. One quirk: an at-base [`Assign`] carries the base→producer
+/// tree path it walks in `nodes`, not the s..t path; the producer only
+/// ever routes such a pair up the tree.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairPath {
+    /// Sequence number: a node keeps the newest placement it has seen.
+    pub seq: u32,
+    /// The path, s first and t last; empty for a pair pinned at the base.
+    pub nodes: Arc<[NodeId]>,
+    /// Index of the join node on `nodes`; `None` = joined at the base.
+    pub j: Option<u16>,
+}
+
+impl PairPath {
+    /// A pair pinned at the base with no path: a §7 fallback, or a
+    /// migration from the base to itself.
+    pub(crate) fn pinned(seq: u32) -> Self {
+        PairPath {
+            seq,
+            nodes: Arc::new([]),
+            j: None,
+        }
+    }
+
+    /// The join node, or `None` at the base.
+    pub fn join_node(&self) -> Option<NodeId> {
+        self.j.map(|j| self.nodes[j as usize])
+    }
+
+    /// Index of a producer's end of the path: s's is the first, t's the
+    /// last.
+    pub(crate) fn end_of(&self, s_side: bool) -> usize {
+        if s_side {
+            0
+        } else {
+            self.nodes.len() - 1
+        }
+    }
+
+    /// §7: splice the path around `failed` with a local bypass over nodes
+    /// `alive` accepts, keeping the join node and re-indexing it. Returns
+    /// false, and changes nothing, when the path avoids `failed`, when
+    /// `failed` is the join node, or when no bypass exists.
+    pub(crate) fn splice_around(
+        &mut self,
+        topo: &Topology,
+        failed: NodeId,
+        alive: impl Fn(NodeId) -> bool,
+    ) -> bool {
+        if !self.nodes.contains(&failed) {
+            return false;
+        }
+        let old_j = self.join_node();
+        if old_j == Some(failed) {
+            return false;
+        }
+        let Some(new_nodes) = repair_path(topo, &self.nodes, failed, alive) else {
+            return false;
+        };
+        let j = match old_j {
+            // Bypass splices keep every non-failed node, but guard anyway:
+            // losing the join node would corrupt `j`.
+            Some(jn) => match new_nodes.iter().position(|&n| n == jn) {
+                Some(p) => Some(wire_pos(p)),
+                None => return false,
+            },
+            None => None,
+        };
+        self.nodes = new_nodes.into();
+        self.j = j;
+        true
+    }
 }
 
 /// GHT initiation: register membership at the home node.
@@ -71,23 +194,18 @@ pub struct Search {
     pub descending: bool,
     pub s: NodeId,
     pub s_static: Tuple,
-    pub constraints: Vec<(u8, Constraint)>,
-    /// Nodes visited so far (ends with the current hop's sender).
+    /// Made once by the searching producer; every hop shares it.
+    pub constraints: Arc<[(u8, Constraint)]>,
+    /// Nodes visited so far, ending with the node it is sent to.
     pub path: Vec<NodeId>,
-    /// Primary-tree base distance of each node on `path`.
-    pub hops: Vec<u16>,
 }
 
 /// t → j: nominate a join node for the pair (§3.2).
 #[derive(Debug, Clone)]
 pub struct Nominate {
     pub pair: Pair,
-    pub seq: u32,
-    /// Full s..t path the pair will use.
-    pub path: Vec<NodeId>,
-    pub hops: Vec<u16>,
-    /// Index of the join node on `path`; `None` = join at base.
-    pub j_idx: Option<usize>,
+    /// The s..t path the pair will use and its join node.
+    pub path: PairPath,
     pub assumed: Sigma,
     /// Back along `path` from t to the join node, or up the tree for an
     /// at-base nomination.
@@ -98,12 +216,10 @@ pub struct Nominate {
 #[derive(Debug, Clone)]
 pub struct Assign {
     pub pair: Pair,
-    pub seq: u32,
-    /// What the producer adopts: the s..t path for an on-path assign, the
-    /// base→producer tree path (also its route) for an at-base one.
-    pub path: Vec<NodeId>,
-    pub j_idx: Option<u32>,
-    /// Along `path` from the join node to the producer, or down the tree
+    /// What the producer adopts: the pair's placement, whose nodes are the
+    /// base→producer tree path (also the route) for an at-base assign.
+    pub path: PairPath,
+    /// Along the path from the join node to the producer, or down the tree
     /// from the base.
     pub route: Route,
 }
@@ -121,10 +237,8 @@ pub struct DeltaCost {
 #[derive(Debug, Clone)]
 pub struct WindowXfer {
     pub pair: Pair,
-    pub seq: u32,
-    pub path: Vec<NodeId>,
-    pub hops: Vec<u16>,
-    pub new_j_idx: Option<usize>,
+    /// The pair's new placement: its path and the new join node.
+    pub path: PairPath,
     pub assumed: Sigma,
     /// The pair's windows, both sides.
     pub win: WindowJoin,
@@ -197,8 +311,8 @@ impl Ctl {
 /// transmission moves a `Msg` by value several times and parks it in a
 /// pool slot, so the enum is kept to 48 bytes: the large control and
 /// assignment payloads are boxed, the 64-byte tuple of the per-tuple
-/// `Data` sits behind an `Arc` made once per sample, and path positions
-/// are `u32`. The tagged frame around it then fits one cache line (see
+/// `Data` sits behind an `Arc` made once per sample, and a route's path
+/// positions are `u16`. The tagged frame around it then fits one cache line (see
 /// `multi::tests::pool_slot_is_one_cache_line`).
 #[derive(Debug, Clone)]
 pub enum Msg {
@@ -240,8 +354,8 @@ pub enum Msg {
 
 /// A path index as messages carry it. Paths are simple paths over 16-bit
 /// node ids, so every index fits; a failure here is a corrupted path.
-pub(crate) fn wire_pos(i: usize) -> u32 {
-    u32::try_from(i).expect("path index fits in u32")
+pub(crate) fn wire_pos(i: usize) -> u16 {
+    u16::try_from(i).expect("path index fits in u16")
 }
 
 /// Delta-encoded path vector: 2-byte origin + ~1 byte per subsequent hop.
@@ -270,8 +384,9 @@ impl Msg {
             Msg::QueryFlood => 40, // compiled query broadcast
             Msg::Announce { .. } => 3 + STATIC_EXCERPT_BYTES,
             Msg::Ctl { route, ctl } => {
+                // The path bytes count the nodes the route walks.
                 let hops = match route {
-                    Route::Path { path, .. } => path.len(),
+                    Route::Path { start, end, .. } => start.abs_diff(*end) as usize + 1,
                     Route::TreeUp | Route::Mcast { .. } => 0,
                 };
                 ctl.wire_bytes() + path_bytes(hops)
@@ -284,8 +399,11 @@ impl Msg {
                     + path_bytes(m.path.len())
                     + m.path.len() as u32
             }
-            Msg::Nominate(m) => 12 + path_bytes(m.path.len()) + m.path.len() as u32,
-            Msg::Assign(m) => 10 + path_bytes(m.path.len()),
+            Msg::Nominate(m) => {
+                let n = m.path.nodes.len();
+                12 + path_bytes(n) + n as u32
+            }
+            Msg::Assign(m) => 10 + path_bytes(m.path.nodes.len()),
             Msg::Data { route, .. } => {
                 // Established flows route on cached state (flow buffers /
                 // path vectors installed during initiation), so data
@@ -298,7 +416,9 @@ impl Msg {
                 data_bytes + 1 + route_overhead
             }
             Msg::Result { count, .. } => 4 + *count as u32 * result_bytes,
-            Msg::WindowXfer(m) => 14 + m.win.len() as u32 * data_bytes + path_bytes(m.path.len()),
+            Msg::WindowXfer(m) => {
+                14 + m.win.len() as u32 * data_bytes + path_bytes(m.path.nodes.len())
+            }
             Msg::McastSetup(m) => {
                 let state: u32 = m.edges.iter().map(|(_, cs)| 2 + 2 * cs.len() as u32).sum();
                 2 + state
@@ -353,10 +473,7 @@ mod tests {
             from: NodeId(1),
             sides: side::S,
             tuple: Tuple::new(NodeId(1), 0).into(),
-            route: Route::Path {
-                path: vec![NodeId(1), NodeId(2), NodeId(3)].into(),
-                pos: 0,
-            },
+            route: Route::whole(vec![NodeId(1), NodeId(2), NodeId(3)].into()),
             fallback: None,
         };
         assert!(d2.wire_bytes(6, 10) > d.wire_bytes(6, 10));
@@ -386,10 +503,7 @@ mod tests {
             }
             Msg::WindowXfer(Box::new(WindowXfer {
                 pair: Pair::new(NodeId(1), NodeId(2)),
-                seq: 0,
-                path: vec![],
-                hops: vec![],
-                new_j_idx: None,
+                path: PairPath::pinned(0),
                 assumed: Sigma::new(1.0, 1.0, 1.0),
                 win,
                 route: Route::TreeUp,
@@ -408,7 +522,9 @@ mod tests {
         let ctl = |ctl| Msg::Ctl {
             route: Route::Path {
                 path: path.as_slice().into(),
+                start: 0,
                 pos: 1,
+                end: 4,
             },
             ctl,
         };
@@ -460,10 +576,7 @@ mod tests {
             // third node to its first pays for the three nodes it walks.
             (
                 Msg::Ctl {
-                    route: Route::Path {
-                        path: path[..3].iter().rev().copied().collect(),
-                        pos: 0,
-                    },
+                    route: Route::along(path.as_slice().into(), 2, 0),
                     ctl: Ctl::RouteBroken { failed: n },
                 },
                 12,
@@ -483,17 +596,20 @@ mod tests {
         let path: Vec<NodeId> = (1..=5).map(NodeId).collect();
         let on_path = || Route::Path {
             path: path.as_slice().into(),
+            start: 0,
             pos: 1,
+            end: 4,
         };
         let (s, t) = (path[0], path[4]);
         let pair = Pair::new(s, t);
         let nominate = |j_idx| {
             Msg::Nominate(Box::new(Nominate {
                 pair,
-                seq: 1,
-                path: path.clone(),
-                hops: vec![3, 2, 1, 2, 3],
-                j_idx,
+                path: PairPath {
+                    seq: 1,
+                    nodes: path.as_slice().into(),
+                    j: j_idx,
+                },
                 assumed: Sigma::new(1.0, 1.0, 1.0),
                 route: match j_idx {
                     Some(_) => on_path(),
@@ -501,21 +617,21 @@ mod tests {
                 },
             }))
         };
-        let assign = |j_idx: Option<u32>, dest: NodeId| {
-            let j = j_idx.unwrap_or(0) as usize;
-            let route: Arc<[NodeId]> = match j_idx {
-                Some(_) if dest == s => path[..=j].iter().rev().copied().collect(),
-                _ => path[j..].into(),
+        let assign = |j_idx: Option<u16>, dest: NodeId| {
+            let nodes: Arc<[NodeId]> = path.as_slice().into();
+            let route = match j_idx {
+                Some(j) if dest == s => Route::along(nodes.clone(), j as usize, 0),
+                Some(j) => Route::along(nodes.clone(), j as usize, 4),
+                None => Route::whole(nodes.clone()),
             };
             Msg::Assign(Box::new(Assign {
                 pair,
-                seq: 1,
-                path: path.clone(),
-                j_idx,
-                route: Route::Path {
-                    path: route,
-                    pos: 1,
+                path: PairPath {
+                    seq: 1,
+                    nodes,
+                    j: j_idx,
                 },
+                route,
             }))
         };
         let xfer = |route| {
@@ -524,10 +640,11 @@ mod tests {
             win.push(side::T, Tuple::new(t, 0), 2);
             Msg::WindowXfer(Box::new(WindowXfer {
                 pair,
-                seq: 1,
-                path: path.clone(),
-                hops: vec![3, 2, 1, 2, 3],
-                new_j_idx: Some(2),
+                path: PairPath {
+                    seq: 1,
+                    nodes: path.as_slice().into(),
+                    j: Some(2),
+                },
                 assumed: Sigma::new(1.0, 1.0, 1.0),
                 win,
                 route,

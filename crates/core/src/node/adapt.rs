@@ -4,7 +4,7 @@
 use super::{JoinNode, PairState, WindowJoin};
 use crate::cost::{place_join_node, Placement};
 use crate::learn::{DIVERGENCE_THRESHOLD, LEARN_INTERVAL};
-use crate::msg::{side, wire_pos, Ctl, Msg, Pair, Route, WindowXfer};
+use crate::msg::{side, wire_pos, Ctl, Msg, Pair, PairPath, Route, WindowXfer};
 use sensor_net::NodeId;
 use sensor_query::Tuple;
 use sensor_routing::repair::repair_path;
@@ -50,13 +50,14 @@ impl JoinNode {
     /// estimates diverge >33% from the values the placement assumed.
     fn evaluate_pair(&mut self, ctx: &mut Ctx<'_, Msg>, pair: Pair, at_base: bool) {
         let w = self.sh.spec.window;
+        let sub = &self.sh.sub;
         let st = if at_base {
             self.base.as_mut().and_then(|b| b.pairs.get_mut(&pair))
         } else {
             self.pairs.get_mut(&pair)
         };
         let Some(st) = st else { return };
-        if st.path.is_empty() {
+        if st.path.nodes.is_empty() {
             // Fallback-pinned pair: nothing to re-place.
             st.stats.reset();
             return;
@@ -73,12 +74,12 @@ impl JoinNode {
             st.stats.reset();
             return;
         }
-        let placement = place_join_node(est, w, &st.hops);
-        let new_j_idx = match placement {
-            Placement::OnPath { index, .. } => Some(index),
+        let hops = st.path.nodes.iter().map(|&n| sub.hops_to_base(n));
+        let new_j = match place_join_node(est, w, hops) {
+            Placement::OnPath { index, .. } => Some(wire_pos(index)),
             Placement::AtBase { .. } => None,
         };
-        if new_j_idx == st.j_idx {
+        if new_j == st.path.j {
             // Same node still optimal: adopt the estimates and move on.
             st.assumed = est;
             st.stats.reset();
@@ -86,35 +87,31 @@ impl JoinNode {
         }
         // Migrate: hand the windows to the new join node so computation
         // resumes "seamlessly without loss of results".
+        let st = self.pair_table(at_base).remove(&pair).expect("evaluated");
         let xfer = Box::new(WindowXfer {
             pair,
-            seq: st.seq + 1,
-            path: st.path.clone(),
-            hops: st.hops.clone(),
-            new_j_idx,
+            path: PairPath {
+                seq: st.path.seq + 1,
+                j: new_j,
+                ..st.path
+            },
             assumed: est,
-            win: std::mem::take(&mut st.win),
+            win: st.win,
             route: Route::TreeUp,
         });
-        if at_base {
-            self.base.as_mut().unwrap().pairs.remove(&pair);
-        } else {
-            self.pairs.remove(&pair);
-        }
         self.dispatch_window_xfer(ctx, xfer);
     }
 
     /// Route a WindowXfer from the current join point to the new one.
     pub(super) fn dispatch_window_xfer(&mut self, ctx: &mut Ctx<'_, Msg>, mut m: Box<WindowXfer>) {
-        m.route = match m.new_j_idx {
-            // Moving to the base, where I am already. The path, hops and
-            // windows are dropped, not fed to the base's `GroupJoin`: the
-            // lost at-base matches of ROADMAP item 1's cause (iv). A
-            // transfer that arrives at the base keeps them.
+        m.route = match m.path.j {
+            // Moving to the base, where I am already. The path and windows
+            // are dropped, not fed to the base's `GroupJoin`: the lost
+            // at-base matches of ROADMAP item 1's cause (iv). A transfer
+            // that arrives at the base keeps them.
             None if self.id == self.sh.base() => {
                 let cleared = WindowXfer {
-                    path: Vec::new(),
-                    hops: Vec::new(),
+                    path: PairPath::pinned(m.path.seq),
                     win: WindowJoin::default(),
                     ..*m
                 };
@@ -123,13 +120,12 @@ impl JoinNode {
             None => Route::TreeUp,
             // Along the pair's path if I am on it; otherwise (migrating
             // away from the base) down the primary tree.
-            Some(j) => Route::Path {
-                path: match m.path.iter().position(|&n| n == self.id) {
-                    Some(my_idx) if my_idx < j => m.path[my_idx..=j].into(),
-                    Some(my_idx) => m.path[j..=my_idx].iter().rev().copied().collect(),
-                    None => self.sh.tree_path(self.id, m.path[j]).into(),
-                },
-                pos: 0,
+            Some(j) => match m.path.nodes.iter().position(|&n| n == self.id) {
+                Some(me) => Route::along(m.path.nodes.clone(), me, j as usize),
+                None => {
+                    let to = m.path.nodes[j as usize];
+                    Route::whole(self.sh.tree_path(self.id, to).into())
+                }
             },
         };
         self.relay(ctx, Msg::WindowXfer(m));
@@ -138,24 +134,21 @@ impl JoinNode {
     /// The new join node adopts a migrated pair and re-points both
     /// producers at itself.
     pub(super) fn adopt_transferred_pair(&mut self, ctx: &mut Ctx<'_, Msg>, m: WindowXfer) {
-        let (pair, seq, j_idx) = (m.pair, m.seq, m.new_j_idx);
-        let state = PairState {
-            win: m.win,
-            ..PairState::new(pair, seq, m.path.clone(), m.hops, j_idx, m.assumed)
-        };
+        let WindowXfer {
+            pair,
+            path,
+            assumed,
+            win,
+            ..
+        } = m;
         self.migrations_adopted += 1;
-        match j_idx {
-            Some(_) => {
-                self.pairs.insert(pair, state);
-            }
-            None => {
-                if let Some(b) = self.base.as_mut() {
-                    b.pairs.insert(pair, state);
-                }
-            }
-        }
-        self.send_assign(ctx, pair, seq, m.path.clone(), j_idx, pair.s);
-        self.send_assign(ctx, pair, seq, m.path, j_idx, pair.t);
+        let state = PairState {
+            win,
+            ..PairState::new(pair, path.clone(), assumed)
+        };
+        self.pair_table(path.j.is_none()).insert(pair, state);
+        self.send_assign(ctx, pair, &path, pair.s);
+        self.send_assign(ctx, pair, &path, pair.t);
     }
 
     // ----- failure handling (§7) ----------------------------------------------
@@ -175,12 +168,12 @@ impl JoinNode {
                 from,
                 sides,
                 tuple,
-                route: Route::Path { path, pos },
+                route: route @ Route::Path { .. },
                 fallback,
             } => {
                 self.recovery.repair_attempts += 1;
                 let alive = |n: NodeId| !self.known_dead.contains(&n) && !self.sh.is_dead(n);
-                match repair_path(&self.sh.topo, &path, to, alive) {
+                match repair_path(&self.sh.topo, &route.nodes(), to, alive) {
                     Some(new_path) => {
                         self.recovery.repair_successes += 1;
                         // Resume from my position on the repaired path and
@@ -191,13 +184,16 @@ impl JoinNode {
                             .filter(|&p| p + 1 < new_path.len());
                         match resume {
                             Some(my_pos) => {
+                                let end = wire_pos(new_path.len() - 1);
                                 let m = Msg::Data {
                                     from,
                                     sides,
                                     tuple,
                                     route: Route::Path {
                                         path: new_path.into(),
+                                        start: 0,
                                         pos: wire_pos(my_pos),
+                                        end,
                                     },
                                     fallback,
                                 };
@@ -227,14 +223,14 @@ impl JoinNode {
                                 }
                             }
                         }
-                        self.notify_route_broken(ctx, from, to, &path, pos as usize, false);
+                        self.notify_route_broken(ctx, from, to, &route, false);
                     }
                     None => {
                         // No local bypass: this tuple instance is gone; the
                         // producer's buffered fallback (§7) re-ships its
                         // window to the base.
                         self.recovery.tuples_lost += 1;
-                        self.notify_route_broken(ctx, from, to, &path, pos as usize, true);
+                        self.notify_route_broken(ctx, from, to, &route, true);
                     }
                 }
             }
@@ -247,22 +243,22 @@ impl JoinNode {
             // Multicast branch died: tell the owner; it will rebuild
             // around the failure or fall back.
             Msg::Data {
-                route: Route::Mcast { owner },
+                route: route @ Route::Mcast { owner },
                 ..
             } => {
                 self.recovery.tuples_lost += 1;
-                self.notify_route_broken(ctx, owner, to, &[], 0, true);
+                self.notify_route_broken(ctx, owner, to, &route, true);
             }
             // A lost migration hand-off would strand the pair entirely —
             // the old join node already dropped its state. Divert the
             // transfer onto the routing tree with the destination retargeted
-            // to the base (`new_j_idx: None`): the intended join node is
+            // to the base (`j: None`): the intended join node is
             // unreachable, and a tree-up transfer that kept `Some(j)` would
             // make the base adopt a pair whose assigns point at a node that
             // never received the window state.
             Msg::WindowXfer(mut m) => {
                 if self.id == self.sh.base() || self.alive_parent().is_some() {
-                    m.new_j_idx = None;
+                    m.path.j = None;
                     m.route = Route::TreeUp;
                     self.relay(ctx, Msg::WindowXfer(m));
                 } else {
@@ -280,59 +276,26 @@ impl JoinNode {
     }
 
     /// Splice every stored path (producer assignments, join-node pair
-    /// state, base-registered pairs) around a newly-dead node, recomputing
-    /// the `hops` base-distance vector and remapping `j_idx` — stale
-    /// pre-repair distances would otherwise keep feeding §6's placement
-    /// decisions (ISSUE 3 regression). Paths whose join node *is* the dead
-    /// node are left for the fatal base-fallback handling.
+    /// state, base-registered pairs) around a newly-dead node, remapping
+    /// the join-node index, so later traffic and §6 placement decisions
+    /// stop referencing it (ISSUE 3 regression). Paths whose join node
+    /// *is* the dead node are left for the fatal base-fallback handling.
     pub(super) fn patch_paths_around(&mut self, failed: NodeId) {
         let sh = &self.sh;
         let known_dead = &self.known_dead;
         let alive = |n: NodeId| !known_dead.contains(&n) && !sh.is_dead(n) && n != failed;
-        let patch =
-            |path: &mut Vec<NodeId>, hops: &mut Vec<u16>, j_idx: &mut Option<usize>| -> bool {
-                if path.is_empty() || !path.contains(&failed) {
-                    return false;
-                }
-                let old_j = j_idx.map(|j| path[j]);
-                if old_j == Some(failed) {
-                    return false;
-                }
-                let Some(new_path) = repair_path(&sh.topo, path, failed, alive) else {
-                    return false;
-                };
-                let new_j = match old_j {
-                    // Bypass splices keep every non-failed node, but guard
-                    // anyway: losing the join node would corrupt j_idx.
-                    Some(j) => match new_path.iter().position(|&n| n == j) {
-                        Some(p) => Some(p),
-                        None => return false,
-                    },
-                    None => None,
-                };
-                *hops = new_path.iter().map(|&n| sh.sub.hops_to_base(n)).collect();
-                *path = new_path;
-                *j_idx = new_j;
-                true
-            };
         let mut patched = 0u64;
         let mut assigns_patched = false;
         for a in self.assigns.values_mut() {
-            if !a.base_mode && patch(&mut a.path, &mut a.hops, &mut a.j_idx) {
+            if !a.base_mode && a.path.splice_around(&sh.topo, failed, alive) {
                 patched += 1;
                 assigns_patched = true;
             }
         }
-        for st in self.pairs.values_mut() {
-            if patch(&mut st.path, &mut st.hops, &mut st.j_idx) {
+        let at_base = self.base.iter_mut().flat_map(|b| b.pairs.values_mut());
+        for st in self.pairs.values_mut().chain(at_base) {
+            if st.path.splice_around(&sh.topo, failed, alive) {
                 patched += 1;
-            }
-        }
-        if let Some(b) = self.base.as_mut() {
-            for st in b.pairs.values_mut() {
-                if patch(&mut st.path, &mut st.hops, &mut st.j_idx) {
-                    patched += 1;
-                }
             }
         }
         self.recovery.paths_patched += patched;
@@ -342,14 +305,14 @@ impl JoinNode {
         }
     }
 
-    /// Walk a RouteBroken notification back toward the producer.
+    /// Walk a RouteBroken notification back toward the producer: back
+    /// along `data_route` to its start if I am on it, else down the tree.
     fn notify_route_broken(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         producer: NodeId,
         failed: NodeId,
-        path: &[NodeId],
-        pos: usize,
+        data_route: &Route,
         fatal: bool,
     ) {
         if producer == self.id {
@@ -358,18 +321,16 @@ impl JoinNode {
             self.producer_route_broken(ctx, failed, fatal);
             return;
         }
-        // Reverse along the data path if I am on it; else tree-route.
-        let back_path: Arc<[NodeId]> =
-            if !path.is_empty() && pos > 0 && path.get(pos) == Some(&self.id) {
-                path[..=pos].iter().rev().copied().collect()
-            } else {
-                self.sh.tree_path(self.id, producer).into()
-            };
+        let route = match data_route {
+            Route::Path {
+                path, start, pos, ..
+            } if pos != start && path.get(*pos as usize) == Some(&self.id) => {
+                Route::along(path.clone(), *pos as usize, *start as usize)
+            }
+            _ => Route::whole(self.sh.tree_path(self.id, producer).into()),
+        };
         let msg = Msg::Ctl {
-            route: Route::Path {
-                path: back_path,
-                pos: 0,
-            },
+            route,
             ctl: Ctl::RouteBroken { failed },
         };
         self.recovery.control_bytes += self.wire_bytes(&msg) as u64;
@@ -398,7 +359,7 @@ impl JoinNode {
         let affected: Vec<Pair> = self
             .assigns
             .values()
-            .filter(|a| !a.base_mode && a.path.contains(&failed))
+            .filter(|a| !a.base_mode && a.path.nodes.contains(&failed))
             .map(|a| a.pair)
             .collect();
         if affected.is_empty() {

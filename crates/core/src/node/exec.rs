@@ -11,7 +11,7 @@
 //! the pairwise oracle one per statically matching pair.
 
 use super::{GroupJoin, JoinNode, PairState};
-use crate::msg::{side, Msg, Pair, Route};
+use crate::msg::{side, Msg, Pair, PairPath, Route};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
 use sensor_query::{QueryAnalysis, Tuple, TupleSource};
@@ -152,10 +152,7 @@ impl JoinNode {
                 from: self.id,
                 sides: use_sides,
                 tuple: tuple.clone(),
-                route: Route::Path {
-                    path: path.clone(),
-                    pos: 0,
-                },
+                route: Route::whole(path.clone()),
                 fallback: None,
             };
             self.relay(ctx, msg);
@@ -168,7 +165,7 @@ impl JoinNode {
         // remaining pairs get per-path unicasts (deduped per join node).
         let mut any_base = false;
         let mut local: Vec<Pair> = Vec::new();
-        let mut unicast: Vec<(NodeId, Arc<[NodeId]>)> = Vec::new(); // (j, my path to j)
+        let mut unicast: Vec<(NodeId, Route)> = Vec::new(); // (j, my route to j)
         let use_mcast = self.sh.cfg.innet.multicast && self.mc_tree.is_some();
         for asg in self.assigns.values() {
             let my_side_s = asg.pair.s == self.id;
@@ -177,11 +174,13 @@ impl JoinNode {
             if !relevant {
                 continue;
             }
-            if asg.base_mode || asg.j_idx.is_none() {
-                any_base = true;
-                continue;
-            }
-            let j = asg.path[asg.j_idx.expect("innet route")];
+            let j = match asg.path.join_node() {
+                Some(j) if !asg.base_mode => j,
+                _ => {
+                    any_base = true;
+                    continue;
+                }
+            };
             if j == self.id {
                 // I am the join node for my own pair: local insert.
                 local.push(asg.pair);
@@ -215,12 +214,12 @@ impl JoinNode {
             };
             self.forward_mcast(ctx, self.id, msg);
         }
-        for (_, path) in unicast {
+        for (_, route) in unicast {
             let msg = Msg::Data {
                 from: self.id,
                 sides,
                 tuple: tuple.clone(),
-                route: Route::Path { path, pos: 0 },
+                route,
                 fallback: None,
             };
             self.relay(ctx, msg);
@@ -407,7 +406,7 @@ impl JoinNode {
         if let Some(pair) = fallback {
             // Sequence number u32::MAX pins the pair at the base.
             let sigma = crate::cost::Sigma::new(1.0, 1.0, 1.0);
-            let pinned = || PairState::new(pair, u32::MAX, Vec::new(), Vec::new(), None, sigma);
+            let pinned = || PairState::new(pair, PairPath::pinned(u32::MAX), sigma);
             b.pairs.entry(pair).or_insert_with(pinned);
         }
         let a = &spec.analysis;
@@ -479,10 +478,7 @@ impl JoinNode {
                 from: origin,
                 sides: side::S,
                 tuple: tuple.clone(),
-                route: Route::Path {
-                    path: self.sh.tree_path(self.id, t).into(),
-                    pos: 0,
-                },
+                route: Route::whole(self.sh.tree_path(self.id, t).into()),
                 fallback: None,
             };
             self.relay(ctx, msg);

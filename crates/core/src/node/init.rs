@@ -3,11 +3,13 @@
 
 use super::{Candidate, JoinNode, PairState, ProducerAssign};
 use crate::cost::{place_join_node, Placement, Sigma};
-use crate::msg::{side, wire_pos, Assign, Ctl, GhtRegister, Msg, Nominate, Pair, Route, Search};
+use crate::msg::{
+    side, wire_pos, Assign, Ctl, GhtRegister, Msg, Nominate, Pair, PairPath, Route, Search,
+};
 use crate::shared::Algorithm;
 use sensor_net::NodeId;
 use sensor_query::Tuple;
-use sensor_routing::search::{next_hops, SearchQuery};
+use sensor_routing::search::next_hops;
 use sensor_sim::Ctx;
 use sensor_summaries::Constraint;
 use std::sync::Arc;
@@ -159,7 +161,8 @@ impl JoinNode {
         if !self.is_s {
             return;
         }
-        let constraints = self.sh.spec.plan.search_constraints(&self.statics);
+        let constraints: Arc<[(u8, Constraint)]> =
+            self.sh.spec.plan.search_constraints(&self.statics).into();
         if constraints.is_empty() {
             // Unroutable query: §2 — only base-station joining is feasible;
             // nominate the base directly for every statically matching
@@ -167,110 +170,62 @@ impl JoinNode {
             return;
         }
         for tree in 0..self.sh.sub.num_trees() {
-            self.forward_search(
-                ctx,
-                tree as u8,
-                false,
-                None,
-                self.id,
-                self.statics,
-                &constraints,
-                vec![self.id],
-                vec![self.sh.sub.hops_to_base(self.id)],
-            );
+            let search = Search {
+                tree: tree as u8,
+                descending: false,
+                s: self.id,
+                s_static: self.statics,
+                constraints: constraints.clone(),
+                path: vec![self.id],
+            };
+            self.forward_search(ctx, &search, None);
         }
     }
 
-    /// Apply the §2.2 search forwarding rule from the current node.
-    #[allow(clippy::too_many_arguments)]
-    fn forward_search(
-        &self,
-        ctx: &mut Ctx<'_, Msg>,
-        tree: u8,
-        descending: bool,
-        from_child: Option<NodeId>,
-        s: NodeId,
-        s_static: Tuple,
-        constraints: &[(u8, Constraint)],
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-    ) {
-        let q = SearchQuery::new(constraints.to_vec());
-        for (next, next_descending) in next_hops(
+    /// Apply the §2.2 search forwarding rule to `m` at the current node.
+    fn forward_search(&self, ctx: &mut Ctx<'_, Msg>, m: &Search, from_child: Option<NodeId>) {
+        for (next, descending) in next_hops(
             &self.sh.sub,
-            tree as usize,
+            m.tree as usize,
             self.id,
-            descending,
+            m.descending,
             from_child,
-            &q,
+            &m.constraints,
         ) {
-            let mut p = path.clone();
-            p.push(next);
-            let mut h = hops.clone();
-            h.push(self.sh.sub.hops_to_base(next));
-            self.send(
-                ctx,
-                next,
-                Msg::Search(Box::new(Search {
-                    tree,
-                    descending: next_descending,
-                    s,
-                    s_static,
-                    constraints: constraints.to_vec(),
-                    path: p,
-                    hops: h,
-                })),
-            );
+            let mut path = m.path.clone();
+            path.push(next);
+            let search = Search {
+                descending,
+                constraints: m.constraints.clone(),
+                path,
+                ..*m
+            };
+            self.send(ctx, next, Msg::Search(Box::new(search)));
         }
     }
 
     pub(super) fn on_search(&mut self, ctx: &mut Ctx<'_, Msg>, from: NodeId, m: Search) {
-        let Search {
-            tree,
-            descending,
-            s,
-            s_static,
-            constraints,
-            path,
-            hops,
-        } = m;
         // Target check: exact constraint match + secondary predicates +
         // own eligibility.
-        if s != self.id
+        if m.s != self.id
             && self.is_t
-            && self.sh.sub.node_matches(self.id, &constraints)
-            && self.sh.spec.plan.verify_pair(&s_static, &self.statics)
+            && self.sh.sub.node_matches(self.id, &m.constraints)
+            && self.sh.spec.plan.verify_pair(&m.s_static, &self.statics)
         {
-            self.consider_candidate(ctx, s, &path, &hops);
+            self.consider_candidate(ctx, m.s, &m.path);
         }
-        let from_child = (!descending).then_some(from);
-        self.forward_search(
-            ctx,
-            tree,
-            descending,
-            from_child,
-            s,
-            s_static,
-            &constraints,
-            path,
-            hops,
-        );
+        let from_child = (!m.descending).then_some(from);
+        self.forward_search(ctx, &m, from_child);
     }
 
     /// §3.2: the target runs the cost model over the discovered path and
     /// nominates the winner, re-nominating whenever a better path shows up.
-    fn consider_candidate(
-        &mut self,
-        ctx: &mut Ctx<'_, Msg>,
-        s: NodeId,
-        path: &[NodeId],
-        hops: &[u16],
-    ) {
+    fn consider_candidate(&mut self, ctx: &mut Ctx<'_, Msg>, s: NodeId, path: &[NodeId]) {
         let sigma = self.sh.cfg.assumed;
         let w = self.sh.spec.window;
-        let placement = place_join_node(sigma, w, hops);
-        let (j_idx, cost) = match placement {
-            Placement::OnPath { index, cost } => (Some(index), cost),
+        let hops = path.iter().map(|&n| self.sh.sub.hops_to_base(n));
+        let (j, cost) = match place_join_node(sigma, w, hops) {
+            Placement::OnPath { index, cost } => (Some(wire_pos(index)), cost),
             Placement::AtBase { cost } => (None, cost),
         };
         let better = match self.candidates.get(&s) {
@@ -280,38 +235,32 @@ impl JoinNode {
         if !better {
             return;
         }
-        let seq = self.candidates.get(&s).map(|c| c.seq + 1).unwrap_or(0);
+        let seq = self.candidates.get(&s).map(|c| c.path.seq + 1).unwrap_or(0);
+        let path = PairPath {
+            seq,
+            nodes: path.into(),
+            j,
+        };
         self.candidates.insert(
             s,
             Candidate {
-                seq,
                 cost,
-                path: path.to_vec(),
-                hops: hops.to_vec(),
-                j_idx,
+                path: path.clone(),
             },
         );
-        self.nominate(ctx, s, seq);
+        self.nominate(ctx, s, path);
     }
 
-    pub(super) fn nominate(&mut self, ctx: &mut Ctx<'_, Msg>, s: NodeId, seq: u32) {
-        let Some(c) = self.candidates.get(&s) else {
-            return;
-        };
-        let route = match c.j_idx {
-            // Back along the path to the join node, which may be me.
-            Some(j) => Route::Path {
-                path: c.path[j..].iter().rev().copied().collect(),
-                pos: 0,
-            },
+    /// Nominate `path`'s join node for the pair (s, me): back along the
+    /// path to it, which may be me, or up the tree to the base.
+    fn nominate(&mut self, ctx: &mut Ctx<'_, Msg>, s: NodeId, path: PairPath) {
+        let route = match path.j {
+            Some(j) => Route::along(path.nodes.clone(), path.end_of(false), j as usize),
             None => Route::TreeUp,
         };
         let msg = Msg::Nominate(Box::new(Nominate {
             pair: Pair::new(s, self.id),
-            seq,
-            path: c.path.clone(),
-            hops: c.hops.clone(),
-            j_idx: c.j_idx,
+            path,
             assumed: self.sh.cfg.assumed,
             route,
         }));
@@ -320,41 +269,21 @@ impl JoinNode {
 
     /// Register a pair at this node (the join node or the base) and notify
     /// the producers.
-    #[allow(clippy::too_many_arguments)]
     pub(super) fn install_pair(
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         pair: Pair,
-        seq: u32,
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-        j_idx: Option<usize>,
+        path: PairPath,
         assumed: Sigma,
     ) {
-        let state = PairState::new(pair, seq, path.clone(), hops.clone(), j_idx, assumed);
-        let stale = |old_seq: u32| seq < old_seq;
-        match j_idx {
-            Some(_) => {
-                if let Some(old) = self.pairs.get(&pair) {
-                    if stale(old.seq) {
-                        return;
-                    }
-                }
-                self.pairs.insert(pair, state);
-            }
-            None => {
-                let b = self.base.as_mut().expect("at-base install off-base");
-                if let Some(old) = b.pairs.get(&pair) {
-                    if stale(old.seq) {
-                        return;
-                    }
-                }
-                b.pairs.insert(pair, state);
-            }
+        let table = self.pair_table(path.j.is_none());
+        if table.get(&pair).is_some_and(|old| path.seq < old.path.seq) {
+            return;
         }
+        table.insert(pair, PairState::new(pair, path.clone(), assumed));
         // Notify s (the t side already knows: it nominated). Migration
         // (adapt.rs) additionally notifies t explicitly.
-        self.send_assign(ctx, pair, seq, path, j_idx, pair.s);
+        self.send_assign(ctx, pair, &path, pair.s);
     }
 
     /// Notify `dest`, one of the pair's producers, of its placement. An
@@ -365,62 +294,42 @@ impl JoinNode {
         &mut self,
         ctx: &mut Ctx<'_, Msg>,
         pair: Pair,
-        seq: u32,
-        mut path: Vec<NodeId>,
-        j_idx: Option<usize>,
+        path: &PairPath,
         dest: NodeId,
     ) {
-        let route: Arc<[NodeId]> = match j_idx {
-            Some(j) if dest == pair.s => path[..=j].iter().rev().copied().collect(),
-            Some(j) => path[j..].into(),
+        let (path, route) = match path.j {
+            Some(j) => {
+                let end = path.end_of(dest == pair.s);
+                let route = Route::along(path.nodes.clone(), j as usize, end);
+                (path.clone(), route)
+            }
             None => {
-                path = self.sh.tree_path(self.id, dest);
-                path.as_slice().into()
+                let tree: Arc<[NodeId]> = self.sh.tree_path(self.id, dest).into();
+                let at_base = PairPath {
+                    seq: path.seq,
+                    nodes: tree.clone(),
+                    j: None,
+                };
+                (at_base, Route::whole(tree))
             }
         };
-        let msg = Msg::Assign(Box::new(Assign {
-            pair,
-            seq,
-            path,
-            j_idx: j_idx.map(wire_pos),
-            route: Route::Path {
-                path: route,
-                pos: 0,
-            },
-        }));
-        self.relay(ctx, msg);
+        self.relay(ctx, Msg::Assign(Box::new(Assign { pair, path, route })));
     }
 
-    pub fn adopt_assign(&mut self, pair: Pair, seq: u32, path: Vec<NodeId>, j_idx: Option<usize>) {
-        // `path` for at-base assigns is a tree path, not the s..t path;
-        // producers then route TreeUp so the path is irrelevant.
-        let hops: Vec<u16> = path.iter().map(|&n| self.sh.sub.hops_to_base(n)).collect();
-        let entry = self.assigns.entry(pair);
-        use std::collections::btree_map::Entry;
-        match entry {
-            Entry::Occupied(mut o) => {
-                if o.get().seq <= seq {
-                    let base_mode = o.get().base_mode;
-                    o.insert(ProducerAssign {
-                        pair,
-                        seq,
-                        path,
-                        hops,
-                        j_idx,
-                        base_mode: base_mode && j_idx.is_none(),
-                    });
-                }
-            }
-            Entry::Vacant(v) => {
-                v.insert(ProducerAssign {
+    /// Adopt `path` as my placement of `pair` unless I hold a newer one.
+    /// A base-mode override survives only a re-assignment to the base.
+    pub fn adopt_assign(&mut self, pair: Pair, path: PairPath) {
+        let held = self.assigns.get(&pair).map(|a| (a.path.seq, a.base_mode));
+        if held.is_none_or(|(seq, _)| seq <= path.seq) {
+            let base_mode = held.is_some_and(|(_, b)| b) && path.j.is_none();
+            self.assigns.insert(
+                pair,
+                ProducerAssign {
                     pair,
-                    seq,
                     path,
-                    hops,
-                    j_idx,
-                    base_mode: false,
-                });
-            }
+                    base_mode,
+                },
+            );
         }
         self.mc_dirty = true;
     }
@@ -431,14 +340,13 @@ impl JoinNode {
         if self.sh.cfg.algorithm != Algorithm::Innet {
             return;
         }
-        let cands: Vec<(NodeId, Candidate)> = self
+        let cands: Vec<(NodeId, PairPath)> = self
             .candidates
             .iter()
-            .map(|(s, c)| (*s, c.clone()))
+            .map(|(s, c)| (*s, c.path.clone()))
             .collect();
-        for (s, c) in cands {
-            let pair = Pair::new(s, self.id);
-            self.adopt_assign(pair, c.seq, c.path, c.j_idx);
+        for (s, path) in cands {
+            self.adopt_assign(Pair::new(s, self.id), path);
         }
     }
 }

@@ -17,6 +17,13 @@
 //! - [`adapt`]: selectivity learning with join-node migration (§6) and
 //!   failure recovery (§7).
 //!
+//! A pair's placement is one [`PairPath`] (its s..t path, join node and
+//! sequence number), made once by the target that chose it. The
+//! nomination, the join node's [`PairState`], both producers'
+//! [`ProducerAssign`]s and a migration's [`crate::msg::WindowXfer`] hold
+//! it, and every route along the path walks its shared nodes; a node's
+//! base distance is read off the primary tree where a placement needs it.
+//!
 //! Every message bound for a known end goes through one relay,
 //! `JoinNode::relay`: data and results up the tree to the base, data
 //! along a recorded path vector, announcements, nominations back along
@@ -24,11 +31,12 @@
 //! transfers to a new join node, and node-addressed control ([`Msg::Ctl`]:
 //! Base verdicts, GHT registration, GROUPOPT reports, pings and
 //! decisions, collapse hints, route-broken notices). Its [`Route`] is
-//! `TreeUp` or a `Path`; at each hop the relay forwards the message, and
-//! where the route ends, at its sender too, it hands it to its kind's
-//! handler (`deliver`, and `on_ctl` for a [`Ctl`]). Multicast data fans
-//! out on its own, and §7's `handle_send_failure` keeps its per-kind
-//! recovery.
+//! `TreeUp` or a `Path`, which walks a shared slice from its `start` to
+//! its `end` in either direction; at each hop the relay forwards the
+//! message, and where the route ends, at its sender too, it hands it to
+//! its kind's handler (`deliver`, and `on_ctl` for a [`Ctl`]). Multicast
+//! data fans out on its own, and §7's `handle_send_failure` keeps its
+//! per-kind recovery.
 
 pub mod adapt;
 pub mod exec;
@@ -37,7 +45,7 @@ pub mod mpo;
 
 use crate::cost::Sigma;
 use crate::learn::PairStats;
-use crate::msg::{Ctl, Msg, Pair, Route};
+use crate::msg::{Ctl, Msg, Pair, PairPath, Route};
 use crate::multicast::McastTree;
 use crate::shared::{Algorithm, Shared};
 use sensor_net::NodeId;
@@ -52,40 +60,31 @@ pub use exec::WindowJoin;
 /// t keeps nominating better join nodes as better paths are discovered).
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    pub seq: u32,
     pub cost: f64,
-    pub path: Vec<NodeId>,
-    pub hops: Vec<u16>,
-    pub j_idx: Option<usize>,
+    pub path: PairPath,
 }
 
 /// A producer's view of one assigned pair.
 #[derive(Debug, Clone)]
 pub struct ProducerAssign {
     pub pair: Pair,
-    pub seq: u32,
-    /// Full s..t path.
-    pub path: Vec<NodeId>,
-    pub hops: Vec<u16>,
-    /// Join node index on `path`; `None` = at base.
-    pub j_idx: Option<usize>,
+    /// The pair's placement (an at-base assign's carries the tree path it
+    /// came down; see [`PairPath`]).
+    pub path: PairPath,
     /// Overridden to base by a group decision or failure fallback.
     pub base_mode: bool,
 }
 
 impl ProducerAssign {
-    /// My route to the join node (I am `me`, one of the endpoints), in the
-    /// shared form a [`crate::msg::Route::Path`] carries.
-    pub fn route_to_j(&self, me: NodeId) -> Option<Arc<[NodeId]>> {
-        let j = self.j_idx?;
+    /// My route to the join node (I am `me`, one of the endpoints): the
+    /// pair's path walked from my end.
+    pub fn route_to_j(&self, me: NodeId) -> Option<Route> {
+        let j = self.path.j?;
         if self.base_mode {
             return None;
         }
-        Some(if me == self.pair.s {
-            self.path[..=j].into()
-        } else {
-            self.path[j..].iter().rev().copied().collect()
-        })
+        let from = self.path.end_of(me == self.pair.s);
+        Some(Route::along(self.path.nodes.clone(), from, j as usize))
     }
 }
 
@@ -93,32 +92,19 @@ impl ProducerAssign {
 #[derive(Debug, Clone)]
 pub struct PairState {
     pub pair: Pair,
-    pub seq: u32,
-    pub path: Vec<NodeId>,
-    pub hops: Vec<u16>,
-    pub j_idx: Option<usize>,
+    pub path: PairPath,
     pub assumed: Sigma,
     pub win: WindowJoin,
     pub stats: PairStats,
 }
 
 impl PairState {
-    /// A pair joined at `path[j_idx]` (at the base if `None`), with empty
-    /// windows and no statistics yet.
-    pub(crate) fn new(
-        pair: Pair,
-        seq: u32,
-        path: Vec<NodeId>,
-        hops: Vec<u16>,
-        j_idx: Option<usize>,
-        assumed: Sigma,
-    ) -> Self {
+    /// A pair joined where `path` says, with empty windows and no
+    /// statistics yet.
+    pub(crate) fn new(pair: Pair, path: PairPath, assumed: Sigma) -> Self {
         PairState {
             pair,
-            seq,
             path,
-            hops,
-            j_idx,
             assumed,
             win: WindowJoin::default(),
             stats: PairStats::default(),
@@ -196,8 +182,8 @@ pub struct RecoveryStats {
     pub control_bytes: u64,
     /// Pairs this producer switched to base-mode on a fatal route break.
     pub base_fallbacks: u64,
-    /// Stored path/hops vectors recomputed after a successful repair, so
-    /// later placement decisions use post-repair distances.
+    /// Stored paths spliced around a dead node after a successful repair,
+    /// so later placement decisions use post-repair distances.
     pub paths_patched: u64,
     /// Mobile-leaf re-homings executed by the dynamics plan (App. G
     /// mobility; session-level, charged by the driver rather than a node).
@@ -351,6 +337,16 @@ impl JoinNode {
             .min_by_key(|&n| (tree.depth(n), n))
     }
 
+    /// The pairs joined here on a path, or, `at_base`, the pairs this base
+    /// station joins at the base.
+    pub(crate) fn pair_table(&mut self, at_base: bool) -> &mut BTreeMap<Pair, PairState> {
+        if at_base {
+            &mut self.base.as_mut().expect("at-base pair off-base").pairs
+        } else {
+            &mut self.pairs
+        }
+    }
+
     /// The one relay for every message bound for a known end: move `msg`
     /// one hop along its route, the primary tree up to the base or a
     /// [`Route::Path`] to its last node, or hand it to its kind's handler
@@ -362,17 +358,21 @@ impl JoinNode {
         let next = match msg.route_mut() {
             None | Some(Route::TreeUp) if at_base => return self.deliver(ctx, msg),
             None | Some(Route::TreeUp) => self.alive_parent(),
-            Some(Route::Path { path, pos }) => {
+            Some(Route::Path { path, pos, end, .. }) => {
                 debug_assert_eq!(
                     path.get(*pos as usize),
                     Some(&self.id),
                     "path routing desync"
                 );
-                let Some(&next) = path.get(*pos as usize + 1) else {
+                if *pos == *end {
                     return self.deliver(ctx, msg);
-                };
-                *pos += 1;
-                Some(next)
+                }
+                if *pos < *end {
+                    *pos += 1;
+                } else {
+                    *pos -= 1;
+                }
+                Some(path[*pos as usize])
             }
             Some(Route::Mcast { .. }) => unreachable!("multicast data fans out on its own"),
         };
@@ -391,11 +391,11 @@ impl JoinNode {
             Msg::Ctl { ctl, .. } => self.on_ctl(ctx, ctl),
             Msg::Nominate(m) => {
                 let m = *m;
-                self.install_pair(ctx, m.pair, m.seq, m.path, m.hops, m.j_idx, m.assumed);
+                self.install_pair(ctx, m.pair, m.path, m.assumed);
             }
             Msg::Assign(m) => {
-                let j_idx = m.j_idx.map(|j| j as usize);
-                self.adopt_assign(m.pair, m.seq, m.path, j_idx);
+                let m = *m;
+                self.adopt_assign(m.pair, m.path);
             }
             Msg::Data {
                 from,
@@ -418,10 +418,7 @@ impl JoinNode {
     /// Send `ctl` along `path`, which starts at me and ends at the node
     /// that acts on it (me, for a one-node path).
     pub(crate) fn send_ctl(&mut self, ctx: &mut Ctx<'_, Msg>, path: Vec<NodeId>, ctl: Ctl) {
-        let route = Route::Path {
-            path: path.into(),
-            pos: 0,
-        };
+        let route = Route::whole(path.into());
         self.relay(ctx, Msg::Ctl { route, ctl });
     }
 

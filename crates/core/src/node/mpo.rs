@@ -46,17 +46,13 @@ impl JoinNode {
             // ΔCp inputs: per distinct join node, (D_pj, N_pj, D_jr).
             let mut per_j: Vec<(NodeId, f64, u32, f64)> = Vec::new();
             for a in &my_pairs {
-                let Some(j) = a.j_idx else {
+                let Some(j) = a.path.j.map(usize::from) else {
                     // Pair already at base: contributes 0 to both terms.
                     continue;
                 };
-                let jn = a.path[j];
-                let d_pj = if a.pair.s == self.id {
-                    j as f64
-                } else {
-                    (a.path.len() - 1 - j) as f64
-                };
-                let d_jr = a.hops[j] as f64;
+                let jn = a.path.nodes[j];
+                let d_pj = j.abs_diff(a.path.end_of(a.pair.s == self.id)) as f64;
+                let d_jr = self.sh.sub.hops_to_base(jn) as f64;
                 match per_j.iter_mut().find(|(n, _, _, _)| *n == jn) {
                     Some(e) => e.2 += 1,
                     None => per_j.push((jn, d_pj, 1, d_jr)),
@@ -274,10 +270,11 @@ impl JoinNode {
             let mut out = Vec::new();
             for a in self.assigns.values() {
                 if let Some(route) = a.route_to_j(self.id) {
+                    let route = route.nodes();
                     let j = *route.last().unwrap();
                     if j != self.id && !seen_j.contains(&j) {
                         seen_j.push(j);
-                        out.push(route.to_vec());
+                        out.push(route);
                     }
                 }
             }

@@ -5,11 +5,11 @@
 //!    cycles with no estimate, deflating every σ estimate;
 //! 2. `handle_send_failure` dropped the in-flight tuple when the repaired
 //!    path no longer ran through the repairing node;
-//! 3. a successful repair never updated the stored `path`/`hops` vectors,
-//!    so later §6 placement decisions used pre-repair distances.
+//! 3. a successful repair never updated the stored paths, so later §6
+//!    placement decisions used pre-repair distances.
 
 use aspen_join::learn::{PairStats, LEARN_INTERVAL};
-use aspen_join::msg::{side, Msg, Pair, Route, WindowXfer};
+use aspen_join::msg::{side, Msg, Pair, PairPath, Route, WindowXfer};
 use aspen_join::node::{PairState, WindowJoin};
 use aspen_join::prelude::*;
 use aspen_join::scenario::default_indexed_attrs;
@@ -57,13 +57,14 @@ fn build_run(topo: Topology, opts: InnetOptions) -> (Engine<JoinNode>, Arc<Share
     (engine, sh)
 }
 
-fn pair_state(pair: Pair, path: Vec<NodeId>, hops: Vec<u16>, j_idx: Option<usize>) -> PairState {
+fn pair_state(pair: Pair, path: Vec<NodeId>, j: Option<u16>) -> PairState {
     PairState {
         pair,
-        seq: 0,
-        path,
-        hops,
-        j_idx,
+        path: PairPath {
+            seq: 0,
+            nodes: path.into(),
+            j,
+        },
         assumed: Sigma::new(0.5, 0.5, 0.2),
         win: WindowJoin::default(),
         stats: PairStats::default(),
@@ -93,12 +94,7 @@ fn evaluation_cycle_does_not_double_tick() {
     let pair = Pair::new(NodeId(4), NodeId(6));
     engine.node_mut(id).pairs.insert(
         pair,
-        pair_state(
-            pair,
-            vec![NodeId(4), NodeId(5), NodeId(6)],
-            vec![1, 2, 2],
-            Some(1),
-        ),
+        pair_state(pair, vec![NodeId(4), NodeId(5), NodeId(6)], Some(1)),
     );
     // Drive sampling cycles 0..=20 directly at the node; the learning
     // interval is 20, so cycle 20 runs an evaluation with no evidence
@@ -134,7 +130,9 @@ fn in_flight_tuple_survives_desynced_repair() {
         tuple: tuple.into(),
         route: Route::Path {
             path: vec![NodeId(1), dead, NodeId(3)].into(),
+            start: 0,
             pos: 1,
+            end: 2,
         },
         fallback: None,
     };
@@ -164,9 +162,8 @@ fn in_flight_tuple_survives_desynced_repair() {
 }
 
 /// Bug 3: after a successful local repair the stored producer assignment
-/// must be spliced onto the repaired path with freshly computed base
-/// distances and a remapped join-node index — not left pointing through
-/// the dead node with pre-repair `hops`.
+/// must be spliced onto the repaired path with a remapped join-node index,
+/// not left pointing through the dead node.
 #[test]
 fn successful_repair_patches_stale_path_and_hops() {
     // Straight line 0(base)-1-2-3 with an arc detour 4-5 above it: when 2
@@ -189,10 +186,11 @@ fn successful_repair_patches_stale_path_and_hops() {
         pair,
         aspen_join::node::ProducerAssign {
             pair,
-            seq: 0,
-            path: vec![NodeId(1), NodeId(2), NodeId(3)],
-            hops: vec![9, 9, 9], // deliberately stale
-            j_idx: Some(2),
+            path: PairPath {
+                seq: 0,
+                nodes: vec![NodeId(1), NodeId(2), NodeId(3)].into(),
+                j: Some(2),
+            },
             base_mode: false,
         },
     );
@@ -204,20 +202,24 @@ fn successful_repair_patches_stale_path_and_hops() {
         tuple: Tuple::new(producer, 0).into(),
         route: Route::Path {
             path: vec![NodeId(1), NodeId(2), NodeId(3)].into(),
+            start: 0,
             pos: 1,
+            end: 2,
         },
         fallback: None,
     };
     engine.with_node(producer, |p, ctx| p.on_send_failed(ctx, dead, msg));
     let a = &engine.node(producer).assigns[&pair];
     assert_eq!(
-        a.path,
-        vec![NodeId(1), NodeId(4), NodeId(5), NodeId(3)],
+        *a.path.nodes,
+        [NodeId(1), NodeId(4), NodeId(5), NodeId(3)],
         "assignment must be spliced onto the repaired path"
     );
-    assert_eq!(a.j_idx, Some(3), "join-node index remapped on the new path");
-    let expect_hops: Vec<u16> = a.path.iter().map(|&n| sh.sub.hops_to_base(n)).collect();
-    assert_eq!(a.hops, expect_hops, "hops recomputed, not the stale vector");
+    assert_eq!(
+        a.path.j,
+        Some(3),
+        "join-node index remapped on the new path"
+    );
     assert!(
         !a.base_mode,
         "a repairable failure must not force base mode"
@@ -240,7 +242,7 @@ fn base_to_base_migration_repins_the_pair_empty() {
     // an on-path node, costs s an extra hop.
     let (s, t) = (NodeId(5), NodeId(1));
     let pair = Pair::new(s, t);
-    let mut st = pair_state(pair, vec![s, NodeId(4), base, t], vec![1, 1, 0, 1], Some(2));
+    let mut st = pair_state(pair, vec![s, NodeId(4), base, t], Some(2));
     st.win = windows(&[Tuple::new(s, 0)], &[Tuple::new(t, 0)]);
     // Learned σs = σt = 20/20 and σst = 0 diverge from the assumed
     // (0.5, 0.5, 0.2); with no results to ship, joining at the base
@@ -258,18 +260,18 @@ fn base_to_base_migration_repins_the_pair_empty() {
     let node = engine.node(base);
     assert!(!node.pairs.contains_key(&pair), "no longer held on path");
     let pinned = &node.base_state().expect("base state").pairs[&pair];
-    assert_eq!(pinned.j_idx, None);
-    assert!(pinned.path.is_empty(), "re-pinned with an empty path");
+    assert_eq!(pinned.path.j, None);
+    assert!(pinned.path.nodes.is_empty(), "re-pinned with an empty path");
     assert!(pinned.win.is_empty(), "re-pinned with empty windows");
     assert_eq!(node.migrations_adopted, 1);
     for producer in [s, t] {
         let a = &engine.node(producer).assigns[&pair];
-        assert_eq!(a.j_idx, None, "{producer:?} re-assigned to the base");
+        assert_eq!(a.path.j, None, "{producer:?} re-assigned to the base");
     }
 }
 
 /// A migration hand-off lost in flight must re-form the pair at the base
-/// with `j_idx = None`: diverting it tree-up while keeping the original
+/// with `j = None`: diverting it tree-up while keeping the original
 /// `Some(j)` index would make the base adopt a pair whose assignments
 /// point at a join node that never received the window state (and trips
 /// `send_assign`'s path debug-assert in test builds).
@@ -286,15 +288,18 @@ fn lost_window_xfer_reforms_pair_at_base() {
     // abandoned at node 5 because 6 died.
     let msg = Msg::WindowXfer(Box::new(WindowXfer {
         pair,
-        seq: 1,
-        path: vec![NodeId(4), NodeId(5), NodeId(6), NodeId(7)],
-        hops: vec![1, 2, 2, 2],
-        new_j_idx: Some(2),
+        path: PairPath {
+            seq: 1,
+            nodes: vec![NodeId(4), NodeId(5), NodeId(6), NodeId(7)].into(),
+            j: Some(2),
+        },
         assumed: Sigma::new(0.5, 0.5, 0.2),
         win: windows(&[tuple], &[]),
         route: Route::Path {
             path: vec![NodeId(5), NodeId(6)].into(),
+            start: 0,
             pos: 1,
+            end: 1,
         },
     }));
     engine.with_node(carrier, |p, ctx| p.on_send_failed(ctx, dead, msg));
@@ -306,7 +311,7 @@ fn lost_window_xfer_reforms_pair_at_base() {
         .pairs;
     let adopted = base_pairs.get(&pair).expect("pair re-formed at the base");
     assert_eq!(
-        adopted.j_idx, None,
+        adopted.path.j, None,
         "diverted transfer must target the base"
     );
     assert_eq!(
@@ -331,10 +336,11 @@ fn stranded_window_xfer_is_counted_as_lost() {
     let pair = Pair::new(NodeId(4), NodeId(7));
     let msg = Msg::WindowXfer(Box::new(WindowXfer {
         pair,
-        seq: 1,
-        path: vec![NodeId(4), NodeId(5), NodeId(6), NodeId(7)],
-        hops: vec![1, 2, 2, 2],
-        new_j_idx: Some(2),
+        path: PairPath {
+            seq: 1,
+            nodes: vec![NodeId(4), NodeId(5), NodeId(6), NodeId(7)].into(),
+            j: Some(2),
+        },
         assumed: Sigma::new(0.5, 0.5, 0.2),
         win: windows(
             &[Tuple::new(NodeId(4), 0), Tuple::new(NodeId(4), 1)],
@@ -342,7 +348,9 @@ fn stranded_window_xfer_is_counted_as_lost() {
         ),
         route: Route::Path {
             path: vec![NodeId(7), NodeId(6)].into(),
+            start: 0,
             pos: 1,
+            end: 1,
         },
     }));
     engine.with_node(carrier, |p, ctx| p.on_send_failed(ctx, NodeId(6), msg));

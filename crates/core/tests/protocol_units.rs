@@ -259,7 +259,7 @@ fn intermediate_path_failure_repairs_locally() {
     let mut victim = None;
     'outer: for i in 0..topo.len() as u16 {
         for a in node(&run, NodeId(i)).assigns.values() {
-            for &n in &a.path {
+            for &n in a.path.nodes.iter() {
                 if n != a.pair.s && n != a.pair.t && n != j && n != topo.base() {
                     victim = Some(n);
                     break 'outer;
@@ -279,6 +279,7 @@ fn intermediate_path_failure_repairs_locally() {
 
 #[test]
 fn pair_sequence_numbers_keep_latest_assignment() {
+    use aspen_join::msg::PairPath;
     use aspen_join::node::ProducerAssign;
     // adopt_assign must be monotonic in seq.
     let topo = line(5);
@@ -293,8 +294,13 @@ fn pair_sequence_numbers_keep_latest_assignment() {
     );
     let pair = Pair::new(NodeId(1), NodeId(2));
     let mut node = JoinNode::new(NodeId(1), Arc::new(sh));
-    node.adopt_assign(pair, 5, vec![NodeId(1), NodeId(2)], Some(1));
-    node.adopt_assign(pair, 3, vec![NodeId(1), NodeId(3)], Some(0)); // stale
+    let path = |seq, nodes: [NodeId; 2], j| PairPath {
+        seq,
+        nodes: nodes.into(),
+        j: Some(j),
+    };
+    node.adopt_assign(pair, path(5, [NodeId(1), NodeId(2)], 1));
+    node.adopt_assign(pair, path(3, [NodeId(1), NodeId(3)], 0)); // stale
     let a: &ProducerAssign = &node.assigns[&pair];
-    assert_eq!(a.seq, 5, "stale assignment overwrote newer one");
+    assert_eq!(a.path.seq, 5, "stale assignment overwrote newer one");
 }

@@ -45,11 +45,12 @@ fn pick_relay(s: &Session) -> Option<NodeId> {
     let base = s.topology().base();
     for id in s.topology().node_ids() {
         for a in node(s, id).assigns.values() {
-            if a.base_mode || a.path.len() < 3 {
+            let path = &a.path.nodes;
+            if a.base_mode || path.len() < 3 {
                 continue;
             }
-            let j = a.j_idx.map(|j| a.path[j]);
-            for &relay in &a.path[1..a.path.len() - 1] {
+            let j = a.path.join_node();
+            for &relay in &path[1..path.len() - 1] {
                 if relay != base && Some(relay) != j {
                     return Some(relay);
                 }

@@ -50,7 +50,8 @@ pub struct SearchResult {
     pub tree: usize,
 }
 
-/// Forwarding decision for a search message sitting at `node` in `tree`.
+/// Forwarding decision for a search message sitting at `node` in `tree`,
+/// for the search target `constraints` (all must hold).
 ///
 /// `descending` reflects the message's current phase; the returned flag is
 /// the phase for each next hop. `from_child` must be set when the message
@@ -65,7 +66,7 @@ pub fn next_hops(
     node: NodeId,
     descending: bool,
     from_child: Option<NodeId>,
-    query: &SearchQuery,
+    constraints: &[(AttrId, Constraint)],
 ) -> Vec<(NodeId, bool)> {
     let t = sub.tree(tree);
     let mut out = Vec::new();
@@ -73,7 +74,7 @@ pub fn next_hops(
         if Some(c) == from_child {
             continue;
         }
-        if sub.child_may_match(tree, node, c, &query.constraints) {
+        if sub.child_may_match(tree, node, c, constraints) {
             out.push((c, true));
         }
     }
@@ -158,7 +159,7 @@ fn search_tree(
             item.node,
             item.descending,
             item.from_child,
-            query,
+            &query.constraints,
         ) {
             if descending {
                 if visited_desc[next.index()] {

@@ -1,12 +1,17 @@
 //! Simulation parameters.
 
+/// Retransmission attempts after the first (TinyOS-style link ACKs).
+pub const MAX_RETRIES: u8 = 3;
+
+/// Link-layer header size in bytes charged per message (TinyOS active
+/// message header + CRC).
+pub const HEADER_BYTES: u32 = 11;
+
 /// Link-layer and timing parameters of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Probability that a single transmission attempt is lost.
     pub loss_prob: f64,
-    /// Retransmission attempts after the first (TinyOS-style link ACKs).
-    pub max_retries: u8,
     /// Messages a node may transmit per transmission cycle (MAC budget).
     pub tx_per_cycle: usize,
     /// Outgoing queue capacity; sends beyond it are dropped and counted
@@ -19,9 +24,6 @@ pub struct SimConfig {
     /// A session turns it on itself for a path-collapsing query
     /// ([`crate::Engine::set_snooping`]); raw engine runs set it here.
     pub snooping: bool,
-    /// Link-layer header size in bytes charged per message (TinyOS active
-    /// message header + CRC).
-    pub header_bytes: u32,
     /// RNG seed for link-loss draws.
     pub seed: u64,
     /// Fair per-flow MAC arbitration: when a node's queue holds messages of
@@ -48,12 +50,10 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             loss_prob: 0.05,
-            max_retries: 3,
             tx_per_cycle: 4,
             queue_capacity: 64,
             tx_per_sampling_cycle: 100,
             snooping: false,
-            header_bytes: 11,
             seed: 0,
             fair_mac: false,
             threads: 1,

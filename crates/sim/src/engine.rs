@@ -37,7 +37,7 @@
 //! an engine that visits every node.
 //! [`Engine::node_visits`] counts the visits that remain.
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, HEADER_BYTES, MAX_RETRIES};
 use crate::metrics::Metrics;
 use crate::pool::{MsgHandle, MsgPool};
 use rand::rngs::StdRng;
@@ -152,7 +152,6 @@ pub struct Ctx<'a, M> {
     queue_capacity: usize,
     queue_drops: &'a mut u64,
     self_send_drops: &'a mut u64,
-    header_bytes: u32,
 }
 
 impl<M> Ctx<'_, M> {
@@ -190,7 +189,7 @@ impl<M> Ctx<'_, M> {
                 queue.push_back(QueueEntry {
                     handle,
                     target,
-                    wire_bytes: payload_bytes + self.header_bytes,
+                    wire_bytes: payload_bytes + HEADER_BYTES,
                     flow,
                     attempts: 0,
                 });
@@ -242,7 +241,6 @@ impl<M> Ctx<'_, M> {
             now: self.now,
             topo: self.topo,
             queue_capacity: self.queue_capacity,
-            header_bytes: self.header_bytes,
             queue_drops: &mut drops,
             self_send_drops: &mut self_sends,
             sink: Sink::Framed {
@@ -313,7 +311,7 @@ impl<M: Clone> Ctx<'_, M> {
                 queue.push_back(QueueEntry {
                     handle,
                     target: Target::Unicast(to),
-                    wire_bytes: payload_bytes + self.header_bytes,
+                    wire_bytes: payload_bytes + HEADER_BYTES,
                     flow,
                     attempts: 0,
                 });
@@ -668,7 +666,6 @@ impl<P: Protocol> Engine<P> {
                 queue_capacity: self.cfg.queue_capacity,
                 queue_drops: &mut drops,
                 self_send_drops: &mut self_sends,
-                header_bytes: self.cfg.header_bytes,
             };
             f(&mut self.nodes[i], &mut ctx)
         };
@@ -1034,7 +1031,7 @@ fn transmit_node(
                         flow: e.flow,
                         release: true,
                     });
-                } else if e.attempts < cfg.max_retries {
+                } else if e.attempts < MAX_RETRIES {
                     e.attempts += 1;
                     tx.deferred.push(e);
                 } else {
@@ -1136,7 +1133,7 @@ mod tests {
             ctx.send(NodeId(1), 4, 1);
         });
         eng.run_until_quiet(100);
-        let per_hop = (4 + SimConfig::default().header_bytes) as u64;
+        let per_hop = (4 + HEADER_BYTES) as u64;
         assert_eq!(eng.metrics().total_tx_bytes(), 3 * per_hop);
         assert_eq!(eng.metrics().node(NodeId(1)).rx_bytes, per_hop);
         assert_eq!(eng.metrics().node(NodeId(3)).tx_bytes, 0);
@@ -1181,7 +1178,7 @@ mod tests {
         // All retry attempts were still charged.
         assert_eq!(
             eng.metrics().node(NodeId(0)).tx_msgs,
-            1 + SimConfig::default().max_retries as u64
+            1 + MAX_RETRIES as u64
         );
     }
 
@@ -1294,7 +1291,7 @@ mod tests {
     /// Regression (ISSUE 2 headline): a lost unicast must consume exactly
     /// one transmission attempt per cycle. Before the fix, the retried
     /// message was `push_front`ed and re-popped by the same budget loop, so
-    /// one lossy link burned all `max_retries` attempts plus the node's
+    /// one lossy link burned all `MAX_RETRIES` attempts plus the node's
     /// whole `tx_per_cycle` budget within a single cycle.
     #[test]
     fn lost_unicast_consumes_one_attempt_per_cycle() {
@@ -1304,13 +1301,13 @@ mod tests {
             fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: NodeId, _: ()) {}
         }
         // A dead receiver forces every attempt to fail deterministically.
-        let cfg = SimConfig::lossless(); // tx_per_cycle = 4, max_retries = 3
+        let cfg = SimConfig::lossless(); // tx_per_cycle = 4; MAX_RETRIES = 3
         let mut eng = Engine::new(line(3), cfg, |_| F);
         eng.kill(NodeId(1));
         eng.with_node(NodeId(0), |_, ctx| {
             ctx.send(NodeId(1), 0, ());
         });
-        // One attempt per cycle: 1 + max_retries cycles until abandonment.
+        // One attempt per cycle: 1 + MAX_RETRIES cycles until abandonment.
         for cycle in 1..=4u64 {
             assert!(
                 eng.in_flight(),
@@ -1431,7 +1428,7 @@ mod tests {
         });
         eng.run_until_quiet(10);
         let m = eng.metrics();
-        let hdr = SimConfig::default().header_bytes as u64;
+        let hdr = HEADER_BYTES as u64;
         assert_eq!(m.flow(0).tx_msgs, 1);
         assert_eq!(m.flow(1).tx_msgs, 2);
         assert_eq!(m.flow(0).tx_bytes, 4 + hdr);

@@ -30,7 +30,7 @@ pub mod metrics;
 mod pool;
 pub mod sweep;
 
-pub use config::SimConfig;
+pub use config::{SimConfig, HEADER_BYTES, MAX_RETRIES};
 pub use dynamics::{DynamicsPlan, FaultEvent, FaultTarget, FireOutcome, LossShift};
 pub use engine::{Ctx, Engine, Protocol};
 pub use metrics::{FlowMetrics, Metrics, NodeMetrics};

@@ -64,7 +64,7 @@ fn every_facade_reexport_resolves() {
     assert!(stats.total_traffic_bytes() > 0);
 
     // aspen::join cost model, directly.
-    let placement = aspen::join::place_join_node(Sigma::new(0.5, 0.5, 0.2), 2, &[4, 3, 2, 3, 4]);
+    let placement = aspen::join::place_join_node(Sigma::new(0.5, 0.5, 0.2), 2, [4, 3, 2, 3, 4]);
     assert!(placement.cost().is_finite());
 
     // aspen::sim::sweep + aspen::bench::sweep — the scenario-sweep
