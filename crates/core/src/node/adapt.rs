@@ -278,8 +278,9 @@ impl JoinNode {
     /// Splice every stored path (producer assignments, join-node pair
     /// state, base-registered pairs) around a newly-dead node, remapping
     /// the join-node index, so later traffic and §6 placement decisions
-    /// stop referencing it (ISSUE 3 regression). Paths whose join node
-    /// *is* the dead node are left for the fatal base-fallback handling.
+    /// stop referencing it (`adapt_regression.rs` pins this). Paths whose
+    /// join node *is* the dead node are left for the fatal base-fallback
+    /// handling.
     pub(super) fn patch_paths_around(&mut self, failed: NodeId) {
         let sh = &self.sh;
         let known_dead = &self.known_dead;
